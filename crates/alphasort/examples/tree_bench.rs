@@ -1,6 +1,6 @@
-use alphasort_core::merge::RunMerger;
-use alphasort_core::runform::{form_run, Representation};
 use alphasort_core::kernels::TreeKernel;
+use alphasort_core::merge::{Merger, PrefixThenKey, RunCursors};
+use alphasort_core::runform::{form_run, Representation};
 use alphasort_dmgen::{generate, GenConfig, RECORD_LEN};
 use std::time::Instant;
 
@@ -14,7 +14,7 @@ fn main() {
         let mut best = f64::MAX;
         for _ in 0..5 {
             let t0 = Instant::now();
-            let m = RunMerger::new_with_kernel(&runs, kernel);
+            let m = Merger::<_, PrefixThenKey, _>::new(RunCursors::new(&runs, None), kernel, ());
             let mut n = 0u64;
             for _ in m { n += 1; }
             assert_eq!(n, 800_000);

@@ -19,8 +19,10 @@ use std::time::{Duration, Instant};
 
 use alphasort_dmgen::{records_of, Record, RECORD_LEN};
 
-use crate::rs::LoserTree;
-use crate::runform::{form_run, Representation};
+use crate::io::MemSource;
+use crate::kernels::TreeKernel;
+use crate::merge::{Merger, PrefixThenKey, StreamHeads};
+use crate::runform::{form_run, Representation, SortedRun};
 
 /// Configuration for the partitioned sort.
 #[derive(Clone, Debug)]
@@ -217,7 +219,7 @@ pub fn partition_merge_sort(
     let t0 = Instant::now();
     let per = n.div_ceil(cfg.nodes.max(1)).max(1);
     let rep = cfg.representation;
-    let reader_streams: Vec<Vec<Vec<Record>>> = std::thread::scope(|scope| {
+    let mut reader_streams: Vec<Vec<Vec<u8>>> = std::thread::scope(|scope| {
         let splitters = &splitters;
         let handles: Vec<_> = records
             .chunks(per)
@@ -227,10 +229,10 @@ pub fn partition_merge_sort(
                         share.iter().flat_map(|r| r.as_bytes()).copied().collect(),
                         rep,
                     );
-                    let mut outs: Vec<Vec<Record>> = vec![Vec::new(); splitters.len() + 1];
+                    let mut outs: Vec<Vec<u8>> = vec![Vec::new(); splitters.len() + 1];
                     for r in run.iter_sorted() {
                         let t = splitters.partition_point(|s| *s <= r.key);
-                        outs[t].push(*r);
+                        outs[t].extend_from_slice(r.as_bytes());
                     }
                     outs
                 })
@@ -243,41 +245,33 @@ pub fn partition_merge_sort(
     });
     stats.scatter_time = t0.elapsed();
 
-    // Targets merge their per-reader streams with a loser tree.
+    // Targets merge their per-reader streams through the one tournament;
+    // its leaf-index tie-break is reader order, as arrival order demands.
     let t0 = Instant::now();
-    let readers = reader_streams.len();
-    let streams_by_target: Vec<Vec<Vec<Record>>> = (0..cfg.nodes)
-        .map(|t| (0..readers).map(|r| reader_streams[r][t].clone()).collect())
+    let streams_by_target: Vec<Vec<Vec<u8>>> = (0..cfg.nodes)
+        .map(|t| {
+            reader_streams
+                .iter_mut()
+                .map(|r| std::mem::take(&mut r[t]))
+                .collect()
+        })
         .collect();
     stats.partition_sizes = streams_by_target
         .iter()
-        .map(|streams| streams.iter().map(|s| s.len() as u64).sum())
+        .map(|streams| streams.iter().map(|s| (s.len() / RECORD_LEN) as u64).sum())
         .collect();
     let sorted_parts: Vec<Vec<u8>> = std::thread::scope(|scope| {
         let handles: Vec<_> = streams_by_target
-            .iter()
+            .into_iter()
             .map(|streams| {
                 scope.spawn(move || {
-                    let total: usize = streams.iter().map(|s| s.len()).sum();
-                    let mut out = Vec::with_capacity(total * RECORD_LEN);
-                    if streams.is_empty() {
-                        return out;
-                    }
-                    let mut pos = vec![0usize; streams.len()];
-                    let less = |pos: &Vec<usize>, a: usize, b: usize| -> bool {
-                        match (streams[a].get(pos[a]), streams[b].get(pos[b])) {
-                            (None, _) => false,
-                            (Some(_), None) => true,
-                            (Some(x), Some(y)) => (&x.key, a) < (&y.key, b),
-                        }
-                    };
-                    let mut tree = LoserTree::new(streams.len(), |a, b| less(&pos, a, b));
-                    for _ in 0..total {
-                        let w = tree.winner();
-                        out.extend_from_slice(streams[w][pos[w]].as_bytes());
-                        pos[w] += 1;
-                        tree.replay(|a, b| less(&pos, a, b));
-                    }
+                    let mut out = Vec::with_capacity(streams.iter().map(Vec::len).sum());
+                    let sources = streams.into_iter().map(|s| MemSource::new(s, 1 << 20));
+                    let heads = StreamHeads::<_, SortedRun>::new(sources.collect())
+                        .expect("in-memory streams of whole records");
+                    let mut merger =
+                        Merger::<_, PrefixThenKey, _>::new(heads, TreeKernel::Branchy, ());
+                    while merger.next_into(&mut out).expect("in-memory streams") {}
                     out
                 })
             })

@@ -10,17 +10,20 @@ use std::io;
 use std::sync::Arc;
 use std::time::Instant;
 
-use alphasort_dmgen::RECORD_LEN;
 use alphasort_obs as obs;
 
-use crate::driver::{SortConfig, SortOutcome};
+use crate::driver::{finish, merge_ranges, Feed, Range, SortConfig, SortOutcome};
+use crate::entry::RecordLayout;
 use crate::gather::take_ptrs;
 use crate::io::{RecordSink, RecordSource};
-use crate::merge::RunMerger;
-use crate::parallel::{GatherPool, MergePool, SortPool};
+use crate::layout::{Cut, LayoutRun};
+use crate::merge::{Merger, RunCursors};
+use crate::parallel::{GatherPool, SortPool};
 use crate::planner::PassPlan;
 use crate::pmerge::{plan_mem_partitions, SAMPLES_PER_RANGE};
+use crate::runform::SortedRun;
 use crate::stats::{timed_phase, SortStats};
+use crate::varlen::VarRun;
 
 /// How many gather batches may be in flight before the root drains one —
 /// the output-side analogue of triple buffering.
@@ -36,65 +39,45 @@ where
     Src: RecordSource,
     Snk: RecordSink,
 {
-    if cfg.layout == crate::entry::RecordLayout::VarLen {
-        return crate::varlen::one_pass_var(source, sink, cfg);
+    match cfg.layout {
+        RecordLayout::Datamation => one_pass_of::<SortedRun, _, _>(source, sink, cfg),
+        RecordLayout::VarLen => one_pass_of::<VarRun, _, _>(source, sink, cfg),
     }
+}
+
+/// The one-pass pipeline over runs of type `R`.
+fn one_pass_of<R, Src, Snk>(
+    source: &mut Src,
+    sink: &mut Snk,
+    cfg: &SortConfig,
+) -> io::Result<SortOutcome>
+where
+    R: LayoutRun,
+    Src: RecordSource,
+    Snk: RecordSink,
+{
     assert!(cfg.run_records > 0 && cfg.gather_batch > 0);
-    let mut top = obs::span(obs::phase::ONE_PASS);
+    let top = obs::span(obs::phase::ONE_PASS);
     let t_start = Instant::now();
     let mut stats = SortStats {
         one_pass: true,
         ..Default::default()
     };
-    let run_bytes = cfg.run_records * RECORD_LEN;
 
     // ---- input + run formation, overlapped --------------------------------
-    let mut pool = SortPool::with_kernel(cfg.workers, cfg.representation, cfg.kernel);
-    let mut cur: Vec<u8> = Vec::with_capacity(run_bytes);
-    loop {
-        let mut rd = obs::span(obs::phase::READ);
-        let t0 = Instant::now();
-        let chunk = source.next_chunk();
-        stats.read_wait += t0.elapsed();
-        if let Ok(Some(c)) = &chunk {
-            rd.attr("bytes", c.len() as u64);
-        }
-        drop(rd);
-        let Some(chunk) = chunk? else { break };
-        stats.bytes_sorted += chunk.len() as u64;
-        let mut off = 0;
-        while off < chunk.len() {
-            let take = (run_bytes - cur.len()).min(chunk.len() - off);
-            cur.extend_from_slice(&chunk[off..off + take]);
-            off += take;
-            if cur.len() == run_bytes {
-                pool.submit(std::mem::replace(&mut cur, Vec::with_capacity(run_bytes)));
+    let mut pool = SortPool::<R>::new(cfg.workers, cfg.representation, cfg.kernel);
+    let mut feed = Feed::<R::Cutter>::new(cfg.run_records, Vec::new());
+    while let Some(cuts) = feed.next_cuts(source, &mut stats)? {
+        for cut in cuts {
+            if let Cut::Run(buf) = cut {
+                pool.submit(buf);
             }
         }
     }
-    if !cur.is_empty() {
-        if !cur.len().is_multiple_of(RECORD_LEN) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "input ends mid-record ({} trailing bytes)",
-                    cur.len() % RECORD_LEN
-                ),
-            ));
-        }
-        pool.submit(cur);
-    }
     let (runs, pool_stats) = pool.finish();
     stats.merge(&pool_stats);
-
     if stats.records == 0 {
-        let bytes = timed_phase(obs::phase::WRITE, &mut stats.write_wait, || sink.complete())?;
-        stats.elapsed = t_start.elapsed();
-        return Ok(SortOutcome {
-            stats,
-            bytes,
-            plan: PassPlan::OnePass,
-        });
+        return finish(top, stats, sink, PassPlan::OnePass, t_start);
     }
 
     // ---- merge + gather + output, overlapped ------------------------------
@@ -102,63 +85,49 @@ where
     if cfg.merge_workers > 0 {
         // Partitioned parallel merge: sampled splitters cut every run into
         // P disjoint key ranges; each range's merge is fused with its
-        // gather on a pool worker and the buffers stream out in range
+        // gather on its own thread and the buffers stream out in range
         // order — byte-identical to the serial tournament below.
         let plan = timed_phase(obs::phase::MERGE, &mut stats.merge_time, || {
             plan_mem_partitions(&runs, cfg.merge_workers, SAMPLES_PER_RANGE)
         });
-        stats.merge_range_records = plan.range_records.clone();
-        let mut pool = MergePool::with_kernel(cfg.merge_workers, Arc::clone(&runs), cfg.kernel.tree());
-        for row in &plan.bounds {
-            pool.submit(row.iter().map(|&(s, e)| (s as u32, e as u32)).collect());
+        let mut ranges: Vec<Range<'_, RunCursors<'_, R>>> = Vec::new();
+        for (row, &records) in plan.bounds.iter().zip(&plan.range_records) {
+            let bounds: Vec<(u32, u32)> = row.iter().map(|&(s, e)| (s as u32, e as u32)).collect();
+            let runs = &runs[..];
+            // In-memory ranges have nothing to wait for: each worker may
+            // stage its whole range while earlier ones drain.
+            let ahead = records as usize / cfg.gather_batch + 1;
+            ranges.push((
+                Box::new(move || Ok(Some(RunCursors::new(runs, Some(&bounds))))),
+                ahead,
+            ));
         }
-        while let Some((buf, d)) = pool.next_in_order() {
-            stats.merge_time += d;
-            stats.merge_range_time.push(d);
+        merge_ranges::<_, R::Policy, _>(ranges, plan, cfg, sink, &mut stats)?;
+    } else {
+        let heads = RunCursors::new(&runs, None);
+        let mut merger = Merger::<_, R::Policy, _>::new(heads, cfg.kernel.tree(), ());
+        let mut gather = GatherPool::new(cfg.workers, Arc::clone(&runs));
+        // Inline gathers finish at submit: a parked buffer would only wait.
+        let pipeline = GATHER_PIPELINE.min(cfg.workers as u64);
+        loop {
+            let ptrs = timed_phase(obs::phase::MERGE, &mut stats.merge_time, || {
+                take_ptrs(&mut merger, cfg.gather_batch)
+            });
+            if ptrs.is_empty() {
+                break;
+            }
+            gather.submit(ptrs);
+            while gather.in_flight() > pipeline {
+                let buf = gather.next_buffer().expect("in-flight batch vanished");
+                timed_phase(obs::phase::WRITE, &mut stats.write_wait, || sink.push(&buf))?;
+            }
+        }
+        while let Some(buf) = gather.next_buffer() {
             timed_phase(obs::phase::WRITE, &mut stats.write_wait, || sink.push(&buf))?;
         }
-        let bytes = timed_phase(obs::phase::WRITE, &mut stats.write_wait, || sink.complete())?;
-        stats.elapsed = t_start.elapsed();
-        obs::metrics::counter_add("sort.records", stats.records);
-        obs::metrics::counter_add("sort.bytes", stats.bytes_sorted);
-        top.attr("records", stats.records);
-        top.attr("bytes", stats.bytes_sorted);
-        return Ok(SortOutcome {
-            stats,
-            bytes,
-            plan: PassPlan::OnePass,
-        });
+        stats.merge(gather.stats());
     }
-    let mut merger = RunMerger::new_with_kernel(&runs, cfg.kernel.tree());
-    let mut gather = GatherPool::new(cfg.workers, Arc::clone(&runs));
-    loop {
-        let ptrs = timed_phase(obs::phase::MERGE, &mut stats.merge_time, || {
-            take_ptrs(&mut merger, cfg.gather_batch)
-        });
-        if ptrs.is_empty() {
-            break;
-        }
-        gather.submit(ptrs);
-        while gather.in_flight() > GATHER_PIPELINE {
-            let buf = gather.next_buffer().expect("in-flight batch vanished");
-            timed_phase(obs::phase::WRITE, &mut stats.write_wait, || sink.push(&buf))?;
-        }
-    }
-    while let Some(buf) = gather.next_buffer() {
-        timed_phase(obs::phase::WRITE, &mut stats.write_wait, || sink.push(&buf))?;
-    }
-    let bytes = timed_phase(obs::phase::WRITE, &mut stats.write_wait, || sink.complete())?;
-    stats.merge(gather.stats());
-    stats.elapsed = t_start.elapsed();
-    obs::metrics::counter_add("sort.records", stats.records);
-    obs::metrics::counter_add("sort.bytes", stats.bytes_sorted);
-    top.attr("records", stats.records);
-    top.attr("bytes", stats.bytes_sorted);
-    Ok(SortOutcome {
-        stats,
-        bytes,
-        plan: PassPlan::OnePass,
-    })
+    finish(top, stats, sink, PassPlan::OnePass, t_start)
 }
 
 #[cfg(test)]
@@ -166,7 +135,7 @@ mod tests {
     use super::*;
     use crate::io::{MemSink, MemSource};
     use crate::runform::Representation;
-    use alphasort_dmgen::{generate, validate_records, GenConfig, KeyDistribution};
+    use alphasort_dmgen::{generate, validate_records, GenConfig, KeyDistribution, RECORD_LEN};
 
     fn sort_mem(n: u64, dist: KeyDistribution, cfg: &SortConfig) {
         let (data, cs) = generate(GenConfig {

@@ -4,35 +4,45 @@
 //! being stored on disk and being read back in during merge phase." The
 //! [`ScratchStore`] abstraction supplies per-run writers during run
 //! formation and per-run sources during the merge; [`StripeScratch`] puts
-//! runs on striped simulated disks, [`MemScratch`] keeps them in memory for
-//! tests.
+//! runs on striped simulated disks, [`MemScratch`] keeps them in memory —
+//! the fake tests substitute for it.
+//!
+//! Writers and sources carry bytes; only the record-indexed operations
+//! (`sealed_run_records`, `key_at`, `open_run_range`, recovered spans)
+//! need to know where records start. A store is built for one
+//! [`RecordLayout`]: under a fixed stride a position is a multiplication,
+//! under var-len frames [`ScratchStore::seal_run`] is handed a **sparse**
+//! index — the byte offset of every [`INDEX_EVERY`]-th record, 8 bytes per
+//! 64 records — and a probe reads at most `INDEX_EVERY` frames forward
+//! from the nearest entry.
 //!
 //! # Crash safety
 //!
 //! A [`StripeScratch`] created with [`StripeScratch::with_manifest`]
 //! persists a *run manifest* (JSON, written atomically via temp-file +
-//! rename) recording every sealed run: its input position, record count,
-//! stripe geometry and per-stride CRC32C fingerprints. After a crash,
-//! [`StripeScratch::resume`] reloads the manifest, re-opens each run,
-//! verifies it end to end against the recorded checksums, and discards
-//! anything corrupt. The driver then consults
-//! [`ScratchStore::recovered_runs`] and re-forms only the input ranges that
-//! are missing — pass-1 work completed before the crash is not repeated.
-//! Cascade-merge outputs are not manifested: recovery granularity is the
-//! pass-1 run, and merge progress is redone on resume.
+//! rename) recording the layout and every sealed run: its input position,
+//! record count, stripe geometry and per-stride CRC32C fingerprints. After
+//! a crash, [`StripeScratch::resume`] reloads the manifest, re-opens each
+//! run, verifies it end to end against the recorded checksums (rebuilding
+//! a var-len run's index from the same read), and discards anything
+//! corrupt. The driver then consults [`ScratchStore::recovered_runs`] and
+//! re-forms only the input ranges that are missing — pass-1 work completed
+//! before the crash is not repeated. Cascade-merge outputs are not
+//! manifested: recovery granularity is the pass-1 run, and merge progress
+//! is redone on resume.
 
 use std::collections::VecDeque;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use alphasort_dmgen::{Record, KEY_LEN, RECORD_LEN};
+use alphasort_dmgen::KEY_LEN;
 use alphasort_minijson::Json;
 use alphasort_obs as obs;
-use alphasort_stripefs::{RunChecksums, StripeDef, StripedFile, StripedReader, Volume};
+use alphasort_stripefs::{RunChecksums, StripeDef, StripedFile, Volume};
 
+use crate::entry::{Frame, RecordLayout};
 use crate::io::{MemSink, MemSource, RecordSink, RecordSource, StripeSink, StripeSource};
-use crate::merge::RunStream;
 
 /// A scratch run surviving from a previous attempt, described by the input
 /// range it covers.
@@ -44,6 +54,9 @@ pub struct RecoveredRun {
     pub records: u64,
 }
 
+/// Records between two entries of a var-len run's sparse index.
+pub const INDEX_EVERY: u64 = 64;
+
 /// Where a two-pass sort parks its runs between the passes.
 pub trait ScratchStore: Send {
     /// Sink type runs are written through.
@@ -51,11 +64,18 @@ pub trait ScratchStore: Send {
     /// Source type runs are read back through.
     type Source: RecordSource;
 
+    /// The record layout of the runs this store holds.
+    fn layout(&self) -> RecordLayout;
+
     /// Start a new scratch run of roughly `size_hint` bytes.
     fn create_run(&mut self, size_hint: u64) -> io::Result<Self::Writer>;
 
-    /// Finish a run's writer, recording it for the merge pass.
-    fn seal_run(&mut self, writer: Self::Writer) -> io::Result<()>;
+    /// Finish a run's writer, recording it for the merge pass. `records`
+    /// is how many records were written; `index[i]` is the byte offset of
+    /// record `i * INDEX_EVERY` for a var-len run and empty under a fixed
+    /// stride. A count or index that cannot describe the bytes written is
+    /// `InvalidInput`.
+    fn seal_run(&mut self, writer: Self::Writer, records: u64, index: Vec<u64>) -> io::Result<()>;
 
     /// Open every sealed run for reading, in input order.
     fn open_runs(&mut self) -> io::Result<Vec<Self::Source>>;
@@ -67,87 +87,300 @@ pub trait ScratchStore: Send {
     /// anything.
     fn sealed_run_records(&mut self) -> io::Result<Vec<u64>>;
 
-    /// The key of record `pos` within sealed run `run` (same input-order
-    /// indexing as [`sealed_run_records`](Self::sealed_run_records)). A
-    /// point probe: the partitioned merge samples splitter candidates and
+    /// The key bytes of record `pos` within sealed run `run` (same
+    /// input-order indexing as
+    /// [`sealed_run_records`](Self::sealed_run_records)). A point probe:
+    /// the partitioned merge samples splitter candidates and
     /// binary-searches cut positions through this.
-    fn key_at(&mut self, run: usize, pos: u64) -> io::Result<[u8; KEY_LEN]>;
+    fn key_at(&mut self, run: usize, pos: u64) -> io::Result<Vec<u8>>;
 
     /// Open records `[start, start + records)` of sealed run `run` for
     /// reading. Unlike [`open_runs`](Self::open_runs) this does not consume
     /// the run: every key range of the partitioned merge opens its own
     /// window of the same run.
-    fn open_run_range(&mut self, run: usize, start: u64, records: u64)
-        -> io::Result<Self::Source>;
+    fn open_run_range(&mut self, run: usize, start: u64, records: u64) -> io::Result<Self::Source>;
 
-    /// Runs already present from a previous attempt (a resumed scratch).
-    /// The driver skips their input ranges during run formation instead of
-    /// re-sorting them. Default: none — only resumable stores override.
+    /// Runs already present from a previous attempt (a resumed scratch),
+    /// sorted by start and disjoint. The driver skips their input ranges
+    /// during run formation instead of re-sorting them. Default: none —
+    /// only resumable stores override.
     fn recovered_runs(&mut self) -> io::Result<Vec<RecoveredRun>> {
         Ok(Vec::new())
     }
 }
 
-/// In-memory scratch (tests, small sorts).
+fn invalid(kind: io::ErrorKind, msg: String) -> io::Error {
+    io::Error::new(kind, msg)
+}
+
+/// Fetches `len` bytes of a run from byte offset `off`.
+type ReadAt<'a> = &'a mut dyn FnMut(u64, u64) -> io::Result<Vec<u8>>;
+
+/// Where the records of one sealed run start: nothing but the totals under
+/// a fixed stride, plus the sparse offset table for var-len frames.
+#[derive(Clone, Debug)]
+struct RunShape {
+    layout: RecordLayout,
+    records: u64,
+    bytes: u64,
+    /// `index[i]` = byte offset of record `i * INDEX_EVERY`.
+    index: Vec<u64>,
+}
+
+impl RunShape {
+    /// The shape `seal_run` was told, checked against the bytes written.
+    fn told(layout: RecordLayout, records: u64, bytes: u64, index: Vec<u64>) -> io::Result<Self> {
+        let fits = match layout.stride() {
+            Some(stride) => index.is_empty() && records.checked_mul(stride as u64) == Some(bytes),
+            None => index.len() as u64 == records.div_ceil(INDEX_EVERY),
+        };
+        if !fits {
+            let (name, entries) = (layout.name(), index.len());
+            return Err(invalid(
+                io::ErrorKind::InvalidInput,
+                format!("{records} {name} records with {entries} index entries in {bytes} bytes"),
+            ));
+        }
+        Ok(RunShape {
+            layout,
+            records,
+            bytes,
+            index,
+        })
+    }
+
+    /// Read a whole run through `source`, counting its records and
+    /// rebuilding its index. A run that ends mid-record is `InvalidData`.
+    fn scan(layout: RecordLayout, source: &mut impl RecordSource) -> io::Result<Self> {
+        let mut shape = RunShape {
+            layout,
+            records: 0,
+            bytes: 0,
+            index: Vec::new(),
+        };
+        let mut pending: Vec<u8> = Vec::new();
+        while let Some(chunk) = source.next_chunk()? {
+            pending.extend_from_slice(&chunk);
+            let mut at = 0;
+            while let Some(frame) = layout.frame_at(&pending[at..], shape.bytes)? {
+                if layout.stride().is_none() && shape.records.is_multiple_of(INDEX_EVERY) {
+                    shape.index.push(shape.bytes);
+                }
+                shape.records += 1;
+                shape.bytes += frame.len as u64;
+                at += frame.len;
+            }
+            pending.drain(..at);
+        }
+        match pending.len() {
+            0 => Ok(shape),
+            n => Err(invalid(
+                io::ErrorKind::InvalidData,
+                format!("run ends mid-record ({n} trailing bytes)"),
+            )),
+        }
+    }
+
+    /// The whole record at the start of `bytes` (run offset `at`).
+    fn frame(&self, bytes: &[u8], at: u64) -> io::Result<Frame> {
+        self.layout.frame_at(bytes, at)?.ok_or_else(|| {
+            let what = format!("scratch run does not hold a whole record at byte {at}");
+            invalid(io::ErrorKind::InvalidData, what)
+        })
+    }
+
+    /// Byte offset of record `pos` (`records` = one past the end), plus
+    /// whatever was read from that offset on to find it — nothing under a
+    /// fixed stride, which needs no read.
+    fn seek(&self, pos: u64, read: ReadAt<'_>) -> io::Result<(u64, Vec<u8>)> {
+        assert!(
+            pos <= self.records,
+            "record {pos} is past the end of its run"
+        );
+        if let Some(stride) = self.layout.stride() {
+            return Ok((pos * stride as u64, Vec::new()));
+        }
+        if pos == self.records {
+            return Ok((self.bytes, Vec::new()));
+        }
+        let slot = (pos / INDEX_EVERY) as usize;
+        let lo = self.index[slot];
+        let hi = self.index.get(slot + 1).copied().unwrap_or(self.bytes);
+        let mut window = read(lo, hi - lo)?;
+        let mut at = 0usize;
+        for _ in 0..pos % INDEX_EVERY {
+            at += self.frame(&window[at..], lo + at as u64)?.len;
+        }
+        window.drain(..at);
+        Ok((lo + at as u64, window))
+    }
+
+    /// Key bytes of record `pos`.
+    fn key_at(&self, pos: u64, read: ReadAt<'_>) -> io::Result<Vec<u8>> {
+        assert!(
+            pos < self.records,
+            "record {pos} is past the end of its run"
+        );
+        let (off, window) = self.seek(pos, read)?;
+        match self.layout.stride() {
+            Some(_) => read(off, KEY_LEN as u64),
+            None => Ok(self.frame(&window, off)?.key(&window).to_vec()),
+        }
+    }
+
+    /// Byte window `(offset, length)` of records `[start, start + records)`.
+    fn window(&self, start: u64, records: u64, read: ReadAt<'_>) -> io::Result<(u64, u64)> {
+        let lo = self.seek(start, read)?.0;
+        let hi = self.seek(start + records, read)?.0;
+        Ok((lo, hi - lo))
+    }
+}
+
+/// Recovered-span bookkeeping shared by both stores: freshly formed runs
+/// pack the gaps between the spans a previous attempt left behind.
 #[derive(Default)]
-pub struct MemScratch {
-    /// Sealed runs tagged with their input start record, like
-    /// [`StripeScratch`]: a resumed scratch seals re-formed runs after the
-    /// recovered ones, and input order is what the merge tie-break needs.
-    runs: Vec<(u64, Vec<u8>)>,
-    /// Chunk size handed back by the sources.
-    chunk: usize,
+struct SpanPacker {
     /// Record cursor assigning start offsets to sealed runs.
     cursor: u64,
     /// Recovered spans the cursor has not passed yet, sorted by start.
-    pending_spans: VecDeque<RecoveredRun>,
+    pending: VecDeque<RecoveredRun>,
     /// Spans reported through [`ScratchStore::recovered_runs`].
     recovered: Vec<RecoveredRun>,
 }
 
+impl SpanPacker {
+    /// Sort `spans` by start and check they can all be real: non-empty,
+    /// ending inside `u64`, and disjoint. These values come from a manifest
+    /// file; overlapping entries would make pass 1 skip too little input
+    /// and the output carry records twice.
+    fn new(mut spans: Vec<RecoveredRun>) -> io::Result<Self> {
+        spans.sort_by_key(|s| s.start_record);
+        let mut covered = 0u64;
+        for s in &spans {
+            let end = s
+                .start_record
+                .checked_add(s.records)
+                .filter(|_| s.records > 0);
+            match end {
+                Some(end) if s.start_record >= covered => covered = end,
+                _ => {
+                    return Err(invalid(
+                        io::ErrorKind::InvalidData,
+                        format!(
+                            "recovered run at record {} with {} records is empty, \
+                             overflows, or overlaps the run before it",
+                            s.start_record, s.records
+                        ),
+                    ))
+                }
+            }
+        }
+        Ok(SpanPacker {
+            cursor: 0,
+            pending: spans.iter().copied().collect(),
+            recovered: spans,
+        })
+    }
+
+    /// The start record of a freshly sealed run of `records` records: when
+    /// the cursor reaches a recovered span, that range is already covered —
+    /// jump over it.
+    fn place(&mut self, records: u64) -> u64 {
+        while self
+            .pending
+            .front()
+            .is_some_and(|s| s.start_record == self.cursor)
+        {
+            self.cursor += self.pending.pop_front().expect("front exists").records;
+        }
+        let start = self.cursor;
+        self.cursor += records;
+        start
+    }
+
+    /// Cascade outputs restart the ordering cursor per level.
+    fn restart(&mut self) {
+        self.cursor = 0;
+        self.pending.clear();
+    }
+}
+
+/// One run held by a [`MemScratch`].
+struct MemRun {
+    /// Input start record: a resumed scratch seals re-formed runs after the
+    /// recovered ones, and input order is what the merge tie-break needs.
+    start: u64,
+    data: Vec<u8>,
+    shape: RunShape,
+}
+
+impl MemRun {
+    fn reader(&self) -> impl FnMut(u64, u64) -> io::Result<Vec<u8>> + '_ {
+        |off, len| Ok(self.data[off as usize..(off + len) as usize].to_vec())
+    }
+}
+
+/// In-memory scratch (tests, small sorts).
+pub struct MemScratch {
+    layout: RecordLayout,
+    runs: Vec<MemRun>,
+    /// Chunk size handed back by the sources.
+    chunk: usize,
+    spans: SpanPacker,
+}
+
 impl MemScratch {
-    /// Scratch whose read-back sources deliver `chunk`-byte pieces.
+    /// Datamation scratch whose read-back sources deliver `chunk`-byte
+    /// pieces.
     pub fn new(chunk: usize) -> Self {
         MemScratch {
-            chunk,
-            ..Default::default()
+            layout: RecordLayout::Datamation,
+            runs: Vec::new(),
+            chunk: if chunk > 0 { chunk } else { 64 * 1024 },
+            spans: SpanPacker::default(),
         }
     }
 
-    /// A scratch that pretends to have survived a crash: `runs` are sealed
-    /// run payloads tagged with the input record index they start at, and
-    /// will be reported via [`ScratchStore::recovered_runs`] so the driver
-    /// skips those input ranges. Lets tests drive the resume path without
-    /// striped disks or a manifest.
-    pub fn with_recovered(runs: Vec<(u64, Vec<u8>)>, chunk: usize) -> Self {
-        let mut spans: Vec<RecoveredRun> = runs
-            .iter()
-            .map(|(start, data)| RecoveredRun {
-                start_record: *start,
-                records: (data.len() / RECORD_LEN) as u64,
-            })
-            .collect();
-        spans.sort_by_key(|s| s.start_record);
-        MemScratch {
-            runs,
-            chunk,
-            cursor: 0,
-            pending_spans: spans.iter().copied().collect(),
-            recovered: spans,
+    /// Hold runs of `layout` instead. Set before anything is sealed.
+    pub fn with_layout(mut self, layout: RecordLayout) -> Self {
+        self.layout = layout;
+        self
+    }
+
+    /// Pretend to have survived a crash: `runs` are sealed run payloads
+    /// tagged with the input record index they start at, and will be
+    /// reported via [`ScratchStore::recovered_runs`] so the driver skips
+    /// those input ranges. Lets tests drive the resume path without
+    /// striped disks or a manifest. A payload that does not frame under
+    /// this scratch's layout, or spans that overlap, are `InvalidData`.
+    pub fn recover(mut self, runs: Vec<(u64, Vec<u8>)>) -> io::Result<Self> {
+        let mut spans = Vec::with_capacity(runs.len());
+        for (start, data) in runs {
+            let shape = RunShape::scan(self.layout, &mut MemSource::new(data.clone(), 1 << 20))?;
+            spans.push(RecoveredRun {
+                start_record: start,
+                records: shape.records,
+            });
+            self.runs.push(MemRun { start, data, shape });
         }
+        self.spans = SpanPacker::new(spans)?;
+        Ok(self)
+    }
+
+    /// [`new`](Self::new) + [`recover`](Self::recover) for Datamation
+    /// payloads the caller built itself.
+    ///
+    /// # Panics
+    /// If a payload is not whole records or two spans overlap.
+    pub fn with_recovered(runs: Vec<(u64, Vec<u8>)>, chunk: usize) -> Self {
+        Self::new(chunk)
+            .recover(runs)
+            .expect("well-formed recovered runs")
     }
 
     /// Number of sealed runs.
     pub fn run_count(&self) -> usize {
         self.runs.len()
-    }
-
-    fn chunk_size(&self) -> usize {
-        if self.chunk > 0 {
-            self.chunk
-        } else {
-            64 * 1024
-        }
     }
 }
 
@@ -155,68 +388,53 @@ impl ScratchStore for MemScratch {
     type Writer = MemSink;
     type Source = MemSource;
 
+    fn layout(&self) -> RecordLayout {
+        self.layout
+    }
+
     fn create_run(&mut self, _size_hint: u64) -> io::Result<MemSink> {
         Ok(MemSink::new())
     }
 
-    fn seal_run(&mut self, mut writer: MemSink) -> io::Result<()> {
+    fn seal_run(&mut self, mut writer: MemSink, records: u64, index: Vec<u64>) -> io::Result<()> {
         writer.complete()?;
         let data = writer.into_inner();
-        let records = (data.len() / RECORD_LEN) as u64;
-        // Freshly formed runs pack the gaps between recovered spans (same
-        // cursor dance as StripeScratch::seal_run).
-        while let Some(s) = self.pending_spans.front() {
-            if s.start_record == self.cursor {
-                self.cursor += s.records;
-                self.pending_spans.pop_front();
-            } else {
-                break;
-            }
-        }
-        self.runs.push((self.cursor, data));
-        self.cursor += records;
+        let shape = RunShape::told(self.layout, records, data.len() as u64, index)?;
+        let start = self.spans.place(records);
+        self.runs.push(MemRun { start, data, shape });
         Ok(())
     }
 
     fn open_runs(&mut self) -> io::Result<Vec<MemSource>> {
-        let chunk = self.chunk_size();
-        // Cascade outputs restart the ordering cursor per level.
-        self.cursor = 0;
-        self.pending_spans.clear();
-        self.runs.sort_by_key(|(start, _)| *start);
+        let chunk = self.chunk;
+        self.spans.restart();
+        self.runs.sort_by_key(|r| r.start);
         Ok(self
             .runs
             .drain(..)
-            .map(|(_, r)| MemSource::new(r, chunk))
+            .map(|r| MemSource::new(r.data, chunk))
             .collect())
     }
 
     fn sealed_run_records(&mut self) -> io::Result<Vec<u64>> {
-        self.runs.sort_by_key(|(start, _)| *start);
-        Ok(self
-            .runs
-            .iter()
-            .map(|(_, r)| (r.len() / RECORD_LEN) as u64)
-            .collect())
+        self.runs.sort_by_key(|r| r.start);
+        Ok(self.runs.iter().map(|r| r.shape.records).collect())
     }
 
-    fn key_at(&mut self, run: usize, pos: u64) -> io::Result<[u8; KEY_LEN]> {
-        let (_, data) = &self.runs[run];
-        let off = pos as usize * RECORD_LEN;
-        let mut key = [0u8; KEY_LEN];
-        key.copy_from_slice(&data[off..off + KEY_LEN]);
-        Ok(key)
+    fn key_at(&mut self, run: usize, pos: u64) -> io::Result<Vec<u8>> {
+        let r = &self.runs[run];
+        r.shape.key_at(pos, &mut r.reader())
     }
 
     fn open_run_range(&mut self, run: usize, start: u64, records: u64) -> io::Result<MemSource> {
-        let (_, data) = &self.runs[run];
-        let lo = start as usize * RECORD_LEN;
-        let hi = lo + records as usize * RECORD_LEN;
-        Ok(MemSource::new(data[lo..hi].to_vec(), self.chunk_size()))
+        let r = &self.runs[run];
+        let (off, len) = r.shape.window(start, records, &mut r.reader())?;
+        let bytes = r.data[off as usize..(off + len) as usize].to_vec();
+        Ok(MemSource::new(bytes, self.chunk))
     }
 
     fn recovered_runs(&mut self) -> io::Result<Vec<RecoveredRun>> {
-        Ok(self.recovered.clone())
+        Ok(self.spans.recovered.clone())
     }
 }
 
@@ -226,8 +444,49 @@ struct RunMeta {
     /// Absolute record index where this run starts (within the input for
     /// pass-1 runs; within the level for cascade outputs).
     start: u64,
-    records: u64,
+    shape: RunShape,
     checks: RunChecksums,
+}
+
+impl RunMeta {
+    /// Fetch `[off, off + len)` of the run through its checksums: a point
+    /// probe reads (and checks) only the strides covering those bytes.
+    fn reader(&self) -> impl FnMut(u64, u64) -> io::Result<Vec<u8>> + '_ {
+        |off, len| {
+            let mut src = StripeSource::verified_window(
+                Arc::clone(&self.file),
+                self.checks.clone(),
+                off,
+                len,
+            )?;
+            let mut out = Vec::with_capacity(len as usize);
+            while let Some(chunk) = src.next_chunk()? {
+                out.extend_from_slice(&chunk);
+            }
+            Ok(out)
+        }
+    }
+}
+
+/// Read and parse the manifest at `path`; the closure attributes any
+/// later schema error to the file.
+fn load_manifest(
+    path: &Path,
+) -> io::Result<(Json, impl Fn(&dyn std::fmt::Display) -> io::Error + '_)> {
+    let bad = move |e: &dyn std::fmt::Display| {
+        invalid(
+            io::ErrorKind::InvalidData,
+            format!("scratch manifest '{}': {e}", path.display()),
+        )
+    };
+    let doc = Json::parse(&std::fs::read_to_string(path)?).map_err(|e| bad(&e))?;
+    Ok((doc, bad))
+}
+
+/// The stripe geometry of one manifested run.
+fn run_def(entry: &Json) -> Result<StripeDef, String> {
+    let def = entry.get("def").ok_or("run entry missing `def`")?;
+    StripeDef::from_json(def).map_err(|e| e.to_string())
 }
 
 /// Host-side persistence for the run manifest.
@@ -258,6 +517,7 @@ pub struct ResumeReport {
 /// verified at merge read-ahead.
 pub struct StripeScratch {
     volume: Arc<Volume>,
+    layout: RecordLayout,
     chunk: u64,
     runs: Vec<RunMeta>,
     next_id: usize,
@@ -266,13 +526,9 @@ pub struct StripeScratch {
     pending_free: Vec<Arc<StripedFile>>,
     /// Present when the scratch persists a run manifest.
     manifest: Option<ManifestState>,
-    /// Record cursor assigning start offsets to sealed runs.
-    cursor: u64,
-    /// Recovered spans the cursor has not passed yet, sorted by start:
-    /// freshly formed runs pack the gaps between them.
-    pending_spans: VecDeque<RecoveredRun>,
-    /// Runs inherited from a previous attempt via [`resume`](Self::resume).
-    recovered: Vec<RecoveredRun>,
+    /// Runs inherited from a previous attempt via [`resume`](Self::resume),
+    /// and the cursor packing fresh runs around them.
+    spans: SpanPacker,
     /// Flipped at the first `open_runs`: later seals are cascade outputs
     /// and are not manifested.
     merging: bool,
@@ -284,19 +540,19 @@ pub struct StripeScratch {
 
 impl StripeScratch {
     /// Scratch over `volume`, striping each run across all its disks with
-    /// the given chunk size. No manifest: a crash loses the scratch.
+    /// the given chunk size, holding Datamation runs. No manifest: a crash
+    /// loses the scratch.
     pub fn new(volume: Arc<Volume>, chunk: u64) -> Self {
         StripeScratch {
             volume,
+            layout: RecordLayout::Datamation,
             chunk,
             runs: Vec::new(),
             next_id: 0,
             open_writers: Vec::new(),
             pending_free: Vec::new(),
             manifest: None,
-            cursor: 0,
-            pending_spans: VecDeque::new(),
-            recovered: Vec::new(),
+            spans: SpanPacker::default(),
             merging: false,
             prefix: "scratch-run".to_string(),
         }
@@ -310,6 +566,14 @@ impl StripeScratch {
     /// keeps fresh run ids clear of surviving names.
     pub fn named(mut self, prefix: impl Into<String>) -> Self {
         self.prefix = prefix.into();
+        self
+    }
+
+    /// Hold runs of `layout` instead of Datamation. Like the prefix, set it
+    /// before [`attach_manifest`](Self::attach_manifest): the manifest
+    /// records it, and [`resume`](Self::resume) restores it.
+    pub fn with_layout(mut self, layout: RecordLayout) -> Self {
+        self.layout = layout;
         self
     }
 
@@ -380,21 +644,10 @@ impl StripeScratch {
     /// only thing worth reclaiming is the space. Returns how many run
     /// files were deleted.
     pub fn dispose_at(volume: &Arc<Volume>, path: &Path) -> io::Result<u64> {
-        let bad = |e: &dyn std::fmt::Display| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("scratch manifest '{}': {e}", path.display()),
-            )
-        };
-        let text = std::fs::read_to_string(path)?;
-        let doc = Json::parse(&text).map_err(|e| bad(&e))?;
+        let (doc, bad) = load_manifest(path)?;
         let mut freed = 0u64;
         for entry in doc.field_arr("runs").map_err(|e| bad(&e))? {
-            let def = entry
-                .get("def")
-                .ok_or_else(|| bad(&"run entry missing `def`"))
-                .and_then(|v| StripeDef::from_json(v).map_err(|e| bad(&e)))?;
-            let file = Arc::new(volume.open(def));
+            let file = Arc::new(volume.open(run_def(entry).map_err(|e| bad(&e))?));
             volume.delete(&file);
             freed += 1;
         }
@@ -410,14 +663,7 @@ impl StripeScratch {
     /// truncated runs are deleted, counted in `run.corrupt`, and re-formed
     /// from the input. Returns the scratch plus a [`ResumeReport`].
     pub fn resume(volume: Arc<Volume>, path: &Path) -> io::Result<(Self, ResumeReport)> {
-        let bad = |e: &dyn std::fmt::Display| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("scratch manifest '{}': {e}", path.display()),
-            )
-        };
-        let text = std::fs::read_to_string(path)?;
-        let doc = Json::parse(&text).map_err(|e| bad(&e))?;
+        let (doc, bad) = load_manifest(path)?;
         let version = doc.field_u64("version").map_err(|e| bad(&e))?;
         if version != 1 {
             return Err(bad(&format!("unsupported manifest version {version}")));
@@ -426,6 +672,12 @@ impl StripeScratch {
         let run_records = doc.field_u64("run_records").map_err(|e| bad(&e))?;
         let chunk = doc.field_u64("chunk").map_err(|e| bad(&e))?;
         let mut s = Self::new(volume, chunk);
+        // Manifests from before the var-len layout carry no layout field;
+        // they could only hold Datamation runs.
+        if let Some(name) = doc.get("layout").and_then(Json::as_str) {
+            s.layout = RecordLayout::from_name(name)
+                .ok_or_else(|| bad(&format!("unknown layout {name:?}")))?;
+        }
         // Manifests from before namespacing carry no prefix; they used the
         // default.
         if let Some(p) = doc.get("prefix").and_then(Json::as_str) {
@@ -439,18 +691,15 @@ impl StripeScratch {
         for entry in doc.field_arr("runs").map_err(|e| bad(&e))? {
             let start = entry.field_u64("start").map_err(|e| bad(&e))?;
             let records = entry.field_u64("records").map_err(|e| bad(&e))?;
-            let def = entry
-                .get("def")
-                .ok_or_else(|| bad(&"run entry missing `def`"))
-                .and_then(|v| StripeDef::from_json(v).map_err(|e| bad(&e)))?;
+            let def = run_def(entry).map_err(|e| bad(&e))?;
             let checks = entry
                 .get("checks")
                 .ok_or_else(|| bad(&"run entry missing `checks`"))
                 .and_then(|v| RunChecksums::from_json(v).map_err(|e| bad(&e)))?;
             let name = def.name.clone();
             let file = Arc::new(s.volume.open(def));
-            match Self::validate_run(&file, &checks, records) {
-                Ok(()) => {
+            match Self::validate_run(s.layout, &file, &checks, records) {
+                Ok(shape) => {
                     // Keep fresh run ids clear of every surviving name.
                     if let Some(id) = name
                         .strip_prefix(&format!("{}-", s.prefix))
@@ -465,7 +714,7 @@ impl StripeScratch {
                     s.runs.push(RunMeta {
                         file,
                         start,
-                        records,
+                        shape,
                         checks,
                     });
                 }
@@ -477,9 +726,8 @@ impl StripeScratch {
             }
         }
         s.runs.sort_by_key(|r| r.start);
-        report.recovered.sort_by_key(|r| r.start_record);
-        s.pending_spans = report.recovered.iter().copied().collect();
-        s.recovered = report.recovered.clone();
+        s.spans = SpanPacker::new(std::mem::take(&mut report.recovered)).map_err(|e| bad(&e))?;
+        report.recovered = s.spans.recovered.clone();
         s.manifest = Some(ManifestState {
             path: path.to_path_buf(),
             input_bytes,
@@ -495,39 +743,46 @@ impl StripeScratch {
         Ok((s, report))
     }
 
-    /// Read a recovered run end to end through its checksums.
+    /// Read a recovered run end to end through its checksums, framing it
+    /// on the way: the manifest's record count is outside data and must
+    /// match what the bytes actually hold.
     fn validate_run(
+        layout: RecordLayout,
         file: &Arc<StripedFile>,
         checks: &RunChecksums,
         records: u64,
-    ) -> io::Result<()> {
-        if checks.bytes != records * RECORD_LEN as u64 {
-            return Err(io::Error::new(
+    ) -> io::Result<RunShape> {
+        if let Some(stride) = layout.stride() {
+            // Before the read: a torn count fails without touching a disk.
+            if records.checked_mul(stride as u64) != Some(checks.bytes) {
+                return Err(invalid(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "manifest claims {records} records but checksums cover {} bytes",
+                        checks.bytes
+                    ),
+                ));
+            }
+        }
+        let mut source = StripeSource::verified(Arc::clone(file), checks.clone())?;
+        let shape = RunShape::scan(layout, &mut source)?;
+        if shape.bytes != checks.bytes || shape.records != records {
+            return Err(invalid(
                 io::ErrorKind::InvalidData,
                 format!(
-                    "manifest claims {records} records but checksums cover {} bytes",
-                    checks.bytes
+                    "manifest claims {records} records in {} bytes but the run \
+                     holds {} records in {} bytes",
+                    checks.bytes, shape.records, shape.bytes
                 ),
             ));
         }
-        let mut r = StripedReader::verified(Arc::clone(file), checks.clone())?;
-        let mut total = 0u64;
-        while let Some(stride) = r.next_stride() {
-            total += stride?.len() as u64;
-        }
-        if total != checks.bytes {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("run delivered {total} bytes, expected {}", checks.bytes),
-            ));
-        }
-        Ok(())
+        Ok(shape)
     }
 
     fn render_entry(meta: &RunMeta) -> Json {
         Json::Obj(vec![
             ("start".into(), Json::from(meta.start)),
-            ("records".into(), Json::from(meta.records)),
+            ("records".into(), Json::from(meta.shape.records)),
             ("def".into(), meta.file.def_snapshot().to_json()),
             ("checks".into(), meta.checks.to_json()),
         ])
@@ -547,6 +802,7 @@ impl StripeScratch {
             ),
             ("input_bytes".into(), Json::from(m.input_bytes)),
             ("run_records".into(), Json::from(m.run_records)),
+            ("layout".into(), Json::from(self.layout.name())),
             ("chunk".into(), Json::from(self.chunk)),
             ("prefix".into(), Json::from(self.prefix.as_str())),
             (
@@ -565,6 +821,10 @@ impl StripeScratch {
 impl ScratchStore for StripeScratch {
     type Writer = StripeSink;
     type Source = StripeSource;
+
+    fn layout(&self) -> RecordLayout {
+        self.layout
+    }
 
     fn create_run(&mut self, size_hint: u64) -> io::Result<StripeSink> {
         let id = self.next_id;
@@ -587,7 +847,12 @@ impl ScratchStore for StripeScratch {
         Ok(StripeSink::checksummed(file))
     }
 
-    fn seal_run(&mut self, mut writer: StripeSink) -> io::Result<()> {
+    fn seal_run(
+        &mut self,
+        mut writer: StripeSink,
+        records: u64,
+        index: Vec<u64>,
+    ) -> io::Result<()> {
         writer.complete()?;
         let checks = writer.take_checksums().ok_or_else(|| {
             io::Error::new(
@@ -602,26 +867,14 @@ impl ScratchStore for StripeScratch {
                 "seal_run without a matching create_run",
             ));
         }
+        let shape = RunShape::told(self.layout, records, checks.bytes, index)?;
         let (_, file) = self.open_writers.remove(0);
-        let records = checks.bytes / RECORD_LEN as u64;
-        // Freshly formed runs pack the gaps between recovered spans: when
-        // the cursor reaches a recovered run's start, that range is already
-        // covered — jump over it.
-        while let Some(s) = self.pending_spans.front() {
-            if s.start_record == self.cursor {
-                self.cursor += s.records;
-                self.pending_spans.pop_front();
-            } else {
-                break;
-            }
-        }
         let meta = RunMeta {
             file,
-            start: self.cursor,
-            records,
+            start: self.spans.place(records),
+            shape,
             checks,
         };
-        self.cursor += records;
         if !self.merging {
             if let Some(m) = &mut self.manifest {
                 m.entries
@@ -655,9 +908,7 @@ impl ScratchStore for StripeScratch {
             self.volume.delete(&f);
         }
         self.merging = true;
-        // Cascade outputs restart the ordering cursor per level.
-        self.cursor = 0;
-        self.pending_spans.clear();
+        self.spans.restart();
         // Input order, not creation order: a resumed pass 1 seals re-formed
         // runs after the recovered ones even though they interleave in the
         // input, and the merge's tie-break (stream index) must follow input
@@ -679,123 +930,29 @@ impl ScratchStore for StripeScratch {
     fn sealed_run_records(&mut self) -> io::Result<Vec<u64>> {
         // Input order, for the same stability reason as open_runs.
         self.runs.sort_by_key(|r| r.start);
-        Ok(self.runs.iter().map(|r| r.records).collect())
+        Ok(self.runs.iter().map(|r| r.shape.records).collect())
     }
 
-    fn key_at(&mut self, run: usize, pos: u64) -> io::Result<[u8; KEY_LEN]> {
+    fn key_at(&mut self, run: usize, pos: u64) -> io::Result<Vec<u8>> {
         let meta = &self.runs[run];
-        // A point probe is a tiny verified window: the reader fetches (and
-        // checks) only the strides covering the key bytes.
-        let mut src = StripeSource::verified_window(
-            Arc::clone(&meta.file),
-            meta.checks.clone(),
-            pos * RECORD_LEN as u64,
-            KEY_LEN as u64,
-        )?;
-        let mut key = [0u8; KEY_LEN];
-        let mut got = 0;
-        while got < KEY_LEN {
-            let Some(chunk) = src.next_chunk()? else {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    format!("key probe at record {pos} ran off the end of run {run}"),
-                ));
-            };
-            let take = chunk.len().min(KEY_LEN - got);
-            key[got..got + take].copy_from_slice(&chunk[..take]);
-            got += take;
-        }
-        Ok(key)
+        meta.shape.key_at(pos, &mut meta.reader())
     }
 
     fn open_run_range(&mut self, run: usize, start: u64, records: u64) -> io::Result<StripeSource> {
         let meta = &self.runs[run];
-        StripeSource::verified_window(
-            Arc::clone(&meta.file),
-            meta.checks.clone(),
-            start * RECORD_LEN as u64,
-            records * RECORD_LEN as u64,
-        )
+        let (off, len) = meta.shape.window(start, records, &mut meta.reader())?;
+        StripeSource::verified_window(Arc::clone(&meta.file), meta.checks.clone(), off, len)
     }
 
     fn recovered_runs(&mut self) -> io::Result<Vec<RecoveredRun>> {
-        Ok(self.recovered.clone())
-    }
-}
-
-/// Adapts a [`RecordSource`] into a [`RunStream`] of records for the merge.
-///
-/// Source chunk boundaries need not align with records (a striped source's
-/// strides generally do not); partial records are carried across chunks. A
-/// source that ends mid-record yields `InvalidData`.
-pub struct BufferedRunStream<S: RecordSource> {
-    source: S,
-    buf: Vec<u8>,
-    /// Byte offset of the head record within `buf`.
-    off: usize,
-    head: Option<Record>,
-    exhausted: bool,
-}
-
-impl<S: RecordSource> BufferedRunStream<S> {
-    /// Wrap `source`; the first record is fetched eagerly.
-    pub fn new(source: S) -> io::Result<Self> {
-        let mut s = BufferedRunStream {
-            source,
-            buf: Vec::new(),
-            off: 0,
-            head: None,
-            exhausted: false,
-        };
-        s.refill()?;
-        Ok(s)
-    }
-
-    fn refill(&mut self) -> io::Result<()> {
-        while self.buf.len() - self.off < RECORD_LEN && !self.exhausted {
-            // Compact, then append the next chunk.
-            if self.off > 0 {
-                self.buf.drain(..self.off);
-                self.off = 0;
-            }
-            match self.source.next_chunk()? {
-                Some(chunk) => self.buf.extend_from_slice(&chunk),
-                None => self.exhausted = true,
-            }
-        }
-        let avail = self.buf.len() - self.off;
-        if avail == 0 {
-            self.head = None;
-            return Ok(());
-        }
-        if avail < RECORD_LEN {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("scratch run ends mid-record ({avail} trailing bytes)"),
-            ));
-        }
-        self.head = Some(Record::from_bytes(
-            &self.buf[self.off..self.off + RECORD_LEN],
-        ));
-        Ok(())
-    }
-}
-
-impl<S: RecordSource> RunStream for BufferedRunStream<S> {
-    fn head(&self) -> Option<&Record> {
-        self.head.as_ref()
-    }
-
-    fn advance(&mut self) -> io::Result<()> {
-        self.off += RECORD_LEN;
-        self.refill()
+        Ok(self.spans.recovered.clone())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alphasort_dmgen::{generate, records_of_mut, GenConfig};
+    use alphasort_dmgen::{generate, records_of_mut, GenConfig, RECORD_LEN};
     use alphasort_iosim::{catalog, IoEngine, MemStorage, Pacing, SimDisk};
 
     fn striped_volume(n: usize, storages: Option<&[Arc<MemStorage>]>) -> Arc<Volume> {
@@ -834,17 +991,17 @@ mod tests {
     fn mem_scratch_roundtrip() {
         let mut s = MemScratch::new(250);
         let mut w = s.create_run(0).unwrap();
-        w.push(b"abcde").unwrap();
-        s.seal_run(w).unwrap();
+        w.push(&[7u8; 200]).unwrap();
+        s.seal_run(w, 2, Vec::new()).unwrap();
         let mut w2 = s.create_run(0).unwrap();
-        w2.push(b"XY").unwrap();
-        s.seal_run(w2).unwrap();
+        w2.push(&[9u8; 100]).unwrap();
+        s.seal_run(w2, 1, Vec::new()).unwrap();
         assert_eq!(s.run_count(), 2);
         assert!(s.recovered_runs().unwrap().is_empty());
         let mut sources = s.open_runs().unwrap();
         assert_eq!(sources.len(), 2);
-        assert_eq!(sources[0].next_chunk().unwrap().unwrap(), b"abcde");
-        assert_eq!(sources[1].next_chunk().unwrap().unwrap(), b"XY");
+        assert_eq!(sources[0].next_chunk().unwrap().unwrap(), [7u8; 200]);
+        assert_eq!(sources[1].next_chunk().unwrap().unwrap(), [9u8; 100]);
     }
 
     #[test]
@@ -855,7 +1012,8 @@ mod tests {
         for payload in [&run_a, &run_b] {
             let mut w = s.create_run(0).unwrap();
             w.push(payload).unwrap();
-            s.seal_run(w).unwrap();
+            s.seal_run(w, (payload.len() / RECORD_LEN) as u64, Vec::new())
+                .unwrap();
         }
         assert_eq!(s.sealed_run_records().unwrap(), vec![40, 25]);
         assert_eq!(&s.key_at(0, 7).unwrap(), &run_a[700..710]);
@@ -888,7 +1046,8 @@ mod tests {
         for payload in [&first, &last] {
             let mut w = s.create_run(0).unwrap();
             w.push(payload).unwrap();
-            s.seal_run(w).unwrap();
+            s.seal_run(w, (payload.len() / RECORD_LEN) as u64, Vec::new())
+                .unwrap();
         }
         // Input order is first (0..30), middle (30..60), last (60..90).
         assert_eq!(s.sealed_run_records().unwrap(), vec![30, 30, 30]);
@@ -910,7 +1069,8 @@ mod tests {
         for payload in [&run_a, &run_b] {
             let mut w = s.create_run(payload.len() as u64).unwrap();
             w.push(payload).unwrap();
-            s.seal_run(w).unwrap();
+            s.seal_run(w, (payload.len() / RECORD_LEN) as u64, Vec::new())
+                .unwrap();
         }
         assert_eq!(s.sealed_run_records().unwrap(), vec![60, 45]);
         for pos in [0u64, 1, 17, 59] {
@@ -939,7 +1099,7 @@ mod tests {
         let payload: Vec<u8> = (0..3_000).map(|i| (i % 7) as u8).collect();
         let mut w = s.create_run(3_000).unwrap();
         w.push(&payload).unwrap();
-        s.seal_run(w).unwrap();
+        s.seal_run(w, 30, Vec::new()).unwrap();
 
         let mut sources = s.open_runs().unwrap();
         let mut got = Vec::new();
@@ -970,7 +1130,8 @@ mod tests {
         for (s, payload) in [(&mut sa, &run_a), (&mut sb, &run_b)] {
             let mut w = s.create_run(payload.len() as u64).unwrap();
             w.push(payload).unwrap();
-            s.seal_run(w).unwrap();
+            s.seal_run(w, (payload.len() / RECORD_LEN) as u64, Vec::new())
+                .unwrap();
         }
         // Each scratch reads back its own bytes, not the other job's.
         for (s, want) in [(&mut sa, &run_a), (&mut sb, &run_b)] {
@@ -1013,7 +1174,8 @@ mod tests {
             for payload in [&run_a, &run_b] {
                 let mut w = s.create_run(payload.len() as u64).unwrap();
                 w.push(payload).unwrap();
-                s.seal_run(w).unwrap();
+                s.seal_run(w, (payload.len() / RECORD_LEN) as u64, Vec::new())
+                    .unwrap();
             }
             // "Crash": scratch dropped without open_runs; storages survive.
         }
@@ -1060,7 +1222,8 @@ mod tests {
             for payload in [&run_a, &run_b] {
                 let mut w = s.create_run(payload.len() as u64).unwrap();
                 w.push(payload).unwrap();
-                s.seal_run(w).unwrap();
+                s.seal_run(w, (payload.len() / RECORD_LEN) as u64, Vec::new())
+                    .unwrap();
             }
             // Corrupt run B (second file) on disk 0 behind the stripe layer.
             b_base = s.runs[1].file.def().members[0].base;
@@ -1083,11 +1246,124 @@ mod tests {
         // at start 30 (after the recovered run 0..30).
         let mut w = s.create_run(run_b.len() as u64).unwrap();
         w.push(&run_b).unwrap();
-        s.seal_run(w).unwrap();
+        s.seal_run(w, 30, Vec::new()).unwrap();
         let starts: Vec<u64> = s.runs.iter().map(|r| r.start).collect();
         let mut sorted = starts.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![0, 30]);
+    }
+
+    /// Bytes from outside never size arithmetic or an index unchecked: every
+    /// hostile edit of a real manifest ends in an attributed `InvalidData`
+    /// (from `resume`, from the run's verification, or from the sort that
+    /// tries to use it) — never a panic, never records sorted twice.
+    #[test]
+    fn hostile_manifests_are_errors_not_panics() {
+        use crate::driver::{two_pass, SortConfig};
+        use alphasort_dmgen::{generate_varlen, TextCorpus, VarGenConfig};
+        const D: RecordLayout = RecordLayout::Datamation;
+        const V: RecordLayout = RecordLayout::VarLen;
+        // Layout sealed, field edited, its value before and after, the
+        // stage that must catch the edit, and what its message names.
+        let table = [
+            (
+                D,
+                "records",
+                "40",
+                "9223372036854775807",
+                "verify",
+                "claims",
+            ),
+            (
+                D,
+                "start",
+                "40",
+                "9223372036854775807",
+                "sort",
+                "extends past the input",
+            ),
+            (D, "start", "40", "20", "resume", "overlaps"),
+            (D, "start", "40", "18446744073709551616", "resume", "start"),
+            (
+                D,
+                "layout",
+                "\"datamation\"",
+                "\"parquet\"",
+                "resume",
+                "unknown layout",
+            ),
+            (
+                D,
+                "layout",
+                "\"datamation\"",
+                "\"varlen\"",
+                "sort",
+                "layout",
+            ),
+            (V, "records", "40", "39", "verify", "holds 40 records"),
+        ];
+        for (row, (layout, field, before, after, stage, names)) in table.into_iter().enumerate() {
+            let disks: Vec<Arc<MemStorage>> = (0..2).map(|_| Arc::new(MemStorage::new())).collect();
+            let path = tmp_manifest(&format!("hostile{row}"));
+            let (input, _) = generate(GenConfig::datamation(80, 7));
+            {
+                let volume = striped_volume(2, Some(&disks));
+                let mut s = StripeScratch::new(volume, 256).with_layout(layout);
+                s.attach_manifest(&path, input.len() as u64, 40).unwrap();
+                for seed in [1, 2] {
+                    let corpus = TextCorpus::Urls;
+                    let frames = generate_varlen(VarGenConfig {
+                        records: 40,
+                        seed,
+                        corpus,
+                    });
+                    let (payload, index) = match layout {
+                        D => (run_payload(40, seed as u8), Vec::new()),
+                        V => (crate::varlen::sort_var_bytes(&frames).unwrap(), vec![0]),
+                    };
+                    let mut w = s.create_run(payload.len() as u64).unwrap();
+                    w.push(&payload).unwrap();
+                    s.seal_run(w, 40, index).unwrap();
+                }
+            }
+            // Edit the second entry's `start`, the first of anything else.
+            let text = std::fs::read_to_string(&path).unwrap();
+            let from = format!("\"{field}\": {before}");
+            let found = if field == "start" {
+                text.rfind(&from)
+            } else {
+                text.find(&from)
+            };
+            let at = found.unwrap_or_else(|| panic!("row {row}: no {from} to edit"));
+            let hostile = format!(
+                "{}\"{field}\": {after}{}",
+                &text[..at],
+                &text[at + from.len()..]
+            );
+            std::fs::write(&path, hostile).unwrap();
+
+            let resumed = StripeScratch::resume(striped_volume(2, Some(&disks)), &path);
+            let message = match (resumed, stage) {
+                (Err(e), "resume") => e,
+                (Ok((_, report)), "verify") => {
+                    assert_eq!(report.recovered.len(), 1, "row {row}: {report:?}");
+                    invalid(io::ErrorKind::InvalidData, report.corrupt.concat())
+                }
+                (Ok((mut scratch, _)), "sort") => {
+                    let cfg = SortConfig {
+                        run_records: 40,
+                        ..Default::default()
+                    };
+                    let mut source = MemSource::new(input, 1_000);
+                    two_pass(&mut source, &mut MemSink::new(), &mut scratch, &cfg)
+                        .expect_err("sorted over a hostile manifest")
+                }
+                (Err(e), _) => panic!("row {row}: resume failed early: {e}"),
+                (Ok(_), _) => panic!("row {row}: resume accepted the manifest"),
+            };
+            assert_eq!(message.kind(), io::ErrorKind::InvalidData, "row {row}");
+            assert!(message.to_string().contains(names), "row {row}: {message}");
+        }
     }
 
     #[test]
@@ -1099,11 +1375,13 @@ mod tests {
         {
             let volume = striped_volume(2, Some(&storages));
             let mut s = StripeScratch::new(volume, 256).named("jobX-run");
-            s.attach_manifest(&path, (run_a.len() + run_b.len()) as u64, 40).unwrap();
+            s.attach_manifest(&path, (run_a.len() + run_b.len()) as u64, 40)
+                .unwrap();
             for payload in [&run_a, &run_b] {
                 let mut w = s.create_run(payload.len() as u64).unwrap();
                 w.push(payload).unwrap();
-                s.seal_run(w).unwrap();
+                s.seal_run(w, (payload.len() / RECORD_LEN) as u64, Vec::new())
+                    .unwrap();
             }
             // "Crash": scratch dropped; manifest and run files survive.
         }
@@ -1142,31 +1420,5 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("scratch volume full (needed"), "{msg}");
         assert!(msg.contains("had"), "{msg}");
-    }
-
-    #[test]
-    fn buffered_stream_yields_records_in_order() {
-        let (mut data, _) = generate(GenConfig::datamation(500, 8));
-        records_of_mut(&mut data).sort_by_key(|a| a.key);
-        let src = MemSource::new(data.clone(), 7 * RECORD_LEN);
-        let mut stream = BufferedRunStream::new(src).unwrap();
-        let mut n = 0;
-        let mut prev: Option<[u8; 10]> = None;
-        while let Some(r) = stream.head().copied() {
-            if let Some(p) = prev {
-                assert!(p <= r.key);
-            }
-            prev = Some(r.key);
-            stream.advance().unwrap();
-            n += 1;
-        }
-        assert_eq!(n, 500);
-    }
-
-    #[test]
-    fn buffered_stream_empty_source() {
-        let src = MemSource::new(Vec::new(), 100);
-        let stream = BufferedRunStream::new(src).unwrap();
-        assert!(stream.head().is_none());
     }
 }

@@ -8,25 +8,26 @@
 //! Memory use is one run buffer in pass 1 and one read-ahead buffer per run
 //! in pass 2, regardless of input size.
 
-use std::collections::VecDeque;
 use std::io;
-use std::sync::mpsc::sync_channel;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use alphasort_dmgen::RECORD_LEN;
 use alphasort_obs as obs;
 
-use crate::driver::scratch::{BufferedRunStream, RecoveredRun, ScratchStore};
-use crate::driver::{SortConfig, SortOutcome};
+use crate::driver::scratch::{ScratchStore, INDEX_EVERY};
+use crate::driver::{finish, merge_batch, merge_ranges, Feed, Range, SortConfig, SortOutcome};
+use crate::entry::RecordLayout;
 use crate::io::{RecordSink, RecordSource};
-use crate::merge::StreamMerger;
+use crate::layout::{Cut, LayoutRun};
+use crate::merge::{Heads, Merger, StreamHeads};
 use crate::parallel::SortPool;
 use crate::planner::PassPlan;
 use crate::pmerge::{plan_partitions_with, SAMPLES_PER_RANGE};
 use crate::runform::SortedRun;
 use crate::stats::{timed_phase, SortStats};
+use crate::varlen::VarRun;
 
-/// Sort `source` into `sink`, staging runs in `scratch`.
+/// Sort `source` into `sink`, staging runs in `scratch` — which must have
+/// been built for the configured layout.
 pub fn two_pass<Src, Snk, Scr>(
     source: &mut Src,
     sink: &mut Snk,
@@ -38,22 +39,128 @@ where
     Snk: RecordSink,
     Scr: ScratchStore,
 {
-    if cfg.layout == crate::entry::RecordLayout::VarLen {
-        // Var-len runs stage in their own in-memory scratch (striped
-        // var-len scratch is a roadmap item); the caller's fixed-layout
-        // scratch is not touched. Resumable var-len sorts call
-        // `varlen::two_pass_var` directly with a recovered scratch.
-        let mut vs = crate::varlen::MemVarScratch::new();
-        return crate::varlen::two_pass_var(source, sink, &mut vs, cfg);
+    match cfg.layout {
+        RecordLayout::Datamation => two_pass_of::<SortedRun, _, _, _>(source, sink, scratch, cfg),
+        RecordLayout::VarLen => two_pass_of::<VarRun, _, _, _>(source, sink, scratch, cfg),
     }
+}
+
+/// One scratch run being written: records staged into `gather_batch`-sized
+/// pushes so the spill writer's pipeline stays busy without a whole-run
+/// staging copy, counted — and, without a fixed stride, sparsely indexed —
+/// for [`ScratchStore::seal_run`].
+struct Spill<W> {
+    writer: W,
+    staging: Vec<u8>,
+    /// Records in `staging`, flushed at `batch` (a counter, not a modulo
+    /// of `records`: this runs once per spilled record).
+    staged: usize,
+    batch: usize,
+    indexed: bool,
+    records: u64,
+    bytes: u64,
+    index: Vec<u64>,
+}
+
+impl<W: RecordSink> Spill<W> {
+    fn new(writer: W, layout: RecordLayout, batch: usize) -> Self {
+        Spill {
+            writer,
+            staging: Vec::new(),
+            staged: 0,
+            batch,
+            indexed: layout.stride().is_none(),
+            records: 0,
+            bytes: 0,
+            index: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, frame: &[u8]) -> io::Result<()> {
+        if self.indexed && self.records.is_multiple_of(INDEX_EVERY) {
+            self.index.push(self.bytes);
+        }
+        self.records += 1;
+        self.bytes += frame.len() as u64;
+        self.staging.extend_from_slice(frame);
+        self.staged += 1;
+        if self.staged == self.batch {
+            self.writer.push(&self.staging)?;
+            self.staging.clear();
+            self.staged = 0;
+        }
+        Ok(())
+    }
+
+    fn seal<Scr: ScratchStore<Writer = W>>(mut self, scratch: &mut Scr) -> io::Result<()> {
+        if !self.staging.is_empty() {
+            self.writer.push(&self.staging)?;
+        }
+        scratch.seal_run(self.writer, self.records, self.index)
+    }
+}
+
+/// Account one freshly formed run and stream it to scratch.
+fn spill_run<R: LayoutRun, Scr: ScratchStore>(
+    run: &R,
+    resuming: bool,
+    cfg: &SortConfig,
+    stats: &mut SortStats,
+    scratch: &mut Scr,
+) -> io::Result<()> {
+    stats.runs += 1;
+    stats.run_lengths.push(run.len() as u64);
+    stats.records += run.len() as u64;
+    if resuming {
+        stats.runs_reformed += 1;
+        obs::metrics::counter_add("run.reformed", 1);
+    }
+    timed_phase(obs::phase::SPILL, &mut stats.spill_time, || {
+        let mut out = Spill::new(
+            scratch.create_run(run.bytes())?,
+            R::LAYOUT,
+            cfg.gather_batch,
+        );
+        for pos in 0..run.len() {
+            out.push(run.frame_at(pos))?;
+        }
+        out.seal(scratch)
+    })
+}
+
+/// The two-pass pipeline over runs of type `R`.
+fn two_pass_of<R, Src, Snk, Scr>(
+    source: &mut Src,
+    sink: &mut Snk,
+    scratch: &mut Scr,
+    cfg: &SortConfig,
+) -> io::Result<SortOutcome>
+where
+    R: LayoutRun,
+    Src: RecordSource,
+    Snk: RecordSink,
+    Scr: ScratchStore,
+{
     assert!(cfg.run_records > 0 && cfg.gather_batch > 0);
-    let mut top = obs::span(obs::phase::TWO_PASS);
+    if scratch.layout() != R::LAYOUT {
+        // A resumed manifest written for the other layout, or a caller
+        // that built its scratch for the wrong one: its record-indexed
+        // operations would misread every run.
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "scratch holds {} runs but the sort is configured for the {} layout",
+                scratch.layout().name(),
+                R::LAYOUT.name()
+            ),
+        ));
+    }
+    let top = obs::span(obs::phase::TWO_PASS);
     let t_start = Instant::now();
     let mut stats = SortStats {
         one_pass: false,
         ..Default::default()
     };
-    let run_bytes = cfg.run_records * RECORD_LEN;
 
     // ---- pass 1: run formation + spill, overlapped ------------------------
     // Workers QuickSort run buffers while the root keeps reading and spills
@@ -62,149 +169,38 @@ where
     // back in order).
     //
     // A resumed scratch reports the input ranges its surviving runs cover;
-    // those bytes are read and discarded (the sorted records already sit in
-    // scratch) and only the gaps are re-sorted and re-spilled.
-    let mut pending: VecDeque<RecoveredRun> = {
-        let mut spans = scratch.recovered_runs()?;
-        spans.sort_by_key(|r| r.start_record);
-        spans.into()
-    };
-    let resuming = !pending.is_empty();
-    // Absolute byte position within the input.
-    let mut abs: u64 = 0;
-    let mut cur: Vec<u8> = Vec::with_capacity(run_bytes);
-    let mut pool = SortPool::with_kernel(cfg.workers, cfg.representation, cfg.kernel);
-    let spill = |run: &SortedRun, stats: &mut SortStats, scratch: &mut Scr| -> io::Result<()> {
-        stats.runs += 1;
-        stats.run_lengths.push(run.len() as u64);
-        stats.records += run.len() as u64;
-        if resuming {
-            stats.runs_reformed += 1;
-            obs::metrics::counter_add("run.reformed", 1);
-        }
-        timed_phase(
-            obs::phase::SPILL,
-            &mut stats.spill_time,
-            || -> io::Result<()> {
-                let mut writer = scratch.create_run((run.len() * RECORD_LEN) as u64)?;
-                // Stream the run out in gather-batch sized pieces so the spill
-                // writer's pipeline stays busy without a whole-run staging copy.
-                let mut staging = Vec::with_capacity(cfg.gather_batch * RECORD_LEN);
-                for rec in run.iter_sorted() {
-                    staging.extend_from_slice(rec.as_bytes());
-                    if staging.len() >= cfg.gather_batch * RECORD_LEN {
-                        writer.push(&staging)?;
-                        staging.clear();
-                    }
+    // the cutter reads past those (the sorted records already sit in
+    // scratch, checksummed) and only the gaps are re-sorted and re-spilled.
+    let skip = scratch.recovered_runs()?;
+    let resuming = !skip.is_empty();
+    let mut pool = SortPool::<R>::new(cfg.workers, cfg.representation, cfg.kernel);
+    let mut feed = Feed::<R::Cutter>::new(cfg.run_records, skip);
+    while let Some(cuts) = feed.next_cuts(source, &mut stats)? {
+        for cut in cuts {
+            match cut {
+                Cut::Run(buf) => pool.submit(buf),
+                Cut::Skipped(r) => {
+                    stats.runs += 1;
+                    stats.run_lengths.push(r.records);
+                    stats.records += r.records;
+                    stats.runs_recovered += 1;
+                    obs::metrics::counter_add("run.recovered", 1);
                 }
-                if !staging.is_empty() {
-                    writer.push(&staging)?;
-                }
-                scratch.seal_run(writer)
-            },
-        )
-    };
-
-    loop {
-        let mut rd = obs::span(obs::phase::READ);
-        let t0 = Instant::now();
-        let chunk = source.next_chunk();
-        stats.read_wait += t0.elapsed();
-        if let Ok(Some(c)) = &chunk {
-            rd.attr("bytes", c.len() as u64);
-        }
-        drop(rd);
-        let Some(chunk) = chunk? else { break };
-        stats.bytes_sorted += chunk.len() as u64;
-        let mut off = 0;
-        while off < chunk.len() {
-            // Inside a recovered span: these records already sit in scratch,
-            // sorted and checksummed. Account the run when its span is fully
-            // passed; nothing is re-sorted.
-            if let Some(r) = pending.front() {
-                let span_start = r.start_record * RECORD_LEN as u64;
-                let span_end = span_start + r.records * RECORD_LEN as u64;
-                if abs >= span_start {
-                    let skip = ((span_end - abs) as usize).min(chunk.len() - off);
-                    off += skip;
-                    abs += skip as u64;
-                    if abs == span_end {
-                        stats.runs += 1;
-                        stats.run_lengths.push(r.records);
-                        stats.records += r.records;
-                        stats.runs_recovered += 1;
-                        obs::metrics::counter_add("run.recovered", 1);
-                        pending.pop_front();
-                    }
-                    continue;
-                }
-            }
-            // Take at most up to the next recovered span: a gap run must
-            // end exactly at the span boundary so the re-formed runs cover
-            // precisely the records the recovered ones do not.
-            let until_span = pending
-                .front()
-                .map(|r| r.start_record * RECORD_LEN as u64 - abs)
-                .unwrap_or(u64::MAX);
-            let take = (run_bytes - cur.len())
-                .min(chunk.len() - off)
-                .min(until_span.min(usize::MAX as u64) as usize);
-            cur.extend_from_slice(&chunk[off..off + take]);
-            off += take;
-            abs += take as u64;
-            let at_span_boundary = take as u64 == until_span;
-            if cur.len() == run_bytes || (at_span_boundary && !cur.is_empty()) {
-                let full = std::mem::replace(&mut cur, Vec::with_capacity(run_bytes));
-                pool.submit(full);
             }
         }
         // Spill whatever the workers have finished, without stalling input.
         while let Some((run, d)) = pool.try_next_in_order() {
             stats.sort_time += d;
-            spill(&run, &mut stats, scratch)?;
+            spill_run(&run, resuming, cfg, &mut stats, scratch)?;
         }
-    }
-    if !cur.is_empty() {
-        if !cur.len().is_multiple_of(RECORD_LEN) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "input ends mid-record ({} trailing bytes)",
-                    cur.len() % RECORD_LEN
-                ),
-            ));
-        }
-        pool.submit(std::mem::take(&mut cur));
     }
     while let Some((run, d)) = pool.next_in_order() {
         stats.sort_time += d;
-        spill(&run, &mut stats, scratch)?;
+        spill_run(&run, resuming, cfg, &mut stats, scratch)?;
     }
     drop(pool.finish()); // joins worker threads (no runs remain)
-
-    if let Some(r) = pending.front() {
-        // The scratch thinks it holds runs past the end of the input: the
-        // resume was pointed at a different (or truncated) input file.
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "recovered run covering records {}..{} extends past the input \
-                 ({} bytes read); wrong or truncated input for this scratch manifest",
-                r.start_record,
-                r.start_record + r.records,
-                abs,
-            ),
-        ));
-    }
-
     if stats.records == 0 {
-        let bytes = timed_phase(obs::phase::WRITE, &mut stats.write_wait, || sink.complete())?;
-        stats.elapsed = t_start.elapsed();
-        return Ok(SortOutcome {
-            stats,
-            bytes,
-            plan: PassPlan::TwoPass,
-        });
+        return finish(top, stats, sink, PassPlan::TwoPass, t_start);
     }
 
     // ---- intermediate cascade passes (runs > fan-in) -----------------------
@@ -214,6 +210,7 @@ where
     // (Knuth's cascade merge). Each extra level costs one more full
     // read+write of the data — the same bandwidth arithmetic as §6.
     let fanin = cfg.max_fanin.max(2);
+    let tree_kernel = cfg.kernel.tree();
     while scratch.sealed_run_records()?.len() > fanin {
         stats.merge_passes += 1;
         let level = timed_phase(obs::phase::SPILL, &mut stats.spill_time, || {
@@ -225,111 +222,60 @@ where
             // The merged run is as big as its inputs together; scratch
             // stores allocate extents from this hint.
             let group_bytes: u64 = group.iter().filter_map(|s| s.size_hint()).sum();
-            let mut streams = Vec::with_capacity(group.len());
-            for s in group {
-                streams.push(BufferedRunStream::new(s)?);
-            }
-            let mut merger = StreamMerger::new_with_kernel(streams, cfg.kernel.tree());
-            timed_phase(
-                obs::phase::SPILL,
-                &mut stats.spill_time,
-                || -> io::Result<()> {
-                    let mut writer = scratch.create_run(group_bytes)?;
-                    let mut staging = Vec::with_capacity(cfg.gather_batch * RECORD_LEN);
-                    while let Some(r) = merger.next_record()? {
-                        staging.extend_from_slice(r.as_bytes());
-                        if staging.len() >= cfg.gather_batch * RECORD_LEN {
-                            writer.push(&staging)?;
-                            staging.clear();
-                        }
-                    }
-                    if !staging.is_empty() {
-                        writer.push(&staging)?;
-                    }
-                    scratch.seal_run(writer)
-                },
-            )?;
+            let mut merger =
+                Merger::<_, R::Policy, _>::new(StreamHeads::<_, R>::new(group)?, tree_kernel, ());
+            timed_phase(obs::phase::SPILL, &mut stats.spill_time, || {
+                let writer = scratch.create_run(group_bytes)?;
+                let mut out = Spill::new(writer, R::LAYOUT, cfg.gather_batch);
+                while let Some(w) = merger.winner() {
+                    out.push(merger.heads().frame(w))?;
+                    merger.pop()?;
+                }
+                out.seal(scratch)
+            })?;
         }
     }
 
     // ---- final merge into the sink -----------------------------------------
     if cfg.merge_workers > 0 {
-        let bytes = partitioned_final_merge(sink, scratch, cfg, &mut stats)?;
-        stats.elapsed = t_start.elapsed();
-        obs::metrics::counter_add("sort.records", stats.records);
-        obs::metrics::counter_add("sort.bytes", stats.bytes_sorted);
-        top.attr("records", stats.records);
-        top.attr("bytes", stats.bytes_sorted);
-        return Ok(SortOutcome {
-            stats,
-            bytes,
-            plan: PassPlan::TwoPass,
-        });
-    }
-    let sources = timed_phase(obs::phase::SPILL, &mut stats.spill_time, || {
-        scratch.open_runs()
-    })?;
-    let mut streams = Vec::with_capacity(sources.len());
-    for s in sources {
-        streams.push(BufferedRunStream::new(s)?);
-    }
-    let mut merger = StreamMerger::new_with_kernel(streams, cfg.kernel.tree());
-    let mut staging = Vec::with_capacity(cfg.gather_batch * RECORD_LEN);
-    let batch_bytes = cfg.gather_batch * RECORD_LEN;
-    loop {
-        // Merge a whole output batch per timing/span window: per-record
-        // clock reads (and per-record spans) would dominate the merge
-        // itself at 10M records.
-        let done = timed_phase(
-            obs::phase::MERGE,
-            &mut stats.merge_time,
-            || -> io::Result<bool> {
-                while staging.len() < batch_bytes {
-                    match merger.next_record()? {
-                        Some(r) => staging.extend_from_slice(r.as_bytes()),
-                        None => return Ok(true),
-                    }
-                }
-                Ok(false)
-            },
-        )?;
-        if !staging.is_empty() {
-            timed_phase(obs::phase::WRITE, &mut stats.write_wait, || {
-                sink.push(&staging)
+        partitioned_final_merge::<R, _, _>(sink, scratch, cfg, &mut stats)?;
+    } else {
+        let sources = timed_phase(obs::phase::SPILL, &mut stats.spill_time, || {
+            scratch.open_runs()
+        })?;
+        let heads = StreamHeads::<_, R>::new(sources)?;
+        let mut merger = Merger::<_, R::Policy, _>::new(heads, tree_kernel, ());
+        let mut staging = Vec::new();
+        loop {
+            let done = timed_phase(obs::phase::MERGE, &mut stats.merge_time, || {
+                merge_batch(&mut merger, &mut staging, cfg.gather_batch)
             })?;
-            staging.clear();
-        }
-        if done {
-            break;
+            if !staging.is_empty() {
+                timed_phase(obs::phase::WRITE, &mut stats.write_wait, || {
+                    sink.push(&staging)
+                })?;
+                staging.clear();
+            }
+            if done {
+                break;
+            }
         }
     }
-    let bytes = timed_phase(obs::phase::WRITE, &mut stats.write_wait, || sink.complete())?;
-    stats.elapsed = t_start.elapsed();
-    obs::metrics::counter_add("sort.records", stats.records);
-    obs::metrics::counter_add("sort.bytes", stats.bytes_sorted);
-    top.attr("records", stats.records);
-    top.attr("bytes", stats.bytes_sorted);
-    Ok(SortOutcome {
-        stats,
-        bytes,
-        plan: PassPlan::TwoPass,
-    })
+    finish(top, stats, sink, PassPlan::TwoPass, t_start)
 }
 
 /// Partitioned final merge: sampled splitters (probed via
 /// [`ScratchStore::key_at`]) cut every sealed run into `cfg.merge_workers`
-/// disjoint key ranges; each range merges on its own thread reading
-/// verified range windows of the runs, and the staged buffers stream to
-/// the sink in range order. Splitter routing is a pure function of the key
-/// and per-range merges keep the run-index tie-break, so the concatenated
-/// ranges are byte-identical to the serial final merge.
-fn partitioned_final_merge<Snk, Scr>(
+/// disjoint key ranges, and each range's worker reads verified range
+/// windows of the runs.
+fn partitioned_final_merge<R, Snk, Scr>(
     sink: &mut Snk,
     scratch: &mut Scr,
     cfg: &SortConfig,
     stats: &mut SortStats,
-) -> io::Result<u64>
+) -> io::Result<()>
 where
+    R: LayoutRun,
     Snk: RecordSink,
     Scr: ScratchStore,
 {
@@ -339,11 +285,10 @@ where
             scratch.key_at(r, pos)
         })
     })?;
-    stats.merge_range_records = plan.range_records.clone();
     // Open every (range, run) window up front on the driver thread: the
     // scratch handle is `&mut`, but the sources it yields are `Send` and
     // move into the range workers. Empty cuts are skipped.
-    let mut range_sources: Vec<Vec<Scr::Source>> = Vec::with_capacity(plan.ranges());
+    let mut ranges: Vec<Range<'_, StreamHeads<Scr::Source, R>>> = Vec::new();
     for row in &plan.bounds {
         let mut srcs = Vec::new();
         for (run, &(s, e)) in row.iter().enumerate() {
@@ -351,109 +296,15 @@ where
                 srcs.push(scratch.open_run_range(run, s, e - s)?);
             }
         }
-        range_sources.push(srcs);
+        // A short pipeline per range: workers stay a few batches ahead of
+        // the sink without staging whole ranges in memory.
+        let open = move || match srcs.is_empty() {
+            true => Ok(None),
+            false => StreamHeads::new(srcs).map(Some),
+        };
+        ranges.push((Box::new(open), 4));
     }
-
-    let batch_bytes = cfg.gather_batch * RECORD_LEN;
-    let tree_kernel = cfg.kernel.tree();
-    let track = obs::current_track();
-    let durations = std::thread::scope(|scope| -> io::Result<Vec<Duration>> {
-        let mut handles = Vec::with_capacity(range_sources.len());
-        let mut rxs = Vec::with_capacity(range_sources.len());
-        for (range, srcs) in range_sources.into_iter().enumerate() {
-            // A short pipeline per range: workers stay a few batches ahead
-            // of the sink without staging whole ranges in memory.
-            let (tx, rx) = sync_channel::<Vec<u8>>(4);
-            rxs.push(rx);
-            let records = plan.range_records[range];
-            let track = track.clone();
-            handles.push(scope.spawn(move || -> io::Result<Duration> {
-                obs::adopt_track(track);
-                let mut g = obs::span(obs::phase::MERGE);
-                g.attr("range", range as u64);
-                g.attr("records", records);
-                let t0 = Instant::now();
-                if srcs.is_empty() {
-                    return Ok(t0.elapsed());
-                }
-                let mut streams = Vec::with_capacity(srcs.len());
-                for s in srcs {
-                    streams.push(BufferedRunStream::new(s)?);
-                }
-                let mut merger = StreamMerger::new_with_kernel(streams, tree_kernel);
-                let mut staging = Vec::with_capacity(batch_bytes);
-                'merge: loop {
-                    let done = loop {
-                        match merger.next_record()? {
-                            Some(r) => {
-                                staging.extend_from_slice(r.as_bytes());
-                                if staging.len() >= batch_bytes {
-                                    break false;
-                                }
-                            }
-                            None => break true,
-                        }
-                    };
-                    if !staging.is_empty() {
-                        let full =
-                            std::mem::replace(&mut staging, Vec::with_capacity(batch_bytes));
-                        if tx.send(full).is_err() {
-                            // The root stopped draining (sink error); there
-                            // is nowhere for our output to go.
-                            break 'merge;
-                        }
-                    }
-                    if done {
-                        break;
-                    }
-                }
-                let d = t0.elapsed();
-                obs::metrics::observe("merge.range_us", d.as_micros() as u64);
-                Ok(d)
-            }));
-        }
-        // Drain in range order: ranges cover ascending disjoint key
-        // intervals, so this concatenation *is* the sorted output.
-        let mut sink_err: Option<io::Error> = None;
-        'drain: for rx in &rxs {
-            while let Ok(buf) = rx.recv() {
-                let pushed = timed_phase(obs::phase::WRITE, &mut stats.write_wait, || {
-                    sink.push(&buf)
-                });
-                if let Err(e) = pushed {
-                    sink_err = Some(e);
-                    break 'drain;
-                }
-            }
-        }
-        drop(rxs); // unblocks any worker still sending after a sink error
-        let mut durations = Vec::with_capacity(handles.len());
-        let mut worker_err: Option<io::Error> = None;
-        for h in handles {
-            match h.join() {
-                Ok(Ok(d)) => durations.push(d),
-                Ok(Err(e)) => {
-                    if worker_err.is_none() {
-                        worker_err = Some(e);
-                    }
-                }
-                Err(p) => std::panic::resume_unwind(p),
-            }
-        }
-        // A failed range read outranks the sink error it may have induced.
-        if let Some(e) = worker_err {
-            return Err(e);
-        }
-        if let Some(e) = sink_err {
-            return Err(e);
-        }
-        Ok(durations)
-    })?;
-    for d in durations {
-        stats.merge_time += d;
-        stats.merge_range_time.push(d);
-    }
-    timed_phase(obs::phase::WRITE, &mut stats.write_wait, || sink.complete())
+    merge_ranges::<_, R::Policy, _>(ranges, plan, cfg, sink, stats)
 }
 
 #[cfg(test)]
@@ -461,7 +312,7 @@ mod tests {
     use super::*;
     use crate::driver::scratch::MemScratch;
     use crate::io::{MemSink, MemSource};
-    use alphasort_dmgen::{generate, validate_records, GenConfig, KeyDistribution};
+    use alphasort_dmgen::{generate, validate_records, GenConfig, KeyDistribution, RECORD_LEN};
 
     fn sort_two_pass(n: u64, dist: KeyDistribution, cfg: &SortConfig) {
         let (data, cs) = generate(GenConfig {
@@ -612,10 +463,7 @@ mod tests {
             };
             let outcome = two_pass(&mut source, &mut sink, &mut scratch, &cfg).unwrap();
             assert_eq!(outcome.stats.merge_range_records.len(), merge_workers);
-            assert_eq!(
-                outcome.stats.merge_range_records.iter().sum::<u64>(),
-                4_000
-            );
+            assert_eq!(outcome.stats.merge_range_records.iter().sum::<u64>(), 4_000);
             assert!(outcome.stats.merge_skew() >= 1.0);
             assert_eq!(sink.data(), &serial[..], "{merge_workers} ranges diverged");
             validate_records(sink.data(), cs).unwrap();
@@ -646,41 +494,126 @@ mod tests {
         validate_records(sink.data(), cs).unwrap();
     }
 
+    fn url_frames(records: u64, seed: u64) -> Vec<u8> {
+        alphasort_dmgen::generate_varlen(alphasort_dmgen::VarGenConfig {
+            records,
+            seed,
+            corpus: alphasort_dmgen::TextCorpus::Urls,
+        })
+    }
+
     #[test]
-    fn partitioned_merge_on_resumed_scratch() {
-        use alphasort_dmgen::records_of_mut;
+    fn resumed_sort_skips_recovered_spans_under_both_layouts() {
         // A previous attempt already formed the middle run (records
-        // 300..600); the resumed sort re-forms only the flanks and the
-        // partitioned merge must still concatenate to the serial output.
-        let (data, cs) = generate(GenConfig {
-            records: 1_200,
-            seed: 0xAB5E,
-            dist: KeyDistribution::Random,
-        });
-        let base = SortConfig {
-            run_records: 300,
-            gather_batch: 100,
+        // 300..600): the retry must skip that input range, re-form only the
+        // flanks, and — serial or partitioned — still produce the
+        // uninterrupted sort's output byte for byte.
+        let (fixed, _) = generate(GenConfig::datamation(1_200, 0xAB5E));
+        let strings = url_frames(1_200, 0x55);
+        let frames = alphasort_dmgen::var_records_of(&strings).unwrap();
+        let middle: Vec<u8> = frames[300..600]
+            .iter()
+            .flat_map(|r| r.frame().to_vec())
+            .collect();
+        let mut fixed_middle = fixed[300 * RECORD_LEN..600 * RECORD_LEN].to_vec();
+        alphasort_dmgen::records_of_mut(&mut fixed_middle).sort_by_key(|r| r.key);
+        for (layout, data, middle) in [
+            (RecordLayout::Datamation, fixed, fixed_middle),
+            (
+                RecordLayout::VarLen,
+                strings.clone(),
+                crate::varlen::sort_var_bytes(&middle).unwrap(),
+            ),
+        ] {
+            let base = SortConfig {
+                run_records: 300,
+                gather_batch: 100,
+                layout,
+                ..Default::default()
+            };
+            let mut want = MemSink::new();
+            let mut scratch = MemScratch::new(4_099).with_layout(layout);
+            two_pass(
+                &mut MemSource::new(data.clone(), 4_099),
+                &mut want,
+                &mut scratch,
+                &base,
+            )
+            .unwrap();
+            for merge_workers in [0, 1, 3, 8] {
+                let cfg = SortConfig {
+                    merge_workers,
+                    ..base.clone()
+                };
+                let mut scratch = MemScratch::new(4_099)
+                    .with_layout(layout)
+                    .recover(vec![(300, middle.clone())])
+                    .unwrap();
+                let mut source = MemSource::new(data.clone(), 4_099);
+                let mut sink = MemSink::new();
+                let st = two_pass(&mut source, &mut sink, &mut scratch, &cfg)
+                    .unwrap()
+                    .stats;
+                let what = format!("{} P={merge_workers}", layout.name());
+                assert_eq!(
+                    (st.runs, st.runs_recovered, st.runs_reformed),
+                    (4, 1, 3),
+                    "{what}"
+                );
+                assert_eq!(
+                    (st.records, st.merge_range_records.len()),
+                    (1_200, merge_workers),
+                    "{what}"
+                );
+                assert_eq!(sink.data(), want.data(), "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn varlen_bad_inputs_are_attributed_errors() {
+        let cfg = SortConfig {
+            run_records: 40,
+            layout: RecordLayout::VarLen,
             ..Default::default()
         };
-        let serial = serial_reference(&data, &base);
-        let mut middle = data[300 * RECORD_LEN..600 * RECORD_LEN].to_vec();
-        records_of_mut(&mut middle).sort_by_key(|r| r.key);
-        for merge_workers in [1, 3, 8] {
-            let mut source = MemSource::new(data.clone(), 12_345);
-            let mut sink = MemSink::new();
-            let mut scratch =
-                MemScratch::with_recovered(vec![(300, middle.clone())], 40 * RECORD_LEN);
-            let cfg = SortConfig {
-                merge_workers,
-                ..base.clone()
-            };
-            let outcome = two_pass(&mut source, &mut sink, &mut scratch, &cfg).unwrap();
-            assert_eq!(outcome.stats.runs, 4);
-            assert_eq!(outcome.stats.runs_recovered, 1);
-            assert_eq!(outcome.stats.merge_range_records.len(), merge_workers);
-            assert_eq!(sink.data(), &serial[..], "{merge_workers} ranges diverged");
-            validate_records(sink.data(), cs).unwrap();
+        let var_scratch = || MemScratch::new(512).with_layout(RecordLayout::VarLen);
+        let data = url_frames(100, 0x56);
+        let sorted = crate::varlen::sort_var_bytes(&data).unwrap();
+        let cut = data[..data.len() - 3].to_vec();
+        let mut sink = MemSink::new();
+        let mut sort = |data: &[u8], mut scratch: MemScratch| {
+            two_pass(
+                &mut MemSource::new(data.to_vec(), 512),
+                &mut sink,
+                &mut scratch,
+                &cfg,
+            )
+        };
+        let errors = [
+            // A recovered run claiming records 500..600 of 100.
+            (
+                sort(&data, var_scratch().recover(vec![(500, sorted)]).unwrap()),
+                "extends past the input",
+            ),
+            // An input cut off mid-frame, through either driver.
+            (sort(&cut, var_scratch()), "mid-record"),
+            (
+                crate::driver::one_pass(&mut MemSource::new(cut, 512), &mut MemSink::new(), &cfg),
+                "mid-record",
+            ),
+            // A scratch built for the other layout.
+            (sort(&data, MemScratch::new(512)), "layout"),
+        ];
+        for (outcome, name) in errors {
+            let err = outcome.expect_err(name);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(name), "{err}");
         }
+        // No input at all is not an error.
+        let mut source = MemSource::new(Vec::new(), 512);
+        let outcome = two_pass(&mut source, &mut sink, &mut var_scratch(), &cfg).unwrap();
+        assert_eq!((outcome.stats.records, outcome.bytes), (0, 0));
     }
 
     #[test]

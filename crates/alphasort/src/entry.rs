@@ -6,7 +6,9 @@
 //! pairs, where the prefix is "normalized to an integer type, allowing most
 //! comparisons to be resolved with an integer comparison".
 
-use alphasort_dmgen::{Record, KEY_LEN};
+use std::io;
+
+use alphasort_dmgen::{parse_var_record, Record, VarFrameError, KEY_LEN, RECORD_LEN};
 
 /// Which record model a sort operates on. The layout is threaded through
 /// [`crate::SortConfig`], both drivers, `sortcli --layout`, and the sortd
@@ -48,6 +50,63 @@ impl RecordLayout {
             RecordLayout::VarLen => "length-prefixed records, string keys, LCP/OVC merge",
         }
     }
+
+    /// Bytes per record when every record has the same size; `None` when
+    /// record boundaries must be read from the frames themselves.
+    #[inline]
+    pub const fn stride(self) -> Option<usize> {
+        match self {
+            RecordLayout::Datamation => Some(RECORD_LEN),
+            RecordLayout::VarLen => None,
+        }
+    }
+
+    /// Shape of the whole frame at the start of `bytes`, or `None` when
+    /// `bytes` ends before the frame does (read more, or — at end of input —
+    /// report a truncated record). `at` is the absolute position of
+    /// `bytes[0]`, for error attribution. Structurally invalid var-len
+    /// headers are `InvalidData`.
+    #[inline]
+    pub fn frame_at(self, bytes: &[u8], at: u64) -> io::Result<Option<Frame>> {
+        match self {
+            RecordLayout::Datamation => Ok((bytes.len() >= RECORD_LEN).then_some(Frame {
+                len: RECORD_LEN,
+                key_off: 0,
+                key_len: KEY_LEN,
+            })),
+            RecordLayout::VarLen => match parse_var_record(bytes, at) {
+                Ok(r) => Ok(Some(Frame {
+                    len: r.len(),
+                    key_off: r.key().as_ptr() as usize - bytes.as_ptr() as usize,
+                    key_len: r.key().len(),
+                })),
+                Err(
+                    VarFrameError::TruncatedHeader { .. } | VarFrameError::TruncatedBody { .. },
+                ) => Ok(None),
+                Err(e) => Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
+            },
+        }
+    }
+}
+
+/// Where one record sits in a byte buffer: its whole length and its key,
+/// both relative to the record's first byte.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Frame {
+    /// Whole record length (header included for var-len frames).
+    pub len: usize,
+    /// Key start within the record.
+    pub key_off: usize,
+    /// Key length.
+    pub key_len: usize,
+}
+
+impl Frame {
+    /// The key of the record that starts at `bytes[0]`.
+    #[inline]
+    pub fn key(self, bytes: &[u8]) -> &[u8] {
+        &bytes[self.key_off..self.key_off + self.key_len]
+    }
 }
 
 /// The prefix-entry integer for an arbitrary-length key: the first 8 key
@@ -59,10 +118,15 @@ impl RecordLayout {
 /// the fixed layout's tie handling.
 #[inline]
 pub fn key_prefix_u64(key: &[u8]) -> u64 {
-    let mut buf = [0u8; 8];
-    let n = key.len().min(8);
-    buf[..n].copy_from_slice(&key[..n]);
-    u64::from_be_bytes(buf)
+    match key.first_chunk::<8>() {
+        // The common case is one load, not a variable-length copy.
+        Some(head) => u64::from_be_bytes(*head),
+        None => {
+            let mut buf = [0u8; 8];
+            buf[..key.len()].copy_from_slice(key);
+            u64::from_be_bytes(buf)
+        }
+    }
 }
 
 /// Hard ceiling on records addressable within one run: the entry types

@@ -8,59 +8,50 @@
 //! time is spent gathering the records than is consumed in creating,
 //! sorting and merging the key-prefix/pointer pairs."
 
-use alphasort_dmgen::RECORD_LEN;
+use crate::kernels::TreeKernel;
+use crate::layout::LayoutRun;
+use crate::merge::{ComparePolicy, Effort, MergedPtr, Merger, RunCursors};
 
-use crate::merge::{MergedPtr, RunMerger};
-use crate::runform::SortedRun;
-
-/// Copy the records named by `ptrs` (in order) onto the end of `out`.
-pub fn gather_into(runs: &[SortedRun], ptrs: &[MergedPtr], out: &mut Vec<u8>) {
-    out.reserve(ptrs.len() * RECORD_LEN);
-    for p in ptrs {
-        let rec = runs[p.run as usize].record_at(p.pos as usize);
-        out.extend_from_slice(rec.as_bytes());
-    }
-}
-
-/// Drive a full merge+gather of `runs` into one contiguous output buffer.
-pub fn merge_gather_all(runs: &[SortedRun]) -> Vec<u8> {
-    let total: usize = runs.iter().map(|r| r.len()).sum();
-    let mut out = Vec::with_capacity(total * RECORD_LEN);
-    for p in RunMerger::new(runs) {
-        let rec = runs[p.run as usize].record_at(p.pos as usize);
-        out.extend_from_slice(rec.as_bytes());
-    }
-    out
-}
-
-/// [`gather_into`] for variable-length runs: no fixed stride to reserve
-/// by, so copies are sized per frame. Records are still copied exactly
-/// once — the pointers address (run, sorted-position), the frame lookup
-/// resolves offset and length.
-pub fn gather_var_into(runs: &[crate::varlen::VarRun], ptrs: &[MergedPtr], out: &mut Vec<u8>) {
+/// Copy the records named by `ptrs` (in order) onto the end of `out`. The
+/// pointers address (run, sorted position); the run resolves offset and
+/// length, so fixed and var-len records gather alike.
+pub fn gather_into<R: LayoutRun>(runs: &[R], ptrs: &[MergedPtr], out: &mut Vec<u8>) {
+    out.reserve(ptrs.len() * R::LAYOUT.stride().unwrap_or(0));
     for p in ptrs {
         out.extend_from_slice(runs[p.run as usize].frame_at(p.pos as usize));
     }
 }
 
+/// Drive a full merge+gather of `runs` into one contiguous output buffer.
+pub fn merge_gather_all<R: LayoutRun>(runs: &[R]) -> Vec<u8> {
+    let total: usize = runs.iter().map(|r| r.len()).sum();
+    let mut out = Vec::with_capacity(total * R::LAYOUT.stride().unwrap_or(0));
+    let mut merger =
+        Merger::<_, R::Policy, _>::new(RunCursors::new(runs, None), TreeKernel::Branchy, ());
+    while merger
+        .next_into(&mut out)
+        .expect("in-memory cursors cannot fail")
+    {}
+    out
+}
+
 /// Pull up to `n` pointers from a merger — the root's unit of work when it
 /// hands gather chores to workers buffer by buffer.
-pub fn take_ptrs(merger: &mut RunMerger<'_>, n: usize) -> Vec<MergedPtr> {
-    let mut v = Vec::with_capacity(n.min(merger.remaining()));
-    for _ in 0..n {
-        match merger.next() {
-            Some(p) => v.push(p),
-            None => break,
-        }
-    }
+pub fn take_ptrs<R: LayoutRun, P: ComparePolicy, E: Effort>(
+    merger: &mut Merger<RunCursors<'_, R>, P, E>,
+    n: usize,
+) -> Vec<MergedPtr> {
+    let mut v = Vec::with_capacity(n.min(merger.heads().remaining()));
+    v.extend(merger.by_ref().take(n));
     v
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runform::{form_run, Representation};
-    use alphasort_dmgen::{generate, validate_records, GenConfig};
+    use crate::merge::PrefixThenKey;
+    use crate::runform::{form_run, Representation, SortedRun};
+    use alphasort_dmgen::{generate, validate_records, GenConfig, RECORD_LEN};
 
     fn runs_for(n: u64, run_records: usize) -> (alphasort_dmgen::Checksum, Vec<SortedRun>) {
         let (data, cs) = generate(GenConfig::datamation(n, 31));
@@ -84,7 +75,11 @@ mod tests {
         let (_, runs) = runs_for(1_000, 128);
         let whole = merge_gather_all(&runs);
 
-        let mut merger = RunMerger::new(&runs);
+        let mut merger = Merger::<_, PrefixThenKey, _>::new(
+            RunCursors::new(&runs, None),
+            TreeKernel::Branchy,
+            (),
+        );
         let mut chunked = Vec::new();
         loop {
             let ptrs = take_ptrs(&mut merger, 77);

@@ -13,19 +13,26 @@
 //!    replacement-selection ([`rs`] implements the replacement-selection
 //!    baseline, the OpenVMS-sort approach);
 //! 3. merges the QuickSorted runs with a small, cache-resident tournament
-//!    tree ([`merge`]) and *gathers* each record exactly once into the
-//!    output buffers ([`gather`]);
+//!    tree ([`merge`] — one merger, generic over where run heads come from
+//!    and how two heads compare) and *gathers* each record exactly once
+//!    into the output buffers ([`gather`]);
 //! 4. runs one-pass when memory allows and two-pass otherwise
 //!    ([`driver`], [`planner`]), striping both input and output;
 //! 5. on multiprocessors, splits QuickSort and gather work into chores for
 //!    worker threads while the root does all IO ([`parallel`]).
 //!
-//! Extensions the paper discusses but does not adopt are in [`ovc`]
-//! (offset-value coding, the DFsort/SyncSort technique), [`partition`]
-//! (the 256-bucket distributive sort "that might beat AlphaSort"), the
-//! Baer & Lin codeword representation ([`runform::Representation::Codeword`]),
-//! and [`condition`] (key conditioning for floats, signed integers and
-//! non-standard collations). [`baseline`] implements the shared-nothing
+//! The record layout is a parameter of that one pipeline, not a copy of
+//! it: [`layout`] states what a layout supplies, and the fixed Datamation
+//! records ([`runform`]) and length-prefixed string-keyed records
+//! ([`varlen`]) are its two implementations.
+//!
+//! Extensions the paper discusses but does not adopt: offset-value coding
+//! (the DFsort/SyncSort technique) is the [`merge::Ovc`] compare policy,
+//! the 256-bucket distributive sort "that might beat AlphaSort" is the
+//! `radix` kernel ([`kernels::radix_prefix_order`]), the Baer & Lin
+//! codeword representation is [`runform::Representation::Codeword`], and
+//! [`condition`] does key conditioning for floats, signed integers and
+//! non-standard collations. [`baseline`] implements the shared-nothing
 //! partitioned sort AlphaSort displaced (§2's Hypercube design), and
 //! [`io_file`] + the `sortcli`/`gensort`/`valsort` binaries are the
 //! "street-legal" productized face (§8's Daytona category).
@@ -57,11 +64,10 @@ pub mod io;
 pub mod io_file;
 pub mod kernel;
 pub mod kernels;
+pub mod layout;
 pub mod merge;
 pub mod mergeplan;
-pub mod ovc;
 pub mod parallel;
-pub mod partition;
 pub mod planner;
 pub mod pmerge;
 pub mod rs;

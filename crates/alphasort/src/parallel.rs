@@ -7,9 +7,12 @@
 //! record pointers. Workers perform the memory-intensive chores of
 //! gathering records into output buffers."
 //!
-//! [`SortPool`] is the QuickSort-chore pool; [`GatherPool`] the gather-chore
-//! pool. Both degrade to inline execution with zero workers (the paper's
-//! uniprocessor case, where the root does sorting "in its spare time").
+//! [`SortPool`] is the QuickSort-chore pool, [`GatherPool`] the gather-chore
+//! pool: one ordered chore pool with two chores, generic over the layout's
+//! run type. Both degrade to inline execution with zero workers (the
+//! paper's uniprocessor case, where the root does sorting "in its spare
+//! time"). The partitioned merge's range workers live with the drivers
+//! ([`crate::driver`]), which stream their output instead of parking it.
 
 use std::collections::BTreeMap;
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -19,62 +22,35 @@ use std::time::{Duration, Instant};
 
 use alphasort_obs as obs;
 
-use alphasort_dmgen::RECORD_LEN;
-
 use crate::gather::gather_into;
-use crate::kernels::{Kernel, TreeKernel};
-use crate::merge::{MergedPtr, RunMerger};
-use crate::runform::{form_run_with, Representation, SortedRun};
+use crate::kernels::Kernel;
+use crate::layout::LayoutRun;
+use crate::merge::MergedPtr;
+use crate::runform::Representation;
 use crate::stats::SortStats;
 
-/// Sort one run buffer under an obs span (whether on a worker or inline).
-fn form_run_traced(id: usize, buf: Vec<u8>, rep: Representation, kernel: Kernel) -> (SortedRun, Duration) {
-    let mut g = obs::span(obs::phase::SORT);
-    g.attr("run", id as u64);
-    let t0 = Instant::now();
-    let run = form_run_with(buf, rep, kernel);
-    let d = t0.elapsed();
-    g.attr("records", run.len() as u64);
-    obs::metrics::observe("sort.run_us", d.as_micros() as u64);
-    (run, d)
-}
-
-/// Gather one pointer batch under an obs span.
-fn gather_traced(id: u64, runs: &[SortedRun], ptrs: &[MergedPtr]) -> (Vec<u8>, Duration) {
-    let mut g = obs::span(obs::phase::GATHER);
-    g.attr("batch", id);
-    g.attr("records", ptrs.len() as u64);
-    let t0 = Instant::now();
-    let mut buf = Vec::new();
-    gather_into(runs, ptrs, &mut buf);
-    let d = t0.elapsed();
-    obs::metrics::observe("gather.batch_us", d.as_micros() as u64);
-    (buf, d)
-}
-
-/// Pool of workers QuickSorting run buffers as they arrive from input.
-pub struct SortPool {
-    rep: Representation,
-    kernel: Kernel,
-    tx: Option<Sender<(usize, Vec<u8>)>>,
-    rx: Receiver<(usize, SortedRun, Duration)>,
+/// Workers running `chore(id, job)` on submitted jobs, results handed back
+/// **in submission order** so the root can stream them on. With zero
+/// workers the chore runs on the caller's thread at submit.
+struct ChorePool<J, O> {
+    chore: Arc<dyn Fn(usize, J) -> O + Send + Sync>,
+    tx: Option<Sender<(usize, J)>>,
+    rx: Receiver<(usize, O)>,
     handles: Vec<JoinHandle<()>>,
     /// Out-of-order completions parked until their turn.
-    parked: BTreeMap<usize, (SortedRun, Duration)>,
+    parked: BTreeMap<usize, O>,
     submitted: usize,
     delivered: usize,
 }
 
-impl SortPool {
-    /// Create a pool with `workers` threads (0 = sort inline on submit),
-    /// forming runs with the scalar kernel.
-    pub fn new(workers: usize, rep: Representation) -> Self {
-        Self::with_kernel(workers, rep, Kernel::Scalar)
-    }
-
-    /// [`new`](Self::new) with an explicit run-formation kernel.
-    pub fn with_kernel(workers: usize, rep: Representation, kernel: Kernel) -> Self {
-        let (tx, work_rx) = channel::<(usize, Vec<u8>)>();
+impl<J: Send + 'static, O: Send + 'static> ChorePool<J, O> {
+    fn new(
+        workers: usize,
+        name: &str,
+        chore: impl Fn(usize, J) -> O + Send + Sync + 'static,
+    ) -> Self {
+        let chore: Arc<dyn Fn(usize, J) -> O + Send + Sync> = Arc::new(chore);
+        let (tx, work_rx) = channel::<(usize, J)>();
         // std mpsc receivers are single-consumer; workers share one behind a
         // mutex, holding the lock only while dequeuing (MPMC work queue).
         let work_rx = Arc::new(Mutex::new(work_rx));
@@ -86,25 +62,24 @@ impl SortPool {
             .map(|w| {
                 let work_rx = Arc::clone(&work_rx);
                 let res_tx = res_tx.clone();
+                let chore = Arc::clone(&chore);
                 let track = track.clone();
                 std::thread::Builder::new()
-                    .name(format!("sort-worker-{w}"))
+                    .name(format!("{name}-worker-{w}"))
                     .spawn(move || {
                         obs::adopt_track(track);
                         loop {
-                            let msg = work_rx.lock().unwrap().recv();
-                            let Ok((id, buf)) = msg else { break };
-                            let (run, d) = form_run_traced(id, buf, rep, kernel);
-                            let _ = res_tx.send((id, run, d));
+                            let msg = work_rx.lock().expect("work queue lock").recv();
+                            let Ok((id, job)) = msg else { break };
+                            let _ = res_tx.send((id, chore(id, job)));
                         }
                     })
-                    .expect("failed to spawn sort worker")
+                    .expect("failed to spawn pool worker")
             })
             .collect();
-        SortPool {
-            rep,
-            kernel,
-            tx: if workers > 0 { Some(tx) } else { None },
+        ChorePool {
+            chore,
+            tx: (workers > 0).then_some(tx),
             rx,
             handles,
             parked: BTreeMap::new(),
@@ -113,61 +88,110 @@ impl SortPool {
         }
     }
 
-    /// Submit one run buffer for sorting. With zero workers this sorts
-    /// immediately on the caller's thread.
-    pub fn submit(&mut self, buf: Vec<u8>) {
+    /// Submit the next job (jobs are implicitly numbered).
+    fn submit(&mut self, job: J) {
         let id = self.submitted;
         self.submitted += 1;
         match &self.tx {
-            Some(tx) => tx.send((id, buf)).expect("sort workers gone"),
+            Some(tx) => tx.send((id, job)).expect("pool workers gone"),
             None => {
-                let (run, d) = form_run_traced(id, buf, self.rep, self.kernel);
-                self.parked.insert(id, (run, d));
+                let out = (self.chore)(id, job);
+                self.parked.insert(id, out);
             }
         }
     }
 
-    /// Runs submitted but not yet delivered.
-    pub fn outstanding(&self) -> usize {
+    /// Jobs submitted but not yet delivered.
+    fn outstanding(&self) -> usize {
         self.submitted - self.delivered
     }
 
-    /// Move everything already sitting in the result channel to `parked`.
-    fn absorb_ready(&mut self) {
-        while let Ok((id, run, d)) = self.rx.try_recv() {
-            self.parked.insert(id, (run, d));
+    /// The next result in submission order if it is already done; never
+    /// blocks.
+    fn try_next(&mut self) -> Option<O> {
+        while let Ok((id, out)) = self.rx.try_recv() {
+            self.parked.insert(id, out);
         }
-    }
-
-    /// The next run in submission order if it has already been sorted;
-    /// never blocks. Use during input so spilling overlaps reading.
-    pub fn try_next_in_order(&mut self) -> Option<(SortedRun, Duration)> {
-        self.absorb_ready();
-        let r = self.parked.remove(&self.delivered)?;
+        let out = self.parked.remove(&self.delivered)?;
         self.delivered += 1;
-        Some(r)
+        Some(out)
     }
 
-    /// The next run in submission order, blocking until it is sorted.
+    /// The next result in submission order, blocking until it is done.
     /// `None` once everything submitted has been delivered.
-    pub fn next_in_order(&mut self) -> Option<(SortedRun, Duration)> {
+    fn next(&mut self) -> Option<O> {
         if self.delivered >= self.submitted {
             return None;
         }
         while !self.parked.contains_key(&self.delivered) {
-            let (id, run, d) = self.rx.recv().expect("sort worker died");
-            self.parked.insert(id, (run, d));
+            let (id, out) = self.rx.recv().expect("pool worker died");
+            self.parked.insert(id, out);
         }
-        let r = self.parked.remove(&self.delivered).expect("present");
         self.delivered += 1;
-        Some(r)
+        self.parked.remove(&(self.delivered - 1))
+    }
+}
+
+impl<J, O> Drop for ChorePool<J, O> {
+    /// Dropping mid-stream (e.g. on an IO error mid-sort) still closes the
+    /// work queue and joins the workers, so no threads outlive the pool.
+    fn drop(&mut self) {
+        drop(self.tx.take());
+        for h in self.handles.drain(..) {
+            let _ = h.join();
+        }
+    }
+}
+
+/// Pool of workers QuickSorting run buffers as they arrive from input.
+pub struct SortPool<R> {
+    pool: ChorePool<Vec<u8>, (R, Duration)>,
+}
+
+impl<R: LayoutRun> SortPool<R> {
+    /// Create a pool with `workers` threads (0 = sort inline on submit),
+    /// forming runs with representation `rep` under `kernel`.
+    pub fn new(workers: usize, rep: Representation, kernel: Kernel) -> Self {
+        let pool = ChorePool::new(workers, "sort", move |id, buf| {
+            let mut g = obs::span(obs::phase::SORT);
+            g.attr("run", id as u64);
+            let t0 = Instant::now();
+            let run = R::form(buf, rep, kernel);
+            let d = t0.elapsed();
+            g.attr("records", run.len() as u64);
+            obs::metrics::observe("sort.run_us", d.as_micros() as u64);
+            (run, d)
+        });
+        SortPool { pool }
+    }
+
+    /// Submit one run buffer for sorting. With zero workers this sorts
+    /// immediately on the caller's thread.
+    pub fn submit(&mut self, buf: Vec<u8>) {
+        self.pool.submit(buf);
+    }
+
+    /// Runs submitted but not yet delivered.
+    pub fn outstanding(&self) -> usize {
+        self.pool.outstanding()
+    }
+
+    /// The next run in submission order if it has already been sorted;
+    /// never blocks. Use during input so spilling overlaps reading.
+    pub fn try_next_in_order(&mut self) -> Option<(R, Duration)> {
+        self.pool.try_next()
+    }
+
+    /// The next run in submission order, blocking until it is sorted.
+    /// `None` once everything submitted has been delivered.
+    pub fn next_in_order(&mut self) -> Option<(R, Duration)> {
+        self.pool.next()
     }
 
     /// Wait for every submitted run. Returns the runs in submission order
     /// plus the pool's stats: per-run fragments (sort CPU, run counts and
     /// lengths) folded through [`SortStats::merge`].
-    pub fn finish(mut self) -> (Vec<SortedRun>, SortStats) {
-        drop(self.tx.take()); // close the queue so workers exit when drained
+    pub fn finish(mut self) -> (Vec<R>, SortStats) {
         let mut runs = Vec::with_capacity(self.outstanding());
         let mut stats = SortStats::neutral();
         while let Some((run, d)) = self.next_in_order() {
@@ -179,22 +203,7 @@ impl SortPool {
             stats.merge(&frag);
             runs.push(run);
         }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
         (runs, stats)
-    }
-}
-
-impl Drop for SortPool {
-    /// Dropping without [`finish`](SortPool::finish) (e.g. on an IO error
-    /// mid-sort) still closes the work queue and joins the workers, so no
-    /// threads outlive the pool.
-    fn drop(&mut self) {
-        drop(self.tx.take());
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
     }
 }
 
@@ -202,69 +211,34 @@ impl Drop for SortPool {
 /// pointer string. The root submits pointer batches; completed buffers come
 /// back **in submission order** so the writer can stream them out.
 pub struct GatherPool {
-    runs: Arc<Vec<SortedRun>>,
-    tx: Option<Sender<(u64, Vec<MergedPtr>)>>,
-    rx: Receiver<(u64, Vec<u8>, Duration)>,
-    handles: Vec<JoinHandle<()>>,
-    /// Out-of-order completions parked until their turn.
-    parked: BTreeMap<u64, (Vec<u8>, Duration)>,
-    next_submit: u64,
-    next_deliver: u64,
+    pool: ChorePool<Vec<MergedPtr>, (Vec<u8>, Duration)>,
     /// Per-batch fragments folded through [`SortStats::merge`].
     stats: SortStats,
 }
 
 impl GatherPool {
     /// Create a pool with `workers` threads (0 = gather inline).
-    pub fn new(workers: usize, runs: Arc<Vec<SortedRun>>) -> Self {
-        let (tx, work_rx) = channel::<(u64, Vec<MergedPtr>)>();
-        // Shared single receiver behind a mutex, as in `SortPool::new`.
-        let work_rx = Arc::new(Mutex::new(work_rx));
-        let (res_tx, rx) = channel();
-        let track = obs::current_track();
-        let handles = (0..workers)
-            .map(|w| {
-                let work_rx = Arc::clone(&work_rx);
-                let res_tx = res_tx.clone();
-                let runs = Arc::clone(&runs);
-                let track = track.clone();
-                std::thread::Builder::new()
-                    .name(format!("gather-worker-{w}"))
-                    .spawn(move || {
-                        obs::adopt_track(track);
-                        loop {
-                            let msg = work_rx.lock().unwrap().recv();
-                            let Ok((id, ptrs)) = msg else { break };
-                            let (buf, d) = gather_traced(id, &runs, &ptrs);
-                            let _ = res_tx.send((id, buf, d));
-                        }
-                    })
-                    .expect("failed to spawn gather worker")
-            })
-            .collect();
+    pub fn new<R: LayoutRun>(workers: usize, runs: Arc<Vec<R>>) -> Self {
+        let pool = ChorePool::new(workers, "gather", move |id, ptrs: Vec<MergedPtr>| {
+            let mut g = obs::span(obs::phase::GATHER);
+            g.attr("batch", id as u64);
+            g.attr("records", ptrs.len() as u64);
+            let t0 = Instant::now();
+            let mut buf = Vec::new();
+            gather_into(&runs, &ptrs, &mut buf);
+            let d = t0.elapsed();
+            obs::metrics::observe("gather.batch_us", d.as_micros() as u64);
+            (buf, d)
+        });
         GatherPool {
-            runs,
-            tx: if workers > 0 { Some(tx) } else { None },
-            rx,
-            handles,
-            parked: BTreeMap::new(),
-            next_submit: 0,
-            next_deliver: 0,
+            pool,
             stats: SortStats::neutral(),
         }
     }
 
     /// Submit the next pointer batch (batches are implicitly numbered).
     pub fn submit(&mut self, ptrs: Vec<MergedPtr>) {
-        let id = self.next_submit;
-        self.next_submit += 1;
-        match &self.tx {
-            Some(tx) => tx.send((id, ptrs)).expect("gather workers gone"),
-            None => {
-                let (buf, d) = gather_traced(id, &self.runs, &ptrs);
-                self.parked.insert(id, (buf, d));
-            }
-        }
+        self.pool.submit(ptrs);
     }
 
     /// Stats accumulated so far (gather CPU across delivered batches).
@@ -274,169 +248,35 @@ impl GatherPool {
 
     /// Number of batches submitted but not yet delivered.
     pub fn in_flight(&self) -> u64 {
-        self.next_submit - self.next_deliver
+        self.pool.outstanding() as u64
     }
 
     /// Block for the next buffer in submission order. `None` once every
     /// submitted batch has been delivered.
     pub fn next_buffer(&mut self) -> Option<Vec<u8>> {
-        if self.next_deliver >= self.next_submit {
-            return None;
-        }
-        loop {
-            if let Some((buf, d)) = self.parked.remove(&self.next_deliver) {
-                self.next_deliver += 1;
-                let mut frag = SortStats::neutral();
-                frag.gather_time = d;
-                self.stats.merge(&frag);
-                return Some(buf);
-            }
-            let (id, buf, d) = self.rx.recv().expect("gather worker died");
-            self.parked.insert(id, (buf, d));
-        }
-    }
-}
-
-impl Drop for GatherPool {
-    fn drop(&mut self) {
-        drop(self.tx.take());
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Merge + gather one key range into a pre-sized buffer, under an obs span
-/// on the worker's track (the Figure 7 report shows the ranges overlapping).
-fn merge_range_traced(
-    range: usize,
-    runs: &[SortedRun],
-    bounds: &[(u32, u32)],
-    tree_kernel: TreeKernel,
-) -> (Vec<u8>, Duration) {
-    let mut g = obs::span(obs::phase::MERGE);
-    g.attr("range", range as u64);
-    let t0 = Instant::now();
-    let records: usize = bounds.iter().map(|&(s, e)| (e - s) as usize).sum();
-    let mut buf = Vec::with_capacity(records * RECORD_LEN);
-    for p in RunMerger::with_bounds_kernel(runs, bounds, tree_kernel) {
-        buf.extend_from_slice(runs[p.run as usize].record_at(p.pos as usize).as_bytes());
-    }
-    let d = t0.elapsed();
-    g.attr("records", records as u64);
-    obs::metrics::observe("merge.range_us", d.as_micros() as u64);
-    (buf, d)
-}
-
-/// A submitted range: its index plus the per-run `(start, end)` bounds.
-type RangeJob = (usize, Vec<(u32, u32)>);
-
-/// Pool of workers each running one key range's loser-tree merge (fused
-/// with its gather) over a shared run set. The root submits the ranges of
-/// a [`crate::pmerge::MergePartition`] and drains the output buffers **in
-/// range order**, which concatenates to the serial merge's output.
-pub struct MergePool {
-    runs: Arc<Vec<SortedRun>>,
-    tree_kernel: TreeKernel,
-    tx: Option<Sender<RangeJob>>,
-    rx: Receiver<(usize, Vec<u8>, Duration)>,
-    handles: Vec<JoinHandle<()>>,
-    /// Out-of-order completions parked until their turn.
-    parked: BTreeMap<usize, (Vec<u8>, Duration)>,
-    submitted: usize,
-    delivered: usize,
-}
-
-impl MergePool {
-    /// Create a pool with `workers` threads (0 = merge inline on submit),
-    /// replaying the tournament in branchy (baseline) form.
-    pub fn new(workers: usize, runs: Arc<Vec<SortedRun>>) -> Self {
-        Self::with_kernel(workers, runs, TreeKernel::Branchy)
-    }
-
-    /// [`new`](Self::new) with an explicit tree-replay kernel.
-    pub fn with_kernel(workers: usize, runs: Arc<Vec<SortedRun>>, tree_kernel: TreeKernel) -> Self {
-        let (tx, work_rx) = channel::<RangeJob>();
-        // Shared single receiver behind a mutex, as in `SortPool::new`.
-        let work_rx = Arc::new(Mutex::new(work_rx));
-        let (res_tx, rx) = channel();
-        let track = obs::current_track();
-        let handles = (0..workers)
-            .map(|w| {
-                let work_rx = Arc::clone(&work_rx);
-                let res_tx = res_tx.clone();
-                let runs = Arc::clone(&runs);
-                let track = track.clone();
-                std::thread::Builder::new()
-                    .name(format!("merge-worker-{w}"))
-                    .spawn(move || {
-                        obs::adopt_track(track);
-                        loop {
-                            let msg = work_rx.lock().unwrap().recv();
-                            let Ok((id, bounds)) = msg else { break };
-                            let (buf, d) = merge_range_traced(id, &runs, &bounds, tree_kernel);
-                            let _ = res_tx.send((id, buf, d));
-                        }
-                    })
-                    .expect("failed to spawn merge worker")
-            })
-            .collect();
-        MergePool {
-            runs,
-            tree_kernel,
-            tx: if workers > 0 { Some(tx) } else { None },
-            rx,
-            handles,
-            parked: BTreeMap::new(),
-            submitted: 0,
-            delivered: 0,
-        }
-    }
-
-    /// Submit the next range's per-run bounds (ranges are implicitly
-    /// numbered in submission order).
-    pub fn submit(&mut self, bounds: Vec<(u32, u32)>) {
-        let id = self.submitted;
-        self.submitted += 1;
-        match &self.tx {
-            Some(tx) => tx.send((id, bounds)).expect("merge workers gone"),
-            None => {
-                let (buf, d) = merge_range_traced(id, &self.runs, &bounds, self.tree_kernel);
-                self.parked.insert(id, (buf, d));
-            }
-        }
-    }
-
-    /// Block for the next range's output buffer, in range order. `None`
-    /// once every submitted range has been delivered.
-    pub fn next_in_order(&mut self) -> Option<(Vec<u8>, Duration)> {
-        if self.delivered >= self.submitted {
-            return None;
-        }
-        while !self.parked.contains_key(&self.delivered) {
-            let (id, buf, d) = self.rx.recv().expect("merge worker died");
-            self.parked.insert(id, (buf, d));
-        }
-        let r = self.parked.remove(&self.delivered).expect("present");
-        self.delivered += 1;
-        Some(r)
-    }
-}
-
-impl Drop for MergePool {
-    fn drop(&mut self) {
-        drop(self.tx.take());
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+        let (buf, d) = self.pool.next()?;
+        let mut frag = SortStats::neutral();
+        frag.gather_time = d;
+        self.stats.merge(&frag);
+        Some(buf)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::merge::RunMerger;
+    use crate::kernels::TreeKernel;
+    use crate::merge::{Merger, PrefixThenKey, RunCursors};
+    use crate::runform::SortedRun;
     use alphasort_dmgen::{generate, validate_records, GenConfig, RECORD_LEN};
+
+    fn sort_pool(workers: usize, rep: Representation) -> SortPool<SortedRun> {
+        SortPool::new(workers, rep, Kernel::Scalar)
+    }
+
+    fn whole_merge(runs: &[SortedRun]) -> Merger<RunCursors<'_, SortedRun>, PrefixThenKey> {
+        Merger::new(RunCursors::new(runs, None), TreeKernel::Branchy, ())
+    }
 
     fn run_buffers(n: u64, per_run: usize) -> (alphasort_dmgen::Checksum, Vec<Vec<u8>>) {
         let (data, cs) = generate(GenConfig::datamation(n, 55));
@@ -449,7 +289,7 @@ mod tests {
 
     fn sort_with_pool(workers: usize) {
         let (cs, bufs) = run_buffers(3_000, 256);
-        let mut pool = SortPool::new(workers, Representation::KeyPrefix);
+        let mut pool = sort_pool(workers, Representation::KeyPrefix);
         for b in bufs {
             pool.submit(b);
         }
@@ -460,7 +300,7 @@ mod tests {
         assert_eq!(pstats.records, 3_000);
 
         let runs = Arc::new(runs);
-        let mut merger = RunMerger::new(&runs);
+        let mut merger = whole_merge(&runs);
         let mut gather = GatherPool::new(workers, Arc::clone(&runs));
         let mut out = Vec::new();
         loop {
@@ -503,7 +343,7 @@ mod tests {
             .iter()
             .map(|b| alphasort_dmgen::records_of(b)[0].seq())
             .collect();
-        let mut pool = SortPool::new(3, Representation::Record);
+        let mut pool = sort_pool(3, Representation::Record);
         for b in bufs {
             pool.submit(b);
         }
@@ -526,7 +366,7 @@ mod tests {
         // close queues and join workers (a hang here fails the test by
         // timeout).
         let (_, bufs) = run_buffers(1_000, 100);
-        let mut pool = SortPool::new(2, Representation::KeyPrefix);
+        let mut pool = sort_pool(2, Representation::KeyPrefix);
         for b in bufs {
             pool.submit(b);
         }
@@ -534,13 +374,13 @@ mod tests {
         drop(pool);
 
         let (_, bufs) = run_buffers(500, 100);
-        let mut sp = SortPool::new(1, Representation::KeyPrefix);
+        let mut sp = sort_pool(1, Representation::KeyPrefix);
         for b in bufs {
             sp.submit(b);
         }
         let (runs, _) = sp.finish();
         let runs = Arc::new(runs);
-        let mut merger = RunMerger::new(&runs);
+        let mut merger = whole_merge(&runs);
         let mut gather = GatherPool::new(2, Arc::clone(&runs));
         gather.submit(crate::gather::take_ptrs(&mut merger, 100));
         gather.submit(crate::gather::take_ptrs(&mut merger, 100));
@@ -549,41 +389,15 @@ mod tests {
     }
 
     #[test]
-    fn merge_pool_output_matches_serial_merge_gather() {
-        let (cs, bufs) = run_buffers(4_000, 300);
-        let mut pool = SortPool::new(2, Representation::KeyPrefix);
-        for b in bufs {
-            pool.submit(b);
-        }
-        let (runs, _) = pool.finish();
-        let runs = Arc::new(runs);
-        // Serial reference: full merge + gather.
-        let serial = crate::gather::merge_gather_all(&runs);
-        for workers in [0, 1, 3] {
-            let plan = crate::pmerge::plan_mem_partitions(&runs, 4, 16);
-            let mut mp = MergePool::new(workers, Arc::clone(&runs));
-            for row in &plan.bounds {
-                mp.submit(row.iter().map(|&(s, e)| (s as u32, e as u32)).collect());
-            }
-            let mut out = Vec::new();
-            while let Some((buf, _)) = mp.next_in_order() {
-                out.extend_from_slice(&buf);
-            }
-            assert_eq!(out, serial, "{workers} workers");
-            validate_records(&out, cs).unwrap();
-        }
-    }
-
-    #[test]
     fn gather_pool_delivers_in_order_despite_racing_workers() {
         let (_, bufs) = run_buffers(2_000, 200);
-        let mut pool = SortPool::new(2, Representation::KeyPrefix);
+        let mut pool = sort_pool(2, Representation::KeyPrefix);
         for b in bufs {
             pool.submit(b);
         }
         let (runs, _) = pool.finish();
         let runs = Arc::new(runs);
-        let mut merger = RunMerger::new(&runs);
+        let mut merger = whole_merge(&runs);
         let mut gather = GatherPool::new(4, Arc::clone(&runs));
         let mut batches = 0;
         loop {

@@ -12,14 +12,13 @@
 //! range outputs in order is therefore *byte-identical* to the serial
 //! merge (the oracle tests in `tests/oracle.rs` hold the drivers to that).
 //!
-//! Planning is generic over a `key_at(run, pos)` probe so the same code
-//! cuts in-memory [`SortedRun`]s (free probes) and scratch runs on striped
-//! disks (each probe reads the stride holding the key).
+//! Planning is generic over a `key_at(run, pos)` probe returning key bytes,
+//! so the same code cuts in-memory runs of either layout (free probes) and
+//! scratch runs on striped disks (each probe reads the strides holding the
+//! key).
 
-use alphasort_dmgen::KEY_LEN;
-
-use crate::runform::SortedRun;
-use crate::splitter::splitters_from_keys;
+use crate::layout::LayoutRun;
+use crate::splitter::byte_splitters_from_keys;
 
 /// Keys sampled per requested range when planning (the pool is
 /// `ranges * SAMPLES_PER_RANGE`, spread over runs by record count).
@@ -28,8 +27,9 @@ pub const SAMPLES_PER_RANGE: usize = 32;
 /// A partitioned-merge plan: P disjoint key ranges, each cutting every run.
 #[derive(Clone, Debug)]
 pub struct MergePartition {
-    /// The `ranges - 1` quantile splitter keys, ascending.
-    pub splitters: Vec<[u8; KEY_LEN]>,
+    /// The `ranges - 1` quantile splitter keys, ascending byte strings
+    /// (fixed-width keys are simply all the same length).
+    pub splitters: Vec<Vec<u8>>,
     /// `bounds[j][r]` = record positions `[start, end)` of range `j`
     /// within sorted run `r`.
     pub bounds: Vec<Vec<(u64, u64)>>,
@@ -49,13 +49,13 @@ impl MergePartition {
 fn lower_bound<E>(
     run: usize,
     len: u64,
-    key: &[u8; KEY_LEN],
-    key_at: &mut impl FnMut(usize, u64) -> Result<[u8; KEY_LEN], E>,
+    key: &[u8],
+    key_at: &mut impl FnMut(usize, u64) -> Result<Vec<u8>, E>,
 ) -> Result<u64, E> {
     let (mut lo, mut hi) = (0u64, len);
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        if key_at(run, mid)? < *key {
+        if key_at(run, mid)?.as_slice() < key {
             lo = mid + 1;
         } else {
             hi = mid;
@@ -72,7 +72,7 @@ pub fn plan_partitions_with<E>(
     run_lens: &[u64],
     ranges: usize,
     samples_per_range: usize,
-    mut key_at: impl FnMut(usize, u64) -> Result<[u8; KEY_LEN], E>,
+    mut key_at: impl FnMut(usize, u64) -> Result<Vec<u8>, E>,
 ) -> Result<MergePartition, E> {
     assert!(ranges >= 1, "need at least one range");
     let total: u64 = run_lens.iter().sum();
@@ -93,7 +93,7 @@ pub fn plan_partitions_with<E>(
             }
         }
     }
-    let splitters = splitters_from_keys(pool, ranges);
+    let splitters = byte_splitters_from_keys(pool, ranges);
 
     // ---- cut every run at every splitter ----------------------------------
     // Range j = keys with exactly j splitters <= key, so the boundary
@@ -128,131 +128,16 @@ pub fn plan_partitions_with<E>(
     })
 }
 
-/// A partitioned-merge plan over variable-length runs: splitters are
-/// byte-string keys instead of fixed arrays, bounds and cover semantics
-/// identical to [`MergePartition`].
-#[derive(Clone, Debug)]
-pub struct VarMergePartition {
-    /// The `ranges - 1` quantile splitter keys, ascending byte strings.
-    pub splitters: Vec<Vec<u8>>,
-    /// `bounds[j][r]` = sorted positions `[start, end)` of range `j`
-    /// within var-len run `r`.
-    pub bounds: Vec<Vec<(u64, u64)>>,
-    /// Records each range holds.
-    pub range_records: Vec<u64>,
-}
-
-impl VarMergePartition {
-    /// Number of ranges planned.
-    pub fn ranges(&self) -> usize {
-        self.bounds.len()
-    }
-}
-
-/// [`lower_bound`] for byte-string keys.
-fn var_lower_bound<E>(
-    run: usize,
-    len: u64,
-    key: &[u8],
-    key_at: &mut impl FnMut(usize, u64) -> Result<Vec<u8>, E>,
-) -> Result<u64, E> {
-    let (mut lo, mut hi) = (0u64, len);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if key_at(run, mid)?.as_slice() < key {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    Ok(lo)
-}
-
-/// [`plan_partitions_with`] for variable-length runs: same proportional
-/// sampling, same quantile splitters (now byte strings via
-/// [`crate::splitter::byte_splitters_from_keys`]), same per-(run, splitter)
-/// binary search. Range `j` holds exactly the records
-/// [`crate::splitter::route_bytes`] sends to `j`, so concatenated range
-/// merges stay byte-identical to the serial merge.
-pub fn plan_var_partitions_with<E>(
-    run_lens: &[u64],
-    ranges: usize,
-    samples_per_range: usize,
-    mut key_at: impl FnMut(usize, u64) -> Result<Vec<u8>, E>,
-) -> Result<VarMergePartition, E> {
-    assert!(ranges >= 1, "need at least one range");
-    let total: u64 = run_lens.iter().sum();
-
-    let mut pool = Vec::new();
-    if total > 0 && ranges > 1 {
-        let want = (ranges * samples_per_range.max(1)) as u64;
-        let stride = (total / want).max(1);
-        for (r, &len) in run_lens.iter().enumerate() {
-            let mut pos = 0;
-            while pos < len {
-                pool.push(key_at(r, pos)?);
-                pos += stride;
-            }
-        }
-    }
-    let splitters = crate::splitter::byte_splitters_from_keys(pool, ranges);
-
-    let mut cuts: Vec<Vec<u64>> = Vec::with_capacity(ranges + 1);
-    cuts.push(vec![0; run_lens.len()]);
-    for s in &splitters {
-        let mut row = Vec::with_capacity(run_lens.len());
-        for (r, &len) in run_lens.iter().enumerate() {
-            row.push(var_lower_bound(r, len, s, &mut key_at)?);
-        }
-        cuts.push(row);
-    }
-    cuts.push(run_lens.to_vec());
-
-    let mut bounds = Vec::with_capacity(ranges);
-    let mut range_records = Vec::with_capacity(ranges);
-    for j in 0..ranges {
-        let row: Vec<(u64, u64)> = cuts[j]
-            .iter()
-            .zip(&cuts[j + 1])
-            .map(|(&s, &e)| (s, e))
-            .collect();
-        range_records.push(row.iter().map(|&(s, e)| e - s).sum());
-        bounds.push(row);
-    }
-    Ok(VarMergePartition {
-        splitters,
-        bounds,
-        range_records,
-    })
-}
-
-/// Plan over in-memory [`crate::varlen::VarRun`]s: probes are free and
-/// cannot fail.
-pub fn plan_var_mem_partitions(
-    runs: &[crate::varlen::VarRun],
-    ranges: usize,
-    samples_per_range: usize,
-) -> VarMergePartition {
-    let lens: Vec<u64> = runs.iter().map(|r| r.len() as u64).collect();
-    let plan = plan_var_partitions_with(&lens, ranges, samples_per_range, |r, pos| {
-        Ok::<_, std::convert::Infallible>(runs[r].key_at(pos as usize).to_vec())
-    });
-    match plan {
-        Ok(p) => p,
-        Err(e) => match e {},
-    }
-}
-
 /// Plan over in-memory sorted runs (the one-pass driver's case): probes
-/// are free `record_at` calls and cannot fail.
-pub fn plan_mem_partitions(
-    runs: &[SortedRun],
+/// are free and cannot fail.
+pub fn plan_mem_partitions<R: LayoutRun>(
+    runs: &[R],
     ranges: usize,
     samples_per_range: usize,
 ) -> MergePartition {
     let lens: Vec<u64> = runs.iter().map(|r| r.len() as u64).collect();
     let plan = plan_partitions_with(&lens, ranges, samples_per_range, |r, pos| {
-        Ok::<_, std::convert::Infallible>(runs[r].record_at(pos as usize).key)
+        Ok::<_, std::convert::Infallible>(runs[r].key_at(pos as usize).to_vec())
     });
     match plan {
         Ok(p) => p,
@@ -263,7 +148,7 @@ pub fn plan_mem_partitions(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runform::{form_run, Representation};
+    use crate::runform::{form_run, Representation, SortedRun};
     use alphasort_dmgen::{generate, GenConfig, KeyDistribution, RECORD_LEN};
 
     fn runs_of(n: u64, per_run: usize, dist: KeyDistribution, seed: u64) -> Vec<SortedRun> {
@@ -341,7 +226,7 @@ mod tests {
 
     #[test]
     fn zero_runs_plan_is_empty_but_well_formed() {
-        let plan = plan_mem_partitions(&[], 4, 16);
+        let plan = plan_mem_partitions::<SortedRun>(&[], 4, 16);
         assert_eq!(plan.ranges(), 4);
         assert!(plan.bounds.iter().all(Vec::is_empty));
         assert_eq!(plan.range_records, vec![0, 0, 0, 0]);
@@ -349,52 +234,38 @@ mod tests {
 
     #[test]
     fn var_plan_covers_text_runs() {
-        use crate::varlen::VarRun;
-        use alphasort_dmgen::{generate_varlen, parse_var_record, TextCorpus, VarGenConfig};
+        use crate::layout::{Cut, RunCutter};
+        use crate::varlen::{FrameCutter, VarRun};
+        use alphasort_dmgen::{generate_varlen, TextCorpus, VarGenConfig};
         let buf = generate_varlen(VarGenConfig {
             records: 2_000,
             seed: 13,
             corpus: TextCorpus::Urls,
         });
-        let mut runs = Vec::new();
-        let mut cur = Vec::new();
-        let (mut off, mut count) = (0usize, 0usize);
-        while off < buf.len() {
-            let r = parse_var_record(&buf[off..], off as u64).unwrap();
-            cur.extend_from_slice(r.frame());
-            off += r.len();
-            count += 1;
-            if count == 311 {
-                runs.push(VarRun::from_frames(std::mem::take(&mut cur)).unwrap());
-                count = 0;
-            }
-        }
-        runs.push(VarRun::from_frames(cur).unwrap());
+        let mut cutter = FrameCutter::new(311, Vec::new());
+        let mut cuts = Vec::new();
+        cutter.push(&buf, &mut cuts).unwrap();
+        cutter.finish(&mut cuts).unwrap();
+        let runs: Vec<VarRun> = cuts
+            .into_iter()
+            .map(|cut| match cut {
+                Cut::Run(frames) => VarRun::from_frames(frames).unwrap(),
+                Cut::Skipped(_) => unreachable!("nothing to skip"),
+            })
+            .collect();
         let lens: Vec<u64> = runs.iter().map(|r| r.len() as u64).collect();
         for ranges in [1, 2, 4, 8] {
-            let plan = plan_var_mem_partitions(&runs, ranges, SAMPLES_PER_RANGE);
+            let plan = plan_mem_partitions(&runs, ranges, SAMPLES_PER_RANGE);
             assert_eq!(plan.ranges(), ranges);
             assert_eq!(plan.splitters.len(), ranges - 1);
             // Same cover/disjointness invariant as the fixed-layout plan.
-            for (r, &len) in lens.iter().enumerate() {
-                let mut pos = 0;
-                for row in &plan.bounds {
-                    let (s, e) = row[r];
-                    assert_eq!(s, pos, "gap/overlap in run {r}");
-                    pos = e;
-                }
-                assert_eq!(pos, len, "run {r} not fully covered");
-            }
-            assert_eq!(
-                plan.range_records.iter().sum::<u64>(),
-                lens.iter().sum::<u64>()
-            );
+            assert_covering(&plan, &lens);
         }
     }
 
     #[test]
     fn probe_errors_propagate() {
-        let err = plan_partitions_with(&[10, 10], 4, 8, |_, _| Err::<[u8; 10], _>("probe failed"));
+        let err = plan_partitions_with(&[10, 10], 4, 8, |_, _| Err::<Vec<u8>, _>("probe failed"));
         assert_eq!(err.unwrap_err(), "probe failed");
     }
 }

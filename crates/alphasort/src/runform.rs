@@ -12,11 +12,17 @@
 //! prefix. `exp_variants` and the `sort_variants` bench reproduce those
 //! ratios with these implementations.
 
+use std::collections::VecDeque;
+use std::io;
+
 use alphasort_dmgen::{records_of, records_of_mut, Record, RECORD_LEN};
 
-use crate::entry::{KeyEntry, PrefixEntry};
+use crate::driver::RecoveredRun;
+use crate::entry::{KeyEntry, PrefixEntry, RecordLayout};
 use crate::kernel::quicksort_by;
 use crate::kernels::{prefix_entry_less, Kernel, RunFormKernel};
+use crate::layout::{span_past_input, Cut, LayoutRun, RunCutter};
+use crate::merge::PrefixThenKey;
 
 /// Which sort-array representation run formation uses.
 ///
@@ -98,20 +104,120 @@ impl SortedRun {
         &self.records()[i]
     }
 
-    /// The key prefix at sorted position `pos`.
-    #[inline]
-    pub fn prefix_at(&self, pos: usize) -> u64 {
-        self.record_at(pos).prefix()
-    }
-
     /// Iterate records in sorted order.
     pub fn iter_sorted(&self) -> impl Iterator<Item = &Record> + '_ {
         (0..self.len()).map(move |p| self.record_at(p))
     }
+}
 
-    /// Consume the run, returning its raw buffer (storage order).
-    pub fn into_buf(self) -> Vec<u8> {
-        self.buf
+/// The Datamation layout: 100-byte records cut by byte stride, merged on
+/// (key-prefix, full key) — §4: offset-value coding "will not beat
+/// AlphaSort's simpler key-prefix sort" on binary keys.
+impl LayoutRun for SortedRun {
+    const LAYOUT: RecordLayout = RecordLayout::Datamation;
+    type Cutter = StrideCutter;
+    type Policy = PrefixThenKey;
+
+    fn form(buf: Vec<u8>, rep: Representation, kernel: Kernel) -> Self {
+        form_run_with(buf, rep, kernel)
+    }
+
+    fn len(&self) -> usize {
+        SortedRun::len(self)
+    }
+
+    fn bytes(&self) -> u64 {
+        self.buf.len() as u64
+    }
+
+    #[inline]
+    fn key_at(&self, pos: usize) -> &[u8] {
+        &self.record_at(pos).key
+    }
+
+    #[inline]
+    fn frame_at(&self, pos: usize) -> &[u8] {
+        self.record_at(pos).as_bytes()
+    }
+}
+
+/// Cuts fixed-stride input into runs of `run_records * RECORD_LEN` bytes.
+pub struct StrideCutter {
+    run_bytes: usize,
+    cur: Vec<u8>,
+    /// Absolute byte position within the input.
+    abs: u64,
+    skip: VecDeque<RecoveredRun>,
+}
+
+/// Byte position of record index `rec`. Saturates: a span start no input
+/// can reach is reported as "extends past the input", never wrapped.
+fn byte_pos(rec: u64) -> u64 {
+    rec.saturating_mul(RECORD_LEN as u64)
+}
+
+impl RunCutter for StrideCutter {
+    fn new(run_records: usize, skip: Vec<RecoveredRun>) -> Self {
+        let run_bytes = run_records * RECORD_LEN;
+        StrideCutter {
+            run_bytes,
+            cur: Vec::with_capacity(run_bytes),
+            abs: 0,
+            skip: skip.into(),
+        }
+    }
+
+    fn push(&mut self, chunk: &[u8], out: &mut Vec<Cut>) -> io::Result<()> {
+        let mut off = 0;
+        while off < chunk.len() {
+            let left = chunk.len() - off;
+            let mut until_span = u64::MAX;
+            if let Some(r) = self.skip.front() {
+                let span_end = byte_pos(r.start_record.saturating_add(r.records));
+                if self.abs >= byte_pos(r.start_record) {
+                    // Inside a recovered span: read past it, sort nothing.
+                    let skipped = span_end.saturating_sub(self.abs).min(left as u64);
+                    off += skipped as usize;
+                    self.abs += skipped;
+                    if self.abs >= span_end {
+                        out.push(Cut::Skipped(*r));
+                        self.skip.pop_front();
+                    }
+                    continue;
+                }
+                until_span = byte_pos(r.start_record) - self.abs;
+            }
+            let take = (self.run_bytes - self.cur.len())
+                .min(left)
+                .min(until_span.min(usize::MAX as u64) as usize);
+            self.cur.extend_from_slice(&chunk[off..off + take]);
+            off += take;
+            self.abs += take as u64;
+            if self.cur.len() == self.run_bytes || take as u64 == until_span {
+                let full = std::mem::replace(&mut self.cur, Vec::with_capacity(self.run_bytes));
+                out.push(Cut::Run(full));
+            }
+        }
+        Ok(())
+    }
+
+    fn finish(&mut self, out: &mut Vec<Cut>) -> io::Result<()> {
+        if !self.cur.len().is_multiple_of(RECORD_LEN) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "input ends mid-record ({} trailing bytes)",
+                    self.cur.len() % RECORD_LEN
+                ),
+            ));
+        }
+        if !self.cur.is_empty() {
+            out.push(Cut::Run(std::mem::take(&mut self.cur)));
+        }
+        match self.skip.front() {
+            Some(r) => Err(span_past_input(r, self.abs, "bytes")),
+            None => Ok(()),
+        }
     }
 }
 

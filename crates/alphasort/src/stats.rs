@@ -127,6 +127,15 @@ impl SortStats {
         self.merge_range_time.extend_from_slice(&other.merge_range_time);
     }
 
+    /// Book a partitioned merge's per-range wall times. The ranges run
+    /// concurrently, so the merge phase lasted as long as the slowest one:
+    /// `merge_time` gains the critical path (the maximum), not the sum,
+    /// and the per-range values stay in `merge_range_time`.
+    pub fn book_merge_ranges(&mut self, times: Vec<Duration>) {
+        self.merge_time += times.iter().copied().max().unwrap_or_default();
+        self.merge_range_time = times;
+    }
+
     /// Derive stats from a recorded trace: the inverse of instrumenting
     /// with [`timed_phase`]. Phase spans sum into the matching slots,
     /// `elapsed` is the longest top-level driver span, counters come from

@@ -102,7 +102,8 @@ fn comparison_count_reasonable() {
 // on run boundary keys, empty and single-record runs, and a single run.
 // ---------------------------------------------------------------------------
 
-use alphasort_core::merge::RunMerger;
+use alphasort_core::kernels::TreeKernel;
+use alphasort_core::merge::{Merger, PrefixThenKey, RunCursors};
 use alphasort_core::pmerge::{plan_mem_partitions, SAMPLES_PER_RANGE};
 use alphasort_core::runform::{form_run, Representation, SortedRun};
 use alphasort_dmgen::{generate, GenConfig, KeyDistribution, KEY_LEN, RECORD_LEN};
@@ -119,23 +120,24 @@ fn record_runs(records: u64, seed: u64, dist: KeyDistribution, run_len: usize) -
         .collect()
 }
 
+/// The pointer stream of merging `bounds` of every run (`None` = whole).
+fn ptrs(runs: &[SortedRun], bounds: Option<&[(u32, u32)]>) -> Vec<(u32, u32)> {
+    Merger::<_, PrefixThenKey, _>::new(RunCursors::new(runs, bounds), TreeKernel::Branchy, ())
+        .map(|p| (p.run, p.pos))
+        .collect()
+}
+
 /// The serial merge's pointer stream — the reference.
 fn merged_ptrs(runs: &[SortedRun]) -> Vec<(u32, u32)> {
-    RunMerger::new(runs).map(|p| (p.run, p.pos)).collect()
+    ptrs(runs, None)
 }
 
 /// Concatenated pointer streams of the given per-range bounds rows.
 fn bounded_concat(runs: &[SortedRun], rows: &[Vec<(u32, u32)>]) -> Vec<(u32, u32)> {
-    rows.iter()
-        .flat_map(|row| {
-            RunMerger::with_bounds(runs, row)
-                .map(|p| (p.run, p.pos))
-                .collect::<Vec<_>>()
-        })
-        .collect()
+    rows.iter().flat_map(|row| ptrs(runs, Some(row))).collect()
 }
 
-/// Bounds rows of a [`plan_mem_partitions`] plan, as `RunMerger` wants them.
+/// Bounds rows of a [`plan_mem_partitions`] plan, as `RunCursors` wants them.
 fn plan_rows(runs: &[SortedRun], ranges: usize) -> Vec<Vec<(u32, u32)>> {
     plan_mem_partitions(runs, ranges, SAMPLES_PER_RANGE)
         .bounds

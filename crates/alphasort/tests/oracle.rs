@@ -19,10 +19,15 @@
 //! unchanged, because kernel choice is a pure CPU-time decision.
 
 use alphasort_core::baseline::{partition_sort, PartitionSortConfig};
-use alphasort_core::driver::{one_pass, two_pass, MemScratch, ScratchStore};
+use std::sync::Arc;
+
+use alphasort_core::driver::{one_pass, two_pass, MemScratch, ScratchStore, StripeScratch};
 use alphasort_core::io::{MemSink, MemSource};
-use alphasort_core::varlen::{partition_sort_var, sort_var_bytes, two_pass_var, MemVarScratch};
+use alphasort_core::varlen::{partition_sort_var, sort_var_bytes};
 use alphasort_core::{Kernel, RecordLayout, SortConfig};
+use alphasort_iosim::{catalog, IoEngine, MemStorage, Pacing, SimDisk};
+use alphasort_minijson::Json;
+use alphasort_stripefs::Volume;
 use alphasort_dmgen::{
     generate, generate_varlen, records_of, records_of_mut, var_records_of, GenConfig,
     KeyDistribution, TextCorpus, VarGenConfig, RECORD_LEN,
@@ -297,24 +302,30 @@ fn var_assert_identical(got: &[u8], want: &[u8], what: &str) {
     );
 }
 
-fn run_one_pass_var(data: &[u8], cfg: &SortConfig) -> Vec<u8> {
+fn var_one_pass(data: &[u8], cfg: &SortConfig) -> Vec<u8> {
     let mut source = MemSource::new(data.to_vec(), 997); // ragged, frame-straddling
     let mut sink = MemSink::new();
     one_pass(&mut source, &mut sink, cfg).unwrap();
     sink.into_inner()
 }
 
-fn run_two_pass_var(data: &[u8], cfg: &SortConfig, scratch: &mut MemVarScratch) -> Vec<u8> {
+fn var_two_pass(data: &[u8], cfg: &SortConfig, scratch: &mut impl ScratchStore) -> Vec<u8> {
     let mut source = MemSource::new(data.to_vec(), 997);
     let mut sink = MemSink::new();
-    two_pass_var(&mut source, &mut sink, scratch, cfg).unwrap();
+    two_pass(&mut source, &mut sink, scratch, cfg).unwrap();
     sink.into_inner()
+}
+
+/// An empty in-memory scratch for var-len runs, read back in ragged
+/// frame-straddling chunks.
+fn var_scratch() -> MemScratch {
+    MemScratch::new(997).with_layout(RecordLayout::VarLen)
 }
 
 /// A var-len scratch pretending the middle run survived a crash: frames for
 /// records `[run_records, 2*run_records)` pre-sorted exactly as pass 1
 /// would have spilled them.
-fn resumed_var_scratch(data: &[u8], run_records: usize) -> MemVarScratch {
+fn resumed_var_scratch(data: &[u8], run_records: usize) -> MemScratch {
     let recs = var_records_of(data).expect("corpus parses");
     assert!(recs.len() >= 3 * run_records, "need 3+ runs");
     let window = &recs[run_records..2 * run_records];
@@ -324,7 +335,8 @@ fn resumed_var_scratch(data: &[u8], run_records: usize) -> MemVarScratch {
     for i in idx {
         bytes.extend_from_slice(window[i].frame());
     }
-    MemVarScratch::with_recovered(vec![(run_records as u64, bytes)])
+    var_scratch()
+        .recover(vec![(run_records as u64, bytes)])
         .expect("recovered run validates")
 }
 
@@ -361,7 +373,7 @@ fn var_oracle_case(records: u64, seed: u64, corpus: TextCorpus) {
     };
 
     // One-pass, serial tournament merge (through the layout dispatch).
-    let got = run_one_pass_var(&data, &base);
+    let got = var_one_pass(&data, &base);
     var_assert_identical(&got, &want, &format!("one-pass serial [{what}]"));
 
     // One-pass, partitioned merge at every worker count.
@@ -370,12 +382,12 @@ fn var_oracle_case(records: u64, seed: u64, corpus: TextCorpus) {
             merge_workers: p,
             ..base.clone()
         };
-        let got = run_one_pass_var(&data, &cfg);
+        let got = var_one_pass(&data, &cfg);
         var_assert_identical(&got, &want, &format!("one-pass P={p} [{what}]"));
     }
 
     // Two-pass, serial final merge.
-    let got = run_two_pass_var(&data, &base, &mut MemVarScratch::new());
+    let got = var_two_pass(&data, &base, &mut var_scratch());
     var_assert_identical(&got, &want, &format!("two-pass serial [{what}]"));
 
     // Two-pass, partitioned + resumed at every worker count.
@@ -384,15 +396,15 @@ fn var_oracle_case(records: u64, seed: u64, corpus: TextCorpus) {
             merge_workers: p,
             ..base.clone()
         };
-        let got = run_two_pass_var(&data, &cfg, &mut MemVarScratch::new());
+        let got = var_two_pass(&data, &cfg, &mut var_scratch());
         var_assert_identical(&got, &want, &format!("two-pass P={p} [{what}]"));
 
-        let got = run_two_pass_var(&data, &cfg, &mut resumed_var_scratch(&data, run_records));
+        let got = var_two_pass(&data, &cfg, &mut resumed_var_scratch(&data, run_records));
         var_assert_identical(&got, &want, &format!("two-pass resumed P={p} [{what}]"));
     }
 
     // Resumed two-pass with the serial merge, for completeness.
-    let got = run_two_pass_var(&data, &base, &mut resumed_var_scratch(&data, run_records));
+    let got = var_two_pass(&data, &base, &mut resumed_var_scratch(&data, run_records));
     var_assert_identical(&got, &want, &format!("two-pass resumed serial [{what}]"));
 }
 
@@ -478,11 +490,99 @@ fn var_oracle_every_registered_kernel() {
             layout: RecordLayout::VarLen,
             ..Default::default()
         };
-        let got = run_one_pass_var(&data, &cfg);
+        let got = var_one_pass(&data, &cfg);
         var_assert_identical(&got, &want, &format!("var one-pass [{}]", kernel.name()));
-        let got = run_two_pass_var(&data, &cfg, &mut MemVarScratch::new());
+        let got = var_two_pass(&data, &cfg, &mut var_scratch());
         var_assert_identical(&got, &want, &format!("var two-pass [{}]", kernel.name()));
     }
+}
+
+/// A 2-disk striped volume over `storages` — rebuilt over the same
+/// storages, it is the scratch a restarted process would find.
+fn striped_volume(storages: &[Arc<MemStorage>]) -> Arc<Volume> {
+    let disks = storages
+        .iter()
+        .enumerate()
+        .map(|(i, s)| {
+            SimDisk::new(format!("s{i}"), catalog::uncapped(), s.clone(), Pacing::Modeled, None)
+        })
+        .collect();
+    Arc::new(Volume::new(Arc::new(IoEngine::new(disks))))
+}
+
+/// Var-len runs on real scratch: the striped, checksummed, manifested
+/// store the fixed layout spills to — serial, partitioned at every worker
+/// count, and resumed after one sealed run's stride went bad on disk (the
+/// run is discarded, its input range re-formed, the bytes identical).
+#[test]
+fn var_oracle_on_striped_scratch() {
+    if !layout_enabled(RecordLayout::VarLen) {
+        return;
+    }
+    let data = generate_varlen(VarGenConfig {
+        records: 1_500,
+        seed: 0xBC,
+        corpus: TextCorpus::Urls,
+    });
+    let want = var_stable_reference(&data);
+    let base = SortConfig {
+        run_records: 200,
+        gather_batch: 128,
+        workers: 2,
+        kernel: kernel_under_test(),
+        layout: RecordLayout::VarLen,
+        ..Default::default()
+    };
+    let manifest = std::env::temp_dir().join(format!(
+        "alphasort-oracle-{}-{}.manifest",
+        std::process::id(),
+        kernel_under_test().name()
+    ));
+    let fresh = |storages: &[Arc<MemStorage>]| {
+        let mut s = StripeScratch::new(striped_volume(storages), 1_024)
+            .with_layout(RecordLayout::VarLen);
+        s.attach_manifest(&manifest, data.len() as u64, 200).unwrap();
+        s
+    };
+    let storages =
+        || -> Vec<Arc<MemStorage>> { (0..2).map(|_| Arc::new(MemStorage::new())).collect() };
+
+    let got = var_two_pass(&data, &base, &mut fresh(&storages()));
+    var_assert_identical(&got, &want, "striped serial");
+
+    for p in merge_worker_counts() {
+        let cfg = SortConfig {
+            merge_workers: p,
+            ..base.clone()
+        };
+        let disks = storages();
+        let got = var_two_pass(&data, &cfg, &mut fresh(&disks));
+        var_assert_identical(&got, &want, &format!("striped P={p}"));
+
+        // The partitioned merge reads windows and consumes nothing, so the
+        // manifest still lists every pass-1 run: this is the state a crash
+        // mid-merge leaves. Flip one byte of the second run behind the
+        // stripe layer, then resume over the same disks.
+        let doc = Json::parse(&std::fs::read_to_string(&manifest).unwrap()).unwrap();
+        let def = doc.field_arr("runs").unwrap()[1].get("def").unwrap();
+        let member = &def.field_arr("members").unwrap()[0];
+        let disk = member.field_u64("disk").unwrap() as usize;
+        let at = member.field_u64("base").unwrap();
+        let engine = striped_volume(&disks).engine().clone();
+        let byte = engine.read(disk, at, 1).wait().unwrap()[0];
+        engine.write(disk, at, vec![!byte]).wait().unwrap();
+
+        let (mut resumed, report) =
+            StripeScratch::resume(striped_volume(&disks), &manifest).unwrap();
+        assert_eq!(report.corrupt.len(), 1, "{:?}", report.corrupt);
+        assert_eq!(report.recovered.len(), 7, "8 runs sealed, 1 discarded");
+        let mut source = MemSource::new(data.clone(), 997);
+        let mut sink = MemSink::new();
+        let outcome = two_pass(&mut source, &mut sink, &mut resumed, &cfg).unwrap();
+        assert_eq!((outcome.stats.runs_recovered, outcome.stats.runs_reformed), (7, 1));
+        var_assert_identical(sink.data(), &want, &format!("striped resumed P={p}"));
+    }
+    let _ = std::fs::remove_file(&manifest);
 }
 
 /// The trait-level range plumbing the partitioned merge relies on: windows
@@ -500,7 +600,7 @@ fn oracle_scratch_windows_reassemble_runs() {
         let mut w = scratch.create_run(chunk.len() as u64).unwrap();
         use alphasort_core::io::RecordSink;
         w.push(chunk).unwrap();
-        scratch.seal_run(w).unwrap();
+        scratch.seal_run(w, 200, Vec::new()).unwrap();
     }
     let lens = scratch.sealed_run_records().unwrap();
     assert_eq!(lens, vec![200, 200, 200]);

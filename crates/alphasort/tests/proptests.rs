@@ -163,9 +163,17 @@ fn run_formation_matches_std_sort() {
 /// concatenated per-range merges equal the serial merge of the same runs.
 #[test]
 fn partition_cuts_are_disjoint_covering_and_order_preserving() {
-    use alphasort_core::merge::RunMerger;
+    use alphasort_core::kernels::TreeKernel;
+    use alphasort_core::merge::{Merger, PrefixThenKey, RunCursors};
     use alphasort_core::pmerge::plan_mem_partitions;
     use alphasort_core::runform::SortedRun;
+
+    fn merge<'a>(
+        runs: &'a [SortedRun],
+        bounds: Option<&[(u32, u32)]>,
+    ) -> Merger<RunCursors<'a, SortedRun>, PrefixThenKey> {
+        Merger::new(RunCursors::new(runs, bounds), TreeKernel::Branchy, ())
+    }
 
     let mut r = SplitMix64::new(0xA5);
     for case in 0..48 {
@@ -206,14 +214,14 @@ fn partition_cuts_are_disjoint_covering_and_order_preserving() {
 
         // Concatenated range merges == serial merge (pointer-identical,
         // which implies byte-identical output and preserved stability).
-        let serial: Vec<(u32, u32)> = RunMerger::new(&runs).map(|p| (p.run, p.pos)).collect();
+        let serial: Vec<(u32, u32)> = merge(&runs, None).map(|p| (p.run, p.pos)).collect();
         let concat: Vec<(u32, u32)> = plan
             .bounds
             .iter()
             .flat_map(|row| {
                 let bounds: Vec<(u32, u32)> =
                     row.iter().map(|&(s, e)| (s as u32, e as u32)).collect();
-                RunMerger::with_bounds(&runs, &bounds)
+                merge(&runs, Some(&bounds))
                     .map(|p| (p.run, p.pos))
                     .collect::<Vec<_>>()
             })
@@ -320,8 +328,15 @@ fn ovc_codes_reconstruct_comparison_order() {
 /// prefixes of other keys.
 #[test]
 fn lcp_replay_is_exact_on_tie_heavy_string_sets() {
-    use alphasort_core::varlen::{MergeMode, VarRun, VarRunMerger};
+    use alphasort_core::kernels::TreeKernel;
+    use alphasort_core::layout::LayoutRun;
+    use alphasort_core::merge::{ComparePolicy, MergedPtr, Merger, Ovc, PrefixThenKey, RunCursors};
+    use alphasort_core::varlen::VarRun;
     use alphasort_dmgen::{build_var_record, parse_var_record};
+
+    fn merged<P: ComparePolicy>(runs: &[VarRun]) -> Vec<MergedPtr> {
+        Merger::<_, P, _>::new(RunCursors::new(runs, None), TreeKernel::Branchy, ()).collect()
+    }
 
     let mut r = SplitMix64::new(0xA7);
     for case in 0..48 {
@@ -347,9 +362,10 @@ fn lcp_replay_is_exact_on_tie_heavy_string_sets() {
         let want: Vec<(Vec<u8>, u64)> =
             idx.iter().map(|&i| (keys[i].clone(), i as u64)).collect();
 
-        let refs: Vec<&VarRun> = runs.iter().collect();
-        for mode in [MergeMode::Ovc, MergeMode::Naive] {
-            let got: Vec<(Vec<u8>, u64)> = VarRunMerger::new(refs.clone(), mode)
+        let merges = [("Ovc", merged::<Ovc>(&runs)), ("Naive", merged::<PrefixThenKey>(&runs))];
+        for (mode, ptrs) in merges {
+            let got: Vec<(Vec<u8>, u64)> = ptrs
+                .into_iter()
                 .map(|p| {
                     let run = &runs[p.run as usize];
                     let rec = parse_var_record(run.frame_at(p.pos as usize), 0).unwrap();

@@ -5,10 +5,9 @@
 //! variable-length pipeline matches it too, across serial, partitioned,
 //! and crash-resumed merges.
 
-use alphasort_core::driver::one_pass;
+use alphasort_core::driver::{one_pass, two_pass, MemScratch};
 use alphasort_core::io::{MemSink, MemSource};
 use alphasort_core::runform::Representation;
-use alphasort_core::varlen::{two_pass_var, MemVarScratch};
 use alphasort_core::{RecordLayout, SortConfig};
 use alphasort_dmgen::{
     generate, generate_varlen, records_of, var_records_of, GenConfig, KeyDistribution, SplitMix64,
@@ -88,7 +87,7 @@ fn assert_var_stable(out: &[u8], what: &str) {
 
 /// A var-len scratch with the middle run pre-formed (stable-sorted), as a
 /// crash-resumed pass 2 would see it.
-fn resumed_var_scratch(data: &[u8], run_records: usize) -> MemVarScratch {
+fn resumed_var_scratch(data: &[u8], run_records: usize) -> MemScratch {
     let recs = var_records_of(data).expect("corpus parses");
     let window = &recs[run_records..2 * run_records];
     let mut idx: Vec<usize> = (0..window.len()).collect();
@@ -97,7 +96,10 @@ fn resumed_var_scratch(data: &[u8], run_records: usize) -> MemVarScratch {
     for i in idx {
         bytes.extend_from_slice(window[i].frame());
     }
-    MemVarScratch::with_recovered(vec![(run_records as u64, bytes)]).unwrap()
+    MemScratch::new(1_003)
+        .with_layout(RecordLayout::VarLen)
+        .recover(vec![(run_records as u64, bytes)])
+        .unwrap()
 }
 
 /// Duplicate-heavy string corpora through one-pass serial, one-pass
@@ -147,7 +149,7 @@ fn varlen_pipeline_is_stable() {
             let mut source = MemSource::new(data.clone(), 1_003);
             let mut sink = MemSink::new();
             let mut scratch = resumed_var_scratch(&data, run_records);
-            two_pass_var(&mut source, &mut sink, &mut scratch, &cfg).unwrap();
+            two_pass(&mut source, &mut sink, &mut scratch, &cfg).unwrap();
             assert_var_stable(sink.data(), &format!("{name} resumed P={p}"));
         }
 
@@ -155,7 +157,7 @@ fn varlen_pipeline_is_stable() {
         let mut source = MemSource::new(data.clone(), 1_003);
         let mut sink = MemSink::new();
         let mut scratch = resumed_var_scratch(&data, run_records);
-        two_pass_var(&mut source, &mut sink, &mut scratch, &base).unwrap();
+        two_pass(&mut source, &mut sink, &mut scratch, &base).unwrap();
         assert_var_stable(sink.data(), &format!("{name} resumed serial"));
     }
 }

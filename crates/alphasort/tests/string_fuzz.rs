@@ -7,9 +7,8 @@
 
 use std::io;
 
-use alphasort_core::driver::one_pass;
+use alphasort_core::driver::{one_pass, two_pass, MemScratch};
 use alphasort_core::io::{MemSink, MemSource};
-use alphasort_core::varlen::{two_pass_var, MemVarScratch};
 use alphasort_core::{RecordLayout, SortConfig};
 use alphasort_dmgen::{
     encode_var_record, generate_varlen, var_records_of, SplitMix64, TextCorpus, VarGenConfig,
@@ -48,8 +47,8 @@ fn sort_one_pass(data: &[u8], chunk: usize, cfg: &SortConfig) -> io::Result<Vec<
 fn sort_two_pass(data: &[u8], chunk: usize, cfg: &SortConfig) -> io::Result<Vec<u8>> {
     let mut source = MemSource::new(data.to_vec(), chunk);
     let mut sink = MemSink::new();
-    let mut scratch = MemVarScratch::new();
-    two_pass_var(&mut source, &mut sink, &mut scratch, cfg)?;
+    let mut scratch = MemScratch::new(chunk).with_layout(RecordLayout::VarLen);
+    two_pass(&mut source, &mut sink, &mut scratch, cfg)?;
     Ok(sink.into_inner())
 }
 

@@ -7,10 +7,19 @@ use std::hint::black_box;
 
 use alphasort_bench::harness::BenchGroup;
 use alphasort_core::gather::merge_gather_all;
-use alphasort_core::merge::{MergedPtr, RunMerger};
-use alphasort_core::ovc::{plain_merge_bytes, OvcMerger};
+use alphasort_core::kernels::TreeKernel;
+use alphasort_core::merge::{ComparePolicy, MergedPtr, Merger, Ovc, PrefixThenKey, RunCursors};
 use alphasort_core::runform::{form_run, Representation, SortedRun};
-use alphasort_dmgen::{generate, records_of, GenConfig, KeyDistribution, Record, RECORD_LEN};
+use alphasort_dmgen::{generate, GenConfig, KeyDistribution, RECORD_LEN};
+
+/// The merged pointer string of `bounds` of every run (`None` = whole)
+/// under compare policy `P`.
+fn merge_ptrs<P: ComparePolicy>(
+    runs: &[SortedRun],
+    bounds: Option<&[(u32, u32)]>,
+) -> Vec<MergedPtr> {
+    Merger::<_, P, _>::new(RunCursors::new(runs, bounds), TreeKernel::Branchy, ()).collect()
+}
 
 fn make_runs(n: u64, per_run: usize) -> Vec<SortedRun> {
     let (data, _) = generate(GenConfig::datamation(n, 3));
@@ -27,8 +36,7 @@ fn bench_merge_and_gather() {
     g.sample_size(10);
 
     g.bench("merge_only", || {
-        let ptrs: Vec<MergedPtr> = RunMerger::new(&runs).collect();
-        black_box(ptrs)
+        black_box(merge_ptrs::<PrefixThenKey>(&runs, None))
     });
     g.bench("merge_plus_gather", || black_box(merge_gather_all(&runs)));
 }
@@ -42,8 +50,7 @@ fn bench_merge_fanin() {
     for fanin in [2usize, 10, 100] {
         let runs = make_runs(n, (n as usize).div_ceil(fanin));
         g.bench(format!("{fanin}"), || {
-            let ptrs: Vec<MergedPtr> = RunMerger::new(&runs).collect();
-            black_box(ptrs)
+            black_box(merge_ptrs::<PrefixThenKey>(&runs, None))
         });
     }
 }
@@ -74,7 +81,7 @@ fn bench_partitioned_merge() {
                             let bounds: Vec<(u32, u32)> =
                                 row.iter().map(|&(s, e)| (s as u32, e as u32)).collect();
                             let ptrs: Vec<MergedPtr> =
-                                RunMerger::with_bounds(runs, &bounds).collect();
+                                merge_ptrs::<PrefixThenKey>(runs, Some(&bounds));
                             let mut out = Vec::with_capacity(ptrs.len() * RECORD_LEN);
                             gather_into(runs, &ptrs, &mut out);
                             out
@@ -104,27 +111,14 @@ fn bench_ovc() {
             seed: 5,
             dist,
         });
-        let runs: Vec<Vec<Record>> = records_of(&data)
-            .chunks(10_000)
-            .map(|c| {
-                let mut v = c.to_vec();
-                v.sort_by_key(|a| a.key);
-                v
-            })
+        let runs: Vec<SortedRun> = data
+            .chunks(10_000 * RECORD_LEN)
+            .map(|c| form_run(c.to_vec(), Representation::KeyPrefix))
             .collect();
         g.bench(format!("plain/{label}"), || {
-            let refs: Vec<&[Record]> = runs.iter().map(|r| r.as_slice()).collect();
-            black_box(plain_merge_bytes(refs))
+            black_box(merge_ptrs::<PrefixThenKey>(&runs, None))
         });
-        g.bench(format!("ovc/{label}"), || {
-            let refs: Vec<&[Record]> = runs.iter().map(|r| r.as_slice()).collect();
-            let mut m = OvcMerger::new(refs);
-            let mut count = 0u64;
-            while m.next_record().is_some() {
-                count += 1;
-            }
-            black_box(count)
-        });
+        g.bench(format!("ovc/{label}"), || black_box(merge_ptrs::<Ovc>(&runs, None)));
     }
 }
 

@@ -1,11 +1,11 @@
 //! Bench for §4's representation comparison: CPU time to form one sorted
 //! run under each sort-array representation, plus the footnote's 256-bucket
-//! partition sort.
+//! partition sort (the `radix` kernel).
 
 use std::hint::black_box;
 
 use alphasort_bench::harness::BenchGroup;
-use alphasort_core::partition::partition_order;
+use alphasort_core::kernels::radix_prefix_order;
 use alphasort_core::runform::{form_run, Representation};
 use alphasort_dmgen::{generate, GenConfig, KeyDistribution, RECORD_LEN};
 
@@ -21,7 +21,7 @@ fn bench_representations() {
             black_box(form_run(data.clone(), rep))
         });
     }
-    g.bench("partition/256-bucket", || black_box(partition_order(&data)));
+    g.bench("partition/256-bucket", || black_box(radix_prefix_order(&data)));
 }
 
 fn bench_degenerate_prefix() {

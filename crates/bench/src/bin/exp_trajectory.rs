@@ -51,7 +51,12 @@ use std::time::{Duration, Instant};
 use alphasort_core::driver::{one_pass, two_pass, MemScratch};
 use alphasort_core::io::{MemSink, MemSource};
 use alphasort_core::stats::SortStats;
-use alphasort_core::varlen::{MergeMode, VarRun, VarRunMerger};
+use alphasort_core::kernels::TreeKernel;
+use alphasort_core::layout::LayoutRun;
+use alphasort_core::merge::{
+    ComparePolicy, MergeEffort, MergedPtr, Merger, Ovc, PrefixThenKey, RunCursors,
+};
+use alphasort_core::varlen::VarRun;
 use alphasort_core::{Kernel, SortConfig};
 use alphasort_dmgen::{
     generate, generate_varlen, records_of_mut, validate_records, var_records_of, GenConfig,
@@ -118,6 +123,17 @@ fn best_of(
     }
     let (st, elapsed_s) = best.expect("at least one attempt ran");
     kernel_doc(name, &st, elapsed_s)
+}
+
+/// Merge `runs` to exhaustion under compare policy `P`, handing every
+/// pointer to `each`; returns the comparison effort.
+fn string_merge<P: ComparePolicy>(runs: &[VarRun], mut each: impl FnMut(MergedPtr)) -> MergeEffort {
+    let heads = RunCursors::new(runs, None);
+    let mut m = Merger::<_, P, _>::new(heads, TreeKernel::Branchy, MergeEffort::default());
+    for p in m.by_ref() {
+        each(p);
+    }
+    m.effort
 }
 
 fn main() {
@@ -236,20 +252,17 @@ fn main() {
         .collect();
     drop(srecs);
 
-    // Untimed correctness pass: both modes must emit the identical
+    // Untimed correctness pass: both policies must emit the identical
     // pointer sequence, in key order. A wrong merge never gets a number.
     {
-        let a: Vec<_> = VarRunMerger::new(string_runs.iter().collect(), MergeMode::Ovc)
-            .map(|p| (p.run, p.pos))
-            .collect();
-        let b: Vec<_> = VarRunMerger::new(string_runs.iter().collect(), MergeMode::Naive)
-            .map(|p| (p.run, p.pos))
-            .collect();
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        string_merge::<Ovc>(&string_runs, |p| a.push(p));
+        string_merge::<PrefixThenKey>(&string_runs, |p| b.push(p));
         assert_eq!(a, b, "OVC and naive merges diverged");
         assert_eq!(a.len() as u64, string_records);
         let mut prev: &[u8] = b"";
-        for &(run, pos) in &a {
-            let key = string_runs[run as usize].key_at(pos as usize);
+        for p in &a {
+            let key = string_runs[p.run as usize].key_at(p.pos as usize);
             assert!(prev <= key, "string merge output out of order");
             prev = key;
         }
@@ -260,22 +273,24 @@ fn main() {
         string_runs.len()
     );
     let mut string_modes: Vec<(&str, f64, u64, u64)> = Vec::new();
-    for (mode, name) in [(MergeMode::Ovc, "ovc"), (MergeMode::Naive, "naive")] {
+    for name in ["ovc", "naive"] {
         let mut best_rps = 0.0f64;
         let mut effort = (0u64, 0u64);
         for _ in 0..repeat.max(1) {
-            let refs: Vec<&VarRun> = string_runs.iter().collect();
-            let t0 = Instant::now();
-            let mut m = VarRunMerger::new(refs, mode);
             let mut n = 0u64;
-            for p in &mut m {
+            let count = |p: MergedPtr| {
                 std::hint::black_box(p);
                 n += 1;
-            }
+            };
+            let t0 = Instant::now();
+            let e = match name {
+                "ovc" => string_merge::<Ovc>(&string_runs, count),
+                _ => string_merge::<PrefixThenKey>(&string_runs, count),
+            };
             let elapsed_s = t0.elapsed().as_secs_f64();
             assert_eq!(n, string_records);
             best_rps = best_rps.max(n as f64 / elapsed_s);
-            effort = (m.effort.key_bytes, m.effort.compares);
+            effort = (e.key_bytes, e.compares);
         }
         println!(
             "  {name:<8} {best_rps:>9.0} records/s  ({} key bytes, {} compares)",

@@ -8,16 +8,20 @@
 //! shown two ways: wall-clock on the modern host, and miss counts on the
 //! simulated 1993 hierarchy — because thirty years of cache growth and
 //! prefetching have *inverted* part of the 1993 ordering (see the notes the
-//! program prints). Also: the footnote's 256-bucket partition sort and the
-//! OVC merge-effort comparison.
+//! program prints). Also: the footnote's 256-bucket partition sort (the
+//! `radix` kernel) and the merger's two compare policies held against each
+//! other on merge effort.
 
 use std::time::Instant;
 
 use alphasort_cachesim::{traced_quicksort, Hierarchy, QuickSortVariant};
-use alphasort_core::ovc::{plain_merge_bytes, OvcMerger};
-use alphasort_core::partition::partition_order;
-use alphasort_core::runform::{key_order, key_prefix_order, pointer_order, sort_records_in_place};
-use alphasort_dmgen::{generate, records_of, GenConfig, KeyDistribution, Record};
+use alphasort_core::kernels::{radix_prefix_order, TreeKernel};
+use alphasort_core::merge::{ComparePolicy, MergeEffort, Merger, Ovc, PrefixThenKey, RunCursors};
+use alphasort_core::runform::{
+    form_run, key_order, key_prefix_order, pointer_order, sort_records_in_place, Representation,
+    SortedRun,
+};
+use alphasort_dmgen::{generate, GenConfig, KeyDistribution, RECORD_LEN};
 use alphasort_perfmodel::table::Table;
 
 /// Best-of-3 wall time of `f` (copies and setup excluded by the caller).
@@ -29,6 +33,16 @@ fn best_of_3(mut f: impl FnMut()) -> f64 {
         best = best.min(t0.elapsed().as_secs_f64());
     }
     best
+}
+
+/// Comparison effort of merging `runs` to exhaustion under policy `P`.
+fn merge_effort<P: ComparePolicy>(runs: &[SortedRun]) -> MergeEffort {
+    let heads = RunCursors::new(runs, None);
+    let mut m = Merger::<_, P, _>::new(heads, TreeKernel::Branchy, MergeEffort::default());
+    for p in m.by_ref() {
+        std::hint::black_box(p);
+    }
+    m.effort
 }
 
 fn main() {
@@ -56,7 +70,7 @@ fn main() {
         std::hint::black_box(key_prefix_order(&data));
     });
     let partition_t = best_of_3(|| {
-        std::hint::black_box(partition_order(&data));
+        std::hint::black_box(radix_prefix_order(&data));
     });
 
     let mut t = Table::new(["representation", "seconds", "speed vs record"]);
@@ -141,19 +155,12 @@ fn main() {
             seed: 5,
             dist,
         });
-        let runs: Vec<Vec<Record>> = records_of(&d)
-            .chunks(10_000)
-            .map(|c| {
-                let mut v = c.to_vec();
-                v.sort_by_key(|a| a.key);
-                v
-            })
+        let runs: Vec<SortedRun> = d
+            .chunks(10_000 * RECORD_LEN)
+            .map(|c| form_run(c.to_vec(), Representation::KeyPrefix))
             .collect();
-        let refs: Vec<&[Record]> = runs.iter().map(|r| r.as_slice()).collect();
-        let (_, plain) = plain_merge_bytes(refs.clone());
-        let mut m = OvcMerger::new(refs);
-        while m.next_record().is_some() {}
-        let ovc = m.effort;
+        let plain = merge_effort::<PrefixThenKey>(&runs);
+        let ovc = merge_effort::<Ovc>(&runs);
         t2.row([
             label.to_string(),
             plain.key_bytes.to_string(),

@@ -30,7 +30,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
-use alphasort_core::driver::{MemScratch, StripeScratch};
+use alphasort_core::driver::{MemScratch, ScratchStore, StripeScratch};
 use alphasort_core::io::{RecordSink, RecordSource};
 use alphasort_core::{ExternalSorter, MemSink, MemSource, PassPlan, SortConfig, SortStats};
 use alphasort_dmgen::RECORD_LEN;
@@ -183,7 +183,8 @@ pub fn run_job(
         let _exec = obs::span(obs::phase::SORTD_EXEC);
         match backing {
             ScratchBacking::Memory => {
-                let mut scratch = MemScratch::new(cfg.gather_batch * RECORD_LEN);
+                let mut scratch =
+                    MemScratch::new(cfg.gather_batch * RECORD_LEN).with_layout(cfg.layout);
                 sorter.sort(&mut source, &mut sink, &mut scratch)?
             }
             ScratchBacking::SharedVolume(volume, chunk) => {
@@ -218,15 +219,21 @@ fn open_scratch(
     chunk: u64,
     manifest: Option<&Path>,
 ) -> io::Result<StripeScratch> {
+    let fresh = || {
+        StripeScratch::new(Arc::clone(volume), chunk)
+            .named(format!("job{id}-run"))
+            .with_layout(cfg.layout)
+    };
     if let Some(path) = manifest {
         if path.exists() {
             match StripeScratch::resume(Arc::clone(volume), path) {
                 // The manifest must describe *this* sort: same input, same
-                // run geometry. A re-submitted key with a different spec
-                // cannot reuse the old runs.
+                // run geometry, same record layout. A re-submitted key with
+                // a different spec cannot reuse the old runs.
                 Ok((s, report))
                     if report.input_bytes == spec.input_bytes
-                        && report.run_records == cfg.run_records as u64 =>
+                        && report.run_records == cfg.run_records as u64
+                        && s.layout() == cfg.layout =>
                 {
                     obs::metrics::counter_add("sortd.scratch.resumed", 1);
                     return Ok(s);
@@ -240,17 +247,16 @@ fn open_scratch(
                 Err(_) => obs::metrics::counter_add("sortd.scratch.stale", 1),
             }
         }
-        let mut s = StripeScratch::new(Arc::clone(volume), chunk).named(format!("job{id}-run"));
+        let mut s = fresh();
         s.attach_manifest(path, spec.input_bytes, cfg.run_records as u64)?;
         return Ok(s);
     }
-    Ok(StripeScratch::new(Arc::clone(volume), chunk).named(format!("job{id}-run")))
+    Ok(fresh())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alphasort_core::driver::ScratchStore;
     use alphasort_dmgen::{generate, records_of_mut, GenConfig};
     use alphasort_iosim::{catalog, IoEngine, MemStorage, Pacing, SimDisk, Storage};
     use std::path::PathBuf;
@@ -335,13 +341,11 @@ mod tests {
         assert_eq!(out, oracle(data));
     }
 
-    #[test]
-    fn varlen_job_sorts_string_keys_end_to_end() {
-        use alphasort_core::RecordLayout;
+    /// A URL-keyed var-len input and its stable sort.
+    fn url_job(records: u64) -> (Vec<u8>, Vec<u8>) {
         use alphasort_dmgen::{generate_varlen, var_records_of, TextCorpus, VarGenConfig};
-
         let data = generate_varlen(VarGenConfig {
-            records: 2_000,
+            records,
             seed: 16,
             corpus: TextCorpus::Urls,
         });
@@ -352,7 +356,38 @@ mod tests {
         for i in idx {
             want.extend_from_slice(recs[i].frame());
         }
+        (data, want)
+    }
 
+    #[test]
+    fn string_job_over_budget_spills_to_the_shared_volume() {
+        // A string job whose memory budget is below its input runs two-pass
+        // on the shared scratch volume like a Datamation job: its runs are
+        // device bytes inside scratch accounting, not private RAM.
+        let (data, want) = url_job(4_000);
+        let mut s = spec(data.len() as u64, 128 << 10, data.len() as u64);
+        s.layout = alphasort_core::RecordLayout::VarLen;
+        assert_eq!(s.plan(), PassPlan::TwoPass);
+        let storages: Vec<Arc<MemStorage>> = (0..2).map(|_| Arc::new(MemStorage::new())).collect();
+        let volume = striped_volume(&storages);
+        let backing = ScratchBacking::SharedVolume(Arc::clone(&volume), 64 << 10);
+        let (out, stats, plan) = run(13, &s, data.clone(), &backing).unwrap();
+        assert_eq!(plan, PassPlan::TwoPass);
+        assert_eq!(out, want);
+        assert!(stats.runs > 1);
+        let written: u64 = volume.engine().disks().iter().map(|d| d.stats().bytes_written).sum();
+        assert!(
+            written >= data.len() as u64,
+            "scratch devices saw {written} bytes of a {}-byte spill",
+            data.len()
+        );
+    }
+
+    #[test]
+    fn varlen_job_sorts_string_keys_end_to_end() {
+        use alphasort_core::RecordLayout;
+
+        let (data, want) = url_job(2_000);
         let mut s = spec(data.len() as u64, 4 << 20, 0);
         s.layout = RecordLayout::VarLen;
         s.merge_workers = 2;
@@ -400,7 +435,7 @@ mod tests {
             let mut w = scratch.create_run(run_bytes as u64).unwrap();
             use alphasort_core::io::RecordSink as _;
             w.push(&sorted_prefix).unwrap();
-            scratch.seal_run(w).unwrap();
+            scratch.seal_run(w, cfg.run_records as u64, Vec::new()).unwrap();
             // Dropped without dispose: the kill.
         }
 

@@ -157,7 +157,7 @@ fn restart_dedupes_settled_keys_and_resumes_interrupted_scratch() {
         records_of_mut(&mut first).sort_by_key(|r| r.key);
         let mut w = scratch.create_run(run_bytes as u64).unwrap();
         w.push(&first).unwrap();
-        scratch.seal_run(w).unwrap();
+        scratch.seal_run(w, run_records, Vec::new()).unwrap();
         // Dropped without dispose: the kill.
     }
     let mut rec = JournalRecord::accepted("key-elephant".into(), 77, e_spec.clone());

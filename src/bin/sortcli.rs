@@ -17,8 +17,9 @@
 //!         [--trace-out TRACE.json] [--metrics-out METRICS.json]
 //! ```
 //!
-//! `--layout varlen` sorts length-prefixed records with string keys through
-//! the LCP/OVC-aware pipeline instead of fixed 100-byte Datamation records;
+//! `--layout varlen` sorts length-prefixed records with string keys (the
+//! same pipeline, merging on offset-value codes) instead of fixed 100-byte
+//! Datamation records;
 //! with `--gen` the input is drawn from a named text corpus (`--corpus`,
 //! default `urls`; see `TextCorpus` for the registry) and `--verify` checks
 //! the output is a sorted permutation of the input frames.
@@ -35,9 +36,9 @@
 //! Figure 7 "where the time goes" table to stderr; `--metrics-out` writes
 //! the counter/gauge/histogram snapshot as JSON.
 //!
-//! `--scratch-dir` puts two-pass scratch runs on a striped, checksummed
-//! volume backed by disk-image files in DIR (instead of in memory), and
-//! persists a run manifest there. After a crash, re-running with `--resume`
+//! `--scratch-dir` puts two-pass scratch runs — of either layout — on a
+//! striped, checksummed volume backed by disk-image files in DIR (instead
+//! of in memory), and persists a run manifest there. After a crash, re-running with `--resume`
 //! verifies the surviving runs against the manifest and re-forms only what
 //! is missing or corrupt. `--io-retries` / `--io-backoff-ms` set the scratch
 //! volume's transient-IO retry budget.
@@ -229,6 +230,7 @@ fn build_striped_scratch(
     io_backoff_ms: u64,
     input_bytes: u64,
     run_records: u64,
+    layout: RecordLayout,
 ) -> io::Result<(StripeScratch, Option<ResumeReport>)> {
     std::fs::create_dir_all(dir)?;
     let disks = (0..SCRATCH_DISKS)
@@ -284,13 +286,8 @@ fn build_striped_scratch(
         }
         Ok((scratch, Some(report)))
     } else {
-        let scratch = StripeScratch::with_manifest(
-            volume,
-            SCRATCH_CHUNK,
-            &manifest,
-            input_bytes,
-            run_records,
-        )?;
+        let mut scratch = StripeScratch::new(volume, SCRATCH_CHUNK).with_layout(layout);
+        scratch.attach_manifest(&manifest, input_bytes, run_records)?;
         Ok((scratch, None))
     }
 }
@@ -394,12 +391,6 @@ fn main() -> ExitCode {
         kernel: args.kernel,
         layout: args.layout,
     };
-    if args.layout == RecordLayout::VarLen && args.scratch_dir.is_some() {
-        eprintln!(
-            "note: var-len two-pass sorts currently spill to in-memory scratch; \
-             --scratch-dir is ignored for run storage"
-        );
-    }
 
     // Start recording after generation so the trace covers only the sort.
     let tracing = args.trace_out.is_some() || args.metrics_out.is_some();
@@ -439,6 +430,7 @@ fn main() -> ExitCode {
                     args.io_backoff_ms,
                     input_bytes,
                     args.run_records as u64,
+                    args.layout,
                 ) {
                     Ok(pair) => pair,
                     Err(e) => {
@@ -459,7 +451,7 @@ fn main() -> ExitCode {
                 two_pass(&mut source, &mut sink, &mut scratch, &cfg)
             }
             None => {
-                let mut scratch = MemScratch::new(10_000 * RECORD_LEN);
+                let mut scratch = MemScratch::new(10_000 * RECORD_LEN).with_layout(args.layout);
                 two_pass(&mut source, &mut sink, &mut scratch, &cfg)
             }
         }
