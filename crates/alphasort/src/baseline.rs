@@ -20,9 +20,8 @@ use std::time::{Duration, Instant};
 use alphasort_dmgen::{records_of, Record, RECORD_LEN};
 
 use crate::io::MemSource;
-use crate::kernels::TreeKernel;
 use crate::merge::{Merger, PrefixThenKey, StreamHeads};
-use crate::runform::{form_run, Representation, SortedRun};
+use crate::runform::{form_run, SortedRun};
 
 /// Configuration for the partitioned sort.
 #[derive(Clone, Debug)]
@@ -31,8 +30,6 @@ pub struct PartitionSortConfig {
     pub nodes: usize,
     /// Sample size per node for probabilistic splitting.
     pub samples_per_node: usize,
-    /// Run-formation representation each node uses locally.
-    pub representation: Representation,
 }
 
 impl Default for PartitionSortConfig {
@@ -40,7 +37,6 @@ impl Default for PartitionSortConfig {
         PartitionSortConfig {
             nodes: 4,
             samples_per_node: 128,
-            representation: Representation::KeyPrefix,
         }
     }
 }
@@ -149,13 +145,12 @@ pub fn partition_sort(input: &[u8], cfg: &PartitionSortConfig) -> (Vec<u8>, Part
 
     // --- local sorts, one thread per target node.
     let t0 = Instant::now();
-    let rep = cfg.representation;
     let sorted_parts: Vec<Vec<u8>> = std::thread::scope(|scope| {
         let handles: Vec<_> = per_target
             .into_iter()
             .map(|part| {
                 scope.spawn(move || {
-                    let run = form_run(part, rep);
+                    let run = form_run(part);
                     let mut out = Vec::with_capacity(run.len() * RECORD_LEN);
                     for r in run.iter_sorted() {
                         out.extend_from_slice(r.as_bytes());
@@ -218,17 +213,13 @@ pub fn partition_merge_sort(
     // target receives one already-sorted stream per reader.
     let t0 = Instant::now();
     let per = n.div_ceil(cfg.nodes.max(1)).max(1);
-    let rep = cfg.representation;
     let mut reader_streams: Vec<Vec<Vec<u8>>> = std::thread::scope(|scope| {
         let splitters = &splitters;
         let handles: Vec<_> = records
             .chunks(per)
             .map(|share| {
                 scope.spawn(move || {
-                    let run = form_run(
-                        share.iter().flat_map(|r| r.as_bytes()).copied().collect(),
-                        rep,
-                    );
+                    let run = form_run(share.iter().flat_map(|r| r.as_bytes()).copied().collect());
                     let mut outs: Vec<Vec<u8>> = vec![Vec::new(); splitters.len() + 1];
                     for r in run.iter_sorted() {
                         let t = splitters.partition_point(|s| *s <= r.key);
@@ -269,8 +260,7 @@ pub fn partition_merge_sort(
                     let sources = streams.into_iter().map(|s| MemSource::new(s, 1 << 20));
                     let heads = StreamHeads::<_, SortedRun>::new(sources.collect())
                         .expect("in-memory streams of whole records");
-                    let mut merger =
-                        Merger::<_, PrefixThenKey, _>::new(heads, TreeKernel::Branchy, ());
+                    let mut merger = Merger::<_, PrefixThenKey, _>::new(heads, ());
                     while merger.next_into(&mut out).expect("in-memory streams") {}
                     out
                 })
@@ -327,7 +317,6 @@ mod tests {
         let cfg = PartitionSortConfig {
             nodes: 8,
             samples_per_node: 256,
-            ..Default::default()
         };
         let (_, stats) = partition_sort(&input, &cfg);
         assert!(stats.skew() < 1.35, "skew {}", stats.skew());

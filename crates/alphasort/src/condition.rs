@@ -311,7 +311,7 @@ mod tests {
 
     #[test]
     fn conditioned_records_sort_with_the_standard_pipeline() {
-        use crate::runform::{form_run, Representation};
+        use crate::runform::form_run;
         use alphasort_dmgen::Record;
 
         let values: Vec<i64> = vec![5, -3, 99, 0, -88, 17, i64::MIN, i64::MAX];
@@ -320,7 +320,7 @@ mod tests {
             let rec = Record::with_key(condition_to_record_key::<I64Condition>(v), i as u64);
             buf.extend_from_slice(rec.as_bytes());
         }
-        let run = form_run(buf, Representation::KeyPrefix);
+        let run = form_run(buf);
         let sorted: Vec<i64> = run
             .iter_sorted()
             .map(|r| values[r.seq() as usize])

@@ -21,14 +21,12 @@ use std::time::{Duration, Instant};
 
 use alphasort_obs as obs;
 
-use crate::entry::RecordLayout;
+use crate::entry::{RecordLayout, MAX_RUN_RECORDS};
 use crate::io::{RecordSink, RecordSource};
-use crate::kernels::Kernel;
 use crate::layout::{Cut, RunCutter};
 use crate::merge::{ComparePolicy, Heads, Merger};
 use crate::planner::{PassPlan, Planner};
 use crate::pmerge::MergePartition;
-use crate::runform::Representation;
 use crate::stats::{timed_phase, SortStats};
 
 /// Tuning knobs for a sort run.
@@ -37,8 +35,6 @@ pub struct SortConfig {
     /// Records per QuickSort run (the paper uses 100,000 for 1 M records:
     /// "between ten and one hundred runs" in a one-pass sort).
     pub run_records: usize,
-    /// Sort-array representation for run formation.
-    pub representation: Representation,
     /// Worker threads for sort and gather chores (0 = uniprocessor).
     pub workers: usize,
     /// Records per gather batch / output buffer.
@@ -56,15 +52,11 @@ pub struct SortConfig {
     /// disjoint key ranges by sampled splitters and each range merges
     /// independently — output stays byte-identical to the serial merge.
     pub merge_workers: usize,
-    /// Hot-path kernel variant for run formation and tree replay (see
-    /// [`crate::kernels`]). Every kernel is byte-identical to the default
-    /// scalar oracle; the choice only moves CPU time.
-    pub kernel: Kernel,
-    /// Record model the sort operates on (see [`RecordLayout`]). Like the
-    /// kernel, the layout only moves CPU time: for a given layout every
-    /// configuration produces byte-identical output. Both drivers dispatch
-    /// on it once, into the same pipeline instantiated for the layout's
-    /// run type ([`crate::layout::LayoutRun`]).
+    /// Record model the sort operates on (see [`RecordLayout`]). The
+    /// layout only moves CPU time: for a given layout every configuration
+    /// produces byte-identical output. Both drivers dispatch on it once,
+    /// into the same pipeline instantiated for the layout's run type
+    /// ([`crate::layout::LayoutRun`]).
     pub layout: RecordLayout,
 }
 
@@ -72,13 +64,11 @@ impl Default for SortConfig {
     fn default() -> Self {
         SortConfig {
             run_records: 100_000,
-            representation: Representation::KeyPrefix,
             workers: 0,
             gather_batch: 10_000,
             memory_budget: 256 << 20,
             max_fanin: 128,
             merge_workers: 0,
-            kernel: Kernel::Scalar,
             layout: RecordLayout::Datamation,
         }
     }
@@ -95,6 +85,27 @@ pub struct SortOutcome {
     pub plan: PassPlan,
 }
 
+/// Both drivers' check of the sizes a caller controls. They arrive from
+/// command lines and job manifests, so a bad one is an attributed error,
+/// not a panic.
+fn check_sizes(cfg: &SortConfig) -> io::Result<()> {
+    let bad = |what: String| Err(io::Error::new(io::ErrorKind::InvalidInput, what));
+    if cfg.run_records == 0 || cfg.gather_batch == 0 {
+        return bad(format!(
+            "run_records ({}) and gather_batch ({}) must be at least 1",
+            cfg.run_records, cfg.gather_batch
+        ));
+    }
+    if cfg.run_records > MAX_RUN_RECORDS {
+        return bad(format!(
+            "run_records ({}) exceeds the {MAX_RUN_RECORDS}-records-per-run limit of the \
+             32-bit entry index",
+            cfg.run_records
+        ));
+    }
+    Ok(())
+}
+
 /// The input side of both drivers: `source` read chunk by chunk through the
 /// layout's cutter, so run buffers complete while input is still arriving.
 struct Feed<C> {
@@ -103,9 +114,9 @@ struct Feed<C> {
 }
 
 impl<C: RunCutter> Feed<C> {
-    fn new(run_records: usize, skip: Vec<RecoveredRun>) -> Self {
+    fn new(run_records: usize, input_bytes: Option<u64>, skip: Vec<RecoveredRun>) -> Self {
         Feed {
-            cutter: C::new(run_records, skip),
+            cutter: C::new(run_records, input_bytes, skip),
             done: false,
         }
     }
@@ -205,7 +216,6 @@ where
     Snk: RecordSink,
 {
     let batch = cfg.gather_batch;
-    let tree_kernel = cfg.kernel.tree();
     let track = obs::current_track();
     let durations = std::thread::scope(|scope| -> io::Result<Vec<Duration>> {
         let mut handles = Vec::with_capacity(ranges.len());
@@ -224,7 +234,7 @@ where
                 let Some(heads) = open()? else {
                     return Ok(t0.elapsed());
                 };
-                let mut merger = Merger::<H, P>::new(heads, tree_kernel, ());
+                let mut merger = Merger::<H, P>::new(heads, ());
                 let mut staging = Vec::new();
                 loop {
                     let done = merge_batch(&mut merger, &mut staging, batch)?;
@@ -318,10 +328,7 @@ impl ExternalSorter {
     {
         let planner = Planner::new(self.cfg.memory_budget);
         let plan = match source.size_hint() {
-            Some(bytes) => {
-                let (plan, _kernel) = planner.plan_with_kernel(bytes, self.cfg.kernel);
-                plan
-            }
+            Some(bytes) => planner.plan(bytes),
             None => PassPlan::TwoPass,
         };
         match plan {
@@ -337,6 +344,17 @@ mod tests {
     use crate::io::{MemSink, MemSource};
     use alphasort_dmgen::{generate, generate_varlen, GenConfig, TextCorpus, VarGenConfig};
 
+    fn input(layout: RecordLayout, records: u64) -> Vec<u8> {
+        match layout {
+            RecordLayout::Datamation => generate(GenConfig::datamation(records, 5)).0,
+            RecordLayout::VarLen => generate_varlen(VarGenConfig {
+                records,
+                seed: 5,
+                corpus: TextCorpus::Urls,
+            }),
+        }
+    }
+
     /// ROADMAP item 1: a partitioned merge books critical-path, not
     /// summed-worker, merge time — in both drivers, under both layouts. (The
     /// root's sink writes overlap the range workers, so the phase *sum* may
@@ -344,14 +362,7 @@ mod tests {
     #[test]
     fn partitioned_merge_time_is_the_critical_path() {
         for layout in RecordLayout::ALL {
-            let data = match layout {
-                RecordLayout::Datamation => generate(GenConfig::datamation(20_000, 5)).0,
-                RecordLayout::VarLen => generate_varlen(VarGenConfig {
-                    records: 20_000,
-                    seed: 5,
-                    corpus: TextCorpus::Urls,
-                }),
-            };
+            let data = input(layout, 20_000);
             let cfg = SortConfig {
                 run_records: 2_500,
                 gather_batch: 500,
@@ -376,6 +387,51 @@ mod tests {
                 assert!(st.merge_time >= *slowest, "{what}: {st:?}");
                 assert!(st.merge_time <= st.elapsed, "{what}: {st:?}");
             }
+        }
+    }
+
+    /// Sizes from outside (`sortcli --run`, a job manifest) are refused as
+    /// errors by both drivers under both layouts — never a panic, never an
+    /// up-front allocation sized by the number alone.
+    #[test]
+    fn bad_sizes_are_invalid_input_errors_not_panics() {
+        let over = MAX_RUN_RECORDS.saturating_add(1);
+        let bad = [(0, 10), (10, 0), (over, 10), (usize::MAX, 10)];
+        for layout in RecordLayout::ALL {
+            for (run_records, gather_batch) in bad {
+                let cfg = SortConfig {
+                    run_records,
+                    gather_batch,
+                    layout,
+                    ..Default::default()
+                };
+                let what = format!("{} run={run_records} batch={gather_batch}", layout.name());
+                let (mut source, mut sink) = (MemSource::new(Vec::new(), 64), MemSink::new());
+                let mut scratch = MemScratch::new(64).with_layout(layout);
+                let outcomes = [
+                    one_pass(&mut source, &mut sink, &cfg),
+                    two_pass(&mut source, &mut sink, &mut scratch, &cfg),
+                ];
+                for outcome in outcomes {
+                    let err = outcome.expect_err(&what);
+                    assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{what}: {err}");
+                }
+            }
+            // The largest legal run on a small input reserves what the
+            // input can fill and sorts it.
+            let cfg = SortConfig {
+                run_records: MAX_RUN_RECORDS,
+                layout,
+                ..Default::default()
+            };
+            let mut source = MemSource::new(input(layout, 50), 1 << 10);
+            let out = one_pass(&mut source, &mut MemSink::new(), &cfg).unwrap();
+            assert_eq!(
+                (out.stats.records, out.stats.runs),
+                (50, 1),
+                "{}",
+                layout.name()
+            );
         }
     }
 }

@@ -14,7 +14,9 @@ use std::time::Instant;
 use alphasort_obs as obs;
 
 use crate::driver::scratch::{ScratchStore, INDEX_EVERY};
-use crate::driver::{finish, merge_batch, merge_ranges, Feed, Range, SortConfig, SortOutcome};
+use crate::driver::{
+    check_sizes, finish, merge_batch, merge_ranges, Feed, Range, SortConfig, SortOutcome,
+};
 use crate::entry::RecordLayout;
 use crate::io::{RecordSink, RecordSource};
 use crate::layout::{Cut, LayoutRun};
@@ -141,7 +143,7 @@ where
     Snk: RecordSink,
     Scr: ScratchStore,
 {
-    assert!(cfg.run_records > 0 && cfg.gather_batch > 0);
+    check_sizes(cfg)?;
     if scratch.layout() != R::LAYOUT {
         // A resumed manifest written for the other layout, or a caller
         // that built its scratch for the wrong one: its record-indexed
@@ -173,8 +175,8 @@ where
     // scratch, checksummed) and only the gaps are re-sorted and re-spilled.
     let skip = scratch.recovered_runs()?;
     let resuming = !skip.is_empty();
-    let mut pool = SortPool::<R>::new(cfg.workers, cfg.representation, cfg.kernel);
-    let mut feed = Feed::<R::Cutter>::new(cfg.run_records, skip);
+    let mut pool = SortPool::<R>::new(cfg.workers);
+    let mut feed = Feed::<R::Cutter>::new(cfg.run_records, source.size_hint(), skip);
     while let Some(cuts) = feed.next_cuts(source, &mut stats)? {
         for cut in cuts {
             match cut {
@@ -210,7 +212,6 @@ where
     // (Knuth's cascade merge). Each extra level costs one more full
     // read+write of the data — the same bandwidth arithmetic as §6.
     let fanin = cfg.max_fanin.max(2);
-    let tree_kernel = cfg.kernel.tree();
     while scratch.sealed_run_records()?.len() > fanin {
         stats.merge_passes += 1;
         let level = timed_phase(obs::phase::SPILL, &mut stats.spill_time, || {
@@ -222,8 +223,7 @@ where
             // The merged run is as big as its inputs together; scratch
             // stores allocate extents from this hint.
             let group_bytes: u64 = group.iter().filter_map(|s| s.size_hint()).sum();
-            let mut merger =
-                Merger::<_, R::Policy, _>::new(StreamHeads::<_, R>::new(group)?, tree_kernel, ());
+            let mut merger = Merger::<_, R::Policy, _>::new(StreamHeads::<_, R>::new(group)?, ());
             timed_phase(obs::phase::SPILL, &mut stats.spill_time, || {
                 let writer = scratch.create_run(group_bytes)?;
                 let mut out = Spill::new(writer, R::LAYOUT, cfg.gather_batch);
@@ -244,7 +244,7 @@ where
             scratch.open_runs()
         })?;
         let heads = StreamHeads::<_, R>::new(sources)?;
-        let mut merger = Merger::<_, R::Policy, _>::new(heads, tree_kernel, ());
+        let mut merger = Merger::<_, R::Policy, _>::new(heads, ());
         let mut staging = Vec::new();
         loop {
             let done = timed_phase(obs::phase::MERGE, &mut stats.merge_time, || {

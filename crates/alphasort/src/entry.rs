@@ -12,8 +12,8 @@ use alphasort_dmgen::{parse_var_record, Record, VarFrameError, KEY_LEN, RECORD_L
 
 /// Which record model a sort operates on. The layout is threaded through
 /// [`crate::SortConfig`], both drivers, `sortcli --layout`, and the sortd
-/// job manifest; like the kernel registry, the choice moves CPU time only —
-/// for a given layout every configuration produces byte-identical output.
+/// job manifest; the choice moves CPU time only — for a given layout every
+/// configuration produces byte-identical output.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RecordLayout {
     /// Fixed Datamation records: 100 bytes, 10-byte key at offset 0. The
@@ -203,76 +203,6 @@ impl PrefixEntry {
     }
 }
 
-/// A *(codeword, pointer)* pair — the Baer & Lin (1989) representation §4
-/// discusses: "They recommended keys be prefix compressed into codewords so
-/// that the (pointer, codeword) QuickSort would fit in cache. We did not
-/// use their version of codewords since they cannot be used to later merge
-/// the record pointers."
-///
-/// The codeword here is the first 4 key bytes as a big-endian `u32`: the
-/// entry shrinks to 8 bytes (twice the cache density of [`PrefixEntry`]),
-/// at the price of 2³² times more ties than the 64-bit prefix — the merge
-/// handicap the authors rejected it for.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CodewordEntry {
-    /// First 4 key bytes, big-endian.
-    pub code: u32,
-    /// Record index within the run's buffer.
-    pub idx: u32,
-}
-
-impl CodewordEntry {
-    /// Build the entry for record `idx` of `records`.
-    #[inline]
-    pub fn of(records: &[Record], idx: u32) -> Self {
-        let k = &records[idx as usize].key;
-        CodewordEntry {
-            code: u32::from_be_bytes([k[0], k[1], k[2], k[3]]),
-            idx,
-        }
-    }
-
-    /// Extract the entry array for a whole record buffer.
-    pub fn extract(records: &[Record]) -> Vec<CodewordEntry> {
-        (0..checked_run_len(records.len(), "CodewordEntry::extract"))
-            .map(|i| CodewordEntry::of(records, i))
-            .collect()
-    }
-}
-
-/// A *(full key, pointer)* pair — §4's "key sort" (detached key sort).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct KeyEntry {
-    /// The complete 10-byte key.
-    pub key: [u8; KEY_LEN],
-    /// Record index within the run's buffer.
-    pub idx: u32,
-}
-
-impl KeyEntry {
-    /// Build the entry for record `idx` of `records`.
-    #[inline]
-    pub fn of(records: &[Record], idx: u32) -> Self {
-        KeyEntry {
-            key: records[idx as usize].key,
-            idx,
-        }
-    }
-
-    /// Extract the entry array for a whole record buffer.
-    pub fn extract(records: &[Record]) -> Vec<KeyEntry> {
-        checked_run_len(records.len(), "KeyEntry::extract");
-        records
-            .iter()
-            .enumerate()
-            .map(|(i, r)| KeyEntry {
-                key: r.key,
-                idx: i as u32,
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,7 +248,6 @@ mod tests {
     fn prefix_entry_is_12_bytes_padded_to_16() {
         // The array stride is what matters for cache behaviour.
         assert!(core::mem::size_of::<PrefixEntry>() <= 16);
-        assert_eq!(core::mem::size_of::<KeyEntry>(), 16);
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! time is spent gathering the records than is consumed in creating,
 //! sorting and merging the key-prefix/pointer pairs."
 
-use crate::kernels::TreeKernel;
 use crate::layout::LayoutRun;
 use crate::merge::{ComparePolicy, Effort, MergedPtr, Merger, RunCursors};
 
@@ -26,8 +25,7 @@ pub fn gather_into<R: LayoutRun>(runs: &[R], ptrs: &[MergedPtr], out: &mut Vec<u
 pub fn merge_gather_all<R: LayoutRun>(runs: &[R]) -> Vec<u8> {
     let total: usize = runs.iter().map(|r| r.len()).sum();
     let mut out = Vec::with_capacity(total * R::LAYOUT.stride().unwrap_or(0));
-    let mut merger =
-        Merger::<_, R::Policy, _>::new(RunCursors::new(runs, None), TreeKernel::Branchy, ());
+    let mut merger = Merger::<_, R::Policy, _>::new(RunCursors::new(runs, None), ());
     while merger
         .next_into(&mut out)
         .expect("in-memory cursors cannot fail")
@@ -50,14 +48,14 @@ pub fn take_ptrs<R: LayoutRun, P: ComparePolicy, E: Effort>(
 mod tests {
     use super::*;
     use crate::merge::PrefixThenKey;
-    use crate::runform::{form_run, Representation, SortedRun};
+    use crate::runform::{form_run, SortedRun};
     use alphasort_dmgen::{generate, validate_records, GenConfig, RECORD_LEN};
 
     fn runs_for(n: u64, run_records: usize) -> (alphasort_dmgen::Checksum, Vec<SortedRun>) {
         let (data, cs) = generate(GenConfig::datamation(n, 31));
         let runs = data
             .chunks(run_records * RECORD_LEN)
-            .map(|c| form_run(c.to_vec(), Representation::KeyPrefix))
+            .map(|c| form_run(c.to_vec()))
             .collect();
         (cs, runs)
     }
@@ -75,11 +73,7 @@ mod tests {
         let (_, runs) = runs_for(1_000, 128);
         let whole = merge_gather_all(&runs);
 
-        let mut merger = Merger::<_, PrefixThenKey, _>::new(
-            RunCursors::new(&runs, None),
-            TreeKernel::Branchy,
-            (),
-        );
+        let mut merger = Merger::<_, PrefixThenKey, _>::new(RunCursors::new(&runs, None), ());
         let mut chunked = Vec::new();
         loop {
             let ptrs = take_ptrs(&mut merger, 77);
@@ -92,12 +86,11 @@ mod tests {
     }
 
     #[test]
-    fn gather_from_record_sorted_runs() {
-        let (data, cs) = generate(GenConfig::datamation(900, 32));
-        let runs: Vec<SortedRun> = data
-            .chunks(200 * RECORD_LEN)
-            .map(|c| form_run(c.to_vec(), Representation::Record))
-            .collect();
+    fn gather_from_single_record_runs() {
+        // The gather follows pointers; how many runs they span, or how each
+        // run's permutation was produced, is not its concern.
+        let (cs, runs) = runs_for(90, 1);
+        assert_eq!(runs.len(), 90);
         let out = merge_gather_all(&runs);
         validate_records(&out, cs).unwrap();
     }

@@ -63,7 +63,7 @@ fn quicksort_rec<T: Copy, F: FnMut(&T, &T) -> bool>(mut v: &mut [T], less: &mut 
 /// `less(a, b)` and `less(b, a)` can both hold, as a buggy caller predicate
 /// or a NaN-style partial order produces — must yield at worst a mis-sorted
 /// slice, never an out-of-bounds index or a `0 - 1` underflow.
-pub(crate) fn partition<T: Copy, F: FnMut(&T, &T) -> bool>(v: &mut [T], less: &mut F) -> usize {
+fn partition<T: Copy, F: FnMut(&T, &T) -> bool>(v: &mut [T], less: &mut F) -> usize {
     let n = v.len();
     let mid = n / 2;
     // Sort v[0], v[mid], v[n-1] so the median lands at mid.

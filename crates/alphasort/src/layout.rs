@@ -21,9 +21,7 @@ use std::io;
 
 use crate::driver::RecoveredRun;
 use crate::entry::RecordLayout;
-use crate::kernels::Kernel;
 use crate::merge::ComparePolicy;
-use crate::runform::Representation;
 
 /// A sorted in-memory run of one record layout.
 pub trait LayoutRun: Sized + Send + Sync + 'static {
@@ -37,9 +35,8 @@ pub trait LayoutRun: Sized + Send + Sync + 'static {
     type Policy: ComparePolicy;
 
     /// Sort one run buffer. `buf` holds whole records (the cutter's
-    /// guarantee); `rep` and `kernel` select among the layout's formation
-    /// variants and never change the resulting order.
-    fn form(buf: Vec<u8>, rep: Representation, kernel: Kernel) -> Self;
+    /// guarantee).
+    fn form(buf: Vec<u8>) -> Self;
 
     /// Records in the run.
     fn len(&self) -> usize;
@@ -81,8 +78,10 @@ pub enum Cut {
 /// ends exactly where such a range starts, so re-formed runs cover
 /// precisely the records the recovered ones do not.
 pub trait RunCutter {
-    /// Cutter at input offset 0.
-    fn new(run_records: usize, skip: Vec<RecoveredRun>) -> Self;
+    /// Cutter at input offset 0. `input_bytes` is the source's size hint:
+    /// the most a cutter may reserve ahead of the bytes arriving, so that
+    /// a run size far beyond the input costs nothing.
+    fn new(run_records: usize, input_bytes: Option<u64>, skip: Vec<RecoveredRun>) -> Self;
 
     /// Feed the next input chunk; completed cuts are appended to `out`.
     fn push(&mut self, chunk: &[u8], out: &mut Vec<Cut>) -> io::Result<()>;

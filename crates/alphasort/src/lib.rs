@@ -6,8 +6,9 @@
 //!
 //! 1. QuickSorts *(key-prefix, pointer)* pairs instead of records or bare
 //!    pointers, keeping the inner loop inside the on-chip cache (§4) —
-//!    [`runform`] implements all four representations so the paper's 3:1
-//!    CPU comparisons can be measured;
+//!    [`runform`] is that one path (the representations it beat are
+//!    exhibits in `alphasort_bench::variants`, where the paper's 3:1 CPU
+//!    comparisons are measured);
 //! 2. generates runs with QuickSort as record groups arrive from disk,
 //!    overlapping sort with input (§7), rather than with
 //!    replacement-selection ([`rs`] implements the replacement-selection
@@ -29,8 +30,7 @@
 //! Extensions the paper discusses but does not adopt: offset-value coding
 //! (the DFsort/SyncSort technique) is the [`merge::Ovc`] compare policy,
 //! the 256-bucket distributive sort "that might beat AlphaSort" is the
-//! `radix` kernel ([`kernels::radix_prefix_order`]), the Baer & Lin
-//! codeword representation is [`runform::Representation::Codeword`], and
+//! scatter in front of [`runform::form_run`]'s QuickSorts, and
 //! [`condition`] does key conditioning for floats, signed integers and
 //! non-standard collations. [`baseline`] implements the shared-nothing
 //! partitioned sort AlphaSort displaced (§2's Hypercube design), and
@@ -63,7 +63,6 @@ pub mod gather;
 pub mod io;
 pub mod io_file;
 pub mod kernel;
-pub mod kernels;
 pub mod layout;
 pub mod merge;
 pub mod mergeplan;
@@ -77,9 +76,8 @@ pub mod stats;
 pub mod varlen;
 
 pub use driver::{ExternalSorter, SortConfig, SortOutcome};
-pub use entry::{key_prefix_u64, CodewordEntry, KeyEntry, PrefixEntry, RecordLayout};
-pub use kernels::Kernel;
+pub use entry::{key_prefix_u64, PrefixEntry, RecordLayout};
 pub use io::{MemSink, MemSource, RecordSink, RecordSource};
 pub use planner::{PassPlan, Planner};
-pub use runform::{Representation, SortedRun};
+pub use runform::SortedRun;
 pub use stats::SortStats;

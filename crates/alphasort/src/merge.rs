@@ -40,7 +40,6 @@ use std::marker::PhantomData;
 
 use crate::entry::{checked_run_len, key_prefix_u64, Frame};
 use crate::io::RecordSource;
-use crate::kernels::TreeKernel;
 use crate::layout::LayoutRun;
 use crate::rs::LoserTree;
 use crate::varlen::lcp;
@@ -246,19 +245,17 @@ pub struct Merger<H: Heads, P: ComparePolicy, E: Effort = ()> {
     /// coded by scanning (the input may drop its storage on advance).
     base: Vec<u8>,
     tree: LoserTree,
-    tree_kernel: TreeKernel,
     /// The effort sink (counters built up across the whole merge).
     pub effort: E,
     _policy: PhantomData<P>,
 }
 
 impl<H: Heads, P: ComparePolicy, E: Effort> Merger<H, P, E> {
-    /// Start merging `heads`, replaying the tree with `tree_kernel` and
-    /// reporting comparison work to `effort`.
+    /// Start merging `heads`, reporting comparison work to `effort`.
     ///
     /// # Panics
     /// If `heads` has no leaves.
-    pub fn new(heads: H, tree_kernel: TreeKernel, mut effort: E) -> Self {
+    pub fn new(heads: H, mut effort: E) -> Self {
         assert!(heads.leaves() > 0, "need at least one run to merge");
         let off = vec![0u32; heads.leaves()];
         let tree = LoserTree::new(heads.leaves(), |a, b| {
@@ -269,7 +266,6 @@ impl<H: Heads, P: ComparePolicy, E: Effort> Merger<H, P, E> {
             off,
             base: Vec::new(),
             tree,
-            tree_kernel,
             effort,
             _policy: PhantomData,
         }
@@ -298,7 +294,6 @@ impl<H: Heads, P: ComparePolicy, E: Effort> Merger<H, P, E> {
             off,
             base,
             tree,
-            tree_kernel,
             effort,
             ..
         } = self;
@@ -356,9 +351,7 @@ impl<H: Heads, P: ComparePolicy, E: Effort> Merger<H, P, E> {
         } else {
             heads.advance(w)?;
         }
-        tree.replay_with(*tree_kernel, |a, b| {
-            head_less::<H, P>(heads, off, effort, a, b)
-        });
+        tree.replay(|a, b| head_less::<H, P>(heads, off, effort, a, b));
         Ok(())
     }
 
@@ -597,9 +590,8 @@ impl<S: RecordSource, R: LayoutRun> Heads for StreamHeads<S, R> {
 mod tests {
     use super::*;
     use crate::io::MemSource;
-    use crate::runform::{Representation, SortedRun};
+    use crate::runform::SortedRun;
     use crate::varlen::VarRun;
-    use crate::Kernel;
     use alphasort_dmgen::{
         generate, generate_varlen, var_records_of, GenConfig, KeyDistribution, TextCorpus,
         VarGenConfig, RECORD_LEN,
@@ -614,7 +606,7 @@ mod tests {
             .map(|&n| {
                 let buf = data[bounds[at]..bounds[at + n]].to_vec();
                 at += n;
-                R::form(buf, Representation::KeyPrefix, Kernel::Scalar)
+                R::form(buf)
             })
             .collect()
     }
@@ -668,13 +660,12 @@ mod tests {
     fn ptrs<R: LayoutRun, P: ComparePolicy>(
         runs: &[R],
         bounds: Option<&[(u32, u32)]>,
-        kernel: TreeKernel,
     ) -> Vec<MergedPtr> {
-        Merger::<_, P, _>::new(RunCursors::new(runs, bounds), kernel, ()).collect()
+        Merger::<_, P, _>::new(RunCursors::new(runs, bounds), ()).collect()
     }
 
     fn layout_ptrs<R: LayoutRun>(runs: &[R]) -> Vec<MergedPtr> {
-        ptrs::<R, R::Policy>(runs, None, TreeKernel::Branchy)
+        ptrs::<R, R::Policy>(runs, None)
     }
 
     fn global_order<R: LayoutRun>(what: &str, runs: &[R]) {
@@ -715,7 +706,7 @@ mod tests {
     fn single_run_identity<R: LayoutRun>(what: &str, runs: &[R]) {
         assert_eq!(runs.len(), 1);
         let (heads, effort) = (RunCursors::new(runs, None), MergeEffort::default());
-        let mut m = Merger::<_, R::Policy, _>::new(heads, TreeKernel::Branchy, effort);
+        let mut m = Merger::<_, R::Policy, _>::new(heads, effort);
         for (i, p) in m.by_ref().enumerate() {
             assert_eq!((p.run, p.pos as usize), (0, i), "{what}");
         }
@@ -736,7 +727,7 @@ mod tests {
         let mut cat = Vec::new();
         for row in &plan.bounds {
             let b: Vec<(u32, u32)> = row.iter().map(|&(s, e)| (s as u32, e as u32)).collect();
-            cat.extend(ptrs::<R, R::Policy>(runs, Some(&b), TreeKernel::Branchy));
+            cat.extend(ptrs::<R, R::Policy>(runs, Some(&b)));
         }
         // Pointer-for-pointer identical: the partition respects both key
         // order and the run-index tie-break.
@@ -748,19 +739,9 @@ mod tests {
         both_layouts!(bounded_concatenate, 2_000, &even(2_000, 170));
     }
 
-    fn branchless_identical<R: LayoutRun>(what: &str, runs: &[R]) {
-        let branchless = ptrs::<R, R::Policy>(runs, None, TreeKernel::Branchless);
-        assert_eq!(layout_ptrs(runs), branchless, "{what}");
-    }
-
-    #[test]
-    fn branchless_tree_merge_is_pointer_identical() {
-        both_layouts!(branchless_identical, 2_000, &even(2_000, 130));
-    }
-
     fn empty_bounds<R: LayoutRun>(what: &str, runs: &[R]) {
         let bounds: Vec<(u32, u32)> = runs.iter().map(|_| (0, 0)).collect();
-        let none = ptrs::<R, R::Policy>(runs, Some(&bounds), TreeKernel::Branchy);
+        let none = ptrs::<R, R::Policy>(runs, Some(&bounds));
         assert!(none.is_empty(), "{what}");
     }
 
@@ -787,7 +768,7 @@ mod tests {
             .map(|r| MemSource::new(sorted_bytes(r), 97))
             .collect();
         let heads = StreamHeads::<_, R>::new(sources).unwrap();
-        let mut m = Merger::<_, R::Policy, _>::new(heads, TreeKernel::Branchy, ());
+        let mut m = Merger::<_, R::Policy, _>::new(heads, ());
         let mut got = Vec::new();
         while m.next_into(&mut got).unwrap() {}
         assert_eq!(got, want, "{what}");
@@ -805,7 +786,6 @@ mod tests {
         bytes.truncate(bytes.len() - 3);
         let mut m = Merger::<_, PrefixThenKey, _>::new(
             StreamHeads::<_, SortedRun>::new(vec![MemSource::new(bytes, 64)]).unwrap(),
-            TreeKernel::Branchy,
             (),
         );
         let mut out = Vec::new();
@@ -823,7 +803,7 @@ mod tests {
     /// Merge under policy `P`, returning the bytes and the effort.
     fn merged_bytes<R: LayoutRun, P: ComparePolicy>(runs: &[R]) -> (Vec<u8>, MergeEffort) {
         let (heads, effort) = (RunCursors::new(runs, None), MergeEffort::default());
-        let mut m = Merger::<_, P, _>::new(heads, TreeKernel::Branchy, effort);
+        let mut m = Merger::<_, P, _>::new(heads, effort);
         let mut out = Vec::new();
         while m.next_into(&mut out).unwrap() {}
         (out, m.effort)
@@ -917,7 +897,7 @@ mod tests {
                 .map(|k| VarRun::from_frames(alphasort_dmgen::build_var_record(k, b"")).unwrap())
                 .collect();
             let (heads, effort) = (RunCursors::new(&runs, None), MergeEffort::default());
-            let m = Merger::<_, PrefixThenKey, _>::new(heads, TreeKernel::Branchy, effort);
+            let m = Merger::<_, PrefixThenKey, _>::new(heads, effort);
             assert_eq!(m.winner(), Some(usize::from(a > b)), "{a:?} vs {b:?}");
             let counted = (m.effort.compares, m.effort.key_bytes);
             assert_eq!(counted, (1, want), "{a:?} vs {b:?}");

@@ -23,10 +23,8 @@ use std::time::{Duration, Instant};
 use alphasort_obs as obs;
 
 use crate::gather::gather_into;
-use crate::kernels::Kernel;
 use crate::layout::LayoutRun;
 use crate::merge::MergedPtr;
-use crate::runform::Representation;
 use crate::stats::SortStats;
 
 /// Workers running `chore(id, job)` on submitted jobs, results handed back
@@ -149,14 +147,13 @@ pub struct SortPool<R> {
 }
 
 impl<R: LayoutRun> SortPool<R> {
-    /// Create a pool with `workers` threads (0 = sort inline on submit),
-    /// forming runs with representation `rep` under `kernel`.
-    pub fn new(workers: usize, rep: Representation, kernel: Kernel) -> Self {
+    /// Create a pool with `workers` threads (0 = sort inline on submit).
+    pub fn new(workers: usize) -> Self {
         let pool = ChorePool::new(workers, "sort", move |id, buf| {
             let mut g = obs::span(obs::phase::SORT);
             g.attr("run", id as u64);
             let t0 = Instant::now();
-            let run = R::form(buf, rep, kernel);
+            let run = R::form(buf);
             let d = t0.elapsed();
             g.attr("records", run.len() as u64);
             obs::metrics::observe("sort.run_us", d.as_micros() as u64);
@@ -265,17 +262,12 @@ impl GatherPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::TreeKernel;
     use crate::merge::{Merger, PrefixThenKey, RunCursors};
     use crate::runform::SortedRun;
     use alphasort_dmgen::{generate, validate_records, GenConfig, RECORD_LEN};
 
-    fn sort_pool(workers: usize, rep: Representation) -> SortPool<SortedRun> {
-        SortPool::new(workers, rep, Kernel::Scalar)
-    }
-
     fn whole_merge(runs: &[SortedRun]) -> Merger<RunCursors<'_, SortedRun>, PrefixThenKey> {
-        Merger::new(RunCursors::new(runs, None), TreeKernel::Branchy, ())
+        Merger::new(RunCursors::new(runs, None), ())
     }
 
     fn run_buffers(n: u64, per_run: usize) -> (alphasort_dmgen::Checksum, Vec<Vec<u8>>) {
@@ -289,7 +281,7 @@ mod tests {
 
     fn sort_with_pool(workers: usize) {
         let (cs, bufs) = run_buffers(3_000, 256);
-        let mut pool = sort_pool(workers, Representation::KeyPrefix);
+        let mut pool = SortPool::<SortedRun>::new(workers);
         for b in bufs {
             pool.submit(b);
         }
@@ -343,7 +335,7 @@ mod tests {
             .iter()
             .map(|b| alphasort_dmgen::records_of(b)[0].seq())
             .collect();
-        let mut pool = sort_pool(3, Representation::Record);
+        let mut pool = SortPool::<SortedRun>::new(3);
         for b in bufs {
             pool.submit(b);
         }
@@ -366,7 +358,7 @@ mod tests {
         // close queues and join workers (a hang here fails the test by
         // timeout).
         let (_, bufs) = run_buffers(1_000, 100);
-        let mut pool = sort_pool(2, Representation::KeyPrefix);
+        let mut pool = SortPool::<SortedRun>::new(2);
         for b in bufs {
             pool.submit(b);
         }
@@ -374,7 +366,7 @@ mod tests {
         drop(pool);
 
         let (_, bufs) = run_buffers(500, 100);
-        let mut sp = sort_pool(1, Representation::KeyPrefix);
+        let mut sp = SortPool::<SortedRun>::new(1);
         for b in bufs {
             sp.submit(b);
         }
@@ -391,7 +383,7 @@ mod tests {
     #[test]
     fn gather_pool_delivers_in_order_despite_racing_workers() {
         let (_, bufs) = run_buffers(2_000, 200);
-        let mut pool = sort_pool(2, Representation::KeyPrefix);
+        let mut pool = SortPool::<SortedRun>::new(2);
         for b in bufs {
             pool.submit(b);
         }

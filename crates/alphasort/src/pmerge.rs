@@ -148,7 +148,7 @@ pub fn plan_mem_partitions<R: LayoutRun>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runform::{form_run, Representation, SortedRun};
+    use crate::runform::{form_run, SortedRun};
     use alphasort_dmgen::{generate, GenConfig, KeyDistribution, RECORD_LEN};
 
     fn runs_of(n: u64, per_run: usize, dist: KeyDistribution, seed: u64) -> Vec<SortedRun> {
@@ -158,7 +158,7 @@ mod tests {
             dist,
         });
         data.chunks(per_run * RECORD_LEN)
-            .map(|c| form_run(c.to_vec(), Representation::KeyPrefix))
+            .map(|c| form_run(c.to_vec()))
             .collect()
     }
 
@@ -216,7 +216,7 @@ mod tests {
     #[test]
     fn empty_and_single_record_runs_are_cut_correctly() {
         let mut runs = runs_of(500, 100, KeyDistribution::Random, 21);
-        runs.push(form_run(Vec::new(), Representation::KeyPrefix));
+        runs.push(form_run(Vec::new()));
         let one = runs_of(1, 1, KeyDistribution::Random, 22).remove(0);
         runs.push(one);
         let lens: Vec<u64> = runs.iter().map(|r| r.len() as u64).collect();
@@ -242,7 +242,7 @@ mod tests {
             seed: 13,
             corpus: TextCorpus::Urls,
         });
-        let mut cutter = FrameCutter::new(311, Vec::new());
+        let mut cutter = FrameCutter::new(311, None, Vec::new());
         let mut cuts = Vec::new();
         cutter.push(&buf, &mut cuts).unwrap();
         cutter.finish(&mut cuts).unwrap();

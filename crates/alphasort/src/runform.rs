@@ -1,81 +1,41 @@
-//! Run formation: the four QuickSort representations of §4.
+//! Datamation run formation: QuickSort over (key-prefix, pointer) entries,
+//! behind one distribution pass on the leading key byte.
 //!
-//! | Representation | array holds        | bytes moved per exchange |
-//! |----------------|--------------------|--------------------------|
-//! | `Record`       | whole records      | 2R = 200                 |
-//! | `Pointer`      | record indices     | 2P = 8 (but each compare dereferences two records) |
-//! | `Key`          | (key, pointer)     | 2(K+P) = 28              |
-//! | `KeyPrefix`    | (prefix, pointer)  | 24, compares are integer ops |
+//! §4 picks the representation — "(key-prefix, pointer) pairs", integer
+//! compares with a full-key fall-through on ties — and footnotes the
+//! refinement this module also applies: a distributive partition into 256
+//! buckets ahead of the QuickSort (DPG, Cooperman et al.). One counting
+//! pass over `prefix >> 56` scatters the entries into buckets that are
+//! already in relative order, so a 100 k-entry QuickSort becomes 256
+//! cache-resident ones: 35–69% faster at the layer wherever the leading
+//! byte discriminates and a tie where it does not (DESIGN.md, "Run
+//! formation", has the table). The bucket key is the comparator's own most
+//! significant byte, so the sorted permutation is the one a single
+//! QuickSort under [`prefix_entry_less`] would produce.
 //!
-//! The paper measures record sort 30% slower than pointer sort and "270%
-//! slower than key sort", and a further 25% QuickSort improvement from the
-//! prefix. `exp_variants` and the `sort_variants` bench reproduce those
-//! ratios with these implementations.
+//! The other §4 representations (record, pointer, key, codeword) are
+//! exhibits the paper measures to justify this choice; they live with
+//! their only callers in `alphasort_bench::variants`.
 
 use std::collections::VecDeque;
 use std::io;
 
-use alphasort_dmgen::{records_of, records_of_mut, Record, RECORD_LEN};
+use alphasort_dmgen::{records_of, Record, RECORD_LEN};
 
 use crate::driver::RecoveredRun;
-use crate::entry::{KeyEntry, PrefixEntry, RecordLayout};
+use crate::entry::{PrefixEntry, RecordLayout};
 use crate::kernel::quicksort_by;
-use crate::kernels::{prefix_entry_less, Kernel, RunFormKernel};
 use crate::layout::{span_past_input, Cut, LayoutRun, RunCutter};
 use crate::merge::PrefixThenKey;
 
-/// Which sort-array representation run formation uses.
-///
-/// All detached representations (everything but `Record`) break key ties on
-/// the record's position within the run, and the merge breaks cross-run
-/// ties on run number — so the full sort is **stable** for them. In-place
-/// record sort exchanges records physically and is not stable (the paper's
-/// §4 concedes stability to replacement-selection for exactly this reason).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Representation {
-    /// Sort the 100-byte records in place.
-    Record,
-    /// Sort 4-byte record indices; compares dereference the records.
-    Pointer,
-    /// Sort (10-byte key, index) pairs.
-    Key,
-    /// Sort (8-byte prefix, index) pairs, full-key compare on prefix ties —
-    /// AlphaSort's choice.
-    KeyPrefix,
-    /// Sort (4-byte codeword, index) pairs — the Baer & Lin compressed-key
-    /// representation §4 considers: densest cache packing, but codewords
-    /// "cannot be used to later merge the record pointers".
-    Codeword,
-}
-
-impl Representation {
-    /// All five: the paper's four, then the Baer & Lin codeword variant.
-    pub const ALL: [Representation; 5] = [
-        Representation::Record,
-        Representation::Pointer,
-        Representation::Key,
-        Representation::KeyPrefix,
-        Representation::Codeword,
-    ];
-
-    /// Short name for tables.
-    pub fn name(self) -> &'static str {
-        match self {
-            Representation::Record => "record",
-            Representation::Pointer => "pointer",
-            Representation::Key => "key",
-            Representation::KeyPrefix => "key-prefix",
-            Representation::Codeword => "codeword",
-        }
-    }
-}
-
 /// A sorted run: the record bytes plus the order in which to read them.
+///
+/// Key ties break on the record's position within the run, and the merge
+/// breaks cross-run ties on run number — so the full sort is **stable**.
 pub struct SortedRun {
     buf: Vec<u8>,
-    /// `None` when the records are physically sorted (record sort);
-    /// otherwise the sorted index permutation.
-    order: Option<Vec<u32>>,
+    /// The sorted index permutation.
+    order: Vec<u32>,
 }
 
 impl SortedRun {
@@ -97,11 +57,7 @@ impl SortedRun {
     /// The record at sorted position `pos`.
     #[inline]
     pub fn record_at(&self, pos: usize) -> &Record {
-        let i = match &self.order {
-            None => pos,
-            Some(order) => order[pos] as usize,
-        };
-        &self.records()[i]
+        &self.records()[self.order[pos] as usize]
     }
 
     /// Iterate records in sorted order.
@@ -118,8 +74,8 @@ impl LayoutRun for SortedRun {
     type Cutter = StrideCutter;
     type Policy = PrefixThenKey;
 
-    fn form(buf: Vec<u8>, rep: Representation, kernel: Kernel) -> Self {
-        form_run_with(buf, rep, kernel)
+    fn form(buf: Vec<u8>) -> Self {
+        form_run(buf)
     }
 
     fn len(&self) -> usize {
@@ -144,6 +100,10 @@ impl LayoutRun for SortedRun {
 /// Cuts fixed-stride input into runs of `run_records * RECORD_LEN` bytes.
 pub struct StrideCutter {
     run_bytes: usize,
+    /// Capacity a fresh run buffer starts with: a whole run, or the whole
+    /// input when that is smaller — what the input can fill, never what the
+    /// configuration could hold.
+    reserve: usize,
     cur: Vec<u8>,
     /// Absolute byte position within the input.
     abs: u64,
@@ -157,11 +117,14 @@ fn byte_pos(rec: u64) -> u64 {
 }
 
 impl RunCutter for StrideCutter {
-    fn new(run_records: usize, skip: Vec<RecoveredRun>) -> Self {
-        let run_bytes = run_records * RECORD_LEN;
+    fn new(run_records: usize, input_bytes: Option<u64>, skip: Vec<RecoveredRun>) -> Self {
+        let run_bytes = run_records.saturating_mul(RECORD_LEN);
+        // Input of unknown size reserves nothing and grows as it arrives.
+        let reserve = input_bytes.map_or(0, |b| run_bytes.min(b.try_into().unwrap_or(usize::MAX)));
         StrideCutter {
             run_bytes,
-            cur: Vec::with_capacity(run_bytes),
+            reserve,
+            cur: Vec::with_capacity(reserve),
             abs: 0,
             skip: skip.into(),
         }
@@ -194,7 +157,7 @@ impl RunCutter for StrideCutter {
             off += take;
             self.abs += take as u64;
             if self.cur.len() == self.run_bytes || take as u64 == until_span {
-                let full = std::mem::replace(&mut self.cur, Vec::with_capacity(self.run_bytes));
+                let full = std::mem::replace(&mut self.cur, Vec::with_capacity(self.reserve));
                 out.push(Cut::Run(full));
             }
         }
@@ -221,242 +184,150 @@ impl RunCutter for StrideCutter {
     }
 }
 
-/// Form a sorted run from a record buffer using `rep` and the scalar
-/// (oracle) kernel.
-///
-/// # Panics
-/// If `buf.len()` is not a multiple of the record length.
-pub fn form_run(buf: Vec<u8>, rep: Representation) -> SortedRun {
-    form_run_with(buf, rep, Kernel::Scalar)
-}
-
-/// Form a sorted run using `rep`, selecting the run-formation hot loop from
-/// the kernel registry. Only the `KeyPrefix` representation has registered
-/// variants (it is the paper's representation and the one the registry
-/// optimizes); every other representation sorts with the scalar QuickSort
-/// regardless of `kernel`. All kernels produce byte-identical runs.
-///
-/// # Panics
-/// If `buf.len()` is not a multiple of the record length.
-pub fn form_run_with(mut buf: Vec<u8>, rep: Representation, kernel: Kernel) -> SortedRun {
-    match rep {
-        Representation::Record => {
-            sort_records_in_place(&mut buf);
-            SortedRun { buf, order: None }
-        }
-        Representation::Pointer => {
-            let order = pointer_order(&buf);
-            SortedRun {
-                buf,
-                order: Some(order),
-            }
-        }
-        Representation::Key => {
-            let order = key_order(&buf);
-            SortedRun {
-                buf,
-                order: Some(order),
-            }
-        }
-        Representation::KeyPrefix => {
-            let order = match kernel.runform() {
-                RunFormKernel::Quicksort => key_prefix_order(&buf),
-                RunFormKernel::Radix => crate::kernels::radix_prefix_order(&buf),
-                RunFormKernel::Network => crate::kernels::network_prefix_order(&buf),
-            };
-            SortedRun {
-                buf,
-                order: Some(order),
-            }
-        }
-        Representation::Codeword => {
-            let order = codeword_order(&buf);
-            SortedRun {
-                buf,
-                order: Some(order),
-            }
-        }
+/// The order run formation sorts into: prefix, full key on prefix ties —
+/// §4's degenerate-case fall-through — then arrival index, which makes the
+/// order total and the sorted permutation unique.
+#[inline]
+pub fn prefix_entry_less(records: &[Record], a: &PrefixEntry, b: &PrefixEntry) -> bool {
+    if a.prefix != b.prefix {
+        a.prefix < b.prefix
+    } else {
+        (&records[a.idx as usize].key, a.idx) < (&records[b.idx as usize].key, b.idx)
     }
 }
 
-/// §4 "record sort": QuickSort the records themselves. Each exchange moves
-/// 200 bytes; each compare touches two records in situ.
-pub fn sort_records_in_place(buf: &mut [u8]) {
-    let records = records_of_mut(buf);
-    quicksort_by(records, |a, b| a.key < b.key);
-}
-
-/// §4 "pointer sort": QuickSort indices; every compare dereferences two
-/// records (poor locality — the point of the experiment).
-pub fn pointer_order(buf: &[u8]) -> Vec<u32> {
-    let records = records_of(buf);
-    let mut order: Vec<u32> = (0..records.len() as u32).collect();
-    quicksort_by(&mut order, |&a, &b| {
-        // Final index tie-break: indices follow arrival order within the
-        // run, so equal keys keep input order (stability, for free).
-        (&records[a as usize].key, a) < (&records[b as usize].key, b)
-    });
-    order
-}
-
-/// §4 "key sort" (detached keys): QuickSort (full key, index) pairs; no
-/// record access during the sort.
-pub fn key_order(buf: &[u8]) -> Vec<u32> {
-    let records = records_of(buf);
-    let mut entries = KeyEntry::extract(records);
-    quicksort_by(&mut entries, |a, b| (&a.key, a.idx) < (&b.key, b.idx));
-    entries.into_iter().map(|e| e.idx).collect()
-}
-
-/// AlphaSort's key-prefix sort: integer compares on the 8-byte prefix,
-/// full-key fall-through only on ties.
-pub fn key_prefix_order(buf: &[u8]) -> Vec<u32> {
-    let records = records_of(buf);
-    let mut entries = PrefixEntry::extract(records);
-    quicksort_by(&mut entries, |a, b| prefix_entry_less(records, a, b));
-    entries.into_iter().map(|e| e.idx).collect()
-}
-
-/// Baer & Lin codeword sort: 8-byte (u32 codeword, u32 index) entries —
-/// densest packing, most ties.
-pub fn codeword_order(buf: &[u8]) -> Vec<u32> {
-    let records = records_of(buf);
-    let mut entries = crate::entry::CodewordEntry::extract(records);
-    quicksort_by(&mut entries, |a, b| {
-        if a.code != b.code {
-            a.code < b.code
-        } else {
-            (&records[a.idx as usize].key, a.idx) < (&records[b.idx as usize].key, b.idx)
-        }
-    });
-    entries.into_iter().map(|e| e.idx).collect()
+/// Form a sorted run from a buffer of whole records: extract the
+/// (prefix, index) entries, scatter them into 256 buckets on the leading
+/// key byte, QuickSort each bucket under [`prefix_entry_less`].
+///
+/// # Panics
+/// If `buf.len()` is not a multiple of the record length.
+pub fn form_run(buf: Vec<u8>) -> SortedRun {
+    let records = records_of(&buf);
+    let entries = PrefixEntry::extract(records);
+    let bucket = |e: &PrefixEntry| (e.prefix >> 56) as usize;
+    // starts[b]..starts[b + 1] is bucket b's slice of the scattered array.
+    let mut starts = [0usize; 257];
+    for e in &entries {
+        starts[bucket(e) + 1] += 1;
+    }
+    for b in 0..256 {
+        starts[b + 1] += starts[b];
+    }
+    let mut scattered = vec![PrefixEntry { prefix: 0, idx: 0 }; entries.len()];
+    let mut cursor = starts;
+    for e in entries {
+        let b = bucket(&e);
+        scattered[cursor[b]] = e;
+        cursor[b] += 1;
+    }
+    for b in 0..256 {
+        quicksort_by(&mut scattered[starts[b]..starts[b + 1]], |x, y| {
+            prefix_entry_less(records, x, y)
+        });
+    }
+    let order = scattered.into_iter().map(|e| e.idx).collect();
+    SortedRun { buf, order }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alphasort_dmgen::{generate, GenConfig, KeyDistribution};
+    use alphasort_dmgen::{generate, GenConfig, KeyDistribution, KEY_LEN};
 
-    fn dataset(n: u64, dist: KeyDistribution) -> Vec<u8> {
-        generate(GenConfig {
-            records: n,
-            seed: 0xA1FA,
-            dist,
-        })
-        .0
+    /// The reference shares no logic with [`form_run`]: the standard
+    /// library's sort on (full key, arrival index). That order is total,
+    /// so the permutation is unique and the comparison exact.
+    fn assert_matches_std_sort(data: Vec<u8>, what: &str) {
+        let records = records_of(&data);
+        let mut want: Vec<u32> = (0..records.len() as u32).collect();
+        want.sort_by(|&a, &b| (&records[a as usize].key, a).cmp(&(&records[b as usize].key, b)));
+        let run = form_run(data.clone());
+        assert_eq!(run.order, want, "{what}");
     }
 
-    fn assert_run_sorted(run: &SortedRun, n: usize) {
-        assert_eq!(run.len(), n);
-        for p in 1..run.len() {
-            assert!(
-                run.record_at(p - 1).key <= run.record_at(p).key,
-                "out of order at {p}"
-            );
+    /// `n` records whose keys are `key(i)`, payload zero.
+    fn records_with_keys(n: usize, key: impl Fn(usize) -> [u8; KEY_LEN]) -> Vec<u8> {
+        let mut data = vec![0u8; n * RECORD_LEN];
+        for (i, rec) in data.chunks_mut(RECORD_LEN).enumerate() {
+            rec[..KEY_LEN].copy_from_slice(&key(i));
         }
+        data
+    }
+
+    /// A well-mixed key tail, so bucket contents arrive unsorted.
+    fn scrambled(i: usize) -> [u8; 8] {
+        (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15).to_be_bytes()
     }
 
     #[test]
-    fn all_representations_sort_random_input() {
-        let data = dataset(2_000, KeyDistribution::Random);
-        for rep in Representation::ALL {
-            let run = form_run(data.clone(), rep);
-            assert_run_sorted(&run, 2_000);
-        }
-    }
-
-    #[test]
-    fn all_representations_agree_on_order() {
-        let data = dataset(500, KeyDistribution::Random);
-        let reference: Vec<[u8; 10]> = form_run(data.clone(), Representation::Record)
-            .iter_sorted()
-            .map(|r| r.key)
-            .collect();
-        for rep in [
-            Representation::Pointer,
-            Representation::Key,
-            Representation::KeyPrefix,
-        ] {
-            let run = form_run(data.clone(), rep);
-            let keys: Vec<[u8; 10]> = run.iter_sorted().map(|r| r.key).collect();
-            assert_eq!(keys, reference, "{} disagrees", rep.name());
-        }
-    }
-
-    #[test]
-    fn every_kernel_forms_an_identical_key_prefix_run() {
-        for dist in [
-            KeyDistribution::Random,
-            KeyDistribution::DupHeavy { cardinality: 2 },
-            KeyDistribution::CommonPrefix { shared: 8 },
-        ] {
-            let data = dataset(1_200, dist);
-            let reference: Vec<u32> = key_prefix_order(&data);
-            for kernel in Kernel::ALL {
-                let run = form_run_with(data.clone(), Representation::KeyPrefix, kernel);
-                assert_eq!(
-                    run.order.as_deref(),
-                    Some(&reference[..]),
-                    "{} on {dist:?}",
-                    kernel.name()
-                );
+    fn matches_std_stable_sort_on_every_distribution_and_size() {
+        // Seven everyday distributions, then the degenerate shapes: one
+        // bucket holding everything, maximal prefix ties. Sizes straddle
+        // empty, the insertion cutoff and bucket skew.
+        let distributions = [
+            ("random", KeyDistribution::Random),
+            ("printable", KeyDistribution::RandomPrintable),
+            ("sorted", KeyDistribution::Sorted),
+            ("reverse", KeyDistribution::Reverse),
+            (
+                "nearly-sorted",
+                KeyDistribution::NearlySorted { permille: 50 },
+            ),
+            ("dup-heavy", KeyDistribution::DupHeavy { cardinality: 5 }),
+            ("common-prefix", KeyDistribution::CommonPrefix { shared: 9 }),
+            ("all-equal", KeyDistribution::DupHeavy { cardinality: 1 }),
+            ("two-keys", KeyDistribution::DupHeavy { cardinality: 2 }),
+            ("prefix-ties", KeyDistribution::CommonPrefix { shared: 8 }),
+        ];
+        for (name, dist) in distributions {
+            for records in [0u64, 1, 2, 15, 16, 17, 24, 25, 100, 1_000, 4_096] {
+                let (data, _) = generate(GenConfig {
+                    records,
+                    seed: 0xF0221 ^ records,
+                    dist,
+                });
+                assert_matches_std_sort(data, &format!("{name}, n={records}"));
             }
         }
     }
 
     #[test]
-    fn key_prefix_handles_common_prefix_degeneracy() {
-        // All prefixes equal: every compare falls through to the full key.
-        let data = dataset(1_000, KeyDistribution::CommonPrefix { shared: 8 });
-        let run = form_run(data, Representation::KeyPrefix);
-        assert_run_sorted(&run, 1_000);
+    fn scatter_edges_match_std_stable_sort() {
+        // Every key in one bucket: a shared leading byte over mixed tails.
+        let one_bucket = records_with_keys(700, |i| {
+            let mut k = [0x41; KEY_LEN];
+            k[1..9].copy_from_slice(&scrambled(i));
+            k
+        });
+        assert_matches_std_sort(one_bucket, "shared leading byte");
+        // Exactly one record in each of the 256 buckets, arriving shuffled.
+        let one_each = records_with_keys(256, |i| {
+            let mut k = [0; KEY_LEN];
+            k[0] = (i * 167 % 256) as u8; // 167 is odd: a permutation of 0..256
+            k
+        });
+        assert_matches_std_sort(one_each, "one record per bucket");
+        // 255 empty buckets, then one holding everything.
+        let last_bucket = records_with_keys(300, |i| {
+            let mut k = [0xFF; KEY_LEN];
+            k[2..10].copy_from_slice(&scrambled(i));
+            k
+        });
+        assert_matches_std_sort(last_bucket, "only the last bucket");
     }
 
     #[test]
-    fn duplicate_heavy_input_sorts() {
-        let data = dataset(1_500, KeyDistribution::DupHeavy { cardinality: 7 });
-        for rep in Representation::ALL {
-            let run = form_run(data.clone(), rep);
-            assert_run_sorted(&run, 1_500);
-        }
-    }
-
-    #[test]
-    fn presorted_and_reverse_inputs() {
-        for dist in [KeyDistribution::Sorted, KeyDistribution::Reverse] {
-            let data = dataset(1_000, dist);
-            let run = form_run(data, Representation::KeyPrefix);
-            assert_run_sorted(&run, 1_000);
-        }
-    }
-
-    #[test]
-    fn empty_run() {
-        let run = form_run(Vec::new(), Representation::KeyPrefix);
-        assert!(run.is_empty());
-        assert_eq!(run.iter_sorted().count(), 0);
-    }
-
-    #[test]
-    fn record_sort_buffer_is_physically_sorted() {
-        let data = dataset(300, KeyDistribution::Random);
-        let run = form_run(data, Representation::Record);
-        let recs = run.records();
-        assert!(recs.windows(2).all(|w| w[0].key <= w[1].key));
-    }
-
-    #[test]
-    fn permutation_is_preserved() {
-        let data = dataset(800, KeyDistribution::Random);
-        let mut rc_in = alphasort_dmgen::RunningChecksum::new();
-        rc_in.update_bytes(&data);
-        for rep in Representation::ALL {
-            let run = form_run(data.clone(), rep);
-            let mut rc_out = alphasort_dmgen::RunningChecksum::new();
-            for p in 0..run.len() {
-                rc_out.update(run.record_at(p));
-            }
-            assert_eq!(rc_out.finish(), rc_in.finish(), "{}", rep.name());
+    fn cutter_reserves_what_the_input_can_fill() {
+        // A run size far beyond the input is a size, not a reservation —
+        // with or without a size hint to bound it by.
+        for hint in [Some(200), None] {
+            let mut cutter = StrideCutter::new(usize::MAX, hint, Vec::new());
+            assert!(cutter.cur.capacity() <= 200, "{hint:?}");
+            let mut cuts = Vec::new();
+            cutter.push(&[7u8; 200], &mut cuts).unwrap();
+            cutter.finish(&mut cuts).unwrap();
+            assert!(matches!(&cuts[..], [Cut::Run(run)] if run.len() == 200));
         }
     }
 }

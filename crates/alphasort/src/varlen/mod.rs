@@ -20,8 +20,8 @@
 //! [`sort_var_bytes`] and [`partition_sort_var`] are whole-buffer reference
 //! sorts the differential oracle holds the drivers against.
 //!
-//! Layout choice moves CPU time only: for a given input every kernel,
-//! worker count, and merge topology produces byte-identical output, pinned
+//! Layout choice moves CPU time only: for a given input every worker
+//! count and merge topology produces byte-identical output, pinned
 //! by the differential oracle.
 
 pub mod vrun;

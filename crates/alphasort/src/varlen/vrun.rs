@@ -24,10 +24,8 @@ use alphasort_dmgen::{parse_var_record, VarFrameError, VAR_HEADER_LEN};
 use crate::driver::RecoveredRun;
 use crate::entry::{checked_run_len, key_prefix_u64, RecordLayout};
 use crate::kernel::quicksort_by;
-use crate::kernels::Kernel;
 use crate::layout::{span_past_input, Cut, LayoutRun, RunCutter};
 use crate::merge::Ovc;
-use crate::runform::Representation;
 
 /// Longest common prefix of two byte strings.
 #[inline]
@@ -167,9 +165,7 @@ impl LayoutRun for VarRun {
     type Cutter = FrameCutter;
     type Policy = Ovc;
 
-    /// Every var-len run sorts detached (prefix, index) entries with the
-    /// scalar QuickSort; `rep` and `kernel` have no var-len variants.
-    fn form(buf: Vec<u8>, _rep: Representation, _kernel: Kernel) -> Self {
+    fn form(buf: Vec<u8>) -> Self {
         VarRun::from_frames(buf).expect("the cutter hands over whole, validated frames")
     }
 
@@ -217,7 +213,8 @@ pub struct FrameCutter {
 }
 
 impl RunCutter for FrameCutter {
-    fn new(run_records: usize, skip: Vec<RecoveredRun>) -> Self {
+    /// Run buffers grow frame by frame; nothing is reserved ahead.
+    fn new(run_records: usize, _input_bytes: Option<u64>, skip: Vec<RecoveredRun>) -> Self {
         FrameCutter {
             run_records,
             pending: Vec::new(),
@@ -302,7 +299,7 @@ mod tests {
     fn cutter_reassembles_frames_across_ragged_chunks() {
         let buf = corpus_buf(TextCorpus::Urls, 300, 1);
         for chunk in [1usize, 7, 64, 1000, buf.len()] {
-            let mut cutter = FrameCutter::new(1, Vec::new());
+            let mut cutter = FrameCutter::new(1, None, Vec::new());
             let mut cuts = Vec::new();
             for c in buf.chunks(chunk) {
                 cutter.push(c, &mut cuts).unwrap();
@@ -324,7 +321,7 @@ mod tests {
         let mut buf = corpus_buf(TextCorpus::LogLines, 10, 2);
         let cut = buf.len() - 3;
         buf.truncate(cut);
-        let mut cutter = FrameCutter::new(100, Vec::new());
+        let mut cutter = FrameCutter::new(100, None, Vec::new());
         cutter.push(&buf, &mut Vec::new()).unwrap();
         let err = cutter.finish(&mut Vec::new()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
@@ -338,7 +335,7 @@ mod tests {
         buf.extend_from_slice(&9u16.to_le_bytes()); // key_off 9 > body 4
         buf.extend_from_slice(&0u16.to_le_bytes());
         buf.extend_from_slice(&[0; 4]);
-        let mut cutter = FrameCutter::new(100, Vec::new());
+        let mut cutter = FrameCutter::new(100, None, Vec::new());
         let err = cutter.push(&buf, &mut Vec::new()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }

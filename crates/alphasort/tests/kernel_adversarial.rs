@@ -102,10 +102,9 @@ fn comparison_count_reasonable() {
 // on run boundary keys, empty and single-record runs, and a single run.
 // ---------------------------------------------------------------------------
 
-use alphasort_core::kernels::TreeKernel;
 use alphasort_core::merge::{Merger, PrefixThenKey, RunCursors};
 use alphasort_core::pmerge::{plan_mem_partitions, SAMPLES_PER_RANGE};
-use alphasort_core::runform::{form_run, Representation, SortedRun};
+use alphasort_core::runform::{form_run, SortedRun};
 use alphasort_dmgen::{generate, GenConfig, KeyDistribution, KEY_LEN, RECORD_LEN};
 
 /// Slice `data` into sorted runs of `run_len` records.
@@ -116,13 +115,13 @@ fn record_runs(records: u64, seed: u64, dist: KeyDistribution, run_len: usize) -
         dist,
     });
     data.chunks(run_len * RECORD_LEN)
-        .map(|c| form_run(c.to_vec(), Representation::KeyPrefix))
+        .map(|c| form_run(c.to_vec()))
         .collect()
 }
 
 /// The pointer stream of merging `bounds` of every run (`None` = whole).
 fn ptrs(runs: &[SortedRun], bounds: Option<&[(u32, u32)]>) -> Vec<(u32, u32)> {
-    Merger::<_, PrefixThenKey, _>::new(RunCursors::new(runs, bounds), TreeKernel::Branchy, ())
+    Merger::<_, PrefixThenKey, _>::new(RunCursors::new(runs, bounds), ())
         .map(|p| (p.run, p.pos))
         .collect()
 }
@@ -230,10 +229,7 @@ fn partitioned_merge_with_tiny_and_empty_runs() {
         let runs: Vec<SortedRun> = lens
             .iter()
             .map(|&l| {
-                let run = form_run(
-                    data[off..off + l * RECORD_LEN].to_vec(),
-                    Representation::KeyPrefix,
-                );
+                let run = form_run(data[off..off + l * RECORD_LEN].to_vec());
                 off += l * RECORD_LEN;
                 run
             })

@@ -13,10 +13,7 @@
 //!
 //! The partitioned-merge worker counts default to 1, 2, 4 and 8 and can be
 //! pinned from the outside (CI's merge matrix) via `ORACLE_MERGE_WORKERS`,
-//! a comma-separated list. The hot-path kernel variant defaults to the
-//! scalar oracle and is pinned the same way (CI's kernel matrix) via
-//! `ORACLE_KERNEL` — every registered kernel must pass the whole oracle
-//! unchanged, because kernel choice is a pure CPU-time decision.
+//! a comma-separated list.
 
 use alphasort_core::baseline::{partition_sort, PartitionSortConfig};
 use std::sync::Arc;
@@ -24,7 +21,7 @@ use std::sync::Arc;
 use alphasort_core::driver::{one_pass, two_pass, MemScratch, ScratchStore, StripeScratch};
 use alphasort_core::io::{MemSink, MemSource};
 use alphasort_core::varlen::{partition_sort_var, sort_var_bytes};
-use alphasort_core::{Kernel, RecordLayout, SortConfig};
+use alphasort_core::{RecordLayout, SortConfig};
 use alphasort_iosim::{catalog, IoEngine, MemStorage, Pacing, SimDisk};
 use alphasort_minijson::Json;
 use alphasort_stripefs::Volume;
@@ -54,14 +51,6 @@ fn layout_enabled(l: RecordLayout) -> bool {
             RecordLayout::from_name(p).expect("ORACLE_LAYOUT: unknown layout name") == l
         }),
         Err(_) => true,
-    }
-}
-
-/// Hot-path kernel under test (overridable by CI's kernel matrix).
-fn kernel_under_test() -> Kernel {
-    match std::env::var("ORACLE_KERNEL") {
-        Ok(v) => Kernel::from_name(v.trim()).expect("ORACLE_KERNEL: unknown kernel name"),
-        Err(_) => Kernel::Scalar,
     }
 }
 
@@ -143,7 +132,6 @@ fn oracle_case(records: u64, seed: u64, dist: KeyDistribution) {
         run_records,
         gather_batch: 128,
         workers: 2,
-        kernel: kernel_under_test(),
         ..Default::default()
     };
 
@@ -231,34 +219,6 @@ fn oracle_common_prefix_keys() {
 #[test]
 fn oracle_nearly_sorted_input() {
     oracle_case(2_000, 0xAC1E7, KeyDistribution::NearlySorted { permille: 50 });
-}
-
-/// Every registered kernel, in one process, against the same reference —
-/// the in-repo complement of CI's `ORACLE_KERNEL` matrix. One-pass and
-/// two-pass both run so the run-formation *and* loser-tree swaps are
-/// exercised per kernel.
-#[test]
-fn oracle_every_registered_kernel() {
-    let (data, _) = generate(GenConfig {
-        records: 2_500,
-        seed: 0xAC1E9,
-        dist: KeyDistribution::DupHeavy { cardinality: 7 },
-    });
-    let want = stable_reference(&data);
-    for kernel in Kernel::ALL {
-        let cfg = SortConfig {
-            run_records: 400,
-            gather_batch: 128,
-            workers: 2,
-            merge_workers: 2,
-            kernel,
-            ..Default::default()
-        };
-        let got = run_one_pass(&data, &cfg);
-        assert_identical(&got, &want, &format!("one-pass [{}]", kernel.name()));
-        let got = run_two_pass(&data, &cfg, MemScratch::new(40 * RECORD_LEN));
-        assert_identical(&got, &want, &format!("two-pass [{}]", kernel.name()));
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -367,7 +327,6 @@ fn var_oracle_case(records: u64, seed: u64, corpus: TextCorpus) {
         run_records,
         gather_batch: 128,
         workers: 2,
-        kernel: kernel_under_test(),
         layout: RecordLayout::VarLen,
         ..Default::default()
     };
@@ -466,37 +425,6 @@ fn var_oracle_prefix_chain() {
     var_oracle_case(1_000, 0xBA, TextCorpus::PrefixChain { max_len: 32 });
 }
 
-/// Every registered kernel against the var-len layout — the layout matrix
-/// complement of [`oracle_every_registered_kernel`]. Kernel choice and
-/// layout choice must both be pure CPU-time decisions.
-#[test]
-fn var_oracle_every_registered_kernel() {
-    if !layout_enabled(RecordLayout::VarLen) {
-        return;
-    }
-    let data = generate_varlen(VarGenConfig {
-        records: 900,
-        seed: 0xBB,
-        corpus: TextCorpus::ZipfianWords { max_words: 3 },
-    });
-    let want = var_stable_reference(&data);
-    for kernel in Kernel::ALL {
-        let cfg = SortConfig {
-            run_records: 150,
-            gather_batch: 64,
-            workers: 2,
-            merge_workers: 2,
-            kernel,
-            layout: RecordLayout::VarLen,
-            ..Default::default()
-        };
-        let got = var_one_pass(&data, &cfg);
-        var_assert_identical(&got, &want, &format!("var one-pass [{}]", kernel.name()));
-        let got = var_two_pass(&data, &cfg, &mut var_scratch());
-        var_assert_identical(&got, &want, &format!("var two-pass [{}]", kernel.name()));
-    }
-}
-
 /// A 2-disk striped volume over `storages` — rebuilt over the same
 /// storages, it is the scratch a restarted process would find.
 fn striped_volume(storages: &[Arc<MemStorage>]) -> Arc<Volume> {
@@ -529,14 +457,12 @@ fn var_oracle_on_striped_scratch() {
         run_records: 200,
         gather_batch: 128,
         workers: 2,
-        kernel: kernel_under_test(),
         layout: RecordLayout::VarLen,
         ..Default::default()
     };
     let manifest = std::env::temp_dir().join(format!(
-        "alphasort-oracle-{}-{}.manifest",
-        std::process::id(),
-        kernel_under_test().name()
+        "alphasort-oracle-{}.manifest",
+        std::process::id()
     ));
     let fresh = |storages: &[Arc<MemStorage>]| {
         let mut s = StripeScratch::new(striped_volume(storages), 1_024)

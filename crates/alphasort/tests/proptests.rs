@@ -1,11 +1,11 @@
-//! Property tests for the sort core: every driver and representation must
-//! produce a sorted permutation for arbitrary inputs and configurations.
+//! Property tests for the sort core: every driver must produce a sorted
+//! permutation for arbitrary inputs and configurations.
 //! Cases are driven by a seeded [`SplitMix64`] so every run is reproducible.
 
 use alphasort_core::driver::{one_pass, two_pass, MemScratch};
 use alphasort_core::io::{MemSink, MemSource};
 use alphasort_core::rs::generate_runs;
-use alphasort_core::runform::{form_run, Representation};
+use alphasort_core::runform::form_run;
 use alphasort_core::{SortConfig, SortStats};
 use alphasort_dmgen::{
     generate, records_of, validate_records, GenConfig, KeyDistribution, Record, SplitMix64,
@@ -30,10 +30,6 @@ fn any_dist(r: &mut SplitMix64) -> KeyDistribution {
     }
 }
 
-fn any_rep(r: &mut SplitMix64) -> Representation {
-    Representation::ALL[r.next_below(Representation::ALL.len() as u64) as usize]
-}
-
 /// One-pass sort: sorted permutation for arbitrary everything.
 #[test]
 fn one_pass_sorts_anything() {
@@ -42,7 +38,6 @@ fn one_pass_sorts_anything() {
         let n = r.next_below(1_200);
         let seed = r.next_u64();
         let dist = any_dist(&mut r);
-        let rep = any_rep(&mut r);
         let (data, cs) = generate(GenConfig {
             records: n,
             seed,
@@ -52,7 +47,6 @@ fn one_pass_sorts_anything() {
         let mut sink = MemSink::new();
         let cfg = SortConfig {
             run_records: 1 + r.next_below(399) as usize,
-            representation: rep,
             workers: r.next_below(4) as usize,
             gather_batch: 1 + r.next_below(199) as usize,
             ..Default::default()
@@ -72,7 +66,6 @@ fn two_pass_sorts_anything() {
         let n = r.next_below(800);
         let seed = r.next_u64();
         let dist = any_dist(&mut r);
-        let rep = any_rep(&mut r);
         let (data, cs) = generate(GenConfig {
             records: n,
             seed,
@@ -83,7 +76,6 @@ fn two_pass_sorts_anything() {
         let mut scratch = MemScratch::new(16 * RECORD_LEN);
         let cfg = SortConfig {
             run_records: 1 + r.next_below(199) as usize,
-            representation: rep,
             gather_batch: 1 + r.next_below(99) as usize,
             workers: r.next_below(3) as usize,
             max_fanin: 2 + r.next_below(10) as usize,
@@ -134,7 +126,7 @@ fn replacement_selection_invariants() {
     }
 }
 
-/// form_run agrees with the standard-library sort for every representation.
+/// form_run agrees with the standard-library sort.
 #[test]
 fn run_formation_matches_std_sort() {
     let mut r = SplitMix64::new(0xA4);
@@ -142,7 +134,6 @@ fn run_formation_matches_std_sort() {
         let n = r.next_below(500);
         let seed = r.next_u64();
         let dist = any_dist(&mut r);
-        let rep = any_rep(&mut r);
         let (data, _) = generate(GenConfig {
             records: n,
             seed,
@@ -150,7 +141,7 @@ fn run_formation_matches_std_sort() {
         });
         let mut expect: Vec<Record> = records_of(&data).to_vec();
         expect.sort_by_key(|a| a.key);
-        let run = form_run(data, rep);
+        let run = form_run(data);
         let got: Vec<[u8; 10]> = run.iter_sorted().map(|rec| rec.key).collect();
         let want: Vec<[u8; 10]> = expect.iter().map(|rec| rec.key).collect();
         assert_eq!(got, want, "case {case}");
@@ -163,7 +154,6 @@ fn run_formation_matches_std_sort() {
 /// concatenated per-range merges equal the serial merge of the same runs.
 #[test]
 fn partition_cuts_are_disjoint_covering_and_order_preserving() {
-    use alphasort_core::kernels::TreeKernel;
     use alphasort_core::merge::{Merger, PrefixThenKey, RunCursors};
     use alphasort_core::pmerge::plan_mem_partitions;
     use alphasort_core::runform::SortedRun;
@@ -172,7 +162,7 @@ fn partition_cuts_are_disjoint_covering_and_order_preserving() {
         runs: &'a [SortedRun],
         bounds: Option<&[(u32, u32)]>,
     ) -> Merger<RunCursors<'a, SortedRun>, PrefixThenKey> {
-        Merger::new(RunCursors::new(runs, bounds), TreeKernel::Branchy, ())
+        Merger::new(RunCursors::new(runs, bounds), ())
     }
 
     let mut r = SplitMix64::new(0xA5);
@@ -187,7 +177,7 @@ fn partition_cuts_are_disjoint_covering_and_order_preserving() {
                     seed: r.next_u64(),
                     dist,
                 });
-                form_run(data, Representation::KeyPrefix)
+                form_run(data)
             })
             .collect();
         let ranges = 1 + r.next_below(9) as usize;
@@ -328,14 +318,13 @@ fn ovc_codes_reconstruct_comparison_order() {
 /// prefixes of other keys.
 #[test]
 fn lcp_replay_is_exact_on_tie_heavy_string_sets() {
-    use alphasort_core::kernels::TreeKernel;
     use alphasort_core::layout::LayoutRun;
     use alphasort_core::merge::{ComparePolicy, MergedPtr, Merger, Ovc, PrefixThenKey, RunCursors};
     use alphasort_core::varlen::VarRun;
     use alphasort_dmgen::{build_var_record, parse_var_record};
 
     fn merged<P: ComparePolicy>(runs: &[VarRun]) -> Vec<MergedPtr> {
-        Merger::<_, P, _>::new(RunCursors::new(runs, None), TreeKernel::Branchy, ()).collect()
+        Merger::<_, P, _>::new(RunCursors::new(runs, None), ()).collect()
     }
 
     let mut r = SplitMix64::new(0xA7);

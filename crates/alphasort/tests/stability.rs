@@ -1,20 +1,19 @@
-//! Stability: with any detached representation, the full one-pass sort
-//! keeps equal-keyed records in input order (run-local index tie-break +
-//! the merge's run-number tie-break). §4 credits replacement-selection with
+//! Stability: the full one-pass sort keeps equal-keyed records in input
+//! order (run-local index tie-break + the merge's run-number tie-break). §4
+//! credits replacement-selection with
 //! stability; this shows the QuickSort pipeline matches it — and that the
 //! variable-length pipeline matches it too, across serial, partitioned,
 //! and crash-resumed merges.
 
 use alphasort_core::driver::{one_pass, two_pass, MemScratch};
 use alphasort_core::io::{MemSink, MemSource};
-use alphasort_core::runform::Representation;
 use alphasort_core::{RecordLayout, SortConfig};
 use alphasort_dmgen::{
     generate, generate_varlen, records_of, var_records_of, GenConfig, KeyDistribution, SplitMix64,
     TextCorpus, VarGenConfig,
 };
 
-fn assert_stable(rep: Representation, records: u64, run_records: usize, cardinality: u32) {
+fn assert_stable(records: u64, run_records: usize, cardinality: u32) {
     let (data, _) = generate(GenConfig {
         records,
         seed: 0x57AB,
@@ -24,7 +23,6 @@ fn assert_stable(rep: Representation, records: u64, run_records: usize, cardinal
     let mut sink = MemSink::new();
     let cfg = SortConfig {
         run_records,
-        representation: rep,
         gather_batch: 128,
         workers: 2,
         ..Default::default()
@@ -46,22 +44,7 @@ fn assert_stable(rep: Representation, records: u64, run_records: usize, cardinal
 
 #[test]
 fn key_prefix_pipeline_is_stable() {
-    assert_stable(Representation::KeyPrefix, 3_000, 250, 7);
-}
-
-#[test]
-fn pointer_pipeline_is_stable() {
-    assert_stable(Representation::Pointer, 2_000, 111, 3);
-}
-
-#[test]
-fn key_pipeline_is_stable() {
-    assert_stable(Representation::Key, 2_000, 400, 5);
-}
-
-#[test]
-fn codeword_pipeline_is_stable() {
-    assert_stable(Representation::Codeword, 2_000, 333, 4);
+    assert_stable(3_000, 250, 7);
 }
 
 // ---------------------------------------------------------------------------
@@ -162,22 +145,14 @@ fn varlen_pipeline_is_stable() {
     }
 }
 
-/// Stability holds across arbitrary run sizes and key cardinalities for
-/// the stable representations.
+/// Stability holds across arbitrary run sizes and key cardinalities.
 #[test]
 fn stability_holds_for_arbitrary_configs() {
-    const STABLE_REPS: [Representation; 4] = [
-        Representation::Pointer,
-        Representation::Key,
-        Representation::KeyPrefix,
-        Representation::Codeword,
-    ];
     let mut r = SplitMix64::new(0xD1);
     for _ in 0..32 {
         let records = 10 + r.next_below(790);
         let run_records = 1 + r.next_below(299) as usize;
         let cardinality = 1 + r.next_below(9) as u32;
-        let rep = STABLE_REPS[r.next_below(4) as usize];
-        assert_stable(rep, records, run_records, cardinality);
+        assert_stable(records, run_records, cardinality);
     }
 }

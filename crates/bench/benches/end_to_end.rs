@@ -1,13 +1,11 @@
 //! Bench: the whole external sort — one-pass vs two-pass, worker scaling,
-//! and the ablation of AlphaSort's design choices (representation, overlap
-//! depth).
+//! and the shared-nothing baseline it displaced.
 
 use std::hint::black_box;
 
 use alphasort_bench::harness::BenchGroup;
 use alphasort_core::driver::{one_pass, two_pass, MemScratch};
 use alphasort_core::io::{MemSink, MemSource};
-use alphasort_core::runform::Representation;
 use alphasort_core::SortConfig;
 use alphasort_dmgen::{generate, GenConfig, RECORD_LEN};
 
@@ -67,27 +65,6 @@ fn bench_worker_scaling() {
     }
 }
 
-fn bench_representation_ablation() {
-    // The end-to-end cost of the §4 representation choice.
-    let input = data();
-    let mut g = BenchGroup::new("e2e_representation");
-    g.throughput_bytes(N * RECORD_LEN as u64);
-    g.sample_size(10);
-    for rep in Representation::ALL {
-        g.bench(rep.name(), || {
-            let mut src = MemSource::new(input.clone(), 1_000_000);
-            let mut sink = MemSink::new();
-            let cfg = SortConfig {
-                run_records: 100_000,
-                gather_batch: 10_000,
-                representation: rep,
-                ..Default::default()
-            };
-            black_box(one_pass(&mut src, &mut sink, &cfg).unwrap())
-        });
-    }
-}
-
 fn bench_against_partition_baseline() {
     // AlphaSort's pipeline vs the shared-nothing design it displaced (§2).
     use alphasort_core::baseline::{partition_sort, PartitionSortConfig};
@@ -110,7 +87,6 @@ fn bench_against_partition_baseline() {
         let cfg = PartitionSortConfig {
             nodes,
             samples_per_node: 256,
-            ..Default::default()
         };
         g.bench(format!("partition_sort/{nodes}"), || {
             black_box(partition_sort(&input, &cfg))
@@ -121,6 +97,5 @@ fn bench_against_partition_baseline() {
 fn main() {
     bench_drivers();
     bench_worker_scaling();
-    bench_representation_ablation();
     bench_against_partition_baseline();
 }

@@ -7,9 +7,8 @@ use std::hint::black_box;
 
 use alphasort_bench::harness::BenchGroup;
 use alphasort_core::gather::merge_gather_all;
-use alphasort_core::kernels::TreeKernel;
 use alphasort_core::merge::{ComparePolicy, MergedPtr, Merger, Ovc, PrefixThenKey, RunCursors};
-use alphasort_core::runform::{form_run, Representation, SortedRun};
+use alphasort_core::runform::{form_run, SortedRun};
 use alphasort_dmgen::{generate, GenConfig, KeyDistribution, RECORD_LEN};
 
 /// The merged pointer string of `bounds` of every run (`None` = whole)
@@ -18,13 +17,13 @@ fn merge_ptrs<P: ComparePolicy>(
     runs: &[SortedRun],
     bounds: Option<&[(u32, u32)]>,
 ) -> Vec<MergedPtr> {
-    Merger::<_, P, _>::new(RunCursors::new(runs, bounds), TreeKernel::Branchy, ()).collect()
+    Merger::<_, P, _>::new(RunCursors::new(runs, bounds), ()).collect()
 }
 
 fn make_runs(n: u64, per_run: usize) -> Vec<SortedRun> {
     let (data, _) = generate(GenConfig::datamation(n, 3));
     data.chunks(per_run * RECORD_LEN)
-        .map(|c| form_run(c.to_vec(), Representation::KeyPrefix))
+        .map(|c| form_run(c.to_vec()))
         .collect()
 }
 
@@ -113,7 +112,7 @@ fn bench_ovc() {
         });
         let runs: Vec<SortedRun> = data
             .chunks(10_000 * RECORD_LEN)
-            .map(|c| form_run(c.to_vec(), Representation::KeyPrefix))
+            .map(|c| form_run(c.to_vec()))
             .collect();
         g.bench(format!("plain/{label}"), || {
             black_box(merge_ptrs::<PrefixThenKey>(&runs, None))

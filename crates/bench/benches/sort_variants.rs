@@ -1,12 +1,12 @@
 //! Bench for §4's representation comparison: CPU time to form one sorted
 //! run under each sort-array representation, plus the footnote's 256-bucket
-//! partition sort (the `radix` kernel).
+//! partition sort — the pipeline's own `form_run`.
 
 use std::hint::black_box;
 
 use alphasort_bench::harness::BenchGroup;
-use alphasort_core::kernels::radix_prefix_order;
-use alphasort_core::runform::{form_run, Representation};
+use alphasort_bench::variants::Representation;
+use alphasort_core::runform::form_run;
 use alphasort_dmgen::{generate, GenConfig, KeyDistribution, RECORD_LEN};
 
 fn bench_representations() {
@@ -18,10 +18,11 @@ fn bench_representations() {
     g.sample_size(10);
     for rep in Representation::ALL {
         g.bench(format!("quicksort/{}", rep.name()), || {
-            black_box(form_run(data.clone(), rep))
+            let mut buf = data.clone();
+            black_box((rep.sort(&mut buf), buf))
         });
     }
-    g.bench("partition/256-bucket", || black_box(radix_prefix_order(&data)));
+    g.bench("partition/256-bucket", || black_box(form_run(data.clone())));
 }
 
 fn bench_degenerate_prefix() {
@@ -43,7 +44,7 @@ fn bench_degenerate_prefix() {
             dist,
         });
         g.bench(format!("key_prefix/{label}"), || {
-            black_box(form_run(data.clone(), Representation::KeyPrefix))
+            black_box(Representation::KeyPrefix.sort(&mut data.clone()))
         });
     }
 }

@@ -6,7 +6,6 @@
 //! Choices ablated, each tied to its paper claim:
 //! * triple buffering (§6: "triple buffering the reads and writes keeps the
 //!   disks transferring at their spiral read and write rates") → depth 1,
-//! * (key-prefix, pointer) run formation (§4) → whole-record sort,
 //! * worker chores (§5) → uniprocessor,
 //! * striping (§6) → a single disk (the one-minute barrier, scaled).
 //!
@@ -19,7 +18,6 @@ use std::time::Instant;
 
 use alphasort_core::driver::one_pass;
 use alphasort_core::io::{StripeSink, StripeSource};
-use alphasort_core::runform::Representation;
 use alphasort_core::SortConfig;
 use alphasort_dmgen::{validate_reader, GenConfig, Generator, RECORD_LEN};
 use alphasort_iosim::{catalog, IoEngine, MemStorage, Pacing, SimDisk};
@@ -122,17 +120,6 @@ fn main() {
         format!("{:.2}x", no_overlap / baseline),
     ]);
 
-    let record_cfg = SortConfig {
-        representation: Representation::Record,
-        ..base_cfg.clone()
-    };
-    let record_rep = run(&eight, "record", &record_cfg, 3);
-    t.row([
-        "record sort instead of key-prefix".to_string(),
-        format!("{record_rep:.1}"),
-        format!("{:.2}x", record_rep / baseline),
-    ]);
-
     let solo_cfg = SortConfig {
         workers: 0,
         ..base_cfg.clone()
@@ -155,7 +142,7 @@ fn main() {
 
     println!(
         "\nreadings: striping is the big lever (~8x of disk time). The cpu-side\n\
-         choices (buffering depth, representation, workers) show ~1.0x here\n\
+         choices (buffering depth, workers) show ~1.0x here\n\
          because a modern host sorts a stride thousands of times faster than a\n\
          1993 CPU — there is nothing for the overlap to hide. On the paper's\n\
          machine, QuickSort time ≈ read time (3.87 s vs ~2.1 s of cpu), which\n\

@@ -50,7 +50,6 @@ fn main() {
         let pcfg = PartitionSortConfig {
             nodes,
             samples_per_node: 256,
-            ..Default::default()
         };
         let t0 = Instant::now();
         let (out, stats) = partition_sort(&input, &pcfg);
@@ -66,7 +65,6 @@ fn main() {
         let pcfg = PartitionSortConfig {
             nodes: 8,
             samples_per_node: 256,
-            ..Default::default()
         };
         let t0 = Instant::now();
         let (out, _) = partition_merge_sort(&input, &pcfg);
@@ -86,7 +84,6 @@ fn main() {
         let pcfg = PartitionSortConfig {
             nodes: 8,
             samples_per_node: samples,
-            ..Default::default()
         };
         let (_, stats) = partition_sort(&input, &pcfg);
         b.row([samples.to_string(), format!("{:.3}", stats.skew())]);
@@ -104,7 +101,6 @@ fn main() {
         &PartitionSortConfig {
             nodes: 8,
             samples_per_node: 256,
-            ..Default::default()
         },
     );
     println!(

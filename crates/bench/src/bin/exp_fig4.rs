@@ -6,11 +6,11 @@
 
 use std::time::Instant;
 
+use alphasort_bench::variants::key_prefix_order;
 use alphasort_cachesim::{
     traced_quicksort, traced_tournament_sort, Hierarchy, QuickSortVariant, TournamentLayout,
 };
 use alphasort_core::rs::generate_runs;
-use alphasort_core::runform::key_prefix_order;
 use alphasort_dmgen::{generate, records_of, GenConfig};
 use alphasort_perfmodel::table::Table;
 

@@ -120,7 +120,6 @@ fn main() {
         let pcfg = PartitionSortConfig {
             nodes,
             samples_per_node: 256,
-            ..Default::default()
         };
         let t0 = Instant::now();
         let (out, stats) = partition_sort(&input, &pcfg);

@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 use alphasort_dmgen::{generate, records_of_mut, GenConfig, RECORD_LEN};
 use alphasort_minijson::Json;
 use alphasort_sortd::{
-    AdmissionConfig, Client, JobSpec, Kernel, PoolConfig, ScratchBacking, Sortd, SortdConfig,
+    AdmissionConfig, Client, JobSpec, PoolConfig, ScratchBacking, Sortd, SortdConfig,
 };
 
 fn oracle(mut data: Vec<u8>) -> Vec<u8> {
@@ -88,7 +88,6 @@ fn main() {
                 mem_budget: 2 << 20,
                 scratch_budget: data.len() as u64 + RECORD_LEN as u64,
                 merge_workers: 0,
-                kernel: Kernel::Scalar,
                 ..JobSpec::default()
             };
             let client = Client::new(addr).with_timeout(Duration::from_secs(300));
@@ -115,7 +114,6 @@ fn main() {
                     mem_budget: 1 << 20,
                     scratch_budget: data.len() as u64 + RECORD_LEN as u64,
                     merge_workers: 0,
-                    kernel: Kernel::Scalar,
                     ..JobSpec::default()
                 };
                 let t0 = Instant::now();

@@ -20,11 +20,6 @@
 //! Every output is oracle- or fingerprint-checked; a wrong sort never
 //! produces a number.
 //!
-//! PR 8 adds a **kernel registry** group: the same one-pass workload under
-//! every registered hot-path kernel variant (scalar, branchless-tree,
-//! radix, simd), each tracked as `kernel_<name>_records_per_sec` so a
-//! regression in any variant — not just the default — trips the gate.
-//!
 //! PR 9 adds a **restart recovery** probe: the time from `Sortd::start`
 //! over a journal populated with 200 job records (replay included) to a
 //! probe job admitted and completed, tracked as
@@ -51,13 +46,12 @@ use std::time::{Duration, Instant};
 use alphasort_core::driver::{one_pass, two_pass, MemScratch};
 use alphasort_core::io::{MemSink, MemSource};
 use alphasort_core::stats::SortStats;
-use alphasort_core::kernels::TreeKernel;
 use alphasort_core::layout::LayoutRun;
 use alphasort_core::merge::{
     ComparePolicy, MergeEffort, MergedPtr, Merger, Ovc, PrefixThenKey, RunCursors,
 };
 use alphasort_core::varlen::VarRun;
-use alphasort_core::{Kernel, SortConfig};
+use alphasort_core::SortConfig;
 use alphasort_dmgen::{
     generate, generate_varlen, records_of_mut, validate_records, var_records_of, GenConfig,
     TextCorpus, VarGenConfig, RECORD_LEN,
@@ -129,7 +123,7 @@ fn best_of(
 /// pointer to `each`; returns the comparison effort.
 fn string_merge<P: ComparePolicy>(runs: &[VarRun], mut each: impl FnMut(MergedPtr)) -> MergeEffort {
     let heads = RunCursors::new(runs, None);
-    let mut m = Merger::<_, P, _>::new(heads, TreeKernel::Branchy, MergeEffort::default());
+    let mut m = Merger::<_, P, _>::new(heads, MergeEffort::default());
     for p in m.by_ref() {
         each(p);
     }
@@ -198,30 +192,6 @@ fn main() {
         (pm.stats, elapsed_s)
     });
 
-    // Kernel registry (PR 8): the serial one-pass workload under every
-    // registered hot-path variant. All four must produce validating
-    // output; each lands its own tracked rate so a slow kernel cannot
-    // hide behind the default.
-    println!("\nkernel registry ({records} records, best of {repeat}):");
-    let mut kernel_variants: Vec<(String, f64, Json)> = Vec::new();
-    for kernel in Kernel::ALL {
-        let kcfg = SortConfig {
-            run_records: 100_000,
-            gather_batch: 10_000,
-            kernel,
-            ..Default::default()
-        };
-        let (rps, doc) = best_of(repeat, kernel.name(), || {
-            let t0 = Instant::now();
-            let mut src = MemSource::new(data.clone(), 1 << 20);
-            let mut sink = MemSink::new();
-            let run = one_pass(&mut src, &mut sink, &kcfg).expect("kernel variant sorts");
-            let elapsed_s = t0.elapsed().as_secs_f64();
-            validate_records(sink.data(), cs).expect("kernel variant output validates");
-            (run.stats, elapsed_s)
-        });
-        kernel_variants.push((kernel.name().replace('-', "_"), rps, doc));
-    }
     drop(data);
 
     // String sort (PR 10): the LCP/OVC-aware tournament merge against
@@ -346,7 +316,6 @@ fn main() {
                     mem_budget: 1 << 20,
                     scratch_budget: 0,
                     merge_workers: 0,
-                    kernel: Kernel::Scalar,
                     ..JobSpec::default()
                 };
                 let t0 = Instant::now();
@@ -455,15 +424,6 @@ fn main() {
                 ("onepass".into(), onepass_doc),
                 ("twopass".into(), twopass_doc),
                 ("pmerge4".into(), pmerge_doc),
-                (
-                    "registry".into(),
-                    Json::Obj(
-                        kernel_variants
-                            .iter()
-                            .map(|(name, _, doc)| (name.clone(), doc.clone()))
-                            .collect(),
-                    ),
-                ),
             ]),
         ),
         (
@@ -535,38 +495,29 @@ fn main() {
         // directions for the non-rate entries live in `tracked_meta`.
         (
             "tracked".into(),
-            Json::Obj(
-                vec![
-                    ("onepass_records_per_sec".into(), Json::Float(onepass_rps)),
-                    ("twopass_records_per_sec".into(), Json::Float(twopass_rps)),
-                    ("pmerge4_records_per_sec".into(), Json::Float(pmerge_rps)),
-                    ("service_jobs_per_sec".into(), Json::Float(jobs_per_sec)),
-                ]
-                .into_iter()
-                .chain(kernel_variants.iter().map(|(name, rps, _)| {
-                    (format!("kernel_{name}_records_per_sec"), Json::Float(*rps))
-                }))
-                .chain([
-                    ("string_ovc_records_per_sec".into(), Json::Float(ovc_rps)),
-                    (
-                        "string_naive_records_per_sec".into(),
-                        Json::Float(naive_rps),
-                    ),
-                    (
-                        "string_ovc_key_bytes_saved_pct".into(),
-                        Json::Float(string_saved_pct),
-                    ),
-                    (
-                        "service_e2e_p99_ms".into(),
-                        Json::Float(q("sortd.e2e_us", 0.99) / 1e3),
-                    ),
-                    (
-                        "service_restart_recovery_ms".into(),
-                        Json::Float(recovery_ms),
-                    ),
-                ])
-                .collect(),
-            ),
+            Json::Obj(vec![
+                ("onepass_records_per_sec".into(), Json::Float(onepass_rps)),
+                ("twopass_records_per_sec".into(), Json::Float(twopass_rps)),
+                ("pmerge4_records_per_sec".into(), Json::Float(pmerge_rps)),
+                ("service_jobs_per_sec".into(), Json::Float(jobs_per_sec)),
+                ("string_ovc_records_per_sec".into(), Json::Float(ovc_rps)),
+                (
+                    "string_naive_records_per_sec".into(),
+                    Json::Float(naive_rps),
+                ),
+                (
+                    "string_ovc_key_bytes_saved_pct".into(),
+                    Json::Float(string_saved_pct),
+                ),
+                (
+                    "service_e2e_p99_ms".into(),
+                    Json::Float(q("sortd.e2e_us", 0.99) / 1e3),
+                ),
+                (
+                    "service_restart_recovery_ms".into(),
+                    Json::Float(recovery_ms),
+                ),
+            ]),
         ),
         // Per-metric gate directions; anything absent here is
         // higher-is-better (the rate default).

@@ -5,6 +5,7 @@
 //! paper-vs-measured comparisons.
 
 pub mod harness;
+pub mod variants;
 
 use std::sync::Arc;
 

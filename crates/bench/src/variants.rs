@@ -1,0 +1,257 @@
+//! §4's exhibits: the QuickSort representations the paper measures to
+//! justify the one the pipeline runs.
+//!
+//! | Representation | array holds        | bytes moved per exchange |
+//! |----------------|--------------------|--------------------------|
+//! | `Record`       | whole records      | 2R = 200                 |
+//! | `Pointer`      | record indices     | 2P = 8 (but each compare dereferences two records) |
+//! | `Key`          | (key, pointer)     | 2(K+P) = 28              |
+//! | `KeyPrefix`    | (prefix, pointer)  | 24, compares are integer ops |
+//! | `Codeword`     | (codeword, pointer)| 16, most ties            |
+//!
+//! The paper measures record sort 30% slower than pointer sort and "270%
+//! slower than key sort", and a further 25% QuickSort improvement from the
+//! prefix. `exp_variants` and the `sort_variants` bench reproduce those
+//! ratios with these implementations, next to the pipeline's own
+//! [`alphasort_core::runform::form_run`] (key-prefix entries behind a
+//! 256-bucket scatter). None of them is reachable from a sort driver.
+
+use alphasort_core::entry::{checked_run_len, PrefixEntry};
+use alphasort_core::kernel::quicksort_by;
+use alphasort_core::runform::prefix_entry_less;
+use alphasort_dmgen::{records_of, records_of_mut, Record, KEY_LEN};
+
+/// Which sort-array representation a run is formed with.
+///
+/// All detached representations (everything but `Record`) break key ties on
+/// the record's position within the run. In-place record sort exchanges
+/// records physically and is not stable (the paper's §4 concedes stability
+/// to replacement-selection for exactly this reason).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Representation {
+    /// Sort the 100-byte records in place.
+    Record,
+    /// Sort 4-byte record indices; compares dereference the records.
+    Pointer,
+    /// Sort (10-byte key, index) pairs.
+    Key,
+    /// Sort (8-byte prefix, index) pairs, full-key compare on prefix ties —
+    /// AlphaSort's choice, here without the pipeline's bucket scatter.
+    KeyPrefix,
+    /// Sort (4-byte codeword, index) pairs — the Baer & Lin compressed-key
+    /// representation §4 considers: densest cache packing, but codewords
+    /// "cannot be used to later merge the record pointers".
+    Codeword,
+}
+
+impl Representation {
+    /// All five: the paper's four, then the Baer & Lin codeword variant.
+    pub const ALL: [Representation; 5] = [
+        Representation::Record,
+        Representation::Pointer,
+        Representation::Key,
+        Representation::KeyPrefix,
+        Representation::Codeword,
+    ];
+
+    /// Short name for tables.
+    pub fn name(self) -> &'static str {
+        match self {
+            Representation::Record => "record",
+            Representation::Pointer => "pointer",
+            Representation::Key => "key",
+            Representation::KeyPrefix => "key-prefix",
+            Representation::Codeword => "codeword",
+        }
+    }
+
+    /// Sort the records of `buf` under this representation and return the
+    /// order in which to read them: the sorted index permutation, which
+    /// after the in-place record sort is the identity.
+    pub fn sort(self, buf: &mut [u8]) -> Vec<u32> {
+        match self {
+            Representation::Record => {
+                sort_records_in_place(buf);
+                (0..checked_run_len(records_of(buf).len(), "record sort")).collect()
+            }
+            Representation::Pointer => pointer_order(buf),
+            Representation::Key => key_order(buf),
+            Representation::KeyPrefix => key_prefix_order(buf),
+            Representation::Codeword => codeword_order(buf),
+        }
+    }
+}
+
+/// A *(full key, pointer)* pair — §4's "key sort" (detached key sort).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct KeyEntry {
+    /// The complete 10-byte key.
+    pub key: [u8; KEY_LEN],
+    /// Record index within the run's buffer.
+    pub idx: u32,
+}
+
+impl KeyEntry {
+    /// Extract the entry array for a whole record buffer.
+    pub fn extract(records: &[Record]) -> Vec<KeyEntry> {
+        (0..checked_run_len(records.len(), "KeyEntry::extract"))
+            .map(|idx| KeyEntry {
+                key: records[idx as usize].key,
+                idx,
+            })
+            .collect()
+    }
+}
+
+/// A *(codeword, pointer)* pair — the Baer & Lin (1989) representation §4
+/// discusses: "They recommended keys be prefix compressed into codewords so
+/// that the (pointer, codeword) QuickSort would fit in cache. We did not
+/// use their version of codewords since they cannot be used to later merge
+/// the record pointers."
+///
+/// The codeword here is the first 4 key bytes as a big-endian `u32`: the
+/// entry shrinks to 8 bytes (twice the cache density of [`PrefixEntry`]),
+/// at the price of 2³² times more ties than the 64-bit prefix — the merge
+/// handicap the authors rejected it for.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CodewordEntry {
+    /// First 4 key bytes, big-endian.
+    pub code: u32,
+    /// Record index within the run's buffer.
+    pub idx: u32,
+}
+
+impl CodewordEntry {
+    /// Extract the entry array for a whole record buffer.
+    pub fn extract(records: &[Record]) -> Vec<CodewordEntry> {
+        (0..checked_run_len(records.len(), "CodewordEntry::extract"))
+            .map(|idx| {
+                let k = &records[idx as usize].key;
+                CodewordEntry {
+                    code: u32::from_be_bytes([k[0], k[1], k[2], k[3]]),
+                    idx,
+                }
+            })
+            .collect()
+    }
+}
+
+/// §4 "record sort": QuickSort the records themselves. Each exchange moves
+/// 200 bytes; each compare touches two records in situ.
+pub fn sort_records_in_place(buf: &mut [u8]) {
+    let records = records_of_mut(buf);
+    quicksort_by(records, |a, b| a.key < b.key);
+}
+
+/// §4 "pointer sort": QuickSort indices; every compare dereferences two
+/// records (poor locality — the point of the experiment).
+pub fn pointer_order(buf: &[u8]) -> Vec<u32> {
+    let records = records_of(buf);
+    let mut order: Vec<u32> = (0..checked_run_len(records.len(), "pointer_order")).collect();
+    quicksort_by(&mut order, |&a, &b| {
+        // Final index tie-break: indices follow arrival order within the
+        // run, so equal keys keep input order (stability, for free).
+        (&records[a as usize].key, a) < (&records[b as usize].key, b)
+    });
+    order
+}
+
+/// §4 "key sort" (detached keys): QuickSort (full key, index) pairs; no
+/// record access during the sort.
+pub fn key_order(buf: &[u8]) -> Vec<u32> {
+    let mut entries = KeyEntry::extract(records_of(buf));
+    quicksort_by(&mut entries, |a, b| (&a.key, a.idx) < (&b.key, b.idx));
+    entries.into_iter().map(|e| e.idx).collect()
+}
+
+/// AlphaSort's key-prefix sort as one QuickSort over the whole run: integer
+/// compares on the 8-byte prefix, full-key fall-through only on ties.
+pub fn key_prefix_order(buf: &[u8]) -> Vec<u32> {
+    let records = records_of(buf);
+    let mut entries = PrefixEntry::extract(records);
+    quicksort_by(&mut entries, |a, b| prefix_entry_less(records, a, b));
+    entries.into_iter().map(|e| e.idx).collect()
+}
+
+/// Baer & Lin codeword sort: 8-byte (u32 codeword, u32 index) entries —
+/// densest packing, most ties.
+pub fn codeword_order(buf: &[u8]) -> Vec<u32> {
+    let records = records_of(buf);
+    let mut entries = CodewordEntry::extract(records);
+    quicksort_by(&mut entries, |a, b| {
+        if a.code != b.code {
+            a.code < b.code
+        } else {
+            (&records[a.idx as usize].key, a.idx) < (&records[b.idx as usize].key, b.idx)
+        }
+    });
+    entries.into_iter().map(|e| e.idx).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use alphasort_dmgen::{generate, GenConfig, KeyDistribution};
+
+    /// Every exhibit against a reference that shares no logic with it: the
+    /// standard library's sort on (full key, arrival index). The detached
+    /// representations break ties on arrival index, so their permutation is
+    /// unique and must match exactly; record sort is unstable, so it is held
+    /// to sorted keys and an unchanged multiset of records.
+    #[test]
+    fn every_exhibit_matches_std_sort_on_every_distribution_and_size() {
+        let distributions = [
+            ("random", KeyDistribution::Random),
+            ("printable", KeyDistribution::RandomPrintable),
+            ("sorted", KeyDistribution::Sorted),
+            ("reverse", KeyDistribution::Reverse),
+            (
+                "nearly-sorted",
+                KeyDistribution::NearlySorted { permille: 50 },
+            ),
+            ("dup-heavy", KeyDistribution::DupHeavy { cardinality: 5 }),
+            ("common-prefix", KeyDistribution::CommonPrefix { shared: 9 }),
+            ("all-equal", KeyDistribution::DupHeavy { cardinality: 1 }),
+            ("two-keys", KeyDistribution::DupHeavy { cardinality: 2 }),
+            ("prefix-ties", KeyDistribution::CommonPrefix { shared: 8 }),
+        ];
+        for (name, dist) in distributions {
+            for records in [0u64, 1, 2, 15, 16, 17, 24, 25, 100, 1_000, 4_096] {
+                let (data, _) = generate(GenConfig {
+                    records,
+                    seed: 0xF0221 ^ records,
+                    dist,
+                });
+                let input = records_of(&data);
+                let mut want: Vec<u32> = (0..input.len() as u32).collect();
+                want.sort_by(|&a, &b| {
+                    (&input[a as usize].key, a).cmp(&(&input[b as usize].key, b))
+                });
+                for rep in Representation::ALL {
+                    let what = format!("{} [{name}, n={records}]", rep.name());
+                    let mut buf = data.clone();
+                    let order = rep.sort(&mut buf);
+                    if rep != Representation::Record {
+                        assert_eq!(buf, data, "{what}: a detached sort moved records");
+                        assert_eq!(order, want, "{what}");
+                        continue;
+                    }
+                    let sorted = records_of(&buf);
+                    assert!(sorted.windows(2).all(|w| w[0].key <= w[1].key), "{what}");
+                    let mut got: Vec<_> = sorted.iter().map(Record::as_bytes).collect();
+                    let mut all: Vec<_> = input.iter().map(Record::as_bytes).collect();
+                    got.sort();
+                    all.sort();
+                    assert!(got == all, "{what}: records lost or invented");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn key_entry_is_padded_to_16_bytes() {
+        // The array stride is what matters for cache behaviour.
+        assert_eq!(core::mem::size_of::<KeyEntry>(), 16);
+        assert_eq!(core::mem::size_of::<CodewordEntry>(), 8);
+    }
+}

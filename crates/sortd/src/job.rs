@@ -8,7 +8,7 @@
 //! forever — and against the plan the budgets imply (a two-pass job whose
 //! scratch budget cannot hold its runs is equally hopeless).
 
-use alphasort_core::{Kernel, PassPlan, Planner, RecordLayout};
+use alphasort_core::{PassPlan, Planner, RecordLayout};
 use alphasort_dmgen::RECORD_LEN;
 use alphasort_minijson::Json;
 
@@ -30,10 +30,6 @@ pub struct JobSpec {
     pub scratch_budget: u64,
     /// Key ranges for the partitioned parallel merge (0 = serial).
     pub merge_workers: usize,
-    /// Hot-path kernel variant (see `alphasort_core::kernels`). Optional on
-    /// the wire; absent means the scalar oracle, so old clients keep
-    /// working unchanged.
-    pub kernel: Kernel,
     /// Record model (see `alphasort_core::entry::RecordLayout`). Optional
     /// on the wire; absent means fixed Datamation records, so old clients
     /// keep working unchanged. `varlen` streams length-prefixed frames with
@@ -61,7 +57,6 @@ impl Default for JobSpec {
             mem_budget: 0,
             scratch_budget: 0,
             merge_workers: 0,
-            kernel: Kernel::Scalar,
             layout: RecordLayout::Datamation,
             idem_key: None,
             deadline_ms: 0,
@@ -79,7 +74,6 @@ impl JobSpec {
             ("mem_budget".into(), Json::from(self.mem_budget)),
             ("scratch_budget".into(), Json::from(self.scratch_budget)),
             ("merge_workers".into(), Json::from(self.merge_workers as u64)),
-            ("kernel".into(), Json::from(self.kernel.name())),
         ];
         if self.layout != RecordLayout::Datamation {
             fields.push(("layout".into(), Json::from(self.layout.name())));
@@ -93,20 +87,14 @@ impl JobSpec {
         Json::Obj(fields)
     }
 
-    /// Parse from a submit frame. `kernel` is optional (default scalar), as
-    /// is `layout` (default `datamation`); an *unknown* kernel or layout
-    /// name is a manifest error, not a silent default — the client asked
-    /// for something this daemon does not register. `idem_key` and
-    /// `deadline_ms` are equally optional, so pre-journal clients keep
-    /// working unchanged.
+    /// Parse from a submit frame. `layout` is optional (default
+    /// `datamation`); an *unknown* layout name is a manifest error, not a
+    /// silent default — the client asked for something this daemon does
+    /// not register. `idem_key` and `deadline_ms` are equally optional, so
+    /// pre-journal clients keep working unchanged. Keys this version does
+    /// not know are ignored — among them the `kernel` that older clients
+    /// send and older journals hold.
     pub fn from_json(doc: &Json) -> Result<JobSpec, String> {
-        let kernel = match doc.get("kernel") {
-            None => Kernel::Scalar,
-            Some(v) => {
-                let name = v.as_str().ok_or("kernel: expected a string")?;
-                Kernel::from_name(name).ok_or_else(|| format!("unknown kernel {name:?}"))?
-            }
-        };
         let layout = match doc.get("layout") {
             None => RecordLayout::Datamation,
             Some(v) => {
@@ -128,7 +116,6 @@ impl JobSpec {
             mem_budget: doc.field_u64("mem_budget").map_err(|e| e.to_string())?,
             scratch_budget: doc.field_u64("scratch_budget").map_err(|e| e.to_string())?,
             merge_workers: doc.field_u64("merge_workers").map_err(|e| e.to_string())? as usize,
-            kernel,
             layout,
             idem_key,
             deadline_ms: match doc.get("deadline_ms") {
@@ -359,10 +346,6 @@ mod tests {
         let s = spec(1_000 * RECORD_LEN as u64, 1 << 20, 2 << 20);
         let got = JobSpec::from_json(&s.to_json()).unwrap();
         assert_eq!(got, s);
-        for kernel in Kernel::ALL {
-            let s = JobSpec { kernel, ..s.clone() };
-            assert_eq!(JobSpec::from_json(&s.to_json()).unwrap(), s);
-        }
     }
 
     #[test]
@@ -386,19 +369,16 @@ mod tests {
     }
 
     #[test]
-    fn kernel_field_is_optional_but_validated() {
-        // An old client's manifest (no `kernel` field) defaults to scalar.
+    fn a_kernel_field_from_an_older_client_is_ignored() {
+        // Submit frames written before run formation became one path name a
+        // kernel. Whatever the name — registered then or never — the
+        // manifest parses to the spec it would without the field.
         let s = spec(1_000 * RECORD_LEN as u64, 1 << 20, 0);
-        let Json::Obj(fields) = s.to_json() else { panic!() };
-        let without: Vec<_> = fields.into_iter().filter(|(k, _)| k != "kernel").collect();
-        let got = JobSpec::from_json(&Json::Obj(without.clone())).unwrap();
-        assert_eq!(got.kernel, Kernel::Scalar);
-        // An unknown kernel name is a parse error (→ bad_manifest), not a
-        // silent fallback.
-        let mut bad = without;
-        bad.push(("kernel".into(), Json::from("warp-drive")));
-        let err = JobSpec::from_json(&Json::Obj(bad)).unwrap_err();
-        assert!(err.contains("unknown kernel"), "{err}");
+        for name in ["scalar", "radix", "warp-drive"] {
+            let Json::Obj(mut fields) = s.to_json() else { panic!() };
+            fields.push(("kernel".into(), Json::from(name)));
+            assert_eq!(JobSpec::from_json(&Json::Obj(fields)).unwrap(), s, "{name}");
+        }
     }
 
     #[test]

@@ -310,6 +310,26 @@ mod tests {
     }
 
     #[test]
+    fn records_written_with_a_kernel_field_replay_unchanged() {
+        // Journals from before run formation became one path carry
+        // `"kernel"` in every spec; a restart over them must see the jobs
+        // it would see without the field, whatever the name.
+        let j = Journal::open(tmp_dir("kernel-field")).unwrap();
+        let rec = JournalRecord::accepted("k-old".into(), 3, spec());
+        for name in ["scalar", "warp-drive"] {
+            j.record(&rec).unwrap();
+            let path = j.record_path("k-old");
+            let new = std::fs::read_to_string(&path).unwrap();
+            let old = new.replacen("\"name\"", &format!("\"kernel\": \"{name}\", \"name\""), 1);
+            assert_ne!(old, new, "the spec's first key moved; patch another");
+            std::fs::write(&path, old).unwrap();
+            let replay = j.replay().unwrap();
+            assert!(replay.corrupt.is_empty(), "{:?}", replay.corrupt);
+            assert_eq!(replay.records, vec![rec.clone()], "{name}");
+        }
+    }
+
+    #[test]
     fn hostile_keys_stay_inside_the_journal_dir_and_stay_distinct() {
         let j = Journal::open(tmp_dir("hostile")).unwrap();
         // Path-traversal characters sanitize away; the hash keeps keys

@@ -33,7 +33,6 @@ pub mod telemetry;
 pub use admission::{Admission, AdmissionConfig, Offer};
 pub use client::{Client, ClientError, RetryPolicy, SubmitResult};
 pub use executor::{CancelReason, CancelToken, ScratchBacking};
-pub use alphasort_core::Kernel;
 pub use job::{JobSpec, JobState, SortdError, MIN_JOB_MEM};
 pub use journal::{Journal, JournalRecord, Replay};
 pub use pool::{Pool, PoolConfig};

@@ -16,7 +16,7 @@ use alphasort_dmgen::{generate, records_of_mut, GenConfig, RECORD_LEN};
 use alphasort_iosim::{catalog, IoEngine, MemStorage, Pacing, SimDisk};
 use alphasort_obs::MetricsSnapshot;
 use alphasort_sortd::{
-    AdmissionConfig, Client, JobSpec, Kernel, PoolConfig, ScratchBacking, Sortd, SortdConfig,
+    AdmissionConfig, Client, JobSpec, PoolConfig, ScratchBacking, Sortd, SortdConfig,
 };
 use alphasort_stripefs::Volume;
 
@@ -50,7 +50,6 @@ fn submit_data(
         mem_budget: mem,
         scratch_budget: scratch,
         merge_workers: 0,
-        kernel: Kernel::Scalar,
         ..JobSpec::default()
     };
     let client = Client::new(addr).with_timeout(Duration::from_secs(120));
@@ -105,13 +104,16 @@ fn fleet_of_small_jobs_races_huge_ones() {
     let queued_seen = Arc::new(AtomicU64::new(0));
 
     let mut handles = Vec::new();
+    // Both huge inputs exist before either is submitted: how long huge-0
+    // sorts must not race how long huge-1 takes to generate.
+    let (data, _) = generate(GenConfig::datamation(300_000, 1_000));
+    let (data_1, _) = generate(GenConfig::datamation(150_000, 1_001));
     // Huge job 0: 30 MB of input against a 2 MB budget — a forced two-pass
     // sort that occupies two-thirds of the pool for hundreds of
     // milliseconds, long enough for the whole small fleet to race it.
     {
         let q = Arc::clone(&queued_seen);
         handles.push(thread::spawn(move || {
-            let (data, _) = generate(GenConfig::datamation(300_000, 1_000));
             let scratch = data.len() as u64 + RECORD_LEN as u64;
             let (out, want, queued) = submit_data(addr, "huge-0", data, 2 << 20, scratch);
             if queued {
@@ -129,9 +131,8 @@ fn fleet_of_small_jobs_races_huge_ones() {
     {
         let q = Arc::clone(&queued_seen);
         handles.push(thread::spawn(move || {
-            let (data, _) = generate(GenConfig::datamation(150_000, 1_001));
-            let scratch = data.len() as u64 + RECORD_LEN as u64;
-            let (out, want, queued) = submit_data(addr, "huge-1", data, 2 << 20, scratch);
+            let scratch = data_1.len() as u64 + RECORD_LEN as u64;
+            let (out, want, queued) = submit_data(addr, "huge-1", data_1, 2 << 20, scratch);
             if queued {
                 q.fetch_add(1, Ordering::Relaxed);
             }
@@ -299,7 +300,6 @@ fn daemon_latency_quantiles_agree_with_clients() {
                     mem_budget: 512 << 10,
                     scratch_budget: 0,
                     merge_workers: 0,
-                    kernel: Kernel::Scalar,
                     ..JobSpec::default()
                 };
                 let client = Client::new(addr).with_timeout(Duration::from_secs(120));
@@ -369,7 +369,6 @@ fn hopeless_manifest_is_rejected_not_queued() {
         mem_budget: 8 << 20, // eight times the pool total
         scratch_budget: 0,
         merge_workers: 0,
-        kernel: Kernel::Scalar,
         ..JobSpec::default()
     };
     let client = Client::new(daemon.addr()).with_timeout(Duration::from_secs(10));

@@ -164,6 +164,13 @@ fn restart_dedupes_settled_keys_and_resumes_interrupted_scratch() {
     rec.state = "running".into();
     rec.scratch_manifest = Some(manifest.clone());
     journal.record(&rec).unwrap();
+    // Life 1 may have been a daemon from before run formation became one
+    // path: its records carry `"kernel"` in the spec.
+    let path = journal.record_path("key-elephant");
+    let new = std::fs::read_to_string(&path).unwrap();
+    let old = new.replacen("\"name\"", "\"kernel\": \"scalar\", \"name\"", 1);
+    assert_ne!(old, new);
+    std::fs::write(&path, old).unwrap();
 
     // ---- Life 2: same journal, same disk images.
     let daemon = start(&journal_dir, &scratch_dir, Duration::from_secs(60));

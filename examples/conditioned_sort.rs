@@ -14,7 +14,7 @@
 
 use alphasort_suite::dmgen::{Record, KEY_LEN};
 use alphasort_suite::sort::condition::{composite, KeyCondition};
-use alphasort_suite::sort::runform::{form_run, Representation};
+use alphasort_suite::sort::runform::form_run;
 
 #[derive(Clone, Debug)]
 struct Employee {
@@ -87,7 +87,7 @@ fn main() {
 
     // Sort with the standard key-prefix pipeline — the conditioned bytes
     // need no special handling.
-    let run = form_run(buf, Representation::KeyPrefix);
+    let run = form_run(buf);
     println!("{:<10} {:>5} {:>10}", "name", "dept", "salary");
     println!("{}", "-".repeat(28));
     for rec in run.iter_sorted() {

@@ -8,7 +8,7 @@
 use alphasort_suite::dmgen::{generate, validate_records, GenConfig};
 use alphasort_suite::sort::driver::one_pass;
 use alphasort_suite::sort::io::{MemSink, MemSource};
-use alphasort_suite::sort::{Representation, SortConfig};
+use alphasort_suite::sort::SortConfig;
 
 fn main() {
     let records: u64 = std::env::args()
@@ -26,9 +26,8 @@ fn main() {
     // 2. Sort: QuickSort (key-prefix, pointer) runs as data arrives, then a
     //    tournament merge + gather — the heart of the paper.
     let cfg = SortConfig {
-        run_records: 100_000,                      // the paper's run size
-        representation: Representation::KeyPrefix, // AlphaSort's choice
-        workers: 2,                                // sort/gather chores
+        run_records: 100_000, // the paper's run size
+        workers: 2,           // sort/gather chores
         gather_batch: 10_000,
         ..Default::default()
     };

@@ -8,9 +8,7 @@
 //!
 //! ```text
 //! sortcli <input> <output> [--mem BYTES] [--workers N] [--run RECORDS]
-//!         [--rep record|pointer|key|key-prefix|codeword]
-//!         [--kernel scalar|branchless-tree|radix|simd] [--two-pass]
-//!         [--layout datamation|varlen] [--corpus NAME]
+//!         [--two-pass] [--layout datamation|varlen] [--corpus NAME]
 //!         [--merge-workers N]
 //!         [--scratch-dir DIR] [--resume] [--io-retries N] [--io-backoff-ms MS]
 //!         [--gen RECORDS[:SEED]] [--verify]
@@ -58,7 +56,7 @@ use alphasort_suite::obs;
 use alphasort_suite::sort::driver::{one_pass, two_pass, MemScratch, ResumeReport, StripeScratch};
 use alphasort_suite::sort::io::RecordSink;
 use alphasort_suite::sort::io_file::{FileSink, FileSource};
-use alphasort_suite::sort::{Kernel, RecordLayout, Representation, SortConfig};
+use alphasort_suite::sort::{RecordLayout, SortConfig};
 use alphasort_suite::stripefs::{RetryPolicy, Volume};
 
 struct Args {
@@ -67,8 +65,6 @@ struct Args {
     mem: u64,
     workers: usize,
     run_records: usize,
-    rep: Representation,
-    kernel: Kernel,
     layout: RecordLayout,
     corpus: TextCorpus,
     two_pass: bool,
@@ -86,7 +82,7 @@ struct Args {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: sortcli <input> <output> [--mem BYTES] [--workers N] \
-         [--run RECORDS] [--rep NAME] [--kernel NAME] [--layout NAME] [--corpus NAME] \
+         [--run RECORDS] [--layout NAME] [--corpus NAME] \
          [--two-pass] [--merge-workers N] \
          [--scratch-dir DIR] [--resume] [--io-retries N] [--io-backoff-ms MS] \
          [--gen RECORDS[:SEED]] [--verify] \
@@ -103,8 +99,6 @@ fn parse_args() -> Result<Args, ExitCode> {
         mem: 256 << 20,
         workers: 0,
         run_records: 100_000,
-        rep: Representation::KeyPrefix,
-        kernel: Kernel::Scalar,
         layout: RecordLayout::Datamation,
         corpus: TextCorpus::Urls,
         two_pass: false,
@@ -130,24 +124,6 @@ fn parse_args() -> Result<Args, ExitCode> {
             "--mem" => args.mem = value("--mem")?.parse().map_err(|_| usage())?,
             "--workers" => args.workers = value("--workers")?.parse().map_err(|_| usage())?,
             "--run" => args.run_records = value("--run")?.parse().map_err(|_| usage())?,
-            "--rep" => {
-                let v = value("--rep")?;
-                args.rep = Representation::ALL
-                    .into_iter()
-                    .find(|r| r.name() == v)
-                    .ok_or_else(|| {
-                        eprintln!("unknown representation {v}");
-                        usage()
-                    })?;
-            }
-            "--kernel" => {
-                let v = value("--kernel")?;
-                args.kernel = Kernel::from_name(&v).ok_or_else(|| {
-                    let names: Vec<&str> = Kernel::ALL.into_iter().map(|k| k.name()).collect();
-                    eprintln!("unknown kernel {v} (one of: {})", names.join(", "));
-                    usage()
-                })?;
-            }
             "--layout" => {
                 let v = value("--layout")?;
                 args.layout = RecordLayout::from_name(&v).ok_or_else(|| {
@@ -382,13 +358,11 @@ fn main() -> ExitCode {
 
     let cfg = SortConfig {
         run_records: args.run_records,
-        representation: args.rep,
         workers: args.workers,
         gather_batch: 10_000,
         memory_budget: args.mem,
         max_fanin: 128,
         merge_workers: args.merge_workers,
-        kernel: args.kernel,
         layout: args.layout,
     };
 
@@ -460,6 +434,11 @@ fn main() -> ExitCode {
     };
     let outcome = match outcome {
         Ok(o) => o,
+        // The drivers refuse an unusable --run as invalid input.
+        Err(e) if e.kind() == io::ErrorKind::InvalidInput => {
+            eprintln!("{e}");
+            return usage();
+        }
         Err(e) => {
             eprintln!("sort failed: {e}");
             return ExitCode::FAILURE;

@@ -7,7 +7,7 @@ use alphasort_suite::dmgen::{validate_reader, GenConfig, Generator, KeyDistribut
 use alphasort_suite::iosim::{catalog, BackendKind, DiskArray, DiskArrayBuilder, IoEngine, Pacing};
 use alphasort_suite::sort::driver::{one_pass, two_pass, StripeScratch};
 use alphasort_suite::sort::io::{StripeSink, StripeSource};
-use alphasort_suite::sort::{Representation, SortConfig};
+use alphasort_suite::sort::SortConfig;
 use alphasort_suite::stripefs::{StripedReader, StripedWriter, Volume};
 
 /// Build an RZ26 array, load `records` of `dist` onto a striped input file,
@@ -96,20 +96,6 @@ fn one_pass_disk_to_disk_every_distribution() {
         KeyDistribution::CommonPrefix { shared: 8 },
     ] {
         sort_and_validate_one_pass(4, 8_000, dist, &cfg);
-    }
-}
-
-#[test]
-fn one_pass_every_representation_on_disks() {
-    for rep in Representation::ALL {
-        let cfg = SortConfig {
-            run_records: 3_000,
-            gather_batch: 700,
-            representation: rep,
-            workers: 1,
-            ..Default::default()
-        };
-        sort_and_validate_one_pass(5, 10_000, KeyDistribution::Random, &cfg);
     }
 }
 
