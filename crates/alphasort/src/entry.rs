@@ -167,15 +167,6 @@ pub struct PrefixEntry {
 }
 
 impl PrefixEntry {
-    /// Build the entry for record `idx` of `records`.
-    #[inline]
-    pub fn of(records: &[Record], idx: u32) -> Self {
-        PrefixEntry {
-            prefix: records[idx as usize].prefix(),
-            idx,
-        }
-    }
-
     /// Extract the entry array for a whole record buffer — the paper's
     /// "streamed into an array" step that runs while input arrives.
     pub fn extract(records: &[Record]) -> Vec<PrefixEntry> {
@@ -188,18 +179,6 @@ impl PrefixEntry {
                 idx: i as u32,
             })
             .collect()
-    }
-
-    /// Compare two entries, falling through to the full keys (via the
-    /// record buffer) only on a prefix tie — §4's degenerate-case handling.
-    #[inline]
-    pub fn cmp_via(&self, other: &Self, records: &[Record]) -> core::cmp::Ordering {
-        match self.prefix.cmp(&other.prefix) {
-            core::cmp::Ordering::Equal => records[self.idx as usize]
-                .key
-                .cmp(&records[other.idx as usize].key),
-            ord => ord,
-        }
     }
 }
 
@@ -282,19 +261,5 @@ mod tests {
     #[should_panic(expected = "boundary-test")]
     fn checked_run_len_panic_names_the_site() {
         checked_run_len(1 << 33, "boundary-test");
-    }
-
-    #[test]
-    fn cmp_via_falls_through_on_ties() {
-        let mut a = Record::with_key([1, 2, 3, 4, 5, 6, 7, 8, 0, 1], 0);
-        let b = Record::with_key([1, 2, 3, 4, 5, 6, 7, 8, 0, 2], 1);
-        a.payload[0] = 0xFF;
-        let records = vec![a, b];
-        let ea = PrefixEntry::of(&records, 0);
-        let eb = PrefixEntry::of(&records, 1);
-        assert_eq!(ea.prefix, eb.prefix);
-        assert_eq!(ea.cmp_via(&eb, &records), core::cmp::Ordering::Less);
-        assert_eq!(eb.cmp_via(&ea, &records), core::cmp::Ordering::Greater);
-        assert_eq!(ea.cmp_via(&ea, &records), core::cmp::Ordering::Equal);
     }
 }

@@ -17,7 +17,7 @@ use alphasort_minijson::Json;
 pub const MIN_JOB_MEM: u64 = 64 * 1024;
 
 /// What a client asks for: input size plus resource budgets.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct JobSpec {
     /// Client-chosen label (shows up in status and per-job obs tracks).
     pub name: String,
@@ -47,21 +47,6 @@ pub struct JobSpec {
     /// past the deadline the daemon's watchdog cancels the job with the
     /// non-retryable `deadline_exceeded` code.
     pub deadline_ms: u64,
-}
-
-impl Default for JobSpec {
-    fn default() -> Self {
-        JobSpec {
-            name: String::new(),
-            input_bytes: 0,
-            mem_budget: 0,
-            scratch_budget: 0,
-            merge_workers: 0,
-            layout: RecordLayout::Datamation,
-            idem_key: None,
-            deadline_ms: 0,
-        }
-    }
 }
 
 impl JobSpec {
@@ -192,31 +177,59 @@ impl JobSpec {
     }
 }
 
-/// Where a job is in its lifecycle.
+/// Where a job is in its lifecycle — the one vocabulary for the job table,
+/// the `status`/`stats` documents and the journal's `state` strings. A job
+/// that leaves *unrun* (load-shed, drain, client gone) is `failed` with
+/// that error code in the table but keeps neither its key nor a journal
+/// record; see the transition table in DESIGN.md.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum JobState {
+    /// Manifest accepted and id assigned; the payload is arriving.
+    Accepted,
     /// Waiting behind the pool in the admission queue.
     Queued,
     /// Budget reserved; the sort is executing.
     Running,
     /// Finished; output was streamed back.
     Done,
-    /// Failed (execution error, or failed retryably at drain).
+    /// Failed (execution error or deadline), or left unrun.
     Failed,
     /// Canceled by the client before completion.
     Canceled,
+    /// Journaled non-terminal when the previous daemon died; re-submitting
+    /// its key resumes it.
+    Interrupted,
 }
 
 impl JobState {
-    /// Wire name.
+    /// Every state, in the order the `stats` document lists them.
+    pub const ALL: [JobState; 7] = {
+        use JobState::*;
+        [Queued, Running, Done, Failed, Canceled, Accepted, Interrupted]
+    };
+
+    /// Wire and journal name.
     pub fn name(self) -> &'static str {
         match self {
+            JobState::Accepted => "accepted",
             JobState::Queued => "queued",
             JobState::Running => "running",
             JobState::Done => "done",
             JobState::Failed => "failed",
             JobState::Canceled => "canceled",
+            JobState::Interrupted => "interrupted",
         }
+    }
+
+    /// The state `name` names, if any.
+    pub fn from_name(name: &str) -> Option<JobState> {
+        JobState::ALL.into_iter().find(|s| s.name() == name)
+    }
+
+    /// Whether the job is settled: its key answers from the record and
+    /// never runs again.
+    pub fn terminal(self) -> bool {
+        matches!(self, JobState::Done | JobState::Failed | JobState::Canceled)
     }
 }
 
@@ -452,6 +465,17 @@ mod tests {
             };
             assert_eq!(s.validate(pool.0, pool.1).unwrap_err().code(), "bad_manifest");
         }
+    }
+
+    #[test]
+    fn state_names_roundtrip_and_only_three_are_terminal() {
+        for s in JobState::ALL {
+            assert_eq!(JobState::from_name(s.name()), Some(s));
+        }
+        assert_eq!(JobState::from_name("warp"), None);
+        let terminal: Vec<&str> =
+            JobState::ALL.into_iter().filter(|s| s.terminal()).map(JobState::name).collect();
+        assert_eq!(terminal, ["done", "failed", "canceled"]);
     }
 
     #[test]

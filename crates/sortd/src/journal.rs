@@ -2,16 +2,22 @@
 //! accepted, keyed by idempotency key.
 //!
 //! One minijson file per job, rewritten **atomically** (temp file + rename,
-//! the same discipline as stripefs run manifests) at every lifecycle
-//! transition, so a SIGKILL at any instant leaves each job's record either
-//! at its previous state or its new one — never torn. The lifecycle a
-//! record walks:
+//! the same discipline as stripefs run manifests) as the job moves through
+//! its lifecycle, so a SIGKILL at any instant leaves each job's record
+//! either at its previous state or its new one — never torn. That is the
+//! whole promise: atomic per record against a *process* kill. Nothing here
+//! calls `fsync`, so a power loss may take recent records with it. The
+//! states are [`JobState`]'s names (a queued job is still `accepted`):
 //!
 //! ```text
 //! accepted ──▶ running ──▶ done | failed | canceled     (terminal)
 //!     │            │
 //!     └────────────┴──▶ interrupted       (stamped at restart replay)
 //! ```
+//!
+//! The server derives every record from its job table at write time and
+//! funnels the writes through [`Journal::in_order`], so a stale record can
+//! never land on top of a later one or resurrect a removed key.
 //!
 //! `running` records of two-pass jobs carry a `scratch_manifest` pointer:
 //! the per-job stripefs run manifest that lists every **sealed** run with
@@ -45,12 +51,14 @@
 //! synthetic keys (jobs submitted without an `idem_key` still journal, so
 //! their scratch can be swept after a crash — they just can't dedupe).
 
+use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 
 use alphasort_minijson::Json;
 
-use crate::job::JobSpec;
+use crate::job::{JobSpec, JobState};
 
 /// Journal schema version; bump only with a replay-compatible migration.
 const VERSION: u64 = 1;
@@ -62,7 +70,7 @@ pub struct JournalRecord {
     pub key: String,
     /// Daemon-assigned job id (ids keep rising across restarts).
     pub job_id: u64,
-    /// Lifecycle state, one of the names in the module doc.
+    /// Lifecycle state: a [`JobState`] name, as in the module doc.
     pub state: String,
     /// The manifest the job was accepted with; resume validates the
     /// re-submitted spec against this before reattaching scratch.
@@ -82,7 +90,7 @@ impl JournalRecord {
         JournalRecord {
             key,
             job_id,
-            state: "accepted".into(),
+            state: JobState::Accepted.name().into(),
             spec,
             records: 0,
             error: None,
@@ -93,7 +101,7 @@ impl JournalRecord {
     /// Whether this record's state is terminal (the job can be answered
     /// from the journal alone — the at-most-once dedupe set).
     pub fn terminal(&self) -> bool {
-        matches!(self.state.as_str(), "done" | "failed" | "canceled")
+        JobState::from_name(&self.state).is_some_and(JobState::terminal)
     }
 
     fn to_json(&self) -> Json {
@@ -155,6 +163,10 @@ pub struct Replay {
 /// The write-ahead journal: a directory of per-job record files.
 pub struct Journal {
     dir: PathBuf,
+    /// Per key, the sequence number of the last effect
+    /// [`in_order`](Self::in_order) let through. One entry per key ever
+    /// journaled by this process, like the server's job table.
+    applied: Mutex<HashMap<String, Arc<Mutex<u64>>>>,
 }
 
 impl Journal {
@@ -162,7 +174,34 @@ impl Journal {
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<Journal> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        Ok(Journal { dir })
+        Ok(Journal {
+            dir,
+            applied: Mutex::default(),
+        })
+    }
+
+    /// Run `effect` — the writes and removals one job transition calls for
+    /// on `key` — unless an effect with a later `seq` already ran for that
+    /// key: then it is stale, and dropped. Sequence numbers are handed out
+    /// (from 1) under the lock that decided the transition; the effects run
+    /// outside it, one at a time per key, so what is on disk for a key is
+    /// always what its latest transition asked for.
+    pub fn in_order(
+        &self,
+        key: &str,
+        seq: u64,
+        effect: impl FnOnce() -> io::Result<()>,
+    ) -> io::Result<()> {
+        const POISONED: &str = "a journal effect panicked";
+        let mut applied = self.applied.lock().expect(POISONED);
+        let slot = Arc::clone(applied.entry(key.to_string()).or_default());
+        drop(applied);
+        let mut last = slot.lock().expect(POISONED);
+        if seq <= *last {
+            return Ok(());
+        }
+        *last = seq;
+        effect()
     }
 
     /// The journal directory.
@@ -307,6 +346,22 @@ mod tests {
         j.record(&rec).unwrap();
         let replay = j.replay().unwrap();
         assert_eq!(replay.records[0].error.as_deref(), Some("deadline_exceeded"));
+    }
+
+    #[test]
+    fn a_stale_effect_is_dropped_per_key() {
+        let j = Journal::open(tmp_dir("order")).unwrap();
+        let mut rec = JournalRecord::accepted("k".into(), 1, spec());
+        let accepted = rec.clone();
+        rec.state = "canceled".into();
+        // The cancel (seq 2) lands before the accept (seq 1) it overtook.
+        j.in_order("k", 2, || j.record(&rec)).unwrap();
+        j.in_order("k", 1, || j.record(&accepted)).unwrap();
+        assert_eq!(j.replay().unwrap().records, vec![rec]);
+        // Another key has its own order.
+        j.in_order("other", 1, || j.record(&JournalRecord::accepted("other".into(), 2, spec())))
+            .unwrap();
+        assert_eq!(j.replay().unwrap().records.len(), 2);
     }
 
     #[test]

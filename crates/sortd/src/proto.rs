@@ -36,10 +36,12 @@
 //!              scratch_total, scratch_in_use, scratch_hwm },
 //!   "queue": { depth, bound, bypasses, aged_barriers },
 //!   "running": N, "draining": bool,
-//!   "jobs":  { queued, running, done, failed, canceled },   // per-state counts
-//!   "counters": { submitted, done, failed, rejected, canceled },
-//!   "latency": { queue_wait_us, exec_us, e2e_us } }         // each a summary:
-//!                                            // { count, mean, p50, p90, p99, max }
+//!   "jobs":  { <one count per `JobState` name> },
+//!   "counters": { submitted, done, failed, rejected, canceled, duplicates,
+//!                 jobs_recovered, runs_recovered, runs_reformed,
+//!                 scratch_disposed, deadline_kills, journal_write_errors },
+//!   "latency": { queue_wait_us, exec_us, e2e_us,            // each a summary:
+//!                recv_us, journal_us, reply_us } }  // { count, mean, p50, p90, p99, max }
 //! ```
 //!
 //! The `metrics` response is the machine-scale snapshot: the same state as
@@ -49,19 +51,20 @@
 //!
 //! ```text
 //! { "type": "metrics", "uptime_ms": N,
-//!   "counters":   { "sortd.jobs.submitted", "sortd.jobs.done",
-//!                   "sortd.jobs.failed", "sortd.jobs.rejected",
-//!                   "sortd.jobs.canceled", "sortd.admission.bypasses",
+//!   "counters":   { "sortd.jobs.*", "sortd.recovery.*", "sortd.deadline.kills",
+//!                   "sortd.journal.write_errors", "sortd.admission.bypasses",
 //!                   "sortd.admission.aged_barriers" },
 //!   "gauges":     { "sortd.pool.mem_total", "sortd.pool.mem_in_use",
 //!                   "sortd.pool.mem_hwm", "sortd.pool.scratch_total",
 //!                   "sortd.pool.scratch_in_use", "sortd.pool.scratch_hwm",
-//!                   "sortd.queue.depth", "sortd.queue.bound",
-//!                   "sortd.running", "sortd.draining" },
-//!   "histograms": { "sortd.queue_wait_us", "sortd.exec_us",
-//!                   "sortd.e2e_us" } }      // full log2 bucket arrays
+//!                   "sortd.queue.depth", "sortd.queue.bound", "sortd.running",
+//!                   "sortd.draining", "sortd.recovery.pending" },
+//!   "histograms": { "sortd.queue_wait_us", "sortd.exec_us", "sortd.e2e_us",
+//!                   "sortd.recv_us", "sortd.journal_us", "sortd.reply_us" } }
 //! ```
 //!
+//! Every counter and gauge is one row of `server::service_table`, which
+//! renders both documents, so a value cannot appear under one name only.
 //! All latencies are microseconds. The histograms are recorded for every
 //! job that ran (successes and execution failures) and are never reset —
 //! they survive drain. These names are a wire contract: renaming one is a

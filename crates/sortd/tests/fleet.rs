@@ -7,8 +7,8 @@
 //! corrupted by the concurrency.
 
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::Duration;
 
@@ -84,8 +84,24 @@ fn submit_one(
 #[test]
 fn fleet_of_small_jobs_races_huge_ones() {
     // A pool that fits one huge job (2 MB) plus two small ones (512 KB
-    // each) at a time: with four huge jobs and eight small-job streams in
-    // flight, admission *must* queue and interleave.
+    // each) at a time: with two huge jobs and eight small-job streams in
+    // flight, admission *must* queue and interleave. The huge jobs spill
+    // to a paced volume — two RZ28s at 8x, ~64 MB/s — so how long huge-0
+    // holds its budget has a floor set by the device model (its 60 MB of
+    // scratch traffic: about a second), not by how fast this build sorts:
+    // the gates below find it still running in any profile.
+    let disks = (0..2)
+        .map(|i| {
+            SimDisk::new(
+                format!("paced{i}"),
+                catalog::rz28(),
+                Arc::new(MemStorage::new()),
+                Pacing::RealTime { speedup: 8.0 },
+                None,
+            )
+        })
+        .collect();
+    let volume = Arc::new(Volume::new(Arc::new(IoEngine::new(disks))));
     let daemon = start_daemon(
         PoolConfig {
             mem_total: 3 << 20,
@@ -95,7 +111,7 @@ fn fleet_of_small_jobs_races_huge_ones() {
             queue_bound: 512,
             bypass_limit: 16,
         },
-        ScratchBacking::Memory,
+        ScratchBacking::SharedVolume(volume, 64 << 10),
     );
     let addr = daemon.addr();
 
@@ -105,12 +121,14 @@ fn fleet_of_small_jobs_races_huge_ones() {
 
     let mut handles = Vec::new();
     // Both huge inputs exist before either is submitted: how long huge-0
-    // sorts must not race how long huge-1 takes to generate.
+    // sorts must not race how long huge-1 takes to generate — or to
+    // upload, so huge-1 is huge in budget (3 MB against 2 MB is still a
+    // forced two-pass sort) but quick to send.
     let (data, _) = generate(GenConfig::datamation(300_000, 1_000));
-    let (data_1, _) = generate(GenConfig::datamation(150_000, 1_001));
+    let (data_1, _) = generate(GenConfig::datamation(30_000, 1_001));
     // Huge job 0: 30 MB of input against a 2 MB budget — a forced two-pass
-    // sort that occupies two-thirds of the pool for hundreds of
-    // milliseconds, long enough for the whole small fleet to race it.
+    // sort that occupies two-thirds of the pool for the second its paced
+    // scratch takes, long enough for the whole small fleet to race it.
     {
         let q = Arc::clone(&queued_seen);
         handles.push(thread::spawn(move || {
@@ -269,12 +287,16 @@ fn concurrent_two_pass_jobs_share_a_striped_volume() {
 /// band, not equality.
 #[test]
 fn daemon_latency_quantiles_agree_with_clients() {
-    // A pool that runs two 512 KB jobs at a time under eight client
-    // threads, so a real fraction of jobs queue and both sides see
-    // queue wait inside their e2e windows.
+    // A pool that runs one 512 KB job at a time under eight client threads
+    // that submit in lockstep rounds, so every round races eight submits
+    // at one slot. Whether a given round overlaps depends on the build's
+    // speed, so the fleet does not run a fixed number of rounds: it runs
+    // until a client has *seen* `queued` in an ack (and at least
+    // `MIN_ROUNDS`, for the quantiles), which puts queue wait inside both
+    // sides' e2e windows by observation rather than by luck.
     let daemon = start_daemon(
         PoolConfig {
-            mem_total: 1 << 20,
+            mem_total: 512 << 10,
             scratch_total: 1 << 20,
         },
         AdmissionConfig {
@@ -285,15 +307,31 @@ fn daemon_latency_quantiles_agree_with_clients() {
     );
     let addr = daemon.addr();
 
-    const JOBS: u64 = 64;
     const THREADS: u64 = 8;
+    const MIN_ROUNDS: u64 = 8;
+    const MAX_ROUNDS: u64 = 200;
+    let rendezvous = Arc::new(Barrier::new(THREADS as usize));
+    let queued_seen = Arc::new(AtomicU64::new(0));
+    let stop = Arc::new(AtomicBool::new(false));
     let mut handles = Vec::new();
     for t in 0..THREADS {
+        let (rendezvous, queued_seen, stop) =
+            (Arc::clone(&rendezvous), Arc::clone(&queued_seen), Arc::clone(&stop));
         handles.push(thread::spawn(move || {
             let mut lat_us = Vec::new();
-            for j in 0..(JOBS / THREADS) {
-                let id = t * (JOBS / THREADS) + j;
-                let (data, _) = generate(GenConfig::datamation(1_500 + id, 9_000 + id));
+            for round in 0.. {
+                // One thread decides for all, between two barriers, so
+                // every thread leaves after the same round.
+                if rendezvous.wait().is_leader() {
+                    let contended = queued_seen.load(Ordering::Relaxed) > 0;
+                    stop.store((round >= MIN_ROUNDS && contended) || round >= MAX_ROUNDS, Ordering::Relaxed);
+                }
+                rendezvous.wait();
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
+                let id = round * THREADS + t;
+                let (data, _) = generate(GenConfig::datamation(1_500 + id % 64, 9_000 + id));
                 let spec = JobSpec {
                     name: format!("lat-{id}"),
                     input_bytes: data.len() as u64,
@@ -306,6 +344,9 @@ fn daemon_latency_quantiles_agree_with_clients() {
                 let start = std::time::Instant::now();
                 let res = client.submit(&spec, &data).expect("submit succeeds");
                 lat_us.push(start.elapsed().as_micros() as f64);
+                if res.queued {
+                    queued_seen.fetch_add(1, Ordering::Relaxed);
+                }
                 assert_eq!(res.output, oracle(data), "lat-{id} diverged from oracle");
             }
             lat_us
@@ -316,16 +357,18 @@ fn daemon_latency_quantiles_agree_with_clients() {
         .flat_map(|h| h.join().expect("client thread panicked"))
         .collect();
     client_us.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let jobs = client_us.len() as u64;
+    assert!(jobs >= MIN_ROUNDS * THREADS);
 
     // The wire `metrics` request, asked before drain closes the listener.
     let wire = Client::new(addr).metrics().expect("metrics request answers");
     assert_eq!(wire.field_str("type").unwrap(), "metrics");
     assert!(wire.field_u64("uptime_ms").is_ok());
     let snap = MetricsSnapshot::from_json(&wire).expect("decodes as a MetricsSnapshot");
-    assert_eq!(snap.counters["sortd.jobs.submitted"], JOBS);
-    assert_eq!(snap.counters["sortd.jobs.done"], JOBS);
+    assert_eq!(snap.counters["sortd.jobs.submitted"], jobs);
+    assert_eq!(snap.counters["sortd.jobs.done"], jobs);
     let e2e = &snap.histograms["sortd.e2e_us"];
-    assert_eq!(e2e.count(), JOBS, "one e2e sample per job that ran");
+    assert_eq!(e2e.count(), jobs, "one e2e sample per job that ran");
     // Contention actually happened: somebody waited in the queue.
     assert!(
         snap.histograms["sortd.queue_wait_us"].max().unwrap() > 0,
@@ -346,7 +389,7 @@ fn daemon_latency_quantiles_agree_with_clients() {
     daemon.drain();
     let stats = daemon.stats();
     let e2e_summary = stats.get("latency").unwrap().get("e2e_us").unwrap();
-    assert_eq!(e2e_summary.field_u64("count").unwrap(), JOBS);
+    assert_eq!(e2e_summary.field_u64("count").unwrap(), jobs);
     assert!(e2e_summary.field_f64("p99").unwrap() > 0.0);
 }
 

@@ -7,6 +7,9 @@
 //!   pass-1 runs resumed, so only the lost tail re-forms,
 //! * sweep interrupted scratch whose client never returns, after the
 //!   configured grace,
+//! * put a resumed key back exactly as replay left it whenever its new job
+//!   leaves unrun (upload abandoned, load-shed, drain, client gone), and
+//!   dispose the claimed scratch when it is canceled instead,
 //! * enforce per-job deadlines with the typed, non-retryable
 //!   `deadline_exceeded` error.
 //!
@@ -16,6 +19,7 @@
 //! leave it, then a fresh daemon starts over the same files. The CI chaos
 //! job covers the real-signal version of the same contract.
 
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -24,8 +28,9 @@ use alphasort_core::driver::{ScratchStore, StripeScratch};
 use alphasort_core::io::RecordSink as _;
 use alphasort_dmgen::{generate, records_of_mut, GenConfig, RECORD_LEN};
 use alphasort_iosim::{catalog, FileStorage, IoEngine, Pacing, SimDisk, Storage};
+use alphasort_minijson::Json;
 use alphasort_sortd::{
-    AdmissionConfig, Client, ClientError, JobSpec, Journal, JournalRecord, PoolConfig,
+    proto, AdmissionConfig, Client, ClientError, JobSpec, Journal, JournalRecord, PoolConfig,
     ScratchBacking, Sortd, SortdConfig,
 };
 use alphasort_stripefs::Volume;
@@ -79,14 +84,24 @@ fn spec(name: &str, key: &str, input: u64, mem: u64, scratch: u64) -> JobSpec {
 }
 
 fn start(journal: &Path, scratch: &Path, grace: Duration) -> Sortd {
+    start_on(file_volume(scratch), journal, grace, 64 << 20, AdmissionConfig::default())
+}
+
+fn start_on(
+    volume: Arc<Volume>,
+    journal: &Path,
+    grace: Duration,
+    mem_total: u64,
+    admission: AdmissionConfig,
+) -> Sortd {
     Sortd::start(SortdConfig {
         listen: "127.0.0.1:0".into(),
         pool: PoolConfig {
-            mem_total: 64 << 20,
+            mem_total,
             scratch_total: 256 << 20,
         },
-        admission: AdmissionConfig::default(),
-        backing: ScratchBacking::SharedVolume(file_volume(scratch), CHUNK),
+        admission,
+        backing: ScratchBacking::SharedVolume(volume, CHUNK),
         journal: Some(journal.to_path_buf()),
         recovered_grace: grace,
         ..SortdConfig::default()
@@ -133,37 +148,9 @@ fn restart_dedupes_settled_keys_and_resumes_interrupted_scratch() {
 
     // The elephant: journaled `running` with one sealed pass-1 run on the
     // volume — the exact durable residue of a SIGKILL mid two-pass sort.
-    let (elephant, _) = generate(GenConfig::datamation(4_000, 22));
-    let e_spec = spec(
-        "elephant",
-        "key-elephant",
-        elephant.len() as u64,
-        128 << 10,
-        elephant.len() as u64,
-    );
-    // Mirror of the executor's run-length derivation (mem/4 per record,
-    // clamped); resume validates this geometry before reusing runs.
-    let run_records = (e_spec.mem_budget / 4 / RECORD_LEN as u64).clamp(256, 100_000);
+    let (e_spec, elephant, manifest) =
+        stage_killed_elephant(&journal_dir, &scratch_dir, "key-elephant");
     let journal = Journal::open(&journal_dir).unwrap();
-    let manifest = journal.scratch_manifest_path("key-elephant");
-    {
-        let volume = file_volume(&scratch_dir);
-        let mut scratch = StripeScratch::new(volume, CHUNK).named("job77-run");
-        scratch
-            .attach_manifest(&manifest, e_spec.input_bytes, run_records)
-            .unwrap();
-        let run_bytes = (run_records as usize) * RECORD_LEN;
-        let mut first = elephant[..run_bytes].to_vec();
-        records_of_mut(&mut first).sort_by_key(|r| r.key);
-        let mut w = scratch.create_run(run_bytes as u64).unwrap();
-        w.push(&first).unwrap();
-        scratch.seal_run(w, run_records, Vec::new()).unwrap();
-        // Dropped without dispose: the kill.
-    }
-    let mut rec = JournalRecord::accepted("key-elephant".into(), 77, e_spec.clone());
-    rec.state = "running".into();
-    rec.scratch_manifest = Some(manifest.clone());
-    journal.record(&rec).unwrap();
     // Life 1 may have been a daemon from before run formation became one
     // path: its records carry `"kernel"` in the spec.
     let path = journal.record_path("key-elephant");
@@ -278,4 +265,233 @@ fn deadline_exceeded_is_typed_terminal_and_deduped() {
 
     daemon.drain();
     assert!(daemon.pool_idle(), "deadline kill leaked pool budget");
+}
+
+/// How a resumed key's new job ends before it ever executes.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Ending {
+    /// The client sends the manifest and hangs up mid-upload.
+    PayloadNeverArrives,
+    /// Same, on a daemon whose grace period is short: the sweep must still
+    /// find the scratch.
+    PayloadNeverArrivesThenGrace,
+    /// Admission sheds it: the queue is at its bound.
+    Backpressure,
+    /// It is queued behind a blocker when the daemon drains.
+    Drain,
+    /// It is queued behind a blocker when its client hangs up.
+    ClientGoneWhileQueued,
+    /// It is queued behind a blocker when a client cancels it.
+    Cancel,
+}
+
+/// The durable residue of a SIGKILL mid two-pass sort: a `running` record
+/// (job 77) for `key` plus one sealed pass-1 run manifested on the volume.
+/// Returns the job's spec, input and manifest path.
+fn stage_killed_elephant(journal_dir: &Path, scratch_dir: &Path, key: &str) -> (JobSpec, Vec<u8>, PathBuf) {
+    let (elephant, _) = generate(GenConfig::datamation(4_000, 22));
+    let len = elephant.len() as u64;
+    let e_spec = spec("elephant", key, len, 128 << 10, len);
+    // Mirror of the executor's run-length derivation (mem/4 per record,
+    // clamped); resume validates this geometry before reusing runs.
+    let run_records = (e_spec.mem_budget / 4 / RECORD_LEN as u64).clamp(256, 100_000);
+    let journal = Journal::open(journal_dir).unwrap();
+    let manifest = journal.scratch_manifest_path(key);
+    let mut scratch = StripeScratch::new(file_volume(scratch_dir), CHUNK).named("job77-run");
+    scratch.attach_manifest(&manifest, len, run_records).unwrap();
+    let run_bytes = (run_records as usize) * RECORD_LEN;
+    let mut first = elephant[..run_bytes].to_vec();
+    records_of_mut(&mut first).sort_by_key(|r| r.key);
+    let mut w = scratch.create_run(run_bytes as u64).unwrap();
+    w.push(&first).unwrap();
+    scratch.seal_run(w, run_records, Vec::new()).unwrap();
+    drop(scratch); // without dispose: the kill
+    let mut rec = JournalRecord::accepted(key.into(), 77, e_spec.clone());
+    rec.state = "running".into();
+    rec.scratch_manifest = Some(manifest.clone());
+    journal.record(&rec).unwrap();
+    (e_spec, elephant, manifest)
+}
+
+/// Open a submit conversation by hand: manifest, then the payload if
+/// there is one to send. The caller reads the answers — or hangs up.
+fn raw_submit(daemon: &Sortd, spec: &JobSpec, payload: Option<&[u8]>) -> TcpStream {
+    let mut s = TcpStream::connect(daemon.addr()).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    proto::send_ctrl(&mut s, &spec.to_json()).unwrap();
+    if let Some(bytes) = payload {
+        proto::send_payload(&mut s, bytes).unwrap();
+    }
+    s
+}
+
+fn read_doc(s: &mut TcpStream, want_type: &str) -> Json {
+    let doc = proto::read_ctrl(s).expect("the daemon answers");
+    assert_eq!(doc.field_str("type").unwrap(), want_type, "{}", doc.dump());
+    doc
+}
+
+/// Defects 1 and 2. A re-submitted interrupted key claims its surviving
+/// scratch at the gate; if the new job then leaves *unrun*, the key, its
+/// `interrupted` record and its manifest must be exactly where replay left
+/// them — resumable by the next submit (or a restarted daemon), sweepable
+/// after the grace — and if it is *canceled* instead, the settled key must
+/// not strand the runs it will never use.
+#[test]
+fn a_resumed_key_survives_every_unrun_exit_and_a_cancel_frees_its_scratch() {
+    use Ending::*;
+    // The blocker's input: a one-pass sort (it must stay off the scratch
+    // volume — a restarted daemon's allocator learns of a sealed run's
+    // extents only when the run is resumed) long enough to outlast the few
+    // requests each case makes while it holds the pool.
+    let (big, _) = generate(GenConfig::datamation(600_000, 25));
+    for ending in [PayloadNeverArrives, PayloadNeverArrivesThenGrace, Backpressure, Drain, ClientGoneWhileQueued, Cancel] {
+        let case = format!("{ending:?}");
+        let journal_dir = tmp_dir("unrun-journal");
+        let scratch_dir = tmp_dir("unrun-scratch");
+        let key = "key-elephant";
+        let (e_spec, elephant, manifest) = stage_killed_elephant(&journal_dir, &scratch_dir, key);
+        let record = Journal::open(&journal_dir).unwrap().record_path(key);
+
+        // A pool one blocker fills, so the resumed job has to queue.
+        let grace = match ending {
+            PayloadNeverArrivesThenGrace => Duration::from_millis(1_000),
+            _ => Duration::from_secs(60),
+        };
+        let admission = AdmissionConfig {
+            queue_bound: if ending == Backpressure { 1 } else { 256 },
+            ..AdmissionConfig::default()
+        };
+        let volume = file_volume(&scratch_dir);
+        let daemon = start_on(Arc::clone(&volume), &journal_dir, grace, 1 << 30, admission);
+        assert_eq!(counter(&daemon, "jobs_recovered"), 1, "{case}");
+        let client = Client::new(daemon.addr()).with_timeout(Duration::from_secs(60));
+
+        // The blocker holds all of the pool's memory until the test hangs
+        // up on it (the watchdog then cancels it).
+        let mut held = Vec::new();
+        if !matches!(ending, PayloadNeverArrives | PayloadNeverArrivesThenGrace) {
+            let blocker = spec("blocker", "key-blocker", big.len() as u64, 1 << 30, 0);
+            let mut s = raw_submit(&daemon, &blocker, Some(&big));
+            assert_eq!(read_doc(&mut s, "ack").field_str("state").unwrap(), "running", "{case}");
+            held.push(s);
+        }
+        if ending == Backpressure {
+            // Fill the one queue slot.
+            let (small, _) = generate(GenConfig::datamation(100, 26));
+            let filler = spec("filler", "key-filler", small.len() as u64, 128 << 10, 0);
+            let mut s = raw_submit(&daemon, &filler, Some(&small));
+            assert_eq!(read_doc(&mut s, "ack").field_str("state").unwrap(), "queued", "{case}");
+            held.push(s);
+        }
+
+        // The resume, and how it ends.
+        let payload = (!matches!(ending, PayloadNeverArrives | PayloadNeverArrivesThenGrace))
+            .then_some(&elephant[..]);
+        let mut resume = raw_submit(&daemon, &e_spec, payload);
+        let failed_before = counter(&daemon, "failed");
+        match ending {
+            // Nothing tells a client when the daemon noticed the hang-up;
+            // the next submit below waits out `in flight`.
+            PayloadNeverArrives | PayloadNeverArrivesThenGrace => drop(resume),
+            Backpressure => {
+                let err = read_doc(&mut resume, "error");
+                assert_eq!(err.field_str("code").unwrap(), "backpressure", "{case}");
+                assert_eq!(err.get("retryable").and_then(Json::as_bool), Some(true), "{case}");
+            }
+            Drain | ClientGoneWhileQueued | Cancel => {
+                let ack = read_doc(&mut resume, "ack");
+                assert_eq!(ack.field_str("state").unwrap(), "queued", "{case}");
+                let id = ack.field_u64("job_id").unwrap();
+                if ending == ClientGoneWhileQueued {
+                    drop(resume);
+                    wait_counter(&daemon, "failed", failed_before + 1);
+                } else if ending == Cancel {
+                    assert!(client.cancel(id).unwrap(), "{case}: the job is queued, cancel must land");
+                    let err = read_doc(&mut resume, "error");
+                    assert_eq!(err.field_str("code").unwrap(), "canceled", "{case}");
+                } else {
+                    // Drain fails the queue first, then waits for the
+                    // blocker: answer the queued client, then release it.
+                    let drainer = std::thread::spawn(move || client.drain().expect("drain request"));
+                    let err = read_doc(&mut resume, "error");
+                    assert_eq!(err.field_str("code").unwrap(), "draining", "{case}");
+                    assert_eq!(err.get("retryable").and_then(Json::as_bool), Some(true), "{case}");
+                    held.clear();
+                    let drained = drainer.join().expect("drain thread");
+                    assert_eq!(drained.field_u64("failed_queued").unwrap(), 1, "{case}");
+                }
+            }
+        }
+
+        if ending == Cancel {
+            // Settled: the key dedupes to `canceled`, and the runs it
+            // claimed but will never merge are back on the free list.
+            assert!(!manifest.exists(), "{case}: a settled key must not keep its manifest");
+            assert!(volume.free_bytes() > 0, "{case}: the sealed run's extents were orphaned");
+            match Client::new(daemon.addr()).submit(&e_spec, &elephant) {
+                Err(ClientError::Remote { code, retryable, .. }) => {
+                    assert_eq!((code.as_str(), retryable), ("canceled", false), "{case}");
+                }
+                other => panic!("{case}: expected the canceled duplicate, got {other:?}"),
+            }
+            assert_eq!(counter(&daemon, "duplicates"), 1, "{case}");
+            assert_eq!(counter(&daemon, "runs_recovered"), 0, "{case}");
+        } else {
+            // Unrun: exactly as replay left it.
+            let on_disk = std::fs::read_to_string(&record).expect("the interrupted record survives");
+            assert!(on_disk.contains("\"interrupted\""), "{case}: {on_disk}");
+            assert!(on_disk.contains("\"job_id\": 77"), "{case}: {on_disk}");
+            assert!(manifest.exists(), "{case}: the manifest of a resumable job was deleted");
+            assert_eq!(volume.free_bytes(), 0, "{case}: resumable runs were freed");
+        }
+        held.clear();
+
+        match ending {
+            Cancel => {}
+            PayloadNeverArrivesThenGrace => {
+                // Nobody comes back: the grace sweep still finds it.
+                wait_counter(&daemon, "scratch_disposed", 1);
+                assert!(!manifest.exists() && !record.exists(), "{case}");
+                assert!(volume.free_bytes() > 0, "{case}");
+            }
+            _ => {
+                // The next submit of the key — against a restarted daemon
+                // when this one drained — resumes the sealed run.
+                let daemon = if ending == Drain {
+                    drop((daemon, volume));
+                    start(&journal_dir, &scratch_dir, grace)
+                } else {
+                    daemon
+                };
+                // The blocker (and the filler) the test hung up on are
+                // canceled by the watchdog, not instantly.
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while !daemon.pool_idle() || daemon.stats().get("queue").unwrap().field_u64("depth").unwrap() > 0 {
+                    assert!(Instant::now() < deadline, "{case}: the blocker never let go");
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                let client = Client::new(daemon.addr()).with_timeout(Duration::from_secs(60));
+                let res = loop {
+                    match client.submit(&e_spec, &elephant) {
+                        Err(ClientError::Remote { message, .. })
+                            if message.contains("in flight") && Instant::now() < deadline =>
+                        {
+                            std::thread::sleep(Duration::from_millis(5))
+                        }
+                        res => break res.expect("the resumed elephant completes"),
+                    }
+                };
+                assert!(!res.duplicate, "{case}");
+                assert_eq!(res.output, oracle(elephant.clone()), "{case}: resumed output diverged");
+                assert_eq!(counter(&daemon, "runs_recovered"), 1, "{case}: the sealed run must be reused");
+                assert!(!manifest.exists(), "{case}: manifest removed after completion");
+                daemon.drain();
+                assert!(daemon.pool_idle(), "{case}: pool accounting did not return to zero");
+                continue;
+            }
+        }
+        daemon.drain();
+        assert!(daemon.pool_idle(), "{case}: pool accounting did not return to zero");
+    }
 }
