@@ -636,6 +636,15 @@ impl StripeScratch {
         self.write_manifest()
     }
 
+    /// Re-open on `volume` every run the manifest at `path` lists, reading
+    /// none of them.
+    fn open_manifested(volume: &Arc<Volume>, path: &Path) -> io::Result<Vec<StripedFile>> {
+        let (doc, bad) = load_manifest(path)?;
+        let runs = doc.field_arr("runs").map_err(|e| bad(&e))?;
+        let open = |entry| Ok(volume.open(run_def(entry).map_err(|e| bad(&e))?));
+        runs.iter().map(open).collect()
+    }
+
     /// Free a dead scratch's extents from its manifest at `path` without
     /// validating run contents: every manifested run file is deleted from
     /// `volume`, then the manifest itself is removed. Checksums are not
@@ -644,15 +653,24 @@ impl StripeScratch {
     /// only thing worth reclaiming is the space. Returns how many run
     /// files were deleted.
     pub fn dispose_at(volume: &Arc<Volume>, path: &Path) -> io::Result<u64> {
-        let (doc, bad) = load_manifest(path)?;
-        let mut freed = 0u64;
-        for entry in doc.field_arr("runs").map_err(|e| bad(&e))? {
-            let file = Arc::new(volume.open(run_def(entry).map_err(|e| bad(&e))?));
-            volume.delete(&file);
-            freed += 1;
+        let files = Self::open_manifested(volume, path)?;
+        for file in &files {
+            volume.delete(file);
         }
         std::fs::remove_file(path)?;
-        Ok(freed)
+        Ok(files.len() as u64)
+    }
+
+    /// Put `volume`'s allocator past every run the manifest at `path`
+    /// lists, touching neither the runs nor the manifest. A volume built
+    /// fresh over surviving disks knows nothing of what a killed process
+    /// sealed there; until [`resume`](Self::resume) re-opens those runs,
+    /// anyone else allocating on the volume would be handed their extents.
+    /// A daemon sharing one volume between jobs calls this for every
+    /// pending manifest before it admits a job. Returns how many runs
+    /// were reserved.
+    pub fn reserve_at(volume: &Arc<Volume>, path: &Path) -> io::Result<u64> {
+        Ok(Self::open_manifested(volume, path)?.len() as u64)
     }
 
     /// Reload a previous attempt's scratch from its manifest at `path`.
@@ -1385,6 +1403,14 @@ mod tests {
             }
             // "Crash": scratch dropped; manifest and run files survive.
         }
+        // A fresh volume over the same disks would allocate from offset 0,
+        // over the runs — until their manifest is reserved on it.
+        let volume = striped_volume(2, Some(&storages));
+        assert_eq!(StripeScratch::reserve_at(&volume, &path).unwrap(), 2);
+        let probe = volume.create_across_all("probe", 256, 1);
+        assert!(probe.def().members.iter().all(|m| m.base > 0), "allocated over a sealed run");
+        assert!(path.exists(), "reserving leaves the manifest for resume");
+
         let volume = striped_volume(2, Some(&storages));
         let freed = StripeScratch::dispose_at(&volume, &path).unwrap();
         assert_eq!(freed, 2);

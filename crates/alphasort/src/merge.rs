@@ -848,11 +848,15 @@ mod tests {
             prefix: 48,
             suffix: 8,
         };
+        // The number DESIGN.md quotes (~97% fewer key bytes over 8 runs of
+        // 48-byte-shared-prefix keys) is a count, so it is pinned here: the
+        // same compares, at most 5% of the bytes.
         let strings = corpus_runs(corpus, 2_000, &even(2_000, 250));
         let (_, ovc) = merged_bytes::<_, Ovc>(&strings);
         let (_, plain) = merged_bytes::<_, PrefixThenKey>(&strings);
+        assert_eq!(ovc.compares, plain.compares);
         assert!(
-            ovc.key_bytes * 4 < plain.key_bytes,
+            ovc.key_bytes * 20 <= plain.key_bytes,
             "ovc {ovc:?} vs plain {plain:?}"
         );
     }

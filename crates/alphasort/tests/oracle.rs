@@ -11,9 +11,8 @@
 //! divergence anywhere, including equal-key order on dup-heavy inputs,
 //! fails with the first differing record.
 //!
-//! The partitioned-merge worker counts default to 1, 2, 4 and 8 and can be
-//! pinned from the outside (CI's merge matrix) via `ORACLE_MERGE_WORKERS`,
-//! a comma-separated list.
+//! Both record layouts run every time, and every partitioned merge runs at
+//! 1, 2, 4 and 8 workers.
 
 use alphasort_core::baseline::{partition_sort, PartitionSortConfig};
 use std::sync::Arc;
@@ -41,29 +40,8 @@ fn stable_reference(data: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Record layouts under test (overridable by CI's layout matrix): a
-/// comma-separated `ORACLE_LAYOUT` list restricts the oracle to the named
-/// layouts; unset runs everything.
-fn layout_enabled(l: RecordLayout) -> bool {
-    match std::env::var("ORACLE_LAYOUT") {
-        Ok(v) => v.split(',').any(|p| {
-            let p = p.trim();
-            RecordLayout::from_name(p).expect("ORACLE_LAYOUT: unknown layout name") == l
-        }),
-        Err(_) => true,
-    }
-}
-
-/// Merge-worker counts under test (overridable by CI's merge matrix).
-fn merge_worker_counts() -> Vec<usize> {
-    match std::env::var("ORACLE_MERGE_WORKERS") {
-        Ok(v) => v
-            .split(',')
-            .map(|p| p.trim().parse().expect("ORACLE_MERGE_WORKERS: bad count"))
-            .collect(),
-        Err(_) => vec![1, 2, 4, 8],
-    }
-}
+/// Merge-worker counts every partitioned driver is held to.
+const MERGE_WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// Index of the first differing record, for a readable failure.
 fn assert_identical(got: &[u8], want: &[u8], what: &str) {
@@ -112,9 +90,6 @@ fn resumed_scratch(data: &[u8], run_records: usize) -> MemScratch {
 /// Run every driver configuration over one seeded input and compare all
 /// outputs against the stable reference.
 fn oracle_case(records: u64, seed: u64, dist: KeyDistribution) {
-    if !layout_enabled(RecordLayout::Datamation) {
-        return;
-    }
     let what = format!("{records} records, seed {seed:#x}, {dist:?}");
     let (data, _) = generate(GenConfig {
         records,
@@ -140,7 +115,7 @@ fn oracle_case(records: u64, seed: u64, dist: KeyDistribution) {
     assert_identical(&got, &want, &format!("one-pass serial [{what}]"));
 
     // One-pass, partitioned merge at every worker count.
-    for p in merge_worker_counts() {
+    for p in MERGE_WORKER_COUNTS {
         let cfg = SortConfig {
             merge_workers: p,
             ..base.clone()
@@ -154,7 +129,7 @@ fn oracle_case(records: u64, seed: u64, dist: KeyDistribution) {
     assert_identical(&got, &want, &format!("two-pass serial [{what}]"));
 
     // Two-pass, partitioned final merge at every worker count.
-    for p in merge_worker_counts() {
+    for p in MERGE_WORKER_COUNTS {
         let cfg = SortConfig {
             merge_workers: p,
             ..base.clone()
@@ -303,9 +278,6 @@ fn resumed_var_scratch(data: &[u8], run_records: usize) -> MemScratch {
 /// Run every var-len driver configuration over one corpus and compare all
 /// outputs against the stable reference — mirrors [`oracle_case`].
 fn var_oracle_case(records: u64, seed: u64, corpus: TextCorpus) {
-    if !layout_enabled(RecordLayout::VarLen) {
-        return;
-    }
     let what = format!("{records} records, seed {seed:#x}, {}", corpus.name());
     let data = generate_varlen(VarGenConfig {
         records,
@@ -336,7 +308,7 @@ fn var_oracle_case(records: u64, seed: u64, corpus: TextCorpus) {
     var_assert_identical(&got, &want, &format!("one-pass serial [{what}]"));
 
     // One-pass, partitioned merge at every worker count.
-    for p in merge_worker_counts() {
+    for p in MERGE_WORKER_COUNTS {
         let cfg = SortConfig {
             merge_workers: p,
             ..base.clone()
@@ -350,7 +322,7 @@ fn var_oracle_case(records: u64, seed: u64, corpus: TextCorpus) {
     var_assert_identical(&got, &want, &format!("two-pass serial [{what}]"));
 
     // Two-pass, partitioned + resumed at every worker count.
-    for p in merge_worker_counts() {
+    for p in MERGE_WORKER_COUNTS {
         let cfg = SortConfig {
             merge_workers: p,
             ..base.clone()
@@ -444,9 +416,6 @@ fn striped_volume(storages: &[Arc<MemStorage>]) -> Arc<Volume> {
 /// run is discarded, its input range re-formed, the bytes identical).
 #[test]
 fn var_oracle_on_striped_scratch() {
-    if !layout_enabled(RecordLayout::VarLen) {
-        return;
-    }
     let data = generate_varlen(VarGenConfig {
         records: 1_500,
         seed: 0xBC,
@@ -476,7 +445,7 @@ fn var_oracle_on_striped_scratch() {
     let got = var_two_pass(&data, &base, &mut fresh(&storages()));
     var_assert_identical(&got, &want, "striped serial");
 
-    for p in merge_worker_counts() {
+    for p in MERGE_WORKER_COUNTS {
         let cfg = SortConfig {
             merge_workers: p,
             ..base.clone()

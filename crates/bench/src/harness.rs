@@ -10,8 +10,6 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-pub use std::hint::black_box as bb;
-
 /// One named group of benchmarks, mirroring criterion's `benchmark_group`.
 pub struct BenchGroup {
     name: String,

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use alphasort_core::driver::one_pass;
 use alphasort_core::io::{MemSink, MemSource};
 use alphasort_core::{SortConfig, SortStats};
-use alphasort_dmgen::{generate, validate_records, GenConfig, RECORD_LEN};
+use alphasort_dmgen::{generate, validate_records, GenConfig};
 use alphasort_iosim::{
     catalog, BackendKind, ControllerSpec, DiskArray, DiskArrayBuilder, DiskSpec, IoEngine, Pacing,
 };
@@ -99,11 +99,6 @@ pub fn few_fast_array() -> DiskArray {
         );
     }
     builder.build().expect("few-fast array")
-}
-
-/// Records for `megabytes` of Datamation data.
-pub fn records_for_mb(megabytes: u64) -> u64 {
-    megabytes * 1_000_000 / RECORD_LEN as u64
 }
 
 #[cfg(test)]

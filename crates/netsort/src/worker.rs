@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 use alphasort_core::io::{MemSink, MemSource, RecordSink, RecordSource};
 use alphasort_core::stats::timed_phase;
 use alphasort_core::{driver::one_pass, SortConfig, SortStats};
-use alphasort_dmgen::RECORD_LEN;
+use alphasort_dmgen::{KEY_LEN, RECORD_LEN};
 use alphasort_obs as obs;
 
 use crate::frame::Frame;
@@ -128,6 +128,27 @@ fn protocol_error(what: &str, frame: &Frame) -> io::Error {
             frame.from()
         ),
     )
+}
+
+/// A CRC-valid key payload is still bytes the peer chose: refuse one that is
+/// not whole keys — or, where the protocol fixes the count, not exactly
+/// `expect` of them — before a decoder asserts on it or its length sizes the
+/// partition table.
+fn check_keys(what: &str, from: u32, keys: &[u8], expect: Option<usize>) -> io::Result<()> {
+    let (ok, want) = match expect {
+        Some(n) => (keys.len() == n * KEY_LEN, format!("exactly {n}")),
+        None => (keys.len().is_multiple_of(KEY_LEN), "whole".to_string()),
+    };
+    if ok {
+        return Ok(());
+    }
+    Err(io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!(
+            "{what} frame from node {from} carries {} bytes, not {want} {KEY_LEN}-byte keys",
+            keys.len()
+        ),
+    ))
 }
 
 /// Render the nodes still being waited on (`present[i] == false`) for a
@@ -288,6 +309,7 @@ where
                             format!("Sample frame from unknown node {sender}"),
                         ));
                     }
+                    check_keys("Sample", from, &keys, None)?;
                     if samples[sender].replace(keys).is_some() {
                         return Err(io::Error::new(
                             io::ErrorKind::InvalidData,
@@ -318,7 +340,10 @@ where
             format!("the coordinator (node {COORDINATOR})")
         })?;
         match frame {
-            Frame::Splitters { keys, .. } => break decode_splitters(&keys),
+            Frame::Splitters { from, keys } => {
+                check_keys("Splitters", from, &keys, Some(nodes - 1))?;
+                break decode_splitters(&keys);
+            }
             data @ (Frame::Data { .. } | Frame::Done { .. }) => pending.push(data),
             other => return Err(protocol_error("Splitters", &other)),
         }
@@ -593,6 +618,56 @@ mod tests {
         let (output, stats) = netsort_loopback(&[], 3, &NetsortConfig::default()).unwrap();
         assert!(output.is_empty());
         assert_eq!(stats.records, 0);
+    }
+
+    /// Run node `node` of a 2-node loopback cluster against a scripted
+    /// peer that sends `hostile`; the worker must end in an `InvalidData`
+    /// error naming the sender, not a panic.
+    fn worker_against(node: usize, hostile: Frame) -> io::Error {
+        let (input, _) = generate(GenConfig::datamation(500, 3));
+        let mut cluster = loopback_cluster(2);
+        let mut peer = cluster.remove(1 - node);
+        let mut worker = cluster.remove(0);
+        let sender = hostile.from();
+        peer.send(node, hostile).unwrap();
+        let err = run_worker(
+            &mut worker,
+            &mut MemSource::new(input, 1 << 20),
+            &mut MemSink::new(),
+            &NetsortConfig::default(),
+        )
+        .expect_err("a hostile key payload must fail the worker");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains(&format!("node {sender}")), "{err}");
+        err
+    }
+
+    #[test]
+    fn ragged_sample_payload_is_an_attributed_error_not_a_panic() {
+        let err = worker_against(
+            COORDINATOR,
+            Frame::Sample {
+                from: 1,
+                keys: vec![7; KEY_LEN + 3],
+            },
+        );
+        assert!(err.to_string().contains("Sample"), "{err}");
+    }
+
+    #[test]
+    fn splitters_payload_of_the_wrong_shape_is_an_attributed_error_not_a_panic() {
+        // Ragged; no keys (one partition: `partitions[1]` is out of bounds);
+        // three keys (four partitions: a send to node 2 of 2).
+        for len in [KEY_LEN - 1, 0, 3 * KEY_LEN] {
+            let err = worker_against(
+                1,
+                Frame::Splitters {
+                    from: 0,
+                    keys: vec![7; len],
+                },
+            );
+            assert!(err.to_string().contains("Splitters"), "{err}");
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! Threading model — one thread per connection, and the job *runs on the
 //! connection thread that submitted it*, as a straight line of stages
-//! ([`handle_submit`]): **parse** the manifest → **gate** (validate,
+//! (`handle_submit`): **parse** the manifest → **gate** (validate,
 //! idempotency check, id assigned: `accepted`) → **receive** the payload →
 //! **admit** (`running` or `queued`; journal, then ack) → **wait** (parked
 //! on a channel if queued) → **execute** → **settle** → **reply**.
@@ -20,10 +20,10 @@
 //! the job table, and the waiter channels; neither the sort nor any
 //! journal IO runs under the lock.
 //!
-//! **Lifecycle** — [`State::transition`] is the only code that moves a job
+//! **Lifecycle** — `State::transition` is the only code that moves a job
 //! between [`JobState`]s. Every way out — the sort's own result, an
 //! admission reject, a failed ack write, cancel, drain, the watchdog — is
-//! an [`Event::Exit`] handed to it; it reads what the job holds off the
+//! an `Event::Exit` handed to it; it reads what the job holds off the
 //! job's *current* state and owns every effect of the move (the table is
 //! in DESIGN.md, "Durability & recovery"). Settling a settled job does
 //! nothing, so racing exits are benign.
@@ -514,6 +514,18 @@ impl Sortd {
         let mut core = Core::new(Admission::new(cfg.pool, cfg.admission));
         if let Some(j) = &journal {
             replay_journal(j, &mut core)?;
+            // This volume's allocator has never heard of the runs a killed
+            // daemon sealed on its disks: put it past them before any job
+            // is admitted, or a two-pass job running ahead of the
+            // re-submitted key is handed their extents. An unreadable
+            // manifest reserves nothing — resume will discard it too.
+            if let ScratchBacking::SharedVolume(volume, _) = &cfg.backing {
+                for key in core.recovered.keys() {
+                    if let Err(e) = StripeScratch::reserve_at(volume, &j.scratch_manifest_path(key)) {
+                        eprintln!("sortd: replay: key {key:?}: {e}");
+                    }
+                }
+            }
         }
         let listener = TcpListener::bind(&cfg.listen)?;
         let state = Arc::new(State {

@@ -149,7 +149,7 @@ fn restart_dedupes_settled_keys_and_resumes_interrupted_scratch() {
     // The elephant: journaled `running` with one sealed pass-1 run on the
     // volume — the exact durable residue of a SIGKILL mid two-pass sort.
     let (e_spec, elephant, manifest) =
-        stage_killed_elephant(&journal_dir, &scratch_dir, "key-elephant");
+        stage_killed_elephant(&journal_dir, &scratch_dir, "key-elephant", 1);
     let journal = Journal::open(&journal_dir).unwrap();
     // Life 1 may have been a daemon from before run formation became one
     // path: its records carry `"kernel"` in the spec.
@@ -185,6 +185,42 @@ fn restart_dedupes_settled_keys_and_resumes_interrupted_scratch() {
     let dup = client.submit(&e_spec, &elephant).expect("dedupe after resume");
     assert!(dup.duplicate);
     assert_eq!(counter(&daemon, "duplicates"), 2);
+
+    daemon.drain();
+    assert!(daemon.pool_idle(), "pool accounting did not return to zero");
+}
+
+/// A restarted daemon's volume must know of every pending manifest's runs
+/// before it admits anyone: a two-pass job that runs ahead of the
+/// re-submitted key allocates scratch on the same disks, and must not be
+/// handed the extents the sealed runs live in.
+#[test]
+fn a_job_ahead_of_the_resubmitted_key_cannot_overwrite_its_sealed_runs() {
+    let journal_dir = tmp_dir("ahead-journal");
+    let scratch_dir = tmp_dir("ahead-scratch");
+    // Killed between the passes: every run sealed, none merged.
+    let (e_spec, elephant, manifest) =
+        stage_killed_elephant(&journal_dir, &scratch_dir, "key-elephant", usize::MAX);
+
+    let daemon = start(&journal_dir, &scratch_dir, Duration::from_secs(60));
+    assert_eq!(counter(&daemon, "jobs_recovered"), 1);
+    let client = Client::new(daemon.addr()).with_timeout(Duration::from_secs(60));
+
+    // Someone else's forced two-pass job gets there first, spilling runs
+    // of the same size through the same allocator.
+    let (intruder, _) = generate(GenConfig::datamation(4_000, 23));
+    let len = intruder.len() as u64;
+    let res = client
+        .submit(&spec("intruder", "key-intruder", len, 128 << 10, len), &intruder)
+        .expect("the job ahead completes");
+    assert_eq!(res.plan, "TwoPass", "the job ahead must spill to the shared volume");
+    assert_eq!(res.output, oracle(intruder));
+
+    let res = client.submit(&e_spec, &elephant).expect("resumed elephant completes");
+    assert_eq!(res.output, oracle(elephant), "resumed output diverged");
+    assert!(counter(&daemon, "runs_recovered") >= 1, "the sealed runs must be reused");
+    assert_eq!(counter(&daemon, "runs_reformed"), 0, "a sealed run was overwritten and re-formed");
+    assert!(!manifest.exists(), "manifest removed after completion");
 
     daemon.drain();
     assert!(daemon.pool_idle(), "pool accounting did not return to zero");
@@ -286,9 +322,15 @@ enum Ending {
 }
 
 /// The durable residue of a SIGKILL mid two-pass sort: a `running` record
-/// (job 77) for `key` plus one sealed pass-1 run manifested on the volume.
-/// Returns the job's spec, input and manifest path.
-fn stage_killed_elephant(journal_dir: &Path, scratch_dir: &Path, key: &str) -> (JobSpec, Vec<u8>, PathBuf) {
+/// (job 77) for `key` plus the first `sealed_runs` pass-1 runs (at most all
+/// of them) manifested on the volume. Returns the job's spec, input and
+/// manifest path.
+fn stage_killed_elephant(
+    journal_dir: &Path,
+    scratch_dir: &Path,
+    key: &str,
+    sealed_runs: usize,
+) -> (JobSpec, Vec<u8>, PathBuf) {
     let (elephant, _) = generate(GenConfig::datamation(4_000, 22));
     let len = elephant.len() as u64;
     let e_spec = spec("elephant", key, len, 128 << 10, len);
@@ -299,12 +341,13 @@ fn stage_killed_elephant(journal_dir: &Path, scratch_dir: &Path, key: &str) -> (
     let manifest = journal.scratch_manifest_path(key);
     let mut scratch = StripeScratch::new(file_volume(scratch_dir), CHUNK).named("job77-run");
     scratch.attach_manifest(&manifest, len, run_records).unwrap();
-    let run_bytes = (run_records as usize) * RECORD_LEN;
-    let mut first = elephant[..run_bytes].to_vec();
-    records_of_mut(&mut first).sort_by_key(|r| r.key);
-    let mut w = scratch.create_run(run_bytes as u64).unwrap();
-    w.push(&first).unwrap();
-    scratch.seal_run(w, run_records, Vec::new()).unwrap();
+    for chunk in elephant.chunks(run_records as usize * RECORD_LEN).take(sealed_runs) {
+        let mut run = chunk.to_vec();
+        records_of_mut(&mut run).sort_by_key(|r| r.key);
+        let mut w = scratch.create_run(run.len() as u64).unwrap();
+        w.push(&run).unwrap();
+        scratch.seal_run(w, (run.len() / RECORD_LEN) as u64, Vec::new()).unwrap();
+    }
     drop(scratch); // without dispose: the kill
     let mut rec = JournalRecord::accepted(key.into(), 77, e_spec.clone());
     rec.state = "running".into();
@@ -340,17 +383,17 @@ fn read_doc(s: &mut TcpStream, want_type: &str) -> Json {
 #[test]
 fn a_resumed_key_survives_every_unrun_exit_and_a_cancel_frees_its_scratch() {
     use Ending::*;
-    // The blocker's input: a one-pass sort (it must stay off the scratch
-    // volume — a restarted daemon's allocator learns of a sealed run's
-    // extents only when the run is resumed) long enough to outlast the few
-    // requests each case makes while it holds the pool.
+    // The blocker's input: a one-pass sort (it stays off the scratch
+    // volume, whose free list the assertions below read as the elephant's
+    // alone) long enough to outlast the few requests each case makes while
+    // it holds the pool.
     let (big, _) = generate(GenConfig::datamation(600_000, 25));
     for ending in [PayloadNeverArrives, PayloadNeverArrivesThenGrace, Backpressure, Drain, ClientGoneWhileQueued, Cancel] {
         let case = format!("{ending:?}");
         let journal_dir = tmp_dir("unrun-journal");
         let scratch_dir = tmp_dir("unrun-scratch");
         let key = "key-elephant";
-        let (e_spec, elephant, manifest) = stage_killed_elephant(&journal_dir, &scratch_dir, key);
+        let (e_spec, elephant, manifest) = stage_killed_elephant(&journal_dir, &scratch_dir, key, 1);
         let record = Journal::open(&journal_dir).unwrap().record_path(key);
 
         // A pool one blocker fills, so the resumed job has to queue.

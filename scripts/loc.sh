@@ -1,6 +1,6 @@
 #!/bin/sh
-# Workspace LOC as a tracked number (ROADMAP: "a PR with a negative diff, a
-# green oracle, and a flat benchdiff is a first-class result").
+# Workspace LOC as a tracked number (ROADMAP: a PR with a negative diff, a
+# green oracle, and a flat `benchmark compare` is a first-class result).
 #
 # Per crate: non-test / test / total lines of src/**/*.rs, where non-test is
 # every line before the first `#[cfg(test)]` of a file, plus the line count of

@@ -7,7 +7,7 @@
 //! threads, and optionally verify the output.
 //!
 //! ```text
-//! sortcli <input> <output> [--mem BYTES] [--workers N] [--run RECORDS]
+//! sortcli <input> <output> [--workers N] [--run RECORDS]
 //!         [--two-pass] [--layout datamation|varlen] [--corpus NAME]
 //!         [--merge-workers N]
 //!         [--scratch-dir DIR] [--resume] [--io-retries N] [--io-backoff-ms MS]
@@ -62,7 +62,6 @@ use alphasort_suite::stripefs::{RetryPolicy, Volume};
 struct Args {
     input: String,
     output: String,
-    mem: u64,
     workers: usize,
     run_records: usize,
     layout: RecordLayout,
@@ -81,7 +80,7 @@ struct Args {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: sortcli <input> <output> [--mem BYTES] [--workers N] \
+        "usage: sortcli <input> <output> [--workers N] \
          [--run RECORDS] [--layout NAME] [--corpus NAME] \
          [--two-pass] [--merge-workers N] \
          [--scratch-dir DIR] [--resume] [--io-retries N] [--io-backoff-ms MS] \
@@ -96,7 +95,6 @@ fn parse_args() -> Result<Args, ExitCode> {
     let mut args = Args {
         input: String::new(),
         output: String::new(),
-        mem: 256 << 20,
         workers: 0,
         run_records: 100_000,
         layout: RecordLayout::Datamation,
@@ -121,7 +119,6 @@ fn parse_args() -> Result<Args, ExitCode> {
             })
         };
         match a.as_str() {
-            "--mem" => args.mem = value("--mem")?.parse().map_err(|_| usage())?,
             "--workers" => args.workers = value("--workers")?.parse().map_err(|_| usage())?,
             "--run" => args.run_records = value("--run")?.parse().map_err(|_| usage())?,
             "--layout" => {
@@ -359,11 +356,9 @@ fn main() -> ExitCode {
     let cfg = SortConfig {
         run_records: args.run_records,
         workers: args.workers,
-        gather_batch: 10_000,
-        memory_budget: args.mem,
-        max_fanin: 128,
         merge_workers: args.merge_workers,
         layout: args.layout,
+        ..Default::default()
     };
 
     // Start recording after generation so the trace covers only the sort.

@@ -44,8 +44,10 @@ fn sortcli_run_sizes_it_cannot_use_are_usage_errors() {
 #[test]
 fn removed_kernel_and_rep_flags_are_unknown_flags() {
     let sortcli = env!("CARGO_BIN_EXE_sortcli");
-    for flag in ["--kernel", "--rep"] {
-        let out = run(sortcli, &["in", "out", flag, "scalar"]);
+    // `--mem` too: sortcli picks the pass by `--two-pass`, so the budget it
+    // parsed was never read.
+    for (flag, value) in [("--kernel", "scalar"), ("--rep", "scalar"), ("--mem", "1")] {
+        let out = run(sortcli, &["in", "out", flag, value]);
         assert_usage_exit(&out, &format!("unknown flag {flag}"), flag);
     }
     let out = run(
