@@ -14,14 +14,17 @@
 //! executable baseline: one shared-memory machine running the AlphaSort
 //! pipeline vs. the same machine pretending to be a shared-nothing
 //! cluster.
+//!
+//! Both variants are generic over the record layout
+//! ([`crate::layout::LayoutRun`]) and take the whole splitting recipe from
+//! [`crate::splitter`]; they differ only in who sorts.
 
-use std::time::{Duration, Instant};
-
-use alphasort_dmgen::{records_of, Record, RECORD_LEN};
+use std::io;
 
 use crate::io::MemSource;
-use crate::merge::{Merger, PrefixThenKey, StreamHeads};
-use crate::runform::{form_run, SortedRun};
+use crate::layout::LayoutRun;
+use crate::merge::{Merger, StreamHeads};
+use crate::splitter::{quantiles, sample_indices, scatter, skew};
 
 /// Configuration for the partitioned sort.
 #[derive(Clone, Debug)]
@@ -41,17 +44,9 @@ impl Default for PartitionSortConfig {
     }
 }
 
-/// Phase timings and balance statistics of one partitioned sort.
+/// Balance statistics of one partitioned sort.
 #[derive(Clone, Debug, Default)]
 pub struct PartitionSortStats {
-    /// Sampling + splitter selection.
-    pub split_time: Duration,
-    /// Scatter: each reader partitions its share and "sends" it.
-    pub scatter_time: Duration,
-    /// Per-node local sorts (max over nodes — the critical path).
-    pub sort_time: Duration,
-    /// Final concatenation/merge of node outputs.
-    pub merge_time: Duration,
     /// Records each target node received (skew diagnostic: probabilistic
     /// splitting aims for "equal-sized parts").
     pub partition_sizes: Vec<u64>,
@@ -60,232 +55,146 @@ pub struct PartitionSortStats {
 impl PartitionSortStats {
     /// Largest partition over the ideal share — 1.0 is perfect balance.
     pub fn skew(&self) -> f64 {
-        let total: u64 = self.partition_sizes.iter().sum();
-        if total == 0 || self.partition_sizes.is_empty() {
-            return 1.0;
-        }
-        let ideal = total as f64 / self.partition_sizes.len() as f64;
-        let max = *self.partition_sizes.iter().max().expect("non-empty") as f64;
-        max / ideal
+        skew(&self.partition_sizes)
     }
 }
 
-/// Sort `input` (whole records) with the shared-nothing algorithm.
-/// Returns the sorted bytes plus phase stats.
-///
-/// # Panics
-/// If `input.len()` is not a multiple of the record length or the config
-/// has zero nodes.
-pub fn partition_sort(input: &[u8], cfg: &PartitionSortConfig) -> (Vec<u8>, PartitionSortStats) {
-    assert!(cfg.nodes >= 1, "need at least one node");
-    assert!(input.len().is_multiple_of(RECORD_LEN));
-    let records = records_of(input);
-    let n = records.len();
-    let mut stats = PartitionSortStats::default();
-    if n == 0 {
-        stats.partition_sizes = vec![0; cfg.nodes];
-        return (Vec::new(), stats);
-    }
+/// One input record: its key and its whole frame.
+type Rec<'a> = (&'a [u8], &'a [u8]);
 
-    // --- probabilistic splitting: sample, sort the sample, pick quantiles.
-    let t0 = Instant::now();
-    let sample_n = (cfg.samples_per_node * cfg.nodes).min(n.max(1));
-    let mut sample: Vec<[u8; 10]> = (0..sample_n)
-        .map(|i| {
-            // Deterministic stride sampling with a golden-ratio hop: cheap
-            // and adequate for random benchmark keys.
-            let idx = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) % n.max(1) as u64;
-            records[idx as usize].key
-        })
-        .collect();
-    sample.sort_unstable();
-    let splitters: Vec<[u8; 10]> = (1..cfg.nodes)
-        .map(|k| sample[k * sample.len() / cfg.nodes])
-        .collect();
-    stats.split_time = t0.elapsed();
-
-    // --- scatter: readers partition their share by binary search on the
-    // splitters and append to per-target buffers (the "network send").
-    let t0 = Instant::now();
-    let reader_shares: Vec<&[Record]> = {
-        let per = n.div_ceil(cfg.nodes.max(1));
-        records.chunks(per.max(1)).collect()
-    };
-    let mut per_target: Vec<Vec<u8>> = vec![Vec::new(); cfg.nodes];
-    let scattered: Vec<Vec<Vec<u8>>> = std::thread::scope(|scope| {
-        let splitters = &splitters;
-        let handles: Vec<_> = reader_shares
-            .iter()
-            .map(|share| {
-                scope.spawn(move || {
-                    let mut outs: Vec<Vec<u8>> = vec![Vec::new(); splitters.len() + 1];
-                    for r in *share {
-                        let t = splitters.partition_point(|s| *s <= r.key);
-                        outs[t].extend_from_slice(r.as_bytes());
-                    }
-                    outs
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("reader"))
-            .collect()
-    });
-    for outs in scattered {
-        for (t, bytes) in outs.into_iter().enumerate() {
-            per_target[t].extend_from_slice(&bytes);
-        }
-    }
-    stats.partition_sizes = per_target
-        .iter()
-        .map(|p| (p.len() / RECORD_LEN) as u64)
-        .collect();
-    stats.scatter_time = t0.elapsed();
-
-    // --- local sorts, one thread per target node.
-    let t0 = Instant::now();
-    let sorted_parts: Vec<Vec<u8>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = per_target
-            .into_iter()
-            .map(|part| {
-                scope.spawn(move || {
-                    let run = form_run(part);
-                    let mut out = Vec::with_capacity(run.len() * RECORD_LEN);
-                    for r in run.iter_sorted() {
-                        out.extend_from_slice(r.as_bytes());
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sorter"))
-            .collect()
-    });
-    stats.sort_time = t0.elapsed();
-
-    // --- output: partitions are disjoint key ranges; concatenate in order.
-    let t0 = Instant::now();
-    let mut out = Vec::with_capacity(input.len());
-    for p in sorted_parts {
-        out.extend_from_slice(&p);
-    }
-    stats.merge_time = t0.elapsed();
-    (out, stats)
-}
-
-/// The target-side variant DeWitt's design actually runs: each reader
-/// pre-sorts its share, targets *merge* the per-reader streams instead of
-/// sorting from scratch. Exposed separately so the two strategies can be
-/// compared.
-pub fn partition_merge_sort(
+/// The shared-nothing skeleton. Frame `input`, sample it, pick splitters;
+/// every node then `read`s its contiguous share into one stream per
+/// target, and every `target` turns the streams it received (one per
+/// reader, in reader order) into its sorted output and record count.
+/// Targets own ascending disjoint key ranges, so their outputs concatenate
+/// into the sorted whole.
+fn shared_nothing<R: LayoutRun>(
     input: &[u8],
     cfg: &PartitionSortConfig,
-) -> (Vec<u8>, PartitionSortStats) {
-    assert!(cfg.nodes >= 1);
-    assert!(input.len().is_multiple_of(RECORD_LEN));
-    let records = records_of(input);
-    let n = records.len();
-    let mut stats = PartitionSortStats::default();
-    if n == 0 {
-        stats.partition_sizes = vec![0; cfg.nodes];
-        return (Vec::new(), stats);
+    read: impl Fn(&[Rec<'_>], &[Vec<u8>]) -> Vec<Vec<u8>> + Sync,
+    target: impl Fn(Vec<Vec<u8>>) -> io::Result<(Vec<u8>, u64)> + Sync,
+) -> io::Result<(Vec<u8>, PartitionSortStats)> {
+    let mut records: Vec<Rec<'_>> = Vec::new();
+    let mut at = 0;
+    while at < input.len() {
+        let rest = &input[at..];
+        let Some(frame) = R::LAYOUT.frame_at(rest, at as u64)? else {
+            let what = format!("input ends mid-record ({} trailing bytes)", rest.len());
+            return Err(io::Error::new(io::ErrorKind::InvalidData, what));
+        };
+        records.push((frame.key(rest), &rest[..frame.len]));
+        at += frame.len;
     }
+    let n = records.len();
 
-    // Splitters as above.
-    let t0 = Instant::now();
-    let sample_n = (cfg.samples_per_node * cfg.nodes).min(n.max(1));
-    let mut sample: Vec<[u8; 10]> = (0..sample_n)
-        .map(|i| {
-            let idx = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) % n.max(1) as u64;
-            records[idx as usize].key
-        })
+    // Probabilistic splitting: sample, sort the sample, pick quantiles.
+    let pool = sample_indices(n, cfg.samples_per_node * cfg.nodes)
+        .map(|i| records[i].0.to_vec())
         .collect();
-    sample.sort_unstable();
-    let splitters: Vec<[u8; 10]> = (1..cfg.nodes)
-        .map(|k| sample[k * sample.len() / cfg.nodes])
-        .collect();
-    stats.split_time = t0.elapsed();
+    let splitters = quantiles(pool, cfg.nodes);
 
-    // Readers pre-sort their share, then split it into target ranges: each
-    // target receives one already-sorted stream per reader.
-    let t0 = Instant::now();
-    let per = n.div_ceil(cfg.nodes.max(1)).max(1);
-    let mut reader_streams: Vec<Vec<Vec<u8>>> = std::thread::scope(|scope| {
-        let splitters = &splitters;
-        let handles: Vec<_> = records
-            .chunks(per)
-            .map(|share| {
-                scope.spawn(move || {
-                    let run = form_run(share.iter().flat_map(|r| r.as_bytes()).copied().collect());
-                    let mut outs: Vec<Vec<u8>> = vec![Vec::new(); splitters.len() + 1];
-                    for r in run.iter_sorted() {
-                        let t = splitters.partition_point(|s| *s <= r.key);
-                        outs[t].extend_from_slice(r.as_bytes());
-                    }
-                    outs
-                })
-            })
+    // Readers scatter their share (the "network send"); shares are
+    // contiguous in node order, empty past the end of a short input.
+    let per = n.div_ceil(cfg.nodes);
+    let (read, target, splitters) = (&read, &target, &splitters[..]);
+    let mut sent: Vec<Vec<Vec<u8>>> = std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..cfg.nodes)
+            .map(|r| &records[(r * per).min(n)..((r + 1) * per).min(n)])
+            .map(|share| scope.spawn(move || read(share, splitters)))
             .collect();
-        handles
+        readers
             .into_iter()
             .map(|h| h.join().expect("reader"))
             .collect()
     });
-    stats.scatter_time = t0.elapsed();
 
-    // Targets merge their per-reader streams through the one tournament;
-    // its leaf-index tie-break is reader order, as arrival order demands.
-    let t0 = Instant::now();
-    let streams_by_target: Vec<Vec<Vec<u8>>> = (0..cfg.nodes)
-        .map(|t| {
-            reader_streams
-                .iter_mut()
-                .map(|r| std::mem::take(&mut r[t]))
-                .collect()
-        })
-        .collect();
-    stats.partition_sizes = streams_by_target
-        .iter()
-        .map(|streams| streams.iter().map(|s| (s.len() / RECORD_LEN) as u64).sum())
-        .collect();
-    let sorted_parts: Vec<Vec<u8>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = streams_by_target
-            .into_iter()
-            .map(|streams| {
-                scope.spawn(move || {
-                    let mut out = Vec::with_capacity(streams.iter().map(Vec::len).sum());
-                    let sources = streams.into_iter().map(|s| MemSource::new(s, 1 << 20));
-                    let heads = StreamHeads::<_, SortedRun>::new(sources.collect())
-                        .expect("in-memory streams of whole records");
-                    let mut merger = Merger::<_, PrefixThenKey, _>::new(heads, ());
-                    while merger.next_into(&mut out).expect("in-memory streams") {}
-                    out
-                })
-            })
+    // Target `t` receives part `t` of every reader. Reader order is input
+    // order, so keeping it keeps equal keys in input order.
+    let parts: Vec<io::Result<(Vec<u8>, u64)>> = std::thread::scope(|scope| {
+        let targets: Vec<_> = (0..cfg.nodes)
+            .map(|t| sent.iter_mut().map(|s| std::mem::take(&mut s[t])).collect())
+            .map(|streams| scope.spawn(move || target(streams)))
             .collect();
-        handles
+        targets
             .into_iter()
             .map(|h| h.join().expect("target"))
             .collect()
     });
-    stats.sort_time = t0.elapsed();
-
-    let t0 = Instant::now();
     let mut out = Vec::with_capacity(input.len());
-    for p in sorted_parts {
-        out.extend_from_slice(&p);
+    let mut stats = PartitionSortStats::default();
+    for part in parts {
+        let (bytes, records) = part?;
+        out.extend_from_slice(&bytes);
+        stats.partition_sizes.push(records);
     }
-    stats.merge_time = t0.elapsed();
-    (out, stats)
+    Ok((out, stats))
+}
+
+/// Sort `input` (whole records of layout `R`) with the shared-nothing
+/// algorithm: readers scatter unsorted records, each target sorts what it
+/// received. Returns the sorted bytes plus balance stats; input that ends
+/// mid-record or carries a malformed header is `InvalidData`.
+///
+/// # Panics
+/// If the config has zero nodes.
+pub fn partition_sort<R: LayoutRun>(
+    input: &[u8],
+    cfg: &PartitionSortConfig,
+) -> io::Result<(Vec<u8>, PartitionSortStats)> {
+    shared_nothing::<R>(
+        input,
+        cfg,
+        |share, splitters| scatter(share.iter().copied(), splitters),
+        |streams| {
+            let run = R::form(streams.concat());
+            let sorted: Vec<&[u8]> = (0..run.len()).map(|p| run.frame_at(p)).collect();
+            Ok((sorted.concat(), run.len() as u64))
+        },
+    )
+}
+
+/// The target-side variant DeWitt's design actually runs: each reader
+/// pre-sorts its share, targets *merge* the per-reader streams through the
+/// one tournament instead of sorting from scratch — its leaf-index
+/// tie-break is reader order, as arrival order demands. Same contract as
+/// [`partition_sort`]; exposed separately so the two strategies can be
+/// compared.
+pub fn partition_merge_sort<R: LayoutRun>(
+    input: &[u8],
+    cfg: &PartitionSortConfig,
+) -> io::Result<(Vec<u8>, PartitionSortStats)> {
+    shared_nothing::<R>(
+        input,
+        cfg,
+        |share, splitters| {
+            let frames: Vec<&[u8]> = share.iter().map(|r| r.1).collect();
+            let run = R::form(frames.concat());
+            let sorted = (0..run.len()).map(|p| (run.key_at(p), run.frame_at(p)));
+            scatter(sorted, splitters)
+        },
+        |streams| {
+            let mut out = Vec::with_capacity(streams.iter().map(Vec::len).sum());
+            let sources = streams.into_iter().map(|s| MemSource::new(s, 1 << 20));
+            let heads = StreamHeads::<_, R>::new(sources.collect())?;
+            let mut merger = Merger::<_, R::Policy, _>::new(heads, ());
+            let mut records = 0;
+            while merger.next_into(&mut out)? {
+                records += 1;
+            }
+            Ok((out, records))
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alphasort_dmgen::{generate, validate_records, GenConfig, KeyDistribution};
+    use crate::runform::SortedRun;
+    use crate::varlen::VarRun;
+    use alphasort_dmgen::{
+        generate, generate_varlen, validate_records, GenConfig, KeyDistribution, TextCorpus,
+        VarGenConfig,
+    };
 
     fn dataset(n: u64, dist: KeyDistribution) -> (Vec<u8>, alphasort_dmgen::Checksum) {
         generate(GenConfig {
@@ -295,20 +204,28 @@ mod tests {
         })
     }
 
+    fn sort(input: &[u8], cfg: &PartitionSortConfig) -> (Vec<u8>, PartitionSortStats) {
+        partition_sort::<SortedRun>(input, cfg).unwrap()
+    }
+
     #[test]
     fn partition_sort_produces_valid_output() {
         let (input, cs) = dataset(20_000, KeyDistribution::Random);
-        let (out, stats) = partition_sort(&input, &PartitionSortConfig::default());
+        let (out, stats) = sort(&input, &PartitionSortConfig::default());
         let report = validate_records(&out, cs).unwrap();
         assert_eq!(report.records, 20_000);
         assert_eq!(stats.partition_sizes.len(), 4);
+        assert_eq!(stats.partition_sizes.iter().sum::<u64>(), 20_000);
     }
 
     #[test]
     fn partition_merge_sort_produces_valid_output() {
         let (input, cs) = dataset(20_000, KeyDistribution::Random);
-        let (out, _) = partition_merge_sort(&input, &PartitionSortConfig::default());
+        let cfg = PartitionSortConfig::default();
+        let (out, stats) = partition_merge_sort::<SortedRun>(&input, &cfg).unwrap();
         validate_records(&out, cs).unwrap();
+        // Routing is pure in the key: both variants fill targets alike.
+        assert_eq!(stats.partition_sizes, sort(&input, &cfg).1.partition_sizes);
     }
 
     #[test]
@@ -318,7 +235,7 @@ mod tests {
             nodes: 8,
             samples_per_node: 256,
         };
-        let (_, stats) = partition_sort(&input, &cfg);
+        let (_, stats) = sort(&input, &cfg);
         assert!(stats.skew() < 1.35, "skew {}", stats.skew());
     }
 
@@ -329,7 +246,7 @@ mod tests {
             nodes: 8,
             ..Default::default()
         };
-        let (out, stats) = partition_sort(&input, &cfg);
+        let (out, stats) = sort(&input, &cfg);
         validate_records(&out, cs).unwrap();
         // Two distinct keys over 8 nodes: some node gets ≥ 4× its share.
         assert!(stats.skew() > 3.0, "skew {}", stats.skew());
@@ -342,7 +259,7 @@ mod tests {
             nodes: 1,
             ..Default::default()
         };
-        let (out, stats) = partition_sort(&input, &cfg);
+        let (out, stats) = sort(&input, &cfg);
         validate_records(&out, cs).unwrap();
         assert_eq!(stats.partition_sizes, vec![5_000]);
     }
@@ -356,16 +273,53 @@ mod tests {
             KeyDistribution::RandomPrintable,
         ] {
             let (input, cs) = dataset(6_000, dist);
-            let (out, _) = partition_sort(&input, &PartitionSortConfig::default());
-            validate_records(&out, cs).unwrap();
-            let (out2, _) = partition_merge_sort(&input, &PartitionSortConfig::default());
+            let cfg = PartitionSortConfig::default();
+            validate_records(&sort(&input, &cfg).0, cs).unwrap();
+            let (out2, _) = partition_merge_sort::<SortedRun>(&input, &cfg).unwrap();
             validate_records(&out2, cs).unwrap();
         }
     }
 
+    /// Empty input, and more nodes than records: trailing readers hold
+    /// empty shares, every target still answers.
     #[test]
-    fn empty_input() {
-        let (out, _) = partition_sort(&[], &PartitionSortConfig::default());
+    fn empty_and_tiny_inputs() {
+        let (three, _) = dataset(3, KeyDistribution::Random);
+        let cfg = PartitionSortConfig::default();
+        for (input, records) in [(&[][..], 0), (&three[..], 3)] {
+            let (out, stats) = sort(input, &cfg);
+            assert_eq!(out.len(), input.len());
+            assert_eq!(stats.partition_sizes.iter().sum::<u64>(), records);
+            let (merged, stats) = partition_merge_sort::<SortedRun>(input, &cfg).unwrap();
+            assert_eq!(merged, out);
+            assert_eq!(stats.partition_sizes.len(), 4);
+        }
+        let (out, _) = partition_merge_sort::<VarRun>(&[], &cfg).unwrap();
         assert!(out.is_empty());
+    }
+
+    /// Input that ends mid-record is an attributed error under both
+    /// layouts and both variants, never a panic.
+    #[test]
+    fn ragged_input_is_invalid_data() {
+        let (fixed, _) = dataset(50, KeyDistribution::Random);
+        let var = generate_varlen(VarGenConfig {
+            records: 50,
+            seed: 7,
+            corpus: TextCorpus::Urls,
+        });
+        let cfg = PartitionSortConfig::default();
+        let outcomes = [
+            partition_sort::<SortedRun>(&fixed[..fixed.len() - 1], &cfg),
+            partition_merge_sort::<SortedRun>(&fixed[..fixed.len() - 1], &cfg),
+            partition_sort::<VarRun>(&var[..var.len() - 3], &cfg),
+            partition_merge_sort::<VarRun>(&var[..var.len() - 3], &cfg),
+            // A header whose key descriptor points past its body.
+            partition_sort::<VarRun>(&[4, 0, 0, 0, 9, 0, 9, 0, 1, 2, 3, 4], &cfg),
+        ];
+        for outcome in outcomes {
+            let err = outcome.expect_err("ragged input must be refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        }
     }
 }

@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 
 use alphasort_obs as obs;
 
-use crate::entry::{RecordLayout, MAX_RUN_RECORDS};
+use crate::entry::{RecordLayout, MAX_MERGE_WORKERS, MAX_RUN_RECORDS};
 use crate::io::{RecordSink, RecordSource};
 use crate::layout::{Cut, RunCutter};
 use crate::merge::{ComparePolicy, Heads, Merger};
@@ -87,8 +87,8 @@ pub struct SortOutcome {
 
 /// Both drivers' check of the sizes a caller controls. They arrive from
 /// command lines and job manifests, so a bad one is an attributed error,
-/// not a panic.
-fn check_sizes(cfg: &SortConfig) -> io::Result<()> {
+/// not a panic (sortd asks before it accepts a job's payload).
+pub fn check_sizes(cfg: &SortConfig) -> io::Result<()> {
     let bad = |what: String| Err(io::Error::new(io::ErrorKind::InvalidInput, what));
     if cfg.run_records == 0 || cfg.gather_batch == 0 {
         return bad(format!(
@@ -101,6 +101,13 @@ fn check_sizes(cfg: &SortConfig) -> io::Result<()> {
             "run_records ({}) exceeds the {MAX_RUN_RECORDS}-records-per-run limit of the \
              32-bit entry index",
             cfg.run_records
+        ));
+    }
+    if cfg.merge_workers > MAX_MERGE_WORKERS {
+        return bad(format!(
+            "merge_workers ({}) exceeds the limit of {MAX_MERGE_WORKERS} key ranges \
+             (each range merges on its own thread)",
+            cfg.merge_workers
         ));
     }
     Ok(())
@@ -390,22 +397,33 @@ mod tests {
         }
     }
 
-    /// Sizes from outside (`sortcli --run`, a job manifest) are refused as
-    /// errors by both drivers under both layouts — never a panic, never an
-    /// up-front allocation sized by the number alone.
+    /// Sizes from outside (`sortcli --run` / `--merge-workers`, a job
+    /// manifest) are refused as errors by both drivers under both layouts —
+    /// never a panic, never an up-front allocation or thread count sized by
+    /// the number alone.
     #[test]
     fn bad_sizes_are_invalid_input_errors_not_panics() {
         let over = MAX_RUN_RECORDS.saturating_add(1);
-        let bad = [(0, 10), (10, 0), (over, 10), (usize::MAX, 10)];
+        let bad = [
+            (0, 10, 0),
+            (10, 0, 0),
+            (over, 10, 0),
+            (usize::MAX, 10, 0),
+            (10, 10, MAX_MERGE_WORKERS + 1),
+        ];
         for layout in RecordLayout::ALL {
-            for (run_records, gather_batch) in bad {
+            for (run_records, gather_batch, merge_workers) in bad {
                 let cfg = SortConfig {
                     run_records,
                     gather_batch,
+                    merge_workers,
                     layout,
                     ..Default::default()
                 };
-                let what = format!("{} run={run_records} batch={gather_batch}", layout.name());
+                let what = format!(
+                    "{} run={run_records} batch={gather_batch} ranges={merge_workers}",
+                    layout.name()
+                );
                 let (mut source, mut sink) = (MemSource::new(Vec::new(), 64), MemSink::new());
                 let mut scratch = MemScratch::new(64).with_layout(layout);
                 let outcomes = [
@@ -418,9 +436,10 @@ mod tests {
                 }
             }
             // The largest legal run on a small input reserves what the
-            // input can fill and sorts it.
+            // input can fill and sorts it, over the most ranges allowed.
             let cfg = SortConfig {
                 run_records: MAX_RUN_RECORDS,
+                merge_workers: MAX_MERGE_WORKERS,
                 layout,
                 ..Default::default()
             };

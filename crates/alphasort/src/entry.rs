@@ -137,6 +137,12 @@ pub fn key_prefix_u64(key: &[u8]) -> u64 {
 /// sentinel index no real entry can carry.
 pub const MAX_RUN_RECORDS: usize = u32::MAX as usize;
 
+/// Hard ceiling on `SortConfig::merge_workers`: a partitioned merge runs
+/// one OS thread per key range and plans `ranges × runs` bounds, and the
+/// number arrives from command lines and job manifests — so it is bounded
+/// before it sizes either.
+pub const MAX_MERGE_WORKERS: usize = 256;
+
 /// Convert a run length (or in-run position) into the 32-bit entry index
 /// space, panicking with an attributed message instead of wrapping.
 ///

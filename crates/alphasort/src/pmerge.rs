@@ -18,7 +18,7 @@
 //! key).
 
 use crate::layout::LayoutRun;
-use crate::splitter::byte_splitters_from_keys;
+use crate::splitter::quantiles;
 
 /// Keys sampled per requested range when planning (the pool is
 /// `ranges * SAMPLES_PER_RANGE`, spread over runs by record count).
@@ -93,7 +93,7 @@ pub fn plan_partitions_with<E>(
             }
         }
     }
-    let splitters = byte_splitters_from_keys(pool, ranges);
+    let splitters = quantiles(pool, ranges);
 
     // ---- cut every run at every splitter ----------------------------------
     // Range j = keys with exactly j splitters <= key, so the boundary

@@ -262,25 +262,8 @@ mod tests {
 
     #[test]
     fn matches_std_stable_sort_on_every_distribution_and_size() {
-        // Seven everyday distributions, then the degenerate shapes: one
-        // bucket holding everything, maximal prefix ties. Sizes straddle
-        // empty, the insertion cutoff and bucket skew.
-        let distributions = [
-            ("random", KeyDistribution::Random),
-            ("printable", KeyDistribution::RandomPrintable),
-            ("sorted", KeyDistribution::Sorted),
-            ("reverse", KeyDistribution::Reverse),
-            (
-                "nearly-sorted",
-                KeyDistribution::NearlySorted { permille: 50 },
-            ),
-            ("dup-heavy", KeyDistribution::DupHeavy { cardinality: 5 }),
-            ("common-prefix", KeyDistribution::CommonPrefix { shared: 9 }),
-            ("all-equal", KeyDistribution::DupHeavy { cardinality: 1 }),
-            ("two-keys", KeyDistribution::DupHeavy { cardinality: 2 }),
-            ("prefix-ties", KeyDistribution::CommonPrefix { shared: 8 }),
-        ];
-        for (name, dist) in distributions {
+        // Sizes straddle empty, the insertion cutoff and bucket skew.
+        for (name, dist) in KeyDistribution::STRESS {
             for records in [0u64, 1, 2, 15, 16, 17, 24, 25, 100, 1_000, 4_096] {
                 let (data, _) = generate(GenConfig {
                     records,

@@ -1,73 +1,44 @@
-//! Splitter sampling and key routing — the probabilistic-splitting recipe
-//! shared by the shared-nothing baseline, netsort's coordinator, and the
-//! partitioned parallel merge ([`crate::pmerge`]).
+//! Probabilistic splitting, once: the recipe every topology shares.
 //!
-//! Keys are sampled with a deterministic golden-ratio stride, the pooled
-//! sample is sorted, and its quantiles become the splitters. Everything
-//! downstream routes with the same pure function of the key
-//! ([`route`]: first interval whose upper splitter exceeds the key, equal
-//! keys go right), so a record's destination never depends on which node,
-//! run, or range examined it — the property the partitioned merge's
-//! stability argument rests on.
+//! Sample keys ([`sample_indices`], a deterministic golden-ratio walk),
+//! sort the pooled sample and take its quantiles as splitters
+//! ([`quantiles`]), then send every record where a pure function of its
+//! key says ([`route`]: first interval whose upper splitter exceeds the
+//! key, equal keys go right; [`scatter`] applies it to a record stream).
+//! A record's destination never depends on which node, run, or range
+//! examined it — the property the partitioned merge's stability argument
+//! rests on. [`skew`] is how every caller reports the balance it got.
+//!
+//! Each function is generic over the key type, so netsort's fixed
+//! `[u8; KEY_LEN]` wire keys and the byte-string keys of the var-len layout
+//! and the merge planner are the same code. Callers: the shared-nothing
+//! baseline ([`crate::baseline`]), netsort's workers (through the
+//! wire-payload helpers at the bottom), and [`crate::pmerge`], which
+//! strides over already-sorted runs instead of walking unsorted input, picks
+//! quantiles like everyone else, and cuts each run by binary search at the
+//! boundaries [`route`] defines.
 
-use alphasort_dmgen::{records_of, KEY_LEN, RECORD_LEN};
+use alphasort_dmgen::{records_of, KEY_LEN};
 
-/// Sample up to `count` keys from `input` (whole records) with a
-/// golden-ratio stride, returning them concatenated (KEY_LEN bytes each) —
-/// the payload of a netsort `Frame::Sample`.
-pub fn sample_keys(input: &[u8], count: usize) -> Vec<u8> {
-    assert!(input.len().is_multiple_of(RECORD_LEN));
-    let records = records_of(input);
-    let n = records.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let count = count.min(n);
-    let mut out = Vec::with_capacity(count * KEY_LEN);
-    for i in 0..count {
-        let idx = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) % n as u64;
-        out.extend_from_slice(&records[idx as usize].key);
-    }
-    out
+/// The sampler: `count` positions (capped at `n`) in `0..n`, spread by a
+/// golden-ratio hop — cheap, deterministic, and blind to input order.
+pub fn sample_indices(n: usize, count: usize) -> impl Iterator<Item = usize> {
+    let hop = |i: u64| i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (0..count.min(n) as u64).map(move |i| (hop(i) % n as u64) as usize)
 }
 
-/// Pick `parts - 1` splitter keys from a pooled key sample. The pool is
-/// sorted and its quantiles become the splitters, so every part's key
-/// range should hold roughly the same record count.
-pub fn splitters_from_keys(mut pool: Vec<[u8; KEY_LEN]>, parts: usize) -> Vec<[u8; KEY_LEN]> {
-    assert!(parts >= 1);
+/// The quantile picker: `parts - 1` splitters from a pooled key sample, so
+/// every part's key range should hold roughly the same record count. With
+/// no data anywhere, any splitters partition nothing correctly: an empty
+/// pool yields default keys.
+pub fn quantiles<K: Ord + Clone + Default>(mut pool: Vec<K>, parts: usize) -> Vec<K> {
+    assert!(parts >= 1, "need at least one part");
     pool.sort_unstable();
     if pool.is_empty() {
-        // No data anywhere: any splitters partition nothing correctly.
-        return vec![[0u8; KEY_LEN]; parts - 1];
+        return vec![K::default(); parts - 1];
     }
-    (1..parts).map(|k| pool[k * pool.len() / parts]).collect()
-}
-
-/// Pick `nodes - 1` splitter keys from pooled sample payloads (the
-/// concatenated-key form [`sample_keys`] produces).
-pub fn compute_splitters(samples: &[Vec<u8>], nodes: usize) -> Vec<[u8; KEY_LEN]> {
-    let mut pool: Vec<[u8; KEY_LEN]> = Vec::new();
-    for payload in samples {
-        assert!(payload.len().is_multiple_of(KEY_LEN), "ragged sample");
-        for key in payload.chunks_exact(KEY_LEN) {
-            pool.push(key.try_into().expect("KEY_LEN chunk"));
-        }
-    }
-    splitters_from_keys(pool, nodes)
-}
-
-/// Serialize splitters for a netsort `Frame::Splitters` payload.
-pub fn encode_splitters(splitters: &[[u8; KEY_LEN]]) -> Vec<u8> {
-    splitters.concat()
-}
-
-/// Parse a netsort `Frame::Splitters` payload.
-pub fn decode_splitters(payload: &[u8]) -> Vec<[u8; KEY_LEN]> {
-    assert!(payload.len().is_multiple_of(KEY_LEN), "ragged splitters");
-    payload
-        .chunks_exact(KEY_LEN)
-        .map(|k| k.try_into().expect("KEY_LEN chunk"))
+    (1..parts)
+        .map(|k| pool[k * pool.len() / parts].clone())
         .collect()
 }
 
@@ -75,62 +46,102 @@ pub fn decode_splitters(payload: &[u8]) -> Vec<[u8; KEY_LEN]> {
 /// splitter exceeds the key (keys equal to a splitter go right). A pure
 /// function of the key, so duplicates never straddle parts.
 #[inline]
-pub fn route(key: &[u8; KEY_LEN], splitters: &[[u8; KEY_LEN]]) -> usize {
-    splitters.partition_point(|s| s <= key)
+pub fn route<K: AsRef<[u8]>>(key: &[u8], splitters: &[K]) -> usize {
+    splitters.partition_point(|s| s.as_ref() <= key)
 }
 
-/// Pick `parts - 1` splitters from a pooled sample of *byte-string* keys —
-/// the var-len layout's quantile recipe. Same contract as
-/// [`splitters_from_keys`]: sorted quantiles, empty pool degrades to empty
-/// splitters (everything routes to part 0... via [`route_bytes`] an empty
-/// key ties every empty splitter and goes right, which still partitions
-/// nothing incorrectly because there is nothing to partition).
-pub fn byte_splitters_from_keys(mut pool: Vec<Vec<u8>>, parts: usize) -> Vec<Vec<u8>> {
-    assert!(parts >= 1);
-    pool.sort_unstable();
-    if pool.is_empty() {
-        return vec![Vec::new(); parts - 1];
+/// Scatter `(key, record)` pairs into one byte buffer per part, arrival
+/// order kept within a part.
+pub fn scatter<'a, K: AsRef<[u8]>>(
+    records: impl IntoIterator<Item = (&'a [u8], &'a [u8])>,
+    splitters: &[K],
+) -> Vec<Vec<u8>> {
+    let mut outs: Vec<Vec<u8>> = vec![Vec::new(); splitters.len() + 1];
+    for (key, record) in records {
+        outs[route(key, splitters)].extend_from_slice(record);
     }
-    (1..parts)
-        .map(|k| pool[k * pool.len() / parts].clone())
+    outs
+}
+
+/// Largest part over the ideal (equal) share — 1.0 is perfect balance, and
+/// what an empty or all-zero `sizes` reads as.
+pub fn skew(sizes: &[u64]) -> f64 {
+    let total: u64 = sizes.iter().sum();
+    match sizes.iter().max() {
+        Some(&max) if total > 0 => max as f64 / (total as f64 / sizes.len() as f64),
+        _ => 1.0,
+    }
+}
+
+// ---- netsort's wire payloads: keys concatenated, KEY_LEN bytes each --------
+
+/// Sample up to `count` keys from `input` (whole Datamation records) — the
+/// payload of a netsort `Frame::Sample`.
+pub fn sample_keys(input: &[u8], count: usize) -> Vec<u8> {
+    let records = records_of(input);
+    sample_indices(records.len(), count)
+        .flat_map(|i| records[i].key)
         .collect()
 }
 
-/// [`route`] for byte-string keys: first interval whose upper splitter
-/// exceeds the key, equal keys go right. Pure in the key, so the var-len
-/// partitioned merge inherits the fixed layout's stability argument.
-#[inline]
-pub fn route_bytes(key: &[u8], splitters: &[Vec<u8>]) -> usize {
-    splitters.partition_point(|s| s.as_slice() <= key)
+/// Parse a concatenated-key payload (`Frame::Sample` or `Frame::Splitters`).
+pub fn decode_keys(payload: &[u8]) -> Vec<[u8; KEY_LEN]> {
+    assert!(payload.len().is_multiple_of(KEY_LEN), "ragged key payload");
+    payload
+        .chunks_exact(KEY_LEN)
+        .map(|k| k.try_into().expect("KEY_LEN chunk"))
+        .collect()
 }
 
-/// Scatter `input` (whole records) into one byte buffer per part.
+/// The coordinator's pick: `nodes - 1` splitters from the pooled
+/// `Frame::Sample` payloads.
+pub fn compute_splitters(samples: &[Vec<u8>], nodes: usize) -> Vec<[u8; KEY_LEN]> {
+    quantiles(samples.iter().flat_map(|p| decode_keys(p)).collect(), nodes)
+}
+
+/// Scatter `input` (whole Datamation records) into one buffer per part.
 pub fn partition_records(input: &[u8], splitters: &[[u8; KEY_LEN]]) -> Vec<Vec<u8>> {
-    assert!(input.len().is_multiple_of(RECORD_LEN));
-    let mut outs: Vec<Vec<u8>> = vec![Vec::new(); splitters.len() + 1];
-    for r in records_of(input) {
-        outs[route(&r.key, splitters)].extend_from_slice(r.as_bytes());
-    }
-    outs
+    let records = records_of(input).iter();
+    scatter(records.map(|r| (&r.key[..], &r.as_bytes()[..])), splitters)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alphasort_dmgen::{generate, GenConfig, KeyDistribution};
+    use alphasort_dmgen::{generate, GenConfig, KeyDistribution, RECORD_LEN};
 
     #[test]
     fn splitters_balance_random_keys() {
         let (input, _) = generate(GenConfig::datamation(40_000, 11));
-        let sample = sample_keys(&input, 1024);
-        let splitters = compute_splitters(&[sample], 8);
+        let splitters = compute_splitters(&[sample_keys(&input, 1024)], 8);
         assert_eq!(splitters.len(), 7);
         assert!(splitters.windows(2).all(|w| w[0] <= w[1]));
         let parts = partition_records(&input, &splitters);
-        let ideal = 40_000.0 / 8.0;
+        let sizes: Vec<u64> = parts
+            .iter()
+            .map(|p| (p.len() / RECORD_LEN) as u64)
+            .collect();
+        assert_eq!(sizes.iter().sum::<u64>(), 40_000);
+        assert!(skew(&sizes) < 1.5, "sizes {sizes:?}");
+    }
+
+    /// The netsort frame path end to end: sample payloads from two nodes,
+    /// pooled splitters, encode/decode roundtrip, balanced routing.
+    #[test]
+    fn two_node_samples_pool_into_balanced_wire_splitters() {
+        let (a, _) = generate(GenConfig::datamation(10_000, 1));
+        let (b, _) = generate(GenConfig::datamation(10_000, 2));
+        let picked = compute_splitters(&[sample_keys(&a, 256), sample_keys(&b, 256)], 4);
+        let splitters = decode_keys(&picked.concat());
+        assert_eq!(splitters, picked);
+        assert_eq!(splitters.len(), 3);
+        let parts = partition_records(&a, &splitters);
+        assert_eq!(parts.len(), 4);
+        assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), a.len());
+        assert_eq!(route(&[0u8; KEY_LEN], &splitters), 0);
+        let ideal = 10_000.0 / 4.0;
         for p in &parts {
-            let records = (p.len() / RECORD_LEN) as f64;
-            assert!(records < ideal * 1.5, "partition holds {records}");
+            assert!(((p.len() / RECORD_LEN) as f64) < ideal * 1.6);
         }
     }
 
@@ -141,7 +152,19 @@ mod tests {
         assert_eq!(route(&[5u8; KEY_LEN], &splitters), 1); // equal goes right
         assert_eq!(route(&[7u8; KEY_LEN], &splitters), 1);
         assert_eq!(route(&[255u8; KEY_LEN], &splitters), 2);
-        assert_eq!(route(&[3u8; KEY_LEN], &[]), 0); // one part, no splitters
+        assert_eq!(route::<[u8; KEY_LEN]>(&[3u8; KEY_LEN], &[]), 0); // one part
+    }
+
+    #[test]
+    fn routing_handles_empty_and_prefix_keys() {
+        let splitters = vec![b"app".to_vec(), b"apple".to_vec()];
+        assert_eq!(route(b"", &splitters), 0);
+        assert_eq!(route(b"ap", &splitters), 0);
+        assert_eq!(route(b"app", &splitters), 1); // equal goes right
+        assert_eq!(route(b"appl", &splitters), 1);
+        assert_eq!(route(b"apple", &splitters), 2);
+        assert_eq!(route(b"zebra", &splitters), 2);
+        assert_eq!(route::<Vec<u8>>(b"anything", &[]), 0);
     }
 
     #[test]
@@ -151,8 +174,7 @@ mod tests {
             seed: 3,
             dist: KeyDistribution::DupHeavy { cardinality: 4 },
         });
-        let sample = sample_keys(&input, 256);
-        let splitters = compute_splitters(&[sample], 4);
+        let splitters = compute_splitters(&[sample_keys(&input, 256)], 4);
         let parts = partition_records(&input, &splitters);
         let total: usize = parts.iter().map(|p| p.len()).sum();
         assert_eq!(total, input.len());
@@ -167,36 +189,38 @@ mod tests {
         }
     }
 
+    /// One recipe, two key types: `[u8; KEY_LEN]` and the same keys as
+    /// `Vec<u8>` pick the same quantiles and route every pooled key alike,
+    /// `parts == 1` included. An empty pool yields each type's default key
+    /// (all-zero vs empty), the right count either way.
     #[test]
-    fn byte_splitters_agree_with_fixed_splitters_on_fixed_keys() {
+    fn fixed_and_byte_string_keys_are_the_same_recipe() {
         let (input, _) = generate(GenConfig::datamation(3_000, 17));
-        let fixed = decode_splitters(&sample_keys(&input, 400));
-        let bytes: Vec<Vec<u8>> = fixed.iter().map(|k| k.to_vec()).collect();
-        let fs = splitters_from_keys(fixed, 6);
-        let bs = byte_splitters_from_keys(bytes, 6);
-        assert_eq!(fs.len(), bs.len());
-        for (f, b) in fs.iter().zip(&bs) {
-            assert_eq!(&f[..], &b[..]);
-            assert_eq!(route(f, &fs), route_bytes(b, &bs));
+        for (sampled, parts) in [(400, 6), (300, 5), (400, 1), (0, 4), (0, 1)] {
+            let payload = sample_keys(&input, sampled);
+            let fixed = decode_keys(&payload);
+            let bytes: Vec<Vec<u8>> = fixed.iter().map(|k| k.to_vec()).collect();
+            let fs = compute_splitters(&[payload], parts);
+            let bs = quantiles(bytes, parts);
+            assert_eq!((fs.len(), bs.len()), (parts - 1, parts - 1));
+            if sampled == 0 {
+                assert!(fs.iter().all(|f| *f == [0u8; KEY_LEN]));
+                assert!(bs.iter().all(Vec::is_empty));
+                continue;
+            }
+            for (f, b) in fs.iter().zip(&bs) {
+                assert_eq!(&f[..], &b[..]);
+            }
+            for key in fixed.iter().chain(&fs) {
+                assert_eq!(route(key, &fs), route(key, &bs));
+            }
         }
     }
 
     #[test]
-    fn route_bytes_handles_empty_and_prefix_keys() {
-        let splitters = vec![b"app".to_vec(), b"apple".to_vec()];
-        assert_eq!(route_bytes(b"", &splitters), 0);
-        assert_eq!(route_bytes(b"ap", &splitters), 0);
-        assert_eq!(route_bytes(b"app", &splitters), 1); // equal goes right
-        assert_eq!(route_bytes(b"appl", &splitters), 1);
-        assert_eq!(route_bytes(b"apple", &splitters), 2);
-        assert_eq!(route_bytes(b"zebra", &splitters), 2);
-        assert_eq!(route_bytes(b"anything", &[]), 0);
-    }
-
-    #[test]
-    fn encode_decode_roundtrip() {
+    fn key_payloads_round_trip() {
         let splitters = vec![[1u8; KEY_LEN], [200u8; KEY_LEN]];
-        assert_eq!(decode_splitters(&encode_splitters(&splitters)), splitters);
+        assert_eq!(decode_keys(&splitters.concat()), splitters);
     }
 
     #[test]
@@ -207,13 +231,19 @@ mod tests {
     }
 
     #[test]
-    fn splitters_from_keys_matches_payload_path() {
-        let (input, _) = generate(GenConfig::datamation(2_000, 9));
-        let payload = sample_keys(&input, 300);
-        let keys = decode_splitters(&payload);
-        assert_eq!(
-            splitters_from_keys(keys, 5),
-            compute_splitters(&[payload], 5)
-        );
+    fn sampler_is_capped_in_range_and_empty_on_empty_input() {
+        assert_eq!(sample_indices(0, 10).count(), 0);
+        assert_eq!(sample_indices(7, 100).count(), 7);
+        assert!(sample_indices(1_000, 64).all(|i| i < 1_000));
+        assert_eq!(sample_keys(&[], 10), Vec::<u8>::new());
+    }
+
+    #[test]
+    fn skew_is_max_over_ideal() {
+        // Ideal share is 150; the largest part holds 300.
+        assert!((skew(&[100, 300, 100, 100]) - 2.0).abs() < 1e-12);
+        assert!((skew(&[50, 150, 100, 100]) - 1.5).abs() < 1e-12);
+        assert_eq!(skew(&[]), 1.0);
+        assert_eq!(skew(&[0, 0]), 1.0);
     }
 }

@@ -8,12 +8,13 @@
 //! closure's duration to a stats slot *and* records an `alphasort_obs`
 //! span under the matching [`alphasort_obs::phase`] name. That single
 //! entry point is what keeps the legacy counters and the exported trace
-//! in agreement: [`SortStats::from_trace`] folds a snapshot back into
-//! stats by summing spans per phase.
+//! in agreement.
 
 use std::time::{Duration, Instant};
 
 use alphasort_obs as obs;
+
+use crate::splitter::skew;
 
 /// Timings and counters accumulated over one external sort.
 #[derive(Clone, Debug, Default)]
@@ -69,8 +70,7 @@ pub struct SortStats {
     /// serial merges). Feed [`SortStats::merge_skew`].
     pub merge_range_records: Vec<u64>,
     /// For partitioned merges: wall time each range's merge took, indexed
-    /// like `merge_range_records`. Feed
-    /// [`SortStats::merge_range_throughput_mbps`].
+    /// like `merge_range_records`.
     pub merge_range_time: Vec<Duration>,
 }
 
@@ -136,46 +136,6 @@ impl SortStats {
         self.merge_range_time = times;
     }
 
-    /// Derive stats from a recorded trace: the inverse of instrumenting
-    /// with [`timed_phase`]. Phase spans sum into the matching slots,
-    /// `elapsed` is the longest top-level driver span, counters come from
-    /// span attributes (`records` on sort spans, `bytes` on read spans).
-    pub fn from_trace(snap: &obs::TraceSnapshot) -> SortStats {
-        let totals = obs::phase_totals(snap);
-        let get = |name: &str| totals.get(name).map(|&(d, _)| d).unwrap_or_default();
-        let mut st = SortStats {
-            read_wait: get(obs::phase::READ),
-            sort_time: get(obs::phase::SORT),
-            merge_time: get(obs::phase::MERGE),
-            gather_time: get(obs::phase::GATHER),
-            write_wait: get(obs::phase::WRITE),
-            spill_time: get(obs::phase::SPILL),
-            exchange_wait: get(obs::phase::EXCHANGE),
-            elapsed: obs::elapsed_of(snap),
-            one_pass: totals.contains_key(obs::phase::ONE_PASS)
-                && !totals.contains_key(obs::phase::TWO_PASS),
-            ..Default::default()
-        };
-        for e in &snap.events {
-            if e.name == obs::phase::SORT {
-                st.runs += 1;
-                for (k, v) in &e.attrs {
-                    if let ("records", obs::AttrValue::U64(n)) = (*k, v) {
-                        st.records += n;
-                        st.run_lengths.push(*n);
-                    }
-                }
-            } else if e.name == obs::phase::READ {
-                for (k, v) in &e.attrs {
-                    if let ("bytes", obs::AttrValue::U64(n)) = (*k, v) {
-                        st.bytes_sorted += n;
-                    }
-                }
-            }
-        }
-        st
-    }
-
     /// Average run length in records (0 when no runs).
     pub fn avg_run_len(&self) -> f64 {
         if self.runs == 0 {
@@ -185,47 +145,16 @@ impl SortStats {
         }
     }
 
-    /// Largest post-exchange partition over the ideal share — 1.0 is
-    /// perfect balance, matching `PartitionSortStats::skew`.
+    /// Largest post-exchange partition over the ideal share
+    /// ([`crate::splitter::skew`]).
     pub fn exchange_skew(&self) -> f64 {
-        let total: u64 = self.partition_sizes.iter().sum();
-        if total == 0 || self.partition_sizes.is_empty() {
-            return 1.0;
-        }
-        let ideal = total as f64 / self.partition_sizes.len() as f64;
-        let max = *self.partition_sizes.iter().max().expect("non-empty") as f64;
-        max / ideal
+        skew(&self.partition_sizes)
     }
 
-    /// Largest merged key range over the ideal share — 1.0 is perfect
-    /// balance, same convention as [`exchange_skew`](Self::exchange_skew).
-    /// 1.0 also for serial merges (no ranges recorded).
+    /// Largest merged key range over the ideal share; 1.0 for serial
+    /// merges (no ranges recorded).
     pub fn merge_skew(&self) -> f64 {
-        let total: u64 = self.merge_range_records.iter().sum();
-        if total == 0 || self.merge_range_records.is_empty() {
-            return 1.0;
-        }
-        let ideal = total as f64 / self.merge_range_records.len() as f64;
-        let max = *self.merge_range_records.iter().max().expect("non-empty") as f64;
-        max / ideal
-    }
-
-    /// Per-range merge throughput in MB/s (records × RECORD_LEN over the
-    /// range's wall time; 0.0 where the timer read zero). Empty for serial
-    /// merges.
-    pub fn merge_range_throughput_mbps(&self) -> Vec<f64> {
-        self.merge_range_records
-            .iter()
-            .zip(&self.merge_range_time)
-            .map(|(&n, d)| {
-                let secs = d.as_secs_f64();
-                if secs == 0.0 {
-                    0.0
-                } else {
-                    (n * alphasort_dmgen::RECORD_LEN as u64) as f64 / 1e6 / secs
-                }
-            })
-            .collect()
+        skew(&self.merge_range_records)
     }
 
     /// Bytes this sort actually processed: `bytes_sorted` when counted,
@@ -342,9 +271,6 @@ mod tests {
         };
         // Ideal share is 100; the largest range holds 150.
         assert!((st.merge_skew() - 1.5).abs() < 1e-12);
-        let tp = st.merge_range_throughput_mbps();
-        assert_eq!(tp.len(), 4);
-        assert!((tp[1] - 0.015).abs() < 1e-9); // 150 × 100 B over 1 s
         let mut m = SortStats::neutral();
         m.merge(&st);
         m.merge(&st);

@@ -11,16 +11,19 @@
 //! divergence anywhere, including equal-key order on dup-heavy inputs,
 //! fails with the first differing record.
 //!
-//! Both record layouts run every time, and every partitioned merge runs at
-//! 1, 2, 4 and 8 workers.
+//! Both record layouts run every time, every partitioned merge runs at
+//! 1, 2, 4 and 8 workers, and both shared-nothing strategies (targets sort,
+//! targets merge pre-sorted streams) run at 1, 2, 3 and 5 nodes.
 
-use alphasort_core::baseline::{partition_sort, PartitionSortConfig};
+use alphasort_core::baseline::{partition_merge_sort, partition_sort, PartitionSortConfig};
+use alphasort_core::layout::LayoutRun;
+use alphasort_core::varlen::VarRun;
 use std::sync::Arc;
 
 use alphasort_core::driver::{one_pass, two_pass, MemScratch, ScratchStore, StripeScratch};
 use alphasort_core::io::{MemSink, MemSource};
-use alphasort_core::varlen::{partition_sort_var, sort_var_bytes};
-use alphasort_core::{RecordLayout, SortConfig};
+use alphasort_core::varlen::sort_var_bytes;
+use alphasort_core::{RecordLayout, SortConfig, SortedRun};
 use alphasort_iosim::{catalog, IoEngine, MemStorage, Pacing, SimDisk};
 use alphasort_minijson::Json;
 use alphasort_stripefs::Volume;
@@ -42,6 +45,29 @@ fn stable_reference(data: &[u8]) -> Vec<u8> {
 
 /// Merge-worker counts every partitioned driver is held to.
 const MERGE_WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
+
+/// §2's shared-nothing topology over layout `R`: both target strategies at
+/// 1, 2, 3 and 5 nodes, each held to `want` by the layout's `check`. Equal
+/// keys must come out in input order through reader-order tie-breaks.
+fn baseline_cells<R: LayoutRun>(
+    data: &[u8],
+    want: &[u8],
+    what: &str,
+    check: fn(&[u8], &[u8], &str),
+) {
+    for nodes in [1, 2, 3, 5] {
+        let cfg = PartitionSortConfig {
+            nodes,
+            ..Default::default()
+        };
+        let (got, stats) = partition_sort::<R>(data, &cfg).unwrap();
+        check(&got, want, &format!("partition-sort nodes={nodes} [{what}]"));
+        assert_eq!(stats.partition_sizes.len(), nodes, "{what}");
+        let (got, merged) = partition_merge_sort::<R>(data, &cfg).unwrap();
+        check(&got, want, &format!("partition-merge nodes={nodes} [{what}]"));
+        assert_eq!(merged.partition_sizes, stats.partition_sizes, "{what}");
+    }
+}
 
 /// Index of the first differing record, for a readable failure.
 fn assert_identical(got: &[u8], want: &[u8], what: &str) {
@@ -99,8 +125,7 @@ fn oracle_case(records: u64, seed: u64, dist: KeyDistribution) {
     let want = stable_reference(&data);
 
     // §2 baseline: splitter-partitioned shared-nothing sort.
-    let (got, _) = partition_sort(&data, &PartitionSortConfig::default());
-    assert_identical(&got, &want, &format!("baseline [{what}]"));
+    baseline_cells::<SortedRun>(&data, &want, &what, assert_identical);
 
     let run_records = (records as usize / 7).max(1);
     let base = SortConfig {
@@ -289,10 +314,7 @@ fn var_oracle_case(records: u64, seed: u64, corpus: TextCorpus) {
     // In-memory baselines: single-partition sort and splitter-partitioned.
     let got = sort_var_bytes(&data).unwrap();
     var_assert_identical(&got, &want, &format!("sort_var_bytes [{what}]"));
-    for parts in [2, 3, 5] {
-        let got = partition_sort_var(&data, parts).unwrap();
-        var_assert_identical(&got, &want, &format!("baseline parts={parts} [{what}]"));
-    }
+    baseline_cells::<VarRun>(&data, &want, &what, var_assert_identical);
 
     let run_records = (records as usize / 7).max(1);
     let base = SortConfig {

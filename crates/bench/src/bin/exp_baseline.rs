@@ -12,7 +12,7 @@ use std::time::Instant;
 use alphasort_core::baseline::{partition_merge_sort, partition_sort, PartitionSortConfig};
 use alphasort_core::driver::one_pass;
 use alphasort_core::io::{MemSink, MemSource};
-use alphasort_core::SortConfig;
+use alphasort_core::{SortConfig, SortedRun};
 use alphasort_dmgen::{generate, validate_records, GenConfig, KeyDistribution};
 use alphasort_perfmodel::table::Table;
 
@@ -52,7 +52,7 @@ fn main() {
             samples_per_node: 256,
         };
         let t0 = Instant::now();
-        let (out, stats) = partition_sort(&input, &pcfg);
+        let (out, stats) = partition_sort::<SortedRun>(&input, &pcfg).unwrap();
         let part_s = t0.elapsed().as_secs_f64();
         validate_records(&out, cs).unwrap();
         t.row([
@@ -67,7 +67,7 @@ fn main() {
             samples_per_node: 256,
         };
         let t0 = Instant::now();
-        let (out, _) = partition_merge_sort(&input, &pcfg);
+        let (out, _) = partition_merge_sort::<SortedRun>(&input, &pcfg).unwrap();
         let s = t0.elapsed().as_secs_f64();
         validate_records(&out, cs).unwrap();
         t.row([
@@ -85,7 +85,7 @@ fn main() {
             nodes: 8,
             samples_per_node: samples,
         };
-        let (_, stats) = partition_sort(&input, &pcfg);
+        let (_, stats) = partition_sort::<SortedRun>(&input, &pcfg).unwrap();
         b.row([samples.to_string(), format!("{:.3}", stats.skew())]);
     }
     print!("{}", b.render());
@@ -96,13 +96,11 @@ fn main() {
         seed: 33,
         dist: KeyDistribution::DupHeavy { cardinality: 3 },
     });
-    let (_, stats) = partition_sort(
-        &skewed,
-        &PartitionSortConfig {
-            nodes: 8,
-            samples_per_node: 256,
-        },
-    );
+    let pcfg = PartitionSortConfig {
+        nodes: 8,
+        samples_per_node: 256,
+    };
+    let (_, stats) = partition_sort::<SortedRun>(&skewed, &pcfg).unwrap();
     println!(
         "3 distinct keys over 8 nodes: skew {:.1} — sampling cannot split what\n\
          doesn't vary; AlphaSort's single-address-space merge has no such\n\

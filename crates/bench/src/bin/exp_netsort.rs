@@ -21,7 +21,7 @@ use alphasort_obs as obs;
 use alphasort_core::baseline::{partition_sort, PartitionSortConfig};
 use alphasort_core::driver::one_pass;
 use alphasort_core::io::{MemSink, MemSource};
-use alphasort_core::SortConfig;
+use alphasort_core::{SortConfig, SortedRun};
 use alphasort_dmgen::{generate, validate_records, GenConfig};
 use alphasort_netsort::{netsort_loopback, netsort_tcp, NetsortConfig, RetryPolicy};
 use alphasort_perfmodel::table::Table;
@@ -122,7 +122,7 @@ fn main() {
             samples_per_node: 256,
         };
         let t0 = Instant::now();
-        let (out, stats) = partition_sort(&input, &pcfg);
+        let (out, stats) = partition_sort::<SortedRun>(&input, &pcfg).unwrap();
         let s = t0.elapsed().as_secs_f64();
         validate_records(&out, cs).unwrap();
         t.row([

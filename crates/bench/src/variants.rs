@@ -200,22 +200,7 @@ mod tests {
     /// to sorted keys and an unchanged multiset of records.
     #[test]
     fn every_exhibit_matches_std_sort_on_every_distribution_and_size() {
-        let distributions = [
-            ("random", KeyDistribution::Random),
-            ("printable", KeyDistribution::RandomPrintable),
-            ("sorted", KeyDistribution::Sorted),
-            ("reverse", KeyDistribution::Reverse),
-            (
-                "nearly-sorted",
-                KeyDistribution::NearlySorted { permille: 50 },
-            ),
-            ("dup-heavy", KeyDistribution::DupHeavy { cardinality: 5 }),
-            ("common-prefix", KeyDistribution::CommonPrefix { shared: 9 }),
-            ("all-equal", KeyDistribution::DupHeavy { cardinality: 1 }),
-            ("two-keys", KeyDistribution::DupHeavy { cardinality: 2 }),
-            ("prefix-ties", KeyDistribution::CommonPrefix { shared: 8 }),
-        ];
-        for (name, dist) in distributions {
+        for (name, dist) in KeyDistribution::STRESS {
             for records in [0u64, 1, 2, 15, 16, 17, 24, 25, 100, 1_000, 4_096] {
                 let (data, _) = generate(GenConfig {
                     records,

@@ -40,6 +40,22 @@ pub enum KeyDistribution {
 }
 
 impl KeyDistribution {
+    /// The stress table run-formation kernels are held to: seven everyday
+    /// distributions, then the degenerate shapes — one bucket holding
+    /// everything, maximal prefix ties.
+    pub const STRESS: [(&'static str, KeyDistribution); 10] = [
+        ("random", KeyDistribution::Random),
+        ("printable", KeyDistribution::RandomPrintable),
+        ("sorted", KeyDistribution::Sorted),
+        ("reverse", KeyDistribution::Reverse),
+        ("nearly-sorted", KeyDistribution::NearlySorted { permille: 50 }),
+        ("dup-heavy", KeyDistribution::DupHeavy { cardinality: 5 }),
+        ("common-prefix", KeyDistribution::CommonPrefix { shared: 9 }),
+        ("all-equal", KeyDistribution::DupHeavy { cardinality: 1 }),
+        ("two-keys", KeyDistribution::DupHeavy { cardinality: 2 }),
+        ("prefix-ties", KeyDistribution::CommonPrefix { shared: 8 }),
+    ];
+
     /// Produce the key for record number `i` out of `n`.
     ///
     /// `rng` must be the generator dedicated to this stream; calls must be

@@ -8,8 +8,9 @@
 //! module fakes that design inside one process; this crate builds the real
 //! thing:
 //!
-//! - a **coordinator phase** ([`splitter`]) that pools key samples from
-//!   every node and broadcasts quantile splitters,
+//! - a **coordinator phase** that pools key samples from every node and
+//!   broadcasts quantile splitters (the recipe is
+//!   [`alphasort_core::splitter`], shared with every other topology),
 //! - an **all-to-all exchange** of length-prefixed record frames
 //!   ([`frame`]) over a pluggable [`Transport`] — the in-process
 //!   [`loopback_cluster`] or real TCP sockets with retry/backoff
@@ -44,7 +45,6 @@
 
 pub mod faulty;
 pub mod frame;
-pub mod splitter;
 pub mod tcp;
 pub mod transport;
 pub mod worker;

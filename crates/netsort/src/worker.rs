@@ -30,15 +30,13 @@ use std::io;
 use std::time::{Duration, Instant};
 
 use alphasort_core::io::{MemSink, MemSource, RecordSink, RecordSource};
+use alphasort_core::splitter::{compute_splitters, decode_keys, partition_records, sample_keys};
 use alphasort_core::stats::timed_phase;
 use alphasort_core::{driver::one_pass, SortConfig, SortStats};
 use alphasort_dmgen::{KEY_LEN, RECORD_LEN};
 use alphasort_obs as obs;
 
 use crate::frame::Frame;
-use crate::splitter::{
-    compute_splitters, decode_splitters, encode_splitters, partition_records, sample_keys,
-};
 use crate::transport::{loopback_cluster, Transport};
 
 /// Coordinator node id.
@@ -321,7 +319,7 @@ where
             }
         }
         let samples: Vec<Vec<u8>> = samples.into_iter().flatten().collect();
-        let payload = encode_splitters(&compute_splitters(&samples, nodes));
+        let payload = compute_splitters(&samples, nodes).concat();
         for peer in 0..nodes {
             transport.send(
                 peer,
@@ -342,7 +340,7 @@ where
         match frame {
             Frame::Splitters { from, keys } => {
                 check_keys("Splitters", from, &keys, Some(nodes - 1))?;
-                break decode_splitters(&keys);
+                break decode_keys(&keys);
             }
             data @ (Frame::Data { .. } | Frame::Done { .. }) => pending.push(data),
             other => return Err(protocol_error("Splitters", &other)),

@@ -8,7 +8,7 @@
 //! forever — and against the plan the budgets imply (a two-pass job whose
 //! scratch budget cannot hold its runs is equally hopeless).
 
-use alphasort_core::{PassPlan, Planner, RecordLayout};
+use alphasort_core::{driver::check_sizes, PassPlan, Planner, RecordLayout};
 use alphasort_dmgen::RECORD_LEN;
 use alphasort_minijson::Json;
 
@@ -115,10 +115,10 @@ impl JobSpec {
         Planner::new(self.mem_budget).plan(self.input_bytes)
     }
 
-    /// Reject manifests that could never run: malformed input length,
-    /// budgets below the floor, budgets above the pool's *total* capacity
-    /// (would queue forever), or a two-pass plan whose scratch budget
-    /// cannot hold the spilled runs.
+    /// Reject manifests that could never run: malformed input length, sizes
+    /// the drivers refuse, budgets below the floor or above the pool's
+    /// *total* capacity (would queue forever), or a two-pass plan whose
+    /// scratch budget cannot hold the spilled runs.
     pub fn validate(&self, pool_mem_total: u64, pool_scratch_total: u64) -> Result<(), SortdError> {
         if self.input_bytes == 0 {
             return Err(SortdError::BadManifest(
@@ -135,6 +135,8 @@ impl JobSpec {
                 self.input_bytes
             )));
         }
+        check_sizes(&crate::executor::config_for(self))
+            .map_err(|e| SortdError::BadManifest(e.to_string()))?;
         if self.mem_budget < MIN_JOB_MEM {
             return Err(SortdError::BudgetTooSmall {
                 what: "memory",
@@ -457,6 +459,16 @@ mod tests {
         );
         // Same job with honest scratch passes.
         spec(big, 1 << 20, big).validate(pool.0, pool.1).unwrap();
+        // A range count past the ceiling never reaches a thread spawn.
+        let ceiling = alphasort_core::entry::MAX_MERGE_WORKERS;
+        for (merge_workers, ok) in [(ceiling, true), (200_000, false)] {
+            let s = JobSpec {
+                merge_workers,
+                ..spec(100 * 100, 1 << 20, 0)
+            };
+            let code = s.validate(pool.0, pool.1).map_err(|e| e.code());
+            assert_eq!(code, if ok { Ok(()) } else { Err("bad_manifest") });
+        }
         // Reserved / empty idempotency keys are manifest errors.
         for key in ["", "anon-job-3"] {
             let s = JobSpec {

@@ -418,6 +418,19 @@ fn hopeless_manifest_is_rejected_not_queued() {
     let err = client.submit(&spec, &data).expect_err("must be rejected");
     assert_eq!(err.code(), Some("budget_too_large"));
     assert!(!err.retryable());
+    // A range count that would spawn 200,000 merge threads is refused at
+    // the gate too, and the daemon is still there to say so.
+    let spec = JobSpec {
+        mem_budget: 1 << 20,
+        merge_workers: 200_000,
+        ..spec
+    };
+    let err = client.submit(&spec, &data).expect_err("must be rejected");
+    assert_eq!(err.code(), Some("bad_manifest"));
+    assert!(err.to_string().contains("merge_workers (200000)"), "{err}");
+    let stats = daemon.stats();
+    let counters = stats.get("counters").unwrap();
+    assert_eq!(counters.field_u64("rejected").unwrap(), 2);
 }
 
 /// Backpressure convergence under the bounded retry policy: a queue bound

@@ -307,79 +307,6 @@ impl Volume {
     pub fn stripe_open(&self, path: &Path) -> io::Result<StripedFile> {
         Ok(self.open(Self::load_descriptor(path)?))
     }
-
-    /// Persist a stripe definition in the paper's line-oriented text form:
-    /// "For every file in the stripe, the definition file includes a line
-    /// with the file name and number of file blocks per stride" (§6). Here
-    /// each member line is `disk-index base-offset`, after a header with
-    /// the logical name, chunk size and length.
-    pub fn save_descriptor_text(def: &StripeDef, path: &Path) -> io::Result<()> {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "# alphasort stripe definition");
-        let _ = writeln!(out, "name {}", def.name);
-        let _ = writeln!(out, "chunk {}", def.chunk);
-        let _ = writeln!(out, "len {}", def.len);
-        for m in &def.members {
-            let _ = writeln!(out, "member {} {}", m.disk, m.base);
-        }
-        std::fs::write(path, out)
-    }
-
-    /// Load a text-form descriptor written by
-    /// [`save_descriptor_text`](Self::save_descriptor_text).
-    pub fn load_descriptor_text(path: &Path) -> io::Result<StripeDef> {
-        let text = std::fs::read_to_string(path)?;
-        let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-        let mut name = None;
-        let mut chunk = None;
-        let mut len = 0u64;
-        let mut members = Vec::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut parts = line.split_whitespace();
-            match parts.next() {
-                Some("name") => name = Some(parts.next().ok_or_else(|| bad("name"))?.to_string()),
-                Some("chunk") => {
-                    chunk = Some(
-                        parts
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .ok_or_else(|| bad("chunk"))?,
-                    )
-                }
-                Some("len") => {
-                    len = parts
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| bad("len"))?
-                }
-                Some("member") => {
-                    let disk = parts
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| bad("member disk"))?;
-                    let base = parts
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| bad("member base"))?;
-                    members.push(Member { disk, base });
-                }
-                _ => return Err(bad("unknown descriptor line")),
-            }
-        }
-        let name = name.ok_or_else(|| bad("missing name"))?;
-        let chunk = chunk.ok_or_else(|| bad("missing chunk"))?;
-        if members.is_empty() {
-            return Err(bad("no members"));
-        }
-        let mut def = StripeDef::new(name, chunk, members);
-        def.len = len;
-        Ok(def)
-    }
 }
 
 #[cfg(test)]
@@ -515,36 +442,6 @@ mod tests {
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
         // The neighbour is untouched.
         assert_eq!(neighbour.read_at(0, 256).unwrap(), vec![0xEE; 256]);
-    }
-
-    #[test]
-    fn text_descriptor_roundtrip() {
-        let v = volume(3);
-        let f = v.create("paperform", &[0, 2], 128, 2_048);
-        f.write_at(0, b"line oriented like 1993").unwrap();
-
-        let dir = std::env::temp_dir().join(format!("stripefs-txt-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("paperform.str");
-        Volume::save_descriptor_text(&f.def_snapshot(), &path).unwrap();
-
-        let def = Volume::load_descriptor_text(&path).unwrap();
-        assert_eq!(def, f.def_snapshot());
-        let f2 = v.open(def);
-        assert_eq!(f2.read_at(0, 23).unwrap(), b"line oriented like 1993");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn text_descriptor_rejects_garbage() {
-        let dir = std::env::temp_dir().join(format!("stripefs-bad-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bad.str");
-        std::fs::write(&path, "name x\nchunk zero\nmember 0 0\n").unwrap();
-        assert!(Volume::load_descriptor_text(&path).is_err());
-        std::fs::write(&path, "name x\nchunk 64\n").unwrap();
-        assert!(Volume::load_descriptor_text(&path).is_err()); // no members
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

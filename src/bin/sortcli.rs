@@ -22,10 +22,10 @@
 //! default `urls`; see `TextCorpus` for the registry) and `--verify` checks
 //! the output is a sorted permutation of the input frames.
 //!
-//! `--merge-workers N` cuts the final merge into `N` disjoint key ranges
-//! by sampled splitters and merges them in parallel (0, the default, keeps
-//! the classic serial tournament). Output is byte-identical either way;
-//! the summary line reports the per-range record skew.
+//! `--merge-workers N` cuts the final merge into `N` ≤ 256 disjoint key
+//! ranges by sampled splitters and merges them on one thread each (0, the
+//! default, keeps the classic serial tournament). Output is byte-identical
+//! either way; the summary line reports the per-range record skew.
 //!
 //! `--gen` first writes a Datamation-style input file (and with `--verify`
 //! checks the output is a sorted permutation of it). `--trace-out` records
@@ -429,7 +429,7 @@ fn main() -> ExitCode {
     };
     let outcome = match outcome {
         Ok(o) => o,
-        // The drivers refuse an unusable --run as invalid input.
+        // The drivers refuse an unusable --run / --merge-workers as invalid input.
         Err(e) if e.kind() == io::ErrorKind::InvalidInput => {
             eprintln!("{e}");
             return usage();

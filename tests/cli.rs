@@ -25,9 +25,14 @@ fn sortcli_run_sizes_it_cannot_use_are_usage_errors() {
     std::fs::write(&input, generate(GenConfig::datamation(1_000, 7)).0).unwrap();
     let (input, output) = (input.to_str().unwrap(), output.to_str().unwrap());
     let sortcli = env!("CARGO_BIN_EXE_sortcli");
-    for (run_records, expect) in [("0", "at least 1"), ("5000000000", "exceeds")] {
+    // `--merge-workers` past its ceiling used to abort in a thread spawn.
+    for (flag, size, expect) in [
+        ("--run", "0", "at least 1"),
+        ("--run", "5000000000", "exceeds"),
+        ("--merge-workers", "200000", "exceeds the limit of 256"),
+    ] {
         for pass in [&[][..], &["--two-pass"]] {
-            let args = [&[input, output, "--run", run_records], pass].concat();
+            let args = [&[input, output, flag, size], pass].concat();
             assert_usage_exit(&run(sortcli, &args), expect, &format!("{args:?}"));
         }
     }
