@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 
 use alphasort_obs as obs;
 
-use crate::entry::{RecordLayout, MAX_MERGE_WORKERS, MAX_RUN_RECORDS};
+use crate::entry::{RecordLayout, MAX_MERGE_WORKERS, MAX_RUN_RECORDS, MAX_WORKERS};
 use crate::io::{RecordSink, RecordSource};
 use crate::layout::{Cut, RunCutter};
 use crate::merge::{ComparePolicy, Heads, Merger};
@@ -101,6 +101,12 @@ pub fn check_sizes(cfg: &SortConfig) -> io::Result<()> {
             "run_records ({}) exceeds the {MAX_RUN_RECORDS}-records-per-run limit of the \
              32-bit entry index",
             cfg.run_records
+        ));
+    }
+    if cfg.workers > MAX_WORKERS {
+        return bad(format!(
+            "workers ({}) exceeds the limit of {MAX_WORKERS} chore threads",
+            cfg.workers
         ));
     }
     if cfg.merge_workers > MAX_MERGE_WORKERS {
@@ -397,7 +403,7 @@ mod tests {
         }
     }
 
-    /// Sizes from outside (`sortcli --run` / `--merge-workers`, a job
+    /// Sizes from outside (`sortcli --run` / `--workers` / `--merge-workers`, a job
     /// manifest) are refused as errors by both drivers under both layouts —
     /// never a panic, never an up-front allocation or thread count sized by
     /// the number alone.
@@ -405,23 +411,26 @@ mod tests {
     fn bad_sizes_are_invalid_input_errors_not_panics() {
         let over = MAX_RUN_RECORDS.saturating_add(1);
         let bad = [
-            (0, 10, 0),
-            (10, 0, 0),
-            (over, 10, 0),
-            (usize::MAX, 10, 0),
-            (10, 10, MAX_MERGE_WORKERS + 1),
+            (0, 10, 0, 0),
+            (10, 0, 0, 0),
+            (over, 10, 0, 0),
+            (usize::MAX, 10, 0, 0),
+            (10, 10, MAX_MERGE_WORKERS + 1, 0),
+            (10, 10, 0, MAX_WORKERS + 1),
         ];
         for layout in RecordLayout::ALL {
-            for (run_records, gather_batch, merge_workers) in bad {
+            for (run_records, gather_batch, merge_workers, workers) in bad {
                 let cfg = SortConfig {
                     run_records,
                     gather_batch,
                     merge_workers,
+                    workers,
                     layout,
                     ..Default::default()
                 };
                 let what = format!(
-                    "{} run={run_records} batch={gather_batch} ranges={merge_workers}",
+                    "{} run={run_records} batch={gather_batch} ranges={merge_workers} \
+                     workers={workers}",
                     layout.name()
                 );
                 let (mut source, mut sink) = (MemSource::new(Vec::new(), 64), MemSink::new());

@@ -143,6 +143,11 @@ pub const MAX_RUN_RECORDS: usize = u32::MAX as usize;
 /// before it sizes either.
 pub const MAX_MERGE_WORKERS: usize = 256;
 
+/// Hard ceiling on `SortConfig::workers`: the chore pools spawn one OS
+/// thread per worker, and the number arrives from command lines — so it is
+/// bounded before it sizes a spawn loop.
+pub const MAX_WORKERS: usize = 256;
+
 /// Convert a run length (or in-run position) into the 32-bit entry index
 /// space, panicking with an attributed message instead of wrapping.
 ///

@@ -11,8 +11,8 @@
 //!    comparisons are measured);
 //! 2. generates runs with QuickSort as record groups arrive from disk,
 //!    overlapping sort with input (§7), rather than with
-//!    replacement-selection ([`rs`] implements the replacement-selection
-//!    baseline, the OpenVMS-sort approach);
+//!    replacement-selection (the OpenVMS-sort approach — an exhibit in
+//!    `alphasort_bench::variants::rs`);
 //! 3. merges the QuickSorted runs with a small, cache-resident tournament
 //!    tree ([`merge`] — one merger, generic over where run heads come from
 //!    and how two heads compare) and *gathers* each record exactly once
@@ -65,11 +65,9 @@ pub mod io_file;
 pub mod kernel;
 pub mod layout;
 pub mod merge;
-pub mod mergeplan;
 pub mod parallel;
 pub mod planner;
 pub mod pmerge;
-pub mod rs;
 pub mod runform;
 pub mod splitter;
 pub mod stats;

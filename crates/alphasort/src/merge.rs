@@ -41,7 +41,6 @@ use std::marker::PhantomData;
 use crate::entry::{checked_run_len, key_prefix_u64, Frame};
 use crate::io::RecordSource;
 use crate::layout::LayoutRun;
-use crate::rs::LoserTree;
 use crate::varlen::lcp;
 
 /// Merged pointer: run index and sorted position within that run.
@@ -230,6 +229,110 @@ fn head_less<H: Heads, P: ComparePolicy>(
             effort.compare();
             P::less(heads, a, b, off, effort)
         }
+    }
+}
+
+/// A tournament ("loser") tree over `k` external items.
+///
+/// The tree stores only leaf *indices*; the caller owns the items and
+/// supplies a `less(a, b)` predicate over leaf indices. Exhausted leaves are
+/// expressed by the predicate (an exhausted leaf must lose to everything).
+///
+/// After changing the winner's item, call [`LoserTree::replay`] — O(log k)
+/// and touching only the root path, which is the cache-friendly property
+/// the merge phase relies on.
+pub struct LoserTree {
+    /// Padded leaf count (power of two); leaves ≥ `k` are virtual +∞.
+    cap: usize,
+    k: usize,
+    /// Internal nodes 1..cap: the loser of the match at that node.
+    loser: Vec<u32>,
+    winner: u32,
+}
+
+impl LoserTree {
+    /// Build the tournament over `k` leaves with the given predicate.
+    ///
+    /// # Panics
+    /// If `k == 0`.
+    pub fn new<F: FnMut(usize, usize) -> bool>(k: usize, mut less: F) -> Self {
+        assert!(k > 0, "tournament needs at least one leaf");
+        let cap = k.next_power_of_two();
+        let mut loser = vec![u32::MAX; cap.max(1)];
+        // Bottom-up bracket: winners[i] for internal node i (1-based heap).
+        let mut winners = vec![u32::MAX; 2 * cap];
+        for leaf in 0..cap {
+            winners[cap + leaf] = leaf as u32;
+        }
+        let mut beats = |a: u32, b: u32| -> bool {
+            let (a, b) = (a as usize, b as usize);
+            if a >= k {
+                return false; // virtual +∞ never wins
+            }
+            if b >= k {
+                return true;
+            }
+            less(a, b)
+        };
+        for i in (1..cap).rev() {
+            let (a, b) = (winners[2 * i], winners[2 * i + 1]);
+            if beats(a, b) {
+                winners[i] = a;
+                loser[i] = b;
+            } else {
+                winners[i] = b;
+                loser[i] = a;
+            }
+        }
+        let winner = if cap == 1 { 0 } else { winners[1] };
+        LoserTree {
+            cap,
+            k,
+            loser,
+            winner,
+        }
+    }
+
+    /// Number of real leaves.
+    pub fn len(&self) -> usize {
+        self.k
+    }
+
+    /// Always false (a tree has at least one leaf).
+    pub fn is_empty(&self) -> bool {
+        false
+    }
+
+    /// The current winning leaf. The caller decides whether its item is
+    /// exhausted (the tree does not know).
+    pub fn winner(&self) -> usize {
+        self.winner as usize
+    }
+
+    /// Replay the winner's root path after its item changed.
+    pub fn replay<F: FnMut(usize, usize) -> bool>(&mut self, mut less: F) {
+        let mut beats = |a: u32, b: u32| -> bool {
+            let (a, b) = (a as usize, b as usize);
+            if a >= self.k {
+                return false;
+            }
+            if b >= self.k {
+                return true;
+            }
+            less(a, b)
+        };
+        let mut s = self.winner;
+        let mut t = (self.cap + s as usize) / 2;
+        while t >= 1 {
+            if beats(self.loser[t], s) {
+                core::mem::swap(&mut self.loser[t], &mut s);
+            }
+            if t == 1 {
+                break;
+            }
+            t /= 2;
+        }
+        self.winner = s;
     }
 }
 
@@ -596,6 +699,61 @@ mod tests {
         generate, generate_varlen, var_records_of, GenConfig, KeyDistribution, TextCorpus,
         VarGenConfig, RECORD_LEN,
     };
+
+    #[test]
+    fn loser_tree_emits_sorted_sequence() {
+        // Merge by repeatedly taking the winner of a static value array,
+        // marking taken values exhausted.
+        let vals = [5u32, 1, 4, 1, 5, 9, 2, 6, 5, 3];
+        let mut taken = vec![false; vals.len()];
+        let mut tree = LoserTree::new(vals.len(), |a, b| match (taken[a], taken[b]) {
+            (true, _) => false,
+            (false, true) => true,
+            (false, false) => (vals[a], a) < (vals[b], b),
+        });
+        let mut out = Vec::new();
+        for _ in 0..vals.len() {
+            let w = tree.winner();
+            out.push(vals[w]);
+            taken[w] = true;
+            tree.replay(|a, b| match (taken[a], taken[b]) {
+                (true, _) => false,
+                (false, true) => true,
+                (false, false) => (vals[a], a) < (vals[b], b),
+            });
+        }
+        let mut expect = vals.to_vec();
+        expect.sort_unstable();
+        assert_eq!(out, expect);
+    }
+
+    #[test]
+    fn loser_tree_single_leaf() {
+        let tree = LoserTree::new(1, |_, _| false);
+        assert_eq!(tree.winner(), 0);
+    }
+
+    #[test]
+    fn loser_tree_non_power_of_two() {
+        for k in [2usize, 3, 5, 6, 7, 9, 13] {
+            let vals: Vec<u32> = (0..k as u32).rev().collect();
+            let mut taken = vec![false; k];
+            let cmp = |taken: &Vec<bool>, a: usize, b: usize| match (taken[a], taken[b]) {
+                (true, _) => false,
+                (false, true) => true,
+                (false, false) => vals[a] < vals[b],
+            };
+            let mut tree = LoserTree::new(k, |a, b| cmp(&taken, a, b));
+            let mut out = Vec::new();
+            for _ in 0..k {
+                let w = tree.winner();
+                out.push(vals[w]);
+                taken[w] = true;
+                tree.replay(|a, b| cmp(&taken, a, b));
+            }
+            assert!(out.windows(2).all(|w| w[0] < w[1]), "k={k}: {out:?}");
+        }
+    }
 
     /// Runs of `sizes` records each (storage order = arrival order), cut
     /// from `data` whose record `i` spans `bounds[i]..bounds[i + 1]`.

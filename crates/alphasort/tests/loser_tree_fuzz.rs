@@ -6,7 +6,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use alphasort_core::rs::LoserTree;
+use alphasort_core::merge::LoserTree;
 use alphasort_dmgen::SplitMix64;
 
 /// Merge `lists` (each ascending) with the loser tree.

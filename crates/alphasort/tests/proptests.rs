@@ -4,7 +4,6 @@
 
 use alphasort_core::driver::{one_pass, two_pass, MemScratch};
 use alphasort_core::io::{MemSink, MemSource};
-use alphasort_core::rs::generate_runs;
 use alphasort_core::runform::form_run;
 use alphasort_core::{SortConfig, SortStats};
 use alphasort_dmgen::{
@@ -85,44 +84,6 @@ fn two_pass_sorts_anything() {
         assert_eq!(outcome.stats.records, n, "case {case}");
         let report = validate_records(sink.data(), cs).unwrap();
         assert_eq!(report.records, n, "case {case}");
-    }
-}
-
-/// Replacement-selection runs concatenate to the input multiset and each
-/// run is sorted, for any capacity.
-#[test]
-fn replacement_selection_invariants() {
-    let mut r = SplitMix64::new(0xA3);
-    for case in 0..64 {
-        let n = r.next_below(600);
-        let seed = r.next_u64();
-        let dist = any_dist(&mut r);
-        let capacity = 1 + r.next_below(99) as usize;
-        let (data, _) = generate(GenConfig {
-            records: n,
-            seed,
-            dist,
-        });
-        let input = records_of(&data);
-        let runs = generate_runs(input, capacity);
-        let total: usize = runs.iter().map(|run| run.len()).sum();
-        assert_eq!(total as u64, n, "case {case}");
-        for run in &runs {
-            assert!(run.windows(2).all(|w| w[0].key <= w[1].key), "case {case}");
-        }
-        // Multiset equality via sorted key+seq list.
-        let mut a: Vec<(Vec<u8>, u64)> = input
-            .iter()
-            .map(|rec| (rec.key.to_vec(), rec.seq()))
-            .collect();
-        let mut b: Vec<(Vec<u8>, u64)> = runs
-            .iter()
-            .flatten()
-            .map(|rec| (rec.key.to_vec(), rec.seq()))
-            .collect();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "case {case}");
     }
 }
 

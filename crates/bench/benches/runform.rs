@@ -5,7 +5,7 @@ use std::hint::black_box;
 
 use alphasort_bench::harness::BenchGroup;
 use alphasort_bench::variants::key_prefix_order;
-use alphasort_core::rs::generate_runs;
+use alphasort_bench::variants::rs::generate_runs;
 use alphasort_dmgen::{generate, records_of, GenConfig, KeyDistribution, Record, RECORD_LEN};
 
 fn main() {

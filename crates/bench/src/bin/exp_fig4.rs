@@ -7,10 +7,10 @@
 use std::time::Instant;
 
 use alphasort_bench::variants::key_prefix_order;
+use alphasort_bench::variants::rs::generate_runs;
 use alphasort_cachesim::{
     traced_quicksort, traced_tournament_sort, Hierarchy, QuickSortVariant, TournamentLayout,
 };
-use alphasort_core::rs::generate_runs;
 use alphasort_dmgen::{generate, records_of, GenConfig};
 use alphasort_perfmodel::table::Table;
 

@@ -4,11 +4,11 @@
 
 use std::time::Instant;
 
+use alphasort_bench::variants::mergeplan::{level_order_cost, optimal_schedule};
+use alphasort_bench::variants::rs::generate_runs;
 use alphasort_core::driver::{one_pass, two_pass, MemScratch};
 use alphasort_core::io::{MemSink, MemSource};
-use alphasort_core::mergeplan::{level_order_cost, optimal_schedule};
 use alphasort_core::planner::{PassPlan, Planner};
-use alphasort_core::rs::generate_runs;
 use alphasort_core::SortConfig;
 use alphasort_dmgen::{generate, validate_records, GenConfig, RECORD_LEN};
 use alphasort_perfmodel::economics::{crossover_bytes, pass_economics};

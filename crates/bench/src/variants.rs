@@ -14,7 +14,13 @@
 //! prefix. `exp_variants` and the `sort_variants` bench reproduce those
 //! ratios with these implementations, next to the pipeline's own
 //! [`alphasort_core::runform::form_run`] (key-prefix entries behind a
-//! 256-bucket scatter). None of them is reachable from a sort driver.
+//! 256-bucket scatter). Beside them sit the two other roads §4 does not
+//! take: [`rs`], replacement-selection run generation, and [`mergeplan`],
+//! Huffman merge scheduling for the unequal runs it produces. None of this
+//! is reachable from a sort driver.
+
+pub mod mergeplan;
+pub mod rs;
 
 use alphasort_core::entry::{checked_run_len, PrefixEntry};
 use alphasort_core::kernel::quicksort_by;

@@ -1,15 +1,22 @@
 //! Merge scheduling for unequal runs: which runs to merge together when the
 //! fan-in is limited.
 //!
-//! The two-pass driver's cascade merges runs in arrival order, which is
-//! fine when runs are equal (QuickSort runs are, §4: "typically smaller
-//! than half of memory" and uniform). Replacement-selection runs are *not*
-//! equal — ≈2× memory on average with wide variance — and for unequal runs
-//! the classic result (Knuth §5.4.9, the F-ary Huffman construction)
-//! schedules the cheapest total data movement by always merging the F
-//! currently-smallest runs. This module computes such schedules and their
-//! costs so the trade-off can be measured; `exp_onepass` prints the
-//! comparison.
+//! The two-pass driver's cascade merges runs in arrival order (the
+//! level-order `take(fanin)` loop in `alphasort_core`'s `driver/twopass.rs`),
+//! which is fine when runs are equal (QuickSort runs are, §4: "typically
+//! smaller than half of memory" and uniform). Replacement-selection runs
+//! are *not* equal — ≈2× memory on average with wide variance — and for
+//! unequal runs the classic result (Knuth §5.4.9, the F-ary Huffman
+//! construction) schedules the cheapest total data movement by always
+//! merging the F currently-smallest runs. This module computes such
+//! schedules and their costs so the trade-off can be measured;
+//! `exp_onepass` prints the comparison.
+//!
+//! It is an exhibit, not a seam the driver left unplugged: the F smallest
+//! runs are in general *not adjacent* in the input, and the driver breaks
+//! key ties on run index, so it stays stable only while every merge
+//! combines input-adjacent runs. `two_pass` has never run
+//! [`optimal_schedule`] and could not without giving up stability.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -1,4 +1,4 @@
-//! Tournament trees and replacement-selection.
+//! Replacement-selection: the run-generation algorithm §4 rejects.
 //!
 //! Replacement-selection is the classical run-generation algorithm
 //! (Knuth, *Sorting and Searching*): a tournament of W records; the winner
@@ -8,116 +8,13 @@
 //! paper *rejects* it for run formation because each replay walks a
 //! pseudo-random leaf-to-root path with poor cache locality, and measures
 //! QuickSort ~2.5× faster — but keeps a small tournament for the *merge*
-//! phase where the tree fits in cache.
-//!
-//! [`LoserTree`] is that tournament, used both by [`ReplacementSelection`]
-//! here and by the merge in [`crate::merge`].
+//! phase where the tree fits in cache. That tournament is
+//! [`alphasort_core::merge::LoserTree`]; this exhibit runs the same tree
+//! over records instead of runs, for `exp_fig4`, `exp_onepass` and the
+//! `runform` bench to measure against.
 
+use alphasort_core::merge::LoserTree;
 use alphasort_dmgen::Record;
-
-/// A tournament ("loser") tree over `k` external items.
-///
-/// The tree stores only leaf *indices*; the caller owns the items and
-/// supplies a `less(a, b)` predicate over leaf indices. Exhausted leaves are
-/// expressed by the predicate (an exhausted leaf must lose to everything).
-///
-/// After changing the winner's item, call [`LoserTree::replay`] — O(log k)
-/// and touching only the root path, which is the cache-friendly property
-/// the merge phase relies on.
-pub struct LoserTree {
-    /// Padded leaf count (power of two); leaves ≥ `k` are virtual +∞.
-    cap: usize,
-    k: usize,
-    /// Internal nodes 1..cap: the loser of the match at that node.
-    loser: Vec<u32>,
-    winner: u32,
-}
-
-impl LoserTree {
-    /// Build the tournament over `k` leaves with the given predicate.
-    ///
-    /// # Panics
-    /// If `k == 0`.
-    pub fn new<F: FnMut(usize, usize) -> bool>(k: usize, mut less: F) -> Self {
-        assert!(k > 0, "tournament needs at least one leaf");
-        let cap = k.next_power_of_two();
-        let mut loser = vec![u32::MAX; cap.max(1)];
-        // Bottom-up bracket: winners[i] for internal node i (1-based heap).
-        let mut winners = vec![u32::MAX; 2 * cap];
-        for leaf in 0..cap {
-            winners[cap + leaf] = leaf as u32;
-        }
-        let mut beats = |a: u32, b: u32| -> bool {
-            let (a, b) = (a as usize, b as usize);
-            if a >= k {
-                return false; // virtual +∞ never wins
-            }
-            if b >= k {
-                return true;
-            }
-            less(a, b)
-        };
-        for i in (1..cap).rev() {
-            let (a, b) = (winners[2 * i], winners[2 * i + 1]);
-            if beats(a, b) {
-                winners[i] = a;
-                loser[i] = b;
-            } else {
-                winners[i] = b;
-                loser[i] = a;
-            }
-        }
-        let winner = if cap == 1 { 0 } else { winners[1] };
-        LoserTree {
-            cap,
-            k,
-            loser,
-            winner,
-        }
-    }
-
-    /// Number of real leaves.
-    pub fn len(&self) -> usize {
-        self.k
-    }
-
-    /// Always false (a tree has at least one leaf).
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// The current winning leaf. The caller decides whether its item is
-    /// exhausted (the tree does not know).
-    pub fn winner(&self) -> usize {
-        self.winner as usize
-    }
-
-    /// Replay the winner's root path after its item changed.
-    pub fn replay<F: FnMut(usize, usize) -> bool>(&mut self, mut less: F) {
-        let mut beats = |a: u32, b: u32| -> bool {
-            let (a, b) = (a as usize, b as usize);
-            if a >= self.k {
-                return false;
-            }
-            if b >= self.k {
-                return true;
-            }
-            less(a, b)
-        };
-        let mut s = self.winner;
-        let mut t = (self.cap + s as usize) / 2;
-        while t >= 1 {
-            if beats(self.loser[t], s) {
-                core::mem::swap(&mut self.loser[t], &mut s);
-            }
-            if t == 1 {
-                break;
-            }
-            t /= 2;
-        }
-        self.winner = s;
-    }
-}
 
 /// One tournament slot: the record plus its run tag and arrival number.
 #[derive(Clone, Copy)]
@@ -249,62 +146,7 @@ pub fn generate_runs(input: &[Record], capacity: usize) -> Vec<Vec<Record>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alphasort_dmgen::{generate, records_of, GenConfig, KeyDistribution};
-
-    #[test]
-    fn loser_tree_emits_sorted_sequence() {
-        // Merge by repeatedly taking the winner of a static value array,
-        // marking taken values exhausted.
-        let vals = [5u32, 1, 4, 1, 5, 9, 2, 6, 5, 3];
-        let mut taken = vec![false; vals.len()];
-        let mut tree = LoserTree::new(vals.len(), |a, b| match (taken[a], taken[b]) {
-            (true, _) => false,
-            (false, true) => true,
-            (false, false) => (vals[a], a) < (vals[b], b),
-        });
-        let mut out = Vec::new();
-        for _ in 0..vals.len() {
-            let w = tree.winner();
-            out.push(vals[w]);
-            taken[w] = true;
-            tree.replay(|a, b| match (taken[a], taken[b]) {
-                (true, _) => false,
-                (false, true) => true,
-                (false, false) => (vals[a], a) < (vals[b], b),
-            });
-        }
-        let mut expect = vals.to_vec();
-        expect.sort_unstable();
-        assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn loser_tree_single_leaf() {
-        let tree = LoserTree::new(1, |_, _| false);
-        assert_eq!(tree.winner(), 0);
-    }
-
-    #[test]
-    fn loser_tree_non_power_of_two() {
-        for k in [2usize, 3, 5, 6, 7, 9, 13] {
-            let vals: Vec<u32> = (0..k as u32).rev().collect();
-            let mut taken = vec![false; k];
-            let cmp = |taken: &Vec<bool>, a: usize, b: usize| match (taken[a], taken[b]) {
-                (true, _) => false,
-                (false, true) => true,
-                (false, false) => vals[a] < vals[b],
-            };
-            let mut tree = LoserTree::new(k, |a, b| cmp(&taken, a, b));
-            let mut out = Vec::new();
-            for _ in 0..k {
-                let w = tree.winner();
-                out.push(vals[w]);
-                taken[w] = true;
-                tree.replay(|a, b| cmp(&taken, a, b));
-            }
-            assert!(out.windows(2).all(|w| w[0] < w[1]), "k={k}: {out:?}");
-        }
-    }
+    use alphasort_dmgen::{generate, records_of, GenConfig, KeyDistribution, SplitMix64};
 
     fn records(n: u64, dist: KeyDistribution) -> Vec<Record> {
         let (data, _) = generate(GenConfig {
@@ -385,5 +227,36 @@ mod tests {
     fn empty_input_yields_no_runs() {
         let runs = generate_runs(&[], 10);
         assert!(runs.is_empty());
+    }
+
+    /// Runs concatenate to the input multiset and each run is sorted, for
+    /// any capacity and distribution (seeded, so every run is reproducible).
+    #[test]
+    fn replacement_selection_invariants() {
+        let mut r = SplitMix64::new(0xA3);
+        for case in 0..64 {
+            let n = r.next_below(600);
+            let seed = r.next_u64();
+            let (_, dist) = KeyDistribution::STRESS[r.next_below(10) as usize];
+            let capacity = 1 + r.next_below(99) as usize;
+            let (data, _) = generate(GenConfig {
+                records: n,
+                seed,
+                dist,
+            });
+            let input = records_of(&data);
+            let runs = generate_runs(input, capacity);
+            let total: usize = runs.iter().map(|run| run.len()).sum();
+            assert_eq!(total as u64, n, "case {case}");
+            for run in &runs {
+                assert!(run.windows(2).all(|w| w[0].key <= w[1].key), "case {case}");
+            }
+            let key_seq = |rec: &Record| (rec.key, rec.seq());
+            let mut a: Vec<_> = input.iter().map(key_seq).collect();
+            let mut b: Vec<_> = runs.iter().flatten().map(key_seq).collect();
+            a.sort();
+            b.sort();
+            assert_eq!(a, b, "case {case}");
+        }
     }
 }

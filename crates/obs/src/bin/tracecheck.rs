@@ -2,8 +2,9 @@
 //!
 //! CI smoke-tests the exporters with this: after a `sortcli --trace-out
 //! --metrics-out` run it proves both documents parse, the trace is a
-//! well-formed Chrome `trace_event` stream, and the expected phase names
-//! actually appear — so the exporters can never silently rot.
+//! well-formed Chrome `trace_event` stream, the expected phase names
+//! actually appear, and the metrics file decodes back into a
+//! `MetricsSnapshot` — so the exporters can never silently rot.
 //!
 //! ```text
 //! tracecheck <trace.json> <metrics.json> [--expect name,name,...]
@@ -13,6 +14,7 @@ use std::collections::BTreeSet;
 use std::process::ExitCode;
 
 use alphasort_minijson::Json;
+use alphasort_obs::MetricsSnapshot;
 
 fn fail(msg: &str) -> ExitCode {
     eprintln!("tracecheck: {msg}");
@@ -101,20 +103,24 @@ fn main() -> ExitCode {
         Ok(t) => t,
         Err(e) => return fail(&format!("cannot read {}: {e}", paths[1])),
     };
-    let metrics = match Json::parse(&text) {
-        Ok(j) => j,
-        Err(e) => return fail(&format!("{} is not valid JSON: {e}", paths[1])),
+    // Decode the whole document, not just its outline: a histogram that
+    // does not round-trip fails here.
+    let metrics = match Json::parse(&text)
+        .map_err(|e| format!("not valid JSON: {e}"))
+        .and_then(|doc| {
+            // `from_json` reads an absent section as empty; a file must have all three.
+            match ["counters", "gauges", "histograms"]
+                .iter()
+                .find(|s| doc.get(s).is_none())
+            {
+                Some(section) => Err(format!("missing object {section:?}")),
+                None => MetricsSnapshot::from_json(&doc),
+            }
+        }) {
+        Ok(m) => m,
+        Err(e) => return fail(&format!("{}: {e}", paths[1])),
     };
-    for section in ["counters", "gauges", "histograms"] {
-        match metrics.get(section) {
-            Some(Json::Obj(_)) => {}
-            _ => return fail(&format!("{}: missing object {section:?}", paths[1])),
-        }
-    }
-    let counters = match metrics.get("counters") {
-        Some(Json::Obj(fields)) => fields.len(),
-        _ => 0,
-    };
+    let counters = metrics.counters.len();
 
     println!(
         "tracecheck: ok — {spans} spans, {} distinct names, {counters} counters",

@@ -1,4 +1,6 @@
-//! Exporters: Chrome `trace_event` JSON and a metrics document.
+//! Exporters: Chrome `trace_event` JSON and the histogram summary service
+//! stats embed. (The metrics document is
+//! [`MetricsSnapshot::to_json`](crate::MetricsSnapshot::to_json).)
 //!
 //! The trace format is the subset of the Trace Event Format that
 //! `chrome://tracing` and Perfetto load directly: complete (`"X"`) events
@@ -10,7 +12,6 @@
 
 use alphasort_minijson::Json;
 
-use crate::metrics::MetricsSnapshot;
 use crate::recorder::{AttrValue, EventKind, TraceSnapshot};
 
 fn attr_json(v: &AttrValue) -> Json {
@@ -130,59 +131,10 @@ pub fn histogram_summary(h: &crate::metrics::Histogram) -> Json {
     ])
 }
 
-/// Render a metrics snapshot as a JSON document.
-pub fn metrics_json(snap: &MetricsSnapshot) -> Json {
-    let counters = snap
-        .counters
-        .iter()
-        .map(|(k, &v)| (k.clone(), Json::from(v)))
-        .collect();
-    let gauges = snap
-        .gauges
-        .iter()
-        .map(|(k, &v)| (k.clone(), Json::from(v)))
-        .collect();
-    let histograms = snap
-        .histograms
-        .iter()
-        .map(|(k, h)| {
-            let buckets = h
-                .nonzero_buckets()
-                .into_iter()
-                .map(|(lo, hi, count)| {
-                    Json::Obj(vec![
-                        ("lo".to_string(), Json::from(lo)),
-                        // The top bucket's bound (2^64) exceeds i64; clamp
-                        // to a float, which is what readers chart anyway.
-                        ("hi".to_string(), Json::Float(hi as f64)),
-                        ("count".to_string(), Json::from(count)),
-                    ])
-                })
-                .collect();
-            let obj = Json::Obj(vec![
-                ("count".to_string(), Json::from(h.count())),
-                ("sum".to_string(), Json::from(h.sum())),
-                ("min".to_string(), Json::from(h.min().unwrap_or(0))),
-                ("max".to_string(), Json::from(h.max().unwrap_or(0))),
-                ("mean".to_string(), Json::Float(h.mean())),
-                ("buckets".to_string(), Json::Arr(buckets)),
-            ]);
-            (k.clone(), obj)
-        })
-        .collect();
-    Json::Obj(vec![
-        ("counters".to_string(), Json::Obj(counters)),
-        ("gauges".to_string(), Json::Obj(gauges)),
-        ("histograms".to_string(), Json::Obj(histograms)),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::Histogram;
     use crate::recorder::{Event, ThreadInfo};
-    use std::collections::BTreeMap;
     use std::sync::Arc;
 
     fn span_event(
@@ -263,38 +215,5 @@ mod tests {
                 .unwrap(),
             3
         );
-    }
-
-    #[test]
-    fn metrics_json_roundtrip() {
-        let mut h = Histogram::default();
-        h.record(512);
-        h.record(513);
-        let snap = MetricsSnapshot {
-            counters: BTreeMap::from([("io.read.bytes".to_string(), 1_048_576u64)]),
-            gauges: BTreeMap::from([("io.queue_depth".to_string(), 3i64)]),
-            histograms: BTreeMap::from([("net.frame.bytes".to_string(), h)]),
-        };
-        let doc = metrics_json(&snap);
-        let parsed = Json::parse(&doc.dump()).unwrap();
-        assert_eq!(parsed, doc);
-        assert_eq!(
-            parsed
-                .get("counters")
-                .unwrap()
-                .field_u64("io.read.bytes")
-                .unwrap(),
-            1_048_576
-        );
-        let hist = parsed
-            .get("histograms")
-            .unwrap()
-            .get("net.frame.bytes")
-            .unwrap();
-        assert_eq!(hist.field_u64("count").unwrap(), 2);
-        let buckets = hist.field_arr("buckets").unwrap();
-        assert_eq!(buckets.len(), 1);
-        assert_eq!(buckets[0].field_u64("lo").unwrap(), 512);
-        assert_eq!(buckets[0].field_u64("count").unwrap(), 2);
     }
 }

@@ -14,8 +14,9 @@
 //! * **Metrics** — counters, gauges and log2-bucketed histograms keyed by
 //!   static names ([`metrics`]), with snapshot and diff support.
 //! * **Exporters** — Chrome `trace_event` JSON loadable in
-//!   `chrome://tracing`/Perfetto and a metrics JSON document ([`export`]),
-//!   plus the terminal Figure 7 report ([`report`]).
+//!   `chrome://tracing`/Perfetto ([`export`]), the round-trippable metrics
+//!   document ([`MetricsSnapshot::to_json`]), plus the terminal Figure 7
+//!   report ([`report`]).
 //!
 //! The canonical span names every layer records under live in [`phase`];
 //! `SortStats` can be derived back from a snapshot by summing spans per

@@ -108,19 +108,6 @@ impl Histogram {
         self.counts[i]
     }
 
-    /// Non-empty buckets as `(lo, hi, count)` triples, ascending.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u128, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| {
-                let (lo, hi) = Self::bucket_bounds(i);
-                (lo, hi, c)
-            })
-            .collect()
-    }
-
     /// Estimate the `q`-quantile (`q` clamped to `[0, 1]`) by walking the
     /// log2 buckets and linearly interpolating within the bucket that
     /// contains the target rank.
@@ -178,10 +165,9 @@ impl Histogram {
 
     /// Full-fidelity JSON encoding: every non-empty bucket by index, plus
     /// the summary fields, so [`from_json`](Self::from_json) reconstructs
-    /// the histogram exactly. This is the wire format services ship
-    /// histograms in (sortd's `metrics` request); the lossier
-    /// charting-oriented rendering lives in
-    /// [`export::metrics_json`](crate::export::metrics_json).
+    /// the histogram exactly. This is the format histograms travel in —
+    /// sortd's `metrics` request and every `--metrics-out` file; a bucket's
+    /// value range is [`bucket_bounds`](Self::bucket_bounds) of its index.
     pub fn to_json(&self) -> Json {
         let buckets = self
             .counts
@@ -346,8 +332,9 @@ impl MetricsSnapshot {
 
     /// Round-trippable JSON encoding: `counters`/`gauges`/`histograms`
     /// objects, with each histogram in its full-fidelity
-    /// [`Histogram::to_json`] form. This is the wire document the sortd
-    /// `metrics` request answers with (plus its own envelope fields);
+    /// [`Histogram::to_json`] form. This is the one metrics document: the
+    /// sortd `metrics` request answers with it (plus its own envelope
+    /// fields) and `--metrics-out` writes it;
     /// [`from_json`](Self::from_json) on the receiving side restores a
     /// snapshot that diffs and quantiles exactly like the original.
     pub fn to_json(&self) -> Json {
@@ -472,7 +459,8 @@ mod tests {
         assert_eq!(h.bucket_count(2), 2); // 2, 3
         assert_eq!(h.bucket_count(3), 1); // 4
         assert_eq!(h.bucket_count(11), 1); // 1024
-        assert_eq!(h.nonzero_buckets().len(), 5);
+        let occupied = (0..HISTOGRAM_BUCKETS).filter(|&i| h.bucket_count(i) > 0);
+        assert_eq!(occupied.count(), 5);
     }
 
     #[test]

@@ -10,89 +10,31 @@
 
 use std::process::ExitCode;
 
-use alphasort_suite::dmgen::{GenConfig, Generator, KeyDistribution, RECORD_LEN};
-use alphasort_suite::sort::io::RecordSink;
-use alphasort_suite::sort::io_file::FileSink;
+use alphasort_suite::cli::Arg::{Switch, Val};
+use alphasort_suite::cli::{self, Command, Flag, Flags, Stop};
+use alphasort_suite::dmgen::KeyDistribution;
+
+const GENSORT: Command = Command {
+    name: "gensort",
+    positionals: &["records", "output-file"],
+    flags: &[Flag("--seed", Val("N")), Flag("--printable", Switch)],
+    run: gensort,
+};
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut pos = Vec::new();
-    let mut seed = 42u64;
-    let mut printable = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(s) => seed = s,
-                    None => {
-                        eprintln!("--seed needs a number");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--printable" => printable = true,
-            other if !other.starts_with('-') => pos.push(other.to_string()),
-            other => {
-                eprintln!("unknown flag {other}");
-                return ExitCode::from(2);
-            }
-        }
-        i += 1;
-    }
-    if pos.len() != 2 {
-        eprintln!("usage: gensort <records> <output-file> [--seed N] [--printable]");
-        return ExitCode::from(2);
-    }
-    let records: u64 = match pos[0].parse() {
-        Ok(n) => n,
-        Err(_) => {
-            eprintln!("bad record count {}", pos[0]);
-            return ExitCode::from(2);
-        }
-    };
+    cli::main(&[GENSORT])
+}
 
-    let dist = if printable {
+fn gensort(flags: &Flags) -> Result<(), Stop> {
+    let records = cli::parse_num("<records>", flags.pos(0))?;
+    let dist = if flags.has("--printable") {
         KeyDistribution::RandomPrintable
     } else {
         KeyDistribution::Random
     };
-    let mut gen = Generator::new(GenConfig {
-        records,
-        seed,
-        dist,
-    });
-    let mut sink = match FileSink::create(&pos[1]) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot create {}: {e}", pos[1]);
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut buf = vec![0u8; 10_000 * RECORD_LEN];
-    loop {
-        let n = gen.fill(&mut buf);
-        if n == 0 {
-            break;
-        }
-        if let Err(e) = sink.push(&buf[..n]) {
-            eprintln!("write failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Err(e) = sink.complete() {
-        eprintln!("write failed: {e}");
-        return ExitCode::FAILURE;
-    }
-    let cs = gen.checksum();
-    eprintln!(
-        "wrote {} records ({:.1} MB) to {}",
-        records,
-        records as f64 * RECORD_LEN as f64 / 1e6,
-        pos[1]
-    );
+    let seed = flags.num("--seed", 42)?;
+    let cs = cli::generate_datamation_file(flags.pos(1), records, seed, dist)?;
     // The fingerprint goes to stdout so scripts can capture it.
     println!("{}:{}:{}", cs.count, cs.sum, cs.xor);
-    ExitCode::SUCCESS
+    Ok(())
 }

@@ -23,113 +23,49 @@
 //! forever).
 //! `--trace-out` writes one Chrome trace covering every node (each worker's
 //! spans sit on a `nodeK` track) plus the cluster Figure 7 table on stderr;
-//! `--metrics-out` writes the metrics snapshot as JSON.
+//! `--metrics-out` writes the metrics snapshot as JSON (the same
+//! round-trippable document sortcli and sortd write). The command-line
+//! rules are `alphasort_suite::cli`'s; `netsort --help` prints the usage
+//! from the table the parser reads.
 
 use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::process::ExitCode;
+use std::time::Duration;
 
-use alphasort_suite::dmgen::{validate_reader, GenConfig, Generator, RunningChecksum, RECORD_LEN};
+use alphasort_suite::cli::Arg::{Switch, Val};
+use alphasort_suite::cli::{self, failed, Artifacts, Command, Flag, Flags, Stop};
+use alphasort_suite::dmgen::{KeyDistribution, RunningChecksum, RECORD_LEN};
 use alphasort_suite::netsort::{
     bind_cluster, loopback_cluster, merge_cluster_stats, run_worker, NetsortConfig, RetryPolicy,
     TcpTransport, Transport,
 };
-use alphasort_suite::obs;
+use alphasort_suite::sort::driver::check_sizes;
 use alphasort_suite::sort::io_file::{FileSink, FileSource};
 use alphasort_suite::sort::{SortConfig, SortStats};
 
-struct Args {
-    input: String,
-    output: String,
-    nodes: usize,
-    tcp: bool,
-    gen: Option<(u64, u64)>,
-    run_records: usize,
-    workers: usize,
-    batch_records: usize,
-    samples: usize,
-    /// Per-receive deadline in ms; 0 = wait forever.
-    recv_timeout_ms: u64,
-    verify: bool,
-    keep: bool,
-    trace_out: Option<String>,
-    metrics_out: Option<String>,
-}
+const NETSORT: Command = Command {
+    name: "netsort",
+    positionals: &["input", "output"],
+    flags: &[
+        Flag("--nodes", Val("N")),
+        Flag("--tcp", Switch),
+        Flag("--gen", Val("RECORDS[:SEED]")),
+        Flag("--run", Val("RECORDS")),
+        Flag("--workers", Val("N")),
+        Flag("--batch", Val("RECORDS")),
+        Flag("--samples", Val("N")),
+        Flag("--recv-timeout-ms", Val("MS")),
+        Flag("--verify", Switch),
+        Flag("--keep", Switch),
+        Flag("--trace-out", Val("TRACE.json")),
+        Flag("--metrics-out", Val("METRICS.json")),
+    ],
+    run: netsort,
+};
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: netsort <input> <output> [--nodes N] [--tcp] [--gen RECORDS[:SEED]] \
-         [--run RECORDS] [--workers N] [--batch RECORDS] [--samples N] \
-         [--recv-timeout-ms MS] [--verify] [--keep] \
-         [--trace-out TRACE.json] [--metrics-out METRICS.json]"
-    );
-    ExitCode::from(2)
-}
-
-fn parse_args() -> Result<Args, ExitCode> {
-    let mut pos = Vec::new();
-    let mut args = Args {
-        input: String::new(),
-        output: String::new(),
-        nodes: 4,
-        tcp: false,
-        gen: None,
-        run_records: 100_000,
-        workers: 0,
-        batch_records: 640,
-        samples: 256,
-        recv_timeout_ms: NetsortConfig::DEFAULT_RECV_TIMEOUT.as_millis() as u64,
-        verify: false,
-        keep: false,
-        trace_out: None,
-        metrics_out: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut value = |name: &str| {
-            it.next().ok_or_else(|| {
-                eprintln!("missing value for {name}");
-                usage()
-            })
-        };
-        match a.as_str() {
-            "--nodes" => args.nodes = value("--nodes")?.parse().map_err(|_| usage())?,
-            "--tcp" => args.tcp = true,
-            "--gen" => {
-                let v = value("--gen")?;
-                let (records, seed) = match v.split_once(':') {
-                    Some((r, s)) => (
-                        r.parse().map_err(|_| usage())?,
-                        s.parse().map_err(|_| usage())?,
-                    ),
-                    None => (v.parse().map_err(|_| usage())?, 42),
-                };
-                args.gen = Some((records, seed));
-            }
-            "--run" => args.run_records = value("--run")?.parse().map_err(|_| usage())?,
-            "--workers" => args.workers = value("--workers")?.parse().map_err(|_| usage())?,
-            "--batch" => args.batch_records = value("--batch")?.parse().map_err(|_| usage())?,
-            "--samples" => args.samples = value("--samples")?.parse().map_err(|_| usage())?,
-            "--recv-timeout-ms" => {
-                args.recv_timeout_ms = value("--recv-timeout-ms")?.parse().map_err(|_| usage())?
-            }
-            "--verify" => args.verify = true,
-            "--keep" => args.keep = true,
-            "--trace-out" => args.trace_out = Some(value("--trace-out")?),
-            "--metrics-out" => args.metrics_out = Some(value("--metrics-out")?),
-            other if other.starts_with('-') => {
-                eprintln!("unknown flag {other}");
-                return Err(usage());
-            }
-            other => pos.push(other.to_string()),
-        }
-    }
-    if pos.len() != 2 || args.nodes == 0 || args.batch_records == 0 {
-        return Err(usage());
-    }
-    args.input = pos.remove(0);
-    args.output = pos.remove(0);
-    Ok(args)
+fn main() -> ExitCode {
+    cli::main(&[NETSORT])
 }
 
 /// Stream `input` into `nodes` contiguous record-aligned share files
@@ -214,67 +150,46 @@ fn concatenate(parts: &[String], output: &str) -> io::Result<u64> {
     Ok(total)
 }
 
-fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(code) => return code,
-    };
-
-    if let Some((records, seed)) = args.gen {
-        let mut gen = Generator::new(GenConfig::datamation(records, seed));
-        let write = File::create(&args.input)
-            .map_err(|e| io::Error::other(format!("cannot create {}: {e}", args.input)))
-            .and_then(|f| {
-                let mut w = BufWriter::with_capacity(1 << 20, f);
-                gen.generate_to(&mut w, 10_000)?;
-                w.flush()
-            });
-        if let Err(e) = write {
-            eprintln!("generate failed: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!(
-            "generated {} records ({:.1} MB) into {}",
-            records,
-            (records * RECORD_LEN as u64) as f64 / 1e6,
-            args.input
-        );
-    }
-
-    let (shares, checksum) = match split_to_share_files(&args.input, &args.output, args.nodes) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("split failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let parts: Vec<String> = (0..args.nodes)
-        .map(|n| format!("{}.node{n}.out", args.output))
-        .collect();
-
+fn netsort(flags: &Flags) -> Result<(), Stop> {
+    let (input, output) = (flags.pos(0), flags.pos(1));
+    let nodes: usize = flags.num("--nodes", 4)?;
+    let tcp = flags.has("--tcp");
+    let default_timeout = NetsortConfig::DEFAULT_RECV_TIMEOUT.as_millis() as u64;
     let cfg = NetsortConfig {
-        samples_per_node: args.samples,
-        batch_records: args.batch_records,
-        recv_timeout: match args.recv_timeout_ms {
+        samples_per_node: flags.num("--samples", 256)?,
+        batch_records: flags.num("--batch", 640)?,
+        // 0 = wait forever.
+        recv_timeout: match flags.num("--recv-timeout-ms", default_timeout)? {
             0 => None,
-            ms => Some(std::time::Duration::from_millis(ms)),
+            ms => Some(Duration::from_millis(ms)),
         },
         sort: SortConfig {
-            run_records: args.run_records,
-            workers: args.workers,
+            run_records: flags.num("--run", 100_000)?,
+            workers: flags.num("--workers", 0)?,
             ..Default::default()
         },
     };
+    if nodes == 0 || cfg.batch_records == 0 {
+        return Err(Stop::usage("--nodes and --batch must be at least 1"));
+    }
+    // Every node would refuse the same size after the exchange; refuse it
+    // once, before anything is written.
+    check_sizes(&cfg.sort).map_err(Stop::usage)?;
+
+    if let Some((records, seed)) = flags.get("--gen").map(cli::parse_gen).transpose()? {
+        cli::generate_datamation_file(input, records, seed, KeyDistribution::Random)?;
+    }
+    let (shares, checksum) =
+        split_to_share_files(input, output, nodes).map_err(failed("split failed"))?;
+    let parts: Vec<String> = (0..nodes)
+        .map(|n| format!("{output}.node{n}.out"))
+        .collect();
 
     // Start recording after generation + splitting so the trace covers only
     // the distributed sort itself; each worker tags its own `nodeK` track.
-    let tracing = args.trace_out.is_some() || args.metrics_out.is_some();
-    if tracing {
-        obs::enable(obs::DEFAULT_CAPACITY);
-    }
-
-    let per_node = if args.tcp {
-        bind_cluster(args.nodes).and_then(|(listeners, addrs)| {
+    let artifacts = Artifacts::record(flags);
+    let per_node = if tcp {
+        bind_cluster(nodes).and_then(|(listeners, addrs)| {
             let addrs = &addrs;
             let policy = RetryPolicy::default();
             let makers: Vec<_> = listeners
@@ -288,25 +203,16 @@ fn main() -> ExitCode {
             run_cluster(makers, &shares, &parts, &cfg)
         })
     } else {
-        let makers: Vec<_> = loopback_cluster(args.nodes)
+        let makers: Vec<_> = loopback_cluster(nodes)
             .into_iter()
             .map(|t| move || Ok(t))
             .collect();
         run_cluster(makers, &shares, &parts, &cfg)
     };
-    let per_node = match per_node {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("distributed sort failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let per_node = per_node.map_err(failed("distributed sort failed"))?;
 
-    if let Err(e) = concatenate(&parts, &args.output) {
-        eprintln!("concatenation failed: {e}");
-        return ExitCode::FAILURE;
-    }
-    if !args.keep {
+    concatenate(&parts, output).map_err(failed("concatenation failed"))?;
+    if !flags.has("--keep") {
         for path in shares.iter().chain(parts.iter()) {
             let _ = fs::remove_file(path);
         }
@@ -314,10 +220,9 @@ fn main() -> ExitCode {
 
     let st = merge_cluster_stats(&per_node);
     eprintln!(
-        "netsort: {} records on {} {} node(s) in {:.3} s ({:.1} MB/s aggregate)",
+        "netsort: {} records on {nodes} {} node(s) in {:.3} s ({:.1} MB/s aggregate)",
         st.records,
-        args.nodes,
-        if args.tcp { "tcp" } else { "loopback" },
+        if tcp { "tcp" } else { "loopback" },
         st.elapsed.as_secs_f64(),
         st.throughput_mbps(),
     );
@@ -337,51 +242,11 @@ fn main() -> ExitCode {
         st.gather_time.as_secs_f64(),
         if st.one_pass { "one" } else { "two" },
     );
+    artifacts.write(true)?;
 
-    if tracing {
-        obs::disable();
-        let snap = obs::snapshot();
-        eprint!("{}", obs::figure7(&snap));
-        if let Some(path) = &args.trace_out {
-            let doc = obs::export::chrome_trace(&snap);
-            if let Err(e) = std::fs::write(path, doc.dump()) {
-                eprintln!("cannot write trace {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!(
-                "trace: {} events across {} node(s) -> {path} \
-                 (open in Perfetto / chrome://tracing)",
-                snap.events.len(),
-                args.nodes
-            );
-        }
-        if let Some(path) = &args.metrics_out {
-            let doc = obs::export::metrics_json(&obs::metrics_snapshot());
-            if let Err(e) = std::fs::write(path, doc.dump_pretty()) {
-                eprintln!("cannot write metrics {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("metrics: -> {path}");
-        }
+    if flags.has("--verify") {
+        let report = cli::verify_datamation_file(output, checksum.finish())?;
+        eprintln!("verified: {} records, sorted permutation ✓", report.records);
     }
-
-    if args.verify {
-        let result = File::open(&args.output)
-            .map_err(|e| io::Error::other(format!("cannot reopen output: {e}")))
-            .and_then(|mut f| validate_reader(&mut f, checksum.finish()));
-        match result {
-            Ok(Ok(report)) => {
-                eprintln!("verified: {} records, sorted permutation ✓", report.records)
-            }
-            Ok(Err(e)) => {
-                eprintln!("OUTPUT INVALID: {e}");
-                return ExitCode::FAILURE;
-            }
-            Err(e) => {
-                eprintln!("verify failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
+    Ok(())
 }

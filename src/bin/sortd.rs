@@ -4,6 +4,8 @@
 //! sortd serve  [--listen ADDR] [--pool-mem BYTES] [--pool-scratch BYTES]
 //!              [--queue-bound N] [--bypass-limit N] [--scratch-dir DIR]
 //!              [--journal DIR] [--trace-out TRACE.json] [--metrics-out METRICS.json]
+//!              [--client-timeout-secs N] [--client-write-timeout-secs N]
+//!              [--recovered-grace-ms MS]
 //! sortd submit --addr ADDR (--in FILE | --gen RECORDS[:SEED]) [--out FILE]
 //!              [--mem BYTES] [--scratch BYTES] [--merge-workers N] [--name NAME]
 //!              [--idem-key KEY] [--deadline-ms N]
@@ -15,6 +17,10 @@
 //! sortd cancel --addr ADDR --job ID
 //! sortd drain  --addr ADDR
 //! ```
+//!
+//! Each subcommand has its own flag table (`sortd --help` prints them all);
+//! a flag that belongs to another subcommand is refused, not ignored. The
+//! command-line rules are `alphasort_suite::cli`'s.
 //!
 //! `serve` prints `sortd listening on ADDR` (with the resolved port) and
 //! runs until a client sends `drain`. With `--scratch-dir`, two-pass jobs
@@ -43,175 +49,117 @@
 //! exits — the scriptable form CI uses.
 //!
 //! `serve --trace-out`/`--metrics-out` mirror sortcli and netsort: the
-//! daemon runs with tracing enabled and writes a Chrome trace and/or an
-//! obs metrics document when it drains.
+//! daemon runs with tracing enabled and writes a Chrome trace and/or the
+//! obs metrics document — the `MetricsSnapshot` form its own `metrics`
+//! request answers with — when it drains.
 
 use std::io::Write;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::path::Path;
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use alphasort_suite::cli::Arg::{Req, Val};
+use alphasort_suite::cli::{self, failed, Artifacts, Command, Flag, Flags, Stop};
 use alphasort_suite::dmgen::{generate, records_of_mut, GenConfig, RECORD_LEN};
-use alphasort_suite::iosim::{catalog, FileStorage, IoEngine, Pacing, SimDisk, Storage};
 use alphasort_suite::obs;
 use alphasort_suite::obs::MetricsSnapshot;
 use alphasort_suite::sortd::{
-    AdmissionConfig, Client, JobSpec, PoolConfig, RetryPolicy, ScratchBacking, Sortd,
-    SortdConfig,
+    AdmissionConfig, Client, JobSpec, PoolConfig, RetryPolicy, ScratchBacking, Sortd, SortdConfig,
 };
-use alphasort_suite::stripefs::Volume;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: sortd serve  [--listen ADDR] [--pool-mem BYTES] [--pool-scratch BYTES]\n\
-         \x20                [--queue-bound N] [--bypass-limit N] [--scratch-dir DIR]\n\
-         \x20                [--journal DIR] [--trace-out TRACE.json] [--metrics-out METRICS.json]\n\
-         \x20      sortd submit --addr ADDR (--in FILE | --gen RECORDS[:SEED]) [--out FILE]\n\
-         \x20                [--mem BYTES] [--scratch BYTES] [--merge-workers N] [--name NAME]\n\
-         \x20                [--idem-key KEY] [--deadline-ms N]\n\
-         \x20      sortd fleet  --addr ADDR [--jobs N] [--threads N] [--records N] [--mem BYTES]\n\
-         \x20                [--retries N]\n\
-         \x20      sortd stats  --addr ADDR\n\
-         \x20      sortd top    --addr ADDR [--interval-ms N] [--iters N]\n\
-         \x20      sortd status --addr ADDR --job ID\n\
-         \x20      sortd cancel --addr ADDR --job ID\n\
-         \x20      sortd drain  --addr ADDR"
-    );
-    ExitCode::from(2)
+const ADDR: Flag = Flag("--addr", Req("ADDR"));
+const JOB: Flag = Flag("--job", Req("ID"));
+
+/// A subcommand: flags only, no positionals.
+const fn sub(
+    name: &'static str,
+    flags: &'static [Flag],
+    run: fn(&Flags) -> Result<(), Stop>,
+) -> Command {
+    Command {
+        name,
+        positionals: &[],
+        flags,
+        run,
+    }
 }
 
-/// Every flag some subcommand reads; anything else is a usage error rather
-/// than a silently ignored request.
-const KNOWN_FLAGS: [&str; 29] = [
-    "--addr", "--bypass-limit", "--client-timeout-secs", "--client-write-timeout-secs",
-    "--deadline-ms", "--gen", "--idem-key", "--in", "--interval-ms", "--iters", "--job", "--jobs",
-    "--journal", "--listen", "--mem", "--merge-workers", "--metrics-out", "--name", "--out",
-    "--pool-mem", "--pool-scratch", "--queue-bound", "--records", "--recovered-grace-ms",
-    "--retries", "--scratch", "--scratch-dir", "--threads", "--trace-out",
+const COMMANDS: [Command; 8] = [
+    sub(
+        "sortd serve",
+        &[
+            Flag("--listen", Val("ADDR")),
+            Flag("--pool-mem", Val("BYTES")),
+            Flag("--pool-scratch", Val("BYTES")),
+            Flag("--queue-bound", Val("N")),
+            Flag("--bypass-limit", Val("N")),
+            Flag("--scratch-dir", Val("DIR")),
+            Flag("--journal", Val("DIR")),
+            Flag("--trace-out", Val("TRACE.json")),
+            Flag("--metrics-out", Val("METRICS.json")),
+            Flag("--client-timeout-secs", Val("N")),
+            Flag("--client-write-timeout-secs", Val("N")),
+            Flag("--recovered-grace-ms", Val("MS")),
+        ],
+        cmd_serve,
+    ),
+    sub(
+        "sortd submit",
+        &[
+            ADDR,
+            Flag("--in", Val("FILE")),
+            Flag("--gen", Val("RECORDS[:SEED]")),
+            Flag("--out", Val("FILE")),
+            Flag("--mem", Val("BYTES")),
+            Flag("--scratch", Val("BYTES")),
+            Flag("--merge-workers", Val("N")),
+            Flag("--name", Val("NAME")),
+            Flag("--idem-key", Val("KEY")),
+            Flag("--deadline-ms", Val("N")),
+        ],
+        cmd_submit,
+    ),
+    sub(
+        "sortd fleet",
+        &[
+            ADDR,
+            Flag("--jobs", Val("N")),
+            Flag("--threads", Val("N")),
+            Flag("--records", Val("N")),
+            Flag("--mem", Val("BYTES")),
+            Flag("--retries", Val("N")),
+        ],
+        cmd_fleet,
+    ),
+    sub("sortd stats", &[ADDR], cmd_stats),
+    sub(
+        "sortd top",
+        &[
+            ADDR,
+            Flag("--interval-ms", Val("N")),
+            Flag("--iters", Val("N")),
+        ],
+        cmd_top,
+    ),
+    sub("sortd status", &[ADDR, JOB], cmd_status),
+    sub("sortd cancel", &[ADDR, JOB], cmd_cancel),
+    sub("sortd drain", &[ADDR], cmd_drain),
 ];
 
-/// Flag map: every `--flag value` pair after the subcommand.
-struct Flags(Vec<(String, String)>);
-
-impl Flags {
-    fn parse(mut it: impl Iterator<Item = String>) -> Result<Flags, ExitCode> {
-        let mut flags = Vec::new();
-        while let Some(a) = it.next() {
-            if !a.starts_with("--") {
-                eprintln!("unexpected argument {a}");
-                return Err(usage());
-            }
-            if !KNOWN_FLAGS.contains(&a.as_str()) {
-                eprintln!("unknown flag {a}");
-                return Err(usage());
-            }
-            let Some(v) = it.next() else {
-                eprintln!("missing value for {a}");
-                return Err(usage());
-            };
-            flags.push((a, v));
-        }
-        Ok(Flags(flags))
-    }
-
-    fn get(&self, name: &str) -> Option<&str> {
-        self.0.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_str())
-    }
-
-    fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, ExitCode> {
-        match self.get(name) {
-            Some(v) => v.parse().map_err(|_| {
-                eprintln!("bad value for {name}: {v}");
-                usage()
-            }),
-            None => Ok(default),
-        }
-    }
-
-    fn addr(&self) -> Result<SocketAddr, ExitCode> {
-        let Some(a) = self.get("--addr") else {
-            eprintln!("--addr is required");
-            return Err(usage());
-        };
-        a.to_socket_addrs()
-            .ok()
-            .and_then(|mut it| it.next())
-            .ok_or_else(|| {
-                eprintln!("cannot resolve {a}");
-                usage()
-            })
-    }
-}
-
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    let Some(cmd) = args.next() else {
-        return usage();
-    };
-    let flags = match Flags::parse(args) {
-        Ok(f) => f,
-        Err(code) => return code,
-    };
-    let run = match cmd.as_str() {
-        "serve" => cmd_serve(&flags),
-        "submit" => cmd_submit(&flags),
-        "fleet" => cmd_fleet(&flags),
-        "stats" => cmd_stats(&flags),
-        "top" => cmd_top(&flags),
-        "status" => cmd_status(&flags),
-        "cancel" => cmd_cancel(&flags),
-        "drain" => cmd_drain(&flags),
-        "--help" | "-h" | "help" => return usage(),
-        other => {
-            eprintln!("unknown subcommand {other}");
-            return usage();
-        }
-    };
-    match run {
-        Ok(code) => code,
-        Err(code) => code,
-    }
+    cli::main(&COMMANDS)
 }
 
-/// Disk images striped to form the shared scratch volume.
-const SCRATCH_DISKS: usize = 2;
-const SCRATCH_CHUNK: u64 = 64 * 1024;
-
-fn shared_volume(dir: &str) -> Result<Arc<Volume>, ExitCode> {
-    std::fs::create_dir_all(dir).map_err(|e| {
-        eprintln!("cannot create {dir}: {e}");
-        ExitCode::FAILURE
-    })?;
-    let mut disks = Vec::new();
-    for i in 0..SCRATCH_DISKS {
-        let img = Path::new(dir).join(format!("disk{i}.img"));
-        // Reopen an existing image rather than truncating it: a restarted
-        // daemon must see the runs an interrupted two-pass job sealed, or
-        // journal-driven scratch recovery has nothing to reattach.
-        let opened = if img.exists() {
-            FileStorage::open(&img)
-        } else {
-            FileStorage::create(&img)
-        };
-        let storage: Arc<dyn Storage> = Arc::new(opened.map_err(|e| {
-            eprintln!("cannot open {}: {e}", img.display());
-            ExitCode::FAILURE
-        })?);
-        disks.push(SimDisk::new(
-            format!("scratch{i}"),
-            catalog::uncapped(),
-            storage,
-            Pacing::Modeled,
-            None,
-        ));
-    }
-    Ok(Arc::new(Volume::new(Arc::new(IoEngine::new(disks)))))
+/// The daemon a client subcommand talks to.
+fn addr(flags: &Flags) -> Result<SocketAddr, Stop> {
+    let a = flags.get("--addr").expect("--addr is a required flag");
+    let resolved = a.to_socket_addrs().ok().and_then(|mut it| it.next());
+    resolved.ok_or_else(|| Stop::usage(format!("cannot resolve {a}")))
 }
 
-fn cmd_serve(flags: &Flags) -> Result<ExitCode, ExitCode> {
+fn cmd_serve(flags: &Flags) -> Result<(), Stop> {
     let pool = PoolConfig {
         mem_total: flags.num("--pool-mem", 256u64 << 20)?,
         scratch_total: flags.num("--pool-scratch", 1u64 << 30)?,
@@ -220,100 +168,59 @@ fn cmd_serve(flags: &Flags) -> Result<ExitCode, ExitCode> {
         queue_bound: flags.num("--queue-bound", 256usize)?,
         bypass_limit: flags.num("--bypass-limit", 8u32)?,
     };
+    let client_read_timeout = Duration::from_secs(flags.num("--client-timeout-secs", 120)?);
+    let client_write_timeout = Duration::from_secs(flags.num("--client-write-timeout-secs", 30)?);
+    let recovered_grace = Duration::from_millis(flags.num("--recovered-grace-ms", 60_000)?);
     let backing = match flags.get("--scratch-dir") {
-        Some(dir) => ScratchBacking::SharedVolume(shared_volume(dir)?, SCRATCH_CHUNK),
+        Some(dir) => ScratchBacking::SharedVolume(
+            cli::scratch_volume(Path::new(dir), cli::SCRATCH_DISKS, Default::default())?,
+            cli::SCRATCH_CHUNK,
+        ),
         None => ScratchBacking::Memory,
     };
     // Parity with sortcli/netsort: record the daemon's whole lifetime and
     // write the artifacts at drain. (Daemon latency *histograms* are
     // always on regardless; these flags add span traces + obs metrics.)
-    let tracing = flags.get("--trace-out").is_some() || flags.get("--metrics-out").is_some();
-    if tracing {
-        obs::enable(obs::DEFAULT_CAPACITY);
-    }
+    let artifacts = Artifacts::record(flags);
     let daemon = Sortd::start(SortdConfig {
         listen: flags.get("--listen").unwrap_or("127.0.0.1:0").to_string(),
         pool,
         admission,
         backing,
-        client_read_timeout: Duration::from_secs(
-            flags.num("--client-timeout-secs", 120u64)?,
-        ),
-        client_write_timeout: Duration::from_secs(
-            flags.num("--client-write-timeout-secs", 30u64)?,
-        ),
+        client_read_timeout,
+        client_write_timeout,
         journal: flags.get("--journal").map(Into::into),
-        recovered_grace: Duration::from_millis(flags.num("--recovered-grace-ms", 60_000u64)?),
+        recovered_grace,
         ..SortdConfig::default()
     })
-    .map_err(|e| {
-        eprintln!("cannot start daemon: {e}");
-        ExitCode::FAILURE
-    })?;
+    .map_err(failed("cannot start daemon"))?;
     // The resolved-port line is the startup handshake scripts wait for.
     println!("sortd listening on {}", daemon.addr());
     std::io::stdout().flush().ok();
     // Serve until a client drains us. The handle blocks here; all work
     // happens on the daemon's connection threads.
     daemon.wait_drained();
-    let stats = daemon.stats();
-    eprintln!("sortd drained: {}", stats.dump());
-    if tracing {
-        obs::disable();
-        let snap = obs::snapshot();
-        if let Some(path) = flags.get("--trace-out") {
-            let doc = obs::export::chrome_trace(&snap);
-            if let Err(e) = std::fs::write(path, doc.dump()) {
-                eprintln!("cannot write trace {path}: {e}");
-                return Ok(ExitCode::FAILURE);
-            }
-            eprintln!(
-                "trace: {} events -> {path} (open in Perfetto / chrome://tracing)",
-                snap.events.len()
-            );
-        }
-        if let Some(path) = flags.get("--metrics-out") {
-            let doc = obs::export::metrics_json(&obs::metrics_snapshot());
-            if let Err(e) = std::fs::write(path, doc.dump_pretty()) {
-                eprintln!("cannot write metrics {path}: {e}");
-                return Ok(ExitCode::FAILURE);
-            }
-            eprintln!("metrics: -> {path}");
-        }
+    eprintln!("sortd drained: {}", daemon.stats().dump());
+    artifacts.write(false)?;
+    if !daemon.pool_idle() {
+        return Err(Stop::Failed("pool accounting not zero after drain".into()));
     }
-    if daemon.pool_idle() {
-        Ok(ExitCode::SUCCESS)
-    } else {
-        eprintln!("pool accounting not zero after drain");
-        Ok(ExitCode::FAILURE)
-    }
+    Ok(())
 }
 
-fn cmd_submit(flags: &Flags) -> Result<ExitCode, ExitCode> {
-    let addr = flags.addr()?;
+fn cmd_submit(flags: &Flags) -> Result<(), Stop> {
+    let addr = addr(flags)?;
     let (data, fingerprint) = match (flags.get("--in"), flags.get("--gen")) {
         (Some(path), None) => {
-            let data = std::fs::read(path).map_err(|e| {
-                eprintln!("cannot read {path}: {e}");
-                ExitCode::FAILURE
-            })?;
+            let data = std::fs::read(path).map_err(failed(format!("cannot read {path}")))?;
             (data, None)
         }
         (None, Some(spec)) => {
-            let (n, seed) = match spec.split_once(':') {
-                Some((n, s)) => (
-                    n.parse().map_err(|_| usage())?,
-                    s.parse().map_err(|_| usage())?,
-                ),
-                None => (spec.parse().map_err(|_| usage())?, 42u64),
-            };
-            let (data, checksum) = generate(GenConfig::datamation(n, seed));
+            let (records, seed) = cli::parse_gen(spec)?;
+            let (data, checksum) = generate(GenConfig::datamation(records, seed));
             (data, Some(checksum))
         }
-        _ => {
-            eprintln!("exactly one of --in or --gen is required");
-            return Err(usage());
-        }
+        _ => return Err(Stop::usage("exactly one of --in or --gen is required")),
     };
     let spec = JobSpec {
         name: flags.get("--name").unwrap_or("cli").to_string(),
@@ -327,16 +234,15 @@ fn cmd_submit(flags: &Flags) -> Result<ExitCode, ExitCode> {
     };
     let client = Client::new(addr).with_timeout(Duration::from_secs(600));
     let started = Instant::now();
-    let res = client.submit(&spec, &data).map_err(|e| {
-        eprintln!("submit failed: {e}");
-        ExitCode::FAILURE
-    })?;
+    let res = client
+        .submit(&spec, &data)
+        .map_err(failed("submit failed"))?;
     if res.duplicate {
         eprintln!(
             "job {}: duplicate of a settled job — {} records, answered from the journal",
             res.job_id, res.records
         );
-        return Ok(ExitCode::SUCCESS);
+        return Ok(());
     }
     eprintln!(
         "job {} ({}): {} records sorted in {:.3} s ({}{})",
@@ -352,21 +258,18 @@ fn cmd_submit(flags: &Flags) -> Result<ExitCode, ExitCode> {
         },
     );
     if let Some(path) = flags.get("--out") {
-        std::fs::write(path, &res.output).map_err(|e| {
-            eprintln!("cannot write {path}: {e}");
-            ExitCode::FAILURE
-        })?;
+        std::fs::write(path, &res.output).map_err(failed(format!("cannot write {path}")))?;
         eprintln!("wrote {} bytes to {path}", res.output.len());
     }
     if let Some(c) = fingerprint {
         // The line valsort --expect consumes.
         println!("checksum {}:{}:{}", c.count, c.sum, c.xor);
     }
-    Ok(ExitCode::SUCCESS)
+    Ok(())
 }
 
-fn cmd_fleet(flags: &Flags) -> Result<ExitCode, ExitCode> {
-    let addr = flags.addr()?;
+fn cmd_fleet(flags: &Flags) -> Result<(), Stop> {
+    let addr = addr(flags)?;
     let jobs: u64 = flags.num("--jobs", 64)?;
     let threads: u64 = flags.num("--threads", 8)?;
     let records: u64 = flags.num("--records", 1_000)?;
@@ -447,20 +350,20 @@ fn cmd_fleet(flags: &Flags) -> Result<ExitCode, ExitCode> {
         "fleet: {total}/{jobs} jobs ok in {secs:.3} s ({:.1} jobs/s), all outputs oracle-checked",
         total as f64 / secs
     );
-    if failures.is_empty() && total == jobs {
-        Ok(ExitCode::SUCCESS)
-    } else {
-        Ok(ExitCode::FAILURE)
+    if !failures.is_empty() || total != jobs {
+        return Err(Stop::Failed(format!(
+            "fleet: {} of {jobs} jobs did not succeed",
+            jobs - total
+        )));
     }
+    Ok(())
 }
 
-fn cmd_stats(flags: &Flags) -> Result<ExitCode, ExitCode> {
-    let doc = Client::new(flags.addr()?).stats().map_err(|e| {
-        eprintln!("stats failed: {e}");
-        ExitCode::FAILURE
-    })?;
+fn cmd_stats(flags: &Flags) -> Result<(), Stop> {
+    let client = Client::new(addr(flags)?);
+    let doc = client.stats().map_err(failed("stats failed"))?;
     println!("{}", doc.dump_pretty());
-    Ok(ExitCode::SUCCESS)
+    Ok(())
 }
 
 /// `sortd top`: poll the `metrics` wire doc, diff successive snapshots
@@ -468,21 +371,15 @@ fn cmd_stats(flags: &Flags) -> Result<ExitCode, ExitCode> {
 /// delta (not local wall clock) so rates are immune to poll jitter;
 /// latency quantiles come from the histogram diff, so they describe only
 /// the jobs that finished in the interval.
-fn cmd_top(flags: &Flags) -> Result<ExitCode, ExitCode> {
-    let addr = flags.addr()?;
+fn cmd_top(flags: &Flags) -> Result<(), Stop> {
+    let addr = addr(flags)?;
     let interval = Duration::from_millis(flags.num("--interval-ms", 1_000u64)?.max(10));
     let iters: u64 = flags.num("--iters", 0)?; // 0 = refresh forever
     let client = Client::new(addr).with_timeout(Duration::from_secs(30));
-    let fetch = || -> Result<(MetricsSnapshot, u64), ExitCode> {
-        let doc = client.metrics().map_err(|e| {
-            eprintln!("metrics request failed: {e}");
-            ExitCode::FAILURE
-        })?;
+    let fetch = || -> Result<(MetricsSnapshot, u64), Stop> {
+        let doc = client.metrics().map_err(failed("metrics request failed"))?;
         let uptime = doc.field_u64("uptime_ms").unwrap_or(0);
-        let snap = MetricsSnapshot::from_json(&doc).map_err(|e| {
-            eprintln!("cannot decode metrics doc: {e}");
-            ExitCode::FAILURE
-        })?;
+        let snap = MetricsSnapshot::from_json(&doc).map_err(failed("cannot decode metrics doc"))?;
         Ok((snap, uptime))
     };
     let (mut prev, mut prev_uptime) = fetch()?;
@@ -501,7 +398,7 @@ fn cmd_top(flags: &Flags) -> Result<ExitCode, ExitCode> {
         (prev, prev_uptime) = (cur, uptime);
         shown += 1;
         if iters > 0 && shown >= iters {
-            return Ok(ExitCode::SUCCESS);
+            return Ok(());
         }
     }
 }
@@ -575,47 +472,29 @@ fn render_top(addr: SocketAddr, cur: &MetricsSnapshot, delta: &MetricsSnapshot, 
     );
 }
 
-fn cmd_status(flags: &Flags) -> Result<ExitCode, ExitCode> {
-    let job = flags.num("--job", u64::MAX)?;
-    if job == u64::MAX {
-        eprintln!("--job is required");
-        return Err(usage());
-    }
-    let doc = Client::new(flags.addr()?).status(job).map_err(|e| {
-        eprintln!("status failed: {e}");
-        ExitCode::FAILURE
-    })?;
+fn cmd_status(flags: &Flags) -> Result<(), Stop> {
+    let job = flags.num("--job", 0)?;
+    let client = Client::new(addr(flags)?);
+    let doc = client.status(job).map_err(failed("status failed"))?;
     println!("{}", doc.dump_pretty());
-    Ok(ExitCode::SUCCESS)
+    Ok(())
 }
 
-fn cmd_cancel(flags: &Flags) -> Result<ExitCode, ExitCode> {
-    let job = flags.num("--job", u64::MAX)?;
-    if job == u64::MAX {
-        eprintln!("--job is required");
-        return Err(usage());
+fn cmd_cancel(flags: &Flags) -> Result<(), Stop> {
+    let job = flags.num("--job", 0)?;
+    let client = Client::new(addr(flags)?);
+    if !client.cancel(job).map_err(failed("cancel failed"))? {
+        return Err(Stop::Failed(format!(
+            "job {job} was not queued (already running, done, or unknown)"
+        )));
     }
-    let hit = Client::new(flags.addr()?).cancel(job).map_err(|e| {
-        eprintln!("cancel failed: {e}");
-        ExitCode::FAILURE
-    })?;
-    if hit {
-        eprintln!("job {job} canceled");
-        Ok(ExitCode::SUCCESS)
-    } else {
-        eprintln!("job {job} was not queued (already running, done, or unknown)");
-        Ok(ExitCode::FAILURE)
-    }
+    eprintln!("job {job} canceled");
+    Ok(())
 }
 
-fn cmd_drain(flags: &Flags) -> Result<ExitCode, ExitCode> {
-    let doc = Client::new(flags.addr()?)
-        .with_timeout(Duration::from_secs(600))
-        .drain()
-        .map_err(|e| {
-            eprintln!("drain failed: {e}");
-            ExitCode::FAILURE
-        })?;
+fn cmd_drain(flags: &Flags) -> Result<(), Stop> {
+    let client = Client::new(addr(flags)?).with_timeout(Duration::from_secs(600));
+    let doc = client.drain().map_err(failed("drain failed"))?;
     println!("{}", doc.dump());
-    Ok(ExitCode::SUCCESS)
+    Ok(())
 }

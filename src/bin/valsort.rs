@@ -9,9 +9,22 @@
 //! valsort <file> [--expect COUNT:SUM:XOR]
 //! ```
 
+use std::io::Read;
 use std::process::ExitCode;
 
-use alphasort_suite::dmgen::{validate_reader, Checksum, Record, RunningChecksum, RECORD_LEN};
+use alphasort_suite::cli::{self, failed, Arg::Val, Command, Flag, Flags, Stop};
+use alphasort_suite::dmgen::{Checksum, Record, RunningChecksum, RECORD_LEN};
+
+const VALSORT: Command = Command {
+    name: "valsort",
+    positionals: &["file"],
+    flags: &[Flag("--expect", Val("COUNT:SUM:XOR"))],
+    run: valsort,
+};
+
+fn main() -> ExitCode {
+    cli::main(&[VALSORT])
+}
 
 fn parse_checksum(s: &str) -> Option<Checksum> {
     let mut parts = s.split(':');
@@ -24,111 +37,57 @@ fn parse_checksum(s: &str) -> Option<Checksum> {
     Some(Checksum { count, sum, xor })
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut pos = Vec::new();
-    let mut expect: Option<Checksum> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--expect" => {
-                i += 1;
-                expect = match args.get(i).map(|s| parse_checksum(s)) {
-                    Some(Some(cs)) => Some(cs),
-                    _ => {
-                        eprintln!("--expect needs COUNT:SUM:XOR");
-                        return ExitCode::from(2);
-                    }
-                };
-            }
-            other if !other.starts_with('-') => pos.push(other.to_string()),
-            other => {
-                eprintln!("unknown flag {other}");
-                return ExitCode::from(2);
-            }
-        }
-        i += 1;
-    }
-    if pos.len() != 1 {
-        eprintln!("usage: valsort <file> [--expect COUNT:SUM:XOR]");
-        return ExitCode::from(2);
+fn valsort(flags: &Flags) -> Result<(), Stop> {
+    let path = flags.pos(0);
+    if let Some(spec) = flags.get("--expect") {
+        let expected =
+            parse_checksum(spec).ok_or_else(|| Stop::usage("--expect needs COUNT:SUM:XOR"))?;
+        let report = cli::verify_datamation_file(path, expected)?;
+        eprintln!(
+            "OK: {} records in key order, permutation matches ({} duplicate-key pairs)",
+            report.records, report.equal_key_pairs
+        );
+        return Ok(());
     }
 
-    let mut file = match std::fs::File::open(&pos[0]) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("cannot open {}: {e}", pos[0]);
-            return ExitCode::FAILURE;
+    // Order check + fingerprint report, no reference to compare.
+    let mut file = std::fs::File::open(path).map_err(failed(format!("cannot open {path}")))?;
+    let invalid = |why: String| Err(Stop::Failed(format!("INVALID: {why}")));
+    let mut buf = vec![0u8; 8192 * RECORD_LEN];
+    let mut pending = 0usize;
+    let mut rc = RunningChecksum::new();
+    let mut prev: Option<[u8; 10]> = None;
+    let mut records = 0u64;
+    let mut dups = 0u64;
+    loop {
+        let n = file.read(&mut buf[pending..]).map_err(failed("IO error"))?;
+        if n == 0 {
+            break;
         }
-    };
-
-    match expect {
-        Some(cs) => match validate_reader(&mut file, cs) {
-            Ok(Ok(report)) => {
-                eprintln!(
-                    "OK: {} records in key order, permutation matches \
-                     ({} duplicate-key pairs)",
-                    report.records, report.equal_key_pairs
-                );
-                ExitCode::SUCCESS
-            }
-            Ok(Err(e)) => {
-                eprintln!("INVALID: {e}");
-                ExitCode::FAILURE
-            }
-            Err(e) => {
-                eprintln!("IO error: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        None => {
-            // Order check + fingerprint report, no reference to compare.
-            use std::io::Read;
-            let mut buf = vec![0u8; 8192 * RECORD_LEN];
-            let mut pending = 0usize;
-            let mut rc = RunningChecksum::new();
-            let mut prev: Option<[u8; 10]> = None;
-            let mut records = 0u64;
-            let mut dups = 0u64;
-            loop {
-                let n = match file.read(&mut buf[pending..]) {
-                    Ok(n) => n,
-                    Err(e) => {
-                        eprintln!("IO error: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                if n == 0 {
-                    break;
+        pending += n;
+        let whole = pending - pending % RECORD_LEN;
+        for chunk in buf[..whole].chunks_exact(RECORD_LEN) {
+            let r = Record::from_bytes(chunk);
+            if let Some(p) = prev {
+                if p > r.key {
+                    return invalid(format!("record {records} out of key order"));
                 }
-                pending += n;
-                let whole = pending - pending % RECORD_LEN;
-                for chunk in buf[..whole].chunks_exact(RECORD_LEN) {
-                    let r = Record::from_bytes(chunk);
-                    if let Some(p) = prev {
-                        if p > r.key {
-                            eprintln!("INVALID: record {records} out of key order");
-                            return ExitCode::FAILURE;
-                        }
-                        if p == r.key {
-                            dups += 1;
-                        }
-                    }
-                    prev = Some(r.key);
-                    rc.update(&r);
-                    records += 1;
+                if p == r.key {
+                    dups += 1;
                 }
-                buf.copy_within(whole..pending, 0);
-                pending -= whole;
             }
-            if pending != 0 {
-                eprintln!("INVALID: trailing partial record ({pending} bytes)");
-                return ExitCode::FAILURE;
-            }
-            let cs = rc.finish();
-            eprintln!("OK: {records} records in key order ({dups} duplicate-key pairs)");
-            println!("{}:{}:{}", cs.count, cs.sum, cs.xor);
-            ExitCode::SUCCESS
+            prev = Some(r.key);
+            rc.update(&r);
+            records += 1;
         }
+        buf.copy_within(whole..pending, 0);
+        pending -= whole;
     }
+    if pending != 0 {
+        return invalid(format!("trailing partial record ({pending} bytes)"));
+    }
+    let cs = rc.finish();
+    eprintln!("OK: {records} records in key order ({dups} duplicate-key pairs)");
+    println!("{}:{}:{}", cs.count, cs.sum, cs.xor);
+    Ok(())
 }

@@ -12,6 +12,12 @@
 //! * [`netsort`] — distributed shared-nothing sort over the local pipeline
 //! * [`obs`] — tracing + metrics (spans, Figure 7 report, Chrome traces)
 //! * [`sortd`] — sort-as-a-service daemon: job manifests, admission control
+//!
+//! and holds the one thing the five binaries share: [`cli`], their command
+//! line (flag tables, `--gen`, `--verify`, trace/metrics artifacts and the
+//! `--scratch-dir` volume).
+
+pub mod cli;
 
 pub use alphasort_cachesim as cachesim;
 pub use alphasort_core as sort;

@@ -1,6 +1,7 @@
 //! The binaries' handling of arguments from outside: a value the sort
-//! cannot use, or a flag that no longer exists, ends in the usage exit —
-//! never a panic (101) or an allocation abort (134).
+//! cannot use, a flag that no longer exists or belongs to another command,
+//! ends in the usage exit — never a panic (101), an allocation abort (134)
+//! or a silently ignored request.
 
 use std::process::{Command, Output};
 
@@ -25,16 +26,35 @@ fn sortcli_run_sizes_it_cannot_use_are_usage_errors() {
     std::fs::write(&input, generate(GenConfig::datamation(1_000, 7)).0).unwrap();
     let (input, output) = (input.to_str().unwrap(), output.to_str().unwrap());
     let sortcli = env!("CARGO_BIN_EXE_sortcli");
-    // `--merge-workers` past its ceiling used to abort in a thread spawn.
+    // `--merge-workers` and `--workers` past their ceilings used to abort
+    // in a thread spawn.
     for (flag, size, expect) in [
         ("--run", "0", "at least 1"),
         ("--run", "5000000000", "exceeds"),
         ("--merge-workers", "200000", "exceeds the limit of 256"),
+        (
+            "--workers",
+            "200000",
+            "workers (200000) exceeds the limit of 256",
+        ),
     ] {
         for pass in [&[][..], &["--two-pass"]] {
             let args = [&[input, output, flag, size], pass].concat();
             assert_usage_exit(&run(sortcli, &args), expect, &format!("{args:?}"));
         }
+    }
+    // netsort feeds the same `SortConfig`, and refuses before it splits.
+    for (flag, size, expect) in [
+        ("--run", "0", "at least 1"),
+        (
+            "--workers",
+            "200000",
+            "workers (200000) exceeds the limit of 256",
+        ),
+    ] {
+        let args = [input, output, "--nodes", "2", flag, size];
+        let out = run(env!("CARGO_BIN_EXE_netsort"), &args);
+        assert_usage_exit(&out, expect, &format!("netsort {args:?}"));
     }
     // The largest run the entry index allows is a size, not a reservation.
     let out = run(sortcli, &[input, output, "--run", "4294967295"]);
@@ -60,4 +80,92 @@ fn removed_kernel_and_rep_flags_are_unknown_flags() {
         &["submit", "--kernel", "scalar"],
     );
     assert_usage_exit(&out, "unknown flag --kernel", "sortd submit");
+}
+
+/// One row per command: the binary, arguments that make a complete command
+/// line for it, a value flag it reads, and whether that value is a number.
+/// Addresses point at a port nothing listens on — no row may get as far as
+/// dialling it.
+const ADDR: &str = "127.0.0.1:1";
+const SORTD: &str = env!("CARGO_BIN_EXE_sortd");
+const COMMANDS: [(&str, &[&str], &str, bool); 12] = [
+    (env!("CARGO_BIN_EXE_sortcli"), &["in", "out"], "--run", true),
+    (
+        env!("CARGO_BIN_EXE_netsort"),
+        &["in", "out"],
+        "--nodes",
+        true,
+    ),
+    (
+        env!("CARGO_BIN_EXE_gensort"),
+        &["10", "out"],
+        "--seed",
+        true,
+    ),
+    (env!("CARGO_BIN_EXE_valsort"), &["file"], "--expect", false),
+    (SORTD, &["serve"], "--pool-mem", true),
+    (
+        SORTD,
+        &["submit", "--addr", ADDR, "--gen", "10"],
+        "--mem",
+        true,
+    ),
+    (SORTD, &["fleet", "--addr", ADDR], "--jobs", true),
+    (SORTD, &["stats", "--addr", ADDR], "--addr", false),
+    (SORTD, &["top", "--addr", ADDR], "--iters", true),
+    (SORTD, &["status", "--addr", ADDR], "--job", true),
+    (SORTD, &["cancel", "--addr", ADDR], "--job", true),
+    (SORTD, &["drain", "--addr", ADDR], "--addr", false),
+];
+
+#[test]
+fn every_command_holds_its_command_line_to_its_own_flag_table() {
+    for (bin, complete, flag, numeric) in COMMANDS {
+        let with = |extra: &[&str]| {
+            let args = [complete, extra].concat();
+            (run(bin, &args), format!("{bin} {args:?}"))
+        };
+        let (out, what) = with(&["--no-such-flag", "1"]);
+        assert_usage_exit(&out, "unknown flag --no-such-flag", &what);
+        let (out, what) = with(&["--help"]);
+        assert_usage_exit(&out, flag, &what);
+        let (out, what) = with(&[flag]);
+        assert_usage_exit(&out, &format!("missing value for {flag}"), &what);
+        if numeric {
+            let (out, what) = with(&[flag, "many"]);
+            assert_usage_exit(&out, &format!("bad value for {flag}: many"), &what);
+        }
+    }
+    // A flag of another subcommand is refused, not ignored.
+    for sub in ["drain", "stats"] {
+        let out = run(SORTD, &[sub, "--addr", ADDR, "--jobs", "5"]);
+        assert_usage_exit(&out, "unknown flag --jobs", sub);
+    }
+    let out = run(SORTD, &["status", "--addr", ADDR]);
+    assert_usage_exit(&out, "--job is required", "sortd status");
+    let out = run(SORTD, &["frobnicate"]);
+    assert_usage_exit(&out, "unknown subcommand frobnicate", "sortd frobnicate");
+}
+
+/// README's "Command-line reference" is each binary's `--help`, verbatim:
+/// the usage the parser's own tables generate, so no flag is documented
+/// that the parser does not know, and none is known but undocumented.
+#[test]
+fn readme_command_line_reference_is_the_generated_usage() {
+    let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/README.md"))
+        .expect("README.md");
+    for bin in [
+        env!("CARGO_BIN_EXE_sortcli"),
+        env!("CARGO_BIN_EXE_netsort"),
+        SORTD,
+        env!("CARGO_BIN_EXE_gensort"),
+        env!("CARGO_BIN_EXE_valsort"),
+    ] {
+        let out = run(bin, &["--help"]);
+        let usage = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            readme.contains(usage.trim_end()),
+            "README.md does not carry `{bin} --help`:\n{usage}"
+        );
+    }
 }
