@@ -24,7 +24,7 @@ use std::io;
 use crate::io::MemSource;
 use crate::layout::LayoutRun;
 use crate::merge::{Merger, StreamHeads};
-use crate::splitter::{quantiles, sample_indices, scatter, skew};
+use crate::splitter::{quantiles, route, sample_indices, scatter, skew};
 
 /// Configuration for the partitioned sort.
 #[derive(Clone, Debug)]
@@ -65,14 +65,14 @@ type Rec<'a> = (&'a [u8], &'a [u8]);
 /// The shared-nothing skeleton. Frame `input`, sample it, pick splitters;
 /// every node then `read`s its contiguous share into one stream per
 /// target, and every `target` turns the streams it received (one per
-/// reader, in reader order) into its sorted output and record count.
-/// Targets own ascending disjoint key ranges, so their outputs concatenate
-/// into the sorted whole.
+/// reader, in reader order) and their record count into its sorted
+/// output. Targets own ascending disjoint key ranges, so their outputs
+/// concatenate into the sorted whole.
 fn shared_nothing<R: LayoutRun>(
     input: &[u8],
     cfg: &PartitionSortConfig,
     read: impl Fn(&[Rec<'_>], &[Vec<u8>]) -> Vec<Vec<u8>> + Sync,
-    target: impl Fn(Vec<Vec<u8>>) -> io::Result<(Vec<u8>, u64)> + Sync,
+    target: impl Fn(Vec<Vec<u8>>, usize) -> io::Result<Vec<u8>> + Sync,
 ) -> io::Result<(Vec<u8>, PartitionSortStats)> {
     let mut records: Vec<Rec<'_>> = Vec::new();
     let mut at = 0;
@@ -92,6 +92,11 @@ fn shared_nothing<R: LayoutRun>(
         .map(|i| records[i].0.to_vec())
         .collect();
     let splitters = quantiles(pool, cfg.nodes);
+    // A record's part is a function of its key, whichever node sends it.
+    let mut sizes = vec![0; cfg.nodes];
+    for (key, _) in &records {
+        sizes[route(key, &splitters)] += 1;
+    }
 
     // Readers scatter their share (the "network send"); shares are
     // contiguous in node order, empty past the end of a short input.
@@ -110,10 +115,13 @@ fn shared_nothing<R: LayoutRun>(
 
     // Target `t` receives part `t` of every reader. Reader order is input
     // order, so keeping it keeps equal keys in input order.
-    let parts: Vec<io::Result<(Vec<u8>, u64)>> = std::thread::scope(|scope| {
+    let parts: Vec<io::Result<Vec<u8>>> = std::thread::scope(|scope| {
         let targets: Vec<_> = (0..cfg.nodes)
-            .map(|t| sent.iter_mut().map(|s| std::mem::take(&mut s[t])).collect())
-            .map(|streams| scope.spawn(move || target(streams)))
+            .map(|t| {
+                let streams = sent.iter_mut().map(|s| std::mem::take(&mut s[t])).collect();
+                let records = sizes[t];
+                scope.spawn(move || target(streams, records))
+            })
             .collect();
         targets
             .into_iter()
@@ -121,13 +129,11 @@ fn shared_nothing<R: LayoutRun>(
             .collect()
     });
     let mut out = Vec::with_capacity(input.len());
-    let mut stats = PartitionSortStats::default();
     for part in parts {
-        let (bytes, records) = part?;
-        out.extend_from_slice(&bytes);
-        stats.partition_sizes.push(records);
+        out.extend_from_slice(&part?);
     }
-    Ok((out, stats))
+    let partition_sizes = sizes.into_iter().map(|n| n as u64).collect();
+    Ok((out, PartitionSortStats { partition_sizes }))
 }
 
 /// Sort `input` (whole records of layout `R`) with the shared-nothing
@@ -145,10 +151,10 @@ pub fn partition_sort<R: LayoutRun>(
         input,
         cfg,
         |share, splitters| scatter(share.iter().copied(), splitters),
-        |streams| {
-            let run = R::form(streams.concat());
+        |streams, records| {
+            let run = R::form(streams.concat(), records);
             let sorted: Vec<&[u8]> = (0..run.len()).map(|p| run.frame_at(p)).collect();
-            Ok((sorted.concat(), run.len() as u64))
+            Ok(sorted.concat())
         },
     )
 }
@@ -168,20 +174,17 @@ pub fn partition_merge_sort<R: LayoutRun>(
         cfg,
         |share, splitters| {
             let frames: Vec<&[u8]> = share.iter().map(|r| r.1).collect();
-            let run = R::form(frames.concat());
+            let run = R::form(frames.concat(), frames.len());
             let sorted = (0..run.len()).map(|p| (run.key_at(p), run.frame_at(p)));
             scatter(sorted, splitters)
         },
-        |streams| {
+        |streams, _| {
             let mut out = Vec::with_capacity(streams.iter().map(Vec::len).sum());
             let sources = streams.into_iter().map(|s| MemSource::new(s, 1 << 20));
             let heads = StreamHeads::<_, R>::new(sources.collect())?;
             let mut merger = Merger::<_, R::Policy, _>::new(heads, ());
-            let mut records = 0;
-            while merger.next_into(&mut out)? {
-                records += 1;
-            }
-            Ok((out, records))
+            while merger.next_into(&mut out)? {}
+            Ok(out)
         },
     )
 }

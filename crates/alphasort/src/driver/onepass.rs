@@ -69,8 +69,8 @@ where
     let mut feed = Feed::<R::Cutter>::new(cfg.run_records, source.size_hint(), Vec::new());
     while let Some(cuts) = feed.next_cuts(source, &mut stats)? {
         for cut in cuts {
-            if let Cut::Run(buf) = cut {
-                pool.submit(buf);
+            if let Cut::Run(buf, records) = cut {
+                pool.submit(buf, records);
             }
         }
     }

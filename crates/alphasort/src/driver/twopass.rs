@@ -180,7 +180,7 @@ where
     while let Some(cuts) = feed.next_cuts(source, &mut stats)? {
         for cut in cuts {
             match cut {
-                Cut::Run(buf) => pool.submit(buf),
+                Cut::Run(buf, records) => pool.submit(buf, records),
                 Cut::Skipped(r) => {
                     stats.runs += 1;
                     stats.run_lengths.push(r.records);

@@ -137,6 +137,10 @@ pub fn key_prefix_u64(key: &[u8]) -> u64 {
 /// sentinel index no real entry can carry.
 pub const MAX_RUN_RECORDS: usize = u32::MAX as usize;
 
+/// Hard ceiling on a var-len run buffer's bytes (descriptors hold 32-bit
+/// offsets); 16 MiB frames reach it at ~260 records, so the cutter cuts.
+pub const MAX_RUN_BYTES: usize = u32::MAX as usize;
+
 /// Hard ceiling on `SortConfig::merge_workers`: a partitioned merge runs
 /// one OS thread per key range and plans `ranges × runs` bounds, and the
 /// number arrives from command lines and job manifests — so it is bounded

@@ -5,9 +5,9 @@
 //! [`RecordLayout`]. A layout supplies exactly four things —
 //!
 //! 1. a [`RunCutter`] that cuts a chunked byte stream into whole-record run
-//!    buffers (a byte stride for Datamation, a re-framer for var-len), with
-//!    the attributed "ends mid-record" errors;
-//! 2. run formation from such a buffer ([`LayoutRun::form`]);
+//!    buffers (a byte stride for Datamation, a re-framer for var-len) and
+//!    counts their records, with the attributed "ends mid-record" errors;
+//! 2. run formation from such a buffer and count ([`LayoutRun::form`]);
 //! 3. the run's size (`len`, `bytes`) and record access at a sorted position
 //!    (`key_at`, `frame_at`, and `lcp_with_prev` when formation computed the
 //!    table) — the integer prefix is a function of the key
@@ -34,9 +34,9 @@ pub trait LayoutRun: Sized + Send + Sync + 'static {
     /// prefixes make rescanning them the dominant cost.
     type Policy: ComparePolicy;
 
-    /// Sort one run buffer. `buf` holds whole records (the cutter's
-    /// guarantee).
-    fn form(buf: Vec<u8>) -> Self;
+    /// Sort one run buffer. `buf` holds exactly `records` whole records
+    /// (the cutter's guarantee: it framed and counted them).
+    fn form(buf: Vec<u8>, records: usize) -> Self;
 
     /// Records in the run.
     fn len(&self) -> usize;
@@ -64,8 +64,9 @@ pub trait LayoutRun: Sized + Send + Sync + 'static {
 
 /// One piece of the input stream, as the cutter hands it to a driver.
 pub enum Cut {
-    /// A run buffer of whole records, ready for [`LayoutRun::form`].
-    Run(Vec<u8>),
+    /// A run buffer and the number of whole records it holds, ready for
+    /// [`LayoutRun::form`].
+    Run(Vec<u8>, usize),
     /// The input range of a recovered run has been read past; its records
     /// already sit in scratch, sorted.
     Skipped(RecoveredRun),

@@ -764,7 +764,7 @@ mod tests {
             .map(|&n| {
                 let buf = data[bounds[at]..bounds[at + n]].to_vec();
                 at += n;
-                R::form(buf)
+                R::form(buf, n)
             })
             .collect()
     }

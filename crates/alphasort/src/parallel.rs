@@ -143,17 +143,17 @@ impl<J, O> Drop for ChorePool<J, O> {
 
 /// Pool of workers QuickSorting run buffers as they arrive from input.
 pub struct SortPool<R> {
-    pool: ChorePool<Vec<u8>, (R, Duration)>,
+    pool: ChorePool<(Vec<u8>, usize), (R, Duration)>,
 }
 
 impl<R: LayoutRun> SortPool<R> {
     /// Create a pool with `workers` threads (0 = sort inline on submit).
     pub fn new(workers: usize) -> Self {
-        let pool = ChorePool::new(workers, "sort", move |id, buf| {
+        let pool = ChorePool::new(workers, "sort", move |id, (buf, records)| {
             let mut g = obs::span(obs::phase::SORT);
             g.attr("run", id as u64);
             let t0 = Instant::now();
-            let run = R::form(buf);
+            let run = R::form(buf, records);
             let d = t0.elapsed();
             g.attr("records", run.len() as u64);
             obs::metrics::observe("sort.run_us", d.as_micros() as u64);
@@ -162,10 +162,10 @@ impl<R: LayoutRun> SortPool<R> {
         SortPool { pool }
     }
 
-    /// Submit one run buffer for sorting. With zero workers this sorts
-    /// immediately on the caller's thread.
-    pub fn submit(&mut self, buf: Vec<u8>) {
-        self.pool.submit(buf);
+    /// Submit one run buffer of `records` whole records for sorting. With
+    /// zero workers this sorts immediately on the caller's thread.
+    pub fn submit(&mut self, buf: Vec<u8>, records: usize) {
+        self.pool.submit((buf, records));
     }
 
     /// Runs submitted but not yet delivered.
@@ -283,7 +283,8 @@ mod tests {
         let (cs, bufs) = run_buffers(3_000, 256);
         let mut pool = SortPool::<SortedRun>::new(workers);
         for b in bufs {
-            pool.submit(b);
+            let n = b.len() / RECORD_LEN;
+            pool.submit(b, n);
         }
         let (runs, pstats) = pool.finish();
         assert_eq!(runs.len(), 12);
@@ -337,7 +338,8 @@ mod tests {
             .collect();
         let mut pool = SortPool::<SortedRun>::new(3);
         for b in bufs {
-            pool.submit(b);
+            let n = b.len() / RECORD_LEN;
+            pool.submit(b, n);
         }
         let (runs, _) = pool.finish();
         // Run i must still hold the records of chunk i (identified by the
@@ -360,7 +362,8 @@ mod tests {
         let (_, bufs) = run_buffers(1_000, 100);
         let mut pool = SortPool::<SortedRun>::new(2);
         for b in bufs {
-            pool.submit(b);
+            let n = b.len() / RECORD_LEN;
+            pool.submit(b, n);
         }
         let _ = pool.next_in_order();
         drop(pool);
@@ -368,7 +371,8 @@ mod tests {
         let (_, bufs) = run_buffers(500, 100);
         let mut sp = SortPool::<SortedRun>::new(1);
         for b in bufs {
-            sp.submit(b);
+            let n = b.len() / RECORD_LEN;
+            sp.submit(b, n);
         }
         let (runs, _) = sp.finish();
         let runs = Arc::new(runs);
@@ -385,7 +389,8 @@ mod tests {
         let (_, bufs) = run_buffers(2_000, 200);
         let mut pool = SortPool::<SortedRun>::new(2);
         for b in bufs {
-            pool.submit(b);
+            let n = b.len() / RECORD_LEN;
+            pool.submit(b, n);
         }
         let (runs, _) = pool.finish();
         let runs = Arc::new(runs);

@@ -249,7 +249,7 @@ mod tests {
         let runs: Vec<VarRun> = cuts
             .into_iter()
             .map(|cut| match cut {
-                Cut::Run(frames) => VarRun::from_frames(frames).unwrap(),
+                Cut::Run(frames, _) => VarRun::from_frames(frames).unwrap(),
                 Cut::Skipped(_) => unreachable!("nothing to skip"),
             })
             .collect();

@@ -74,7 +74,7 @@ impl LayoutRun for SortedRun {
     type Cutter = StrideCutter;
     type Policy = PrefixThenKey;
 
-    fn form(buf: Vec<u8>) -> Self {
+    fn form(buf: Vec<u8>, _records: usize) -> Self {
         form_run(buf)
     }
 
@@ -158,7 +158,8 @@ impl RunCutter for StrideCutter {
             self.abs += take as u64;
             if self.cur.len() == self.run_bytes || take as u64 == until_span {
                 let full = std::mem::replace(&mut self.cur, Vec::with_capacity(self.reserve));
-                out.push(Cut::Run(full));
+                let records = full.len() / RECORD_LEN;
+                out.push(Cut::Run(full, records));
             }
         }
         Ok(())
@@ -175,7 +176,8 @@ impl RunCutter for StrideCutter {
             ));
         }
         if !self.cur.is_empty() {
-            out.push(Cut::Run(std::mem::take(&mut self.cur)));
+            let records = self.cur.len() / RECORD_LEN;
+            out.push(Cut::Run(std::mem::take(&mut self.cur), records));
         }
         match self.skip.front() {
             Some(r) => Err(span_past_input(r, self.abs, "bytes")),
@@ -310,7 +312,7 @@ mod tests {
             let mut cuts = Vec::new();
             cutter.push(&[7u8; 200], &mut cuts).unwrap();
             cutter.finish(&mut cuts).unwrap();
-            assert!(matches!(&cuts[..], [Cut::Run(run)] if run.len() == 200));
+            assert!(matches!(&cuts[..], [Cut::Run(run, 2)] if run.len() == 200));
         }
     }
 }

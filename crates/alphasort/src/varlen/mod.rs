@@ -6,12 +6,12 @@
 //! records with (offset, length) key descriptors, cut from the input by a
 //! re-framer instead of a byte stride.
 //!
-//! * **Run formation** ([`vrun`]) still sorts *(key-prefix, pointer)*
-//!   entries — the prefix is the first 8 key bytes zero-padded
-//!   ([`crate::entry::key_prefix_u64`]), order-faithful where prefixes
-//!   differ, with the full-key overflow path on ties. Formation also
-//!   precomputes each run's `lcp_prev` table (LCP of neighbouring sorted
-//!   keys), which the merge reuses.
+//! * **Run formation** ([`vrun`]) is an MSD string sort over 8-byte
+//!   super-characters: *(key-prefix, pointer)* entries whose prefix
+//!   ([`crate::entry::key_prefix_u64`]) is re-taken 8 bytes deeper for
+//!   each group that ties on it, so no key byte is compared twice. The
+//!   splits also give each run's `lcp_prev` table (LCP of neighbouring
+//!   sorted keys), which the merge reuses.
 //! * **Merging** is [`crate::merge::Merger`] under the
 //!   [`crate::merge::Ovc`] policy: tree replays resolve on offset-value
 //!   codes alone where they differ and compare only key *suffixes* where

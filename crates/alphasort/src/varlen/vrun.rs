@@ -1,29 +1,29 @@
-//! Variable-length run formation: framing, the prefix-entry sort, and the
+//! Variable-length run formation: framing, the MSD string sort, and the
 //! per-run LCP table the OVC merge feeds on.
 //!
 //! The fixed layout cuts runs by byte stride; here a [`FrameCutter`]
-//! reassembles length-prefixed frames across arbitrary chunk boundaries
-//! (truncated trailing records are rejected with an attributed error), and
-//! [`VarRun::from_frames`] sorts a run the AlphaSort way: *(key-prefix,
-//! index)* entries built from the first key bytes — zero-padded big-endian,
-//! so integer order is faithful wherever prefixes differ — with an overflow
-//! path to the full key for long or tied keys, and arrival index last so
-//! the permutation is unique (which is what makes every driver
+//! reassembles and counts length-prefixed frames across arbitrary chunk
+//! boundaries (truncated trailing records are rejected with an attributed
+//! error). Formation sorts a run on the bytes that differ: an MSD string
+//! sort over 8-byte super-characters (Bingmann, "Scalable String and Suffix
+//! Sorting"). A group of entries that ties on its cached 8 bytes — §4's
+//! key-prefix integer — re-caches 8 bytes deeper, so no key byte is
+//! compared twice and a shared "https://" costs one pass. Arrival index
+//! last makes the permutation unique (which is what makes every driver
 //! configuration byte-identical to stable sort).
 //!
-//! Formation also precomputes `lcp_prev[p]` = longest common prefix of the
-//! keys at sorted positions `p-1` and `p`. During an OVC merge the record
-//! after an emitted winner codes against exactly its in-run predecessor, so
-//! the successor's offset-value code is a table lookup instead of a rescan.
+//! The splits also give `lcp_prev[p]` = longest common prefix of the keys
+//! at sorted positions `p-1` and `p`. During an OVC merge the record after
+//! an emitted winner codes against exactly its in-run predecessor, so the
+//! successor's offset-value code is a table lookup instead of a rescan.
 
 use std::collections::VecDeque;
 use std::io;
 
-use alphasort_dmgen::{parse_var_record, VarFrameError, VAR_HEADER_LEN};
+use alphasort_dmgen::{parse_var_record, VarFrameError};
 
 use crate::driver::RecoveredRun;
-use crate::entry::{checked_run_len, key_prefix_u64, RecordLayout};
-use crate::kernel::quicksort_by;
+use crate::entry::{checked_run_len, key_prefix_u64, RecordLayout, MAX_RUN_BYTES};
 use crate::layout::{span_past_input, Cut, LayoutRun, RunCutter};
 use crate::merge::Ovc;
 
@@ -55,6 +55,13 @@ struct RecDesc {
     key_len: u32,
 }
 
+impl RecDesc {
+    #[inline]
+    fn key<'a>(&self, buf: &'a [u8]) -> &'a [u8] {
+        &buf[self.key_off as usize..(self.key_off + self.key_len) as usize]
+    }
+}
+
 /// One sorted run of variable-length records: the raw frame buffer, a
 /// descriptor per record, the sorted permutation, and the `lcp_prev` table.
 pub struct VarRun {
@@ -67,70 +74,22 @@ pub struct VarRun {
 }
 
 impl VarRun {
-    /// Parse `buf` (whole frames) and sort it.
+    /// Parse `buf` (whole frames) and sort it. A malformed frame, or a
+    /// buffer past [`MAX_RUN_BYTES`], is `InvalidData`.
     pub fn from_frames(buf: Vec<u8>) -> io::Result<VarRun> {
-        checked_run_len(buf.len(), "VarRun frame buffer bytes");
-        // Count first, then size the descriptor array exactly. Formation
-        // overlaps input, so halves discarded by a doubling `Vec` would sit
-        // between the long-lived run buffers: +4% peak RSS on 1M URL
-        // records under glibc malloc, for a header walk of well under 1%.
-        let mut count = 0usize;
-        let mut off = 0usize;
+        if buf.len() > MAX_RUN_BYTES {
+            let what = format!("a {}-byte run exceeds MAX_RUN_BYTES", buf.len());
+            return Err(io::Error::new(io::ErrorKind::InvalidData, what));
+        }
+        let mut records = 0;
+        let mut off = 0;
         while off < buf.len() {
             off += parse_var_record(&buf[off..], off as u64)
                 .map_err(frame_err)?
                 .len();
-            count += 1;
+            records += 1;
         }
-        let mut descs = Vec::with_capacity(count);
-        let mut off = 0usize;
-        while off < buf.len() {
-            let r = parse_var_record(&buf[off..], off as u64).map_err(frame_err)?;
-            let body_off = off + VAR_HEADER_LEN;
-            let key = r.key();
-            let key_off = body_off + (key.as_ptr() as usize - r.body().as_ptr() as usize);
-            descs.push(RecDesc {
-                off: off as u32,
-                len: r.len() as u32,
-                key_off: key_off as u32,
-                key_len: key.len() as u32,
-            });
-            off += r.len();
-        }
-        checked_run_len(descs.len(), "VarRun::from_frames");
-
-        let key_of = |d: &RecDesc| &buf[d.key_off as usize..(d.key_off + d.key_len) as usize];
-        // (key-prefix, arrival index) entries; the comparator overflows to
-        // the full key only on prefix ties (short or shared-prefix keys),
-        // then to arrival order — the unique stable permutation.
-        let mut entries: Vec<(u64, u32)> = descs
-            .iter()
-            .enumerate()
-            .map(|(i, d)| (key_prefix_u64(key_of(d)), i as u32))
-            .collect();
-        quicksort_by(&mut entries, |a, b| {
-            if a.0 != b.0 {
-                a.0 < b.0
-            } else {
-                let (ka, kb) = (key_of(&descs[a.1 as usize]), key_of(&descs[b.1 as usize]));
-                (ka, a.1) < (kb, b.1)
-            }
-        });
-        let order: Vec<u32> = entries.into_iter().map(|(_, i)| i).collect();
-
-        let mut lcp_prev = vec![0u32; order.len()];
-        for p in 1..order.len() {
-            let ka = key_of(&descs[order[p - 1] as usize]);
-            let kb = key_of(&descs[order[p] as usize]);
-            lcp_prev[p] = lcp(ka, kb) as u32;
-        }
-
-        Ok(VarRun {
-            buf,
-            descs,
-            order,
-            lcp_prev,
-        })
+        Ok(<VarRun as LayoutRun>::form(buf, records))
     }
 
     /// Records in the run.
@@ -158,6 +117,58 @@ impl VarRun {
     }
 }
 
+/// A sort entry at depth `d`: key bytes `d..d + 8` zero-padded big-endian,
+/// then the clamp `min(len − d, 8)` above the arrival index (two `u64`s
+/// sort twice as fast as a 3-tuple). Padding ties `"ab"` with `"ab\0"`;
+/// the smaller clamp, the strict prefix, sorts first.
+type Entry = (u64, u64);
+
+#[inline]
+fn entry(key: &[u8], d: usize, idx: u32) -> Entry {
+    let rest = &key[d..];
+    let clamp = rest.len().min(8) as u64;
+    (key_prefix_u64(rest), clamp << 32 | idx as u64)
+}
+
+/// MSD string sort of depth-0 `entries` (arrival order); `key(i)` is record
+/// `i`'s key. Returns `lcp_prev`, written as groups split — at a boundary,
+/// `d` + the bytes both caches share up to the shorter clamp (taken before
+/// the group below re-caches); inside a group of identical keys, `d` +
+/// clamp. Pending groups sit on a heap stack, never the call stack.
+fn msd_sort<'k>(entries: &mut [Entry], key: impl Fn(usize) -> &'k [u8]) -> Vec<u32> {
+    let mut lcp_prev = vec![0u32; entries.len()];
+    let mut groups = vec![(0, entries.len(), 0)];
+    while let Some((lo, hi, d)) = groups.pop() {
+        if d > 0 {
+            for e in &mut entries[lo..hi] {
+                let idx = e.1 as u32;
+                *e = entry(key(idx as usize), d, idx);
+            }
+        }
+        entries[lo..hi].sort_unstable();
+        let mut i = lo;
+        while i < hi {
+            let (cache, clamp) = (entries[i].0, (entries[i].1 >> 32) as u32);
+            let same = |e: &&Entry| e.0 == cache && (e.1 >> 32) as u32 == clamp;
+            let j = i + 1 + entries[i + 1..hi].iter().take_while(same).count();
+            if i > lo {
+                let (prev, prev_clamp) = (entries[i - 1].0, (entries[i - 1].1 >> 32) as u32);
+                let shared = (prev ^ cache).leading_zeros() / 8;
+                lcp_prev[i] = d as u32 + shared.min(prev_clamp).min(clamp);
+            }
+            if clamp < 8 {
+                // Every key ends within these bytes: identical keys, which
+                // the index tie-break left in arrival order.
+                lcp_prev[i + 1..j].fill(d as u32 + clamp);
+            } else if j - i > 1 {
+                groups.push((i, j, d + 8));
+            }
+            i = j;
+        }
+    }
+    lcp_prev
+}
+
 /// The var-len layout: length-prefixed frames cut by a re-framer, merged
 /// on offset-value codes because string keys share long prefixes.
 impl LayoutRun for VarRun {
@@ -165,8 +176,36 @@ impl LayoutRun for VarRun {
     type Cutter = FrameCutter;
     type Policy = Ovc;
 
-    fn form(buf: Vec<u8>) -> Self {
-        VarRun::from_frames(buf).expect("the cutter hands over whole, validated frames")
+    /// Trusts the cutter's validation and count: one header walk fills
+    /// descriptors and entries sized exactly (a doubling `Vec`'s discarded
+    /// halves would sit between run buffers: +4% peak RSS on 1M URLs).
+    fn form(buf: Vec<u8>, records: usize) -> Self {
+        checked_run_len(records, "VarRun formation");
+        let mut descs = Vec::with_capacity(records);
+        let mut entries = Vec::with_capacity(records);
+        let mut off = 0;
+        while off < buf.len() {
+            let Ok(Some(f)) = RecordLayout::VarLen.frame_at(&buf[off..], off as u64) else {
+                unreachable!("formation takes whole, validated frames");
+            };
+            let d = RecDesc {
+                off: off as u32,
+                len: f.len as u32,
+                key_off: (off + f.key_off) as u32,
+                key_len: f.key_len as u32,
+            };
+            entries.push(entry(d.key(&buf), 0, descs.len() as u32));
+            descs.push(d);
+            off += f.len;
+        }
+        let lcp_prev = msd_sort(&mut entries, |i| descs[i].key(&buf));
+        let order = entries.iter().map(|e| e.1 as u32).collect();
+        VarRun {
+            buf,
+            descs,
+            order,
+            lcp_prev,
+        }
     }
 
     fn len(&self) -> usize {
@@ -179,8 +218,7 @@ impl LayoutRun for VarRun {
 
     #[inline]
     fn key_at(&self, pos: usize) -> &[u8] {
-        let d = self.desc_at(pos);
-        &self.buf[d.key_off as usize..(d.key_off + d.key_len) as usize]
+        self.desc_at(pos).key(&self.buf)
     }
 
     #[inline]
@@ -199,9 +237,11 @@ impl LayoutRun for VarRun {
 /// Cuts a var-len stream into runs of `run_records` frames — the
 /// counterpart of the fixed layout's byte stride, except a chunk boundary
 /// can land anywhere inside a frame: frames split across chunks wait in
-/// `pending` until whole.
+/// `pending` until whole. A run also ends before a frame would carry it
+/// past `max_bytes` ([`MAX_RUN_BYTES`]; tests lower it).
 pub struct FrameCutter {
     run_records: usize,
+    max_bytes: usize,
     pending: Vec<u8>,
     /// Absolute input offset of `pending[0]` (error attribution).
     abs: u64,
@@ -212,11 +252,19 @@ pub struct FrameCutter {
     skip: VecDeque<RecoveredRun>,
 }
 
+impl FrameCutter {
+    fn cut(&mut self, out: &mut Vec<Cut>) {
+        let records = std::mem::take(&mut self.cur_records);
+        out.push(Cut::Run(std::mem::take(&mut self.cur), records));
+    }
+}
+
 impl RunCutter for FrameCutter {
     /// Run buffers grow frame by frame; nothing is reserved ahead.
     fn new(run_records: usize, _input_bytes: Option<u64>, skip: Vec<RecoveredRun>) -> Self {
         FrameCutter {
             run_records,
+            max_bytes: MAX_RUN_BYTES,
             pending: Vec::new(),
             abs: 0,
             cur: Vec::new(),
@@ -235,8 +283,8 @@ impl RunCutter for FrameCutter {
         while let Some(frame) =
             RecordLayout::VarLen.frame_at(&self.pending[start..], self.abs + start as u64)?
         {
-            let frame = &self.pending[start..start + frame.len];
-            start += frame.len();
+            let at = start;
+            start += frame.len;
             self.abs_rec += 1;
             if let Some(r) = self.skip.front().filter(|r| self.abs_rec > r.start_record) {
                 // Inside a recovered span: read past it, sort nothing.
@@ -246,15 +294,17 @@ impl RunCutter for FrameCutter {
                 }
                 continue;
             }
-            self.cur.extend_from_slice(frame);
+            if self.cur_records > 0 && self.cur.len() + frame.len > self.max_bytes {
+                self.cut(out);
+            }
+            self.cur.extend_from_slice(&self.pending[at..start]);
             self.cur_records += 1;
             let at_span = self
                 .skip
                 .front()
                 .is_some_and(|r| r.start_record == self.abs_rec);
             if self.cur_records == self.run_records || at_span {
-                out.push(Cut::Run(std::mem::take(&mut self.cur)));
-                self.cur_records = 0;
+                self.cut(out);
             }
         }
         self.pending.drain(..start);
@@ -272,8 +322,7 @@ impl RunCutter for FrameCutter {
             return Err(io::Error::new(io::ErrorKind::InvalidData, what));
         }
         if self.cur_records > 0 {
-            out.push(Cut::Run(std::mem::take(&mut self.cur)));
-            self.cur_records = 0;
+            self.cut(out);
         }
         match self.skip.front() {
             Some(r) => Err(span_past_input(r, self.abs_rec, "records")),
@@ -285,7 +334,9 @@ impl RunCutter for FrameCutter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alphasort_dmgen::{generate_varlen, var_records_of, TextCorpus, VarGenConfig};
+    use alphasort_dmgen::{
+        build_var_record, generate_varlen, var_records_of, TextCorpus, VarGenConfig,
+    };
 
     fn corpus_buf(corpus: TextCorpus, n: u64, seed: u64) -> Vec<u8> {
         generate_varlen(VarGenConfig {
@@ -295,25 +346,62 @@ mod tests {
         })
     }
 
+    /// Drain a cutter fed `buf` in `chunk`-byte pieces: (run, count) pairs.
+    fn cut_all(mut cutter: FrameCutter, buf: &[u8], chunk: usize) -> Vec<(Vec<u8>, usize)> {
+        let mut cuts = Vec::new();
+        for c in buf.chunks(chunk) {
+            cutter.push(c, &mut cuts).unwrap();
+        }
+        cutter.finish(&mut cuts).unwrap();
+        cuts.into_iter()
+            .map(|c| match c {
+                Cut::Run(buf, records) => (buf, records),
+                Cut::Skipped(_) => panic!("nothing to skip"),
+            })
+            .collect()
+    }
+
     #[test]
     fn cutter_reassembles_frames_across_ragged_chunks() {
         let buf = corpus_buf(TextCorpus::Urls, 300, 1);
         for chunk in [1usize, 7, 64, 1000, buf.len()] {
-            let mut cutter = FrameCutter::new(1, None, Vec::new());
-            let mut cuts = Vec::new();
-            for c in buf.chunks(chunk) {
-                cutter.push(c, &mut cuts).unwrap();
-            }
-            cutter.finish(&mut cuts).unwrap();
-            let frames: Vec<u8> = cuts
-                .iter()
-                .flat_map(|c| match c {
-                    Cut::Run(frame) => frame.clone(),
-                    Cut::Skipped(_) => panic!("nothing to skip"),
-                })
-                .collect();
-            assert_eq!((cuts.len(), &frames), (300, &buf), "chunk {chunk}");
+            let runs = cut_all(FrameCutter::new(1, None, Vec::new()), &buf, chunk);
+            assert_eq!(runs.len(), 300, "chunk {chunk}");
+            assert!(runs.iter().all(|r| r.1 == 1), "chunk {chunk}");
+            assert_eq!(joined(&runs), buf, "chunk {chunk}");
         }
+    }
+
+    fn joined(runs: &[(Vec<u8>, usize)]) -> Vec<u8> {
+        runs.iter().flat_map(|r| r.0.clone()).collect()
+    }
+
+    #[test]
+    fn cutter_ends_a_run_before_the_byte_ceiling() {
+        // MAX_RUN_BYTES scaled down to four of the largest frames: a run
+        // ends exactly when the next frame would carry it past the ceiling,
+        // long before `run_records`, and every count is the frames it holds.
+        let buf = corpus_buf(TextCorpus::Urls, 300, 3);
+        let lens: Vec<usize> = var_records_of(&buf)
+            .unwrap()
+            .iter()
+            .map(|r| r.len())
+            .collect();
+        let ceiling = 4 * lens.iter().max().unwrap();
+        let mut cutter = FrameCutter::new(usize::MAX, None, Vec::new());
+        cutter.max_bytes = ceiling;
+        let runs = cut_all(cutter, &buf, 100);
+        assert!(runs.len() > 1);
+        let mut seen = 0;
+        for (i, (run, records)) in runs.iter().enumerate() {
+            assert_eq!(var_records_of(run).unwrap().len(), *records, "run {i}");
+            seen += records;
+            assert!(run.len() <= ceiling, "run {i}");
+            if let Some(next) = lens.get(seen) {
+                assert!(run.len() + next > ceiling, "run {i} ended early");
+            }
+        }
+        assert_eq!((seen, joined(&runs)), (300, buf));
     }
 
     #[test]
@@ -340,49 +428,113 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
+    /// Formation against the definition, sharing no logic with it: `order`
+    /// is `sort_by` on (key, arrival index) and `lcp_prev` the naive `lcp`
+    /// of sorted neighbours — exactly, through both entry points.
+    fn assert_matches_definition(buf: Vec<u8>, what: &str) {
+        let keys: Vec<&[u8]> = var_records_of(&buf)
+            .unwrap()
+            .iter()
+            .map(|r| r.key())
+            .collect();
+        let mut order: Vec<u32> = (0..keys.len() as u32).collect();
+        order.sort_by(|&a, &b| (keys[a as usize], a).cmp(&(keys[b as usize], b)));
+        let mut lcp_prev = vec![0u32; order.len()];
+        for p in 1..order.len() {
+            lcp_prev[p] = lcp(keys[order[p - 1] as usize], keys[order[p] as usize]) as u32;
+        }
+        let formed = <VarRun as LayoutRun>::form(buf.clone(), keys.len());
+        let run = VarRun::from_frames(buf.clone()).unwrap();
+        for run in [formed, run] {
+            assert_eq!(run.order, order, "{what}: order");
+            assert_eq!(run.lcp_prev, lcp_prev, "{what}: lcp_prev");
+        }
+    }
+
+    fn frames_of(keys: &[Vec<u8>]) -> Vec<u8> {
+        keys.iter().flat_map(|k| build_var_record(k, b"")).collect()
+    }
+
     #[test]
-    fn run_sort_matches_stable_sort_on_every_corpus() {
+    fn formation_is_the_definition_on_every_corpus_and_size() {
         for corpus in TextCorpus::ALL {
-            let buf = corpus_buf(corpus, 400, 0xA1);
-            let run = VarRun::from_frames(buf.clone()).unwrap();
-            let mut expect: Vec<Vec<u8>> = var_records_of(&buf)
-                .unwrap()
-                .iter()
-                .map(|r| r.frame().to_vec())
-                .collect();
-            expect.sort_by(|a, b| {
-                let (ra, rb) = (
-                    parse_var_record(a, 0).unwrap(),
-                    parse_var_record(b, 0).unwrap(),
-                );
-                ra.key().cmp(rb.key())
-            });
-            let got: Vec<Vec<u8>> = (0..run.len()).map(|p| run.frame_at(p).to_vec()).collect();
-            assert_eq!(got, expect, "{}", corpus.name());
+            for n in [0u64, 1, 2, 7, 8, 9, 15, 16, 17, 100, 4096] {
+                let buf = corpus_buf(corpus, n, 0xA1 ^ n);
+                assert_matches_definition(buf, &format!("{} n={n}", corpus.name()));
+            }
         }
     }
 
     #[test]
-    fn lcp_table_is_exact() {
-        for corpus in [
-            TextCorpus::SharedMegaPrefix {
-                prefix: 20,
-                suffix: 4,
-            },
-            TextCorpus::PrefixChain { max_len: 24 },
-            TextCorpus::Urls,
+    fn formation_is_the_definition_where_the_clamp_decides() {
+        let mut keys: Vec<Vec<u8>> = Vec::new();
+        // Embedded and trailing 0x00: zero padding ties these caches.
+        for k in [
+            &b"ab"[..],
+            b"ab\0",
+            b"ab\0\0\0\0\0\0",
+            b"ab\0\0\0\0\0\0\0",
+            b"a\0b",
+            b"a\0",
+            b"\0",
+            b"",
+            b"\0\0",
         ] {
-            let run = VarRun::from_frames(corpus_buf(corpus, 300, 7)).unwrap();
-            assert_eq!(run.lcp_with_prev(0), Some(0));
-            for p in 1..run.len() {
-                assert_eq!(
-                    run.lcp_with_prev(p),
-                    Some(lcp(run.key_at(p - 1), run.key_at(p)) as u32),
-                    "{} pos {p}",
-                    corpus.name()
-                );
+            keys.push(k.to_vec());
+        }
+        // Lengths of exactly 8 and 16.
+        for k in [
+            &b"abcdefgh"[..],
+            b"abcdefgg",
+            b"abcdefghabcdefgh",
+            b"abcdefghabcdefgg",
+        ] {
+            keys.push(k.to_vec());
+        }
+        // Shared prefixes of 7, 8, 9, 16 and 17 bytes, with and without tails.
+        let base = b"0123456789abcdefghij";
+        for n in [7, 8, 9, 16, 17] {
+            for tail in [&b"x"[..], b"a", b"", b"\0"] {
+                keys.push([&base[..n], tail].concat());
             }
         }
+        // Duplicates interleaved with their extensions.
+        for _ in 0..3 {
+            for k in [&b"dup"[..], b"dupe", b"dup\0", b"dup", b"dupe\0\0\0\0\0"] {
+                keys.push(k.to_vec());
+            }
+        }
+        assert_matches_definition(frames_of(&keys), "table");
+        keys.reverse();
+        assert_matches_definition(frames_of(&keys), "table reversed");
+    }
+
+    #[test]
+    fn deep_shared_prefix_sorts_on_a_small_stack() {
+        // Frames cap keys at 65,535 bytes (a u16 length), so this drives
+        // the sort itself: three 4 MiB-prefix keys are 512 Ki groups deep,
+        // which must cost heap, not stack.
+        let p = 4 << 20;
+        let keys: Vec<Vec<u8>> = [&b"b"[..], b"", b"a"]
+            .iter()
+            .map(|t| [&vec![0x61; p][..], t].concat())
+            .collect();
+        let sorted = std::thread::Builder::new()
+            .stack_size(256 << 10)
+            .spawn(move || {
+                let mut entries: Vec<Entry> = keys
+                    .iter()
+                    .enumerate()
+                    .map(|(i, k)| entry(k, 0, i as u32))
+                    .collect();
+                let lcp_prev = msd_sort(&mut entries, |i| &keys[i]);
+                let order: Vec<u32> = entries.iter().map(|e| e.1 as u32).collect();
+                (order, lcp_prev)
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!(sorted, (vec![1, 2, 0], vec![0, p as u32, p as u32]));
     }
 
     #[test]

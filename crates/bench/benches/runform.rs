@@ -1,12 +1,19 @@
 //! Bench: QuickSort run formation vs replacement-selection (§4's 2.5:1
-//! claim), across input distributions.
+//! claim), across input distributions; and var-len run formation (the MSD
+//! string sort) in records/s on the corpora where prefix entries
+//! degenerate.
 
 use std::hint::black_box;
 
 use alphasort_bench::harness::BenchGroup;
 use alphasort_bench::variants::key_prefix_order;
 use alphasort_bench::variants::rs::generate_runs;
-use alphasort_dmgen::{generate, records_of, GenConfig, KeyDistribution, Record, RECORD_LEN};
+use alphasort_core::layout::LayoutRun;
+use alphasort_core::varlen::VarRun;
+use alphasort_dmgen::{
+    generate, generate_varlen, records_of, GenConfig, KeyDistribution, Record, TextCorpus,
+    VarGenConfig, RECORD_LEN,
+};
 
 fn main() {
     let n = 100_000u64;
@@ -29,6 +36,28 @@ fn main() {
         });
         g.bench(format!("replacement_selection/{label}"), || {
             black_box(generate_runs(&records, 25_000))
+        });
+    }
+
+    // One 100 k-record run per corpus, as the cutter hands it over. Each
+    // sample also copies the run buffer, which formation consumes.
+    let mut g = BenchGroup::new("varlen_form");
+    g.throughput_records(n);
+    g.sample_size(10);
+    for corpus in TextCorpus::ALL {
+        if matches!(
+            corpus,
+            TextCorpus::EmptyKey | TextCorpus::AllEqualKey { .. }
+        ) {
+            continue;
+        }
+        let buf = generate_varlen(VarGenConfig {
+            records: n,
+            seed: 7,
+            corpus,
+        });
+        g.bench(corpus.name(), || {
+            black_box(VarRun::form(buf.clone(), n as usize))
         });
     }
 }

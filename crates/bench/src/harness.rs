@@ -5,7 +5,7 @@
 //! the `benches/*.rs` targets (all `harness = false`) drive this instead.
 //! Statistics are deliberately simple — each sample is one full closure call
 //! timed with [`Instant`]; the report prints the median, the min and, when a
-//! throughput is declared, MB/s at the median.
+//! throughput is declared, MB/s or M records/s at the median.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -14,7 +14,8 @@ use std::time::{Duration, Instant};
 pub struct BenchGroup {
     name: String,
     samples: usize,
-    bytes: Option<u64>,
+    /// Units processed per iteration, and their rate's label (per 10⁶).
+    throughput: Option<(u64, &'static str)>,
 }
 
 impl BenchGroup {
@@ -25,7 +26,7 @@ impl BenchGroup {
         BenchGroup {
             name,
             samples: 10,
-            bytes: None,
+            throughput: None,
         }
     }
 
@@ -37,7 +38,13 @@ impl BenchGroup {
 
     /// Declare bytes processed per iteration, enabling MB/s in the report.
     pub fn throughput_bytes(&mut self, bytes: u64) -> &mut Self {
-        self.bytes = Some(bytes);
+        self.throughput = Some((bytes, "MB/s"));
+        self
+    }
+
+    /// Declare records processed per iteration, enabling M records/s.
+    pub fn throughput_records(&mut self, records: u64) -> &mut Self {
+        self.throughput = Some((records, "Mrec/s"));
         self
     }
 
@@ -55,8 +62,8 @@ impl BenchGroup {
         let median = times[times.len() / 2];
         let min = times[0];
         let rate = self
-            .bytes
-            .map(|b| format!(", {:7.1} MB/s", b as f64 / 1e6 / median.as_secs_f64()))
+            .throughput
+            .map(|(n, unit)| format!(", {:7.1} {unit}", n as f64 / 1e6 / median.as_secs_f64()))
             .unwrap_or_default();
         println!(
             "{}/{:<40} median {:>10.3?}  min {:>10.3?}{}",
