@@ -1,14 +1,11 @@
-//! Sort-array entry types: what the QuickSort actually moves.
-//!
-//! §4 of the paper analyses three QuickSorts by what their arrays hold —
-//! whole records (R = 100 bytes), bare pointers (P = 4), or key-pointer
-//! pairs (K + P = 14) — and lands on a fourth: *(key-prefix, pointer)*
-//! pairs, where the prefix is "normalized to an integer type, allowing most
-//! comparisons to be resolved with an integer comparison".
+//! Record layouts, where a record's key sits, and [`key_prefix_u64`]: §4's
+//! *(key-prefix, pointer)* entries hold a prefix "normalized to an integer
+//! type, allowing most comparisons to be resolved with an integer
+//! comparison", and the size ceilings below bound the pointer.
 
 use std::io;
 
-use alphasort_dmgen::{parse_var_record, Record, VarFrameError, KEY_LEN, RECORD_LEN};
+use alphasort_dmgen::{parse_var_record, VarFrameError, KEY_LEN, RECORD_LEN};
 
 /// Which record model a sort operates on. The layout is threaded through
 /// [`crate::SortConfig`], both drivers, `sortcli --layout`, and the sortd
@@ -168,39 +165,9 @@ pub fn checked_run_len(len: usize, what: &str) -> u32 {
     len as u32
 }
 
-/// A *(key-prefix, pointer)* pair — AlphaSort's choice.
-///
-/// 8 prefix bytes as a big-endian `u64` plus a 4-byte record index: 12 bytes
-/// more than 8× denser than records, and comparable with one integer
-/// compare except on prefix ties.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PrefixEntry {
-    /// First 8 key bytes, big-endian, so integer order = byte-string order.
-    pub prefix: u64,
-    /// Record index within the run's buffer.
-    pub idx: u32,
-}
-
-impl PrefixEntry {
-    /// Extract the entry array for a whole record buffer — the paper's
-    /// "streamed into an array" step that runs while input arrives.
-    pub fn extract(records: &[Record]) -> Vec<PrefixEntry> {
-        checked_run_len(records.len(), "PrefixEntry::extract");
-        records
-            .iter()
-            .enumerate()
-            .map(|(i, r)| PrefixEntry {
-                prefix: r.prefix(),
-                idx: i as u32,
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alphasort_dmgen::{generate, records_of, GenConfig};
 
     #[test]
     fn layout_names_round_trip() {
@@ -236,23 +203,6 @@ mod tests {
         // A key that is a prefix of another ties on the integer prefix when
         // they agree through 8 bytes — the overflow path must break it.
         assert_eq!(key_prefix_u64(b"abcdefgh"), key_prefix_u64(b"abcdefghZZZ"));
-    }
-
-    #[test]
-    fn prefix_entry_is_12_bytes_padded_to_16() {
-        // The array stride is what matters for cache behaviour.
-        assert!(core::mem::size_of::<PrefixEntry>() <= 16);
-    }
-
-    #[test]
-    fn extract_preserves_indices() {
-        let (data, _) = generate(GenConfig::datamation(50, 1));
-        let records = records_of(&data);
-        let entries = PrefixEntry::extract(records);
-        for (i, e) in entries.iter().enumerate() {
-            assert_eq!(e.idx as usize, i);
-            assert_eq!(e.prefix, records[i].prefix());
-        }
     }
 
     #[test]

@@ -4,23 +4,23 @@
 //! cache misses has replaced reducing instructions as the most important
 //! processor optimization". AlphaSort therefore:
 //!
-//! 1. QuickSorts *(key-prefix, pointer)* pairs instead of records or bare
+//! 1. sorts *(key-prefix, pointer)* pairs instead of records or bare
 //!    pointers, keeping the inner loop inside the on-chip cache (§4) —
-//!    [`runform`] is that one path (the representations it beat are
-//!    exhibits in `alphasort_bench::variants`, where the paper's 3:1 CPU
-//!    comparisons are measured);
-//! 2. generates runs with QuickSort as record groups arrive from disk,
+//!    [`runform`] is that one path, for both layouts (the representations
+//!    it beat are exhibits in `alphasort_bench::variants`, where the
+//!    paper's 3:1 CPU comparisons are measured);
+//! 2. generates runs by sorting record groups as they arrive from disk,
 //!    overlapping sort with input (§7), rather than with
 //!    replacement-selection (the OpenVMS-sort approach — an exhibit in
 //!    `alphasort_bench::variants::rs`);
-//! 3. merges the QuickSorted runs with a small, cache-resident tournament
+//! 3. merges the sorted runs with a small, cache-resident tournament
 //!    tree ([`merge`] — one merger, generic over where run heads come from
 //!    and how two heads compare) and *gathers* each record exactly once
 //!    into the output buffers ([`gather`]);
 //! 4. runs one-pass when memory allows and two-pass otherwise
 //!    ([`driver`], [`planner`]), striping both input and output;
-//! 5. on multiprocessors, splits QuickSort and gather work into chores for
-//!    worker threads while the root does all IO ([`parallel`]).
+//! 5. on multiprocessors, splits run formation and gather work into chores
+//!    for worker threads while the root does all IO ([`parallel`]).
 //!
 //! The record layout is a parameter of that one pipeline, not a copy of
 //! it: [`layout`] states what a layout supplies, and the fixed Datamation
@@ -29,8 +29,8 @@
 //!
 //! Extensions the paper discusses but does not adopt: offset-value coding
 //! (the DFsort/SyncSort technique) is the [`merge::Ovc`] compare policy,
-//! the 256-bucket distributive sort "that might beat AlphaSort" is the
-//! scatter in front of [`runform::form_run`]'s QuickSorts, and
+//! the 256-bucket distributive sort "that might beat AlphaSort" is an
+//! exhibit, `alphasort_bench::variants::partition_prefix_order`, and
 //! [`condition`] does key conditioning for floats, signed integers and
 //! non-standard collations. [`baseline`] implements the shared-nothing
 //! partitioned sort AlphaSort displaced (§2's Hypercube design), and
@@ -62,7 +62,6 @@ pub mod entry;
 pub mod gather;
 pub mod io;
 pub mod io_file;
-pub mod kernel;
 pub mod layout;
 pub mod merge;
 pub mod parallel;
@@ -74,7 +73,7 @@ pub mod stats;
 pub mod varlen;
 
 pub use driver::{ExternalSorter, SortConfig, SortOutcome};
-pub use entry::{key_prefix_u64, PrefixEntry, RecordLayout};
+pub use entry::{key_prefix_u64, RecordLayout};
 pub use io::{MemSink, MemSource, RecordSink, RecordSource};
 pub use planner::{PassPlan, Planner};
 pub use runform::SortedRun;

@@ -1,21 +1,16 @@
-//! Datamation run formation: QuickSort over (key-prefix, pointer) entries,
-//! behind one distribution pass on the leading key byte.
+//! Run formation for both layouts: one MSD string sort over 8-byte
+//! super-characters (Bingmann, "Scalable String and Suffix Sorting").
 //!
-//! §4 picks the representation — "(key-prefix, pointer) pairs", integer
-//! compares with a full-key fall-through on ties — and footnotes the
-//! refinement this module also applies: a distributive partition into 256
-//! buckets ahead of the QuickSort (DPG, Cooperman et al.). One counting
-//! pass over `prefix >> 56` scatters the entries into buckets that are
-//! already in relative order, so a 100 k-entry QuickSort becomes 256
-//! cache-resident ones: 35–69% faster at the layer wherever the leading
-//! byte discriminates and a tie where it does not (DESIGN.md, "Run
-//! formation", has the table). The bucket key is the comparator's own most
-//! significant byte, so the sorted permutation is the one a single
-//! QuickSort under [`prefix_entry_less`] would produce.
-//!
-//! The other §4 representations (record, pointer, key, codeword) are
-//! exhibits the paper measures to justify this choice; they live with
-//! their only callers in `alphasort_bench::variants`.
+//! §4 sorts *(key-prefix, pointer)* pairs and compares full keys only when
+//! two prefixes tie. `msd_sort` settles a tie once per tied group instead
+//! of once per comparison, by re-caching the group 8 bytes deeper, so no
+//! key byte is compared twice: a 10-byte Datamation key is one
+//! `sort_unstable` at depth 0 plus a re-sort at depth 8 for the groups that
+//! share 8 bytes. Arrival index last makes the permutation unique, so every
+//! driver configuration is byte-identical to a stable sort. The splits also
+//! yield `lcp_prev`, which the var-len layout keeps for its OVC merge and
+//! Datamation runs drop. The QuickSort over §4's other representations is
+//! an exhibit, in `alphasort_bench::variants`.
 
 use std::collections::VecDeque;
 use std::io;
@@ -23,8 +18,7 @@ use std::io;
 use alphasort_dmgen::{records_of, Record, RECORD_LEN};
 
 use crate::driver::RecoveredRun;
-use crate::entry::{PrefixEntry, RecordLayout};
-use crate::kernel::quicksort_by;
+use crate::entry::{checked_run_len, key_prefix_u64, RecordLayout};
 use crate::layout::{span_past_input, Cut, LayoutRun, RunCutter};
 use crate::merge::PrefixThenKey;
 
@@ -74,8 +68,16 @@ impl LayoutRun for SortedRun {
     type Cutter = StrideCutter;
     type Policy = PrefixThenKey;
 
+    /// Depth-0 entries from the 10-byte keys, one `msd_sort`; its
+    /// `lcp_prev` goes unused, as `PrefixThenKey` never reads one.
     fn form(buf: Vec<u8>, _records: usize) -> Self {
-        form_run(buf)
+        let records = records_of(&buf);
+        let mut entries: Vec<Entry> = (0..checked_run_len(records.len(), "SortedRun formation"))
+            .map(|i| entry(&records[i as usize].key, 0, i))
+            .collect();
+        msd_sort(&mut entries, |i| &records[i].key);
+        let order = entries.iter().map(|&e| e as u32).collect();
+        SortedRun { buf, order }
     }
 
     fn len(&self) -> usize {
@@ -186,50 +188,70 @@ impl RunCutter for StrideCutter {
     }
 }
 
-/// The order run formation sorts into: prefix, full key on prefix ties —
-/// §4's degenerate-case fall-through — then arrival index, which makes the
-/// order total and the sorted permutation unique.
-#[inline]
-pub fn prefix_entry_less(records: &[Record], a: &PrefixEntry, b: &PrefixEntry) -> bool {
-    if a.prefix != b.prefix {
-        a.prefix < b.prefix
-    } else {
-        (&records[a.idx as usize].key, a.idx) < (&records[b.idx as usize].key, b.idx)
-    }
-}
-
-/// Form a sorted run from a buffer of whole records: extract the
-/// (prefix, index) entries, scatter them into 256 buckets on the leading
-/// key byte, QuickSort each bucket under [`prefix_entry_less`].
+/// Form a sorted run from a buffer of whole records — the Datamation
+/// twin of `VarRun::from_frames`.
 ///
 /// # Panics
 /// If `buf.len()` is not a multiple of the record length.
 pub fn form_run(buf: Vec<u8>) -> SortedRun {
-    let records = records_of(&buf);
-    let entries = PrefixEntry::extract(records);
-    let bucket = |e: &PrefixEntry| (e.prefix >> 56) as usize;
-    // starts[b]..starts[b + 1] is bucket b's slice of the scattered array.
-    let mut starts = [0usize; 257];
-    for e in &entries {
-        starts[bucket(e) + 1] += 1;
+    let records = buf.len() / RECORD_LEN;
+    SortedRun::form(buf, records)
+}
+
+/// A sort entry at depth `d`, one integer compare: key bytes `d..d + 8`
+/// zero-padded big-endian in the top 64 bits, then the clamp
+/// `min(len − d, 8)`, then the arrival index in the low 32 (a `u128` sorts
+/// faster than a `(u64, u64)` pair, which sorts twice as fast as a
+/// 3-tuple). Padding ties `"ab"` with `"ab\0"`; the smaller clamp, the
+/// strict prefix, sorts first.
+pub(crate) type Entry = u128;
+
+#[inline]
+pub(crate) fn entry(key: &[u8], d: usize, idx: u32) -> Entry {
+    let rest = &key[d..];
+    let clamp = rest.len().min(8) as u128;
+    (key_prefix_u64(rest) as u128) << 64 | clamp << 32 | idx as u128
+}
+
+/// MSD string sort of depth-0 `entries` (arrival order); `key(i)` is record
+/// `i`'s key. Returns `lcp_prev`, written as groups split — at a boundary,
+/// `d` + the bytes both caches share up to the shorter clamp (taken before
+/// the group below re-caches); inside a group of identical keys, `d` +
+/// clamp. Pending groups sit on a heap stack, never the call stack.
+pub(crate) fn msd_sort<'k>(entries: &mut [Entry], key: impl Fn(usize) -> &'k [u8]) -> Vec<u32> {
+    let mut lcp_prev = vec![0u32; entries.len()];
+    let mut groups = vec![(0, entries.len(), 0)];
+    while let Some((lo, hi, d)) = groups.pop() {
+        if d > 0 {
+            for e in &mut entries[lo..hi] {
+                let idx = *e as u32;
+                *e = entry(key(idx as usize), d, idx);
+            }
+        }
+        entries[lo..hi].sort_unstable();
+        let mut i = lo;
+        while i < hi {
+            // (cache, clamp) with the index shifted out: what a group shares.
+            let group = entries[i] >> 32;
+            let same = |e: &&Entry| **e >> 32 == group;
+            let j = i + 1 + entries[i + 1..hi].iter().take_while(same).count();
+            let (cache, clamp) = ((group >> 32) as u64, group as u32);
+            if i > lo {
+                let prev = entries[i - 1] >> 32;
+                let shared = ((prev >> 32) as u64 ^ cache).leading_zeros() / 8;
+                lcp_prev[i] = d as u32 + shared.min(prev as u32).min(clamp);
+            }
+            if clamp < 8 {
+                // Every key ends within these bytes: identical keys, which
+                // the index tie-break left in arrival order.
+                lcp_prev[i + 1..j].fill(d as u32 + clamp);
+            } else if j - i > 1 {
+                groups.push((i, j, d + 8));
+            }
+            i = j;
+        }
     }
-    for b in 0..256 {
-        starts[b + 1] += starts[b];
-    }
-    let mut scattered = vec![PrefixEntry { prefix: 0, idx: 0 }; entries.len()];
-    let mut cursor = starts;
-    for e in entries {
-        let b = bucket(&e);
-        scattered[cursor[b]] = e;
-        cursor[b] += 1;
-    }
-    for b in 0..256 {
-        quicksort_by(&mut scattered[starts[b]..starts[b + 1]], |x, y| {
-            prefix_entry_less(records, x, y)
-        });
-    }
-    let order = scattered.into_iter().map(|e| e.idx).collect();
-    SortedRun { buf, order }
+    lcp_prev
 }
 
 #[cfg(test)]
@@ -300,6 +322,34 @@ mod tests {
             k
         });
         assert_matches_std_sort(last_bucket, "only the last bucket");
+    }
+
+    #[test]
+    fn deep_shared_prefix_sorts_on_a_small_stack() {
+        // Frames cap keys at 65,535 bytes (a u16 length), so this drives
+        // the sort itself: three 4 MiB-prefix keys are 512 Ki groups deep,
+        // which must cost heap, not stack.
+        let p = 4 << 20;
+        let keys: Vec<Vec<u8>> = [&b"b"[..], b"", b"a"]
+            .iter()
+            .map(|t| [&vec![0x61; p][..], t].concat())
+            .collect();
+        let sorted = std::thread::Builder::new()
+            .stack_size(256 << 10)
+            .spawn(move || {
+                let mut entries: Vec<Entry> = keys
+                    .iter()
+                    .enumerate()
+                    .map(|(i, k)| entry(k, 0, i as u32))
+                    .collect();
+                let lcp_prev = msd_sort(&mut entries, |i| &keys[i]);
+                let order: Vec<u32> = entries.iter().map(|&e| e as u32).collect();
+                (order, lcp_prev)
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!(sorted, (vec![1, 2, 0], vec![0, p as u32, p as u32]));
     }
 
     #[test]

@@ -1,21 +1,19 @@
-//! Variable-length run formation: framing, the MSD string sort, and the
-//! per-run LCP table the OVC merge feeds on.
+//! Variable-length run formation: framing, descriptors, and the per-run
+//! LCP table the OVC merge feeds on.
 //!
 //! The fixed layout cuts runs by byte stride; here a [`FrameCutter`]
 //! reassembles and counts length-prefixed frames across arbitrary chunk
 //! boundaries (truncated trailing records are rejected with an attributed
-//! error). Formation sorts a run on the bytes that differ: an MSD string
-//! sort over 8-byte super-characters (Bingmann, "Scalable String and Suffix
-//! Sorting"). A group of entries that ties on its cached 8 bytes — §4's
-//! key-prefix integer — re-caches 8 bytes deeper, so no key byte is
-//! compared twice and a shared "https://" costs one pass. Arrival index
-//! last makes the permutation unique (which is what makes every driver
-//! configuration byte-identical to stable sort).
+//! error). Formation walks the headers once, building a descriptor and a
+//! depth-0 entry per record, and sorts the run with the same MSD string
+//! sort as the fixed layout (`runform::msd_sort`): a shared
+//! "https://" costs one pass, not a full-key compare per comparison.
 //!
-//! The splits also give `lcp_prev[p]` = longest common prefix of the keys
-//! at sorted positions `p-1` and `p`. During an OVC merge the record after
-//! an emitted winner codes against exactly its in-run predecessor, so the
-//! successor's offset-value code is a table lookup instead of a rescan.
+//! The var-len layout keeps what the sort's splits give as well:
+//! `lcp_prev[p]` = longest common prefix of the keys at sorted positions
+//! `p-1` and `p`. During an OVC merge the record after an emitted winner
+//! codes against exactly its in-run predecessor, so the successor's
+//! offset-value code is a table lookup instead of a rescan.
 
 use std::collections::VecDeque;
 use std::io;
@@ -23,9 +21,10 @@ use std::io;
 use alphasort_dmgen::{parse_var_record, VarFrameError};
 
 use crate::driver::RecoveredRun;
-use crate::entry::{checked_run_len, key_prefix_u64, RecordLayout, MAX_RUN_BYTES};
+use crate::entry::{checked_run_len, RecordLayout, MAX_RUN_BYTES};
 use crate::layout::{span_past_input, Cut, LayoutRun, RunCutter};
 use crate::merge::Ovc;
+use crate::runform::{entry, msd_sort};
 
 /// Longest common prefix of two byte strings.
 #[inline]
@@ -117,58 +116,6 @@ impl VarRun {
     }
 }
 
-/// A sort entry at depth `d`: key bytes `d..d + 8` zero-padded big-endian,
-/// then the clamp `min(len − d, 8)` above the arrival index (two `u64`s
-/// sort twice as fast as a 3-tuple). Padding ties `"ab"` with `"ab\0"`;
-/// the smaller clamp, the strict prefix, sorts first.
-type Entry = (u64, u64);
-
-#[inline]
-fn entry(key: &[u8], d: usize, idx: u32) -> Entry {
-    let rest = &key[d..];
-    let clamp = rest.len().min(8) as u64;
-    (key_prefix_u64(rest), clamp << 32 | idx as u64)
-}
-
-/// MSD string sort of depth-0 `entries` (arrival order); `key(i)` is record
-/// `i`'s key. Returns `lcp_prev`, written as groups split — at a boundary,
-/// `d` + the bytes both caches share up to the shorter clamp (taken before
-/// the group below re-caches); inside a group of identical keys, `d` +
-/// clamp. Pending groups sit on a heap stack, never the call stack.
-fn msd_sort<'k>(entries: &mut [Entry], key: impl Fn(usize) -> &'k [u8]) -> Vec<u32> {
-    let mut lcp_prev = vec![0u32; entries.len()];
-    let mut groups = vec![(0, entries.len(), 0)];
-    while let Some((lo, hi, d)) = groups.pop() {
-        if d > 0 {
-            for e in &mut entries[lo..hi] {
-                let idx = e.1 as u32;
-                *e = entry(key(idx as usize), d, idx);
-            }
-        }
-        entries[lo..hi].sort_unstable();
-        let mut i = lo;
-        while i < hi {
-            let (cache, clamp) = (entries[i].0, (entries[i].1 >> 32) as u32);
-            let same = |e: &&Entry| e.0 == cache && (e.1 >> 32) as u32 == clamp;
-            let j = i + 1 + entries[i + 1..hi].iter().take_while(same).count();
-            if i > lo {
-                let (prev, prev_clamp) = (entries[i - 1].0, (entries[i - 1].1 >> 32) as u32);
-                let shared = (prev ^ cache).leading_zeros() / 8;
-                lcp_prev[i] = d as u32 + shared.min(prev_clamp).min(clamp);
-            }
-            if clamp < 8 {
-                // Every key ends within these bytes: identical keys, which
-                // the index tie-break left in arrival order.
-                lcp_prev[i + 1..j].fill(d as u32 + clamp);
-            } else if j - i > 1 {
-                groups.push((i, j, d + 8));
-            }
-            i = j;
-        }
-    }
-    lcp_prev
-}
-
 /// The var-len layout: length-prefixed frames cut by a re-framer, merged
 /// on offset-value codes because string keys share long prefixes.
 impl LayoutRun for VarRun {
@@ -199,7 +146,7 @@ impl LayoutRun for VarRun {
             off += f.len;
         }
         let lcp_prev = msd_sort(&mut entries, |i| descs[i].key(&buf));
-        let order = entries.iter().map(|e| e.1 as u32).collect();
+        let order = entries.iter().map(|&e| e as u32).collect();
         VarRun {
             buf,
             descs,
@@ -507,34 +454,6 @@ mod tests {
         assert_matches_definition(frames_of(&keys), "table");
         keys.reverse();
         assert_matches_definition(frames_of(&keys), "table reversed");
-    }
-
-    #[test]
-    fn deep_shared_prefix_sorts_on_a_small_stack() {
-        // Frames cap keys at 65,535 bytes (a u16 length), so this drives
-        // the sort itself: three 4 MiB-prefix keys are 512 Ki groups deep,
-        // which must cost heap, not stack.
-        let p = 4 << 20;
-        let keys: Vec<Vec<u8>> = [&b"b"[..], b"", b"a"]
-            .iter()
-            .map(|t| [&vec![0x61; p][..], t].concat())
-            .collect();
-        let sorted = std::thread::Builder::new()
-            .stack_size(256 << 10)
-            .spawn(move || {
-                let mut entries: Vec<Entry> = keys
-                    .iter()
-                    .enumerate()
-                    .map(|(i, k)| entry(k, 0, i as u32))
-                    .collect();
-                let lcp_prev = msd_sort(&mut entries, |i| &keys[i]);
-                let order: Vec<u32> = entries.iter().map(|e| e.1 as u32).collect();
-                (order, lcp_prev)
-            })
-            .unwrap()
-            .join()
-            .unwrap();
-        assert_eq!(sorted, (vec![1, 2, 0], vec![0, p as u32, p as u32]));
     }
 
     #[test]

@@ -1,14 +1,17 @@
 //! Bench: QuickSort run formation vs replacement-selection (§4's 2.5:1
-//! claim), across input distributions; and var-len run formation (the MSD
-//! string sort) in records/s on the corpora where prefix entries
+//! claim), across input distributions; Datamation run formation — the
+//! pipeline's MSD string sort beside the key-prefix QuickSort exhibits — in
+//! records/s per distribution and run size; and var-len run formation (the
+//! same MSD sort) in records/s on the corpora where prefix entries
 //! degenerate.
 
 use std::hint::black_box;
 
 use alphasort_bench::harness::BenchGroup;
-use alphasort_bench::variants::key_prefix_order;
 use alphasort_bench::variants::rs::generate_runs;
+use alphasort_bench::variants::{key_prefix_order, partition_prefix_order};
 use alphasort_core::layout::LayoutRun;
+use alphasort_core::runform::form_run;
 use alphasort_core::varlen::VarRun;
 use alphasort_dmgen::{
     generate, generate_varlen, records_of, GenConfig, KeyDistribution, Record, TextCorpus,
@@ -37,6 +40,30 @@ fn main() {
         g.bench(format!("replacement_selection/{label}"), || {
             black_box(generate_runs(&records, 25_000))
         });
+    }
+
+    // One run per distribution at each run size the benchmark's workloads
+    // form: 100 k (the file sorts), 22.5 k and 2.25 k (sortd's 30 k- and
+    // 3 k-record jobs). The pipeline consumes its buffer, so each sample
+    // gets a fresh copy outside the timing; the exhibits only read theirs.
+    for run in [100_000u64, 22_500, 2_250] {
+        let mut g = BenchGroup::new(format!("datamation_form/{run}"));
+        g.throughput_records(run);
+        g.sample_size(if run > 10_000 { 15 } else { 101 });
+        for (label, dist) in KeyDistribution::STRESS {
+            let (data, _) = generate(GenConfig {
+                records: run,
+                seed: 7,
+                dist,
+            });
+            g.bench_with(format!("{label}/form_run"), || data.clone(), form_run);
+            g.bench(format!("{label}/partition_prefix_order"), || {
+                partition_prefix_order(&data)
+            });
+            g.bench(format!("{label}/key_prefix_order"), || {
+                key_prefix_order(&data)
+            });
+        }
     }
 
     // One 100 k-record run per corpus, as the cutter hands it over. Each

@@ -1,6 +1,6 @@
 //! Bench for §4's representation comparison: CPU time to form one sorted
-//! run under each sort-array representation, plus the footnote's 256-bucket
-//! partition sort — the pipeline's own `form_run`.
+//! run under each sort-array representation (the footnote's 256-bucket
+//! partition sort among them), beside the pipeline's own `form_run`.
 
 use std::hint::black_box;
 
@@ -22,7 +22,7 @@ fn bench_representations() {
             black_box((rep.sort(&mut buf), buf))
         });
     }
-    g.bench("partition/256-bucket", || black_box(form_run(data.clone())));
+    g.bench("pipeline/form_run", || black_box(form_run(data.clone())));
 }
 
 fn bench_degenerate_prefix() {

@@ -50,11 +50,23 @@ impl BenchGroup {
 
     /// Run one benchmark: a warm-up call, then `samples` timed calls.
     pub fn bench<R>(&mut self, id: impl AsRef<str>, mut f: impl FnMut() -> R) {
-        black_box(f()); // warm-up (page in data, fill caches)
+        self.bench_with(id, || (), |()| f());
+    }
+
+    /// [`bench`](Self::bench) for a routine that consumes its input:
+    /// `setup` builds a fresh one before each call, outside the timing.
+    pub fn bench_with<I, R>(
+        &mut self,
+        id: impl AsRef<str>,
+        mut setup: impl FnMut() -> I,
+        mut f: impl FnMut(I) -> R,
+    ) {
+        black_box(f(setup())); // warm-up (page in data, fill caches)
         let mut times: Vec<Duration> = (0..self.samples)
             .map(|_| {
+                let input = setup();
                 let t0 = Instant::now();
-                black_box(f());
+                black_box(f(input));
                 t0.elapsed()
             })
             .collect();
@@ -87,5 +99,21 @@ mod tests {
         g.sample_size(3).throughput_bytes(1);
         g.bench("count", || calls += 1);
         assert_eq!(calls, 4); // 1 warm-up + 3 samples
+    }
+
+    #[test]
+    fn bench_with_hands_each_call_a_fresh_input() {
+        let (mut made, mut seen) = (0u32, Vec::new());
+        let mut g = BenchGroup::new("t");
+        g.sample_size(2);
+        g.bench_with(
+            "consume",
+            || {
+                made += 1;
+                made
+            },
+            |i| seen.push(i),
+        );
+        assert_eq!(seen, [1, 2, 3]);
     }
 }

@@ -1,5 +1,5 @@
-//! §4's exhibits: the QuickSort representations the paper measures to
-//! justify the one the pipeline runs.
+//! §4's exhibits: the QuickSort ([`kernel`]) over each representation the
+//! paper measures to justify AlphaSort's.
 //!
 //! | Representation | array holds        | bytes moved per exchange |
 //! |----------------|--------------------|--------------------------|
@@ -7,25 +7,26 @@
 //! | `Pointer`      | record indices     | 2P = 8 (but each compare dereferences two records) |
 //! | `Key`          | (key, pointer)     | 2(K+P) = 28              |
 //! | `KeyPrefix`    | (prefix, pointer)  | 24, compares are integer ops |
+//! | `Partition`    | (prefix, pointer), 256 buckets first | 24, one scatter pass ahead |
 //! | `Codeword`     | (codeword, pointer)| 16, most ties            |
 //!
 //! The paper measures record sort 30% slower than pointer sort and "270%
-//! slower than key sort", and a further 25% QuickSort improvement from the
-//! prefix. `exp_variants` and the `sort_variants` bench reproduce those
-//! ratios with these implementations, next to the pipeline's own
-//! [`alphasort_core::runform::form_run`] (key-prefix entries behind a
-//! 256-bucket scatter). Beside them sit the two other roads §4 does not
-//! take: [`rs`], replacement-selection run generation, and [`mergeplan`],
-//! Huffman merge scheduling for the unequal runs it produces. None of this
-//! is reachable from a sort driver.
+//! slower than key sort", a further 25% from the prefix, and guesses in a
+//! footnote that a 256-bucket partition sort "might beat AlphaSort".
+//! `exp_variants` and the `sort_variants` bench reproduce those ratios
+//! next to the pipeline's own [`alphasort_core::runform::form_run`], an MSD
+//! string sort over the same prefixes. Beside them sit the two other roads
+//! §4 does not take: [`rs`], replacement-selection run generation, and
+//! [`mergeplan`], Huffman merge scheduling for the unequal runs it
+//! produces. None of this is reachable from a sort driver.
 
+pub mod kernel;
 pub mod mergeplan;
 pub mod rs;
 
-use alphasort_core::entry::{checked_run_len, PrefixEntry};
-use alphasort_core::kernel::quicksort_by;
-use alphasort_core::runform::prefix_entry_less;
+use alphasort_core::entry::checked_run_len;
 use alphasort_dmgen::{records_of, records_of_mut, Record, KEY_LEN};
+use kernel::quicksort_by;
 
 /// Which sort-array representation a run is formed with.
 ///
@@ -42,8 +43,10 @@ pub enum Representation {
     /// Sort (10-byte key, index) pairs.
     Key,
     /// Sort (8-byte prefix, index) pairs, full-key compare on prefix ties —
-    /// AlphaSort's choice, here without the pipeline's bucket scatter.
+    /// AlphaSort's choice, one QuickSort over the whole run.
     KeyPrefix,
+    /// `KeyPrefix` behind a 256-bucket scatter: the footnote's partition sort.
+    Partition,
     /// Sort (4-byte codeword, index) pairs — the Baer & Lin compressed-key
     /// representation §4 considers: densest cache packing, but codewords
     /// "cannot be used to later merge the record pointers".
@@ -51,12 +54,13 @@ pub enum Representation {
 }
 
 impl Representation {
-    /// All five: the paper's four, then the Baer & Lin codeword variant.
-    pub const ALL: [Representation; 5] = [
+    /// The paper's four, its footnote's partition sort, Baer & Lin's codeword.
+    pub const ALL: [Representation; 6] = [
         Representation::Record,
         Representation::Pointer,
         Representation::Key,
         Representation::KeyPrefix,
+        Representation::Partition,
         Representation::Codeword,
     ];
 
@@ -67,6 +71,7 @@ impl Representation {
             Representation::Pointer => "pointer",
             Representation::Key => "key",
             Representation::KeyPrefix => "key-prefix",
+            Representation::Partition => "partition",
             Representation::Codeword => "codeword",
         }
     }
@@ -83,8 +88,52 @@ impl Representation {
             Representation::Pointer => pointer_order(buf),
             Representation::Key => key_order(buf),
             Representation::KeyPrefix => key_prefix_order(buf),
+            Representation::Partition => partition_prefix_order(buf),
             Representation::Codeword => codeword_order(buf),
         }
+    }
+}
+
+/// One entry per record of a run, built from the record and its index.
+fn entries<E>(records: &[Record], what: &str, entry: impl Fn(&Record, u32) -> E) -> Vec<E> {
+    (0..checked_run_len(records.len(), what))
+        .map(|idx| entry(&records[idx as usize], idx))
+        .collect()
+}
+
+/// A *(key-prefix, pointer)* pair — AlphaSort's choice.
+///
+/// 8 prefix bytes as a big-endian `u64` plus a 4-byte record index: 12 bytes
+/// more than 8× denser than records, and comparable with one integer
+/// compare except on prefix ties.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PrefixEntry {
+    /// First 8 key bytes, big-endian, so integer order = byte-string order.
+    pub prefix: u64,
+    /// Record index within the run's buffer.
+    pub idx: u32,
+}
+
+impl PrefixEntry {
+    /// Extract the entry array for a whole record buffer — the paper's
+    /// "streamed into an array" step that runs while input arrives.
+    pub fn extract(records: &[Record]) -> Vec<PrefixEntry> {
+        entries(records, "PrefixEntry::extract", |r, idx| PrefixEntry {
+            prefix: r.prefix(),
+            idx,
+        })
+    }
+}
+
+/// The order the key-prefix exhibits sort into: prefix, full key on prefix
+/// ties — §4's degenerate-case fall-through — then arrival index, which
+/// makes the order total and the sorted permutation unique.
+#[inline]
+pub fn prefix_entry_less(records: &[Record], a: &PrefixEntry, b: &PrefixEntry) -> bool {
+    if a.prefix != b.prefix {
+        a.prefix < b.prefix
+    } else {
+        (&records[a.idx as usize].key, a.idx) < (&records[b.idx as usize].key, b.idx)
     }
 }
 
@@ -100,12 +149,10 @@ pub struct KeyEntry {
 impl KeyEntry {
     /// Extract the entry array for a whole record buffer.
     pub fn extract(records: &[Record]) -> Vec<KeyEntry> {
-        (0..checked_run_len(records.len(), "KeyEntry::extract"))
-            .map(|idx| KeyEntry {
-                key: records[idx as usize].key,
-                idx,
-            })
-            .collect()
+        entries(records, "KeyEntry::extract", |r, idx| KeyEntry {
+            key: r.key,
+            idx,
+        })
     }
 }
 
@@ -130,15 +177,10 @@ pub struct CodewordEntry {
 impl CodewordEntry {
     /// Extract the entry array for a whole record buffer.
     pub fn extract(records: &[Record]) -> Vec<CodewordEntry> {
-        (0..checked_run_len(records.len(), "CodewordEntry::extract"))
-            .map(|idx| {
-                let k = &records[idx as usize].key;
-                CodewordEntry {
-                    code: u32::from_be_bytes([k[0], k[1], k[2], k[3]]),
-                    idx,
-                }
-            })
-            .collect()
+        entries(records, "CodewordEntry::extract", |r, idx| CodewordEntry {
+            code: u32::from_be_bytes([r.key[0], r.key[1], r.key[2], r.key[3]]),
+            idx,
+        })
     }
 }
 
@@ -177,6 +219,37 @@ pub fn key_prefix_order(buf: &[u8]) -> Vec<u32> {
     let mut entries = PrefixEntry::extract(records);
     quicksort_by(&mut entries, |a, b| prefix_entry_less(records, a, b));
     entries.into_iter().map(|e| e.idx).collect()
+}
+
+/// The footnote's partition sort (DPG, Cooperman et al.): a counting pass
+/// scatters the prefix entries into 256 buckets on the leading key byte,
+/// then each bucket is QuickSorted under [`prefix_entry_less`] — whose own
+/// most significant byte that is, so the order is [`key_prefix_order`]'s.
+pub fn partition_prefix_order(buf: &[u8]) -> Vec<u32> {
+    let records = records_of(buf);
+    let entries = PrefixEntry::extract(records);
+    let bucket = |e: &PrefixEntry| (e.prefix >> 56) as usize;
+    // starts[b]..starts[b + 1] is bucket b's slice of the scattered array.
+    let mut starts = [0usize; 257];
+    for e in &entries {
+        starts[bucket(e) + 1] += 1;
+    }
+    for b in 0..256 {
+        starts[b + 1] += starts[b];
+    }
+    let mut scattered = vec![PrefixEntry { prefix: 0, idx: 0 }; entries.len()];
+    let mut cursor = starts;
+    for e in entries {
+        let b = bucket(&e);
+        scattered[cursor[b]] = e;
+        cursor[b] += 1;
+    }
+    for b in 0..256 {
+        quicksort_by(&mut scattered[starts[b]..starts[b + 1]], |x, y| {
+            prefix_entry_less(records, x, y)
+        });
+    }
+    scattered.into_iter().map(|e| e.idx).collect()
 }
 
 /// Baer & Lin codeword sort: 8-byte (u32 codeword, u32 index) entries —
@@ -236,6 +309,23 @@ mod tests {
                     assert!(got == all, "{what}: records lost or invented");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn prefix_entry_is_12_bytes_padded_to_16() {
+        // The array stride is what matters for cache behaviour.
+        assert!(core::mem::size_of::<PrefixEntry>() <= 16);
+    }
+
+    #[test]
+    fn extract_preserves_indices() {
+        let (data, _) = generate(GenConfig::datamation(50, 1));
+        let records = records_of(&data);
+        let entries = PrefixEntry::extract(records);
+        for (i, e) in entries.iter().enumerate() {
+            assert_eq!(e.idx as usize, i);
+            assert_eq!(e.prefix, records[i].prefix());
         }
     }
 

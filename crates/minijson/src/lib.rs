@@ -10,6 +10,11 @@
 
 use std::fmt;
 
+/// Deepest array/object nesting [`Json::parse`] accepts (deeper is an error
+/// naming the byte offset). Documents written here nest about five levels;
+/// the bound keeps a hostile one from recursing the parser off its stack.
+pub const MAX_DEPTH: usize = 64;
+
 /// One JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
@@ -58,7 +63,7 @@ impl Json {
             pos: 0,
         };
         p.skip_ws();
-        let v = p.value()?;
+        let v = p.value(0)?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
             return Err(p.err("trailing characters after document"));
@@ -335,20 +340,24 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
+    /// One value inside `depth` open arrays and objects.
+    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
         match self.peek() {
             Some(b'n') => self.eat_literal("null", Json::Null),
             Some(b't') => self.eat_literal("true", Json::Bool(true)),
             Some(b'f') => self.eat_literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if depth == MAX_DEPTH => {
+                Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")))
+            }
+            Some(b'[') => self.array(depth),
+            Some(b'{') => self.object(depth),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a value")),
         }
     }
 
-    fn array(&mut self) -> Result<Json, JsonError> {
+    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.eat(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -358,7 +367,7 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth + 1)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -371,7 +380,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, JsonError> {
+    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.eat(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
@@ -385,7 +394,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.eat(b':')?;
             self.skip_ws();
-            let value = self.value()?;
+            let value = self.value(depth + 1)?;
             fields.push((key, value));
             self.skip_ws();
             match self.peek() {
@@ -610,6 +619,30 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted: {bad:?}");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        // 1 MiB of `[` (or 256 Ki `{"a":`) on a small stack: an unbounded
+        // recursive descent aborts the process here.
+        let errs = std::thread::Builder::new()
+            .stack_size(256 << 10)
+            .spawn(|| ["[".repeat(1 << 20), r#"{"a":"#.repeat(1 << 18)].map(|d| Json::parse(&d)))
+            .unwrap()
+            .join()
+            .unwrap();
+        for (err, at) in errs.into_iter().zip([MAX_DEPTH, 5 * MAX_DEPTH]) {
+            let msg = err.unwrap_err().to_string();
+            assert!(
+                msg.contains(&format!(
+                    "nesting deeper than {MAX_DEPTH} levels at byte {at}"
+                )),
+                "{msg}"
+            );
+        }
+        let nest = |n| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nest(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

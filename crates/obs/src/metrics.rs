@@ -168,19 +168,23 @@ impl Histogram {
     /// the histogram exactly. This is the format histograms travel in —
     /// sortd's `metrics` request and every `--metrics-out` file; a bucket's
     /// value range is [`bucket_bounds`](Self::bucket_bounds) of its index.
+    ///
+    /// JSON integers here are `i64`, so a field past `i64::MAX` — a
+    /// saturated `sum`, a `max` near `u64::MAX` — is written as `i64::MAX`:
+    /// it decodes saturated instead of making the whole document unreadable.
     pub fn to_json(&self) -> Json {
         let buckets = self
             .counts
             .iter()
             .enumerate()
             .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| Json::Arr(vec![Json::from(i as u64), Json::from(c)]))
+            .map(|(i, &c)| Json::Arr(vec![Json::from(i as u64), int(c)]))
             .collect();
         Json::Obj(vec![
-            ("count".to_string(), Json::from(self.count)),
-            ("sum".to_string(), Json::from(self.sum)),
-            ("min".to_string(), Json::from(self.min().unwrap_or(0))),
-            ("max".to_string(), Json::from(self.max().unwrap_or(0))),
+            ("count".to_string(), int(self.count)),
+            ("sum".to_string(), int(self.sum)),
+            ("min".to_string(), int(self.min().unwrap_or(0))),
+            ("max".to_string(), int(self.max().unwrap_or(0))),
             ("buckets".to_string(), Json::Arr(buckets)),
         ])
     }
@@ -228,6 +232,12 @@ impl Histogram {
         out.max = if out.count > 0 { self.max } else { 0 };
         out
     }
+}
+
+/// A `u64` as a JSON integer, saturated at `i64::MAX`. (`Json::from(u64)`
+/// falls back to a float there, which no decoder here accepts.)
+fn int(n: u64) -> Json {
+    Json::Int(n.min(i64::MAX as u64) as i64)
 }
 
 #[derive(Default)]
@@ -344,7 +354,7 @@ impl MetricsSnapshot {
                 Json::Obj(
                     self.counters
                         .iter()
-                        .map(|(k, &v)| (k.clone(), Json::from(v)))
+                        .map(|(k, &v)| (k.clone(), int(v)))
                         .collect(),
                 ),
             ),
@@ -565,6 +575,28 @@ mod tests {
         )
         .unwrap();
         assert!(Histogram::from_json(&bad).unwrap_err().contains("out of range"));
+    }
+
+    #[test]
+    fn values_past_i64_max_saturate_instead_of_poisoning_the_document() {
+        // Written as floats, a saturated sum, a max of u64::MAX or such a
+        // counter would make `from_json` refuse the whole snapshot.
+        let mut h = Histogram::default();
+        h.record(u64::MAX);
+        h.record(7);
+        let mut snap = MetricsSnapshot::default();
+        snap.counters.insert("c".into(), u64::MAX);
+        snap.histograms.insert("h".into(), h.clone());
+        let text = snap.to_json().dump();
+        let back = MetricsSnapshot::from_json(&Json::parse(&text).unwrap()).unwrap();
+        let got = &back.histograms["h"];
+        assert_eq!(got.count(), 2);
+        for i in 0..HISTOGRAM_BUCKETS {
+            assert_eq!(got.bucket_count(i), h.bucket_count(i), "bucket {i}");
+        }
+        let cap = i64::MAX as u64;
+        assert_eq!((got.sum(), got.min(), got.max()), (cap, Some(7), Some(cap)));
+        assert_eq!(back.counters["c"], cap);
     }
 
     #[test]
