@@ -10,9 +10,7 @@ mod scratch;
 mod twopass;
 
 pub use onepass::one_pass;
-pub use scratch::{
-    MemScratch, RecoveredRun, ResumeReport, ScratchStore, StripeScratch, INDEX_EVERY,
-};
+pub use scratch::{RecoveredRun, ResumeReport, StripeScratch, INDEX_EVERY};
 pub use twopass::two_pass;
 
 use std::io;
@@ -328,16 +326,15 @@ impl ExternalSorter {
     /// Sort `source` into `sink`, spilling to `scratch` if the input does
     /// not fit the memory budget. Sources without a size hint are assumed
     /// not to fit (conservative: two-pass always works).
-    pub fn sort<Src, Snk, Scr>(
+    pub fn sort<Src, Snk>(
         &self,
         source: &mut Src,
         sink: &mut Snk,
-        scratch: &mut Scr,
+        scratch: &mut StripeScratch,
     ) -> io::Result<SortOutcome>
     where
         Src: RecordSource,
         Snk: RecordSink,
-        Scr: ScratchStore,
     {
         let planner = Planner::new(self.cfg.memory_budget);
         let plan = match source.size_hint() {
@@ -354,6 +351,7 @@ impl ExternalSorter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::scratch::tests::mem_scratch;
     use crate::io::{MemSink, MemSource};
     use alphasort_dmgen::{generate, generate_varlen, GenConfig, TextCorpus, VarGenConfig};
 
@@ -387,12 +385,13 @@ mod tests {
             let mut source = MemSource::new(data.clone(), 1 << 16);
             let one = one_pass(&mut source, &mut MemSink::new(), &cfg).unwrap();
             let mut source = MemSource::new(data, 1 << 16);
-            let mut scratch = MemScratch::new(1 << 16).with_layout(layout);
+            let mut scratch = mem_scratch(1 << 16, layout);
             let two = two_pass(&mut source, &mut MemSink::new(), &mut scratch, &cfg).unwrap();
             // The spill went to the scratch the caller passed, whatever the
             // layout (range windows consume nothing, so the runs are still
             // there to count).
-            assert_eq!(scratch.run_count(), 8, "{}", layout.name());
+            let runs = scratch.sealed_run_records().unwrap().len();
+            assert_eq!(runs, 8, "{}", layout.name());
             for (driver, st) in [("one-pass", &one.stats), ("two-pass", &two.stats)] {
                 let what = format!("{driver} {}", layout.name());
                 assert_eq!(st.merge_range_time.len(), 4, "{what}");
@@ -434,7 +433,7 @@ mod tests {
                     layout.name()
                 );
                 let (mut source, mut sink) = (MemSource::new(Vec::new(), 64), MemSink::new());
-                let mut scratch = MemScratch::new(64).with_layout(layout);
+                let mut scratch = mem_scratch(64, layout);
                 let outcomes = [
                     one_pass(&mut source, &mut sink, &cfg),
                     two_pass(&mut source, &mut sink, &mut scratch, &cfg),

@@ -1,17 +1,18 @@
 //! Scratch storage for two-pass sorts.
 //!
 //! §6: "A two-pass sort requires twice the disk bandwidth to carry the runs
-//! being stored on disk and being read back in during merge phase." The
-//! [`ScratchStore`] abstraction supplies per-run writers during run
-//! formation and per-run sources during the merge; [`StripeScratch`] puts
-//! runs on striped simulated disks, [`MemScratch`] keeps them in memory —
-//! the fake tests substitute for it.
+//! being stored on disk and being read back in during merge phase."
+//! [`StripeScratch`] supplies per-run writers during run formation and
+//! per-run sources during the merge, putting each run on striped disks.
+//! It is the one store: over disk images it survives a crash, and over
+//! [`Volume::in_memory`] it is the scratch of a process that keeps nothing
+//! — the same striped, checksummed code either way.
 //!
 //! Writers and sources carry bytes; only the record-indexed operations
 //! (`sealed_run_records`, `key_at`, `open_run_range`, recovered spans)
 //! need to know where records start. A store is built for one
 //! [`RecordLayout`]: under a fixed stride a position is a multiplication,
-//! under var-len frames [`ScratchStore::seal_run`] is handed a **sparse**
+//! under var-len frames [`StripeScratch::seal_run`] is handed a **sparse**
 //! index — the byte offset of every [`INDEX_EVERY`]-th record, 8 bytes per
 //! 64 records — and a probe reads at most `INDEX_EVERY` frames forward
 //! from the nearest entry.
@@ -25,7 +26,7 @@
 //! a crash, [`StripeScratch::resume`] reloads the manifest, re-opens each
 //! run, verifies it end to end against the recorded checksums (rebuilding
 //! a var-len run's index from the same read), and discards anything
-//! corrupt. The driver then consults [`ScratchStore::recovered_runs`] and
+//! corrupt. The driver then consults [`StripeScratch::recovered_runs`] and
 //! re-forms only the input ranges that are missing — pass-1 work completed
 //! before the crash is not repeated. Cascade-merge outputs are not
 //! manifested: recovery granularity is the pass-1 run, and merge progress
@@ -42,7 +43,7 @@ use alphasort_obs as obs;
 use alphasort_stripefs::{RunChecksums, StripeDef, StripedFile, Volume};
 
 use crate::entry::{Frame, RecordLayout};
-use crate::io::{MemSink, MemSource, RecordSink, RecordSource, StripeSink, StripeSource};
+use crate::io::{RecordSink, RecordSource, StripeSink, StripeSource};
 
 /// A scratch run surviving from a previous attempt, described by the input
 /// range it covers.
@@ -56,58 +57,6 @@ pub struct RecoveredRun {
 
 /// Records between two entries of a var-len run's sparse index.
 pub const INDEX_EVERY: u64 = 64;
-
-/// Where a two-pass sort parks its runs between the passes.
-pub trait ScratchStore: Send {
-    /// Sink type runs are written through.
-    type Writer: RecordSink;
-    /// Source type runs are read back through.
-    type Source: RecordSource;
-
-    /// The record layout of the runs this store holds.
-    fn layout(&self) -> RecordLayout;
-
-    /// Start a new scratch run of roughly `size_hint` bytes.
-    fn create_run(&mut self, size_hint: u64) -> io::Result<Self::Writer>;
-
-    /// Finish a run's writer, recording it for the merge pass. `records`
-    /// is how many records were written; `index[i]` is the byte offset of
-    /// record `i * INDEX_EVERY` for a var-len run and empty under a fixed
-    /// stride. A count or index that cannot describe the bytes written is
-    /// `InvalidInput`.
-    fn seal_run(&mut self, writer: Self::Writer, records: u64, index: Vec<u64>) -> io::Result<()>;
-
-    /// Open every sealed run for reading, in input order.
-    fn open_runs(&mut self) -> io::Result<Vec<Self::Source>>;
-
-    /// Record counts of the sealed runs, in input order — the order
-    /// [`open_runs`](Self::open_runs) and
-    /// [`open_run_range`](Self::open_run_range) will use. The partitioned
-    /// merge plans its key-range cuts from these lengths without opening
-    /// anything.
-    fn sealed_run_records(&mut self) -> io::Result<Vec<u64>>;
-
-    /// The key bytes of record `pos` within sealed run `run` (same
-    /// input-order indexing as
-    /// [`sealed_run_records`](Self::sealed_run_records)). A point probe:
-    /// the partitioned merge samples splitter candidates and
-    /// binary-searches cut positions through this.
-    fn key_at(&mut self, run: usize, pos: u64) -> io::Result<Vec<u8>>;
-
-    /// Open records `[start, start + records)` of sealed run `run` for
-    /// reading. Unlike [`open_runs`](Self::open_runs) this does not consume
-    /// the run: every key range of the partitioned merge opens its own
-    /// window of the same run.
-    fn open_run_range(&mut self, run: usize, start: u64, records: u64) -> io::Result<Self::Source>;
-
-    /// Runs already present from a previous attempt (a resumed scratch),
-    /// sorted by start and disjoint. The driver skips their input ranges
-    /// during run formation instead of re-sorting them. Default: none —
-    /// only resumable stores override.
-    fn recovered_runs(&mut self) -> io::Result<Vec<RecoveredRun>> {
-        Ok(Vec::new())
-    }
-}
 
 fn invalid(kind: io::ErrorKind, msg: String) -> io::Error {
     io::Error::new(kind, msg)
@@ -236,15 +185,15 @@ impl RunShape {
     }
 }
 
-/// Recovered-span bookkeeping shared by both stores: freshly formed runs
-/// pack the gaps between the spans a previous attempt left behind.
+/// Recovered-span bookkeeping: freshly formed runs pack the gaps between
+/// the spans a previous attempt left behind.
 #[derive(Default)]
 struct SpanPacker {
     /// Record cursor assigning start offsets to sealed runs.
     cursor: u64,
     /// Recovered spans the cursor has not passed yet, sorted by start.
     pending: VecDeque<RecoveredRun>,
-    /// Spans reported through [`ScratchStore::recovered_runs`].
+    /// Spans reported through [`StripeScratch::recovered_runs`].
     recovered: Vec<RecoveredRun>,
 }
 
@@ -302,139 +251,6 @@ impl SpanPacker {
     fn restart(&mut self) {
         self.cursor = 0;
         self.pending.clear();
-    }
-}
-
-/// One run held by a [`MemScratch`].
-struct MemRun {
-    /// Input start record: a resumed scratch seals re-formed runs after the
-    /// recovered ones, and input order is what the merge tie-break needs.
-    start: u64,
-    data: Vec<u8>,
-    shape: RunShape,
-}
-
-impl MemRun {
-    fn reader(&self) -> impl FnMut(u64, u64) -> io::Result<Vec<u8>> + '_ {
-        |off, len| Ok(self.data[off as usize..(off + len) as usize].to_vec())
-    }
-}
-
-/// In-memory scratch (tests, small sorts).
-pub struct MemScratch {
-    layout: RecordLayout,
-    runs: Vec<MemRun>,
-    /// Chunk size handed back by the sources.
-    chunk: usize,
-    spans: SpanPacker,
-}
-
-impl MemScratch {
-    /// Datamation scratch whose read-back sources deliver `chunk`-byte
-    /// pieces.
-    pub fn new(chunk: usize) -> Self {
-        MemScratch {
-            layout: RecordLayout::Datamation,
-            runs: Vec::new(),
-            chunk: if chunk > 0 { chunk } else { 64 * 1024 },
-            spans: SpanPacker::default(),
-        }
-    }
-
-    /// Hold runs of `layout` instead. Set before anything is sealed.
-    pub fn with_layout(mut self, layout: RecordLayout) -> Self {
-        self.layout = layout;
-        self
-    }
-
-    /// Pretend to have survived a crash: `runs` are sealed run payloads
-    /// tagged with the input record index they start at, and will be
-    /// reported via [`ScratchStore::recovered_runs`] so the driver skips
-    /// those input ranges. Lets tests drive the resume path without
-    /// striped disks or a manifest. A payload that does not frame under
-    /// this scratch's layout, or spans that overlap, are `InvalidData`.
-    pub fn recover(mut self, runs: Vec<(u64, Vec<u8>)>) -> io::Result<Self> {
-        let mut spans = Vec::with_capacity(runs.len());
-        for (start, data) in runs {
-            let shape = RunShape::scan(self.layout, &mut MemSource::new(data.clone(), 1 << 20))?;
-            spans.push(RecoveredRun {
-                start_record: start,
-                records: shape.records,
-            });
-            self.runs.push(MemRun { start, data, shape });
-        }
-        self.spans = SpanPacker::new(spans)?;
-        Ok(self)
-    }
-
-    /// [`new`](Self::new) + [`recover`](Self::recover) for Datamation
-    /// payloads the caller built itself.
-    ///
-    /// # Panics
-    /// If a payload is not whole records or two spans overlap.
-    pub fn with_recovered(runs: Vec<(u64, Vec<u8>)>, chunk: usize) -> Self {
-        Self::new(chunk)
-            .recover(runs)
-            .expect("well-formed recovered runs")
-    }
-
-    /// Number of sealed runs.
-    pub fn run_count(&self) -> usize {
-        self.runs.len()
-    }
-}
-
-impl ScratchStore for MemScratch {
-    type Writer = MemSink;
-    type Source = MemSource;
-
-    fn layout(&self) -> RecordLayout {
-        self.layout
-    }
-
-    fn create_run(&mut self, _size_hint: u64) -> io::Result<MemSink> {
-        Ok(MemSink::new())
-    }
-
-    fn seal_run(&mut self, mut writer: MemSink, records: u64, index: Vec<u64>) -> io::Result<()> {
-        writer.complete()?;
-        let data = writer.into_inner();
-        let shape = RunShape::told(self.layout, records, data.len() as u64, index)?;
-        let start = self.spans.place(records);
-        self.runs.push(MemRun { start, data, shape });
-        Ok(())
-    }
-
-    fn open_runs(&mut self) -> io::Result<Vec<MemSource>> {
-        let chunk = self.chunk;
-        self.spans.restart();
-        self.runs.sort_by_key(|r| r.start);
-        Ok(self
-            .runs
-            .drain(..)
-            .map(|r| MemSource::new(r.data, chunk))
-            .collect())
-    }
-
-    fn sealed_run_records(&mut self) -> io::Result<Vec<u64>> {
-        self.runs.sort_by_key(|r| r.start);
-        Ok(self.runs.iter().map(|r| r.shape.records).collect())
-    }
-
-    fn key_at(&mut self, run: usize, pos: u64) -> io::Result<Vec<u8>> {
-        let r = &self.runs[run];
-        r.shape.key_at(pos, &mut r.reader())
-    }
-
-    fn open_run_range(&mut self, run: usize, start: u64, records: u64) -> io::Result<MemSource> {
-        let r = &self.runs[run];
-        let (off, len) = r.shape.window(start, records, &mut r.reader())?;
-        let bytes = r.data[off as usize..(off + len) as usize].to_vec();
-        Ok(MemSource::new(bytes, self.chunk))
-    }
-
-    fn recovered_runs(&mut self) -> io::Result<Vec<RecoveredRun>> {
-        Ok(self.spans.recovered.clone())
     }
 }
 
@@ -641,7 +457,10 @@ impl StripeScratch {
     fn open_manifested(volume: &Arc<Volume>, path: &Path) -> io::Result<Vec<StripedFile>> {
         let (doc, bad) = load_manifest(path)?;
         let runs = doc.field_arr("runs").map_err(|e| bad(&e))?;
-        let open = |entry| Ok(volume.open(run_def(entry).map_err(|e| bad(&e))?));
+        let open = |entry| {
+            let def = run_def(entry).map_err(|e| bad(&e))?;
+            volume.try_open(def).map_err(|e| bad(&e))
+        };
         runs.iter().map(open).collect()
     }
 
@@ -689,6 +508,10 @@ impl StripeScratch {
         let input_bytes = doc.field_u64("input_bytes").map_err(|e| bad(&e))?;
         let run_records = doc.field_u64("run_records").map_err(|e| bad(&e))?;
         let chunk = doc.field_u64("chunk").map_err(|e| bad(&e))?;
+        if chunk == 0 {
+            // Re-forming a lost run would stripe it over zero-byte chunks.
+            return Err(bad(&"zero stripe chunk"));
+        }
         let mut s = Self::new(volume, chunk);
         // Manifests from before the var-len layout carry no layout field;
         // they could only hold Datamation runs.
@@ -715,7 +538,7 @@ impl StripeScratch {
                 .ok_or_else(|| bad(&"run entry missing `checks`"))
                 .and_then(|v| RunChecksums::from_json(v).map_err(|e| bad(&e)))?;
             let name = def.name.clone();
-            let file = Arc::new(s.volume.open(def));
+            let file = Arc::new(s.volume.try_open(def).map_err(|e| bad(&e))?);
             match Self::validate_run(s.layout, &file, &checks, records) {
                 Ok(shape) => {
                     // Keep fresh run ids clear of every surviving name.
@@ -834,17 +657,14 @@ impl StripeScratch {
         std::fs::write(&tmp, doc.dump_pretty())?;
         std::fs::rename(&tmp, &m.path)
     }
-}
 
-impl ScratchStore for StripeScratch {
-    type Writer = StripeSink;
-    type Source = StripeSource;
-
-    fn layout(&self) -> RecordLayout {
+    /// The record layout of the runs this store holds.
+    pub fn layout(&self) -> RecordLayout {
         self.layout
     }
 
-    fn create_run(&mut self, size_hint: u64) -> io::Result<StripeSink> {
+    /// Start a new scratch run of roughly `size_hint` bytes.
+    pub fn create_run(&mut self, size_hint: u64) -> io::Result<StripeSink> {
         let id = self.next_id;
         self.next_id += 1;
         let file = match self.volume.try_create_across_all(
@@ -865,7 +685,12 @@ impl ScratchStore for StripeScratch {
         Ok(StripeSink::checksummed(file))
     }
 
-    fn seal_run(
+    /// Finish a run's writer, recording it for the merge pass. `records`
+    /// is how many records were written; `index[i]` is the byte offset of
+    /// record `i * INDEX_EVERY` for a var-len run and empty under a fixed
+    /// stride. A count or index that cannot describe the bytes written is
+    /// `InvalidInput`.
+    pub fn seal_run(
         &mut self,
         mut writer: StripeSink,
         records: u64,
@@ -908,7 +733,8 @@ impl ScratchStore for StripeScratch {
         Ok(())
     }
 
-    fn open_runs(&mut self) -> io::Result<Vec<StripeSource>> {
+    /// Open every sealed run for reading, in input order.
+    pub fn open_runs(&mut self) -> io::Result<Vec<StripeSource>> {
         // The *previous* batch handed out by open_runs has been fully
         // consumed by now (the driver merges an entire cascade level before
         // asking for the next), so its extents can be recycled for the
@@ -945,50 +771,67 @@ impl ScratchStore for StripeScratch {
         Ok(sources)
     }
 
-    fn sealed_run_records(&mut self) -> io::Result<Vec<u64>> {
+    /// Record counts of the sealed runs, in input order — the order
+    /// [`open_runs`](Self::open_runs) and
+    /// [`open_run_range`](Self::open_run_range) will use. The partitioned
+    /// merge plans its key-range cuts from these lengths without opening
+    /// anything.
+    pub fn sealed_run_records(&mut self) -> io::Result<Vec<u64>> {
         // Input order, for the same stability reason as open_runs.
         self.runs.sort_by_key(|r| r.start);
         Ok(self.runs.iter().map(|r| r.shape.records).collect())
     }
 
-    fn key_at(&mut self, run: usize, pos: u64) -> io::Result<Vec<u8>> {
+    /// The key bytes of record `pos` within sealed run `run` (same
+    /// input-order indexing as
+    /// [`sealed_run_records`](Self::sealed_run_records)). A point probe:
+    /// the partitioned merge samples splitter candidates and
+    /// binary-searches cut positions through this.
+    pub fn key_at(&mut self, run: usize, pos: u64) -> io::Result<Vec<u8>> {
         let meta = &self.runs[run];
         meta.shape.key_at(pos, &mut meta.reader())
     }
 
-    fn open_run_range(&mut self, run: usize, start: u64, records: u64) -> io::Result<StripeSource> {
+    /// Open records `[start, start + records)` of sealed run `run` for
+    /// reading. Unlike [`open_runs`](Self::open_runs) this does not consume
+    /// the run: every key range of the partitioned merge opens its own
+    /// window of the same run.
+    pub fn open_run_range(
+        &mut self,
+        run: usize,
+        start: u64,
+        records: u64,
+    ) -> io::Result<StripeSource> {
         let meta = &self.runs[run];
         let (off, len) = meta.shape.window(start, records, &mut meta.reader())?;
         StripeSource::verified_window(Arc::clone(&meta.file), meta.checks.clone(), off, len)
     }
 
-    fn recovered_runs(&mut self) -> io::Result<Vec<RecoveredRun>> {
-        Ok(self.spans.recovered.clone())
+    /// Runs already present from a previous attempt (a
+    /// [`resume`](Self::resume)d scratch), sorted by start and disjoint. The
+    /// driver skips their input ranges during run formation instead of
+    /// re-sorting them.
+    pub fn recovered_runs(&self) -> Vec<RecoveredRun> {
+        self.spans.recovered.clone()
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
     use alphasort_dmgen::{generate, records_of_mut, GenConfig, RECORD_LEN};
     use alphasort_iosim::{catalog, IoEngine, MemStorage, Pacing, SimDisk};
 
-    fn striped_volume(n: usize, storages: Option<&[Arc<MemStorage>]>) -> Arc<Volume> {
-        let disks = (0..n)
-            .map(|i| {
-                let storage = match storages {
-                    Some(s) => Arc::clone(&s[i]),
-                    None => Arc::new(MemStorage::new()),
-                };
-                SimDisk::new(
-                    format!("s{i}"),
-                    catalog::uncapped(),
-                    storage,
-                    Pacing::Modeled,
-                    None,
-                )
-            })
-            .collect();
+    use crate::io::{MemSink, MemSource};
+
+    /// A volume over `storages` — rebuilt over the same storages, it is the
+    /// scratch a restarted process would find.
+    fn volume_over(storages: &[Arc<MemStorage>]) -> Arc<Volume> {
+        let disk = |(i, s): (usize, &Arc<MemStorage>)| {
+            let spec = catalog::uncapped();
+            SimDisk::new(format!("s{i}"), spec, s.clone(), Pacing::Modeled, None)
+        };
+        let disks = storages.iter().enumerate().map(disk).collect();
         Arc::new(Volume::new(Arc::new(IoEngine::new(disks))))
     }
 
@@ -1005,83 +848,44 @@ mod tests {
         d.join("scratch.manifest")
     }
 
-    #[test]
-    fn mem_scratch_roundtrip() {
-        let mut s = MemScratch::new(250);
-        let mut w = s.create_run(0).unwrap();
-        w.push(&[7u8; 200]).unwrap();
-        s.seal_run(w, 2, Vec::new()).unwrap();
-        let mut w2 = s.create_run(0).unwrap();
-        w2.push(&[9u8; 100]).unwrap();
-        s.seal_run(w2, 1, Vec::new()).unwrap();
-        assert_eq!(s.run_count(), 2);
-        assert!(s.recovered_runs().unwrap().is_empty());
-        let mut sources = s.open_runs().unwrap();
-        assert_eq!(sources.len(), 2);
-        assert_eq!(sources[0].next_chunk().unwrap().unwrap(), [7u8; 200]);
-        assert_eq!(sources[1].next_chunk().unwrap().unwrap(), [9u8; 100]);
+    /// In-memory scratch for `layout` runs, striped over two disks in
+    /// `chunk`-byte chunks.
+    pub(crate) fn mem_scratch(chunk: usize, layout: RecordLayout) -> StripeScratch {
+        StripeScratch::new(Arc::new(Volume::in_memory(2)), chunk as u64).with_layout(layout)
     }
 
-    #[test]
-    fn mem_scratch_probes_and_range_windows() {
-        let run_a = run_payload(40, 11);
-        let run_b = run_payload(25, 12);
-        let mut s = MemScratch::new(300);
-        for payload in [&run_a, &run_b] {
-            let mut w = s.create_run(0).unwrap();
-            w.push(payload).unwrap();
-            s.seal_run(w, (payload.len() / RECORD_LEN) as u64, Vec::new())
-                .unwrap();
-        }
-        assert_eq!(s.sealed_run_records().unwrap(), vec![40, 25]);
-        assert_eq!(&s.key_at(0, 7).unwrap(), &run_a[700..710]);
-        assert_eq!(&s.key_at(1, 24).unwrap(), &run_b[2_400..2_410]);
-        let mut src = s.open_run_range(0, 10, 5).unwrap();
-        let mut got = Vec::new();
-        while let Some(c) = src.next_chunk().unwrap() {
-            got.extend_from_slice(&c);
-        }
-        assert_eq!(got, &run_a[1_000..1_500]);
-        // Windows do not consume the run: the full open still sees both.
-        assert_eq!(s.open_runs().unwrap().len(), 2);
-    }
-
-    #[test]
-    fn mem_scratch_with_recovered_interleaves_by_input_order() {
-        // A "previous attempt" left the middle run (records 30..60); the
-        // retry seals the two flanking runs, which must pack around it.
-        let middle = run_payload(30, 21);
-        let mut s = MemScratch::with_recovered(vec![(30, middle.clone())], 500);
-        assert_eq!(
-            s.recovered_runs().unwrap(),
-            vec![RecoveredRun {
-                start_record: 30,
-                records: 30
-            }]
-        );
-        let first = run_payload(30, 22);
-        let last = run_payload(30, 23);
-        for payload in [&first, &last] {
-            let mut w = s.create_run(0).unwrap();
-            w.push(payload).unwrap();
-            s.seal_run(w, (payload.len() / RECORD_LEN) as u64, Vec::new())
-                .unwrap();
-        }
-        // Input order is first (0..30), middle (30..60), last (60..90).
-        assert_eq!(s.sealed_run_records().unwrap(), vec![30, 30, 30]);
-        assert_eq!(&s.key_at(1, 0).unwrap(), &middle[0..10]);
-        let mut sources = s.open_runs().unwrap();
-        let mut got = Vec::new();
-        while let Some(c) = sources[1].next_chunk().unwrap() {
-            got.extend_from_slice(&c);
-        }
-        assert_eq!(got, middle);
+    /// A scratch that survived a crash holding one run, `run` (whole
+    /// `layout` records), at input record `start`: sealed through a
+    /// manifested store that is dropped undisposed, then resumed over the
+    /// same volume — the in-process restart a daemon performs. The run is
+    /// sealed as its sort's first; the manifest edit puts it where the
+    /// crashed sort had it.
+    pub(crate) fn crashed_with(
+        chunk: usize,
+        layout: RecordLayout,
+        start: u64,
+        run: &[u8],
+    ) -> StripeScratch {
+        let shape = RunShape::scan(layout, &mut MemSource::new(run.to_vec(), 1 << 16)).unwrap();
+        let path = tmp_manifest("crashed");
+        let mut s = mem_scratch(chunk, layout);
+        let volume = Arc::clone(&s.volume);
+        s.attach_manifest(&path, 0, shape.records).unwrap();
+        let mut w = s.create_run(shape.bytes).unwrap();
+        w.push(run).unwrap();
+        s.seal_run(w, shape.records, shape.index).unwrap();
+        drop(s);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let text = text.replace("\"start\": 0", &format!("\"start\": {start}"));
+        std::fs::write(&path, text).unwrap();
+        let (s, report) = StripeScratch::resume(volume, &path).unwrap();
+        assert_eq!(report.recovered.len(), 1, "{report:?}");
+        s
     }
 
     #[test]
     fn stripe_scratch_probes_and_range_windows() {
-        let volume = striped_volume(3, None);
-        let mut s = StripeScratch::new(volume, 256);
+        let mut s = StripeScratch::new(Arc::new(Volume::in_memory(3)), 256);
         let run_a = run_payload(60, 31);
         let run_b = run_payload(45, 32);
         for payload in [&run_a, &run_b] {
@@ -1111,13 +915,13 @@ mod tests {
 
     #[test]
     fn stripe_scratch_roundtrip() {
-        let volume = striped_volume(4, None);
-        let mut s = StripeScratch::new(volume, 512);
+        let mut s = StripeScratch::new(Arc::new(Volume::in_memory(4)), 512);
 
         let payload: Vec<u8> = (0..3_000).map(|i| (i % 7) as u8).collect();
         let mut w = s.create_run(3_000).unwrap();
         w.push(&payload).unwrap();
         s.seal_run(w, 30, Vec::new()).unwrap();
+        assert!(s.recovered_runs().is_empty());
 
         let mut sources = s.open_runs().unwrap();
         let mut got = Vec::new();
@@ -1140,7 +944,7 @@ mod tests {
         // situation. With the default prefix both would create
         // "scratch-run-0"; named scratches must stay disjoint, and
         // dispose() must return the extents to the volume.
-        let volume = striped_volume(2, None);
+        let volume = Arc::new(Volume::in_memory(2));
         let run_a = run_payload(30, 41);
         let run_b = run_payload(30, 42);
         let mut sa = StripeScratch::new(Arc::clone(&volume), 256).named("job1-run");
@@ -1180,7 +984,7 @@ mod tests {
         let run_a = run_payload(40, 1);
         let run_b = run_payload(40, 2);
         {
-            let volume = striped_volume(2, Some(&storages));
+            let volume = volume_over(&storages);
             let mut s = StripeScratch::with_manifest(
                 volume,
                 256,
@@ -1197,7 +1001,7 @@ mod tests {
             }
             // "Crash": scratch dropped without open_runs; storages survive.
         }
-        let volume = striped_volume(2, Some(&storages));
+        let volume = volume_over(&storages);
         let (mut s, report) = StripeScratch::resume(volume, &path).unwrap();
         assert_eq!(report.run_records, 40);
         assert!(report.corrupt.is_empty());
@@ -1214,7 +1018,7 @@ mod tests {
                 },
             ]
         );
-        assert_eq!(s.recovered_runs().unwrap(), report.recovered);
+        assert_eq!(s.recovered_runs(), report.recovered);
         let mut sources = s.open_runs().unwrap();
         assert_eq!(sources.len(), 2);
         for (src, want) in sources.iter_mut().zip([&run_a, &run_b]) {
@@ -1234,7 +1038,7 @@ mod tests {
         let run_b = run_payload(30, 4);
         let b_base;
         {
-            let volume = striped_volume(2, Some(&storages));
+            let volume = volume_over(&storages);
             let mut s =
                 StripeScratch::with_manifest(volume.clone(), 128, &path, 6_000, 30).unwrap();
             for payload in [&run_a, &run_b] {
@@ -1247,10 +1051,10 @@ mod tests {
             b_base = s.runs[1].file.def().members[0].base;
         }
         {
-            let volume = striped_volume(2, Some(&storages));
+            let volume = volume_over(&storages);
             volume.engine().write(0, b_base, vec![0xAB]).wait().unwrap();
         }
-        let volume = striped_volume(2, Some(&storages));
+        let volume = volume_over(&storages);
         let (mut s, report) = StripeScratch::resume(volume, &path).unwrap();
         assert_eq!(report.recovered.len(), 1);
         assert_eq!(report.recovered[0].start_record, 0);
@@ -1318,14 +1122,24 @@ mod tests {
                 "sort",
                 "layout",
             ),
+            (D, "disk", "1", "9", "resume", "disk 9 of a 2-disk volume"),
+            (D, "chunk", "256", "0", "resume", "zero stripe chunk"),
             (V, "records", "40", "39", "verify", "holds 40 records"),
+            (V, "start", "40", "500", "sort", "extends past the input"),
         ];
         for (row, (layout, field, before, after, stage, names)) in table.into_iter().enumerate() {
             let disks: Vec<Arc<MemStorage>> = (0..2).map(|_| Arc::new(MemStorage::new())).collect();
             let path = tmp_manifest(&format!("hostile{row}"));
-            let (input, _) = generate(GenConfig::datamation(80, 7));
+            let input = match layout {
+                D => generate(GenConfig::datamation(80, 7)).0,
+                V => generate_varlen(VarGenConfig {
+                    records: 80,
+                    seed: 7,
+                    corpus: TextCorpus::Urls,
+                }),
+            };
             {
-                let volume = striped_volume(2, Some(&disks));
+                let volume = volume_over(&disks);
                 let mut s = StripeScratch::new(volume, 256).with_layout(layout);
                 s.attach_manifest(&path, input.len() as u64, 40).unwrap();
                 for seed in [1, 2] {
@@ -1360,7 +1174,7 @@ mod tests {
             );
             std::fs::write(&path, hostile).unwrap();
 
-            let resumed = StripeScratch::resume(striped_volume(2, Some(&disks)), &path);
+            let resumed = StripeScratch::resume(volume_over(&disks), &path);
             let message = match (resumed, stage) {
                 (Err(e), "resume") => e,
                 (Ok((_, report)), "verify") => {
@@ -1370,6 +1184,7 @@ mod tests {
                 (Ok((mut scratch, _)), "sort") => {
                     let cfg = SortConfig {
                         run_records: 40,
+                        layout,
                         ..Default::default()
                     };
                     let mut source = MemSource::new(input, 1_000);
@@ -1391,7 +1206,7 @@ mod tests {
         let run_a = run_payload(40, 5);
         let run_b = run_payload(40, 6);
         {
-            let volume = striped_volume(2, Some(&storages));
+            let volume = volume_over(&storages);
             let mut s = StripeScratch::new(volume, 256).named("jobX-run");
             s.attach_manifest(&path, (run_a.len() + run_b.len()) as u64, 40)
                 .unwrap();
@@ -1405,13 +1220,13 @@ mod tests {
         }
         // A fresh volume over the same disks would allocate from offset 0,
         // over the runs — until their manifest is reserved on it.
-        let volume = striped_volume(2, Some(&storages));
+        let volume = volume_over(&storages);
         assert_eq!(StripeScratch::reserve_at(&volume, &path).unwrap(), 2);
         let probe = volume.create_across_all("probe", 256, 1);
         assert!(probe.def().members.iter().all(|m| m.base > 0), "allocated over a sealed run");
         assert!(path.exists(), "reserving leaves the manifest for resume");
 
-        let volume = striped_volume(2, Some(&storages));
+        let volume = volume_over(&storages);
         let freed = StripeScratch::dispose_at(&volume, &path).unwrap();
         assert_eq!(freed, 2);
         assert!(!path.exists(), "manifest removed after disposal");
@@ -1422,21 +1237,33 @@ mod tests {
         );
     }
 
+    /// A manifest naming a disk the volume does not have is refused by
+    /// every reader of manifests — a daemon reserving at start, the sweep
+    /// disposing at grace — and leaves the manifest where it was.
+    #[test]
+    fn reserve_and_dispose_refuse_a_manifest_off_the_volume() {
+        let path = tmp_manifest("offvolume");
+        let volume = Arc::new(Volume::in_memory(2));
+        let mut s = StripeScratch::new(Arc::clone(&volume), 256);
+        s.attach_manifest(&path, 4_000, 40).unwrap();
+        let mut w = s.create_run(4_000).unwrap();
+        w.push(&run_payload(40, 9)).unwrap();
+        s.seal_run(w, 40, Vec::new()).unwrap();
+        drop(s);
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, text.replace("\"disk\": 1", "\"disk\": 9")).unwrap();
+        let reserved = StripeScratch::reserve_at(&volume, &path);
+        let disposed = StripeScratch::dispose_at(&volume, &path);
+        for e in [reserved.map(drop), disposed.map(drop)].map(Result::unwrap_err) {
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+            assert!(e.to_string().contains("disk 9 of a 2-disk volume"), "{e}");
+        }
+        assert!(path.exists(), "a refused manifest is not removed");
+    }
+
     #[test]
     fn scratch_full_names_the_shortfall() {
-        let storages: Vec<Arc<MemStorage>> = (0..2).map(|_| Arc::new(MemStorage::new())).collect();
-        let disks = (0..2)
-            .map(|i| {
-                SimDisk::new(
-                    format!("s{i}"),
-                    catalog::uncapped(),
-                    storages[i].clone(),
-                    Pacing::Modeled,
-                    None,
-                )
-            })
-            .collect();
-        let volume = Arc::new(Volume::new(Arc::new(IoEngine::new(disks))).with_disk_limit(256));
+        let volume = Arc::new(Volume::in_memory(2).with_disk_limit(256));
         let mut s = StripeScratch::new(volume, 128);
         let err = match s.create_run(1 << 20) {
             Ok(_) => panic!("expected StorageFull"),

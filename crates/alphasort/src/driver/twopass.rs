@@ -13,12 +13,12 @@ use std::time::Instant;
 
 use alphasort_obs as obs;
 
-use crate::driver::scratch::{ScratchStore, INDEX_EVERY};
+use crate::driver::scratch::{StripeScratch, INDEX_EVERY};
 use crate::driver::{
     check_sizes, finish, merge_batch, merge_ranges, Feed, Range, SortConfig, SortOutcome,
 };
 use crate::entry::RecordLayout;
-use crate::io::{RecordSink, RecordSource};
+use crate::io::{RecordSink, RecordSource, StripeSink, StripeSource};
 use crate::layout::{Cut, LayoutRun};
 use crate::merge::{Heads, Merger, StreamHeads};
 use crate::parallel::SortPool;
@@ -30,29 +30,28 @@ use crate::varlen::VarRun;
 
 /// Sort `source` into `sink`, staging runs in `scratch` — which must have
 /// been built for the configured layout.
-pub fn two_pass<Src, Snk, Scr>(
+pub fn two_pass<Src, Snk>(
     source: &mut Src,
     sink: &mut Snk,
-    scratch: &mut Scr,
+    scratch: &mut StripeScratch,
     cfg: &SortConfig,
 ) -> io::Result<SortOutcome>
 where
     Src: RecordSource,
     Snk: RecordSink,
-    Scr: ScratchStore,
 {
     match cfg.layout {
-        RecordLayout::Datamation => two_pass_of::<SortedRun, _, _, _>(source, sink, scratch, cfg),
-        RecordLayout::VarLen => two_pass_of::<VarRun, _, _, _>(source, sink, scratch, cfg),
+        RecordLayout::Datamation => two_pass_of::<SortedRun, _, _>(source, sink, scratch, cfg),
+        RecordLayout::VarLen => two_pass_of::<VarRun, _, _>(source, sink, scratch, cfg),
     }
 }
 
 /// One scratch run being written: records staged into `gather_batch`-sized
 /// pushes so the spill writer's pipeline stays busy without a whole-run
 /// staging copy, counted — and, without a fixed stride, sparsely indexed —
-/// for [`ScratchStore::seal_run`].
-struct Spill<W> {
-    writer: W,
+/// for [`StripeScratch::seal_run`].
+struct Spill {
+    writer: StripeSink,
     staging: Vec<u8>,
     /// Records in `staging`, flushed at `batch` (a counter, not a modulo
     /// of `records`: this runs once per spilled record).
@@ -64,8 +63,8 @@ struct Spill<W> {
     index: Vec<u64>,
 }
 
-impl<W: RecordSink> Spill<W> {
-    fn new(writer: W, layout: RecordLayout, batch: usize) -> Self {
+impl Spill {
+    fn new(writer: StripeSink, layout: RecordLayout, batch: usize) -> Self {
         Spill {
             writer,
             staging: Vec::new(),
@@ -94,7 +93,7 @@ impl<W: RecordSink> Spill<W> {
         Ok(())
     }
 
-    fn seal<Scr: ScratchStore<Writer = W>>(mut self, scratch: &mut Scr) -> io::Result<()> {
+    fn seal(mut self, scratch: &mut StripeScratch) -> io::Result<()> {
         if !self.staging.is_empty() {
             self.writer.push(&self.staging)?;
         }
@@ -103,12 +102,12 @@ impl<W: RecordSink> Spill<W> {
 }
 
 /// Account one freshly formed run and stream it to scratch.
-fn spill_run<R: LayoutRun, Scr: ScratchStore>(
+fn spill_run<R: LayoutRun>(
     run: &R,
     resuming: bool,
     cfg: &SortConfig,
     stats: &mut SortStats,
-    scratch: &mut Scr,
+    scratch: &mut StripeScratch,
 ) -> io::Result<()> {
     stats.runs += 1;
     stats.run_lengths.push(run.len() as u64);
@@ -131,17 +130,16 @@ fn spill_run<R: LayoutRun, Scr: ScratchStore>(
 }
 
 /// The two-pass pipeline over runs of type `R`.
-fn two_pass_of<R, Src, Snk, Scr>(
+fn two_pass_of<R, Src, Snk>(
     source: &mut Src,
     sink: &mut Snk,
-    scratch: &mut Scr,
+    scratch: &mut StripeScratch,
     cfg: &SortConfig,
 ) -> io::Result<SortOutcome>
 where
     R: LayoutRun,
     Src: RecordSource,
     Snk: RecordSink,
-    Scr: ScratchStore,
 {
     check_sizes(cfg)?;
     if scratch.layout() != R::LAYOUT {
@@ -173,7 +171,7 @@ where
     // A resumed scratch reports the input ranges its surviving runs cover;
     // the cutter reads past those (the sorted records already sit in
     // scratch, checksummed) and only the gaps are re-sorted and re-spilled.
-    let skip = scratch.recovered_runs()?;
+    let skip = scratch.recovered_runs();
     let resuming = !skip.is_empty();
     let mut pool = SortPool::<R>::new(cfg.workers);
     let mut feed = Feed::<R::Cutter>::new(cfg.run_records, source.size_hint(), skip);
@@ -219,9 +217,9 @@ where
         })?;
         let mut level_iter = level.into_iter().peekable();
         while level_iter.peek().is_some() {
-            let group: Vec<Scr::Source> = level_iter.by_ref().take(fanin).collect();
+            let group: Vec<StripeSource> = level_iter.by_ref().take(fanin).collect();
             // The merged run is as big as its inputs together; scratch
-            // stores allocate extents from this hint.
+            // allocates extents from this hint.
             let group_bytes: u64 = group.iter().filter_map(|s| s.size_hint()).sum();
             let mut merger = Merger::<_, R::Policy, _>::new(StreamHeads::<_, R>::new(group)?, ());
             timed_phase(obs::phase::SPILL, &mut stats.spill_time, || {
@@ -238,7 +236,7 @@ where
 
     // ---- final merge into the sink -----------------------------------------
     if cfg.merge_workers > 0 {
-        partitioned_final_merge::<R, _, _>(sink, scratch, cfg, &mut stats)?;
+        partitioned_final_merge::<R, _>(sink, scratch, cfg, &mut stats)?;
     } else {
         let sources = timed_phase(obs::phase::SPILL, &mut stats.spill_time, || {
             scratch.open_runs()
@@ -265,19 +263,18 @@ where
 }
 
 /// Partitioned final merge: sampled splitters (probed via
-/// [`ScratchStore::key_at`]) cut every sealed run into `cfg.merge_workers`
+/// [`StripeScratch::key_at`]) cut every sealed run into `cfg.merge_workers`
 /// disjoint key ranges, and each range's worker reads verified range
 /// windows of the runs.
-fn partitioned_final_merge<R, Snk, Scr>(
+fn partitioned_final_merge<R, Snk>(
     sink: &mut Snk,
-    scratch: &mut Scr,
+    scratch: &mut StripeScratch,
     cfg: &SortConfig,
     stats: &mut SortStats,
 ) -> io::Result<()>
 where
     R: LayoutRun,
     Snk: RecordSink,
-    Scr: ScratchStore,
 {
     let run_lens = scratch.sealed_run_records()?;
     let plan = timed_phase(obs::phase::MERGE, &mut stats.merge_time, || {
@@ -288,7 +285,7 @@ where
     // Open every (range, run) window up front on the driver thread: the
     // scratch handle is `&mut`, but the sources it yields are `Send` and
     // move into the range workers. Empty cuts are skipped.
-    let mut ranges: Vec<Range<'_, StreamHeads<Scr::Source, R>>> = Vec::new();
+    let mut ranges: Vec<Range<'_, StreamHeads<StripeSource, R>>> = Vec::new();
     for row in &plan.bounds {
         let mut srcs = Vec::new();
         for (run, &(s, e)) in row.iter().enumerate() {
@@ -310,7 +307,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::scratch::MemScratch;
+    use crate::driver::scratch::tests::{crashed_with, mem_scratch};
     use crate::io::{MemSink, MemSource};
     use alphasort_dmgen::{generate, validate_records, GenConfig, KeyDistribution, RECORD_LEN};
 
@@ -322,7 +319,7 @@ mod tests {
         });
         let mut source = MemSource::new(data, 12_345); // deliberately ragged
         let mut sink = MemSink::new();
-        let mut scratch = MemScratch::new(40 * RECORD_LEN);
+        let mut scratch = mem_scratch(40 * RECORD_LEN, RecordLayout::Datamation);
         let outcome = two_pass(&mut source, &mut sink, &mut scratch, cfg).unwrap();
         assert_eq!(outcome.stats.records, n);
         assert!(!outcome.stats.one_pass);
@@ -382,7 +379,7 @@ mod tests {
     fn empty_input() {
         let mut source = MemSource::new(Vec::new(), 100);
         let mut sink = MemSink::new();
-        let mut scratch = MemScratch::new(100 * RECORD_LEN);
+        let mut scratch = mem_scratch(100 * RECORD_LEN, RecordLayout::Datamation);
         let outcome =
             two_pass(&mut source, &mut sink, &mut scratch, &SortConfig::default()).unwrap();
         assert_eq!(outcome.bytes, 0);
@@ -395,7 +392,7 @@ mod tests {
         let (data, cs) = generate(GenConfig::datamation(2_000, 21));
         let mut source = MemSource::new(data, 10_000);
         let mut sink = MemSink::new();
-        let mut scratch = MemScratch::new(25 * RECORD_LEN);
+        let mut scratch = mem_scratch(25 * RECORD_LEN, RecordLayout::Datamation);
         let cfg = SortConfig {
             run_records: 50, // 40 runs
             gather_batch: 32,
@@ -414,7 +411,7 @@ mod tests {
         let (data, cs) = generate(GenConfig::datamation(1_000, 22));
         let mut source = MemSource::new(data, 10_000);
         let mut sink = MemSink::new();
-        let mut scratch = MemScratch::new(25 * RECORD_LEN);
+        let mut scratch = mem_scratch(25 * RECORD_LEN, RecordLayout::Datamation);
         let cfg = SortConfig {
             run_records: 125, // exactly 8 runs
             gather_batch: 32,
@@ -430,7 +427,7 @@ mod tests {
     fn serial_reference(data: &[u8], cfg: &SortConfig) -> Vec<u8> {
         let mut source = MemSource::new(data.to_vec(), 12_345);
         let mut sink = MemSink::new();
-        let mut scratch = MemScratch::new(40 * RECORD_LEN);
+        let mut scratch = mem_scratch(40 * RECORD_LEN, RecordLayout::Datamation);
         let cfg = SortConfig {
             merge_workers: 0,
             ..cfg.clone()
@@ -456,7 +453,7 @@ mod tests {
         for merge_workers in [1, 2, 4, 8] {
             let mut source = MemSource::new(data.clone(), 12_345);
             let mut sink = MemSink::new();
-            let mut scratch = MemScratch::new(40 * RECORD_LEN);
+            let mut scratch = mem_scratch(40 * RECORD_LEN, RecordLayout::Datamation);
             let cfg = SortConfig {
                 merge_workers,
                 ..base.clone()
@@ -482,7 +479,7 @@ mod tests {
         let serial = serial_reference(&data, &base);
         let mut source = MemSource::new(data, 12_345);
         let mut sink = MemSink::new();
-        let mut scratch = MemScratch::new(25 * RECORD_LEN);
+        let mut scratch = mem_scratch(25 * RECORD_LEN, RecordLayout::Datamation);
         let cfg = SortConfig {
             merge_workers: 3,
             ..base
@@ -532,7 +529,7 @@ mod tests {
                 ..Default::default()
             };
             let mut want = MemSink::new();
-            let mut scratch = MemScratch::new(4_099).with_layout(layout);
+            let mut scratch = mem_scratch(4_099, layout);
             two_pass(
                 &mut MemSource::new(data.clone(), 4_099),
                 &mut want,
@@ -545,10 +542,7 @@ mod tests {
                     merge_workers,
                     ..base.clone()
                 };
-                let mut scratch = MemScratch::new(4_099)
-                    .with_layout(layout)
-                    .recover(vec![(300, middle.clone())])
-                    .unwrap();
+                let mut scratch = crashed_with(4_099, layout, 300, &middle);
                 let mut source = MemSource::new(data.clone(), 4_099);
                 let mut sink = MemSink::new();
                 let st = two_pass(&mut source, &mut sink, &mut scratch, &cfg)
@@ -577,12 +571,11 @@ mod tests {
             layout: RecordLayout::VarLen,
             ..Default::default()
         };
-        let var_scratch = || MemScratch::new(512).with_layout(RecordLayout::VarLen);
+        let var_scratch = || mem_scratch(512, RecordLayout::VarLen);
         let data = url_frames(100, 0x56);
-        let sorted = crate::varlen::sort_var_bytes(&data).unwrap();
         let cut = data[..data.len() - 3].to_vec();
         let mut sink = MemSink::new();
-        let mut sort = |data: &[u8], mut scratch: MemScratch| {
+        let mut sort = |data: &[u8], mut scratch: StripeScratch| {
             two_pass(
                 &mut MemSource::new(data.to_vec(), 512),
                 &mut sink,
@@ -591,11 +584,6 @@ mod tests {
             )
         };
         let errors = [
-            // A recovered run claiming records 500..600 of 100.
-            (
-                sort(&data, var_scratch().recover(vec![(500, sorted)]).unwrap()),
-                "extends past the input",
-            ),
             // An input cut off mid-frame, through either driver.
             (sort(&cut, var_scratch()), "mid-record"),
             (
@@ -603,7 +591,10 @@ mod tests {
                 "mid-record",
             ),
             // A scratch built for the other layout.
-            (sort(&data, MemScratch::new(512)), "layout"),
+            (
+                sort(&data, mem_scratch(512, RecordLayout::Datamation)),
+                "layout",
+            ),
         ];
         for (outcome, name) in errors {
             let err = outcome.expect_err(name);
@@ -621,7 +612,7 @@ mod tests {
         let (data, _) = generate(GenConfig::datamation(1_000, 2));
         let mut source = MemSource::new(data, 64 * 1024);
         let mut sink = MemSink::new();
-        let mut scratch = MemScratch::new(50 * RECORD_LEN);
+        let mut scratch = mem_scratch(50 * RECORD_LEN, RecordLayout::Datamation);
         let cfg = SortConfig {
             run_records: 128,
             gather_batch: 64,

@@ -1,8 +1,11 @@
 //! Record sources and sinks: what the external sort reads and writes.
 //!
-//! The drivers are generic over [`RecordSource`] / [`RecordSink`] so the
-//! same sort runs over striped simulated disks ([`StripeSource`] /
-//! [`StripeSink`]) or plain memory ([`MemSource`] / [`MemSink`]) in tests.
+//! The drivers are generic over [`RecordSource`] / [`RecordSink`] for their
+//! input and output, so the same sort reads and writes striped simulated
+//! disks ([`StripeSource`] / [`StripeSink`]), host files
+//! ([`io_file`](crate::io_file)) or plain memory ([`MemSource`] /
+//! [`MemSink`]). Two-pass scratch runs always move through the stripe pair:
+//! [`StripeScratch`](crate::driver::StripeScratch) is the one scratch store.
 
 use std::io;
 use std::sync::Arc;
@@ -274,7 +277,6 @@ impl RecordSink for StripeSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alphasort_iosim::{catalog, IoEngine, MemStorage, Pacing, SimDisk};
     use alphasort_stripefs::Volume;
 
     #[test]
@@ -298,18 +300,7 @@ mod tests {
 
     #[test]
     fn stripe_source_and_sink_roundtrip() {
-        let disks = (0..3)
-            .map(|i| {
-                SimDisk::new(
-                    format!("d{i}"),
-                    catalog::uncapped(),
-                    Arc::new(MemStorage::new()),
-                    Pacing::Modeled,
-                    None,
-                )
-            })
-            .collect();
-        let v = Volume::new(Arc::new(IoEngine::new(disks)));
+        let v = Volume::in_memory(3);
         let data: Vec<u8> = (0..5_000).map(|i| (i % 241) as u8).collect();
 
         let out = Arc::new(v.create_across_all("out", 256, data.len() as u64));

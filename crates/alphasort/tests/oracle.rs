@@ -18,10 +18,11 @@
 use alphasort_core::baseline::{partition_merge_sort, partition_sort, PartitionSortConfig};
 use alphasort_core::layout::LayoutRun;
 use alphasort_core::varlen::VarRun;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use alphasort_core::driver::{one_pass, two_pass, MemScratch, ScratchStore, StripeScratch};
-use alphasort_core::io::{MemSink, MemSource};
+use alphasort_core::driver::{one_pass, two_pass, StripeScratch, INDEX_EVERY};
+use alphasort_core::io::{MemSink, MemSource, RecordSink};
 use alphasort_core::varlen::sort_var_bytes;
 use alphasort_core::{RecordLayout, SortConfig, SortedRun};
 use alphasort_iosim::{catalog, IoEngine, MemStorage, Pacing, SimDisk};
@@ -94,35 +95,79 @@ fn run_one_pass(data: &[u8], cfg: &SortConfig) -> Vec<u8> {
     sink.into_inner()
 }
 
-fn run_two_pass(data: &[u8], cfg: &SortConfig, mut scratch: MemScratch) -> Vec<u8> {
+fn run_two_pass(data: &[u8], cfg: &SortConfig, mut scratch: StripeScratch) -> Vec<u8> {
     let mut source = MemSource::new(data.to_vec(), 9_973);
     let mut sink = MemSink::new();
     two_pass(&mut source, &mut sink, &mut scratch, cfg).unwrap();
     sink.into_inner()
 }
 
-/// A scratch pretending the middle run already survived a crash: the run
-/// covering records `[run_records, 2*run_records)` is pre-formed (stable
-/// sort — exactly what pass 1 would have spilled) and reported as
-/// recovered, driving the resume path of the two-pass driver.
-fn resumed_scratch(data: &[u8], run_records: usize) -> MemScratch {
+/// The store every two-pass cell spills to: striped over two in-memory
+/// disks in `chunk`-byte chunks.
+fn mem_scratch(chunk: usize, layout: RecordLayout) -> StripeScratch {
+    StripeScratch::new(Arc::new(Volume::in_memory(2)), chunk as u64).with_layout(layout)
+}
+
+/// Where a case's crashed scratch keeps its run manifest.
+fn case_manifest(seed: u64) -> PathBuf {
+    let name = format!("alphasort-oracle-{}-{seed:#x}.manifest", std::process::id());
+    std::env::temp_dir().join(name)
+}
+
+/// A scratch that survived a crash holding one pre-formed run, `run`
+/// (`records` records, sparse `index`): sealed through a store like
+/// [`mem_scratch`]'s, manifested at `manifest`, dropped undisposed, and
+/// resumed over the same volume —
+/// the in-process restart sortd performs. The run is sealed as its sort's
+/// first; the manifest edit puts it at input record `start`, where the
+/// crashed sort had it.
+fn crashed_scratch(
+    (chunk, layout): (usize, RecordLayout),
+    manifest: &Path,
+    start: u64,
+    (run, records, index): (Vec<u8>, u64, Vec<u64>),
+) -> StripeScratch {
+    let volume = Arc::new(Volume::in_memory(2));
+    let mut s = StripeScratch::new(Arc::clone(&volume), chunk as u64).with_layout(layout);
+    s.attach_manifest(manifest, 0, records).unwrap();
+    let mut w = s.create_run(run.len() as u64).unwrap();
+    w.push(&run).unwrap();
+    s.seal_run(w, records, index).unwrap();
+    drop(s);
+    let text = std::fs::read_to_string(manifest).unwrap();
+    let text = text.replace("\"start\": 0", &format!("\"start\": {start}"));
+    std::fs::write(manifest, text).unwrap();
+    let (s, report) = StripeScratch::resume(volume, manifest).unwrap();
+    assert_eq!(report.recovered.len(), 1, "{report:?}");
+    s
+}
+
+/// A scratch whose middle run survived a crash: the run covering records
+/// `[run_records, 2*run_records)` is pre-formed (stable sort — exactly what
+/// pass 1 would have spilled) and resumed, driving the resume path of the
+/// two-pass driver.
+fn resumed_scratch(data: &[u8], run_records: usize, manifest: &Path) -> StripeScratch {
     assert!(data.len() / RECORD_LEN >= 3 * run_records, "need 3+ runs");
     let mut middle =
         data[run_records * RECORD_LEN..2 * run_records * RECORD_LEN].to_vec();
     records_of_mut(&mut middle).sort_by_key(|r| r.key);
-    MemScratch::with_recovered(vec![(run_records as u64, middle)], 40 * RECORD_LEN)
+    let run = (middle, run_records as u64, Vec::new());
+    let store = (40 * RECORD_LEN, RecordLayout::Datamation);
+    crashed_scratch(store, manifest, run_records as u64, run)
 }
 
 /// Run every driver configuration over one seeded input and compare all
 /// outputs against the stable reference.
 fn oracle_case(records: u64, seed: u64, dist: KeyDistribution) {
     let what = format!("{records} records, seed {seed:#x}, {dist:?}");
+    let manifest = case_manifest(seed);
     let (data, _) = generate(GenConfig {
         records,
         seed,
         dist,
     });
     let want = stable_reference(&data);
+    let fresh = || mem_scratch(40 * RECORD_LEN, RecordLayout::Datamation);
 
     // §2 baseline: splitter-partitioned shared-nothing sort.
     baseline_cells::<SortedRun>(&data, &want, &what, assert_identical);
@@ -150,7 +195,7 @@ fn oracle_case(records: u64, seed: u64, dist: KeyDistribution) {
     }
 
     // Two-pass, serial final merge.
-    let got = run_two_pass(&data, &base, MemScratch::new(40 * RECORD_LEN));
+    let got = run_two_pass(&data, &base, fresh());
     assert_identical(&got, &want, &format!("two-pass serial [{what}]"));
 
     // Two-pass, partitioned final merge at every worker count.
@@ -159,7 +204,7 @@ fn oracle_case(records: u64, seed: u64, dist: KeyDistribution) {
             merge_workers: p,
             ..base.clone()
         };
-        let got = run_two_pass(&data, &cfg, MemScratch::new(40 * RECORD_LEN));
+        let got = run_two_pass(&data, &cfg, fresh());
         assert_identical(&got, &want, &format!("two-pass P={p} [{what}]"));
 
         // Same, with cascade levels forced in front of the final merge.
@@ -167,7 +212,7 @@ fn oracle_case(records: u64, seed: u64, dist: KeyDistribution) {
             max_fanin: 3,
             ..cfg
         };
-        let got = run_two_pass(&data, &cascade, MemScratch::new(40 * RECORD_LEN));
+        let got = run_two_pass(&data, &cascade, fresh());
         assert_identical(&got, &want, &format!("two-pass cascade P={p} [{what}]"));
 
         // Same, resuming over a scratch with a surviving middle run.
@@ -175,13 +220,14 @@ fn oracle_case(records: u64, seed: u64, dist: KeyDistribution) {
             merge_workers: p,
             ..base.clone()
         };
-        let got = run_two_pass(&data, &cfg, resumed_scratch(&data, run_records));
+        let got = run_two_pass(&data, &cfg, resumed_scratch(&data, run_records, &manifest));
         assert_identical(&got, &want, &format!("two-pass resumed P={p} [{what}]"));
     }
 
     // Resumed two-pass with the serial merge, for completeness.
-    let got = run_two_pass(&data, &base, resumed_scratch(&data, run_records));
+    let got = run_two_pass(&data, &base, resumed_scratch(&data, run_records, &manifest));
     assert_identical(&got, &want, &format!("two-pass resumed serial [{what}]"));
+    let _ = std::fs::remove_file(&manifest);
 }
 
 #[test]
@@ -269,41 +315,45 @@ fn var_one_pass(data: &[u8], cfg: &SortConfig) -> Vec<u8> {
     sink.into_inner()
 }
 
-fn var_two_pass(data: &[u8], cfg: &SortConfig, scratch: &mut impl ScratchStore) -> Vec<u8> {
+fn var_two_pass(data: &[u8], cfg: &SortConfig, scratch: &mut StripeScratch) -> Vec<u8> {
     let mut source = MemSource::new(data.to_vec(), 997);
     let mut sink = MemSink::new();
     two_pass(&mut source, &mut sink, scratch, cfg).unwrap();
     sink.into_inner()
 }
 
-/// An empty in-memory scratch for var-len runs, read back in ragged
+/// An empty in-memory scratch for var-len runs, striped in ragged
 /// frame-straddling chunks.
-fn var_scratch() -> MemScratch {
-    MemScratch::new(997).with_layout(RecordLayout::VarLen)
+fn var_scratch() -> StripeScratch {
+    mem_scratch(997, RecordLayout::VarLen)
 }
 
-/// A var-len scratch pretending the middle run survived a crash: frames for
-/// records `[run_records, 2*run_records)` pre-sorted exactly as pass 1
-/// would have spilled them.
-fn resumed_var_scratch(data: &[u8], run_records: usize) -> MemScratch {
+/// A var-len scratch whose middle run survived a crash: frames for records
+/// `[run_records, 2*run_records)` pre-sorted exactly as pass 1 would have
+/// spilled them.
+fn resumed_var_scratch(data: &[u8], run_records: usize, manifest: &Path) -> StripeScratch {
     let recs = var_records_of(data).expect("corpus parses");
     assert!(recs.len() >= 3 * run_records, "need 3+ runs");
     let window = &recs[run_records..2 * run_records];
     let mut idx: Vec<usize> = (0..window.len()).collect();
     idx.sort_by(|&a, &b| window[a].key().cmp(window[b].key()).then(a.cmp(&b)));
-    let mut bytes = Vec::new();
-    for i in idx {
+    let (mut bytes, mut index) = (Vec::new(), Vec::new());
+    for (n, i) in idx.into_iter().enumerate() {
+        if (n as u64).is_multiple_of(INDEX_EVERY) {
+            index.push(bytes.len() as u64);
+        }
         bytes.extend_from_slice(window[i].frame());
     }
-    var_scratch()
-        .recover(vec![(run_records as u64, bytes)])
-        .expect("recovered run validates")
+    let run = (bytes, run_records as u64, index);
+    let store = (997, RecordLayout::VarLen);
+    crashed_scratch(store, manifest, run_records as u64, run)
 }
 
 /// Run every var-len driver configuration over one corpus and compare all
 /// outputs against the stable reference — mirrors [`oracle_case`].
 fn var_oracle_case(records: u64, seed: u64, corpus: TextCorpus) {
     let what = format!("{records} records, seed {seed:#x}, {}", corpus.name());
+    let manifest = case_manifest(seed);
     let data = generate_varlen(VarGenConfig {
         records,
         seed,
@@ -317,6 +367,7 @@ fn var_oracle_case(records: u64, seed: u64, corpus: TextCorpus) {
     baseline_cells::<VarRun>(&data, &want, &what, var_assert_identical);
 
     let run_records = (records as usize / 7).max(1);
+    let resumed = || resumed_var_scratch(&data, run_records, &manifest);
     let base = SortConfig {
         run_records,
         gather_batch: 128,
@@ -352,13 +403,14 @@ fn var_oracle_case(records: u64, seed: u64, corpus: TextCorpus) {
         let got = var_two_pass(&data, &cfg, &mut var_scratch());
         var_assert_identical(&got, &want, &format!("two-pass P={p} [{what}]"));
 
-        let got = var_two_pass(&data, &cfg, &mut resumed_var_scratch(&data, run_records));
+        let got = var_two_pass(&data, &cfg, &mut resumed());
         var_assert_identical(&got, &want, &format!("two-pass resumed P={p} [{what}]"));
     }
 
     // Resumed two-pass with the serial merge, for completeness.
-    let got = var_two_pass(&data, &base, &mut resumed_var_scratch(&data, run_records));
+    let got = var_two_pass(&data, &base, &mut resumed());
     var_assert_identical(&got, &want, &format!("two-pass resumed serial [{what}]"));
+    let _ = std::fs::remove_file(&manifest);
 }
 
 #[test]
@@ -502,9 +554,9 @@ fn var_oracle_on_striped_scratch() {
     let _ = std::fs::remove_file(&manifest);
 }
 
-/// The trait-level range plumbing the partitioned merge relies on: windows
-/// opened through [`ScratchStore::open_run_range`] reassemble each sealed
-/// run exactly.
+/// The range plumbing the partitioned merge relies on: windows opened
+/// through [`StripeScratch::open_run_range`] reassemble each sealed run
+/// exactly.
 #[test]
 fn oracle_scratch_windows_reassemble_runs() {
     let (data, _) = generate(GenConfig {
@@ -512,10 +564,9 @@ fn oracle_scratch_windows_reassemble_runs() {
         seed: 0xAC1E8,
         dist: KeyDistribution::Random,
     });
-    let mut scratch = MemScratch::new(512);
+    let mut scratch = mem_scratch(512, RecordLayout::Datamation);
     for chunk in data.chunks(200 * RECORD_LEN) {
         let mut w = scratch.create_run(chunk.len() as u64).unwrap();
-        use alphasort_core::io::RecordSink;
         w.push(chunk).unwrap();
         scratch.seal_run(w, 200, Vec::new()).unwrap();
     }

@@ -2,7 +2,9 @@
 //! permutation for arbitrary inputs and configurations.
 //! Cases are driven by a seeded [`SplitMix64`] so every run is reproducible.
 
-use alphasort_core::driver::{one_pass, two_pass, MemScratch};
+use std::sync::Arc;
+
+use alphasort_core::driver::{one_pass, two_pass, StripeScratch};
 use alphasort_core::io::{MemSink, MemSource};
 use alphasort_core::runform::form_run;
 use alphasort_core::{SortConfig, SortStats};
@@ -10,6 +12,7 @@ use alphasort_dmgen::{
     generate, records_of, validate_records, GenConfig, KeyDistribution, Record, SplitMix64,
     RECORD_LEN,
 };
+use alphasort_stripefs::Volume;
 
 fn any_dist(r: &mut SplitMix64) -> KeyDistribution {
     match r.next_below(7) {
@@ -72,7 +75,8 @@ fn two_pass_sorts_anything() {
         });
         let mut source = MemSource::new(data, 1 + r.next_below(2_999) as usize);
         let mut sink = MemSink::new();
-        let mut scratch = MemScratch::new(16 * RECORD_LEN);
+        let volume = Arc::new(Volume::in_memory(2));
+        let mut scratch = StripeScratch::new(volume, 16 * RECORD_LEN as u64);
         let cfg = SortConfig {
             run_records: 1 + r.next_below(199) as usize,
             gather_batch: 1 + r.next_below(99) as usize,

@@ -5,13 +5,17 @@
 //! variable-length pipeline matches it too, across serial, partitioned,
 //! and crash-resumed merges.
 
-use alphasort_core::driver::{one_pass, two_pass, MemScratch};
-use alphasort_core::io::{MemSink, MemSource};
+use std::path::Path;
+use std::sync::Arc;
+
+use alphasort_core::driver::{one_pass, two_pass, StripeScratch, INDEX_EVERY};
+use alphasort_core::io::{MemSink, MemSource, RecordSink};
 use alphasort_core::{RecordLayout, SortConfig};
 use alphasort_dmgen::{
     generate, generate_varlen, records_of, var_records_of, GenConfig, KeyDistribution, SplitMix64,
     TextCorpus, VarGenConfig,
 };
+use alphasort_stripefs::Volume;
 
 fn assert_stable(records: u64, run_records: usize, cardinality: u32) {
     let (data, _) = generate(GenConfig {
@@ -69,20 +73,33 @@ fn assert_var_stable(out: &[u8], what: &str) {
 }
 
 /// A var-len scratch with the middle run pre-formed (stable-sorted), as a
-/// crash-resumed pass 2 would see it.
-fn resumed_var_scratch(data: &[u8], run_records: usize) -> MemScratch {
+/// crash-resumed pass 2 sees it: sealed through a store manifested at
+/// `manifest`, dropped undisposed, and resumed over the same in-memory
+/// volume. The run is sealed as its sort's first; the manifest edit puts it
+/// at record `run_records`, where the crashed sort had it.
+fn resumed_var_scratch(data: &[u8], run_records: usize, manifest: &Path) -> StripeScratch {
     let recs = var_records_of(data).expect("corpus parses");
     let window = &recs[run_records..2 * run_records];
     let mut idx: Vec<usize> = (0..window.len()).collect();
     idx.sort_by(|&a, &b| window[a].key().cmp(window[b].key()).then(a.cmp(&b)));
-    let mut bytes = Vec::new();
-    for i in idx {
+    let (mut bytes, mut index) = (Vec::new(), Vec::new());
+    for (n, i) in idx.into_iter().enumerate() {
+        if (n as u64).is_multiple_of(INDEX_EVERY) {
+            index.push(bytes.len() as u64);
+        }
         bytes.extend_from_slice(window[i].frame());
     }
-    MemScratch::new(1_003)
-        .with_layout(RecordLayout::VarLen)
-        .recover(vec![(run_records as u64, bytes)])
-        .unwrap()
+    let volume = Arc::new(Volume::in_memory(2));
+    let mut s = StripeScratch::new(Arc::clone(&volume), 1_003).with_layout(RecordLayout::VarLen);
+    s.attach_manifest(manifest, 0, run_records as u64).unwrap();
+    let mut w = s.create_run(bytes.len() as u64).unwrap();
+    w.push(&bytes).unwrap();
+    s.seal_run(w, run_records as u64, index).unwrap();
+    drop(s);
+    let text = std::fs::read_to_string(manifest).unwrap();
+    let text = text.replace("\"start\": 0", &format!("\"start\": {run_records}"));
+    std::fs::write(manifest, text).unwrap();
+    StripeScratch::resume(volume, manifest).unwrap().0
 }
 
 /// Duplicate-heavy string corpora through one-pass serial, one-pass
@@ -109,6 +126,10 @@ fn varlen_pipeline_is_stable() {
             ..Default::default()
         };
         let name = corpus.name();
+        let manifest = std::env::temp_dir().join(format!(
+            "alphasort-stability-{}-{name}.manifest",
+            std::process::id()
+        ));
 
         // Serial merge.
         let mut source = MemSource::new(data.clone(), 1_003);
@@ -131,7 +152,7 @@ fn varlen_pipeline_is_stable() {
             // arrival order even though it was formed "before the crash".
             let mut source = MemSource::new(data.clone(), 1_003);
             let mut sink = MemSink::new();
-            let mut scratch = resumed_var_scratch(&data, run_records);
+            let mut scratch = resumed_var_scratch(&data, run_records, &manifest);
             two_pass(&mut source, &mut sink, &mut scratch, &cfg).unwrap();
             assert_var_stable(sink.data(), &format!("{name} resumed P={p}"));
         }
@@ -139,9 +160,10 @@ fn varlen_pipeline_is_stable() {
         // Resumed two-pass with the serial merge.
         let mut source = MemSource::new(data.clone(), 1_003);
         let mut sink = MemSink::new();
-        let mut scratch = resumed_var_scratch(&data, run_records);
+        let mut scratch = resumed_var_scratch(&data, run_records, &manifest);
         two_pass(&mut source, &mut sink, &mut scratch, &base).unwrap();
         assert_var_stable(sink.data(), &format!("{name} resumed serial"));
+        let _ = std::fs::remove_file(&manifest);
     }
 }
 

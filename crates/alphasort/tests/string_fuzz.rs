@@ -7,13 +7,16 @@
 
 use std::io;
 
-use alphasort_core::driver::{one_pass, two_pass, MemScratch};
+use std::sync::Arc;
+
+use alphasort_core::driver::{one_pass, two_pass, StripeScratch};
 use alphasort_core::io::{MemSink, MemSource};
 use alphasort_core::{RecordLayout, SortConfig};
 use alphasort_dmgen::{
     encode_var_record, generate_varlen, var_records_of, SplitMix64, TextCorpus, VarGenConfig,
     MAX_VAR_BODY,
 };
+use alphasort_stripefs::Volume;
 
 /// Stable sort of the parsed frames by key, concatenated back.
 fn stable_reference(data: &[u8]) -> Vec<u8> {
@@ -47,7 +50,8 @@ fn sort_one_pass(data: &[u8], chunk: usize, cfg: &SortConfig) -> io::Result<Vec<
 fn sort_two_pass(data: &[u8], chunk: usize, cfg: &SortConfig) -> io::Result<Vec<u8>> {
     let mut source = MemSource::new(data.to_vec(), chunk);
     let mut sink = MemSink::new();
-    let mut scratch = MemScratch::new(chunk).with_layout(RecordLayout::VarLen);
+    let volume = Arc::new(Volume::in_memory(2));
+    let mut scratch = StripeScratch::new(volume, chunk as u64).with_layout(RecordLayout::VarLen);
     two_pass(&mut source, &mut sink, &mut scratch, cfg)?;
     Ok(sink.into_inner())
 }

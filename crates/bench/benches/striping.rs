@@ -7,23 +7,8 @@ use std::hint::black_box;
 use std::sync::Arc;
 
 use alphasort_bench::harness::BenchGroup;
-use alphasort_iosim::{catalog, IoEngine, MemStorage, Pacing, SimDisk};
 use alphasort_stripefs::{Member, StripeDef, StripedReader, StripedWriter, Volume};
 
-fn volume(width: usize) -> Volume {
-    let disks = (0..width)
-        .map(|i| {
-            SimDisk::new(
-                format!("d{i}"),
-                catalog::uncapped(),
-                Arc::new(MemStorage::new()),
-                Pacing::Modeled,
-                None,
-            )
-        })
-        .collect();
-    Volume::new(Arc::new(IoEngine::new(disks)))
-}
 
 fn bench_striped_io() {
     let bytes = 8_000_000usize;
@@ -31,7 +16,7 @@ fn bench_striped_io() {
     g.throughput_bytes(bytes as u64);
     g.sample_size(10);
     for width in [1usize, 4, 16] {
-        let v = volume(width);
+        let v = Volume::in_memory(width);
         let chunk = vec![0u8; 1 << 20];
         let mut file_no = 0u64;
         g.bench(format!("write/{width}"), || {
@@ -47,7 +32,7 @@ fn bench_striped_io() {
             black_box(wtr.finish().unwrap())
         });
 
-        let v = volume(width);
+        let v = Volume::in_memory(width);
         let f = Arc::new(v.create_across_all("data", 64 * 1024, bytes as u64));
         let mut left = bytes;
         let mut wtr = StripedWriter::new(Arc::clone(&f));

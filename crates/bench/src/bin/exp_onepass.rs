@@ -2,17 +2,19 @@
 //! Sweeps sort size, prints both costs, finds the crossover, and backs the
 //! dollars with an actual one-pass vs two-pass run of the same data.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use alphasort_bench::variants::mergeplan::{level_order_cost, optimal_schedule};
 use alphasort_bench::variants::rs::generate_runs;
-use alphasort_core::driver::{one_pass, two_pass, MemScratch};
+use alphasort_core::driver::{one_pass, two_pass, StripeScratch};
 use alphasort_core::io::{MemSink, MemSource};
 use alphasort_core::planner::{PassPlan, Planner};
 use alphasort_core::SortConfig;
-use alphasort_dmgen::{generate, validate_records, GenConfig, RECORD_LEN};
+use alphasort_dmgen::{generate, validate_records, GenConfig};
 use alphasort_perfmodel::economics::{crossover_bytes, pass_economics};
 use alphasort_perfmodel::table::{dollars, Table};
+use alphasort_stripefs::Volume;
 
 fn main() {
     println!("== §6: price of one-pass memory vs two-pass scratch disks ==\n");
@@ -77,7 +79,8 @@ fn main() {
     let t0 = Instant::now();
     let mut src = MemSource::new(data, 1_000_000);
     let mut sink = MemSink::new();
-    let mut scratch = MemScratch::new(10_000 * RECORD_LEN);
+    // Two in-memory disks: the checksummed striped store, minus the devices.
+    let mut scratch = StripeScratch::new(Arc::new(Volume::in_memory(2)), 64 << 10);
     let two = two_pass(&mut src, &mut sink, &mut scratch, &cfg).unwrap();
     let two_s = t0.elapsed().as_secs_f64();
     validate_records(sink.data(), cs).unwrap();

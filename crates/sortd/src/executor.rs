@@ -6,9 +6,9 @@
 //! daemon adds is *containment*: the job's `mem_budget` becomes the
 //! planner's budget (so the one-/two-pass decision is per job, not per
 //! process), run length is derated from the same budget, and two-pass
-//! scratch goes either to a private in-memory store or to a **namespaced**
-//! slice of the daemon's shared striped volume so concurrent jobs cannot
-//! collide on run file names.
+//! scratch goes to a **namespaced** slice of the daemon's one striped volume
+//! — disk images or in-memory disks, the same store either way — so
+//! concurrent jobs cannot collide on run file names.
 //!
 //! Two service-layer guards wrap the sort itself:
 //!
@@ -30,7 +30,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
-use alphasort_core::driver::{MemScratch, ScratchStore, StripeScratch};
+use alphasort_core::driver::StripeScratch;
 use alphasort_core::io::{RecordSink, RecordSource};
 use alphasort_core::{ExternalSorter, MemSink, MemSource, PassPlan, SortConfig, SortStats};
 use alphasort_dmgen::RECORD_LEN;
@@ -42,11 +42,25 @@ use crate::job::JobSpec;
 /// Where two-pass jobs spill their runs.
 #[derive(Clone)]
 pub enum ScratchBacking {
-    /// Private in-memory scratch per job (tests, benchmarks).
+    /// One in-memory striped volume the daemon builds at start and shares
+    /// between jobs (tests, benchmarks). Nothing on it outlives the
+    /// process, so jobs write no run manifest.
     Memory,
     /// One striped volume shared by every job; per-job namespaces keep run
     /// files apart. The `u64` is the stripe chunk size.
     SharedVolume(Arc<Volume>, u64),
+}
+
+impl ScratchBacking {
+    /// The volume jobs spill to and its stripe chunk. `Memory` builds its
+    /// volume here — two in-memory disks striped in 64 KiB chunks, with one
+    /// IO thread each — so a daemon resolves its backing once, at start.
+    pub(crate) fn volume(&self) -> (Arc<Volume>, u64) {
+        match self {
+            ScratchBacking::Memory => (Arc::new(Volume::in_memory(2)), 64 << 10),
+            ScratchBacking::SharedVolume(volume, chunk) => (Arc::clone(volume), *chunk),
+        }
+    }
 }
 
 /// Why a job was cooperatively canceled.
@@ -148,11 +162,12 @@ pub fn config_for(spec: &JobSpec) -> SortConfig {
 /// Sort `input` under `spec`'s budgets. Returns the sorted bytes, the
 /// phase stats, and the plan that ran.
 ///
-/// `cancel` is polled at every source/sink chunk. `scratch_manifest`, when
-/// set (journaling daemon, shared-volume backing), makes the job's striped
-/// scratch durable at that path: if the file already exists the scratch is
-/// **resumed** from it — surviving runs verified against their checksums
-/// and reused, only the lost input ranges re-formed.
+/// Two-pass runs go to a job-named scratch on `volume`, striped in
+/// `chunk`-byte chunks. `cancel` is polled at every source/sink chunk.
+/// `scratch_manifest`, when set (journaling daemon, shared-volume backing),
+/// makes that scratch durable at the path: if the file already exists the
+/// scratch is **resumed** from it — surviving runs verified against their
+/// checksums and reused, only the lost input ranges re-formed.
 ///
 /// Observability lands on track `job-<id>` so concurrent jobs' spans and
 /// metrics stay separable in the trace.
@@ -160,7 +175,7 @@ pub fn run_job(
     id: u64,
     spec: &JobSpec,
     input: Vec<u8>,
-    backing: &ScratchBacking,
+    (volume, chunk): (&Arc<Volume>, u64),
     cancel: &CancelToken,
     scratch_manifest: Option<&Path>,
 ) -> io::Result<(Vec<u8>, SortStats, PassPlan)> {
@@ -180,27 +195,17 @@ pub fn run_job(
 
     let outcome = {
         let _exec = obs::span(obs::phase::SORTD_EXEC);
-        match backing {
-            ScratchBacking::Memory => {
-                let mut scratch =
-                    MemScratch::new(cfg.gather_batch * RECORD_LEN).with_layout(cfg.layout);
-                sorter.sort(&mut source, &mut sink, &mut scratch)?
-            }
-            ScratchBacking::SharedVolume(volume, chunk) => {
-                let mut scratch =
-                    open_scratch(id, spec, &cfg, volume, *chunk, scratch_manifest)?;
-                let outcome = sorter.sort(&mut source, &mut sink, &mut scratch);
-                // Reclaim this job's extents on every *completed* execution,
-                // success or failure — a typed failure is terminal, so its
-                // runs are pure leak. Only a process kill skips this line,
-                // and that is exactly the state the manifest exists for.
-                scratch.dispose();
-                if let Some(path) = scratch_manifest {
-                    let _ = std::fs::remove_file(path);
-                }
-                outcome?
-            }
+        let mut scratch = open_scratch(id, spec, &cfg, volume, chunk, scratch_manifest)?;
+        let outcome = sorter.sort(&mut source, &mut sink, &mut scratch);
+        // Reclaim this job's extents on every *completed* execution, success
+        // or failure — a typed failure is terminal, so its runs are pure
+        // leak. Only a process kill skips this line, and that is exactly the
+        // state the manifest exists for.
+        scratch.dispose();
+        if let Some(path) = scratch_manifest {
+            let _ = std::fs::remove_file(path);
         }
+        outcome?
     };
 
     obs::metrics::counter_add("sortd.exec.bytes", outcome.bytes);
@@ -276,7 +281,8 @@ mod tests {
     }
 
     fn run(id: u64, s: &JobSpec, data: Vec<u8>, b: &ScratchBacking) -> io::Result<(Vec<u8>, SortStats, PassPlan)> {
-        run_job(id, s, data, b, &CancelToken::new(), None)
+        let (volume, chunk) = b.volume();
+        run_job(id, s, data, (&volume, chunk), &CancelToken::new(), None)
     }
 
     fn striped_volume(storages: &[Arc<MemStorage>]) -> Arc<Volume> {
@@ -367,8 +373,7 @@ mod tests {
         let mut s = spec(data.len() as u64, 128 << 10, data.len() as u64);
         s.layout = alphasort_core::RecordLayout::VarLen;
         assert_eq!(s.plan(), PassPlan::TwoPass);
-        let storages: Vec<Arc<MemStorage>> = (0..2).map(|_| Arc::new(MemStorage::new())).collect();
-        let volume = striped_volume(&storages);
+        let volume = Arc::new(Volume::in_memory(2));
         let backing = ScratchBacking::SharedVolume(Arc::clone(&volume), 64 << 10);
         let (out, stats, plan) = run(13, &s, data.clone(), &backing).unwrap();
         assert_eq!(plan, PassPlan::TwoPass);
@@ -404,7 +409,8 @@ mod tests {
         token.cancel(CancelReason::Deadline);
         // A later ClientGone must not overwrite the original reason.
         token.cancel(CancelReason::ClientGone);
-        let err = run_job(4, &s, data, &ScratchBacking::Memory, &token, None).unwrap_err();
+        let (volume, chunk) = ScratchBacking::Memory.volume();
+        let err = run_job(4, &s, data, (&volume, chunk), &token, None).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::Interrupted);
         assert_eq!(token.reason(), Some(CancelReason::Deadline));
     }
@@ -440,9 +446,8 @@ mod tests {
 
         // Retry on a fresh volume over the surviving storages.
         let volume = striped_volume(&storages);
-        let backing = ScratchBacking::SharedVolume(volume, 64 << 10);
         let (out, stats, plan) =
-            run_job(10, &s, data.clone(), &backing, &CancelToken::new(), Some(&path)).unwrap();
+            run_job(10, &s, data.clone(), (&volume, 64 << 10), &CancelToken::new(), Some(&path)).unwrap();
         assert_eq!(plan, PassPlan::TwoPass);
         assert_eq!(out, oracle(data));
         assert_eq!(stats.runs_recovered, 1, "the sealed run must be reused");
@@ -463,9 +468,8 @@ mod tests {
             scratch.attach_manifest(&path, s.input_bytes / 2, 99).unwrap();
         }
         let volume = striped_volume(&storages);
-        let backing = ScratchBacking::SharedVolume(Arc::clone(&volume), 64 << 10);
         let (out, stats, _) =
-            run_job(12, &s, data.clone(), &backing, &CancelToken::new(), Some(&path)).unwrap();
+            run_job(12, &s, data.clone(), (&volume, 64 << 10), &CancelToken::new(), Some(&path)).unwrap();
         assert_eq!(out, oracle(data));
         assert_eq!(stats.runs_recovered, 0, "stale runs must not be trusted");
     }

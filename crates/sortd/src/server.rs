@@ -71,6 +71,7 @@ use alphasort_core::SortStats;
 use alphasort_minijson::Json;
 use alphasort_netsort::AcceptLoop;
 use alphasort_obs as obs;
+use alphasort_stripefs::Volume;
 
 use crate::admission::{Admission, AdmissionConfig, Offer};
 use crate::executor::{run_job, CancelReason, CancelToken, ScratchBacking};
@@ -298,7 +299,13 @@ struct State {
     core: Mutex<Core>,
     /// Signaled when `running` drops — drain waits here.
     cv: Condvar,
-    backing: ScratchBacking,
+    /// The one volume two-pass jobs spill to and its stripe chunk, resolved
+    /// from the configured [`ScratchBacking`] once, at start.
+    scratch: (Arc<Volume>, u64),
+    /// Whether runs on that volume outlive the process (`SharedVolume`):
+    /// only then are they manifested, reserved at start and disposed from
+    /// their manifests.
+    durable_scratch: bool,
     read_timeout: Duration,
     write_timeout: Duration,
     /// The write-ahead journal, when durability is configured.
@@ -467,12 +474,10 @@ impl State {
             let effect = || {
                 let manifest = journal.scratch_manifest_path(&op.key);
                 let dispose = op.dispose_scratch && manifest.exists();
-                let disposed = match (&self.backing, dispose) {
-                    (_, false) => Ok(()),
-                    (ScratchBacking::SharedVolume(volume, _), true) => {
-                        StripeScratch::dispose_at(volume, &manifest).map(drop)
-                    }
-                    (ScratchBacking::Memory, true) => std::fs::remove_file(&manifest),
+                let disposed = match (dispose, self.durable_scratch) {
+                    (false, _) => Ok(()),
+                    (true, true) => StripeScratch::dispose_at(&self.scratch.0, &manifest).map(drop),
+                    (true, false) => std::fs::remove_file(&manifest),
                 };
                 let written = match &op.record {
                     Some(rec) => journal.record(rec),
@@ -512,6 +517,8 @@ impl Sortd {
     pub fn start(cfg: SortdConfig) -> io::Result<Sortd> {
         let journal = cfg.journal.clone().map(Journal::open).transpose()?;
         let mut core = Core::new(Admission::new(cfg.pool, cfg.admission));
+        let scratch = cfg.backing.volume();
+        let durable_scratch = matches!(cfg.backing, ScratchBacking::SharedVolume(..));
         if let Some(j) = &journal {
             replay_journal(j, &mut core)?;
             // This volume's allocator has never heard of the runs a killed
@@ -519,9 +526,10 @@ impl Sortd {
             // is admitted, or a two-pass job running ahead of the
             // re-submitted key is handed their extents. An unreadable
             // manifest reserves nothing — resume will discard it too.
-            if let ScratchBacking::SharedVolume(volume, _) = &cfg.backing {
+            if durable_scratch {
                 for key in core.recovered.keys() {
-                    if let Err(e) = StripeScratch::reserve_at(volume, &j.scratch_manifest_path(key)) {
+                    let manifest = j.scratch_manifest_path(key);
+                    if let Err(e) = StripeScratch::reserve_at(&scratch.0, &manifest) {
                         eprintln!("sortd: replay: key {key:?}: {e}");
                     }
                 }
@@ -531,7 +539,8 @@ impl Sortd {
         let state = Arc::new(State {
             core: Mutex::new(core),
             cv: Condvar::new(),
-            backing: cfg.backing.clone(),
+            scratch,
+            durable_scratch,
             read_timeout: cfg.client_read_timeout,
             write_timeout: cfg.client_write_timeout,
             journal,
@@ -1131,8 +1140,10 @@ fn execute(
     input: Vec<u8>,
     token: &CancelToken,
 ) -> (Result<Box<SortStats>, SortdError>, Json, Option<Vec<u8>>) {
-    let manifest = (state.journal.as_ref()).map(|j| j.scratch_manifest_path(&job_key(spec, id)));
-    match run_job(id, spec, input, &state.backing, token, manifest.as_deref()) {
+    let journal = state.journal.as_ref().filter(|_| state.durable_scratch);
+    let manifest = journal.map(|j| j.scratch_manifest_path(&job_key(spec, id)));
+    let scratch = (&state.scratch.0, state.scratch.1);
+    match run_job(id, spec, input, scratch, token, manifest.as_deref()) {
         Ok((sorted, stats, plan)) => {
             let plan = format!("{plan:?}");
             let doc = result_doc(id, stats.records, sorted.len() as u64, &plan, false);
@@ -1264,7 +1275,8 @@ mod tests {
         Arc::new(State {
             core: Mutex::new(Core::new(Admission::new(pool, AdmissionConfig::default()))),
             cv: Condvar::new(),
-            backing: ScratchBacking::Memory,
+            scratch: ScratchBacking::Memory.volume(),
+            durable_scratch: false,
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
             journal,

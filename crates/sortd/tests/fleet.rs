@@ -233,18 +233,7 @@ fn wait_for(daemon: &Sortd, pred: impl Fn(&alphasort_minijson::Json) -> bool) {
 /// per-job namespaces keep their run files apart.
 #[test]
 fn concurrent_two_pass_jobs_share_a_striped_volume() {
-    let disks = (0..2)
-        .map(|i| {
-            SimDisk::new(
-                format!("scratch{i}"),
-                catalog::uncapped(),
-                Arc::new(MemStorage::new()),
-                Pacing::Modeled,
-                None,
-            )
-        })
-        .collect();
-    let volume = Arc::new(Volume::new(Arc::new(IoEngine::new(disks))));
+    let volume = Arc::new(Volume::in_memory(2));
     let daemon = start_daemon(
         PoolConfig {
             mem_total: 4 << 20,

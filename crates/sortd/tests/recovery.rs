@@ -24,7 +24,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use alphasort_core::driver::{ScratchStore, StripeScratch};
+use alphasort_core::driver::StripeScratch;
 use alphasort_core::io::RecordSink as _;
 use alphasort_dmgen::{generate, records_of_mut, GenConfig, RECORD_LEN};
 use alphasort_iosim::{catalog, FileStorage, IoEngine, Pacing, SimDisk, Storage};
@@ -220,6 +220,32 @@ fn a_job_ahead_of_the_resubmitted_key_cannot_overwrite_its_sealed_runs() {
     assert_eq!(res.output, oracle(elephant), "resumed output diverged");
     assert!(counter(&daemon, "runs_recovered") >= 1, "the sealed runs must be reused");
     assert_eq!(counter(&daemon, "runs_reformed"), 0, "a sealed run was overwritten and re-formed");
+    assert!(!manifest.exists(), "manifest removed after completion");
+
+    daemon.drain();
+    assert!(daemon.pool_idle(), "pool accounting did not return to zero");
+}
+
+/// A manifest naming a disk the volume does not have — torn, edited, or
+/// left by a wider volume — costs its own key the surviving runs, not the
+/// daemon its start: replay refuses to reserve it, stats answers, and the
+/// re-submitted key re-forms every run.
+#[test]
+fn a_manifest_off_the_volume_does_not_stop_the_daemon() {
+    let journal_dir = tmp_dir("offvolume-journal");
+    let scratch_dir = tmp_dir("offvolume-scratch");
+    let (e_spec, elephant, manifest) =
+        stage_killed_elephant(&journal_dir, &scratch_dir, "key-offvolume", 1);
+    let text = std::fs::read_to_string(&manifest).unwrap();
+    std::fs::write(&manifest, text.replace("\"disk\": 1", "\"disk\": 9")).unwrap();
+
+    let daemon = start(&journal_dir, &scratch_dir, Duration::from_secs(60));
+    assert_eq!(counter(&daemon, "jobs_recovered"), 1);
+    let client = Client::new(daemon.addr()).with_timeout(Duration::from_secs(60));
+    let res = client.submit(&e_spec, &elephant).expect("the key re-runs");
+    assert_eq!(res.output, oracle(elephant), "re-run output diverged");
+    let reused = counter(&daemon, "runs_recovered");
+    assert_eq!(reused, 0, "a run off the volume was reused");
     assert!(!manifest.exists(), "manifest removed after completion");
 
     daemon.drain();

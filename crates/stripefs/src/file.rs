@@ -446,21 +446,11 @@ impl StripedFile {
 mod tests {
     use super::*;
     use crate::geometry::Member;
+    use crate::volume::Volume;
     use alphasort_iosim::{catalog, MemStorage, Pacing, SimDisk};
 
     fn make_engine(n: usize) -> Arc<IoEngine> {
-        let disks = (0..n)
-            .map(|i| {
-                SimDisk::new(
-                    format!("d{i}"),
-                    catalog::uncapped(),
-                    Arc::new(MemStorage::new()),
-                    Pacing::Modeled,
-                    None,
-                )
-            })
-            .collect();
-        Arc::new(IoEngine::new(disks))
+        Arc::clone(Volume::in_memory(n).engine())
     }
 
     fn file(width: usize, chunk: u64) -> (StripedFile, Arc<IoEngine>) {

@@ -117,13 +117,16 @@ impl StripeDef {
     }
 
     /// Bytes of member extent needed on each disk to hold `file_len` logical
-    /// bytes (i.e. the per-member extent size to reserve).
+    /// bytes (i.e. the per-member extent size to reserve), saturating at
+    /// `u64::MAX` for a length no disk could hold.
     pub fn member_extent(&self, file_len: u64) -> u64 {
         let full_chunks = file_len / self.chunk;
         let tail = file_len % self.chunk;
         // The worst-loaded member holds ceil(chunks / width) chunks.
         let chunks = full_chunks + u64::from(tail > 0);
-        chunks.div_ceil(self.width() as u64) * self.chunk
+        chunks
+            .div_ceil(self.width() as u64)
+            .saturating_mul(self.chunk)
     }
 
     /// JSON form, for `.str` descriptor files.

@@ -259,22 +259,7 @@ impl Read for StripedReader {
 mod tests {
     use super::*;
     use crate::volume::Volume;
-    use alphasort_iosim::{catalog, IoEngine, MemStorage, Pacing, SimDisk};
-
-    fn volume(n: usize) -> Volume {
-        let disks = (0..n)
-            .map(|i| {
-                SimDisk::new(
-                    format!("d{i}"),
-                    catalog::uncapped(),
-                    Arc::new(MemStorage::new()),
-                    Pacing::Modeled,
-                    None,
-                )
-            })
-            .collect();
-        Volume::new(Arc::new(IoEngine::new(disks)))
-    }
+    use alphasort_iosim::{IoEngine, MemStorage, Pacing, SimDisk};
 
     fn filled_file(v: &Volume, len: usize, chunk: u64) -> (Arc<StripedFile>, Vec<u8>) {
         let f = v.create_across_all("data", chunk, len as u64);
@@ -285,7 +270,7 @@ mod tests {
 
     #[test]
     fn strides_arrive_in_order_and_complete() {
-        let v = volume(4);
+        let v = Volume::in_memory(4);
         let (f, data) = filled_file(&v, 10_000, 256); // stride = 1024
         let mut r = StripedReader::new(Arc::clone(&f));
         let mut got = Vec::new();
@@ -297,7 +282,7 @@ mod tests {
 
     #[test]
     fn final_partial_stride_is_clamped() {
-        let v = volume(2);
+        let v = Volume::in_memory(2);
         let (f, data) = filled_file(&v, 1000, 128); // stride 256; 1000 = 3×256 + 232
         let mut r = StripedReader::new(f);
         let mut sizes = Vec::new();
@@ -313,7 +298,7 @@ mod tests {
 
     #[test]
     fn read_trait_delivers_identical_bytes() {
-        let v = volume(3);
+        let v = Volume::in_memory(3);
         let (f, data) = filled_file(&v, 5_000, 100);
         let mut r = StripedReader::new(f);
         let mut got = Vec::new();
@@ -323,7 +308,7 @@ mod tests {
 
     #[test]
     fn depth_one_still_correct() {
-        let v = volume(2);
+        let v = Volume::in_memory(2);
         let (f, data) = filled_file(&v, 3_000, 64);
         let mut r = StripedReader::with_depth(f, 1);
         let mut got = Vec::new();
@@ -335,7 +320,7 @@ mod tests {
 
     #[test]
     fn empty_file_yields_nothing() {
-        let v = volume(2);
+        let v = Volume::in_memory(2);
         let f = Arc::new(v.create_across_all("empty", 64, 0));
         let mut r = StripedReader::new(f);
         assert!(r.next_stride().is_none());
@@ -343,7 +328,7 @@ mod tests {
 
     #[test]
     fn ranged_reader_delivers_exactly_the_aligned_window() {
-        let v = volume(4);
+        let v = Volume::in_memory(4);
         let (f, data) = filled_file(&v, 10_000, 256); // stride = 1024
         // Aligned start, unaligned end: rounded up to the next stride.
         let mut r = StripedReader::ranged(Arc::clone(&f), 2_048, 5_000);
@@ -369,14 +354,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "not aligned to stride")]
     fn ranged_reader_rejects_unaligned_start() {
-        let v = volume(2);
+        let v = Volume::in_memory(2);
         let (f, _) = filled_file(&v, 1_000, 128);
         let _ = StripedReader::ranged(f, 100, 500);
     }
 
     #[test]
     fn verified_ranged_reader_checks_mid_file_strides() {
-        let v = volume(3);
+        let v = Volume::in_memory(3);
         let f = Arc::new(v.create_across_all("vr", 64, 5_000));
         let data: Vec<u8> = (0..5_000).map(|i| (i % 247) as u8).collect();
         let mut w = crate::StripedWriter::with_checksums(Arc::clone(&f));
@@ -413,7 +398,7 @@ mod tests {
 
     #[test]
     fn verified_reader_accepts_clean_data() {
-        let v = volume(3);
+        let v = Volume::in_memory(3);
         let f = Arc::new(v.create_across_all("ok", 64, 5_000));
         let data: Vec<u8> = (0..5_000).map(|i| (i % 249) as u8).collect();
         let mut w = crate::StripedWriter::with_checksums(Arc::clone(&f));
@@ -433,7 +418,7 @@ mod tests {
 
     #[test]
     fn verified_reader_names_the_corrupt_disk() {
-        let v = volume(2);
+        let v = Volume::in_memory(2);
         let f = Arc::new(v.create_across_all("tamper", 64, 2_000));
         let data = vec![0x33u8; 2_000];
         let mut w = crate::StripedWriter::with_checksums(Arc::clone(&f));
@@ -456,7 +441,7 @@ mod tests {
 
     #[test]
     fn verified_reader_rejects_wrong_length_up_front() {
-        let v = volume(2);
+        let v = Volume::in_memory(2);
         let f = Arc::new(v.create_across_all("short", 64, 1_000));
         let mut w = crate::StripedWriter::with_checksums(Arc::clone(&f));
         w.push(&[1u8; 500]).unwrap();

@@ -12,7 +12,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use alphasort_iosim::IoEngine;
+use alphasort_iosim::{catalog, IoEngine, MemStorage, Pacing, SimDisk};
 use alphasort_minijson::Json;
 
 use crate::file::StripedFile;
@@ -66,6 +66,23 @@ impl Volume {
         }
     }
 
+    /// A volume over `width` fresh uncapped in-memory disks at modeled
+    /// pacing: scratch that lives only as long as the process, on the same
+    /// striped, checksummed path as disk images.
+    pub fn in_memory(width: usize) -> Self {
+        let disk = |i| {
+            let storage = Arc::new(MemStorage::new());
+            SimDisk::new(
+                format!("d{i}"),
+                catalog::uncapped(),
+                storage,
+                Pacing::Modeled,
+                None,
+            )
+        };
+        Volume::new(Arc::new(IoEngine::new((0..width).map(disk).collect())))
+    }
+
     /// Replace the volume's retry policy (fresh per-disk health). Applies
     /// to files created or opened afterwards.
     pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
@@ -111,23 +128,23 @@ impl Volume {
                 return Ok(base);
             }
         }
-        match self.disk_limit {
-            None => Ok(self.next_free[d].fetch_add(extent, Ordering::AcqRel)),
-            Some(limit) => self.next_free[d]
-                .fetch_update(Ordering::AcqRel, Ordering::Acquire, |cur| {
-                    cur.checked_add(extent).filter(|&end| end <= limit)
-                })
-                .map_err(|cur| {
-                    io::Error::new(
-                        io::ErrorKind::StorageFull,
-                        format!(
-                            "disk {d} ({}) full: needed {extent} bytes, had {}",
-                            self.engine.disks()[d].name(),
-                            limit.saturating_sub(cur),
-                        ),
-                    )
-                }),
-        }
+        // Unbounded disks still end at `u64::MAX`: a watermark an opened
+        // file put near it must not wrap the next allocation onto live data.
+        let limit = self.disk_limit.unwrap_or(u64::MAX);
+        self.next_free[d]
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |cur| {
+                cur.checked_add(extent).filter(|&end| end <= limit)
+            })
+            .map_err(|cur| {
+                io::Error::new(
+                    io::ErrorKind::StorageFull,
+                    format!(
+                        "disk {d} ({}) full: needed {extent} bytes, had {}",
+                        self.engine.disks()[d].name(),
+                        limit.saturating_sub(cur),
+                    ),
+                )
+            })
     }
 
     /// Return a file's member extents to the free lists, coalescing with
@@ -276,17 +293,39 @@ impl Volume {
         self.try_create(name, &disks, chunk, size_hint)
     }
 
-    /// Open a file from a previously obtained definition.
+    /// Open a file from a definition this process obtained itself.
+    ///
+    /// # Panics
+    /// If the definition does not fit the volume (see
+    /// [`try_open`](Self::try_open), the form for definitions read back
+    /// from outside).
     pub fn open(&self, def: StripeDef) -> StripedFile {
+        self.try_open(def).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Open a file from a previously obtained definition. A member on a
+    /// disk the volume does not have, or whose extent ends past `u64`, is
+    /// `InvalidData`: definitions come back from descriptor and manifest
+    /// files, so they never index a disk or size an extent unchecked.
+    pub fn try_open(&self, def: StripeDef) -> io::Result<StripedFile> {
+        let extent = def.member_extent(def.len);
+        let fits = |m: &&Member| m.disk < self.width() && m.base.checked_add(extent).is_some();
+        if let Some(m) = def.members.iter().find(|m| !fits(m)) {
+            let (name, width) = (&def.name, self.width());
+            let what = format!(
+                "stripe file '{name}' puts {extent} bytes at {} on disk {} of a {width}-disk volume",
+                m.base, m.disk
+            );
+            return Err(io::Error::new(io::ErrorKind::InvalidData, what));
+        }
         // Openers must not allocate over the file: bump each member's
         // watermark past its extent's in-use region.
         for m in &def.members {
-            let used = m.base + def.member_extent(def.len);
-            self.next_free[m.disk].fetch_max(used, Ordering::AcqRel);
+            self.next_free[m.disk].fetch_max(m.base + extent, Ordering::AcqRel);
         }
         let mut file = StripedFile::new(def, Arc::clone(&self.engine));
         file.attach_policy(Arc::clone(&self.policy));
-        file
+        Ok(file)
     }
 
     /// Persist a stripe definition as a `.str` descriptor file (JSON).
@@ -305,33 +344,17 @@ impl Volume {
     /// Open a striped file via its host-side `.str` descriptor, like the
     /// paper's `stripeopen()`.
     pub fn stripe_open(&self, path: &Path) -> io::Result<StripedFile> {
-        Ok(self.open(Self::load_descriptor(path)?))
+        self.try_open(Self::load_descriptor(path)?)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alphasort_iosim::{catalog, MemStorage, Pacing, SimDisk};
-
-    fn volume(n: usize) -> Volume {
-        let disks = (0..n)
-            .map(|i| {
-                SimDisk::new(
-                    format!("d{i}"),
-                    catalog::uncapped(),
-                    Arc::new(MemStorage::new()),
-                    Pacing::Modeled,
-                    None,
-                )
-            })
-            .collect();
-        Volume::new(Arc::new(IoEngine::new(disks)))
-    }
 
     #[test]
     fn two_files_on_shared_disks_do_not_overlap() {
-        let v = volume(4);
+        let v = Volume::in_memory(4);
         let a = v.create("a", &[0, 1, 2, 3], 64, 4096);
         let b = v.create("b", &[0, 1, 2, 3], 64, 4096);
         a.write_at(0, &vec![0xAA; 4096]).unwrap();
@@ -342,7 +365,7 @@ mod tests {
 
     #[test]
     fn subset_striping() {
-        let v = volume(4);
+        let v = Volume::in_memory(4);
         let f = v.create("half", &[1, 3], 32, 1024);
         f.write_at(0, &vec![7u8; 1024]).unwrap();
         let stats: Vec<u64> = v
@@ -359,7 +382,7 @@ mod tests {
 
     #[test]
     fn descriptor_roundtrip_via_host_fs() {
-        let v = volume(3);
+        let v = Volume::in_memory(3);
         let f = v.create("persisted", &[0, 1, 2], 128, 10_000);
         f.write_at(0, b"alpha sort strides").unwrap();
 
@@ -376,7 +399,7 @@ mod tests {
 
     #[test]
     fn open_bumps_allocator_past_existing_data() {
-        let v = volume(2);
+        let v = Volume::in_memory(2);
         let f = v.create("old", &[0, 1], 16, 256);
         f.write_at(0, &vec![1u8; 256]).unwrap();
         let def = f.def_snapshot();
@@ -391,8 +414,45 @@ mod tests {
     }
 
     #[test]
+    fn definitions_that_do_not_fit_the_volume_are_errors() {
+        let v = Volume::in_memory(2);
+        let f = v.create("f", &[0, 1], 64, 256);
+        f.write_at(0, &[5u8; 256]).unwrap();
+        let mut def = f.def_snapshot();
+        def.members[1].disk = 9;
+        let e = v.try_open(def.clone()).err().expect("disk 9 of 2 opened");
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            e.to_string().contains("on disk 9 of a 2-disk volume"),
+            "{e}"
+        );
+        def.members[1] = Member {
+            disk: 1,
+            base: u64::MAX - 64,
+        };
+        let e = v
+            .try_open(def.clone())
+            .err()
+            .expect("extent past u64 opened");
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        // The refused opens reserved nothing: the next file follows `f`.
+        let next = v.create("next", &[0, 1], 64, 256);
+        assert!(
+            next.def().members.iter().all(|m| m.base == 128),
+            "{:?}",
+            next.def()
+        );
+        // One that ends just short of `u64::MAX` opens, and the allocation
+        // after it is a full disk — not a watermark wrapped onto `f`.
+        def.members[1].base = u64::MAX - 256;
+        v.try_open(def).unwrap();
+        let e = v.try_create("wraps", &[1], 64, 256).err().expect("wrapped");
+        assert_eq!(e.kind(), io::ErrorKind::StorageFull);
+    }
+
+    #[test]
     fn deleted_extents_are_reused() {
-        let v = volume(2);
+        let v = Volume::in_memory(2);
         let a = v.create("a", &[0, 1], 64, 1_024);
         let a_bases: Vec<u64> = a.def().members.iter().map(|m| m.base).collect();
         a.write_at(0, &[1u8; 1_024]).unwrap();
@@ -410,7 +470,7 @@ mod tests {
 
     #[test]
     fn smaller_reuse_splits_the_extent() {
-        let v = volume(1);
+        let v = Volume::in_memory(1);
         let big = v.create("big", &[0], 64, 4_096);
         v.delete(&big);
         let free_before = v.free_bytes();
@@ -431,7 +491,7 @@ mod tests {
         // Files allocate back-to-back on the member disks; overflowing one
         // would corrupt the next, so it must error instead (the bug class
         // the cascade merge hit before size hints were threaded through).
-        let v = volume(2);
+        let v = Volume::in_memory(2);
         let small = v.create("small", &[0, 1], 64, 256);
         let neighbour = v.create("neighbour", &[0, 1], 64, 256);
         neighbour.write_at(0, &[0xEE; 256]).unwrap();
@@ -446,7 +506,7 @@ mod tests {
 
     #[test]
     fn disk_limit_surfaces_storage_full() {
-        let mut v = volume(2);
+        let mut v = Volume::in_memory(2);
         v.set_disk_limit(Some(1_024));
         let a = v.try_create("fits", &[0, 1], 64, 1_024).unwrap();
         assert!(a.capacity().unwrap() >= 1_024);
@@ -464,7 +524,7 @@ mod tests {
     fn failed_try_create_rolls_back_partial_allocations() {
         // Disk 0 has freed space but disk 1 is full: the file cannot be
         // created, and disk 0's extent must return to the free list.
-        let mut v = volume(2);
+        let mut v = Volume::in_memory(2);
         v.set_disk_limit(Some(512));
         let _fill1 = v.try_create("fill1", &[1], 64, 512).unwrap(); // disk 1 full
         let a = v.try_create("a", &[0], 64, 512).unwrap();
@@ -485,7 +545,7 @@ mod tests {
     #[test]
     fn volume_files_share_the_retry_policy() {
         use crate::retry::RetryPolicy;
-        let mut v = volume(2);
+        let mut v = Volume::in_memory(2);
         v.set_retry_policy(RetryPolicy {
             max_attempts: 5,
             backoff: std::time::Duration::ZERO,
@@ -501,13 +561,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "duplicate disk")]
     fn duplicate_disks_rejected() {
-        let v = volume(2);
+        let v = Volume::in_memory(2);
         v.create("dup", &[0, 0], 16, 64);
     }
 
     #[test]
     fn create_across_all_uses_every_disk() {
-        let v = volume(5);
+        let v = Volume::in_memory(5);
         let f = v.create_across_all("wide", 16, 0);
         assert_eq!(f.width(), 5);
     }

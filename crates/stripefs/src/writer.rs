@@ -222,26 +222,10 @@ mod tests {
     use super::*;
     use crate::reader::StripedReader;
     use crate::volume::Volume;
-    use alphasort_iosim::{catalog, IoEngine, MemStorage, Pacing, SimDisk};
-
-    fn volume(n: usize) -> Volume {
-        let disks = (0..n)
-            .map(|i| {
-                SimDisk::new(
-                    format!("d{i}"),
-                    catalog::uncapped(),
-                    Arc::new(MemStorage::new()),
-                    Pacing::Modeled,
-                    None,
-                )
-            })
-            .collect();
-        Volume::new(Arc::new(IoEngine::new(disks)))
-    }
 
     #[test]
     fn write_read_roundtrip_via_streams() {
-        let v = volume(4);
+        let v = Volume::in_memory(4);
         let f = Arc::new(v.create_across_all("out", 128, 20_000));
         let data: Vec<u8> = (0..20_000).map(|i| (i % 253) as u8).collect();
 
@@ -259,7 +243,7 @@ mod tests {
 
     #[test]
     fn tiny_pushes_coalesce_into_strides() {
-        let v = volume(2);
+        let v = Volume::in_memory(2);
         let f = Arc::new(v.create_across_all("tiny", 64, 1_000));
         let mut w = StripedWriter::new(Arc::clone(&f));
         for i in 0..1_000u32 {
@@ -272,7 +256,7 @@ mod tests {
 
     #[test]
     fn finish_flushes_partial_tail() {
-        let v = volume(3);
+        let v = Volume::in_memory(3);
         let f = Arc::new(v.create_across_all("tail", 100, 500));
         let mut w = StripedWriter::new(Arc::clone(&f));
         w.push(&[9u8; 50]).unwrap(); // less than one chunk
@@ -283,7 +267,7 @@ mod tests {
 
     #[test]
     fn position_tracks_accepted_bytes() {
-        let v = volume(2);
+        let v = Volume::in_memory(2);
         let f = Arc::new(v.create_across_all("pos", 64, 1024));
         let mut w = StripedWriter::new(f);
         w.push(&[0u8; 100]).unwrap();
@@ -294,7 +278,7 @@ mod tests {
 
     #[test]
     fn io_write_trait_works() {
-        let v = volume(2);
+        let v = Volume::in_memory(2);
         let f = Arc::new(v.create_across_all("wtrait", 64, 1024));
         let mut w = StripedWriter::new(Arc::clone(&f));
         std::io::Write::write_all(&mut w, &[5u8; 300]).unwrap();
@@ -309,7 +293,7 @@ mod tests {
         // in-flight strides (and silently discard the staged tail). The
         // full strides were issued behind `push` — they must be durable
         // even if the caller forgets `finish`.
-        let v = volume(2);
+        let v = Volume::in_memory(2);
         let f = Arc::new(v.create_across_all("dropped", 100, 4_000));
         let data: Vec<u8> = (0..1_250).map(|i| (i % 241) as u8).collect();
         {
@@ -339,7 +323,7 @@ mod tests {
 
     #[test]
     fn empty_finish_is_zero_bytes() {
-        let v = volume(2);
+        let v = Volume::in_memory(2);
         let f = Arc::new(v.create_across_all("none", 64, 0));
         let w = StripedWriter::new(f);
         assert_eq!(w.finish().unwrap(), 0);

@@ -4,7 +4,6 @@
 use std::sync::Arc;
 
 use alphasort_dmgen::SplitMix64;
-use alphasort_iosim::{catalog, IoEngine, MemStorage, Pacing, SimDisk};
 use alphasort_stripefs::{Member, StripeDef, StripedFile, StripedReader, StripedWriter, Volume};
 
 fn any_def(r: &mut SplitMix64) -> StripeDef {
@@ -17,20 +16,6 @@ fn any_def(r: &mut SplitMix64) -> StripeDef {
         })
         .collect();
     StripeDef::new("p", chunk, members)
-}
-
-fn uncapped_disks(width: usize) -> Vec<Arc<SimDisk>> {
-    (0..width)
-        .map(|i| {
-            SimDisk::new(
-                format!("d{i}"),
-                catalog::uncapped(),
-                Arc::new(MemStorage::new()),
-                Pacing::Modeled,
-                None,
-            )
-        })
-        .collect()
 }
 
 /// plan() covers the requested range exactly: contiguous buffer offsets,
@@ -99,7 +84,7 @@ fn striped_io_roundtrip() {
         let width = 1 + r.next_below(5) as usize;
         let len = r.next_below(4_000) as usize;
         let offset = r.next_below(1_000);
-        let engine = Arc::new(IoEngine::new(uncapped_disks(width)));
+        let engine = Arc::clone(Volume::in_memory(width).engine());
         let members = (0..width).map(|i| Member { disk: i, base: 0 }).collect();
         let f = StripedFile::new(StripeDef::new("io", chunk, members), engine);
 
@@ -121,7 +106,7 @@ fn stream_roundtrip() {
         let pieces: Vec<usize> = (0..r.next_below(12))
             .map(|_| r.next_below(700) as usize)
             .collect();
-        let v = Volume::new(Arc::new(IoEngine::new(uncapped_disks(width))));
+        let v = Volume::in_memory(width);
         let total: usize = pieces.iter().sum();
         let f = Arc::new(v.create_across_all("s", chunk, total as u64));
 

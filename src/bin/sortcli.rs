@@ -38,9 +38,10 @@
 //! the counter/gauge/histogram snapshot as the round-trippable
 //! `MetricsSnapshot` document sortd's `metrics` request also answers with.
 //!
-//! `--scratch-dir` puts two-pass scratch runs — of either layout — on a
-//! striped, checksummed volume backed by disk-image files in DIR (instead
-//! of in memory), and persists a run manifest there. After a crash, re-running with `--resume`
+//! Two-pass scratch runs — of either layout — go to a striped, checksummed
+//! volume: over in-memory disks by default, or with `--scratch-dir` over
+//! disk-image files in DIR, with a run manifest persisted there. After a
+//! crash, re-running with `--resume`
 //! verifies the surviving runs against the manifest and re-forms only what
 //! is missing or corrupt. `--io-retries` / `--io-backoff-ms` set the scratch
 //! volume's transient-IO retry budget.
@@ -48,17 +49,18 @@
 use std::io;
 use std::path::Path;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Duration;
 
 use alphasort_suite::cli::Arg::{Switch, Val};
 use alphasort_suite::cli::{self, failed, Artifacts, Command, Flag, Flags, Stop};
 use alphasort_suite::dmgen::{
-    generate_varlen, var_records_of, KeyDistribution, TextCorpus, VarGenConfig, RECORD_LEN,
+    generate_varlen, var_records_of, KeyDistribution, TextCorpus, VarGenConfig,
 };
-use alphasort_suite::sort::driver::{check_sizes, one_pass, two_pass, MemScratch, StripeScratch};
+use alphasort_suite::sort::driver::{check_sizes, one_pass, two_pass, StripeScratch};
 use alphasort_suite::sort::io_file::{FileSink, FileSource};
 use alphasort_suite::sort::{RecordLayout, SortConfig};
-use alphasort_suite::stripefs::RetryPolicy;
+use alphasort_suite::stripefs::{RetryPolicy, Volume};
 
 const SORTCLI: Command = Command {
     name: "sortcli",
@@ -237,7 +239,8 @@ fn sortcli(flags: &Flags) -> Result<(), Stop> {
     let outcome = match (two_passes, scratch_dir) {
         (false, _) => one_pass(&mut source, &mut sink, &cfg),
         (true, None) => {
-            let mut scratch = MemScratch::new(10_000 * RECORD_LEN).with_layout(layout);
+            let volume = Arc::new(Volume::in_memory(cli::SCRATCH_DISKS));
+            let mut scratch = StripeScratch::new(volume, cli::SCRATCH_CHUNK).with_layout(layout);
             two_pass(&mut source, &mut sink, &mut scratch, &cfg)
         }
         (true, Some(dir)) => {

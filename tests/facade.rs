@@ -1,10 +1,18 @@
 //! The `ExternalSorter` facade: planning + execution in one call.
 
+use std::sync::Arc;
+
 use alphasort_suite::dmgen::{generate, validate_records, GenConfig, RECORD_LEN};
-use alphasort_suite::sort::driver::MemScratch;
+use alphasort_suite::sort::driver::StripeScratch;
 use alphasort_suite::sort::io::{MemSink, MemSource};
 use alphasort_suite::sort::planner::PassPlan;
 use alphasort_suite::sort::{ExternalSorter, SortConfig};
+use alphasort_suite::stripefs::Volume;
+
+/// In-memory scratch the two-pass plan spills to.
+fn mem_scratch() -> StripeScratch {
+    StripeScratch::new(Arc::new(Volume::in_memory(2)), 100 * RECORD_LEN as u64)
+}
 
 fn sorter(memory_budget: u64) -> ExternalSorter {
     ExternalSorter::new(SortConfig {
@@ -21,7 +29,7 @@ fn small_input_runs_one_pass() {
     let (data, cs) = generate(GenConfig::datamation(records, 1));
     let mut source = MemSource::new(data, 10_000);
     let mut sink = MemSink::new();
-    let mut scratch = MemScratch::new(100 * RECORD_LEN);
+    let mut scratch = mem_scratch();
     // Budget comfortably above the 200 KB input.
     let outcome = sorter(1 << 20)
         .sort(&mut source, &mut sink, &mut scratch)
@@ -37,7 +45,7 @@ fn oversized_input_runs_two_passes() {
     let (data, cs) = generate(GenConfig::datamation(records, 2));
     let mut source = MemSource::new(data, 10_000);
     let mut sink = MemSink::new();
-    let mut scratch = MemScratch::new(100 * RECORD_LEN);
+    let mut scratch = mem_scratch();
     // Budget below the input: must spill.
     let outcome = sorter(100 << 10)
         .sort(&mut source, &mut sink, &mut scratch)
@@ -57,7 +65,7 @@ fn boundary_just_under_budget_is_one_pass() {
     let (data, cs) = generate(GenConfig::datamation(records, 3));
     let mut source = MemSource::new(data, 64 * 1024);
     let mut sink = MemSink::new();
-    let mut scratch = MemScratch::new(100 * RECORD_LEN);
+    let mut scratch = mem_scratch();
     let outcome = sorter(budget)
         .sort(&mut source, &mut sink, &mut scratch)
         .unwrap();
@@ -82,7 +90,7 @@ fn unknown_size_defaults_to_two_pass() {
     let (data, cs) = generate(GenConfig::datamation(1_000, 4));
     let mut source = OpaqueSource(MemSource::new(data, 10_000));
     let mut sink = MemSink::new();
-    let mut scratch = MemScratch::new(100 * RECORD_LEN);
+    let mut scratch = mem_scratch();
     let outcome = sorter(1 << 30)
         .sort(&mut source, &mut sink, &mut scratch)
         .unwrap();

@@ -367,19 +367,7 @@ fn crash_during_merge_resumes_recovering_every_run() {
 fn scratch_volume_full_is_an_error_not_a_panic() {
     // A scratch volume too small for even one run: the two-pass sort must
     // fail with an attributed "scratch volume full" error, not panic.
-    let disks = (0..2)
-        .map(|i| {
-            let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
-            SimDisk::new(
-                format!("s{i}"),
-                catalog::uncapped(),
-                storage,
-                Pacing::Modeled,
-                None,
-            )
-        })
-        .collect();
-    let volume = Arc::new(Volume::new(Arc::new(IoEngine::new(disks))).with_disk_limit(16 * 1024));
+    let volume = Arc::new(Volume::in_memory(2).with_disk_limit(16 * 1024));
     let (input, _cs) = generate(GenConfig::datamation(6_000, 41));
     let mut scratch = StripeScratch::new(Arc::clone(&volume), 4 * 1024);
     let mut source = MemSource::new(input, 250 * RECORD_LEN);
