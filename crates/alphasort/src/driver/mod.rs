@@ -142,26 +142,27 @@ impl<C: RunCutter> Feed<C> {
         if self.done {
             return Ok(None);
         }
+        // The read phase is the input arriving in run buffers: blocked on
+        // the source, then the copy into the runs the chunk fills (the
+        // first touch of each fresh run buffer is paid here).
         let mut rd = obs::span(obs::phase::READ);
         let t0 = Instant::now();
-        let chunk = source.next_chunk();
-        stats.read_wait += t0.elapsed();
-        if let Ok(Some(c)) = &chunk {
-            rd.attr("bytes", c.len() as u64);
-        }
-        drop(rd);
         let mut cuts = Vec::new();
-        match chunk? {
-            Some(chunk) => {
+        let read = match source.next_chunk() {
+            Ok(Some(chunk)) => {
+                rd.attr("bytes", chunk.len() as u64);
                 stats.bytes_sorted += chunk.len() as u64;
-                self.cutter.push(&chunk, &mut cuts)?;
+                self.cutter.push(&chunk, &mut cuts)
             }
-            None => {
+            Ok(None) => {
                 self.done = true;
-                self.cutter.finish(&mut cuts)?;
+                self.cutter.finish(&mut cuts)
             }
-        }
-        Ok(Some(cuts))
+            Err(e) => Err(e),
+        };
+        stats.read_wait += t0.elapsed();
+        drop(rd);
+        read.map(|()| Some(cuts))
     }
 }
 

@@ -1,10 +1,11 @@
 //! The one-pass sort: AlphaSort's benchmark configuration.
 //!
 //! §7's walk-through is the template: read the input through the striped
-//! source, cutting it into runs of `run_records`; QuickSort each run's
-//! entries *while the next run is still arriving* (sort chores overlap
-//! input); then run the tournament merge, handing gather chores to workers
-//! buffer-by-buffer while completed buffers stream to the striped sink.
+//! source, cutting it into runs of `run_records`; sort each run's entries
+//! (§4's QuickSort, here `runform::msd_sort`) *while the next run is still
+//! arriving* (sort chores overlap input); then run the tournament merge,
+//! handing gather chores to workers buffer-by-buffer while completed
+//! buffers stream to the striped sink.
 
 use std::io;
 use std::sync::Arc;

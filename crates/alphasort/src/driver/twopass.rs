@@ -2,11 +2,13 @@
 //!
 //! §6: "When should the QuickSorted intermediate runs be stored on disk? A
 //! two-pass sort uses less memory, but uses twice the disk bandwidth."
-//! Pass 1 reads the input in memory-sized chunks, QuickSorts each, and
-//! streams the sorted run to a scratch file. Pass 2 opens every run and
-//! merges the record streams through a tournament into the output sink.
-//! Memory use is one run buffer in pass 1 and one read-ahead buffer per run
-//! in pass 2, regardless of input size.
+//! (The paper's runs are QuickSorted; this repository's are formed by
+//! `runform::msd_sort`.) Pass 1 reads the input in memory-sized chunks,
+//! sorts each, and streams the sorted run to a scratch file. Pass 2 opens
+//! every run and merges the record streams through a tournament into the
+//! output sink. Memory use is the run buffers in flight in pass 1 (one
+//! filling, the others being sorted or spilled, each reused by a later run)
+//! and one read-ahead buffer per run in pass 2, regardless of input size.
 
 use std::io;
 use std::time::Instant;
@@ -19,7 +21,7 @@ use crate::driver::{
 };
 use crate::entry::RecordLayout;
 use crate::io::{RecordSink, RecordSource, StripeSink, StripeSource};
-use crate::layout::{Cut, LayoutRun};
+use crate::layout::{Cut, LayoutRun, RunCutter};
 use crate::merge::{Heads, Merger, StreamHeads};
 use crate::parallel::SortPool;
 use crate::planner::PassPlan;
@@ -163,7 +165,7 @@ where
     };
 
     // ---- pass 1: run formation + spill, overlapped ------------------------
-    // Workers QuickSort run buffers while the root keeps reading and spills
+    // Workers sort run buffers while the root keeps reading and spills
     // completed runs — the §5 chore decomposition applied to the spill pass
     // (runs must reach scratch in submission order, so the pool hands them
     // back in order).
@@ -171,6 +173,12 @@ where
     // A resumed scratch reports the input ranges its surviving runs cover;
     // the cutter reads past those (the sorted records already sit in
     // scratch, checksummed) and only the gaps are re-sorted and re-spilled.
+    //
+    // A spilled run's buffer goes back to the cutter, so the next run is
+    // read into memory this pass already touched: the pass holds the same
+    // run buffers throughout, instead of freeing and allocating one per run
+    // in a heap that the spill writer's in-flight buffers fragment (which
+    // made peak RSS differ by megabytes from one sort to the next).
     let skip = scratch.recovered_runs();
     let resuming = !skip.is_empty();
     let mut pool = SortPool::<R>::new(cfg.workers);
@@ -192,8 +200,10 @@ where
         while let Some((run, d)) = pool.try_next_in_order() {
             stats.sort_time += d;
             spill_run(&run, resuming, cfg, &mut stats, scratch)?;
+            feed.cutter.recycle(run.into_buf());
         }
     }
+    drop(feed); // input is done: nothing takes a spare buffer any more
     while let Some((run, d)) = pool.next_in_order() {
         stats.sort_time += d;
         spill_run(&run, resuming, cfg, &mut stats, scratch)?;

@@ -9,9 +9,10 @@
 //!    counts their records, with the attributed "ends mid-record" errors;
 //! 2. run formation from such a buffer and count ([`LayoutRun::form`]);
 //! 3. the run's size (`len`, `bytes`) and record access at a sorted position
-//!    (`key_at`, `frame_at`, and `lcp_with_prev` when formation computed the
-//!    table) — the integer prefix is a function of the key
-//!    ([`crate::entry::key_prefix_u64`]) under every layout;
+//!    (`key_at`, `frame_at`), plus the key's integer prefix (`prefix_at`,
+//!    [`crate::entry::key_prefix_u64`] under every layout) and
+//!    `lcp_with_prev` — each answered from a formation-time table where the
+//!    layout kept one, so the tournament need not read the record;
 //! 4. the [`ComparePolicy`] its merges use.
 //!
 //! The two implementations sit beside their run types:
@@ -20,7 +21,7 @@
 use std::io;
 
 use crate::driver::RecoveredRun;
-use crate::entry::RecordLayout;
+use crate::entry::{key_prefix_u64, RecordLayout};
 use crate::merge::ComparePolicy;
 
 /// A sorted in-memory run of one record layout.
@@ -38,6 +39,10 @@ pub trait LayoutRun: Sized + Send + Sync + 'static {
     /// (the cutter's guarantee: it framed and counted them).
     fn form(buf: Vec<u8>, records: usize) -> Self;
 
+    /// The record buffer `form` was given, once the run is spent — for
+    /// [`RunCutter::recycle`].
+    fn into_buf(self) -> Vec<u8>;
+
     /// Records in the run.
     fn len(&self) -> usize;
 
@@ -54,6 +59,15 @@ pub trait LayoutRun: Sized + Send + Sync + 'static {
 
     /// The whole record at sorted position `pos`, as stored.
     fn frame_at(&self, pos: usize) -> &[u8];
+
+    /// `key_prefix_u64` of the key at sorted position `pos` — what
+    /// [`crate::merge::PrefixThenKey`] compares first. A layout that kept
+    /// the prefixes at formation answers from that table; the default reads
+    /// the key.
+    #[inline]
+    fn prefix_at(&self, pos: usize) -> u64 {
+        key_prefix_u64(self.key_at(pos))
+    }
 
     /// LCP of the keys at sorted positions `pos - 1` and `pos`, when run
     /// formation tabulated it; `None` makes an offset-value merge scan.
@@ -86,6 +100,11 @@ pub trait RunCutter {
 
     /// Feed the next input chunk; completed cuts are appended to `out`.
     fn push(&mut self, chunk: &[u8], out: &mut Vec<Cut>) -> io::Result<()>;
+
+    /// Hand back a spent run buffer; the next cut fills it instead of a
+    /// fresh allocation, so a driver that drops each run once it is spilled
+    /// holds the same two buffers from the first run to the last.
+    fn recycle(&mut self, buf: Vec<u8>);
 
     /// End of input: append the trailing partial run, or fail with an
     /// attributed `InvalidData` when the input ends mid-record or a

@@ -7,6 +7,13 @@
 //! a hundred, not a million — it stays cache resident; the expensive part
 //! is the gather that follows ([`crate::gather`]).
 //!
+//! A head's key-prefix is never read out of its record. In-memory runs
+//! answer from a formation-time table ([`LayoutRun::prefix_at`]): a
+//! Datamation run keeps its sorted depth-0 prefixes beside its order, so
+//! the tournament reads sequential arrays and touches a record only when
+//! two prefixes tie. Streams from scratch cache the prefix when they frame
+//! the head.
+//!
 //! There is one [`Merger`], generic over two things:
 //!
 //! * **where heads come from** ([`Heads`]): [`RunCursors`] walk `[start,
@@ -104,12 +111,11 @@ pub trait Heads {
     fn is_live(&self, h: usize) -> bool;
     /// Key of the head record of input `h`.
     fn key(&self, h: usize) -> &[u8];
-    /// That key's integer prefix. Inputs that parse every record anyway
-    /// answer from a cached value.
-    #[inline]
-    fn prefix(&self, h: usize) -> u64 {
-        key_prefix_u64(self.key(h))
-    }
+    /// That key's integer prefix, answered from a stored value without
+    /// reading the record: in-memory runs from their formation-time table
+    /// ([`LayoutRun::prefix_at`]), streams from the value cached when the
+    /// head was framed.
+    fn prefix(&self, h: usize) -> u64;
     /// The whole head record of input `h`.
     fn frame(&self, h: usize) -> &[u8];
     /// LCP of the key *after* `h`'s head with the head's key, when known
@@ -528,6 +534,11 @@ impl<R: LayoutRun> Heads for RunCursors<'_, R> {
     #[inline]
     fn key(&self, h: usize) -> &[u8] {
         self.runs[h].key_at(self.pos[h] as usize)
+    }
+
+    #[inline]
+    fn prefix(&self, h: usize) -> u64 {
+        self.runs[h].prefix_at(self.pos[h] as usize)
     }
 
     #[inline]

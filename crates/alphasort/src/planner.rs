@@ -9,7 +9,7 @@
 /// Whether the sort runs in one or two passes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PassPlan {
-    /// Whole input resident; QuickSort runs, merge from memory.
+    /// Whole input resident; sort runs in memory, merge from memory.
     OnePass,
     /// Runs spilled to scratch; second pass merges them back.
     TwoPass,

@@ -7,10 +7,13 @@
 //! key byte is compared twice: a 10-byte Datamation key is one
 //! `sort_unstable` at depth 0 plus a re-sort at depth 8 for the groups that
 //! share 8 bytes. Arrival index last makes the permutation unique, so every
-//! driver configuration is byte-identical to a stable sort. The splits also
-//! yield `lcp_prev`, which the var-len layout keeps for its OVC merge and
-//! Datamation runs drop. The QuickSort over §4's other representations is
-//! an exhibit, in `alphasort_bench::variants`.
+//! driver configuration is byte-identical to a stable sort. Each layout
+//! keeps one table of the sort's work beside the order, the one its merge
+//! reads ([`SortTable`]): Datamation runs keep the depth-0 key prefixes, so
+//! the tournament compares §7's key-prefixes without touching a record;
+//! var-len runs keep the `lcp_prev` the splits yield, for their OVC merge.
+//! The QuickSort over §4's other representations is an exhibit, in
+//! `alphasort_bench::variants`.
 
 use std::collections::VecDeque;
 use std::io;
@@ -22,7 +25,8 @@ use crate::entry::{checked_run_len, key_prefix_u64, RecordLayout};
 use crate::layout::{span_past_input, Cut, LayoutRun, RunCutter};
 use crate::merge::PrefixThenKey;
 
-/// A sorted run: the record bytes plus the order in which to read them.
+/// A sorted run: the record bytes, the order in which to read them, and
+/// each sorted position's key prefix — 12 bytes per 100-byte record.
 ///
 /// Key ties break on the record's position within the run, and the merge
 /// breaks cross-run ties on run number — so the full sort is **stable**.
@@ -30,6 +34,9 @@ pub struct SortedRun {
     buf: Vec<u8>,
     /// The sorted index permutation.
     order: Vec<u32>,
+    /// `prefix[p]` = `key_prefix_u64` of the key at sorted position `p`:
+    /// the tournament's compare, read without a cache miss on the record.
+    prefix: Vec<u64>,
 }
 
 impl SortedRun {
@@ -68,16 +75,21 @@ impl LayoutRun for SortedRun {
     type Cutter = StrideCutter;
     type Policy = PrefixThenKey;
 
-    /// Depth-0 entries from the 10-byte keys, one `msd_sort`; its
-    /// `lcp_prev` goes unused, as `PrefixThenKey` never reads one.
+    /// Depth-0 entries from the 10-byte keys, one `msd_sort`, which hands
+    /// back the depth-0 prefixes in sorted order; no `lcp_prev` is kept, as
+    /// `PrefixThenKey` never reads one.
     fn form(buf: Vec<u8>, _records: usize) -> Self {
         let records = records_of(&buf);
         let mut entries: Vec<Entry> = (0..checked_run_len(records.len(), "SortedRun formation"))
             .map(|i| entry(&records[i as usize].key, 0, i))
             .collect();
-        msd_sort(&mut entries, |i| &records[i].key);
+        let prefix = msd_sort(&mut entries, |i| &records[i].key);
         let order = entries.iter().map(|&e| e as u32).collect();
-        SortedRun { buf, order }
+        SortedRun { buf, order, prefix }
+    }
+
+    fn into_buf(self) -> Vec<u8> {
+        self.buf
     }
 
     fn len(&self) -> usize {
@@ -97,6 +109,12 @@ impl LayoutRun for SortedRun {
     fn frame_at(&self, pos: usize) -> &[u8] {
         self.record_at(pos).as_bytes()
     }
+
+    /// The formation-time table: no record is read.
+    #[inline]
+    fn prefix_at(&self, pos: usize) -> u64 {
+        self.prefix[pos]
+    }
 }
 
 /// Cuts fixed-stride input into runs of `run_records * RECORD_LEN` bytes.
@@ -107,6 +125,9 @@ pub struct StrideCutter {
     /// configuration could hold.
     reserve: usize,
     cur: Vec<u8>,
+    /// An empty buffer handed back by [`RunCutter::recycle`], taken by the
+    /// next cut.
+    spare: Option<Vec<u8>>,
     /// Absolute byte position within the input.
     abs: u64,
     skip: VecDeque<RecoveredRun>,
@@ -127,6 +148,7 @@ impl RunCutter for StrideCutter {
             run_bytes,
             reserve,
             cur: Vec::with_capacity(reserve),
+            spare: None,
             abs: 0,
             skip: skip.into(),
         }
@@ -159,7 +181,11 @@ impl RunCutter for StrideCutter {
             off += take;
             self.abs += take as u64;
             if self.cur.len() == self.run_bytes || take as u64 == until_span {
-                let full = std::mem::replace(&mut self.cur, Vec::with_capacity(self.reserve));
+                let next = self
+                    .spare
+                    .take()
+                    .unwrap_or_else(|| Vec::with_capacity(self.reserve));
+                let full = std::mem::replace(&mut self.cur, next);
                 let records = full.len() / RECORD_LEN;
                 out.push(Cut::Run(full, records));
             }
@@ -185,6 +211,11 @@ impl RunCutter for StrideCutter {
             Some(r) => Err(span_past_input(r, self.abs, "bytes")),
             None => Ok(()),
         }
+    }
+
+    fn recycle(&mut self, mut buf: Vec<u8>) {
+        buf.clear();
+        self.spare = Some(buf);
     }
 }
 
@@ -213,13 +244,60 @@ pub(crate) fn entry(key: &[u8], d: usize, idx: u32) -> Entry {
     (key_prefix_u64(rest) as u128) << 64 | clamp << 32 | idx as u128
 }
 
+/// What formation keeps of `msd_sort`'s work beside the order. Each layout
+/// allocates only the table its merge reads: the depth-0 key prefixes
+/// (`Vec<u64>`, Datamation) or `lcp_prev` (`Vec<u32>`, var-len). The hooks
+/// a table does not use compile to nothing.
+pub(crate) trait SortTable {
+    /// The table for `n` entries, before the sort.
+    fn for_len(n: usize) -> Self;
+    /// Called once with the whole slice after the depth-0 sort, before any
+    /// group re-caches deeper.
+    fn depth0(&mut self, _sorted: &[Entry]) {}
+    /// The keys at sorted positions `at` share `lcp` bytes with their
+    /// predecessors.
+    fn lcp(&mut self, _at: std::ops::Range<usize>, _lcp: u32) {}
+}
+
+/// `prefix[p]` = the depth-0 cache of sorted position `p`, which is
+/// `key_prefix_u64` of its key. Deeper re-sorts only permute within groups
+/// that share the depth-0 `(cache, clamp)`, so the value read before any
+/// group re-caches stays right at every position; the final entries of a
+/// tied group hold depth-8 caches instead.
+impl SortTable for Vec<u64> {
+    fn for_len(n: usize) -> Self {
+        Vec::with_capacity(n)
+    }
+
+    fn depth0(&mut self, sorted: &[Entry]) {
+        self.extend(sorted.iter().map(|&e| (e >> 64) as u64));
+    }
+}
+
+/// `lcp_prev[p]` = lcp of the keys at sorted positions `p - 1` and `p`
+/// (`lcp_prev[0]` = 0).
+impl SortTable for Vec<u32> {
+    fn for_len(n: usize) -> Self {
+        vec![0; n]
+    }
+
+    #[inline]
+    fn lcp(&mut self, at: std::ops::Range<usize>, lcp: u32) {
+        self[at].fill(lcp);
+    }
+}
+
 /// MSD string sort of depth-0 `entries` (arrival order); `key(i)` is record
-/// `i`'s key. Returns `lcp_prev`, written as groups split — at a boundary,
-/// `d` + the bytes both caches share up to the shorter clamp (taken before
-/// the group below re-caches); inside a group of identical keys, `d` +
-/// clamp. Pending groups sit on a heap stack, never the call stack.
-pub(crate) fn msd_sort<'k>(entries: &mut [Entry], key: impl Fn(usize) -> &'k [u8]) -> Vec<u32> {
-    let mut lcp_prev = vec![0u32; entries.len()];
+/// `i`'s key. Returns the table `T` filled as the sort goes: `lcp_prev` is
+/// written as groups split — at a boundary, `d` + the bytes both caches
+/// share up to the shorter clamp (taken before the group below re-caches);
+/// inside a group of identical keys, `d` + clamp. Pending groups sit on a
+/// heap stack, never the call stack.
+pub(crate) fn msd_sort<'k, T: SortTable>(
+    entries: &mut [Entry],
+    key: impl Fn(usize) -> &'k [u8],
+) -> T {
+    let mut table = T::for_len(entries.len());
     let mut groups = vec![(0, entries.len(), 0)];
     while let Some((lo, hi, d)) = groups.pop() {
         if d > 0 {
@@ -229,6 +307,9 @@ pub(crate) fn msd_sort<'k>(entries: &mut [Entry], key: impl Fn(usize) -> &'k [u8
             }
         }
         entries[lo..hi].sort_unstable();
+        if d == 0 {
+            table.depth0(&entries[lo..hi]);
+        }
         let mut i = lo;
         while i < hi {
             // (cache, clamp) with the index shifted out: what a group shares.
@@ -239,35 +320,57 @@ pub(crate) fn msd_sort<'k>(entries: &mut [Entry], key: impl Fn(usize) -> &'k [u8
             if i > lo {
                 let prev = entries[i - 1] >> 32;
                 let shared = ((prev >> 32) as u64 ^ cache).leading_zeros() / 8;
-                lcp_prev[i] = d as u32 + shared.min(prev as u32).min(clamp);
+                table.lcp(i..i + 1, d as u32 + shared.min(prev as u32).min(clamp));
             }
             if clamp < 8 {
                 // Every key ends within these bytes: identical keys, which
                 // the index tie-break left in arrival order.
-                lcp_prev[i + 1..j].fill(d as u32 + clamp);
+                table.lcp(i + 1..j, d as u32 + clamp);
             } else if j - i > 1 {
                 groups.push((i, j, d + 8));
             }
             i = j;
         }
     }
-    lcp_prev
+    table
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::merge::{Heads, RunCursors};
     use alphasort_dmgen::{generate, GenConfig, KeyDistribution, KEY_LEN};
 
     /// The reference shares no logic with [`form_run`]: the standard
     /// library's sort on (full key, arrival index). That order is total,
-    /// so the permutation is unique and the comparison exact.
+    /// so the permutation is unique and the comparison exact. The prefix
+    /// table must be each sorted key's `key_prefix_u64`, read directly and
+    /// through the tournament's cursors over windows that start and end
+    /// mid-run, as a partitioned merge's ranges do. Keys that tie on 8
+    /// bytes (the `DupHeavy` and shared-prefix cells) re-cache at depth 8,
+    /// so a table taken after that fails here.
     fn assert_matches_std_sort(data: Vec<u8>, what: &str) {
         let records = records_of(&data);
         let mut want: Vec<u32> = (0..records.len() as u32).collect();
         want.sort_by(|&a, &b| (&records[a as usize].key, a).cmp(&(&records[b as usize].key, b)));
         let run = form_run(data.clone());
         assert_eq!(run.order, want, "{what}");
+        let prefixes: Vec<u64> = want
+            .iter()
+            .map(|&i| key_prefix_u64(&records[i as usize].key))
+            .collect();
+        assert_eq!(run.prefix, prefixes, "{what}: prefix table");
+        let n = run.len() as u32;
+        let runs = [run];
+        for bounds in [(0, n), (n / 3, n - n / 4), (n / 2, n / 2)] {
+            let mut heads = RunCursors::new(&runs, Some(&[bounds]));
+            for p in bounds.0..bounds.1 {
+                let at = format!("{what}: window {bounds:?} at {p}");
+                assert_eq!(heads.prefix(0), prefixes[p as usize], "{at}");
+                heads.advance(0).unwrap();
+            }
+            assert!(!heads.is_live(0), "{what}");
+        }
     }
 
     /// `n` records whose keys are `key(i)`, payload zero.
@@ -297,6 +400,15 @@ mod tests {
                 assert_matches_std_sort(data, &format!("{name}, n={records}"));
             }
         }
+    }
+
+    #[test]
+    fn datamation_runs_keep_order_and_prefixes_only() {
+        // 12 bytes per record resident: no `lcp_prev` beside the two tables.
+        assert_eq!(
+            std::mem::size_of::<SortedRun>(),
+            3 * std::mem::size_of::<Vec<u8>>()
+        );
     }
 
     #[test]
@@ -342,7 +454,7 @@ mod tests {
                     .enumerate()
                     .map(|(i, k)| entry(k, 0, i as u32))
                     .collect();
-                let lcp_prev = msd_sort(&mut entries, |i| &keys[i]);
+                let lcp_prev: Vec<u32> = msd_sort(&mut entries, |i| &keys[i]);
                 let order: Vec<u32> = entries.iter().map(|&e| e as u32).collect();
                 (order, lcp_prev)
             })
@@ -364,5 +476,32 @@ mod tests {
             cutter.finish(&mut cuts).unwrap();
             assert!(matches!(&cuts[..], [Cut::Run(run, 2)] if run.len() == 200));
         }
+    }
+
+    #[test]
+    fn cutter_fills_a_recycled_buffer() {
+        // A spent run handed back is the buffer of the cut after next (the
+        // next one was taken when the spent run was cut): the same
+        // allocation, holding only the new records.
+        let mut cutter = StrideCutter::new(2, None, Vec::new());
+        let mut cuts = Vec::new();
+        cutter.push(&[1u8; 200], &mut cuts).unwrap();
+        let Some(Cut::Run(first, 2)) = cuts.pop() else {
+            panic!("one run of two records");
+        };
+        let run = form_run(first);
+        let at = run.buf.as_ptr();
+        cutter.recycle(run.into_buf());
+        cutter.push(&[2u8; 200], &mut cuts).unwrap();
+        cutter.push(&[3u8; 100], &mut cuts).unwrap();
+        cutter.finish(&mut cuts).unwrap();
+        let [Cut::Run(second, 2), Cut::Run(third, 1)] = &cuts[..] else {
+            panic!("two more runs");
+        };
+        assert_eq!(
+            (&second[..], &third[..]),
+            (&[2u8; 200][..], &[3u8; 100][..])
+        );
+        assert_eq!(third.as_ptr(), at);
     }
 }

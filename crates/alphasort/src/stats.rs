@@ -29,9 +29,11 @@ pub struct SortStats {
     pub runs: u64,
     /// Lengths of the formed runs, in records.
     pub run_lengths: Vec<u64>,
-    /// Wall time spent reading input (blocked on the source).
+    /// Wall time spent reading input: blocked on the source and, in the
+    /// sort drivers, copying each chunk into the run buffers it fills.
     pub read_wait: Duration,
-    /// Wall time spent in run formation (QuickSort / entry extraction).
+    /// Wall time spent in run formation (entry extraction and the MSD
+    /// sort, `runform::msd_sort`).
     pub sort_time: Duration,
     /// Wall time spent merging pointers.
     pub merge_time: Duration,

@@ -145,7 +145,7 @@ impl LayoutRun for VarRun {
             descs.push(d);
             off += f.len;
         }
-        let lcp_prev = msd_sort(&mut entries, |i| descs[i].key(&buf));
+        let lcp_prev: Vec<u32> = msd_sort(&mut entries, |i| descs[i].key(&buf));
         let order = entries.iter().map(|&e| e as u32).collect();
         VarRun {
             buf,
@@ -153,6 +153,10 @@ impl LayoutRun for VarRun {
             order,
             lcp_prev,
         }
+    }
+
+    fn into_buf(self) -> Vec<u8> {
+        self.buf
     }
 
     fn len(&self) -> usize {
@@ -194,6 +198,9 @@ pub struct FrameCutter {
     abs: u64,
     cur: Vec<u8>,
     cur_records: usize,
+    /// An empty buffer handed back by [`RunCutter::recycle`], taken by the
+    /// next cut.
+    spare: Vec<u8>,
     /// Absolute record index within the input.
     abs_rec: u64,
     skip: VecDeque<RecoveredRun>,
@@ -202,7 +209,8 @@ pub struct FrameCutter {
 impl FrameCutter {
     fn cut(&mut self, out: &mut Vec<Cut>) {
         let records = std::mem::take(&mut self.cur_records);
-        out.push(Cut::Run(std::mem::take(&mut self.cur), records));
+        let next = std::mem::take(&mut self.spare);
+        out.push(Cut::Run(std::mem::replace(&mut self.cur, next), records));
     }
 }
 
@@ -216,6 +224,7 @@ impl RunCutter for FrameCutter {
             abs: 0,
             cur: Vec::new(),
             cur_records: 0,
+            spare: Vec::new(),
             abs_rec: 0,
             skip: skip.into(),
         }
@@ -276,11 +285,17 @@ impl RunCutter for FrameCutter {
             None => Ok(()),
         }
     }
+
+    fn recycle(&mut self, mut buf: Vec<u8>) {
+        buf.clear();
+        self.spare = buf;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::entry::key_prefix_u64;
     use alphasort_dmgen::{
         build_var_record, generate_varlen, var_records_of, TextCorpus, VarGenConfig,
     };
@@ -321,6 +336,38 @@ mod tests {
 
     fn joined(runs: &[(Vec<u8>, usize)]) -> Vec<u8> {
         runs.iter().flat_map(|r| r.0.clone()).collect()
+    }
+
+    #[test]
+    fn cutter_fills_a_recycled_buffer() {
+        // As for the stride cutter: the cut after next reuses the spent
+        // run's allocation and holds only its own frames.
+        let buf = corpus_buf(TextCorpus::Urls, 5, 4);
+        let ends: Vec<usize> = var_records_of(&buf)
+            .unwrap()
+            .iter()
+            .scan(0, |end, r| {
+                *end += r.len();
+                Some(*end)
+            })
+            .collect();
+        let mut cutter = FrameCutter::new(2, None, Vec::new());
+        let mut cuts = Vec::new();
+        cutter.push(&buf[..ends[1]], &mut cuts).unwrap();
+        let Some(Cut::Run(first, 2)) = cuts.pop() else {
+            panic!("one run of two frames");
+        };
+        let run = VarRun::from_frames(first).unwrap();
+        let at = run.buf.as_ptr();
+        cutter.recycle(run.into_buf());
+        cutter.push(&buf[ends[1]..], &mut cuts).unwrap();
+        cutter.finish(&mut cuts).unwrap();
+        let [Cut::Run(second, 2), Cut::Run(third, 1)] = &cuts[..] else {
+            panic!("two more runs");
+        };
+        assert_eq!(second[..], buf[ends[1]..ends[3]]);
+        assert_eq!(third[..], buf[ends[3]..]);
+        assert_eq!(third.as_ptr(), at);
     }
 
     #[test]
@@ -395,7 +442,21 @@ mod tests {
         for run in [formed, run] {
             assert_eq!(run.order, order, "{what}: order");
             assert_eq!(run.lcp_prev, lcp_prev, "{what}: lcp_prev");
+            for (p, &i) in order.iter().enumerate() {
+                let want = key_prefix_u64(keys[i as usize]);
+                assert_eq!(run.prefix_at(p), want, "{what}: prefix at {p}");
+            }
         }
+    }
+
+    #[test]
+    fn formation_keeps_lcp_prev_and_no_prefix_table() {
+        // Buffer, descriptors, order and `lcp_prev`: the merge's prefix is
+        // read from the key, so no fifth table sits beside them.
+        assert_eq!(
+            std::mem::size_of::<VarRun>(),
+            4 * std::mem::size_of::<Vec<u8>>()
+        );
     }
 
     fn frames_of(keys: &[Vec<u8>]) -> Vec<u8> {

@@ -61,9 +61,11 @@ pub mod phase {
     pub const TWO_PASS: &str = "two_pass";
     /// Whole distributed-sort worker (top-level netsort span).
     pub const NET_WORKER: &str = "net.worker";
-    /// Blocked reading input from the source.
+    /// Reading input: blocked on the source and, in the sort drivers, the
+    /// copy of each chunk into the run buffers it fills.
     pub const READ: &str = "read";
-    /// QuickSort run formation (one span per run, often on pool threads).
+    /// Run formation, the MSD sort (one span per run, often on pool
+    /// threads).
     pub const SORT: &str = "sort";
     /// Tournament merge of run pointers / run streams.
     pub const MERGE: &str = "merge";

@@ -236,7 +236,7 @@ fn netsort(flags: &Flags) -> Result<(), Stop> {
         st.partition_sizes,
     );
     eprintln!(
-        "local pipeline: quicksort {:.3} s, merge {:.3} s, gather {:.3} s, {} pass(es)",
+        "local pipeline: runform {:.3} s, merge {:.3} s, gather {:.3} s, {} pass(es)",
         st.sort_time.as_secs_f64(),
         st.merge_time.as_secs_f64(),
         st.gather_time.as_secs_f64(),

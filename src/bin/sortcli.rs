@@ -259,7 +259,7 @@ fn sortcli(flags: &Flags) -> Result<(), Stop> {
     }
     eprintln!(
         "sorted {} records in {:.3} s ({:.1} MB/s): {} runs, \
-         quicksort {:.3} s, merge {:.3} s, gather {:.3} s, {} pass(es)",
+         runform {:.3} s, merge {:.3} s, gather {:.3} s, {} pass(es)",
         st.records,
         st.elapsed.as_secs_f64(),
         st.throughput_mbps(),
