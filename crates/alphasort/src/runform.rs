@@ -9,7 +9,7 @@
 //! share 8 bytes. Arrival index last makes the permutation unique, so every
 //! driver configuration is byte-identical to a stable sort. Each layout
 //! keeps one table of the sort's work beside the order, the one its merge
-//! reads ([`SortTable`]): Datamation runs keep the depth-0 key prefixes, so
+//! reads (`SortTable`): Datamation runs keep the depth-0 key prefixes, so
 //! the tournament compares §7's key-prefixes without touching a record;
 //! var-len runs keep the `lcp_prev` the splits yield, for their OVC merge.
 //! The QuickSort over §4's other representations is an exhibit, in

@@ -48,13 +48,6 @@ impl MemStorage {
         Self::default()
     }
 
-    /// Store pre-initialized with `data`.
-    pub fn with_data(data: Vec<u8>) -> Self {
-        MemStorage {
-            data: RwLock::new(data),
-        }
-    }
-
     /// Copy out the full current image (tests).
     pub fn snapshot(&self) -> Vec<u8> {
         self.data.read().unwrap().clone()

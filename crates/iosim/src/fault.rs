@@ -1,44 +1,39 @@
 //! Programmable fault injection for robustness testing.
 //!
-//! [`FaultyStorage`] wraps any [`Storage`] and applies a [`FaultPlan`]:
-//! error out or corrupt the N-th read or write. Integration tests use this
-//! to prove that the sort surfaces IO failures as errors and that the
+//! One rule engine serves every layer that injects faults: a [`FaultPlan`]
+//! counts each layer's operations per [`Dir`]ection and says, per
+//! operation, which planned fault (if any) fires. The layer only applies
+//! it. Here [`FaultyStorage`] wraps any [`Storage`] and fails or corrupts
+//! reads and writes; netsort's `FaultyTransport` drops, delays, fails,
+//! corrupts or crashes on the same plan. Integration tests use these to
+//! prove that the sort surfaces IO failures as errors and that the
 //! validator catches silent corruption.
 
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::backend::Storage;
 
-/// One injected failure.
-#[derive(Clone, Debug)]
-pub enum Fault {
-    /// The matching read fails with this error kind.
-    ReadError(io::ErrorKind),
-    /// The matching write fails with this error kind.
-    WriteError(io::ErrorKind),
-    /// The matching read succeeds but one byte is flipped (silent corruption).
-    CorruptRead {
-        /// Index of the byte within the read buffer to flip.
-        byte: usize,
-    },
-    /// The matching write succeeds but one byte is flipped on media.
-    CorruptWrite {
-        /// Index of the byte within the written data to flip.
-        byte: usize,
-    },
+/// Which way an operation moves data: storage reads and network receives
+/// are `In`; writes and sends are `Out`. Each direction has its own
+/// 0-based operation counter.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Dir {
+    /// Reads and receives.
+    In,
+    /// Writes and sends.
+    Out,
 }
 
-/// When a fault rule fires, against a 0-based per-kind operation counter
-/// (reads and writes counted separately).
+/// When a rule fires, against its direction's 0-based operation counter.
 #[derive(Clone, Copy, Debug)]
-enum When {
-    /// Exactly the `n`-th operation; the rule is consumed when it fires.
+pub enum When {
+    /// Exactly the `n`-th operation; the rule is used up when it fires.
     Nth(u64),
-    /// Every `n`-th operation (ops `n-1`, `2n-1`, …); never consumed.
+    /// Every `n`-th operation (ops `n-1`, `2n-1`, …); never used up.
     Every(u64),
-    /// Every operation from the `n`-th onward; never consumed.
+    /// Every operation from the `n`-th onward (a disk that dies and stays
+    /// dead); never used up.
     After(u64),
 }
 
@@ -50,176 +45,134 @@ impl When {
             When::After(n) => op >= n,
         }
     }
+}
 
-    fn recurring(self) -> bool {
-        !matches!(self, When::Nth(_))
+/// Rules of the form "in direction `dir`, when `when`, inject `F`", plus
+/// the operation counters they fire against. One-shot (`Nth`) rules are
+/// used up when they fire; recurring (`Every`, `After`) rules stay, which
+/// is what retry-budget tests need (a disk that *keeps* failing, not one
+/// that hiccups once). The first rule that fires wins.
+#[derive(Clone, Debug)]
+pub struct FaultPlan<F> {
+    rules: Vec<(Dir, When, F)>,
+    ops: [u64; 2],
+}
+
+impl<F> Default for FaultPlan<F> {
+    fn default() -> Self {
+        FaultPlan {
+            rules: Vec::new(),
+            ops: [0; 2],
+        }
     }
 }
 
-/// When faults fire: one-shot on the `op`-th read or write (0-based, counted
-/// separately for reads and writes), or recurring — every `n`-th operation,
-/// or every operation past the `n`-th. One-shot rules are consumed when they
-/// fire; recurring rules persist, which is what retry-budget tests need (a
-/// disk that *keeps* failing, not one that hiccups once).
-#[derive(Clone, Debug, Default)]
-pub struct FaultPlan {
-    read_faults: Vec<(When, Fault)>,
-    write_faults: Vec<(When, Fault)>,
-}
-
-impl FaultPlan {
+impl<F: Clone> FaultPlan<F> {
     /// Empty plan (no faults).
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Fail the `n`-th read with `kind`.
-    pub fn fail_read(mut self, n: u64, kind: io::ErrorKind) -> Self {
-        self.read_faults
-            .push((When::Nth(n), Fault::ReadError(kind)));
-        self
-    }
-
-    /// Fail the `n`-th write with `kind`.
-    pub fn fail_write(mut self, n: u64, kind: io::ErrorKind) -> Self {
-        self.write_faults
-            .push((When::Nth(n), Fault::WriteError(kind)));
-        self
-    }
-
-    /// Fail every `n`-th read with `kind`, forever (reads `n-1`, `2n-1`, …).
+    /// Inject `fault` on the `dir` operations that `when` picks.
     ///
     /// # Panics
-    /// If `n` is zero.
-    pub fn fail_read_every(mut self, n: u64, kind: io::ErrorKind) -> Self {
-        assert!(n > 0, "fail_read_every period must be positive");
-        self.read_faults
-            .push((When::Every(n), Fault::ReadError(kind)));
+    /// If `when` is `Every(0)`.
+    pub fn on(mut self, dir: Dir, when: When, fault: F) -> Self {
+        assert!(
+            !matches!(when, When::Every(0)),
+            "When::Every period must be positive"
+        );
+        self.rules.push((dir, when, fault));
         self
     }
 
-    /// Fail every `n`-th write with `kind`, forever (writes `n-1`, `2n-1`, …).
-    ///
-    /// # Panics
-    /// If `n` is zero.
-    pub fn fail_write_every(mut self, n: u64, kind: io::ErrorKind) -> Self {
-        assert!(n > 0, "fail_write_every period must be positive");
-        self.write_faults
-            .push((When::Every(n), Fault::WriteError(kind)));
-        self
+    /// Count one `dir` operation: its 0-based index, and the fault that
+    /// fires on it, if any.
+    pub fn next(&mut self, dir: Dir) -> (u64, Option<F>) {
+        let op = self.ops[dir as usize];
+        self.ops[dir as usize] += 1;
+        let fired = self
+            .rules
+            .iter()
+            .position(|&(d, w, _)| d == dir && w.fires(op));
+        let fault = fired.map(|i| match self.rules[i].1 {
+            When::Nth(_) => self.rules.remove(i).2,
+            _ => self.rules[i].2.clone(),
+        });
+        (op, fault)
     }
+}
 
-    /// Fail every read from the `n`-th onward with `kind` (a disk that dies
-    /// and stays dead).
-    pub fn fail_read_after(mut self, n: u64, kind: io::ErrorKind) -> Self {
-        self.read_faults
-            .push((When::After(n), Fault::ReadError(kind)));
-        self
-    }
-
-    /// Fail every write from the `n`-th onward with `kind`.
-    pub fn fail_write_after(mut self, n: u64, kind: io::ErrorKind) -> Self {
-        self.write_faults
-            .push((When::After(n), Fault::WriteError(kind)));
-        self
-    }
-
-    /// Silently corrupt byte `byte` of the `n`-th read.
-    pub fn corrupt_read(mut self, n: u64, byte: usize) -> Self {
-        self.read_faults
-            .push((When::Nth(n), Fault::CorruptRead { byte }));
-        self
-    }
-
-    /// Silently corrupt byte `byte` of the `n`-th write.
-    pub fn corrupt_write(mut self, n: u64, byte: usize) -> Self {
-        self.write_faults
-            .push((When::Nth(n), Fault::CorruptWrite { byte }));
-        self
-    }
+/// One injected storage failure; the rule's [`Dir`] says whether it hits a
+/// read or a write.
+#[derive(Clone, Debug)]
+pub enum Fault {
+    /// The operation fails with this error kind.
+    Fail(io::ErrorKind),
+    /// The operation succeeds but one byte is flipped: in the caller's
+    /// buffer on a read, on media on a write (silent corruption).
+    Corrupt {
+        /// Index of the byte within the buffer to flip.
+        byte: usize,
+    },
 }
 
 /// Storage wrapper that injects the planned faults.
 pub struct FaultyStorage {
     inner: Arc<dyn Storage>,
-    plan: Mutex<FaultPlan>,
-    reads: AtomicU64,
-    writes: AtomicU64,
+    plan: Mutex<FaultPlan<Fault>>,
 }
 
 impl FaultyStorage {
     /// Wrap `inner` with `plan`.
-    pub fn new(inner: Arc<dyn Storage>, plan: FaultPlan) -> Self {
+    pub fn new(inner: Arc<dyn Storage>, plan: FaultPlan<Fault>) -> Self {
         FaultyStorage {
             inner,
             plan: Mutex::new(plan),
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
         }
     }
 
-    fn take_read_fault(&self, op: u64) -> Option<Fault> {
-        let mut plan = self.plan.lock().unwrap();
-        let idx = plan.read_faults.iter().position(|(w, _)| w.fires(op))?;
-        if plan.read_faults[idx].0.recurring() {
-            Some(plan.read_faults[idx].1.clone())
-        } else {
-            Some(plan.read_faults.remove(idx).1)
-        }
+    /// Holds the plan's lock for the rule lookup only, never across the IO.
+    fn next(&self, dir: Dir) -> (u64, Option<Fault>) {
+        self.plan.lock().unwrap().next(dir)
     }
+}
 
-    fn take_write_fault(&self, op: u64) -> Option<Fault> {
-        let mut plan = self.plan.lock().unwrap();
-        let idx = plan.write_faults.iter().position(|(w, _)| w.fires(op))?;
-        if plan.write_faults[idx].0.recurring() {
-            Some(plan.write_faults[idx].1.clone())
-        } else {
-            Some(plan.write_faults.remove(idx).1)
-        }
+fn flip(buf: &mut [u8], byte: usize) {
+    if let Some(b) = buf.get_mut(byte) {
+        *b ^= 0xFF;
     }
 }
 
 impl Storage for FaultyStorage {
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
-        let op = self.reads.fetch_add(1, Ordering::Relaxed);
-        match self.take_read_fault(op) {
-            Some(Fault::ReadError(kind)) => {
-                return Err(io::Error::new(
-                    kind,
-                    format!("injected read fault at op {op}"),
-                ));
-            }
-            Some(Fault::CorruptRead { byte }) => {
+        match self.next(Dir::In) {
+            (op, Some(Fault::Fail(kind))) => Err(io::Error::new(
+                kind,
+                format!("injected read fault at op {op}"),
+            )),
+            (_, Some(Fault::Corrupt { byte })) => {
                 self.inner.read_at(offset, buf)?;
-                if let Some(b) = buf.get_mut(byte) {
-                    *b ^= 0xFF;
-                }
-                return Ok(());
+                flip(buf, byte);
+                Ok(())
             }
-            _ => {}
+            (_, None) => self.inner.read_at(offset, buf),
         }
-        self.inner.read_at(offset, buf)
     }
 
     fn write_at(&self, offset: u64, data: &[u8]) -> io::Result<()> {
-        let op = self.writes.fetch_add(1, Ordering::Relaxed);
-        match self.take_write_fault(op) {
-            Some(Fault::WriteError(kind)) => {
-                return Err(io::Error::new(
-                    kind,
-                    format!("injected write fault at op {op}"),
-                ));
-            }
-            Some(Fault::CorruptWrite { byte }) => {
+        match self.next(Dir::Out) {
+            (op, Some(Fault::Fail(kind))) => Err(io::Error::new(
+                kind,
+                format!("injected write fault at op {op}"),
+            )),
+            (_, Some(Fault::Corrupt { byte })) => {
                 let mut copy = data.to_vec();
-                if let Some(b) = copy.get_mut(byte) {
-                    *b ^= 0xFF;
-                }
-                return self.inner.write_at(offset, &copy);
+                flip(&mut copy, byte);
+                self.inner.write_at(offset, &copy)
             }
-            _ => {}
+            (_, None) => self.inner.write_at(offset, data),
         }
-        self.inner.write_at(offset, data)
     }
 
     fn len(&self) -> u64 {
@@ -236,7 +189,7 @@ mod tests {
     use super::*;
     use crate::backend::MemStorage;
 
-    fn faulty(plan: FaultPlan) -> FaultyStorage {
+    fn faulty(plan: FaultPlan<Fault>) -> FaultyStorage {
         FaultyStorage::new(Arc::new(MemStorage::new()), plan)
     }
 
@@ -251,7 +204,11 @@ mod tests {
 
     #[test]
     fn nth_read_fails_once() {
-        let s = faulty(FaultPlan::new().fail_read(1, io::ErrorKind::TimedOut));
+        let s = faulty(FaultPlan::new().on(
+            Dir::In,
+            When::Nth(1),
+            Fault::Fail(io::ErrorKind::TimedOut),
+        ));
         s.write_at(0, b"abcd").unwrap();
         let mut buf = [0u8; 4];
         s.read_at(0, &mut buf).unwrap(); // read 0: fine
@@ -262,7 +219,11 @@ mod tests {
 
     #[test]
     fn nth_write_fails() {
-        let s = faulty(FaultPlan::new().fail_write(0, io::ErrorKind::WriteZero));
+        let s = faulty(FaultPlan::new().on(
+            Dir::Out,
+            When::Nth(0),
+            Fault::Fail(io::ErrorKind::WriteZero),
+        ));
         assert_eq!(
             s.write_at(0, b"x").unwrap_err().kind(),
             io::ErrorKind::WriteZero
@@ -272,7 +233,7 @@ mod tests {
 
     #[test]
     fn corrupt_read_flips_one_byte() {
-        let s = faulty(FaultPlan::new().corrupt_read(0, 2));
+        let s = faulty(FaultPlan::new().on(Dir::In, When::Nth(0), Fault::Corrupt { byte: 2 }));
         s.write_at(0, b"abcd").unwrap();
         let mut buf = [0u8; 4];
         s.read_at(0, &mut buf).unwrap();
@@ -282,7 +243,7 @@ mod tests {
 
     #[test]
     fn corrupt_write_lands_on_media() {
-        let s = faulty(FaultPlan::new().corrupt_write(0, 0));
+        let s = faulty(FaultPlan::new().on(Dir::Out, When::Nth(0), Fault::Corrupt { byte: 0 }));
         s.write_at(0, b"zz").unwrap();
         let mut buf = [0u8; 2];
         s.read_at(0, &mut buf).unwrap();
@@ -292,7 +253,11 @@ mod tests {
 
     #[test]
     fn every_nth_read_fails_forever() {
-        let s = faulty(FaultPlan::new().fail_read_every(3, io::ErrorKind::TimedOut));
+        let s = faulty(FaultPlan::new().on(
+            Dir::In,
+            When::Every(3),
+            Fault::Fail(io::ErrorKind::TimedOut),
+        ));
         s.write_at(0, b"abcd").unwrap();
         let mut buf = [0u8; 4];
         // Every 3rd read fails, i.e. ops where (op + 1) % 3 == 0.
@@ -307,7 +272,11 @@ mod tests {
 
     #[test]
     fn every_first_means_all_ops_fail() {
-        let s = faulty(FaultPlan::new().fail_write_every(1, io::ErrorKind::WriteZero));
+        let s = faulty(FaultPlan::new().on(
+            Dir::Out,
+            When::Every(1),
+            Fault::Fail(io::ErrorKind::WriteZero),
+        ));
         for _ in 0..5 {
             assert_eq!(
                 s.write_at(0, b"x").unwrap_err().kind(),
@@ -318,7 +287,11 @@ mod tests {
 
     #[test]
     fn after_n_the_disk_stays_dead() {
-        let s = faulty(FaultPlan::new().fail_write_after(2, io::ErrorKind::PermissionDenied));
+        let s = faulty(FaultPlan::new().on(
+            Dir::Out,
+            When::After(2),
+            Fault::Fail(io::ErrorKind::PermissionDenied),
+        ));
         s.write_at(0, b"a").unwrap(); // op 0
         s.write_at(0, b"b").unwrap(); // op 1
         for _ in 0..4 {
@@ -332,7 +305,11 @@ mod tests {
 
     #[test]
     fn recurring_read_after() {
-        let s = faulty(FaultPlan::new().fail_read_after(1, io::ErrorKind::TimedOut));
+        let s = faulty(FaultPlan::new().on(
+            Dir::In,
+            When::After(1),
+            Fault::Fail(io::ErrorKind::TimedOut),
+        ));
         s.write_at(0, b"zz").unwrap();
         let mut buf = [0u8; 2];
         s.read_at(0, &mut buf).unwrap(); // op 0 fine
@@ -341,12 +318,20 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "period must be positive")]
+    fn every_zero_is_refused() {
+        let _ = FaultPlan::new().on(Dir::In, When::Every(0), Fault::Corrupt { byte: 0 });
+    }
+
+    #[test]
     fn works_behind_a_sim_disk() {
         use crate::catalog;
         use crate::disk::{Pacing, SimDisk};
-        let storage = Arc::new(faulty(
-            FaultPlan::new().fail_read(0, io::ErrorKind::Interrupted),
-        ));
+        let storage = Arc::new(faulty(FaultPlan::new().on(
+            Dir::In,
+            When::Nth(0),
+            Fault::Fail(io::ErrorKind::Interrupted),
+        )));
         let d = SimDisk::new("f0", catalog::uncapped(), storage, Pacing::Modeled, None);
         d.write(0, b"data").unwrap();
         assert!(d.read(0, 4).is_err());

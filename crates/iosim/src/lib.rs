@@ -18,8 +18,9 @@
 //! * [`IoEngine`] provides asynchronous submission with per-disk IO threads
 //!   and completion handles — the same NoWait-QIO pattern AlphaSort uses on
 //!   OpenVMS to overlap IO with sorting.
-//! * [`fault`] wraps a backing store with programmable failures for
-//!   robustness testing.
+//! * [`fault`] holds the one fault-injection rule engine, [`FaultPlan`],
+//!   which netsort's transport shares, and wraps a backing store with
+//!   programmable read and write failures for robustness testing.
 //!
 //! Modeled time vs. paced time: every operation always accrues *modeled* busy
 //! time on its disk and controller (deterministic, independent of the host).
@@ -56,5 +57,5 @@ pub use array::{ArrayStats, BackendKind, DiskArray, DiskArrayBuilder};
 pub use backend::{FileStorage, MemStorage, Storage};
 pub use disk::{ControllerShare, DiskStats, Pacing, SimDisk};
 pub use engine::{IoEngine, IoHandle};
-pub use fault::{Fault, FaultPlan, FaultyStorage};
+pub use fault::{Dir, Fault, FaultPlan, FaultyStorage, When};
 pub use spec::{ControllerSpec, DiskSpec};

@@ -6,7 +6,8 @@ use std::sync::Arc;
 
 use alphasort_dmgen::SplitMix64;
 use alphasort_iosim::{
-    catalog, FaultPlan, FaultyStorage, IoEngine, MemStorage, Pacing, SimDisk, Storage,
+    catalog, Dir, Fault, FaultPlan, FaultyStorage, IoEngine, MemStorage, Pacing, SimDisk, Storage,
+    When,
 };
 
 #[derive(Debug, Clone)]
@@ -163,7 +164,11 @@ fn fault_plan_fires_exactly_once() {
         let total_reads = 21 + r.next_below(19);
         let storage = FaultyStorage::new(
             Arc::new(MemStorage::new()),
-            FaultPlan::new().fail_read(fail_at, std::io::ErrorKind::TimedOut),
+            FaultPlan::new().on(
+                Dir::In,
+                When::Nth(fail_at),
+                Fault::Fail(std::io::ErrorKind::TimedOut),
+            ),
         );
         storage.write_at(0, &[7u8; 64]).unwrap();
         let mut failures = Vec::new();

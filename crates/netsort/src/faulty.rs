@@ -1,14 +1,13 @@
-//! Programmable fault injection for the exchange transport — the network
-//! sibling of iosim's `FaultyStorage`/`FaultPlan`.
+//! Fault injection for the exchange transport, on iosim's rule engine.
 //!
 //! [`FaultyTransport`] wraps any [`Transport`] and applies a
-//! [`NetFaultPlan`]: drop, delay or fail the N-th *sent* frame, corrupt
-//! the N-th *received* frame on the (emulated) wire, or crash the node
-//! after its N-th send. Sends and receives are counted separately,
-//! 0-based, mirroring the iosim builder style. The chaos matrix in
-//! `tests/chaos.rs` uses this to prove the distributed sort either
-//! completes correctly or fails fast with a correctly attributed error —
-//! never a hang, never silent corruption.
+//! [`FaultPlan<NetFault>`](FaultPlan): sends are [`Dir::Out`] operations,
+//! received frames [`Dir::In`], each counted 0-based, and every rule is
+//! one-shot or recurring ([`When`](alphasort_iosim::fault::When)). A send can be dropped, delayed, failed or followed by
+//! a crash; a received frame can be corrupted on the (emulated) wire. The
+//! chaos matrix in `tests/chaos.rs` uses this to prove the distributed sort
+//! either completes correctly or fails fast with a correctly attributed
+//! error — never a hang, never silent corruption.
 //!
 //! Corruption is injected the way a real wire would produce it: the frame
 //! is serialized through [`Frame::write_to`] (which appends the CRC32C
@@ -21,27 +20,31 @@ use std::io;
 use std::thread;
 use std::time::Duration;
 
+use alphasort_iosim::fault::{Dir, FaultPlan};
+
 use crate::frame::{Frame, HEADER_LEN, TRAILER_LEN};
 use crate::transport::Transport;
 
-/// One injected network failure.
+/// One injected network failure. `Drop`, `Delay`, `Fail` and `Kill` apply
+/// to sends, `Corrupt` to received frames; a rule whose fault does not
+/// apply in its direction lets the operation through.
 #[derive(Clone, Debug)]
 pub enum NetFault {
-    /// The matching send vanishes on the wire: the call succeeds but the
-    /// peer never sees the frame (a lost packet past the transport's care).
-    DropSend,
-    /// The matching send is stalled for this long before delivery (a
-    /// congested or flapping link).
-    DelaySend(Duration),
-    /// The matching send fails locally with this error kind (NIC error).
-    FailSend(io::ErrorKind),
-    /// After the matching send completes, the node "crashes": every later
-    /// send and receive fails with `ConnectionAborted`.
-    KillAfterSend,
-    /// The matching received frame has payload byte `byte` flipped on the
-    /// wire, after integrity protection was applied — surfaces as the CRC
+    /// The send vanishes on the wire: the call succeeds but the peer never
+    /// sees the frame (a lost packet past the transport's care).
+    Drop,
+    /// The send is stalled for this long before delivery (a congested or
+    /// flapping link).
+    Delay(Duration),
+    /// The send fails locally with this error kind (NIC error).
+    Fail(io::ErrorKind),
+    /// After the send completes, the node "crashes": every later send and
+    /// receive fails with `ConnectionAborted`.
+    Kill,
+    /// The received frame has payload byte `byte` flipped on the wire,
+    /// after integrity protection was applied — surfaces as the CRC
     /// `InvalidData` error naming the sending peer.
-    CorruptRecv {
+    Corrupt {
         /// Index of the byte within the frame payload to flip (clamped to
         /// the payload; frames without a payload flip a header byte, which
         /// the CRC catches just the same).
@@ -49,81 +52,21 @@ pub enum NetFault {
     },
 }
 
-/// When faults fire: on the `op`-th send or receive (0-based, counted
-/// separately), iosim's `FaultPlan` builder style.
-#[derive(Clone, Debug, Default)]
-pub struct NetFaultPlan {
-    send_faults: Vec<(u64, NetFault)>,
-    recv_faults: Vec<(u64, NetFault)>,
-}
-
-impl NetFaultPlan {
-    /// Empty plan (no faults).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Silently drop the `n`-th sent frame.
-    pub fn drop_send(mut self, n: u64) -> Self {
-        self.send_faults.push((n, NetFault::DropSend));
-        self
-    }
-
-    /// Delay the `n`-th sent frame by `by`.
-    pub fn delay_send(mut self, n: u64, by: Duration) -> Self {
-        self.send_faults.push((n, NetFault::DelaySend(by)));
-        self
-    }
-
-    /// Fail the `n`-th send with `kind`.
-    pub fn fail_send(mut self, n: u64, kind: io::ErrorKind) -> Self {
-        self.send_faults.push((n, NetFault::FailSend(kind)));
-        self
-    }
-
-    /// Crash the node right after its `n`-th send completes.
-    pub fn kill_after_send(mut self, n: u64) -> Self {
-        self.send_faults.push((n, NetFault::KillAfterSend));
-        self
-    }
-
-    /// Flip payload byte `byte` of the `n`-th received frame on the wire.
-    pub fn corrupt_recv(mut self, n: u64, byte: usize) -> Self {
-        self.recv_faults.push((n, NetFault::CorruptRecv { byte }));
-        self
-    }
-
-    fn take(faults: &mut Vec<(u64, NetFault)>, op: u64) -> Option<NetFault> {
-        let idx = faults.iter().position(|(n, _)| *n == op)?;
-        Some(faults.remove(idx).1)
-    }
-}
-
 /// Transport wrapper that injects the planned faults.
 pub struct FaultyTransport<T> {
     inner: T,
-    plan: NetFaultPlan,
-    sends: u64,
-    recvs: u64,
+    plan: FaultPlan<NetFault>,
     dead: bool,
 }
 
 impl<T: Transport> FaultyTransport<T> {
     /// Wrap `inner` with `plan`.
-    pub fn new(inner: T, plan: NetFaultPlan) -> Self {
+    pub fn new(inner: T, plan: FaultPlan<NetFault>) -> Self {
         FaultyTransport {
             inner,
             plan,
-            sends: 0,
-            recvs: 0,
             dead: false,
         }
-    }
-
-    /// The wrapped transport (for transport-specific hooks like
-    /// `TcpTransport::kill_connection`).
-    pub fn inner_mut(&mut self) -> &mut T {
-        &mut self.inner
     }
 
     fn crashed() -> io::Error {
@@ -158,10 +101,8 @@ impl<T: Transport> FaultyTransport<T> {
     }
 
     fn post_recv(&mut self, frame: Frame) -> io::Result<Frame> {
-        let op = self.recvs;
-        self.recvs += 1;
-        match NetFaultPlan::take(&mut self.plan.recv_faults, op) {
-            Some(NetFault::CorruptRecv { byte }) => Err(Self::corrupt_on_wire(&frame, byte)),
+        match self.plan.next(Dir::In) {
+            (_, Some(NetFault::Corrupt { byte })) => Err(Self::corrupt_on_wire(&frame, byte)),
             _ => Ok(frame),
         }
     }
@@ -180,19 +121,17 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         if self.dead {
             return Err(Self::crashed());
         }
-        let op = self.sends;
-        self.sends += 1;
-        match NetFaultPlan::take(&mut self.plan.send_faults, op) {
-            Some(NetFault::DropSend) => Ok(()),
-            Some(NetFault::DelaySend(by)) => {
+        match self.plan.next(Dir::Out) {
+            (_, Some(NetFault::Drop)) => Ok(()),
+            (_, Some(NetFault::Delay(by))) => {
                 thread::sleep(by);
                 self.inner.send(to, frame)
             }
-            Some(NetFault::FailSend(kind)) => Err(io::Error::new(
+            (op, Some(NetFault::Fail(kind))) => Err(io::Error::new(
                 kind,
                 format!("injected send fault at op {op}"),
             )),
-            Some(NetFault::KillAfterSend) => {
+            (_, Some(NetFault::Kill)) => {
                 let result = self.inner.send(to, frame);
                 self.dead = true;
                 result
@@ -230,8 +169,9 @@ impl<T: Transport> Transport for FaultyTransport<T> {
 mod tests {
     use super::*;
     use crate::transport::loopback_cluster;
+    use alphasort_iosim::fault::When;
 
-    fn pair(plan0: NetFaultPlan) -> (FaultyTransport<impl Transport>, impl Transport) {
+    fn pair(plan0: FaultPlan<NetFault>) -> (FaultyTransport<impl Transport>, impl Transport) {
         let mut cluster = loopback_cluster(2);
         let b = cluster.remove(1);
         let a = cluster.remove(0);
@@ -240,7 +180,7 @@ mod tests {
 
     #[test]
     fn dropped_send_never_arrives() {
-        let (mut a, mut b) = pair(NetFaultPlan::new().drop_send(0));
+        let (mut a, mut b) = pair(FaultPlan::new().on(Dir::Out, When::Nth(0), NetFault::Drop));
         a.send(1, Frame::Done { from: 0 }).unwrap();
         a.send(1, Frame::Bye { from: 0 }).unwrap();
         // Only the second frame shows up.
@@ -251,7 +191,11 @@ mod tests {
 
     #[test]
     fn delayed_send_arrives_late_but_intact() {
-        let (mut a, mut b) = pair(NetFaultPlan::new().delay_send(0, Duration::from_millis(40)));
+        let (mut a, mut b) = pair(FaultPlan::new().on(
+            Dir::Out,
+            When::Nth(0),
+            NetFault::Delay(Duration::from_millis(40)),
+        ));
         let t0 = std::time::Instant::now();
         a.send(1, Frame::Done { from: 0 }).unwrap();
         assert!(t0.elapsed() >= Duration::from_millis(40));
@@ -260,7 +204,11 @@ mod tests {
 
     #[test]
     fn failed_send_surfaces_locally() {
-        let (mut a, _b) = pair(NetFaultPlan::new().fail_send(1, io::ErrorKind::BrokenPipe));
+        let (mut a, _b) = pair(FaultPlan::new().on(
+            Dir::Out,
+            When::Nth(1),
+            NetFault::Fail(io::ErrorKind::BrokenPipe),
+        ));
         a.send(1, Frame::Done { from: 0 }).unwrap();
         let err = a.send(1, Frame::Done { from: 0 }).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
@@ -269,7 +217,7 @@ mod tests {
 
     #[test]
     fn killed_node_stops_communicating() {
-        let (mut a, mut b) = pair(NetFaultPlan::new().kill_after_send(0));
+        let (mut a, mut b) = pair(FaultPlan::new().on(Dir::Out, When::Nth(0), NetFault::Kill));
         a.send(1, Frame::Done { from: 0 }).unwrap(); // delivered, then crash
         assert_eq!(b.recv().unwrap(), Frame::Done { from: 0 });
         assert_eq!(
@@ -288,7 +236,10 @@ mod tests {
         let mut cluster = loopback_cluster(2);
         let b = cluster.remove(1);
         let mut a = cluster.remove(0);
-        let mut b = FaultyTransport::new(b, NetFaultPlan::new().corrupt_recv(0, 3));
+        let mut b = FaultyTransport::new(
+            b,
+            FaultPlan::new().on(Dir::In, When::Nth(0), NetFault::Corrupt { byte: 3 }),
+        );
         a.send(
             1,
             Frame::Data {
@@ -308,7 +259,10 @@ mod tests {
         let mut cluster = loopback_cluster(2);
         let b = cluster.remove(1);
         let mut a = cluster.remove(0);
-        let mut b = FaultyTransport::new(b, NetFaultPlan::new().corrupt_recv(0, 0));
+        let mut b = FaultyTransport::new(
+            b,
+            FaultPlan::new().on(Dir::In, When::Nth(0), NetFault::Corrupt { byte: 0 }),
+        );
         a.send(1, Frame::Done { from: 0 }).unwrap();
         let err = b.recv().unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");

@@ -27,7 +27,8 @@
 //!   worker that fails locally broadcasts [`Frame::Abort`] so the rest of
 //!   the cluster stops promptly with a [`RemoteAbort`] error. The
 //!   [`faulty`] module's [`FaultyTransport`] injects drop/delay/corrupt/
-//!   crash faults to prove all of this under test.
+//!   crash faults, one-shot or recurring, from the same `FaultPlan` rule
+//!   engine iosim's disks use, to prove all of this under test.
 //!
 //! Exchange-phase counters (bytes shipped, wait time, partition skew) land
 //! in the shared [`SortStats`](alphasort_core::SortStats).
@@ -49,7 +50,7 @@ pub mod tcp;
 pub mod transport;
 pub mod worker;
 
-pub use faulty::{FaultyTransport, NetFault, NetFaultPlan};
+pub use faulty::{FaultyTransport, NetFault};
 pub use frame::{crc32c, Frame, MAX_PAYLOAD};
 pub use tcp::{bind_cluster, connect_with_retry, AcceptLoop, RetryPolicy, TcpTransport};
 pub use transport::{loopback_cluster, LoopbackTransport, Transport};

@@ -5,8 +5,9 @@
 //! watchdog), never silently mis-sorted output.
 //!
 //! Fault injection comes from two layers: [`FaultyTransport`] wraps any
-//! transport with a [`NetFaultPlan`] (drop/delay/corrupt/crash the N-th
-//! frame, mirroring iosim's `FaultPlan` builder), and
+//! transport with a [`FaultPlan`] of [`NetFault`]s — iosim's rule engine,
+//! so a frame can be dropped, delayed, corrupted or followed by a crash
+//! once (`When::Nth`) or from some send on (`When::After`) — and
 //! `TcpTransport::kill_connection` cuts a live socket mid-protocol.
 
 use std::io;
@@ -16,8 +17,9 @@ use std::time::{Duration, Instant};
 use alphasort_core::io::{MemSink, MemSource};
 use alphasort_core::SortConfig;
 use alphasort_dmgen::{generate, validate_records, GenConfig};
+use alphasort_iosim::fault::{Dir, FaultPlan, When};
 use alphasort_netsort::{
-    bind_cluster, remote_abort_of, run_worker, split_shares, FaultyTransport, NetFaultPlan,
+    bind_cluster, remote_abort_of, run_worker, split_shares, FaultyTransport, NetFault,
     NetsortConfig, RetryPolicy, TcpTransport, Transport,
 };
 
@@ -94,7 +96,7 @@ fn run_cluster<T: Transport + 'static>(
 
 fn loopback_faulty(
     nodes: usize,
-    mut plans: Vec<(usize, NetFaultPlan)>,
+    mut plans: Vec<(usize, FaultPlan<NetFault>)>,
 ) -> Vec<FaultyTransport<alphasort_netsort::LoopbackTransport>> {
     alphasort_netsort::loopback_cluster(nodes)
         .into_iter()
@@ -205,9 +207,9 @@ fn tcp_node_killed_mid_exchange_fails_promptly_on_survivors() {
             .enumerate()
             .map(|(i, t)| {
                 let plan = if i == killer {
-                    NetFaultPlan::new().kill_after_send(2)
+                    FaultPlan::new().on(Dir::Out, When::Nth(2), NetFault::Kill)
                 } else {
-                    NetFaultPlan::new()
+                    FaultPlan::new()
                 };
                 FaultyTransport::new(t, plan)
             })
@@ -251,10 +253,7 @@ fn loopback_silent_node_times_out_naming_phase_and_node() {
         let (input, _) = generate(GenConfig::datamation(1_000, 0x51_u64));
         // The last node drops every frame it ever sends — a live process
         // whose network goes nowhere (grey failure).
-        let mut plan = NetFaultPlan::new();
-        for op in 0..64 {
-            plan = plan.drop_send(op);
-        }
+        let plan = FaultPlan::new().on(Dir::Out, When::After(0), NetFault::Drop);
         let transports = loopback_faulty(nodes, vec![(nodes - 1, plan)]);
         let results = run_cluster(
             transports,
@@ -284,14 +283,10 @@ fn loopback_silent_node_times_out_naming_phase_and_node() {
 fn dropped_done_frame_times_out_in_exchange_phase() {
     let nodes = 2;
     let (input, _) = generate(GenConfig::datamation(1_000, 0xD0_u64));
-    // Node 1's op 0 is its Sample, op 1.. are Data batches then Done; with
-    // 1000 records and batch 64 node 1 ships at most 8 batches to node 0,
-    // so dropping every send after the sample guarantees the Done is lost
-    // while node 0 still gets its splitters (coordinator is node 0).
-    let mut plan = NetFaultPlan::new();
-    for op in 1..16 {
-        plan = plan.drop_send(op);
-    }
+    // Node 1's op 0 is its Sample, op 1.. are Data batches then Done, so
+    // dropping every send after the sample loses the Done while node 0
+    // still gets its splitters (coordinator is node 0).
+    let plan = FaultPlan::new().on(Dir::Out, When::After(1), NetFault::Drop);
     let transports = loopback_faulty(nodes, vec![(1, plan)]);
     let results = run_cluster(
         transports,
@@ -318,9 +313,17 @@ fn dropped_done_frame_times_out_in_exchange_phase() {
 fn delay_within_deadline_still_sorts_correctly() {
     for nodes in [2usize, 4] {
         let (input, cs) = generate(GenConfig::datamation(1_000, 0xDE1A_u64));
-        let plan = NetFaultPlan::new()
-            .delay_send(0, Duration::from_millis(50))
-            .delay_send(2, Duration::from_millis(50));
+        let plan = FaultPlan::new()
+            .on(
+                Dir::Out,
+                When::Nth(0),
+                NetFault::Delay(Duration::from_millis(50)),
+            )
+            .on(
+                Dir::Out,
+                When::Nth(2),
+                NetFault::Delay(Duration::from_millis(50)),
+            );
         let transports = loopback_faulty(nodes, vec![(nodes - 1, plan)]);
         // Deadline well above the injected delay: slow is not dead.
         let results = run_cluster(
@@ -348,7 +351,13 @@ fn corrupt_frame_is_crc_error_naming_peer_never_bad_output() {
         // Node 0 (the coordinator) sees its 3rd received frame corrupted on
         // the wire: with `nodes` samples arriving first, frame 2 is a
         // Sample or early Data either way — always CRC-covered.
-        let transports = loopback_faulty(nodes, vec![(0, NetFaultPlan::new().corrupt_recv(2, 5))]);
+        let transports = loopback_faulty(
+            nodes,
+            vec![(
+                0,
+                FaultPlan::new().on(Dir::In, When::Nth(2), NetFault::Corrupt { byte: 5 }),
+            )],
+        );
         let results = run_cluster(
             transports,
             split_shares(&input, nodes),
@@ -373,9 +382,9 @@ fn tcp_corrupt_frame_is_detected_over_real_sockets() {
         .enumerate()
         .map(|(i, t)| {
             let plan = if i == 1 {
-                NetFaultPlan::new().corrupt_recv(1, 9)
+                FaultPlan::new().on(Dir::In, When::Nth(1), NetFault::Corrupt { byte: 9 })
             } else {
-                NetFaultPlan::new()
+                FaultPlan::new()
             };
             FaultyTransport::new(t, plan)
         })
@@ -412,7 +421,10 @@ fn local_failure_aborts_whole_cluster_before_any_deadline() {
     let long = Duration::from_secs(15);
     let transports = loopback_faulty(
         nodes,
-        vec![(2, NetFaultPlan::new().fail_send(0, io::ErrorKind::Other))],
+        vec![(
+            2,
+            FaultPlan::new().on(Dir::Out, When::Nth(0), NetFault::Fail(io::ErrorKind::Other)),
+        )],
     );
     let t0 = Instant::now();
     let results = run_cluster(

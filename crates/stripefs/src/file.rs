@@ -447,7 +447,9 @@ mod tests {
     use super::*;
     use crate::geometry::Member;
     use crate::volume::Volume;
-    use alphasort_iosim::{catalog, MemStorage, Pacing, SimDisk};
+    use alphasort_iosim::{
+        catalog, Dir, Fault, FaultPlan, FaultyStorage, MemStorage, Pacing, SimDisk, When,
+    };
 
     fn make_engine(n: usize) -> Arc<IoEngine> {
         Arc::clone(Volume::in_memory(n).engine())
@@ -514,15 +516,12 @@ mod tests {
         assert_eq!(f.len(), 60); // earlier write does not shrink
     }
 
-    fn faulty_engine(width: usize, plans: Vec<alphasort_iosim::FaultPlan>) -> Arc<IoEngine> {
+    fn faulty_engine(width: usize, plans: Vec<FaultPlan<Fault>>) -> Arc<IoEngine> {
         let disks = plans
             .into_iter()
             .enumerate()
             .map(|(i, plan)| {
-                let storage = Arc::new(alphasort_iosim::FaultyStorage::new(
-                    Arc::new(MemStorage::new()),
-                    plan,
-                ));
+                let storage = Arc::new(FaultyStorage::new(Arc::new(MemStorage::new()), plan));
                 SimDisk::new(
                     format!("d{i}"),
                     catalog::uncapped(),
@@ -536,7 +535,7 @@ mod tests {
         Arc::new(IoEngine::new(disks))
     }
 
-    fn two_disk_file(plans: Vec<alphasort_iosim::FaultPlan>) -> StripedFile {
+    fn two_disk_file(plans: Vec<FaultPlan<Fault>>) -> StripedFile {
         let engine = faulty_engine(2, plans);
         let members = (0..2).map(|i| Member { disk: i, base: 0 }).collect();
         StripedFile::new(StripeDef::new("chaos", 16, members), engine)
@@ -544,9 +543,8 @@ mod tests {
 
     #[test]
     fn transient_read_fault_is_retried_to_success() {
-        use alphasort_iosim::FaultPlan;
         let f = two_disk_file(vec![
-            FaultPlan::new().fail_read(0, io::ErrorKind::TimedOut),
+            FaultPlan::new().on(Dir::In, When::Nth(0), Fault::Fail(io::ErrorKind::TimedOut)),
             FaultPlan::new(),
         ]);
         let data: Vec<u8> = (0..96u8).collect();
@@ -558,9 +556,12 @@ mod tests {
 
     #[test]
     fn transient_write_fault_is_retried_to_success() {
-        use alphasort_iosim::FaultPlan;
         let f = two_disk_file(vec![
-            FaultPlan::new().fail_write(0, io::ErrorKind::WriteZero),
+            FaultPlan::new().on(
+                Dir::Out,
+                When::Nth(0),
+                Fault::Fail(io::ErrorKind::WriteZero),
+            ),
             FaultPlan::new(),
         ]);
         let data: Vec<u8> = (0..96u8).collect();
@@ -570,9 +571,12 @@ mod tests {
 
     #[test]
     fn recurring_fault_exhausts_budget_with_attribution() {
-        use alphasort_iosim::FaultPlan;
         let f = two_disk_file(vec![
-            FaultPlan::new().fail_read_every(1, io::ErrorKind::TimedOut),
+            FaultPlan::new().on(
+                Dir::In,
+                When::Every(1),
+                Fault::Fail(io::ErrorKind::TimedOut),
+            ),
             FaultPlan::new(),
         ]);
         f.write_at(0, &[7u8; 64]).unwrap();
@@ -587,9 +591,12 @@ mod tests {
 
     #[test]
     fn non_transient_fault_is_not_retried() {
-        use alphasort_iosim::FaultPlan;
         let f = two_disk_file(vec![
-            FaultPlan::new().fail_read(0, io::ErrorKind::PermissionDenied),
+            FaultPlan::new().on(
+                Dir::In,
+                When::Nth(0),
+                Fault::Fail(io::ErrorKind::PermissionDenied),
+            ),
             FaultPlan::new(),
         ]);
         f.write_at(0, &[1u8; 64]).unwrap();
@@ -604,9 +611,12 @@ mod tests {
     #[test]
     fn failing_disk_trips_latch_and_fails_fast() {
         use crate::retry::RetryPolicy;
-        use alphasort_iosim::FaultPlan;
         let mut f = two_disk_file(vec![
-            FaultPlan::new().fail_read_after(0, io::ErrorKind::TimedOut),
+            FaultPlan::new().on(
+                Dir::In,
+                When::After(0),
+                Fault::Fail(io::ErrorKind::TimedOut),
+            ),
             FaultPlan::new(),
         ]);
         f.set_retry_policy(RetryPolicy {

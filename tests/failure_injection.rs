@@ -17,7 +17,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use alphasort_suite::dmgen::{generate, validate_reader, GenConfig, Generator, RECORD_LEN};
 use alphasort_suite::iosim::{
-    catalog, FaultPlan, FaultyStorage, IoEngine, MemStorage, Pacing, SimDisk, Storage,
+    catalog, Dir, Fault, FaultPlan, FaultyStorage, IoEngine, MemStorage, Pacing, SimDisk, Storage,
+    When,
 };
 use alphasort_suite::obs;
 use alphasort_suite::sort::driver::{one_pass, two_pass, StripeScratch};
@@ -36,7 +37,7 @@ fn counter(snap: &obs::MetricsSnapshot, name: &str) -> u64 {
 }
 
 /// Build a 4-disk volume where disk 0's storage carries `plan`.
-fn faulty_volume(plan: FaultPlan) -> Volume {
+fn faulty_volume(plan: FaultPlan<Fault>) -> Volume {
     let disks = (0..4)
         .map(|i| {
             let base: Arc<dyn Storage> = Arc::new(MemStorage::new());
@@ -60,7 +61,7 @@ fn faulty_volume(plan: FaultPlan) -> Volume {
 /// A 2-disk scratch volume whose disk 0 carries `plan`, plus the underlying
 /// storages so a test can simulate a restart: rebuild a clean volume over
 /// the same bytes with [`clean_scratch_volume`].
-fn faulty_scratch_volume(plan: FaultPlan) -> (Vec<Arc<MemStorage>>, Arc<Volume>) {
+fn faulty_scratch_volume(plan: FaultPlan<Fault>) -> (Vec<Arc<MemStorage>>, Arc<Volume>) {
     let storages: Vec<Arc<MemStorage>> = (0..2).map(|_| Arc::new(MemStorage::new())).collect();
     let disks = storages
         .iter()
@@ -157,7 +158,8 @@ fn transient_read_fault_is_retried_to_success() {
     // Input loading does some writes; the fault is a *read* midway through
     // the sort's input scan. TimedOut is transient: the volume's default
     // retry policy must absorb it and produce a fully valid output.
-    let volume = faulty_volume(FaultPlan::new().fail_read(5, ErrorKind::TimedOut));
+    let volume =
+        faulty_volume(FaultPlan::new().on(Dir::In, When::Nth(5), Fault::Fail(ErrorKind::TimedOut)));
     let (input, cs) = load_input(&volume, 10_000);
     let output = Arc::new(volume.create_across_all("output", 4 * 1024, input.len()));
     let mut source = StripeSource::new(input);
@@ -180,9 +182,11 @@ fn transient_write_fault_is_retried_to_success() {
     // Let the input-load writes to disk 0 succeed; fail one later, during
     // the sort's output phase. WriteZero (a short write) is transient.
     let load_writes_to_disk0 = (records as usize * RECORD_LEN).div_ceil(4 * 4096);
-    let volume = faulty_volume(
-        FaultPlan::new().fail_write(load_writes_to_disk0 as u64 + 10, ErrorKind::WriteZero),
-    );
+    let volume = faulty_volume(FaultPlan::new().on(
+        Dir::Out,
+        When::Nth(load_writes_to_disk0 as u64 + 10),
+        Fault::Fail(ErrorKind::WriteZero),
+    ));
     let (input, cs) = load_input(&volume, records);
     let output = Arc::new(volume.create_across_all("output", 4 * 1024, input.len()));
     let mut source = StripeSource::new(input);
@@ -203,7 +207,11 @@ fn recurring_fault_exhausts_retry_budget_with_attributed_error() {
     let before = obs::metrics_snapshot();
     // Every read from disk 0 fails: the retry budget must be spent promptly
     // and the surfaced error must say which disk and where.
-    let volume = faulty_volume(FaultPlan::new().fail_read_every(1, ErrorKind::TimedOut));
+    let volume = faulty_volume(FaultPlan::new().on(
+        Dir::In,
+        When::Every(1),
+        Fault::Fail(ErrorKind::TimedOut),
+    ));
     let (input, _) = load_input(&volume, 5_000);
     let output = Arc::new(volume.create_across_all("output", 4 * 1024, input.len()));
     let mut source = StripeSource::new(input);
@@ -226,7 +234,11 @@ fn recurring_fault_trips_the_disk_failed_latch() {
     let _g = obs_lock();
     obs::enable(obs::DEFAULT_CAPACITY);
     let before = obs::metrics_snapshot();
-    let mut volume = faulty_volume(FaultPlan::new().fail_write_every(1, ErrorKind::TimedOut));
+    let mut volume = faulty_volume(FaultPlan::new().on(
+        Dir::Out,
+        When::Every(1),
+        Fault::Fail(ErrorKind::TimedOut),
+    ));
     // Tight budget so one striped operation's worth of strikes trips it.
     volume.set_retry_policy(RetryPolicy {
         max_attempts: 2,
@@ -251,7 +263,11 @@ fn corrupt_scratch_stride_fails_merge_naming_disk_run_offset() {
     // Pass 1 writes checksummed runs; a silently corrupted stride on the
     // scratch volume must be caught when the merge reads it back, and the
     // error must say which disk, which run, and where.
-    let (_storages, volume) = faulty_scratch_volume(FaultPlan::new().corrupt_write(5, 100));
+    let (_storages, volume) = faulty_scratch_volume(FaultPlan::new().on(
+        Dir::Out,
+        When::Nth(5),
+        Fault::Corrupt { byte: 100 },
+    ));
     let path = manifest_path("corrupt");
     let (input, _cs) = generate(GenConfig::datamation(6_000, 11));
     let mut scratch = StripeScratch::with_manifest(
@@ -283,8 +299,11 @@ fn crash_during_run_formation_resumes_reforming_only_missing_runs() {
 
     // Phase A: scratch disk 0 dies (non-transient) after 20 writes — a few
     // runs seal, then the sort crashes mid-pass-1.
-    let (storages, volume) =
-        faulty_scratch_volume(FaultPlan::new().fail_write_after(20, ErrorKind::Other));
+    let (storages, volume) = faulty_scratch_volume(FaultPlan::new().on(
+        Dir::Out,
+        When::After(20),
+        Fault::Fail(ErrorKind::Other),
+    ));
     let mut scratch = StripeScratch::with_manifest(
         Arc::clone(&volume),
         4 * 1024,
@@ -332,8 +351,11 @@ fn crash_during_merge_resumes_recovering_every_run() {
 
     // Phase A: every scratch *read* fails — pass 1 completes and seals all
     // runs, then the merge crashes on its first read-back.
-    let (storages, volume) =
-        faulty_scratch_volume(FaultPlan::new().fail_read_after(0, ErrorKind::Other));
+    let (storages, volume) = faulty_scratch_volume(FaultPlan::new().on(
+        Dir::In,
+        When::After(0),
+        Fault::Fail(ErrorKind::Other),
+    ));
     let mut scratch = StripeScratch::with_manifest(
         Arc::clone(&volume),
         4 * 1024,
@@ -387,7 +409,11 @@ fn silent_output_corruption_is_caught_by_validator() {
     let records = 10_000u64;
     let load_writes_to_disk0 = (records as usize * RECORD_LEN).div_ceil(4 * 4096) as u64;
     // Corrupt a byte of some output-phase write on disk 0.
-    let volume = faulty_volume(FaultPlan::new().corrupt_write(load_writes_to_disk0 + 7, 123));
+    let volume = faulty_volume(FaultPlan::new().on(
+        Dir::Out,
+        When::Nth(load_writes_to_disk0 + 7),
+        Fault::Corrupt { byte: 123 },
+    ));
     let (input, cs) = load_input(&volume, records);
     let output = Arc::new(volume.create_across_all("output", 4 * 1024, input.len()));
     let mut source = StripeSource::new(input);
@@ -403,7 +429,8 @@ fn silent_output_corruption_is_caught_by_validator() {
 #[test]
 fn corrupt_read_of_input_produces_invalid_output() {
     let records = 5_000u64;
-    let volume = faulty_volume(FaultPlan::new().corrupt_read(3, 50));
+    let volume =
+        faulty_volume(FaultPlan::new().on(Dir::In, When::Nth(3), Fault::Corrupt { byte: 50 }));
     let (input, cs) = load_input(&volume, records);
     let output = Arc::new(volume.create_across_all("output", 4 * 1024, input.len()));
     let mut source = StripeSource::new(input);
@@ -433,7 +460,8 @@ fn striped_writer_propagates_member_write_faults() {
     // A non-transient fault on a member disk must surface through the
     // buffered writer's pipeline (at push-backpressure or finish) without
     // being retried away or vanishing.
-    let volume = faulty_volume(FaultPlan::new().fail_write(2, ErrorKind::Other));
+    let volume =
+        faulty_volume(FaultPlan::new().on(Dir::Out, When::Nth(2), Fault::Fail(ErrorKind::Other)));
     let file = Arc::new(volume.create_across_all("w", 4 * 1024, 1 << 20));
     let mut w = StripedWriter::new(file);
     let data = vec![1u8; 256 * 1024];
@@ -460,8 +488,11 @@ fn transient_fault_during_partitioned_merge_is_retried_to_success() {
     // *read* belongs to the partitioned merge: splitter probes and the
     // range workers' window reads. A transient fault on the 50th read
     // lands inside that phase and must be absorbed by the retry policy.
-    let (_storages, volume) =
-        faulty_scratch_volume(FaultPlan::new().fail_read(50, ErrorKind::TimedOut));
+    let (_storages, volume) = faulty_scratch_volume(FaultPlan::new().on(
+        Dir::In,
+        When::Nth(50),
+        Fault::Fail(ErrorKind::TimedOut),
+    ));
     let (input, cs) = generate(GenConfig::datamation(6_000, 51));
     let mut scratch = StripeScratch::new(Arc::clone(&volume), 4 * 1024);
     let mut source = MemSource::new(input, 250 * RECORD_LEN);
@@ -487,8 +518,11 @@ fn corrupt_stride_fails_partitioned_merge_with_attributed_error() {
     // the error must propagate out of the worker through the scoped-thread
     // join (no hang: the root stops draining, sibling workers unblock),
     // and the message must still name disk and run.
-    let (_storages, volume) =
-        faulty_scratch_volume(FaultPlan::new().corrupt_write(70, 100));
+    let (_storages, volume) = faulty_scratch_volume(FaultPlan::new().on(
+        Dir::Out,
+        When::Nth(70),
+        Fault::Corrupt { byte: 100 },
+    ));
     let (input, _cs) = generate(GenConfig::datamation(6_000, 52));
     let mut scratch = StripeScratch::new(Arc::clone(&volume), 4 * 1024);
     let mut source = MemSource::new(input, 250 * RECORD_LEN);
