@@ -17,36 +17,25 @@ use crate::io::{RecordSink, RecordSource};
 /// Buffered sequential source over a host file.
 pub struct FileSource {
     file: File,
-    chunk: usize,
     remaining: Option<u64>,
 }
 
 impl FileSource {
-    /// Default chunk size: 1 MB of whole records.
+    /// Bytes per chunk: 1 MB of whole records.
     pub const DEFAULT_CHUNK: usize = 10_000 * alphasort_dmgen::RECORD_LEN;
 
-    /// Open `path` for sequential reading with the default chunk size.
+    /// Open `path` for sequential reading in [`Self::DEFAULT_CHUNK`] pieces.
     pub fn open<P: AsRef<Path>>(path: P) -> io::Result<Self> {
-        Self::with_chunk(path, Self::DEFAULT_CHUNK)
-    }
-
-    /// Open `path`, delivering `chunk`-byte pieces.
-    pub fn with_chunk<P: AsRef<Path>>(path: P, chunk: usize) -> io::Result<Self> {
-        assert!(chunk > 0);
         let file = File::open(path)?;
         let remaining = file.metadata().ok().map(|m| m.len());
-        Ok(FileSource {
-            file,
-            chunk,
-            remaining,
-        })
+        Ok(FileSource { file, remaining })
     }
 }
 
 impl RecordSource for FileSource {
     fn next_chunk(&mut self) -> io::Result<Option<Vec<u8>>> {
         let mut g = obs::span(obs::phase::FILE_READ);
-        let mut buf = vec![0u8; self.chunk];
+        let mut buf = vec![0u8; Self::DEFAULT_CHUNK];
         let mut filled = 0;
         while filled < buf.len() {
             let n = self.file.read(&mut buf[filled..])?;
@@ -139,8 +128,12 @@ mod tests {
         let input_path = dir.join("input.dat");
         let output_path = dir.join("output.dat");
 
-        // Write the benchmark input to a real file.
-        let mut gen = Generator::new(GenConfig::datamation(5_000, 77));
+        // Write the benchmark input to a real file, larger than one chunk so
+        // the read crosses chunk boundaries and run cuts fall inside chunks.
+        let records = 25_000;
+        let bytes = records * RECORD_LEN as u64;
+        assert!(bytes > FileSource::DEFAULT_CHUNK as u64);
+        let mut gen = Generator::new(GenConfig::datamation(records, 77));
         {
             let mut sink = FileSink::create(&input_path).unwrap();
             let mut buf = vec![0u8; 500 * RECORD_LEN];
@@ -151,26 +144,26 @@ mod tests {
                 }
                 sink.push(&buf[..n]).unwrap();
             }
-            assert_eq!(sink.complete().unwrap(), 5_000 * RECORD_LEN as u64);
+            assert_eq!(sink.complete().unwrap(), bytes);
         }
 
         // Sort file → file.
-        let mut source = FileSource::with_chunk(&input_path, 777 * 100).unwrap();
-        assert_eq!(source.size_hint(), Some(5_000 * RECORD_LEN as u64));
+        let mut source = FileSource::open(&input_path).unwrap();
+        assert_eq!(source.size_hint(), Some(bytes));
         let mut sink = FileSink::create(&output_path).unwrap();
         let cfg = SortConfig {
-            run_records: 1_000,
+            run_records: 1_500,
             gather_batch: 300,
             workers: 2,
             ..Default::default()
         };
         let outcome = one_pass(&mut source, &mut sink, &cfg).unwrap();
-        assert_eq!(outcome.stats.records, 5_000);
+        assert_eq!(outcome.stats.records, records);
 
         // Validate from disk.
         let mut f = std::fs::File::open(&output_path).unwrap();
         let report = validate_reader(&mut f, gen.checksum()).unwrap().unwrap();
-        assert_eq!(report.records, 5_000);
+        assert_eq!(report.records, records);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -32,8 +32,9 @@
 //! the 256-bucket distributive sort "that might beat AlphaSort" is an
 //! exhibit, `alphasort_bench::variants::partition_prefix_order`, and
 //! [`condition`] does key conditioning for floats, signed integers and
-//! non-standard collations. [`baseline`] implements the shared-nothing
-//! partitioned sort AlphaSort displaced (§2's Hypercube design), and
+//! non-standard collations. The shared-nothing partitioned sort AlphaSort
+//! displaced (§2's Hypercube design) is the `alphasort-netsort` crate,
+//! which shares this crate's splitting recipe ([`splitter`]), and
 //! [`io_file`] + the `sortcli`/`gensort`/`valsort` binaries are the
 //! "street-legal" productized face (§8's Daytona category).
 //!
@@ -55,7 +56,6 @@
 //! # Ok::<(), std::io::Error>(())
 //! ```
 
-pub mod baseline;
 pub mod condition;
 pub mod driver;
 pub mod entry;

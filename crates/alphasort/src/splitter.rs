@@ -9,16 +9,17 @@
 //! examined it — the property the partitioned merge's stability argument
 //! rests on. [`skew`] is how every caller reports the balance it got.
 //!
-//! Each function is generic over the key type, so netsort's fixed
-//! `[u8; KEY_LEN]` wire keys and the byte-string keys of the var-len layout
-//! and the merge planner are the same code. Callers: the shared-nothing
-//! baseline ([`crate::baseline`]), netsort's workers (through the
-//! wire-payload helpers at the bottom), and [`crate::pmerge`], which
-//! strides over already-sorted runs instead of walking unsorted input, picks
-//! quantiles like everyone else, and cuts each run by binary search at the
-//! boundaries [`route`] defines.
+//! Each function is generic over the key type, so fixed `[u8; 10]` keys
+//! and byte strings are the same code. Callers: netsort's workers, which
+//! frame their unsorted input with [`frames`] (either layout) and ship the
+//! sampled keys and splitters in their own wire payloads, and
+//! [`crate::pmerge`], which strides over already-sorted runs instead of
+//! walking unsorted input, picks quantiles like everyone else, and cuts each
+//! run by binary search at the boundaries [`route`] defines.
 
-use alphasort_dmgen::{records_of, KEY_LEN};
+use std::io;
+
+use crate::entry::RecordLayout;
 
 /// The sampler: `count` positions (capped at `n`) in `0..n`, spread by a
 /// golden-ratio hop — cheap, deterministic, and blind to input order.
@@ -73,36 +74,31 @@ pub fn skew(sizes: &[u64]) -> f64 {
     }
 }
 
-// ---- netsort's wire payloads: keys concatenated, KEY_LEN bytes each --------
+// ---- framing unsorted input: either layout -------------------------------
 
-/// Sample up to `count` keys from `input` (whole Datamation records) — the
-/// payload of a netsort `Frame::Sample`.
-pub fn sample_keys(input: &[u8], count: usize) -> Vec<u8> {
-    let records = records_of(input);
-    sample_indices(records.len(), count)
-        .flat_map(|i| records[i].key)
-        .collect()
+/// One framed input record: its key and its whole frame.
+pub type Rec<'a> = (&'a [u8], &'a [u8]);
+
+/// The record that starts at `input[at..]`. Input that ends mid-record or
+/// carries a malformed var-len header is `InvalidData`.
+pub fn record_at(layout: RecordLayout, input: &[u8], at: usize) -> io::Result<Rec<'_>> {
+    let rest = &input[at..];
+    let Some(frame) = layout.frame_at(rest, at as u64)? else {
+        let what = format!("input ends mid-record ({} trailing bytes)", rest.len());
+        return Err(io::Error::new(io::ErrorKind::InvalidData, what));
+    };
+    Ok((frame.key(rest), &rest[..frame.len]))
 }
 
-/// Parse a concatenated-key payload (`Frame::Sample` or `Frame::Splitters`).
-pub fn decode_keys(payload: &[u8]) -> Vec<[u8; KEY_LEN]> {
-    assert!(payload.len().is_multiple_of(KEY_LEN), "ragged key payload");
-    payload
-        .chunks_exact(KEY_LEN)
-        .map(|k| k.try_into().expect("KEY_LEN chunk"))
-        .collect()
-}
-
-/// The coordinator's pick: `nodes - 1` splitters from the pooled
-/// `Frame::Sample` payloads.
-pub fn compute_splitters(samples: &[Vec<u8>], nodes: usize) -> Vec<[u8; KEY_LEN]> {
-    quantiles(samples.iter().flat_map(|p| decode_keys(p)).collect(), nodes)
-}
-
-/// Scatter `input` (whole Datamation records) into one buffer per part.
-pub fn partition_records(input: &[u8], splitters: &[[u8; KEY_LEN]]) -> Vec<Vec<u8>> {
-    let records = records_of(input).iter();
-    scatter(records.map(|r| (&r.key[..], &r.as_bytes()[..])), splitters)
+/// Walk `input`, whole records of `layout`, in input order: each
+/// [`record_at`], ending after the first error.
+pub fn frames(layout: RecordLayout, input: &[u8]) -> impl Iterator<Item = io::Result<Rec<'_>>> {
+    let mut at = 0;
+    std::iter::from_fn(move || {
+        let rec = (at < input.len()).then(|| record_at(layout, input, at))?;
+        at = rec.as_ref().map_or(input.len(), |r| at + r.1.len());
+        Some(rec)
+    })
 }
 
 #[cfg(test)]
@@ -110,35 +106,51 @@ mod tests {
     use super::*;
     use alphasort_dmgen::{generate, GenConfig, KeyDistribution, RECORD_LEN};
 
+    const DM: RecordLayout = RecordLayout::Datamation;
+
+    fn records(input: &[u8]) -> Vec<Rec<'_>> {
+        frames(DM, input).map(Result::unwrap).collect()
+    }
+
+    /// Up to `count` sampled keys of `records`, as a node samples its share.
+    fn sample(records: &[Rec<'_>], count: usize) -> Vec<Vec<u8>> {
+        let picks = sample_indices(records.len(), count);
+        picks.map(|i| records[i].0.to_vec()).collect()
+    }
+
+    fn part_sizes(parts: &[Vec<u8>]) -> Vec<u64> {
+        parts
+            .iter()
+            .map(|p| (p.len() / RECORD_LEN) as u64)
+            .collect()
+    }
+
     #[test]
     fn splitters_balance_random_keys() {
         let (input, _) = generate(GenConfig::datamation(40_000, 11));
-        let splitters = compute_splitters(&[sample_keys(&input, 1024)], 8);
+        let recs = records(&input);
+        let splitters = quantiles(sample(&recs, 1024), 8);
         assert_eq!(splitters.len(), 7);
         assert!(splitters.windows(2).all(|w| w[0] <= w[1]));
-        let parts = partition_records(&input, &splitters);
-        let sizes: Vec<u64> = parts
-            .iter()
-            .map(|p| (p.len() / RECORD_LEN) as u64)
-            .collect();
+        let sizes = part_sizes(&scatter(recs, &splitters));
         assert_eq!(sizes.iter().sum::<u64>(), 40_000);
         assert!(skew(&sizes) < 1.5, "sizes {sizes:?}");
     }
 
-    /// The netsort frame path end to end: sample payloads from two nodes,
-    /// pooled splitters, encode/decode roundtrip, balanced routing.
+    /// Samples from two nodes pool into splitters that balance either one.
     #[test]
-    fn two_node_samples_pool_into_balanced_wire_splitters() {
+    fn two_node_samples_pool_into_balanced_splitters() {
         let (a, _) = generate(GenConfig::datamation(10_000, 1));
         let (b, _) = generate(GenConfig::datamation(10_000, 2));
-        let picked = compute_splitters(&[sample_keys(&a, 256), sample_keys(&b, 256)], 4);
-        let splitters = decode_keys(&picked.concat());
-        assert_eq!(splitters, picked);
+        let (ra, rb) = (records(&a), records(&b));
+        let mut pool = sample(&ra, 256);
+        pool.extend(sample(&rb, 256));
+        let splitters = quantiles(pool, 4);
         assert_eq!(splitters.len(), 3);
-        let parts = partition_records(&a, &splitters);
+        let parts = scatter(ra, &splitters);
         assert_eq!(parts.len(), 4);
         assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), a.len());
-        assert_eq!(route(&[0u8; KEY_LEN], &splitters), 0);
+        assert_eq!(route(&[0u8; 10], &splitters), 0);
         let ideal = 10_000.0 / 4.0;
         for p in &parts {
             assert!(((p.len() / RECORD_LEN) as f64) < ideal * 1.6);
@@ -147,12 +159,12 @@ mod tests {
 
     #[test]
     fn routing_respects_splitter_intervals() {
-        let splitters = [[5u8; KEY_LEN], [9u8; KEY_LEN]];
-        assert_eq!(route(&[0u8; KEY_LEN], &splitters), 0);
-        assert_eq!(route(&[5u8; KEY_LEN], &splitters), 1); // equal goes right
-        assert_eq!(route(&[7u8; KEY_LEN], &splitters), 1);
-        assert_eq!(route(&[255u8; KEY_LEN], &splitters), 2);
-        assert_eq!(route::<[u8; KEY_LEN]>(&[3u8; KEY_LEN], &[]), 0); // one part
+        let splitters = [[5u8; 10], [9u8; 10]];
+        assert_eq!(route(&[0u8; 10], &splitters), 0);
+        assert_eq!(route(&[5u8; 10], &splitters), 1); // equal goes right
+        assert_eq!(route(&[7u8; 10], &splitters), 1);
+        assert_eq!(route(&[255u8; 10], &splitters), 2);
+        assert_eq!(route::<[u8; 10]>(&[3u8; 10], &[]), 0); // one part
     }
 
     #[test]
@@ -174,37 +186,38 @@ mod tests {
             seed: 3,
             dist: KeyDistribution::DupHeavy { cardinality: 4 },
         });
-        let splitters = compute_splitters(&[sample_keys(&input, 256)], 4);
-        let parts = partition_records(&input, &splitters);
+        let recs = records(&input);
+        let splitters = quantiles(sample(&recs, 256), 4);
+        let parts = scatter(recs, &splitters);
         let total: usize = parts.iter().map(|p| p.len()).sum();
         assert_eq!(total, input.len());
         // Every key in partition i is <= every key in partition i+1 (ranges
         // are disjoint up to the splitter-equality rule).
         for w in parts.windows(2) {
-            let max_lo = records_of(&w[0]).iter().map(|r| r.key).max();
-            let min_hi = records_of(&w[1]).iter().map(|r| r.key).min();
+            let max_lo = records(&w[0]).into_iter().map(|r| r.0).max();
+            let min_hi = records(&w[1]).into_iter().map(|r| r.0).min();
             if let (Some(lo), Some(hi)) = (max_lo, min_hi) {
                 assert!(lo <= hi);
             }
         }
     }
 
-    /// One recipe, two key types: `[u8; KEY_LEN]` and the same keys as
-    /// `Vec<u8>` pick the same quantiles and route every pooled key alike,
-    /// `parts == 1` included. An empty pool yields each type's default key
-    /// (all-zero vs empty), the right count either way.
+    /// One recipe, two key types: `[u8; 10]` and the same keys as `Vec<u8>`
+    /// pick the same quantiles and route every pooled key alike, `parts ==
+    /// 1` included. An empty pool yields each type's default key (all-zero
+    /// vs empty), the right count either way.
     #[test]
     fn fixed_and_byte_string_keys_are_the_same_recipe() {
         let (input, _) = generate(GenConfig::datamation(3_000, 17));
+        let recs = records(&input);
         for (sampled, parts) in [(400, 6), (300, 5), (400, 1), (0, 4), (0, 1)] {
-            let payload = sample_keys(&input, sampled);
-            let fixed = decode_keys(&payload);
-            let bytes: Vec<Vec<u8>> = fixed.iter().map(|k| k.to_vec()).collect();
-            let fs = compute_splitters(&[payload], parts);
+            let bytes = sample(&recs, sampled);
+            let fixed: Vec<[u8; 10]> = bytes.iter().map(|k| k[..].try_into().unwrap()).collect();
+            let fs = quantiles(fixed.clone(), parts);
             let bs = quantiles(bytes, parts);
             assert_eq!((fs.len(), bs.len()), (parts - 1, parts - 1));
             if sampled == 0 {
-                assert!(fs.iter().all(|f| *f == [0u8; KEY_LEN]));
+                assert!(fs.iter().all(|f| *f == [0u8; 10]));
                 assert!(bs.iter().all(Vec::is_empty));
                 continue;
             }
@@ -218,16 +231,10 @@ mod tests {
     }
 
     #[test]
-    fn key_payloads_round_trip() {
-        let splitters = vec![[1u8; KEY_LEN], [200u8; KEY_LEN]];
-        assert_eq!(decode_keys(&splitters.concat()), splitters);
-    }
-
-    #[test]
     fn empty_cluster_input_still_produces_splitters() {
-        let splitters = compute_splitters(&[Vec::new(), Vec::new()], 4);
+        let splitters = quantiles(Vec::<Vec<u8>>::new(), 4);
         assert_eq!(splitters.len(), 3);
-        assert!(partition_records(&[], &splitters).iter().all(Vec::is_empty));
+        assert!(scatter(Vec::new(), &splitters).iter().all(Vec::is_empty));
     }
 
     #[test]
@@ -235,7 +242,21 @@ mod tests {
         assert_eq!(sample_indices(0, 10).count(), 0);
         assert_eq!(sample_indices(7, 100).count(), 7);
         assert!(sample_indices(1_000, 64).all(|i| i < 1_000));
-        assert_eq!(sample_keys(&[], 10), Vec::<u8>::new());
+        assert_eq!(sample(&[], 10), Vec::<Vec<u8>>::new());
+    }
+
+    /// The walk yields every whole record, then the error for a ragged
+    /// tail, then nothing.
+    #[test]
+    fn frames_end_after_the_first_error() {
+        let (input, _) = generate(GenConfig::datamation(3, 9));
+        let ragged = &input[..2 * RECORD_LEN + 7];
+        let walked: Vec<_> = frames(DM, ragged).collect();
+        assert_eq!(walked.len(), 3);
+        assert!(walked[..2].iter().all(Result::is_ok));
+        let err = walked[2].as_ref().expect_err("ragged tail");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("7 trailing bytes"), "{err}");
     }
 
     #[test]

@@ -4,27 +4,24 @@
 //! The ground truth is Rust's stable slice sort by full key. Because every
 //! dmgen record embeds a unique sequence number in its payload, the stable
 //! sort's output is *unique*: any two correct stable sorts agree on every
-//! byte. Each case below therefore checks the shared-nothing baseline
-//! (§2's partitioned sort), the one-pass AlphaSort pipeline (serial and
-//! partitioned merge), and the two-pass driver (serial, partitioned,
-//! cascade, and crash-resumed) against the same reference bytes — a
-//! divergence anywhere, including equal-key order on dup-heavy inputs,
-//! fails with the first differing record.
+//! byte. Each case below therefore checks the one-pass AlphaSort pipeline
+//! (serial and partitioned merge) and the two-pass driver (serial,
+//! partitioned, cascade, and crash-resumed) against the same reference
+//! bytes — a divergence anywhere, including equal-key order on dup-heavy
+//! inputs, fails with the first differing record.
 //!
-//! Both record layouts run every time, every partitioned merge runs at
-//! 1, 2, 4 and 8 workers, and both shared-nothing strategies (targets sort,
-//! targets merge pre-sorted streams) run at 1, 2, 3 and 5 nodes.
+//! Both record layouts run every time, and every partitioned merge runs at
+//! 1, 2, 4 and 8 workers. The shared-nothing topology (§2's partitioned
+//! sort) is held to the same reference over the same inputs by netsort's
+//! own oracle, `crates/netsort/tests/oracle.rs`.
 
-use alphasort_core::baseline::{partition_merge_sort, partition_sort, PartitionSortConfig};
-use alphasort_core::layout::LayoutRun;
-use alphasort_core::varlen::VarRun;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use alphasort_core::driver::{one_pass, two_pass, StripeScratch, INDEX_EVERY};
 use alphasort_core::io::{MemSink, MemSource, RecordSink};
 use alphasort_core::varlen::sort_var_bytes;
-use alphasort_core::{RecordLayout, SortConfig, SortedRun};
+use alphasort_core::{RecordLayout, SortConfig};
 use alphasort_iosim::{catalog, IoEngine, MemStorage, Pacing, SimDisk};
 use alphasort_minijson::Json;
 use alphasort_stripefs::Volume;
@@ -46,29 +43,6 @@ fn stable_reference(data: &[u8]) -> Vec<u8> {
 
 /// Merge-worker counts every partitioned driver is held to.
 const MERGE_WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-/// §2's shared-nothing topology over layout `R`: both target strategies at
-/// 1, 2, 3 and 5 nodes, each held to `want` by the layout's `check`. Equal
-/// keys must come out in input order through reader-order tie-breaks.
-fn baseline_cells<R: LayoutRun>(
-    data: &[u8],
-    want: &[u8],
-    what: &str,
-    check: fn(&[u8], &[u8], &str),
-) {
-    for nodes in [1, 2, 3, 5] {
-        let cfg = PartitionSortConfig {
-            nodes,
-            ..Default::default()
-        };
-        let (got, stats) = partition_sort::<R>(data, &cfg).unwrap();
-        check(&got, want, &format!("partition-sort nodes={nodes} [{what}]"));
-        assert_eq!(stats.partition_sizes.len(), nodes, "{what}");
-        let (got, merged) = partition_merge_sort::<R>(data, &cfg).unwrap();
-        check(&got, want, &format!("partition-merge nodes={nodes} [{what}]"));
-        assert_eq!(merged.partition_sizes, stats.partition_sizes, "{what}");
-    }
-}
 
 /// Index of the first differing record, for a readable failure.
 fn assert_identical(got: &[u8], want: &[u8], what: &str) {
@@ -168,9 +142,6 @@ fn oracle_case(records: u64, seed: u64, dist: KeyDistribution) {
     });
     let want = stable_reference(&data);
     let fresh = || mem_scratch(40 * RECORD_LEN, RecordLayout::Datamation);
-
-    // §2 baseline: splitter-partitioned shared-nothing sort.
-    baseline_cells::<SortedRun>(&data, &want, &what, assert_identical);
 
     let run_records = (records as usize / 7).max(1);
     let base = SortConfig {
@@ -361,10 +332,9 @@ fn var_oracle_case(records: u64, seed: u64, corpus: TextCorpus) {
     });
     let want = var_stable_reference(&data);
 
-    // In-memory baselines: single-partition sort and splitter-partitioned.
+    // In-memory baseline: single-partition sort.
     let got = sort_var_bytes(&data).unwrap();
     var_assert_identical(&got, &want, &format!("sort_var_bytes [{what}]"));
-    baseline_cells::<VarRun>(&data, &want, &what, var_assert_identical);
 
     let run_records = (records as usize / 7).max(1);
     let resumed = || resumed_var_scratch(&data, run_records, &manifest);

@@ -1,12 +1,12 @@
-//! Distributed netsort vs the §2 designs it makes concrete.
+//! Distributed netsort vs single-node AlphaSort.
 //!
 //! The paper's §2 baseline is a shared-nothing cluster: partition by
-//! probabilistic splitting, exchange, sort locally. `exp_baseline` fakes
-//! that inside one process; this experiment runs the *real* subsystem — N
-//! worker threads behind a transport, coordinator-sampled splitters, an
-//! all-to-all record exchange, and the AlphaSort pipeline per node — at
-//! 1/2/4/8 nodes over loopback channels and real TCP sockets, against the
-//! in-process `partition_sort` and single-node AlphaSort references.
+//! probabilistic splitting, exchange, sort locally. netsort is that design
+//! — N worker threads behind a transport, coordinator-sampled splitters,
+//! an all-to-all record exchange, and the AlphaSort pipeline per node.
+//! This experiment runs it at 1/2/4/8 nodes over loopback channels and at
+//! 2/4 over real TCP sockets, against the single-node AlphaSort reference;
+//! `exp_baseline` sets it against AlphaSort at up to 32 nodes.
 //!
 //! Usage: `exp_netsort [RECORDS]` (default 500_000 = 50 MB).
 //!
@@ -18,10 +18,9 @@ use std::time::Instant;
 
 use alphasort_obs as obs;
 
-use alphasort_core::baseline::{partition_sort, PartitionSortConfig};
 use alphasort_core::driver::one_pass;
 use alphasort_core::io::{MemSink, MemSource};
-use alphasort_core::{SortConfig, SortedRun};
+use alphasort_core::SortConfig;
 use alphasort_dmgen::{generate, validate_records, GenConfig};
 use alphasort_netsort::{netsort_loopback, netsort_tcp, NetsortConfig, RetryPolicy};
 use alphasort_perfmodel::table::Table;
@@ -115,25 +114,6 @@ fn main() {
             format!("{:.2}", st.exchange_skew()),
         ]);
     }
-    // The in-process imitation from §2, for scale.
-    for nodes in [4usize, 8] {
-        let pcfg = PartitionSortConfig {
-            nodes,
-            samples_per_node: 256,
-        };
-        let t0 = Instant::now();
-        let (out, stats) = partition_sort::<SortedRun>(&input, &pcfg).unwrap();
-        let s = t0.elapsed().as_secs_f64();
-        validate_records(&out, cs).unwrap();
-        t.row([
-            format!("partition-sort (in-process), {nodes} nodes"),
-            format!("{s:.3}"),
-            format!("{:.1}", mb / s),
-            "-".to_string(),
-            "-".to_string(),
-            format!("{:.2}", stats.skew()),
-        ]);
-    }
     print!("{}", t.render());
 
     if !traced.is_empty() {
@@ -145,9 +125,8 @@ fn main() {
 
     println!(
         "\nnetsort pays for real exchange (sampling, framing, {}-record data \
-         batches) where partition-sort just moves pointers; the win it buys is \
-         the one §2 describes — each node sorts 1/N of the data with its own \
-         cpu, memory and disks.",
+         batches, a CRC per frame); the win it buys is the one §2 describes — \
+         each node sorts 1/N of the data with its own cpu, memory and disks.",
         ncfg.batch_records
     );
 }

@@ -2,7 +2,7 @@
 //! reproduction's own points (host wall-clock, and the modeled 1993 DEC
 //! 7000 from the analytic model).
 
-use alphasort_bench::host_sort;
+use alphasort_bench::{host_sort, host_workers};
 use alphasort_core::SortConfig;
 use alphasort_perfmodel::chart::LogChart;
 use alphasort_perfmodel::history::table1;
@@ -28,9 +28,7 @@ fn main() {
         ]);
     }
     // Our reproduction's points.
-    let workers = std::thread::available_parallelism()
-        .map(|n| (n.get() - 1).min(3))
-        .unwrap_or(0);
+    let workers = host_workers();
     let st = host_sort(
         1_000_000,
         &SortConfig {

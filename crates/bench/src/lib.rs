@@ -18,6 +18,14 @@ use alphasort_iosim::{
 };
 use alphasort_stripefs::{StripedReader, StripedWriter, Volume};
 
+/// Chore workers for a host sort: one per core the root does not use, at
+/// most three — the one worker count every host-timed experiment shares.
+pub fn host_workers() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| (n.get() - 1).min(3))
+        .unwrap_or(0)
+}
+
 /// Run a validated in-memory one-pass sort of `records` records on the
 /// host; returns the phase stats.
 pub fn host_sort(records: u64, cfg: &SortConfig) -> SortStats {

@@ -57,12 +57,13 @@ fn frame_crc(header: &[u8], payload: &[u8]) -> u32 {
 /// shutdown marker.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Frame {
-    /// Worker → coordinator: this node's sampled keys (concatenated
-    /// KEY_LEN-byte keys).
+    /// Worker → coordinator: this node's sampled keys ([`encode_keys`]).
     Sample { from: u32, keys: Vec<u8> },
-    /// Coordinator → worker: the chosen splitters (concatenated keys).
+    /// Coordinator → worker: the chosen splitters, encoded like `Sample`.
     Splitters { from: u32, keys: Vec<u8> },
-    /// Worker → worker: a batch of whole records destined for the receiver.
+    /// Worker → worker: the next bytes of the sender's record stream for
+    /// the receiver. A batch need not end on a record boundary: the
+    /// receiver concatenates each sender's batches in order.
     Data { from: u32, records: Vec<u8> },
     /// Worker → worker: no more `Data` frames will follow from `from`.
     Done { from: u32 },
@@ -222,6 +223,35 @@ impl Frame {
     }
 }
 
+/// A key payload (`Sample`, `Splitters`): each key a `u32` little-endian
+/// length, then its bytes, so one encoding carries either layout's keys.
+pub fn encode_keys<K: AsRef<[u8]>>(keys: &[K]) -> Vec<u8> {
+    let mut payload = Vec::new();
+    for key in keys.iter().map(AsRef::as_ref) {
+        let len = u32::try_from(key.len()).expect("a record key fits a u32 length");
+        payload.extend(len.to_le_bytes().iter().chain(key));
+    }
+    payload
+}
+
+/// Parse a key payload. A length prefix cut short or running past the
+/// payload is `InvalidData`, refused before anything is sized by it.
+pub fn decode_keys(mut payload: &[u8]) -> io::Result<Vec<Vec<u8>>> {
+    let mut keys = Vec::new();
+    while !payload.is_empty() {
+        let key = payload
+            .split_first_chunk::<4>()
+            .and_then(|(len, rest)| rest.get(..u32::from_le_bytes(*len) as usize));
+        let Some(key) = key else {
+            let what = format!("key {} runs past the end of the payload", keys.len());
+            return Err(io::Error::new(io::ErrorKind::InvalidData, what));
+        };
+        payload = &payload[4 + key.len()..];
+        keys.push(key.to_vec());
+    }
+    Ok(keys)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,6 +284,32 @@ mod tests {
             reason: "disk on fire".to_string(),
         });
         roundtrip(Frame::Bye { from: 1 });
+    }
+
+    /// Fixed, var-len and empty keys share one encoding.
+    #[test]
+    fn key_payloads_round_trip() {
+        let keys = vec![vec![1u8; 10], Vec::new(), b"http://example.com/a".to_vec()];
+        assert_eq!(decode_keys(&encode_keys(&keys)).unwrap(), keys);
+        assert_eq!(decode_keys(&[]).unwrap(), Vec::<Vec<u8>>::new());
+    }
+
+    /// A prefix cut short, or one claiming more than the payload holds (up to
+    /// `u32::MAX`), is `InvalidData` — never a panic or an allocation sized by
+    /// the claim.
+    #[test]
+    fn decode_keys_rejects_a_length_prefix_past_the_payload() {
+        let good = encode_keys(&[b"abc".to_vec()]);
+        let mut past_by_one = good.clone();
+        past_by_one[0] = 4;
+        let mut huge = u32::MAX.to_le_bytes().to_vec();
+        huge.extend_from_slice(b"abc");
+        let mut trailing = good.clone();
+        trailing.extend_from_slice(&[9, 0]);
+        for bad in [&past_by_one[..], &huge, &trailing, &[7u8; 13], &good[..5]] {
+            let err = decode_keys(bad).expect_err("malformed key payload");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        }
     }
 
     #[test]

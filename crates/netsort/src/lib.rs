@@ -4,13 +4,14 @@
 //! shared-nothing cluster where every node reads its local disk, the
 //! records are exchanged so each node owns one key range, and each node
 //! sorts locally (DeWitt, Naughton & Schneider's Hypercube sort with
-//! *probabilistic splitting*). The [`baseline`](alphasort_core::baseline)
-//! module fakes that design inside one process; this crate builds the real
-//! thing:
+//! *probabilistic splitting*). This crate builds that design, and it is the
+//! repository's one shared-nothing sort, for either record layout
+//! (`cfg.sort.layout`):
 //!
 //! - a **coordinator phase** that pools key samples from every node and
-//!   broadcasts quantile splitters (the recipe is
-//!   [`alphasort_core::splitter`], shared with every other topology),
+//!   broadcasts quantile splitters as length-prefixed keys
+//!   ([`encode_keys`]; the recipe is [`alphasort_core::splitter`], shared
+//!   with every other topology),
 //! - an **all-to-all exchange** of length-prefixed record frames
 //!   ([`frame`]) over a pluggable [`Transport`] — the in-process
 //!   [`loopback_cluster`] or real TCP sockets with retry/backoff
@@ -51,7 +52,7 @@ pub mod transport;
 pub mod worker;
 
 pub use faulty::{FaultyTransport, NetFault};
-pub use frame::{crc32c, Frame, MAX_PAYLOAD};
+pub use frame::{crc32c, decode_keys, encode_keys, Frame, MAX_PAYLOAD};
 pub use tcp::{bind_cluster, connect_with_retry, AcceptLoop, RetryPolicy, TcpTransport};
 pub use transport::{loopback_cluster, LoopbackTransport, Transport};
 pub use worker::{

@@ -2,16 +2,19 @@
 //!
 //! Protocol, from each worker's point of view:
 //!
-//! 1. **Sample** — read the local input, sample keys with the golden-ratio
-//!    stride, send them to the coordinator (node 0; a self-send when we
-//!    *are* node 0).
+//! 1. **Sample** — read the local input, frame it by the configured record
+//!    layout (`cfg.sort.layout`: Datamation or var-len), sample keys with
+//!    the golden-ratio stride, and send them, length-prefixed, to the
+//!    coordinator (node 0; a self-send when we *are* node 0).
 //! 2. **Split** — the coordinator pools all samples, picks the quantile
 //!    splitters and broadcasts them; everyone else waits, stashing any
 //!    early `Data` frames from faster peers (frames from different peers
 //!    have no cross-ordering).
 //! 3. **Exchange** — partition the local records by the splitters, stream
-//!    each foreign partition to its owner in batched `Data` frames, then
-//!    tell every peer `Done`. Drain the inbox until all peers said `Done`.
+//!    each foreign partition to its owner in `Data` frames, then tell every
+//!    peer `Done`. Drain the inbox until all peers said `Done`. A `Data`
+//!    frame is a slice of the sender's stream, not whole records: the
+//!    receiver concatenates each sender's frames before framing records.
 //! 4. **Local sort** — run the ordinary AlphaSort one-pass pipeline over
 //!    the records this node now owns and write them to the local sink.
 //!    Concatenating the node outputs in node order is the sorted dataset.
@@ -30,13 +33,13 @@ use std::io;
 use std::time::{Duration, Instant};
 
 use alphasort_core::io::{MemSink, MemSource, RecordSink, RecordSource};
-use alphasort_core::splitter::{compute_splitters, decode_keys, partition_records, sample_keys};
+use alphasort_core::splitter::{frames, quantiles, record_at, sample_indices, scatter};
 use alphasort_core::stats::timed_phase;
-use alphasort_core::{driver::one_pass, SortConfig, SortStats};
-use alphasort_dmgen::{KEY_LEN, RECORD_LEN};
+use alphasort_core::{driver::one_pass, RecordLayout, SortConfig, SortStats};
+use alphasort_dmgen::RECORD_LEN;
 use alphasort_obs as obs;
 
-use crate::frame::Frame;
+use crate::frame::{decode_keys, encode_keys, Frame, MAX_PAYLOAD};
 use crate::transport::{loopback_cluster, Transport};
 
 /// Coordinator node id.
@@ -47,8 +50,9 @@ pub const COORDINATOR: usize = 0;
 pub struct NetsortConfig {
     /// Keys each node samples for the coordinator's splitter computation.
     pub samples_per_node: usize,
-    /// Records per `Data` frame during the exchange (640 records = 64 kB
-    /// payloads, large enough to amortize framing, small enough to pipeline).
+    /// `Data` frame size during the exchange, in 100-byte records of stream
+    /// (640 = 64 kB payloads, large enough to amortize framing, small
+    /// enough to pipeline), whatever the layout.
     pub batch_records: usize,
     /// Deadline for every blocking receive in the protocol. A peer that
     /// sends nothing for this long surfaces as a `TimedOut` error naming
@@ -101,13 +105,6 @@ pub fn remote_abort_of(err: &io::Error) -> Option<&RemoteAbort> {
     err.get_ref().and_then(|e| e.downcast_ref::<RemoteAbort>())
 }
 
-fn remote_abort_err(from: u32, reason: String) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::ConnectionAborted,
-        RemoteAbort { from, reason },
-    )
-}
-
 /// One worker's result: its share of the sorted output lives in its sink;
 /// `stats` covers the whole worker including the exchange phase.
 #[derive(Clone, Debug)]
@@ -118,35 +115,57 @@ pub struct WorkerOutcome {
     pub bytes: u64,
 }
 
-fn protocol_error(what: &str, frame: &Frame) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!(
-            "protocol error: expected {what}, got {frame:?} from node {}",
-            frame.from()
-        ),
-    )
+fn invalid(what: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, what)
 }
 
-/// A CRC-valid key payload is still bytes the peer chose: refuse one that is
-/// not whole keys — or, where the protocol fixes the count, not exactly
-/// `expect` of them — before a decoder asserts on it or its length sizes the
-/// partition table.
-fn check_keys(what: &str, from: u32, keys: &[u8], expect: Option<usize>) -> io::Result<()> {
-    let (ok, want) = match expect {
-        Some(n) => (keys.len() == n * KEY_LEN, format!("exactly {n}")),
-        None => (keys.len().is_multiple_of(KEY_LEN), "whole".to_string()),
-    };
-    if ok {
-        return Ok(());
-    }
-    Err(io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!(
-            "{what} frame from node {from} carries {} bytes, not {want} {KEY_LEN}-byte keys",
-            keys.len()
-        ),
+fn protocol_error(what: &str, frame: &Frame) -> io::Error {
+    invalid(format!(
+        "protocol error: expected {what}, got {frame:?} from node {}",
+        frame.from()
     ))
+}
+
+/// A CRC-valid key payload is still bytes the peer chose: decode it, and
+/// refuse one that is not whole length-prefixed keys — or, where the
+/// protocol fixes the count, not exactly `n` of them — before its length
+/// sizes the partition table.
+fn check_keys(what: &str, from: u32, keys: &[u8], n: Option<usize>) -> io::Result<Vec<Vec<u8>>> {
+    let bad = |why| invalid(format!("{what} frame from node {from} {why}"));
+    let keys = decode_keys(keys).map_err(|e| bad(format!("is malformed: {e}")))?;
+    match n {
+        Some(n) if keys.len() != n => Err(bad(format!("carries {} keys, not {n}", keys.len()))),
+        _ => Ok(keys),
+    }
+}
+
+/// Up to `samples_per_node` keys of `input` (whole records of the layout) as
+/// a `Sample` payload, cut before it would pass [`MAX_PAYLOAD`] (splitters
+/// need not be sampled keys: that costs balance, never correctness). No
+/// table: one walk over the frames checks and counts them, one picks keys.
+fn sample_keys(input: &[u8], cfg: &NetsortConfig) -> io::Result<Vec<u8>> {
+    let (layout, count) = (cfg.sort.layout, cfg.samples_per_node);
+    let n = frames(layout, input).try_fold(0, |n, rec| rec.map(|_| n + 1))?;
+    let mut picks: Vec<(usize, usize)> = sample_indices(n, count).zip(0..).collect();
+    picks.sort_unstable();
+    let mut picks = picks.into_iter().peekable();
+    let mut keys = vec![&input[..0]; count.min(n)];
+    for (i, (key, _)) in frames(layout, input).map_while(Result::ok).enumerate() {
+        while let Some((_, j)) = picks.next_if(|&(at, _)| at == i) {
+            keys[j] = key;
+        }
+    }
+    let mut bytes = 0;
+    keys.retain(|key| {
+        bytes += 4 + key.len();
+        bytes <= MAX_PAYLOAD
+    });
+    Ok(encode_keys(&keys))
+}
+
+/// `err`, attributed to `node`.
+fn at_node(node: usize, err: io::Error) -> io::Error {
+    io::Error::new(err.kind(), format!("node {node}: {err}"))
 }
 
 /// Render the nodes still being waited on (`present[i] == false`) for a
@@ -172,28 +191,22 @@ fn recv_in_phase<T: Transport>(
     phase: &str,
     missing: &dyn Fn() -> String,
 ) -> io::Result<Frame> {
-    let frame = timed_phase(obs::phase::EXCHANGE, &mut stats.exchange_wait, || match cfg
-        .recv_timeout
-    {
-        Some(deadline) => transport.recv_timeout(deadline).map_err(|e| {
-            if e.kind() == io::ErrorKind::TimedOut {
-                obs::metrics::counter_add("net.recv.timeout", 1);
-                io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    format!(
-                        "{phase} phase timed out after {deadline:?} waiting for {}",
-                        missing()
-                    ),
-                )
-            } else {
-                e
-            }
-        }),
+    let recv = || match cfg.recv_timeout {
         None => transport.recv(),
-    })?;
+        Some(deadline) => transport.recv_timeout(deadline).map_err(|e| {
+            if e.kind() != io::ErrorKind::TimedOut {
+                return e;
+            }
+            obs::metrics::counter_add("net.recv.timeout", 1);
+            let what = format!("{phase} phase timed out after {deadline:?} waiting for");
+            io::Error::new(io::ErrorKind::TimedOut, format!("{what} {}", missing()))
+        }),
+    };
+    let frame = timed_phase(obs::phase::EXCHANGE, &mut stats.exchange_wait, recv)?;
     if let Frame::Abort { from, reason } = frame {
         obs::metrics::counter_add("net.frames.abort_received", 1);
-        return Err(remote_abort_err(from, reason));
+        let abort = RemoteAbort { from, reason };
+        return Err(io::Error::new(io::ErrorKind::ConnectionAborted, abort));
     }
     Ok(frame)
 }
@@ -221,19 +234,14 @@ where
             // peer's abort (its originator already told the cluster).
             // Best effort on every send — peers may already be gone.
             if remote_abort_of(&err).is_none() {
-                let me = transport.node() as u32;
-                let reason = err.to_string();
+                let me = transport.node();
+                let abort = Frame::Abort {
+                    from: me as u32,
+                    reason: err.to_string(),
+                };
                 obs::metrics::counter_add("net.frames.abort_sent", 1);
-                for peer in 0..transport.nodes() {
-                    if peer != transport.node() {
-                        let _ = transport.send(
-                            peer,
-                            Frame::Abort {
-                                from: me,
-                                reason: reason.clone(),
-                            },
-                        );
-                    }
+                for peer in (0..transport.nodes()).filter(|&peer| peer != me) {
+                    let _ = transport.send(peer, abort.clone());
                 }
             }
             let _ = transport.shutdown();
@@ -273,27 +281,13 @@ where
         let Some(chunk) = chunk else { break };
         input.extend_from_slice(&chunk);
     }
-    if !input.len().is_multiple_of(RECORD_LEN) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "node {node} input ends mid-record ({} trailing bytes)",
-                input.len() % RECORD_LEN
-            ),
-        ));
-    }
+    let keys = sample_keys(&input, cfg).map_err(|e| at_node(node, e))?;
 
     // ---- sample + splitters -----------------------------------------------
     let sample_span = obs::span(obs::phase::NET_SAMPLE);
-    transport.send(
-        COORDINATOR,
-        Frame::Sample {
-            from: me,
-            keys: sample_keys(&input, cfg.samples_per_node),
-        },
-    )?;
+    transport.send(COORDINATOR, Frame::Sample { from: me, keys })?;
     if node == COORDINATOR {
-        let mut samples: Vec<Option<Vec<u8>>> = vec![None; nodes];
+        let mut samples: Vec<Option<Vec<Vec<u8>>>> = vec![None; nodes];
         while samples.iter().any(Option::is_none) {
             let frame = recv_in_phase(transport, cfg, &mut stats, "sample", &|| {
                 missing_nodes(&samples.iter().map(Option::is_some).collect::<Vec<_>>())
@@ -302,32 +296,23 @@ where
                 Frame::Sample { from, keys } => {
                     let sender = from as usize;
                     if sender >= nodes {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("Sample frame from unknown node {sender}"),
-                        ));
+                        return Err(invalid(format!("Sample frame from unknown node {sender}")));
                     }
-                    check_keys("Sample", from, &keys, None)?;
+                    let keys = check_keys("Sample", from, &keys, None)?;
                     if samples[sender].replace(keys).is_some() {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("duplicate Sample from node {sender}"),
-                        ));
+                        return Err(invalid(format!("duplicate Sample from node {sender}")));
                     }
                 }
                 other => return Err(protocol_error("Sample", &other)),
             }
         }
-        let samples: Vec<Vec<u8>> = samples.into_iter().flatten().collect();
-        let payload = compute_splitters(&samples, nodes).concat();
+        let pool: Vec<Vec<u8>> = samples.into_iter().flatten().flatten().collect();
+        let splitters = Frame::Splitters {
+            from: me,
+            keys: encode_keys(&quantiles(pool, nodes)),
+        };
         for peer in 0..nodes {
-            transport.send(
-                peer,
-                Frame::Splitters {
-                    from: me,
-                    keys: payload.clone(),
-                },
-            )?;
+            transport.send(peer, splitters.clone())?;
         }
     }
     // Everyone (coordinator included — it self-sent) waits for the
@@ -339,8 +324,7 @@ where
         })?;
         match frame {
             Frame::Splitters { from, keys } => {
-                check_keys("Splitters", from, &keys, Some(nodes - 1))?;
-                break decode_keys(&keys);
+                break check_keys("Splitters", from, &keys, Some(nodes - 1))?;
             }
             data @ (Frame::Data { .. } | Frame::Done { .. }) => pending.push(data),
             other => return Err(protocol_error("Splitters", &other)),
@@ -349,7 +333,8 @@ where
     drop(sample_span);
 
     // ---- exchange: scatter ours, gather ours ------------------------------
-    let mut partitions = partition_records(&input, &splitters);
+    let framed = frames(cfg.sort.layout, &input).map_while(Result::ok);
+    let mut partitions = scatter(framed, &splitters);
     drop(input);
     // Gather received records per sender, not in arrival order: shares are
     // contiguous in node order, so concatenating the per-sender buffers in
@@ -385,53 +370,42 @@ where
     // Done to ourselves, so our own slot starts satisfied.
     let mut done = vec![false; nodes];
     done[node] = true;
-    let absorb =
-        |frame: Frame, gather: &mut Vec<Vec<u8>>, done: &mut Vec<bool>, stats: &mut SortStats| {
-            match frame {
-                Frame::Data { from, records } => {
-                    let sender = from as usize;
-                    if sender >= nodes {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("Data frame from unknown node {sender}"),
-                        ));
-                    }
-                    let _recv = obs::span(obs::phase::NET_RECV)
-                        .with("peer", sender as u64)
-                        .with("bytes", records.len() as u64);
-                    obs::metrics::observe("net.frame.bytes", records.len() as u64);
-                    obs::metrics::counter_add("net.bytes_in", records.len() as u64);
-                    stats.exchange_bytes_in += records.len() as u64;
-                    gather[sender].extend_from_slice(&records);
-                }
-                Frame::Done { from } => {
-                    let sender = from as usize;
-                    if sender >= nodes || done[sender] {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("unexpected Done from node {sender}"),
-                        ));
-                    }
-                    done[sender] = true;
-                }
-                other => return Err(protocol_error("Data or Done", &other)),
-            }
-            Ok(())
+    let mut pending = pending.into_iter();
+    while pending.len() > 0 || done.iter().any(|d| !d) {
+        let frame = match pending.next() {
+            Some(frame) => frame,
+            None => recv_in_phase(transport, cfg, &mut stats, "exchange", &|| {
+                missing_nodes(&done)
+            })?,
         };
-    for frame in pending {
-        absorb(frame, &mut gather, &mut done, &mut stats)?;
-    }
-    while done.iter().any(|d| !d) {
-        let frame = recv_in_phase(transport, cfg, &mut stats, "exchange", &|| {
-            missing_nodes(&done)
-        })?;
-        absorb(frame, &mut gather, &mut done, &mut stats)?;
+        match frame {
+            Frame::Data { from, records } => {
+                let sender = from as usize;
+                if sender >= nodes {
+                    return Err(invalid(format!("Data frame from unknown node {sender}")));
+                }
+                let _recv = obs::span(obs::phase::NET_RECV)
+                    .with("peer", sender as u64)
+                    .with("bytes", records.len() as u64);
+                obs::metrics::observe("net.frame.bytes", records.len() as u64);
+                obs::metrics::counter_add("net.bytes_in", records.len() as u64);
+                stats.exchange_bytes_in += records.len() as u64;
+                gather[sender].extend_from_slice(&records);
+            }
+            Frame::Done { from } => {
+                let sender = from as usize;
+                if sender >= nodes || done[sender] {
+                    return Err(invalid(format!("unexpected Done from node {sender}")));
+                }
+                done[sender] = true;
+            }
+            other => return Err(protocol_error("Data or Done", &other)),
+        }
     }
     transport.shutdown()?;
     let local = gather.concat();
 
     // ---- local AlphaSort pipeline over what we now own --------------------
-    stats.partition_sizes = vec![(local.len() / RECORD_LEN) as u64];
     let mut local_source = MemSource::new(local, 1 << 20);
     let outcome = {
         let _local = obs::span(obs::phase::NET_LOCAL);
@@ -445,7 +419,7 @@ where
     stats.exchange_bytes_out = exchange.exchange_bytes_out;
     stats.exchange_bytes_in = exchange.exchange_bytes_in;
     stats.exchange_wait = exchange.exchange_wait;
-    stats.partition_sizes = exchange.partition_sizes;
+    stats.partition_sizes = vec![stats.records];
     stats.elapsed = t_start.elapsed();
     top.attr("records", stats.records);
     top.attr("bytes_in", stats.exchange_bytes_in);
@@ -456,16 +430,25 @@ where
     })
 }
 
-/// Split `input` into `nodes` contiguous record-aligned shares (the last
-/// may be short) — each node's "local disk" in the in-process drivers.
-pub fn split_shares(input: &[u8], nodes: usize) -> Vec<Vec<u8>> {
-    assert!(nodes >= 1);
-    assert!(input.len().is_multiple_of(RECORD_LEN));
-    let records = input.len() / RECORD_LEN;
-    let per = records.div_ceil(nodes).max(1) * RECORD_LEN;
-    let mut shares: Vec<Vec<u8>> = input.chunks(per).map(<[u8]>::to_vec).collect();
-    shares.resize(nodes, Vec::new());
-    shares
+/// Split `input`, whole records of `layout`, into `nodes` contiguous shares
+/// of about equal bytes, cut on record boundaries (trailing shares may be
+/// empty) — each node's "local disk" in the in-process drivers. Input that
+/// ends mid-record or carries a malformed header is `InvalidData` naming the
+/// node whose share holds it.
+pub fn split_shares(input: &[u8], nodes: usize, layout: RecordLayout) -> io::Result<Vec<Vec<u8>>> {
+    assert!(nodes >= 1, "need at least one node");
+    let mut shares = Vec::with_capacity(nodes);
+    let (mut start, mut at) = (0, 0);
+    for node in 0..nodes {
+        let end = input.len() * (node + 1) / nodes;
+        while at < end {
+            let (_, frame) = record_at(layout, input, at).map_err(|e| at_node(node, e))?;
+            at += frame.len();
+        }
+        shares.push(input[start..at].to_vec());
+        start = at;
+    }
+    Ok(shares)
 }
 
 /// Combine per-node worker stats into one cluster-level view — a fold over
@@ -482,22 +465,25 @@ pub fn merge_cluster_stats(per_node: &[SortStats]) -> SortStats {
     out
 }
 
-/// Sort `input` on an in-process cluster of `nodes` workers connected by
-/// the loopback transport. Returns the concatenated (globally sorted)
-/// output and the merged cluster stats.
-pub fn netsort_loopback(
+/// Sort `input` with one worker thread per endpoint, which `connect` turns
+/// into node `i`'s transport on that thread (TCP establishment blocks until
+/// every peer dials in); returns the node outputs in node order, merged.
+fn run_cluster<E: Send, T: Transport>(
     input: &[u8],
-    nodes: usize,
+    endpoints: Vec<E>,
     cfg: &NetsortConfig,
+    connect: impl Fn(usize, E) -> io::Result<T> + Sync,
 ) -> io::Result<(Vec<u8>, SortStats)> {
-    let shares = split_shares(input, nodes);
-    let transports = loopback_cluster(nodes);
-    let results: Vec<io::Result<(Vec<u8>, SortStats)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = transports
+    let shares = split_shares(input, endpoints.len(), cfg.sort.layout)?;
+    let connect = &connect;
+    let results: io::Result<Vec<(Vec<u8>, SortStats)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = endpoints
             .into_iter()
             .zip(shares)
-            .map(|(mut transport, share)| {
+            .enumerate()
+            .map(|(node, (endpoint, share))| {
                 scope.spawn(move || {
+                    let mut transport = connect(node, endpoint)?;
                     let mut source = MemSource::new(share, 1 << 20);
                     let mut sink = MemSink::new();
                     let outcome = run_worker(&mut transport, &mut source, &mut sink, cfg)?;
@@ -510,14 +496,25 @@ pub fn netsort_loopback(
             .map(|h| h.join().expect("worker thread panicked"))
             .collect()
     });
+    // Append and free one node's output at a time.
     let mut output = Vec::with_capacity(input.len());
-    let mut stats = Vec::with_capacity(nodes);
-    for r in results {
-        let (part, st) = r?;
+    let mut stats = Vec::new();
+    for (part, st) in results? {
         output.extend_from_slice(&part);
         stats.push(st);
     }
     Ok((output, merge_cluster_stats(&stats)))
+}
+
+/// Sort `input` (whole records of `cfg.sort.layout`) on an in-process
+/// cluster of `nodes` workers connected by the loopback transport. Returns
+/// the concatenated (globally sorted) output and the merged cluster stats.
+pub fn netsort_loopback(
+    input: &[u8],
+    nodes: usize,
+    cfg: &NetsortConfig,
+) -> io::Result<(Vec<u8>, SortStats)> {
+    run_cluster(input, loopback_cluster(nodes), cfg, |_, t| Ok(t))
 }
 
 /// Sort `input` on a cluster of `nodes` workers connected by real TCP
@@ -528,56 +525,77 @@ pub fn netsort_tcp(
     cfg: &NetsortConfig,
     policy: &crate::tcp::RetryPolicy,
 ) -> io::Result<(Vec<u8>, SortStats)> {
-    let shares = split_shares(input, nodes);
     let (listeners, addrs) = crate::tcp::bind_cluster(nodes)?;
-    let results: Vec<io::Result<(Vec<u8>, SortStats)>> = std::thread::scope(|scope| {
-        let addrs = &addrs;
-        let handles: Vec<_> = listeners
-            .into_iter()
-            .zip(shares)
-            .enumerate()
-            .map(|(node, (listener, share))| {
-                scope.spawn(move || {
-                    let mut transport =
-                        crate::tcp::TcpTransport::establish(node, listener, addrs, policy)?;
-                    let mut source = MemSource::new(share, 1 << 20);
-                    let mut sink = MemSink::new();
-                    let outcome = run_worker(&mut transport, &mut source, &mut sink, cfg)?;
-                    Ok((sink.into_inner(), outcome.stats))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect()
-    });
-    let mut output = Vec::with_capacity(input.len());
-    let mut stats = Vec::with_capacity(nodes);
-    for r in results {
-        let (part, st) = r?;
-        output.extend_from_slice(&part);
-        stats.push(st);
-    }
-    Ok((output, merge_cluster_stats(&stats)))
+    run_cluster(input, listeners, cfg, |node, listener| {
+        crate::tcp::TcpTransport::establish(node, listener, &addrs, policy)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alphasort_dmgen::{generate, validate_records, GenConfig};
+    use alphasort_dmgen::{
+        generate, generate_varlen, validate_records, GenConfig, TextCorpus, VarGenConfig, KEY_LEN,
+    };
 
     #[test]
     fn split_shares_covers_input_exactly() {
         let (input, _) = generate(GenConfig::datamation(103, 1));
-        let shares = split_shares(&input, 4);
+        let shares = split_shares(&input, 4, RecordLayout::Datamation).unwrap();
         assert_eq!(shares.len(), 4);
         assert!(shares.iter().all(|s| s.len() % RECORD_LEN == 0));
         assert_eq!(shares.concat(), input);
-        // More nodes than records: trailing shares are empty, none lost.
-        let tiny = split_shares(&input[..2 * RECORD_LEN], 8);
+        // More nodes than records: some shares are empty, none lost.
+        let tiny = split_shares(&input[..2 * RECORD_LEN], 8, RecordLayout::Datamation).unwrap();
         assert_eq!(tiny.len(), 8);
         assert_eq!(tiny.concat(), &input[..2 * RECORD_LEN]);
+    }
+
+    /// The table-free sampler sends, in order, the keys a lookup table of
+    /// the records would give for the same indices — repeated indices
+    /// included (7 records sampled 256 times), under both layouts.
+    #[test]
+    fn sampled_keys_are_the_keys_at_the_sampled_indices() {
+        let (fixed, _) = generate(GenConfig::datamation(2_000, 4));
+        let var = generate_varlen(VarGenConfig {
+            records: 301,
+            seed: 9,
+            corpus: TextCorpus::Urls,
+        });
+        let cases = [
+            (RecordLayout::Datamation, &fixed[..]),
+            (RecordLayout::Datamation, &fixed[..7 * RECORD_LEN]),
+            (RecordLayout::VarLen, &var[..]),
+        ];
+        for (layout, input) in cases {
+            let mut cfg = NetsortConfig::default();
+            cfg.sort.layout = layout;
+            let table: Vec<_> = frames(layout, input).map(Result::unwrap).collect();
+            let picked = sample_indices(table.len(), cfg.samples_per_node);
+            let want: Vec<&[u8]> = picked.map(|i| table[i].0).collect();
+            let got = decode_keys(&sample_keys(input, &cfg).unwrap()).unwrap();
+            assert_eq!(got, want, "{layout:?}, {} records", table.len());
+        }
+    }
+
+    /// Var-len shares are cut on frame boundaries: every share frames whole.
+    #[test]
+    fn split_shares_cuts_var_len_input_on_frames() {
+        let input = generate_varlen(VarGenConfig {
+            records: 301,
+            seed: 2,
+            corpus: TextCorpus::Urls,
+        });
+        for nodes in [1, 3, 5, 400] {
+            let shares = split_shares(&input, nodes, RecordLayout::VarLen).unwrap();
+            assert_eq!(shares.len(), nodes);
+            assert_eq!(shares.concat(), input);
+            let framed: usize = shares
+                .iter()
+                .map(|s| frames(RecordLayout::VarLen, s).map(Result::unwrap).count())
+                .sum();
+            assert_eq!(framed, 301, "nodes={nodes}");
+        }
     }
 
     #[test]
@@ -654,17 +672,66 @@ mod tests {
 
     #[test]
     fn splitters_payload_of_the_wrong_shape_is_an_attributed_error_not_a_panic() {
-        // Ragged; no keys (one partition: `partitions[1]` is out of bounds);
-        // three keys (four partitions: a send to node 2 of 2).
-        for len in [KEY_LEN - 1, 0, 3 * KEY_LEN] {
-            let err = worker_against(
-                1,
-                Frame::Splitters {
-                    from: 0,
-                    keys: vec![7; len],
-                },
-            );
+        // Prefixes past the payload; no keys (one partition: `partitions[1]`
+        // is out of bounds); three keys (four partitions: a send to node 2
+        // of 2), raw and well encoded.
+        let three = encode_keys(&[[7u8; KEY_LEN]; 3]);
+        for keys in [
+            vec![7; KEY_LEN - 1],
+            Vec::new(),
+            vec![7; 3 * KEY_LEN],
+            three,
+        ] {
+            let err = worker_against(1, Frame::Splitters { from: 0, keys });
             assert!(err.to_string().contains("Splitters"), "{err}");
+        }
+    }
+
+    /// Input that ends mid-record, under either layout, and a var-len header
+    /// whose key runs past its body: `InvalidData` naming the node, from the
+    /// worker (node 1 of 2 frames its input before it receives anything) and
+    /// from `split_shares` (the node whose share holds the bad record).
+    #[test]
+    fn ragged_input_is_invalid_data_naming_the_node() {
+        let (fixed, _) = generate(GenConfig::datamation(50, 3));
+        let var = generate_varlen(VarGenConfig {
+            records: 50,
+            seed: 7,
+            corpus: TextCorpus::Urls,
+        });
+        let bad_key = vec![4, 0, 0, 0, 9, 0, 9, 0, 1, 2, 3, 4];
+        // (layout, input, the share `split_shares` finds the bad record in)
+        let cases = [
+            (
+                RecordLayout::Datamation,
+                fixed[..fixed.len() - 1].to_vec(),
+                2,
+            ),
+            (RecordLayout::VarLen, var[..var.len() - 3].to_vec(), 2),
+            (RecordLayout::VarLen, [&var[..], &bad_key].concat(), 2),
+            (RecordLayout::VarLen, bad_key, 0),
+        ];
+        for (layout, input, share) in cases {
+            let cfg = NetsortConfig {
+                sort: SortConfig {
+                    layout,
+                    ..Default::default()
+                },
+                ..Default::default()
+            };
+            let mut worker = loopback_cluster(2).remove(1);
+            let mut source = MemSource::new(input.clone(), 1 << 20);
+            let err = run_worker(&mut worker, &mut source, &mut MemSink::new(), &cfg)
+                .expect_err("ragged input must be refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert!(err.to_string().starts_with("node 1: "), "{err}");
+
+            let err = split_shares(&input, 3, layout).expect_err("ragged input must be refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert!(
+                err.to_string().starts_with(&format!("node {share}: ")),
+                "{err}"
+            );
         }
     }
 

@@ -1,5 +1,6 @@
 //! Chaos matrix for the distributed sort: 2/4-node clusters, loopback and
-//! TCP transports, one fault class per test. Every case must end in one of
+//! TCP transports, one fault class per test; the control and corrupt-frame
+//! cases run under both record layouts. Every case must end in one of
 //! exactly two ways — a correct sorted output, or a prompt and correctly
 //! attributed error on every node. Never a hang (each cluster runs under a
 //! watchdog), never silently mis-sorted output.
@@ -15,8 +16,11 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use alphasort_core::io::{MemSink, MemSource};
-use alphasort_core::SortConfig;
-use alphasort_dmgen::{generate, validate_records, GenConfig};
+use alphasort_core::{RecordLayout, SortConfig};
+use alphasort_dmgen::{
+    generate, generate_varlen, validate_records, var_records_of, GenConfig, TextCorpus,
+    VarGenConfig,
+};
 use alphasort_iosim::fault::{Dir, FaultPlan, When};
 use alphasort_netsort::{
     bind_cluster, remote_abort_of, run_worker, split_shares, FaultyTransport, NetFault,
@@ -41,6 +45,33 @@ fn chaos_cfg(recv_timeout: Option<Duration>) -> NetsortConfig {
             ..Default::default()
         },
     }
+}
+
+/// [`chaos_cfg`] sorting records of `layout`.
+fn layout_cfg(recv_timeout: Option<Duration>, layout: RecordLayout) -> NetsortConfig {
+    let mut cfg = chaos_cfg(recv_timeout);
+    cfg.sort.layout = layout;
+    cfg
+}
+
+/// `records` records of `layout` — Datamation, or URLs for var-len.
+fn layout_input(layout: RecordLayout, records: u64, seed: u64) -> Vec<u8> {
+    match layout {
+        RecordLayout::Datamation => generate(GenConfig::datamation(records, seed)).0,
+        RecordLayout::VarLen => generate_varlen(VarGenConfig {
+            records,
+            seed,
+            corpus: TextCorpus::Urls,
+        }),
+    }
+}
+
+/// Var-len frames stably sorted by key: what a var-len cluster must output
+/// byte for byte.
+fn var_stable_reference(input: &[u8]) -> Vec<u8> {
+    let mut recs = var_records_of(input).unwrap();
+    recs.sort_by(|a, b| a.key().cmp(b.key())); // stable
+    recs.iter().flat_map(|r| r.frame()).copied().collect()
 }
 
 /// One node's fate after a chaos run.
@@ -164,25 +195,36 @@ fn assert_all_fail_promptly(results: &[NodeResult], survivors: &[usize]) {
 }
 
 // ---------------------------------------------------------------------------
-// Fault class: none (control) — both transports, both node counts.
+// Fault class: none (control) — both layouts, both node counts.
 // ---------------------------------------------------------------------------
 
 #[test]
 fn control_no_faults_sorts_correctly() {
-    for nodes in [2usize, 4] {
-        let (input, cs) = generate(GenConfig::datamation(2_000, 0xC0_u64 + nodes as u64));
-        // Success-path cases use a generous deadline: they assert sorting,
-        // not promptness, and must not flake under parallel test load.
-        let results = run_cluster(
-            loopback_faulty(nodes, Vec::new()),
-            split_shares(&input, nodes),
-            &chaos_cfg(Some(Duration::from_secs(10))),
-        );
-        let output: Vec<u8> = results
-            .iter()
-            .flat_map(|r| r.result.as_ref().unwrap().clone())
-            .collect();
-        validate_records(&output, cs).unwrap();
+    for layout in RecordLayout::ALL {
+        for nodes in [2usize, 4] {
+            // Success-path cases use a generous deadline: they assert
+            // sorting, not promptness, and must not flake under parallel
+            // test load.
+            let cfg = layout_cfg(Some(Duration::from_secs(10)), layout);
+            let seed = 0xC0_u64 + nodes as u64;
+            let input = layout_input(layout, 2_000, seed);
+            let results = run_cluster(
+                loopback_faulty(nodes, Vec::new()),
+                split_shares(&input, nodes, layout).unwrap(),
+                &cfg,
+            );
+            let output: Vec<u8> = results
+                .iter()
+                .flat_map(|r| r.result.as_ref().unwrap().clone())
+                .collect();
+            match layout {
+                RecordLayout::Datamation => {
+                    let (_, cs) = generate(GenConfig::datamation(2_000, seed));
+                    validate_records(&output, cs).unwrap();
+                }
+                RecordLayout::VarLen => assert!(output == var_stable_reference(&input)),
+            }
+        }
     }
 }
 
@@ -217,7 +259,7 @@ fn tcp_node_killed_mid_exchange_fails_promptly_on_survivors() {
         let survivors: Vec<usize> = (0..nodes).filter(|&i| i != killer).collect();
         let results = run_cluster(
             transports,
-            split_shares(&input, nodes),
+            split_shares(&input, nodes, RecordLayout::Datamation).unwrap(),
             &chaos_cfg(Some(DEADLINE)),
         );
         assert_all_fail_promptly(&results, &survivors);
@@ -237,7 +279,7 @@ fn tcp_connection_cut_by_kill_connection_fails_cleanly() {
     assert!(transports[3].kill_connection(0));
     let results = run_cluster(
         transports,
-        split_shares(&input, nodes),
+        split_shares(&input, nodes, RecordLayout::Datamation).unwrap(),
         &chaos_cfg(Some(DEADLINE)),
     );
     // Node 3's own failure is a local send error (`NotConnected`); the
@@ -257,7 +299,7 @@ fn loopback_silent_node_times_out_naming_phase_and_node() {
         let transports = loopback_faulty(nodes, vec![(nodes - 1, plan)]);
         let results = run_cluster(
             transports,
-            split_shares(&input, nodes),
+            split_shares(&input, nodes, RecordLayout::Datamation).unwrap(),
             &chaos_cfg(Some(DEADLINE)),
         );
         // The coordinator times out collecting samples and names both the
@@ -290,7 +332,7 @@ fn dropped_done_frame_times_out_in_exchange_phase() {
     let transports = loopback_faulty(nodes, vec![(1, plan)]);
     let results = run_cluster(
         transports,
-        split_shares(&input, nodes),
+        split_shares(&input, nodes, RecordLayout::Datamation).unwrap(),
         &chaos_cfg(Some(DEADLINE)),
     );
     let err0 = results[0].result.as_ref().unwrap_err();
@@ -328,7 +370,7 @@ fn delay_within_deadline_still_sorts_correctly() {
         // Deadline well above the injected delay: slow is not dead.
         let results = run_cluster(
             transports,
-            split_shares(&input, nodes),
+            split_shares(&input, nodes, RecordLayout::Datamation).unwrap(),
             &chaos_cfg(Some(Duration::from_secs(10))),
         );
         let output: Vec<u8> = results
@@ -346,30 +388,33 @@ fn delay_within_deadline_still_sorts_correctly() {
 
 #[test]
 fn corrupt_frame_is_crc_error_naming_peer_never_bad_output() {
-    for nodes in [2usize, 4] {
-        let (input, _) = generate(GenConfig::datamation(2_000, 0xBAD_u64 + nodes as u64));
-        // Node 0 (the coordinator) sees its 3rd received frame corrupted on
-        // the wire: with `nodes` samples arriving first, frame 2 is a
-        // Sample or early Data either way — always CRC-covered.
-        let transports = loopback_faulty(
-            nodes,
-            vec![(
-                0,
-                FaultPlan::new().on(Dir::In, When::Nth(2), NetFault::Corrupt { byte: 5 }),
-            )],
-        );
-        let results = run_cluster(
-            transports,
-            split_shares(&input, nodes),
-            &chaos_cfg(Some(DEADLINE)),
-        );
-        let err0 = results[0].result.as_ref().unwrap_err();
-        assert_eq!(err0.kind(), io::ErrorKind::InvalidData, "{err0}");
-        assert!(err0.to_string().contains("CRC"), "{err0}");
-        assert!(err0.to_string().contains("node"), "{err0}");
-        // No node may emit output sorted from corrupt data; the others tear
-        // down via node 0's abort broadcast (or their own deadline).
-        assert_all_fail_promptly(&results, &(1..nodes).collect::<Vec<_>>());
+    for layout in RecordLayout::ALL {
+        for nodes in [2usize, 4] {
+            let seed = 0xBAD_u64 + nodes as u64;
+            let input = layout_input(layout, 2_000, seed);
+            // Node 0 (the coordinator) sees its 3rd received frame corrupted
+            // on the wire: with `nodes` samples arriving first, frame 2 is a
+            // Sample or early Data either way — always CRC-covered.
+            let transports = loopback_faulty(
+                nodes,
+                vec![(
+                    0,
+                    FaultPlan::new().on(Dir::In, When::Nth(2), NetFault::Corrupt { byte: 5 }),
+                )],
+            );
+            let results = run_cluster(
+                transports,
+                split_shares(&input, nodes, layout).unwrap(),
+                &layout_cfg(Some(DEADLINE), layout),
+            );
+            let err0 = results[0].result.as_ref().unwrap_err();
+            assert_eq!(err0.kind(), io::ErrorKind::InvalidData, "{err0}");
+            assert!(err0.to_string().contains("CRC"), "{err0}");
+            assert!(err0.to_string().contains("node"), "{err0}");
+            // No node may emit output sorted from corrupt data; the others
+            // tear down via node 0's abort broadcast (or their own deadline).
+            assert_all_fail_promptly(&results, &(1..nodes).collect::<Vec<_>>());
+        }
     }
 }
 
@@ -391,7 +436,7 @@ fn tcp_corrupt_frame_is_detected_over_real_sockets() {
         .collect();
     let results = run_cluster(
         transports,
-        split_shares(&input, nodes),
+        split_shares(&input, nodes, RecordLayout::Datamation).unwrap(),
         &chaos_cfg(Some(DEADLINE)),
     );
     let err1 = results[1].result.as_ref().unwrap_err();
@@ -429,7 +474,7 @@ fn local_failure_aborts_whole_cluster_before_any_deadline() {
     let t0 = Instant::now();
     let results = run_cluster(
         transports,
-        split_shares(&input, nodes),
+        split_shares(&input, nodes, RecordLayout::Datamation).unwrap(),
         &chaos_cfg(Some(long)),
     );
     let wall = t0.elapsed();

@@ -7,13 +7,14 @@ use std::io;
 
 use alphasort_core::driver::one_pass;
 use alphasort_core::io::{MemSink, MemSource};
-use alphasort_core::SortConfig;
+use alphasort_core::{RecordLayout, SortConfig};
 use alphasort_dmgen::{
-    generate, validate_records, GenConfig, KeyDistribution, SplitMix64, RECORD_LEN,
+    build_var_record, generate, validate_records, var_records_of, GenConfig, KeyDistribution,
+    SplitMix64, RECORD_LEN,
 };
 use alphasort_netsort::{
-    bind_cluster, netsort_loopback, netsort_tcp, run_worker, Frame, NetsortConfig, RetryPolicy,
-    TcpTransport, Transport,
+    bind_cluster, encode_keys, netsort_loopback, netsort_tcp, run_worker, Frame, NetsortConfig,
+    RetryPolicy, TcpTransport, Transport, MAX_PAYLOAD,
 };
 
 /// The single-node reference: the ordinary one-pass pipeline's exact bytes.
@@ -112,6 +113,50 @@ fn hundred_k_records_across_four_workers() {
     assert!(stats.exchange_bytes_out > n * RECORD_LEN as u64 / 2);
 }
 
+/// Probabilistic splitting on random keys: 256 samples from each of 8
+/// nodes keep the largest partition within 1.35× its fair share.
+#[test]
+fn probabilistic_splitting_balances_random_keys_at_eight_nodes() {
+    let (input, cs) = generate(GenConfig::datamation(50_000, 0xC0BE));
+    let (output, stats) = netsort_loopback(&input, 8, &NetsortConfig::default()).unwrap();
+    validate_records(&output, cs).unwrap();
+    assert_eq!(stats.partition_sizes.len(), 8);
+    assert!(
+        stats.exchange_skew() < 1.35,
+        "skew {}",
+        stats.exchange_skew()
+    );
+}
+
+/// Samples of long keys stay under the frame cap: 256 keys of 64 KiB would
+/// be a 16.8 MB `Sample` payload, past the `MAX_PAYLOAD` a TCP send
+/// enforces, so node 1's sampler stops short and the sort still matches a
+/// stable sort.
+#[test]
+fn samples_of_64_kib_keys_stay_under_the_frame_cap() {
+    let mut r = SplitMix64::new(0x64);
+    let mut input = Vec::new();
+    for seq in 0..520u32 {
+        let mut key: Vec<u8> = (0..8192).flat_map(|_| r.next_u64().to_le_bytes()).collect();
+        key.truncate(u16::MAX as usize);
+        input.extend_from_slice(&build_var_record(&key, &seq.to_le_bytes()));
+    }
+    let cfg = NetsortConfig {
+        sort: SortConfig {
+            layout: RecordLayout::VarLen,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    assert!(cfg.samples_per_node * (4 + u16::MAX as usize) > MAX_PAYLOAD);
+    let (output, stats) = netsort_tcp(&input, 2, &cfg, &RetryPolicy::default()).unwrap();
+    let mut recs = var_records_of(&input).unwrap();
+    recs.sort_by(|a, b| a.key().cmp(b.key()));
+    let want: Vec<u8> = recs.iter().flat_map(|r| r.frame()).copied().collect();
+    assert!(output == want);
+    assert_eq!(stats.records, 520);
+}
+
 /// A dup-heavy distribution must stay correct even though the splitters
 /// cannot balance it (all ties route to one node).
 #[test]
@@ -178,7 +223,7 @@ fn connection_cut_mid_exchange_fails_cleanly() {
             0,
             Frame::Sample {
                 from: 1,
-                keys: vec![0x42; 10],
+                keys: encode_keys(&[[0x42; 10]]),
             },
         )
         .unwrap();

@@ -18,7 +18,7 @@ pub struct Member {
 }
 
 impl Member {
-    /// JSON form, for `.str` descriptor files.
+    /// JSON form, as the scratch run manifest stores it.
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("disk".into(), Json::from(self.disk)),
@@ -129,7 +129,7 @@ impl StripeDef {
             .saturating_mul(self.chunk)
     }
 
-    /// JSON form, for `.str` descriptor files.
+    /// JSON form, as the scratch run manifest stores it.
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("name".into(), Json::from(self.name.as_str())),

@@ -12,8 +12,8 @@
 //! * [`StripeDef`] — the stripe geometry: member extents and the chunk size
 //!   each disk contributes to a stride ([`geometry`] has the address math).
 //! * [`Volume`] — a minimal extent allocator over a disk array; creates and
-//!   opens striped files, and persists stripe definitions as `.str`
-//!   descriptor files (JSON instead of the paper's line format).
+//!   opens striped files from their definitions (which the scratch run
+//!   manifest persists as JSON, where the paper keeps `.str` files).
 //! * [`StripedFile`] — random-access striped reads/writes, synchronous or
 //!   asynchronous (each member request runs on its disk's IO thread, so a
 //!   stride moves at the sum of the member disks' bandwidths — Figure 5).

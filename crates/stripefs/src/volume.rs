@@ -1,19 +1,18 @@
-//! A minimal extent allocator and stripe-descriptor store over a disk array.
+//! A minimal extent allocator over a disk array.
 //!
 //! The paper's striping layer sits on the OpenVMS file system: member files
 //! live wherever the FS puts them and the `.str` descriptor names them. Our
 //! disks are raw byte spaces, so the [`Volume`] supplies the one FS facility
 //! striping needs — allocating a contiguous extent per member disk — with a
-//! simple bump allocator, and persists [`StripeDef`] descriptors as JSON
-//! `.str` files on the *host* file system, playing the descriptor role.
+//! simple bump allocator. A [`StripeDef`] plays the descriptor's role: the
+//! scratch run manifest persists it as JSON on the *host* file system, and
+//! [`Volume::try_open`] reopens the file it describes.
 
 use std::io;
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use alphasort_iosim::{catalog, IoEngine, MemStorage, Pacing, SimDisk};
-use alphasort_minijson::Json;
 
 use crate::file::StripedFile;
 use crate::geometry::{Member, StripeDef};
@@ -327,25 +326,6 @@ impl Volume {
         file.attach_policy(Arc::clone(&self.policy));
         Ok(file)
     }
-
-    /// Persist a stripe definition as a `.str` descriptor file (JSON).
-    pub fn save_descriptor(def: &StripeDef, path: &Path) -> io::Result<()> {
-        std::fs::write(path, def.to_json().dump_pretty())
-    }
-
-    /// Load a stripe definition from a `.str` descriptor file.
-    pub fn load_descriptor(path: &Path) -> io::Result<StripeDef> {
-        let json = std::fs::read_to_string(path)?;
-        let parsed =
-            Json::parse(&json).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        StripeDef::from_json(&parsed).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-    }
-
-    /// Open a striped file via its host-side `.str` descriptor, like the
-    /// paper's `stripeopen()`.
-    pub fn stripe_open(&self, path: &Path) -> io::Result<StripedFile> {
-        self.try_open(Self::load_descriptor(path)?)
-    }
 }
 
 #[cfg(test)]
@@ -378,23 +358,6 @@ mod tests {
         assert_eq!(stats[2], 0);
         assert_eq!(stats[1], 512);
         assert_eq!(stats[3], 512);
-    }
-
-    #[test]
-    fn descriptor_roundtrip_via_host_fs() {
-        let v = Volume::in_memory(3);
-        let f = v.create("persisted", &[0, 1, 2], 128, 10_000);
-        f.write_at(0, b"alpha sort strides").unwrap();
-
-        let dir = std::env::temp_dir().join(format!("stripefs-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("persisted.str");
-        Volume::save_descriptor(&f.def_snapshot(), &path).unwrap();
-
-        let f2 = v.stripe_open(&path).unwrap();
-        assert_eq!(f2.len(), 18);
-        assert_eq!(f2.read_at(0, 18).unwrap(), b"alpha sort strides");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
