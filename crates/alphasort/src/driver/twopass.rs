@@ -48,17 +48,12 @@ where
     }
 }
 
-/// One scratch run being written: records staged into `gather_batch`-sized
-/// pushes so the spill writer's pipeline stays busy without a whole-run
-/// staging copy, counted — and, without a fixed stride, sparsely indexed —
-/// for [`StripeScratch::seal_run`].
+/// One scratch run being written. Each record goes straight into the
+/// run's [`StripeSink`] (its writer stages whole strides) and is counted —
+/// and, without a fixed stride, sparsely indexed — for
+/// [`StripeScratch::seal_run`].
 struct Spill {
     writer: StripeSink,
-    staging: Vec<u8>,
-    /// Records in `staging`, flushed at `batch` (a counter, not a modulo
-    /// of `records`: this runs once per spilled record).
-    staged: usize,
-    batch: usize,
     indexed: bool,
     records: u64,
     bytes: u64,
@@ -66,12 +61,9 @@ struct Spill {
 }
 
 impl Spill {
-    fn new(writer: StripeSink, layout: RecordLayout, batch: usize) -> Self {
+    fn new(writer: StripeSink, layout: RecordLayout) -> Self {
         Spill {
             writer,
-            staging: Vec::new(),
-            staged: 0,
-            batch,
             indexed: layout.stride().is_none(),
             records: 0,
             bytes: 0,
@@ -85,20 +77,10 @@ impl Spill {
         }
         self.records += 1;
         self.bytes += frame.len() as u64;
-        self.staging.extend_from_slice(frame);
-        self.staged += 1;
-        if self.staged == self.batch {
-            self.writer.push(&self.staging)?;
-            self.staging.clear();
-            self.staged = 0;
-        }
-        Ok(())
+        self.writer.push(frame)
     }
 
-    fn seal(mut self, scratch: &mut StripeScratch) -> io::Result<()> {
-        if !self.staging.is_empty() {
-            self.writer.push(&self.staging)?;
-        }
+    fn seal(self, scratch: &mut StripeScratch) -> io::Result<()> {
         scratch.seal_run(self.writer, self.records, self.index)
     }
 }
@@ -107,7 +89,6 @@ impl Spill {
 fn spill_run<R: LayoutRun>(
     run: &R,
     resuming: bool,
-    cfg: &SortConfig,
     stats: &mut SortStats,
     scratch: &mut StripeScratch,
 ) -> io::Result<()> {
@@ -119,11 +100,7 @@ fn spill_run<R: LayoutRun>(
         obs::metrics::counter_add("run.reformed", 1);
     }
     timed_phase(obs::phase::SPILL, &mut stats.spill_time, || {
-        let mut out = Spill::new(
-            scratch.create_run(run.bytes())?,
-            R::LAYOUT,
-            cfg.gather_batch,
-        );
+        let mut out = Spill::new(scratch.create_run(run.bytes())?, R::LAYOUT);
         for pos in 0..run.len() {
             out.push(run.frame_at(pos))?;
         }
@@ -199,14 +176,14 @@ where
         // Spill whatever the workers have finished, without stalling input.
         while let Some((run, d)) = pool.try_next_in_order() {
             stats.sort_time += d;
-            spill_run(&run, resuming, cfg, &mut stats, scratch)?;
+            spill_run(&run, resuming, &mut stats, scratch)?;
             feed.cutter.recycle(run.into_buf());
         }
     }
     drop(feed); // input is done: nothing takes a spare buffer any more
     while let Some((run, d)) = pool.next_in_order() {
         stats.sort_time += d;
-        spill_run(&run, resuming, cfg, &mut stats, scratch)?;
+        spill_run(&run, resuming, &mut stats, scratch)?;
     }
     drop(pool.finish()); // joins worker threads (no runs remain)
     if stats.records == 0 {
@@ -234,7 +211,7 @@ where
             let mut merger = Merger::<_, R::Policy, _>::new(StreamHeads::<_, R>::new(group)?, ());
             timed_phase(obs::phase::SPILL, &mut stats.spill_time, || {
                 let writer = scratch.create_run(group_bytes)?;
-                let mut out = Spill::new(writer, R::LAYOUT, cfg.gather_batch);
+                let mut out = Spill::new(writer, R::LAYOUT);
                 while let Some(w) = merger.winner() {
                     out.push(merger.heads().frame(w))?;
                     merger.pop()?;

@@ -3,20 +3,21 @@
 //! The drivers are generic over [`RecordSource`] / [`RecordSink`] for their
 //! input and output, so the same sort reads and writes striped simulated
 //! disks ([`StripeSource`] / [`StripeSink`]), host files
-//! ([`io_file`](crate::io_file)) or plain memory ([`MemSource`] /
-//! [`MemSink`]). Two-pass scratch runs always move through the stripe pair:
-//! [`StripeScratch`](crate::driver::StripeScratch) is the one scratch store.
+//! ([`io_file`](crate::io_file): one-disk stripes over the same pair) or
+//! plain memory ([`MemSource`] / [`MemSink`]). Two-pass scratch runs always
+//! move through the stripe pair: [`StripeScratch`](crate::driver::StripeScratch)
+//! is the one scratch store.
 
 use std::io;
 use std::sync::Arc;
 
 use alphasort_stripefs::{RunChecksums, StripedFile, StripedReader, StripedWriter};
 
-/// A sequential supplier of whole-record byte chunks.
+/// A sequential supplier of the input's bytes, in chunks.
 pub trait RecordSource: Send {
-    /// The next chunk (a whole number of records), or `None` at end.
-    /// Chunk sizes are the source's choice (a striped source returns
-    /// strides).
+    /// The next chunk, or `None` at end. Chunk sizes are the source's
+    /// choice (a striped source hands out strides), so a record may be
+    /// split across chunks: the run cutters reassemble it.
     fn next_chunk(&mut self) -> io::Result<Option<Vec<u8>>>;
 
     /// Total bytes this source will deliver, if known up front (a striped
@@ -117,8 +118,9 @@ pub struct StripeSource {
     total: u64,
 }
 
-impl StripeSource {
-    fn whole(reader: StripedReader) -> Self {
+/// Everything `reader` delivers, as configured (its range, its depth).
+impl From<StripedReader> for StripeSource {
+    fn from(reader: StripedReader) -> Self {
         let total = reader.total_len();
         StripeSource {
             reader,
@@ -127,22 +129,19 @@ impl StripeSource {
             total,
         }
     }
+}
 
+impl StripeSource {
     /// Read `file` sequentially with the default (triple-buffer) depth.
     pub fn new(file: Arc<StripedFile>) -> Self {
-        Self::whole(StripedReader::new(file))
-    }
-
-    /// Read `file` sequentially keeping `depth` strides in flight.
-    pub fn with_depth(file: Arc<StripedFile>, depth: usize) -> Self {
-        Self::whole(StripedReader::with_depth(file, depth))
+        StripedReader::new(file).into()
     }
 
     /// Read `file` sequentially, verifying every delivered stride against
     /// `checks`; a corrupt segment surfaces as `InvalidData` naming the
     /// member disk and offsets.
     pub fn verified(file: Arc<StripedFile>, checks: RunChecksums) -> io::Result<Self> {
-        Ok(Self::whole(StripedReader::verified(file, checks)?))
+        Ok(StripedReader::verified(file, checks)?.into())
     }
 
     /// Read only the byte window `[off, off + len)` of `file`, verifying
@@ -203,43 +202,33 @@ impl RecordSource for StripeSource {
 pub struct StripeSink {
     writer: Option<StripedWriter>,
     written: u64,
-    /// Whether the writer fingerprints strides as they go out.
-    checksummed: bool,
     /// Fingerprints collected by `complete()` on a checksummed sink.
     checks: Option<RunChecksums>,
+}
+
+/// Everything pushed goes to `writer`, as configured (its depth, its
+/// checksums).
+impl From<StripedWriter> for StripeSink {
+    fn from(writer: StripedWriter) -> Self {
+        StripeSink {
+            writer: Some(writer),
+            written: 0,
+            checks: None,
+        }
+    }
 }
 
 impl StripeSink {
     /// Write `file` sequentially with the default (triple-buffer) depth.
     pub fn new(file: Arc<StripedFile>) -> Self {
-        StripeSink {
-            writer: Some(StripedWriter::new(file)),
-            written: 0,
-            checksummed: false,
-            checks: None,
-        }
-    }
-
-    /// Write `file` sequentially keeping `depth` strides in flight.
-    pub fn with_depth(file: Arc<StripedFile>, depth: usize) -> Self {
-        StripeSink {
-            writer: Some(StripedWriter::with_depth(file, depth)),
-            written: 0,
-            checksummed: false,
-            checks: None,
-        }
+        StripedWriter::new(file).into()
     }
 
     /// Like [`new`](Self::new), but every issued stride is fingerprinted;
     /// after `complete()`, [`take_checksums`](Self::take_checksums) yields
     /// the recorded [`RunChecksums`].
     pub fn checksummed(file: Arc<StripedFile>) -> Self {
-        StripeSink {
-            writer: Some(StripedWriter::with_checksums(file)),
-            written: 0,
-            checksummed: true,
-            checks: None,
-        }
+        StripedWriter::with_checksums(file).into()
     }
 
     /// The fingerprints recorded by a [`checksummed`](Self::checksummed)
@@ -262,7 +251,7 @@ impl RecordSink for StripeSink {
 
     fn complete(&mut self) -> io::Result<u64> {
         if let Some(w) = self.writer.take() {
-            if self.checksummed {
+            if w.is_checksummed() {
                 let (n, checks) = w.finish_checksummed()?;
                 self.written = n;
                 self.checks = Some(checks);

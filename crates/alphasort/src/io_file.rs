@@ -1,104 +1,96 @@
-//! Plain host-file sources and sinks.
+//! Host-file sources and sinks.
 //!
 //! The paper distinguishes "a program like AlphaSort, designed to sort
 //! exactly the Datamation test data" from "an industrial-strength sort"
 //! (their Daytona category). These adapters are the industrial face: the
-//! same drivers run over ordinary files on the host file system, buffered
-//! reads and writes, no simulation anywhere.
+//! same drivers over ordinary host files, through the striping layer that
+//! does the rest of the sort's IO (§3, §7). A host file is a one-disk
+//! stripe, so it gets read-ahead, write-behind, retry, `stripe.*`/`io.*`
+//! spans and errors that name the file and offset.
 
-use std::fs::File;
-use std::io::{self, BufWriter, Read, Write};
+use std::io;
 use std::path::Path;
+use std::sync::Arc;
 
-use alphasort_obs as obs;
+use alphasort_iosim::{catalog, FileStorage, IoEngine, Pacing, SimDisk};
+use alphasort_stripefs::{Member, StripeDef, StripedFile};
 
-use crate::io::{RecordSink, RecordSource};
+use crate::io::{RecordSink, RecordSource, StripeSink, StripeSource};
 
-/// Buffered sequential source over a host file.
-pub struct FileSource {
-    file: File,
-    remaining: Option<u64>,
+/// Bytes per stride, so per read-ahead or write-behind request.
+const CHUNK: u64 = 256 << 10;
+
+/// `storage`, the file at `path`, as a one-disk striped file of `len` bytes.
+fn host_stripe(path: &Path, storage: FileStorage, len: u64) -> Arc<StripedFile> {
+    let disk = SimDisk::new(
+        "host",
+        catalog::uncapped(),
+        Arc::new(storage),
+        Pacing::Modeled,
+        None,
+    );
+    let mut def = StripeDef::new(
+        path.display().to_string(),
+        CHUNK,
+        vec![Member { disk: 0, base: 0 }],
+    );
+    def.len = len;
+    Arc::new(StripedFile::new(def, Arc::new(IoEngine::new(vec![disk]))))
 }
 
-impl FileSource {
-    /// Bytes per chunk: 1 MB of whole records.
-    pub const DEFAULT_CHUNK: usize = 10_000 * alphasort_dmgen::RECORD_LEN;
+/// Sequential source over a host file, opened read-only.
+pub struct FileSource(StripeSource);
 
-    /// Open `path` for sequential reading in [`Self::DEFAULT_CHUNK`] pieces.
+impl FileSource {
+    /// Open the regular file at `path` for sequential reading. Anything
+    /// else (a directory, a pipe) is an error, never an empty input.
     pub fn open<P: AsRef<Path>>(path: P) -> io::Result<Self> {
-        let file = File::open(path)?;
-        let remaining = file.metadata().ok().map(|m| m.len());
-        Ok(FileSource { file, remaining })
+        let path = path.as_ref();
+        let meta = std::fs::metadata(path)?;
+        if !meta.is_file() {
+            let msg = format!("{}: not a regular file", path.display());
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
+        }
+        let file = host_stripe(path, FileStorage::open_read_only(path)?, meta.len());
+        Ok(FileSource(StripeSource::new(file)))
     }
 }
 
 impl RecordSource for FileSource {
     fn next_chunk(&mut self) -> io::Result<Option<Vec<u8>>> {
-        let mut g = obs::span(obs::phase::FILE_READ);
-        let mut buf = vec![0u8; Self::DEFAULT_CHUNK];
-        let mut filled = 0;
-        while filled < buf.len() {
-            let n = self.file.read(&mut buf[filled..])?;
-            if n == 0 {
-                break;
-            }
-            filled += n;
-        }
-        g.attr("bytes", filled as u64);
-        obs::metrics::counter_add("file.read.bytes", filled as u64);
-        if filled == 0 {
-            return Ok(None);
-        }
-        buf.truncate(filled);
-        Ok(Some(buf))
+        self.0.next_chunk()
     }
 
     fn size_hint(&self) -> Option<u64> {
-        self.remaining
+        self.0.size_hint()
     }
 }
 
-/// Buffered sequential sink over a host file.
+/// Sequential sink over a host file; `complete` returns once the file is
+/// on stable storage (`fsync`).
 pub struct FileSink {
-    writer: Option<BufWriter<File>>,
-    written: u64,
+    sink: StripeSink,
+    file: Arc<StripedFile>,
 }
 
 impl FileSink {
     /// Create (truncate) `path` for sequential writing.
     pub fn create<P: AsRef<Path>>(path: P) -> io::Result<Self> {
-        let file = File::create(path)?;
-        Ok(FileSink {
-            writer: Some(BufWriter::with_capacity(1 << 20, file)),
-            written: 0,
-        })
+        let file = host_stripe(path.as_ref(), FileStorage::create(path.as_ref())?, 0);
+        let sink = StripeSink::new(Arc::clone(&file));
+        Ok(FileSink { sink, file })
     }
 }
 
 impl RecordSink for FileSink {
     fn push(&mut self, data: &[u8]) -> io::Result<()> {
-        let _g = obs::span(obs::phase::FILE_WRITE).with("bytes", data.len() as u64);
-        let Some(w) = self.writer.as_mut() else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "push on a file sink that was already completed",
-            ));
-        };
-        w.write_all(data)?;
-        self.written += data.len() as u64;
-        obs::metrics::counter_add("file.write.bytes", data.len() as u64);
-        Ok(())
+        self.sink.push(data)
     }
 
     fn complete(&mut self) -> io::Result<u64> {
-        if let Some(mut w) = self.writer.take() {
-            let _g = obs::span(obs::phase::FILE_WRITE).with("sync", 1u64);
-            w.flush()?;
-            w.into_inner()
-                .map_err(|e| io::Error::other(e.to_string()))?
-                .sync_all()?;
-        }
-        Ok(self.written)
+        let written = self.sink.complete()?;
+        self.file.sync()?;
+        Ok(written)
     }
 }
 
@@ -107,9 +99,10 @@ mod tests {
     use super::*;
     use crate::driver::one_pass;
     use crate::SortConfig;
-    use alphasort_dmgen::{validate_reader, GenConfig, Generator, RECORD_LEN};
+    use alphasort_dmgen::{validate_reader, Checksum, GenConfig, Generator, RECORD_LEN};
+    use std::path::PathBuf;
 
-    fn tmpdir() -> std::path::PathBuf {
+    fn tmpdir() -> PathBuf {
         let d = std::env::temp_dir().join(format!(
             "alphasort-io-file-{}-{}",
             std::process::id(),
@@ -122,48 +115,87 @@ mod tests {
         d
     }
 
+    /// Write `records` Datamation records to `path` through a `FileSink`;
+    /// returns the input fingerprint.
+    fn write_input(path: &Path, records: u64, seed: u64) -> Checksum {
+        let mut gen = Generator::new(GenConfig::datamation(records, seed));
+        let mut sink = FileSink::create(path).unwrap();
+        let mut buf = vec![0u8; 500 * RECORD_LEN];
+        loop {
+            let n = gen.fill(&mut buf);
+            if n == 0 {
+                break;
+            }
+            sink.push(&buf[..n]).unwrap();
+        }
+        assert_eq!(sink.complete().unwrap(), records * RECORD_LEN as u64);
+        gen.checksum()
+    }
+
+    /// Sort `input` into `output`, file to file, and validate from disk.
+    fn sort_and_validate(input: &Path, output: &Path, checksum: Checksum, cfg: &SortConfig) {
+        let mut source = FileSource::open(input).unwrap();
+        assert_eq!(source.size_hint(), Some(checksum.count * RECORD_LEN as u64));
+        let mut sink = FileSink::create(output).unwrap();
+        let outcome = one_pass(&mut source, &mut sink, cfg).unwrap();
+        assert_eq!(outcome.stats.records, checksum.count);
+        let mut f = std::fs::File::open(output).unwrap();
+        let report = validate_reader(&mut f, checksum).unwrap().unwrap();
+        assert_eq!(report.records, checksum.count);
+    }
+
     #[test]
     fn file_roundtrip_through_the_sort() {
+        // Larger than several strides, so the read crosses stride
+        // boundaries (none of which falls on a record boundary: 100 does
+        // not divide the chunk) and run cuts fall inside strides.
         let dir = tmpdir();
-        let input_path = dir.join("input.dat");
-        let output_path = dir.join("output.dat");
-
-        // Write the benchmark input to a real file, larger than one chunk so
-        // the read crosses chunk boundaries and run cuts fall inside chunks.
         let records = 25_000;
-        let bytes = records * RECORD_LEN as u64;
-        assert!(bytes > FileSource::DEFAULT_CHUNK as u64);
-        let mut gen = Generator::new(GenConfig::datamation(records, 77));
-        {
-            let mut sink = FileSink::create(&input_path).unwrap();
-            let mut buf = vec![0u8; 500 * RECORD_LEN];
-            loop {
-                let n = gen.fill(&mut buf);
-                if n == 0 {
-                    break;
-                }
-                sink.push(&buf[..n]).unwrap();
-            }
-            assert_eq!(sink.complete().unwrap(), bytes);
-        }
-
-        // Sort file → file.
-        let mut source = FileSource::open(&input_path).unwrap();
-        assert_eq!(source.size_hint(), Some(bytes));
-        let mut sink = FileSink::create(&output_path).unwrap();
+        assert!(records * RECORD_LEN as u64 > 3 * CHUNK);
+        let checksum = write_input(&dir.join("input.dat"), records, 77);
         let cfg = SortConfig {
             run_records: 1_500,
             gather_batch: 300,
             workers: 2,
             ..Default::default()
         };
-        let outcome = one_pass(&mut source, &mut sink, &cfg).unwrap();
-        assert_eq!(outcome.stats.records, records);
+        sort_and_validate(
+            &dir.join("input.dat"),
+            &dir.join("output.dat"),
+            checksum,
+            &cfg,
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
-        // Validate from disk.
-        let mut f = std::fs::File::open(&output_path).unwrap();
-        let report = validate_reader(&mut f, gen.checksum()).unwrap().unwrap();
-        assert_eq!(report.records, records);
+    #[test]
+    fn read_only_input_sorts() {
+        // The input is opened read-only. Permission bits do not bind a
+        // privileged process, so `iosim`'s `read_only_storage_refuses_writes`
+        // pins the open mode itself.
+        use std::os::unix::fs::PermissionsExt;
+        let dir = tmpdir();
+        let input = dir.join("input.dat");
+        let checksum = write_input(&input, 3_000, 5);
+        std::fs::set_permissions(&input, std::fs::Permissions::from_mode(0o444)).unwrap();
+        let cfg = SortConfig {
+            run_records: 1_000,
+            ..Default::default()
+        };
+        sort_and_validate(&input, &dir.join("output.dat"), checksum, &cfg);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_directory_is_an_error_naming_it_not_an_empty_input() {
+        let dir = tmpdir();
+        let err = FileSource::open(&dir)
+            .err()
+            .expect("a directory is no input");
+        assert!(
+            err.to_string().contains(&dir.display().to_string()),
+            "{err}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

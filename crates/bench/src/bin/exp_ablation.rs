@@ -75,8 +75,8 @@ fn run(s: &Setup, name: &str, cfg: &SortConfig, depth: usize) -> f64 {
         s.input.len(),
     ));
     let t0 = Instant::now();
-    let mut source = StripeSource::with_depth(Arc::clone(&s.input), depth);
-    let mut sink = StripeSink::with_depth(Arc::clone(&output), depth);
+    let mut source = StripeSource::from(StripedReader::with_depth(Arc::clone(&s.input), depth));
+    let mut sink = StripeSink::from(StripedWriter::with_depth(Arc::clone(&output), depth));
     one_pass(&mut source, &mut sink, cfg).expect("sort");
     let wall = t0.elapsed().as_secs_f64();
     let mut reader = StripedReader::new(Arc::clone(&output));

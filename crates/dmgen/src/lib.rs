@@ -47,7 +47,8 @@ pub use record::{
 };
 pub use rng::SplitMix64;
 pub use validate::{
-    validate_reader, validate_records, ValidationError, ValidationReport, Validator,
+    summarize_reader, validate_reader, validate_records, ValidationError, ValidationReport,
+    Validator,
 };
 pub use varlen::{
     build_var_record, encode_var_record, generate_varlen, parse_var_record, var_records_of,

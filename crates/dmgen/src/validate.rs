@@ -123,14 +123,21 @@ impl Validator {
 
     /// Finish, comparing against the input fingerprint.
     pub fn finish(self, expected: Checksum) -> Result<ValidationReport, ValidationError> {
-        let actual = self.checksum.finish();
+        let (report, actual) = self.summary();
         if actual != expected {
             return Err(ValidationError::ChecksumMismatch { expected, actual });
         }
-        Ok(ValidationReport {
+        Ok(report)
+    }
+
+    /// Finish with no input fingerprint to compare: the report and the
+    /// fingerprint of everything fed, for a caller to check later.
+    pub fn summary(self) -> (ValidationReport, Checksum) {
+        let report = ValidationReport {
             records: self.records,
             equal_key_pairs: self.equal_key_pairs,
-        })
+        };
+        (report, self.checksum.finish())
     }
 }
 
@@ -156,6 +163,21 @@ pub fn validate_reader<R: Read>(
     reader: &mut R,
     expected: Checksum,
 ) -> io::Result<Result<ValidationReport, ValidationError>> {
+    Ok(scan_reader(reader)?.and_then(|v| v.finish(expected)))
+}
+
+/// Check key order over a streamed output with no input fingerprint at
+/// hand: the report and the output's own fingerprint, which a later
+/// [`validate_reader`] against the input's must reproduce.
+pub fn summarize_reader<R: Read>(
+    reader: &mut R,
+) -> io::Result<Result<(ValidationReport, Checksum), ValidationError>> {
+    Ok(scan_reader(reader)?.map(Validator::summary))
+}
+
+/// Feed a whole stream to a fresh [`Validator`], carrying records split
+/// across reads over to the next one.
+fn scan_reader<R: Read>(reader: &mut R) -> io::Result<Result<Validator, ValidationError>> {
     let mut v = Validator::new();
     // 8192 records per read keeps syscalls rare without a big footprint.
     let mut buf = vec![0u8; 8192 * RECORD_LEN];
@@ -180,7 +202,7 @@ pub fn validate_reader<R: Read>(
     if pending != 0 {
         return Ok(Err(ValidationError::RaggedLength { bytes: total }));
     }
-    Ok(v.finish(expected))
+    Ok(Ok(v))
 }
 
 #[cfg(test)]
@@ -257,6 +279,18 @@ mod tests {
         let mut cursor = std::io::Cursor::new(&output);
         let report = validate_reader(&mut cursor, cs).unwrap().unwrap();
         assert_eq!(report.records, 3000);
+    }
+
+    #[test]
+    fn summary_reproduces_the_input_fingerprint_without_it() {
+        let (input, cs) = generate(GenConfig::datamation(3000, 19));
+        let output = sorted_copy(&input);
+        let mut cursor = std::io::Cursor::new(&output);
+        let (report, actual) = summarize_reader(&mut cursor).unwrap().unwrap();
+        assert_eq!((report.records, actual), (3000, cs));
+        let mut unsorted = std::io::Cursor::new(&input);
+        let err = summarize_reader(&mut unsorted).unwrap().unwrap_err();
+        assert!(matches!(err, ValidationError::OutOfOrder { .. }));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! A [`Storage`] holds the actual bytes of one simulated disk. Two
 //! implementations: [`MemStorage`] (a growable in-memory image, used by unit
 //! tests and fast experiments) and [`FileStorage`] (a real file with
-//! positioned reads/writes, used by disk-to-disk experiment runs).
+//! positioned reads/writes, used by disk images and host files).
 
 use std::fs::{File, OpenOptions};
 use std::io;
@@ -30,7 +30,7 @@ pub trait Storage: Send + Sync {
         self.len() == 0
     }
 
-    /// Flush to durable media (no-op for memory).
+    /// Flush data and metadata to durable media (no-op for memory).
     fn sync(&self) -> io::Result<()> {
         Ok(())
     }
@@ -108,6 +108,13 @@ impl FileStorage {
         let file = OpenOptions::new().read(true).write(true).open(path)?;
         Ok(FileStorage { file })
     }
+
+    /// Open an existing file at `path` for reading only: writes fail.
+    pub fn open_read_only<P: AsRef<Path>>(path: P) -> io::Result<Self> {
+        Ok(FileStorage {
+            file: File::open(path)?,
+        })
+    }
 }
 
 impl Storage for FileStorage {
@@ -136,7 +143,7 @@ impl Storage for FileStorage {
     }
 
     fn sync(&self) -> io::Result<()> {
-        self.file.sync_data()
+        self.file.sync_all()
     }
 }
 
@@ -191,6 +198,21 @@ mod tests {
         let mut buf = [0u8; 5];
         s2.read_at(10, &mut buf).unwrap();
         assert_eq!(&buf, b"heLLO");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn read_only_storage_refuses_writes() {
+        let dir = std::env::temp_dir().join(format!("iosim-ro-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("input.dat");
+        std::fs::write(&path, b"hello").unwrap();
+        let s = FileStorage::open_read_only(&path).unwrap();
+        let mut buf = [0u8; 5];
+        s.read_at(0, &mut buf).unwrap();
+        assert_eq!(&buf, b"hello");
+        assert!(s.write_at(0, b"HELLO").is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), b"hello");
         std::fs::remove_dir_all(&dir).ok();
     }
 

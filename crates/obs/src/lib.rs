@@ -52,7 +52,7 @@ pub use report::{elapsed_of, figure7, phase_totals};
 ///
 /// The pipeline phases (the Figure 7 rows) are deliberately the same small
 /// set `SortStats` tracks, so a trace can be folded back into stats. Layer
-/// names below them (`io.*`, `file.*`, `stripe.*`, `net.*`) nest inside the
+/// names below them (`io.*`, `stripe.*`, `net.*`) nest inside the
 /// phases and carry the per-request detail.
 pub mod phase {
     /// Whole one-pass sort (top-level driver span).
@@ -101,10 +101,6 @@ pub mod phase {
     pub const IO_WRITE: &str = "io.write";
     /// iosim: one flush serviced by a disk thread.
     pub const IO_SYNC: &str = "io.sync";
-    /// Host file system: one chunk read.
-    pub const FILE_READ: &str = "file.read";
-    /// Host file system: one buffered write.
-    pub const FILE_WRITE: &str = "file.write";
     /// stripefs: waiting for a read-ahead stride to land.
     pub const STRIPE_READ: &str = "stripe.read";
     /// stripefs: waiting for write-behind back-pressure to clear.

@@ -421,15 +421,24 @@ impl StripedFile {
         self.write_at_async(offset, data).wait()
     }
 
-    /// Flush every member disk.
+    /// Flush every member disk; a failure names the disk and this file.
     pub fn sync(&self) -> io::Result<()> {
         let handles: Vec<_> = self
             .member_disks()
             .into_iter()
-            .map(|d| self.engine.sync(d))
+            .map(|d| (d, self.engine.sync(d)))
             .collect();
-        for h in handles {
-            h.wait()?;
+        for (d, h) in handles {
+            h.wait().map_err(|e| {
+                io::Error::new(
+                    e.kind(),
+                    format!(
+                        "sync on disk {d} ({}) failed (file '{}'): {e}",
+                        self.engine.disks()[d].name(),
+                        self.def.name,
+                    ),
+                )
+            })?;
         }
         Ok(())
     }

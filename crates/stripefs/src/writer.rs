@@ -85,6 +85,12 @@ impl StripedWriter {
         w
     }
 
+    /// Whether this writer was created by
+    /// [`with_checksums`](Self::with_checksums).
+    pub fn is_checksummed(&self) -> bool {
+        self.checks.is_some()
+    }
+
     /// Bytes accepted so far (issued + staged).
     pub fn position(&self) -> u64 {
         self.pos + self.staging.len() as u64

@@ -9,11 +9,10 @@
 //! valsort <file> [--expect COUNT:SUM:XOR]
 //! ```
 
-use std::io::Read;
 use std::process::ExitCode;
 
 use alphasort_suite::cli::{self, failed, Arg::Val, Command, Flag, Flags, Stop};
-use alphasort_suite::dmgen::{Checksum, Record, RunningChecksum, RECORD_LEN};
+use alphasort_suite::dmgen::{summarize_reader, Checksum};
 
 const VALSORT: Command = Command {
     name: "valsort",
@@ -51,43 +50,14 @@ fn valsort(flags: &Flags) -> Result<(), Stop> {
     }
 
     // Order check + fingerprint report, no reference to compare.
-    let mut file = std::fs::File::open(path).map_err(failed(format!("cannot open {path}")))?;
-    let invalid = |why: String| Err(Stop::Failed(format!("INVALID: {why}")));
-    let mut buf = vec![0u8; 8192 * RECORD_LEN];
-    let mut pending = 0usize;
-    let mut rc = RunningChecksum::new();
-    let mut prev: Option<[u8; 10]> = None;
-    let mut records = 0u64;
-    let mut dups = 0u64;
-    loop {
-        let n = file.read(&mut buf[pending..]).map_err(failed("IO error"))?;
-        if n == 0 {
-            break;
-        }
-        pending += n;
-        let whole = pending - pending % RECORD_LEN;
-        for chunk in buf[..whole].chunks_exact(RECORD_LEN) {
-            let r = Record::from_bytes(chunk);
-            if let Some(p) = prev {
-                if p > r.key {
-                    return invalid(format!("record {records} out of key order"));
-                }
-                if p == r.key {
-                    dups += 1;
-                }
-            }
-            prev = Some(r.key);
-            rc.update(&r);
-            records += 1;
-        }
-        buf.copy_within(whole..pending, 0);
-        pending -= whole;
-    }
-    if pending != 0 {
-        return invalid(format!("trailing partial record ({pending} bytes)"));
-    }
-    let cs = rc.finish();
-    eprintln!("OK: {records} records in key order ({dups} duplicate-key pairs)");
+    let (report, cs) = std::fs::File::open(path)
+        .and_then(|mut f| summarize_reader(&mut f))
+        .map_err(failed(format!("cannot read {path}")))?
+        .map_err(failed("INVALID"))?;
+    eprintln!(
+        "OK: {} records in key order ({} duplicate-key pairs)",
+        report.records, report.equal_key_pairs
+    );
     println!("{}:{}:{}", cs.count, cs.sum, cs.xor);
     Ok(())
 }

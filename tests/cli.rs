@@ -67,6 +67,41 @@ fn sortcli_run_sizes_it_cannot_use_are_usage_errors() {
 }
 
 #[test]
+fn valsort_prints_the_fingerprint_gensort_printed_and_refuses_a_swap() {
+    let dir = std::env::temp_dir().join(format!("alphasort-valsort-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (input, sorted, swapped) = (path("in.dat"), path("sorted.dat"), path("swapped.dat"));
+    let stdout = |out: Output| {
+        let err = String::from_utf8_lossy(&out.stderr).to_string();
+        assert!(out.status.success(), "{err}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let generated = stdout(run(
+        env!("CARGO_BIN_EXE_gensort"),
+        &["2000", &input, "--seed", "11"],
+    ));
+    stdout(run(env!("CARGO_BIN_EXE_sortcli"), &[&input, &sorted]));
+    let valsort = env!("CARGO_BIN_EXE_valsort");
+    // With no reference, valsort prints the fingerprint `--expect` takes.
+    let printed = stdout(run(valsort, &[&sorted]));
+    assert_eq!(printed, generated);
+    stdout(run(valsort, &[&sorted, "--expect", printed.trim()]));
+    // Two records swapped: same fingerprint, wrong order.
+    let mut bytes = std::fs::read(&sorted).unwrap();
+    let (first, second) = bytes.split_at_mut(100);
+    assert_ne!(first[..10], second[..10]);
+    first.swap_with_slice(&mut second[..100]);
+    std::fs::write(&swapped, &bytes).unwrap();
+    let out = run(valsort, &[&swapped]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("INVALID"), "{err}");
+    assert!(out.stdout.is_empty());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn removed_kernel_and_rep_flags_are_unknown_flags() {
     let sortcli = env!("CARGO_BIN_EXE_sortcli");
     // `--mem` too: sortcli picks the pass by `--two-pass`, so the budget it
