@@ -10,6 +10,7 @@ use std::hint::black_box;
 use alphasort_bench::harness::BenchGroup;
 use alphasort_bench::variants::rs::generate_runs;
 use alphasort_bench::variants::{key_prefix_order, partition_prefix_order};
+use alphasort_cachesim::TournamentLayout::Naive;
 use alphasort_core::layout::LayoutRun;
 use alphasort_core::runform::form_run;
 use alphasort_core::varlen::VarRun;
@@ -35,10 +36,10 @@ fn main() {
         });
         let records: Vec<Record> = records_of(&data).to_vec();
         g.bench(format!("quicksort_prefix/{label}"), || {
-            black_box(key_prefix_order(&data))
+            black_box(key_prefix_order(&data, &mut ()))
         });
         g.bench(format!("replacement_selection/{label}"), || {
-            black_box(generate_runs(&records, 25_000))
+            black_box(generate_runs(&records, 25_000, Naive, &mut ()))
         });
     }
 
@@ -58,10 +59,10 @@ fn main() {
             });
             g.bench_with(format!("{label}/form_run"), || data.clone(), form_run);
             g.bench(format!("{label}/partition_prefix_order"), || {
-                partition_prefix_order(&data)
+                partition_prefix_order(&data, &mut ())
             });
             g.bench(format!("{label}/key_prefix_order"), || {
-                key_prefix_order(&data)
+                key_prefix_order(&data, &mut ())
             });
         }
     }

@@ -19,7 +19,7 @@ fn bench_representations() {
     for rep in Representation::ALL {
         g.bench(format!("quicksort/{}", rep.name()), || {
             let mut buf = data.clone();
-            black_box((rep.sort(&mut buf), buf))
+            black_box((rep.sort(&mut buf, &mut ()), buf))
         });
     }
     g.bench("pipeline/form_run", || black_box(form_run(data.clone())));
@@ -44,7 +44,7 @@ fn bench_degenerate_prefix() {
             dist,
         });
         g.bench(format!("key_prefix/{label}"), || {
-            black_box(Representation::KeyPrefix.sort(&mut data.clone()))
+            black_box(Representation::KeyPrefix.sort(&mut data.clone(), &mut ()))
         });
     }
 }

@@ -2,21 +2,23 @@
 //! QuickSort of (key-prefix, pointer) pairs is cache resident. Plus the §4
 //! clustering ablation ("reduces cache misses by a factor of two or three")
 //! and the §4 claim that QuickSort is ~2.5× faster than the best tournament
-//! sort (measured in wall-clock on the host).
+//! sort (measured in wall-clock on the host). Every row runs the same two
+//! exhibits, `variants::rs` and `variants::key_prefix_order`: the miss rows
+//! observe them through the cache simulator, the wall-clock rows time them.
 
 use std::time::Instant;
 
 use alphasort_bench::variants::key_prefix_order;
 use alphasort_bench::variants::rs::generate_runs;
-use alphasort_cachesim::{
-    traced_quicksort, traced_tournament_sort, Hierarchy, QuickSortVariant, TournamentLayout,
-};
-use alphasort_dmgen::{generate, records_of, GenConfig};
+use alphasort_cachesim::{Hierarchy, TournamentLayout, Within, OUT_BASE, TREE_BASE};
+use alphasort_dmgen::{generate, records_of, GenConfig, RECORD_LEN};
 use alphasort_perfmodel::table::Table;
 
 fn main() {
-    let n = 200_000usize;
+    let n = 200_000u64;
     let w = 65_536usize;
+    let (data, _) = generate(GenConfig::datamation(n, 1));
+    let recs = records_of(&data);
 
     println!("== Figure 4: cache misses, tournament vs QuickSort ({n} records) ==\n");
     let mut t = Table::new(["kernel", "D-miss/rec", "B-miss/rec", "TLB/rec"]);
@@ -24,41 +26,40 @@ fn main() {
     let mut rows = Vec::new();
     // Replacement-selection over records — the OpenVMS-sort approach of
     // Figure 4's left side — naive and clustered tree layouts, with and
-    // without the record traffic (tree-only isolates the clustering claim).
+    // without the slot and record traffic (tree-only isolates the
+    // clustering claim).
     for layout in [TournamentLayout::Naive, TournamentLayout::Clustered] {
-        for record_traffic in [true, false] {
+        for (traffic, range) in [("", 0..u64::MAX), (" (tree only)", TREE_BASE..OUT_BASE)] {
             let mut mem = Hierarchy::alpha_axp();
-            let r = traced_tournament_sort(n, w, 1, layout, record_traffic, &mut mem);
-            let label = format!(
-                "tournament/{}{}",
-                layout.name(),
-                if record_traffic { "" } else { " (tree only)" }
-            );
-            rows.push((label, record_traffic, r));
+            generate_runs(recs, w, layout, &mut Within(range, &mut mem));
+            let label = format!("tournament/{}{traffic}", layout.name());
+            rows.push((label, mem.stats().per_elem(recs.len())));
         }
     }
     // AlphaSort's run formation: key-prefix QuickSort of one 100,000-record
     // run — the unit Figure 4's right side depicts as cache resident (the
     // 1.6 MB entry array fits the 4 MB B-cache outright).
-    {
-        let mut mem = Hierarchy::alpha_axp();
-        let r = traced_quicksort(100_000, 1, QuickSortVariant::KeyPrefix, &mut mem);
-        rows.push(("quicksort/key-prefix (one run)".to_string(), true, r));
-    }
-    for (label, _, r) in &rows {
+    let run = 100_000;
+    let mut mem = Hierarchy::alpha_axp();
+    key_prefix_order(&data[..run * RECORD_LEN], &mut mem);
+    rows.push((
+        "quicksort/key-prefix (one run)".to_string(),
+        mem.stats().per_elem(run),
+    ));
+    for (label, [d, b, tlb]) in &rows {
         t.row([
             label.clone(),
-            format!("{:.2}", r.d_misses_per_elem()),
-            format!("{:.3}", r.b_misses_per_elem()),
-            format!("{:.3}", r.tlb_misses_per_elem()),
+            format!("{d:.2}"),
+            format!("{b:.3}"),
+            format!("{tlb:.3}"),
         ]);
     }
     print!("{}", t.render());
 
-    let naive_full = rows[0].2.d_misses_per_elem();
-    let naive_tree = rows[1].2.d_misses_per_elem();
-    let clus_tree = rows[3].2.d_misses_per_elem();
-    let quick = rows[4].2.d_misses_per_elem();
+    let naive_full = rows[0].1[0];
+    let naive_tree = rows[1].1[0];
+    let clus_tree = rows[3].1[0];
+    let quick = rows[4].1[0];
     println!(
         "\nclustering gain (tree only): {:.2}x fewer D-misses \
          (paper: \"a factor of two or three\")",
@@ -73,15 +74,15 @@ fn main() {
     println!("\n== §4 wall-clock: QuickSort vs replacement-selection run formation ==\n");
     let records_n = 400_000u64;
     let (data, _) = generate(GenConfig::datamation(records_n, 3));
-    let recs = records_of(&data).to_vec();
+    let recs = records_of(&data);
 
     let t0 = Instant::now();
-    let order = key_prefix_order(&data);
+    let order = key_prefix_order(&data, &mut ());
     let quick_s = t0.elapsed().as_secs_f64();
     std::hint::black_box(order);
 
     let t0 = Instant::now();
-    let runs = generate_runs(&recs, 100_000);
+    let runs = generate_runs(recs, 100_000, TournamentLayout::Naive, &mut ());
     let rs_s = t0.elapsed().as_secs_f64();
     std::hint::black_box(&runs);
 

@@ -3,11 +3,14 @@
 //! Two views: the paper's hardware-monitor pie (reference constants), and
 //! a reconstruction from this reproduction — the analytic phase model for
 //! elapsed-time components plus the trace-driven cache simulator for the
-//! processor-stall split.
+//! processor-stall split, observing the key-prefix QuickSort exhibit and the
+//! pipeline's own merge order and gather.
 
-use alphasort_cachesim::{
-    traced_gather, traced_quicksort, CycleModel, Hierarchy, QuickSortVariant,
-};
+use alphasort_bench::variants::key_prefix_order;
+use alphasort_bench::variants::trace::merge_gather;
+use alphasort_cachesim::{CycleModel, Hierarchy};
+use alphasort_core::runform::form_run;
+use alphasort_dmgen::{generate, GenConfig, RECORD_LEN};
 use alphasort_perfmodel::machines::table8;
 use alphasort_perfmodel::phase::{datamation_model, figure7_paper};
 use alphasort_perfmodel::table::Table;
@@ -50,12 +53,30 @@ fn main() {
 
     println!("\n== reconstruction: processor stall split (cache simulator) ==\n");
     // Trace the two CPU-heavy kernels of the sort at 1/10 scale and apply
-    // the cycle model to split issue vs stall.
+    // the cycle model to split issue vs stall: the key-prefix QuickSort of
+    // one run, then the gather of 10 such runs in the order the pipeline's
+    // merge emits them. (The pipeline's own run formation is std's
+    // sort_unstable, which is not traced.)
     let n = 100_000;
+    let (data, _) = generate(GenConfig::datamation(n as u64, 7));
     let mut mem = Hierarchy::alpha_axp();
-    traced_quicksort(n, 7, QuickSortVariant::KeyPrefix, &mut mem);
-    traced_gather(n, 7, &mut mem);
+    key_prefix_order(&data, &mut mem);
+    let runs: Vec<_> = data
+        .chunks(n / 10 * RECORD_LEN)
+        .map(|c| form_run(c.to_vec()))
+        .collect();
+    let (mut merge, before) = (Hierarchy::alpha_axp(), mem.stats());
+    merge_gather(&runs, &mut merge, &mut mem);
     let stats = mem.stats();
+    let [merge_d, _, _] = merge.stats().per_elem(n);
+    let per = |after: u64, before: u64| (after - before) as f64 / n as f64;
+    println!(
+        "merge vs gather per record (§4: the merge tree \"has excellent cache behavior\",\n\
+         the gather \"terrible cache and TLB behavior\"): merge {merge_d:.2} D-misses; \
+         gather {:.2} D-misses, {:.2} TLB misses\n",
+        per(stats.d_misses, before.d_misses),
+        per(stats.tlb_misses, before.tlb_misses),
+    );
     // Issue weight per data access from the paper's instruction mix: loads
     // + stores are 27% of instructions, so each access carries ~2.7
     // companions; at the measured dual-issue rate (>40% of instructions

@@ -6,7 +6,7 @@
 
 use std::time::Instant;
 
-use alphasort_bench::host_sort;
+use alphasort_bench::{host_sort, host_workers};
 use alphasort_core::SortConfig;
 use alphasort_dmgen::RECORD_LEN;
 use alphasort_perfmodel::machines::minutesort_machine;
@@ -31,12 +31,9 @@ fn main() {
     let modeled = minutesort(m.system_price, (mb * 1e6) as u64);
 
     // Host: grow until the (scaled) budget busts, extrapolate to a minute.
-    let workers = std::thread::available_parallelism()
-        .map(|n| (n.get() - 1).min(4))
-        .unwrap_or(0);
     let cfg = SortConfig {
         run_records: 250_000,
-        workers,
+        workers: host_workers(),
         gather_batch: 20_000,
         ..Default::default()
     };

@@ -7,6 +7,7 @@ use std::time::Instant;
 
 use alphasort_bench::variants::mergeplan::{level_order_cost, optimal_schedule};
 use alphasort_bench::variants::rs::generate_runs;
+use alphasort_cachesim::TournamentLayout::Naive;
 use alphasort_core::driver::{one_pass, two_pass, StripeScratch};
 use alphasort_core::io::{MemSink, MemSource};
 use alphasort_core::planner::{PassPlan, Planner};
@@ -112,7 +113,7 @@ fn main() {
     // variance); compare the driver's level-order cascade against the
     // Huffman-optimal schedule at small fan-in.
     let (d, _) = generate(GenConfig::datamation(60_000, 77));
-    let rs_runs = generate_runs(alphasort_dmgen::records_of(&d), 2_000);
+    let rs_runs = generate_runs(alphasort_dmgen::records_of(&d), 2_000, Naive, &mut ());
     let lengths: Vec<u64> = rs_runs.iter().map(|r| r.len() as u64).collect();
     let mut t3 = Table::new(["fan-in", "level-order moved", "optimal moved", "saving"]);
     for fanin in [2usize, 3, 4, 8] {

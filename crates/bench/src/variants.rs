@@ -19,14 +19,22 @@
 //! §4 does not take: [`rs`], replacement-selection run generation, and
 //! [`mergeplan`], Huffman merge scheduling for the unequal runs it
 //! produces. None of this is reachable from a sort driver.
+//!
+//! Every exhibit reports its loads and stores to an
+//! [`Observer`]: `()` when timed, the cache simulator when traced — the same
+//! code both ways. Records sit at [`RECORD_BASE`] + 100 × index and entry
+//! arrays at [`ENTRY_BASE`]. [`trace`] walks the pipeline's own merge and
+//! gather the same way.
 
 pub mod kernel;
 pub mod mergeplan;
 pub mod rs;
+pub mod trace;
 
+use alphasort_cachesim::{Observer, ENTRY_BASE, RECORD_BASE};
 use alphasort_core::entry::checked_run_len;
-use alphasort_dmgen::{records_of, records_of_mut, Record, KEY_LEN};
-use kernel::quicksort_by;
+use alphasort_dmgen::{records_of, records_of_mut, Record, KEY_LEN, RECORD_LEN};
+use kernel::{quicksort_by, Element};
 
 /// Which sort-array representation a run is formed with.
 ///
@@ -76,28 +84,54 @@ impl Representation {
         }
     }
 
-    /// Sort the records of `buf` under this representation and return the
-    /// order in which to read them: the sorted index permutation, which
-    /// after the in-place record sort is the identity.
-    pub fn sort(self, buf: &mut [u8]) -> Vec<u32> {
+    /// Sort the records of `buf` under this representation, reporting its
+    /// memory traffic to `mem`, and return the order in which to read them:
+    /// the sorted index permutation, which after the in-place record sort
+    /// is the identity.
+    pub fn sort<O: Observer>(self, buf: &mut [u8], mem: &mut O) -> Vec<u32> {
         match self {
             Representation::Record => {
-                sort_records_in_place(buf);
+                sort_records_in_place(buf, mem);
                 (0..checked_run_len(records_of(buf).len(), "record sort")).collect()
             }
-            Representation::Pointer => pointer_order(buf),
-            Representation::Key => key_order(buf),
-            Representation::KeyPrefix => key_prefix_order(buf),
-            Representation::Partition => partition_prefix_order(buf),
-            Representation::Codeword => codeword_order(buf),
+            Representation::Pointer => pointer_order(buf, mem),
+            Representation::Key => key_order(buf, mem),
+            Representation::KeyPrefix => key_prefix_order(buf, mem),
+            Representation::Partition => partition_prefix_order(buf, mem),
+            Representation::Codeword => codeword_order(buf, mem),
         }
     }
 }
 
-/// One entry per record of a run, built from the record and its index.
-fn entries<E>(records: &[Record], what: &str, entry: impl Fn(&Record, u32) -> E) -> Vec<E> {
-    (0..checked_run_len(records.len(), what))
-        .map(|idx| entry(&records[idx as usize], idx))
+/// A record's compare reads its key, the first field.
+impl Element for Record {
+    const COMPARED: u64 = KEY_LEN as u64;
+}
+
+/// Bytes per record, the stride of the record buffer at [`RECORD_BASE`].
+const RECORD: u64 = RECORD_LEN as u64;
+
+/// Report a read of record `idx`'s key.
+#[inline(always)]
+fn read_key<O: Observer>(mem: &mut O, idx: u32) {
+    mem.read(RECORD_BASE + u64::from(idx) * RECORD, KEY_LEN as u64);
+}
+
+/// One entry per record of a run, built from the record and its index: the
+/// paper's "streamed into an array" pass, one key read and one entry store
+/// per record.
+fn entries<E, O: Observer>(
+    records: &[Record],
+    mem: &mut O,
+    entry: impl Fn(&Record, u32) -> E,
+) -> Vec<E> {
+    let size = size_of::<E>() as u64;
+    (0..checked_run_len(records.len(), "exhibit entries"))
+        .map(|idx| {
+            read_key(mem, idx);
+            mem.write(ENTRY_BASE + u64::from(idx) * size, size);
+            entry(&records[idx as usize], idx)
+        })
         .collect()
 }
 
@@ -114,11 +148,13 @@ pub struct PrefixEntry {
     pub idx: u32,
 }
 
+impl Element for PrefixEntry {}
+
 impl PrefixEntry {
     /// Extract the entry array for a whole record buffer — the paper's
     /// "streamed into an array" step that runs while input arrives.
-    pub fn extract(records: &[Record]) -> Vec<PrefixEntry> {
-        entries(records, "PrefixEntry::extract", |r, idx| PrefixEntry {
+    pub fn extract<O: Observer>(records: &[Record], mem: &mut O) -> Vec<PrefixEntry> {
+        entries(records, mem, |r, idx| PrefixEntry {
             prefix: r.prefix(),
             idx,
         })
@@ -126,15 +162,34 @@ impl PrefixEntry {
 }
 
 /// The order the key-prefix exhibits sort into: prefix, full key on prefix
-/// ties — §4's degenerate-case fall-through — then arrival index, which
-/// makes the order total and the sorted permutation unique.
+/// ties — §4's degenerate-case fall-through, which dereferences both
+/// records — then arrival index, which makes the order total and the
+/// sorted permutation unique.
 #[inline]
-pub fn prefix_entry_less(records: &[Record], a: &PrefixEntry, b: &PrefixEntry) -> bool {
+pub fn prefix_entry_less<O: Observer>(
+    records: &[Record],
+    mem: &mut O,
+    a: &PrefixEntry,
+    b: &PrefixEntry,
+) -> bool {
     if a.prefix != b.prefix {
         a.prefix < b.prefix
     } else {
-        (&records[a.idx as usize].key, a.idx) < (&records[b.idx as usize].key, b.idx)
+        keys_less(records, mem, a.idx, b.idx)
     }
+}
+
+/// (full key, index) order of records `a` and `b`, read through their
+/// pointers — unless they are one record (the partition scan meeting the
+/// pivot in its own slot), which is not less than itself and reads nothing.
+#[inline]
+fn keys_less<O: Observer>(records: &[Record], mem: &mut O, a: u32, b: u32) -> bool {
+    if a == b {
+        return false;
+    }
+    read_key(mem, a);
+    read_key(mem, b);
+    (&records[a as usize].key, a) < (&records[b as usize].key, b)
 }
 
 /// A *(full key, pointer)* pair — §4's "key sort" (detached key sort).
@@ -146,15 +201,7 @@ pub struct KeyEntry {
     pub idx: u32,
 }
 
-impl KeyEntry {
-    /// Extract the entry array for a whole record buffer.
-    pub fn extract(records: &[Record]) -> Vec<KeyEntry> {
-        entries(records, "KeyEntry::extract", |r, idx| KeyEntry {
-            key: r.key,
-            idx,
-        })
-    }
-}
+impl Element for KeyEntry {}
 
 /// A *(codeword, pointer)* pair — the Baer & Lin (1989) representation §4
 /// discusses: "They recommended keys be prefix compressed into codewords so
@@ -174,50 +221,47 @@ pub struct CodewordEntry {
     pub idx: u32,
 }
 
-impl CodewordEntry {
-    /// Extract the entry array for a whole record buffer.
-    pub fn extract(records: &[Record]) -> Vec<CodewordEntry> {
-        entries(records, "CodewordEntry::extract", |r, idx| CodewordEntry {
-            code: u32::from_be_bytes([r.key[0], r.key[1], r.key[2], r.key[3]]),
-            idx,
-        })
-    }
-}
+impl Element for CodewordEntry {}
 
 /// §4 "record sort": QuickSort the records themselves. Each exchange moves
 /// 200 bytes; each compare touches two records in situ.
-pub fn sort_records_in_place(buf: &mut [u8]) {
+pub fn sort_records_in_place<O: Observer>(buf: &mut [u8], mem: &mut O) {
     let records = records_of_mut(buf);
-    quicksort_by(records, |a, b| a.key < b.key);
+    quicksort_by(records, mem, RECORD_BASE, |_, a, b| a.key < b.key);
 }
 
 /// §4 "pointer sort": QuickSort indices; every compare dereferences two
 /// records (poor locality — the point of the experiment).
-pub fn pointer_order(buf: &[u8]) -> Vec<u32> {
+pub fn pointer_order<O: Observer>(buf: &[u8], mem: &mut O) -> Vec<u32> {
     let records = records_of(buf);
-    let mut order: Vec<u32> = (0..checked_run_len(records.len(), "pointer_order")).collect();
-    quicksort_by(&mut order, |&a, &b| {
-        // Final index tie-break: indices follow arrival order within the
-        // run, so equal keys keep input order (stability, for free).
-        (&records[a as usize].key, a) < (&records[b as usize].key, b)
+    let mut order: Vec<u32> = (0..checked_run_len(records.len(), "pointer_order"))
+        .inspect(|&i| mem.write(ENTRY_BASE + u64::from(i) * 4, 4))
+        .collect();
+    // The index tie-break keeps equal keys in input order: stable for free.
+    quicksort_by(&mut order, mem, ENTRY_BASE, |mem, &a, &b| {
+        keys_less(records, mem, a, b)
     });
     order
 }
 
 /// §4 "key sort" (detached keys): QuickSort (full key, index) pairs; no
 /// record access during the sort.
-pub fn key_order(buf: &[u8]) -> Vec<u32> {
-    let mut entries = KeyEntry::extract(records_of(buf));
-    quicksort_by(&mut entries, |a, b| (&a.key, a.idx) < (&b.key, b.idx));
+pub fn key_order<O: Observer>(buf: &[u8], mem: &mut O) -> Vec<u32> {
+    let mut entries = entries(records_of(buf), mem, |r, idx| KeyEntry { key: r.key, idx });
+    quicksort_by(&mut entries, mem, ENTRY_BASE, |_, a, b| {
+        (&a.key, a.idx) < (&b.key, b.idx)
+    });
     entries.into_iter().map(|e| e.idx).collect()
 }
 
 /// AlphaSort's key-prefix sort as one QuickSort over the whole run: integer
 /// compares on the 8-byte prefix, full-key fall-through only on ties.
-pub fn key_prefix_order(buf: &[u8]) -> Vec<u32> {
+pub fn key_prefix_order<O: Observer>(buf: &[u8], mem: &mut O) -> Vec<u32> {
     let records = records_of(buf);
-    let mut entries = PrefixEntry::extract(records);
-    quicksort_by(&mut entries, |a, b| prefix_entry_less(records, a, b));
+    let mut entries = PrefixEntry::extract(records, mem);
+    quicksort_by(&mut entries, mem, ENTRY_BASE, |mem, a, b| {
+        prefix_entry_less(records, mem, a, b)
+    });
     entries.into_iter().map(|e| e.idx).collect()
 }
 
@@ -225,13 +269,17 @@ pub fn key_prefix_order(buf: &[u8]) -> Vec<u32> {
 /// scatters the prefix entries into 256 buckets on the leading key byte,
 /// then each bucket is QuickSorted under [`prefix_entry_less`] — whose own
 /// most significant byte that is, so the order is [`key_prefix_order`]'s.
-pub fn partition_prefix_order(buf: &[u8]) -> Vec<u32> {
+/// The scattered array follows the entry array in memory.
+pub fn partition_prefix_order<O: Observer>(buf: &[u8], mem: &mut O) -> Vec<u32> {
+    const SIZE: u64 = size_of::<PrefixEntry>() as u64;
     let records = records_of(buf);
-    let entries = PrefixEntry::extract(records);
+    let entries = PrefixEntry::extract(records, mem);
+    let scattered_at = ENTRY_BASE + entries.len() as u64 * SIZE;
     let bucket = |e: &PrefixEntry| (e.prefix >> 56) as usize;
     // starts[b]..starts[b + 1] is bucket b's slice of the scattered array.
     let mut starts = [0usize; 257];
-    for e in &entries {
+    for (i, e) in entries.iter().enumerate() {
+        mem.read(ENTRY_BASE + i as u64 * SIZE, 8);
         starts[bucket(e) + 1] += 1;
     }
     for b in 0..256 {
@@ -239,29 +287,38 @@ pub fn partition_prefix_order(buf: &[u8]) -> Vec<u32> {
     }
     let mut scattered = vec![PrefixEntry { prefix: 0, idx: 0 }; entries.len()];
     let mut cursor = starts;
-    for e in entries {
+    for (i, e) in entries.into_iter().enumerate() {
         let b = bucket(&e);
+        mem.read(ENTRY_BASE + i as u64 * SIZE, SIZE);
+        mem.write(scattered_at + cursor[b] as u64 * SIZE, SIZE);
         scattered[cursor[b]] = e;
         cursor[b] += 1;
     }
     for b in 0..256 {
-        quicksort_by(&mut scattered[starts[b]..starts[b + 1]], |x, y| {
-            prefix_entry_less(records, x, y)
-        });
+        let at = scattered_at + starts[b] as u64 * SIZE;
+        quicksort_by(
+            &mut scattered[starts[b]..starts[b + 1]],
+            mem,
+            at,
+            |mem, x, y| prefix_entry_less(records, mem, x, y),
+        );
     }
     scattered.into_iter().map(|e| e.idx).collect()
 }
 
 /// Baer & Lin codeword sort: 8-byte (u32 codeword, u32 index) entries —
-/// densest packing, most ties.
-pub fn codeword_order(buf: &[u8]) -> Vec<u32> {
+/// densest packing, most ties, each tie a dereference of both records.
+pub fn codeword_order<O: Observer>(buf: &[u8], mem: &mut O) -> Vec<u32> {
     let records = records_of(buf);
-    let mut entries = CodewordEntry::extract(records);
-    quicksort_by(&mut entries, |a, b| {
+    let mut entries = entries(records, mem, |r, idx| CodewordEntry {
+        code: u32::from_be_bytes([r.key[0], r.key[1], r.key[2], r.key[3]]),
+        idx,
+    });
+    quicksort_by(&mut entries, mem, ENTRY_BASE, |mem, a, b| {
         if a.code != b.code {
             a.code < b.code
         } else {
-            (&records[a.idx as usize].key, a.idx) < (&records[b.idx as usize].key, b.idx)
+            keys_less(records, mem, a.idx, b.idx)
         }
     });
     entries.into_iter().map(|e| e.idx).collect()
@@ -294,7 +351,7 @@ mod tests {
                 for rep in Representation::ALL {
                     let what = format!("{} [{name}, n={records}]", rep.name());
                     let mut buf = data.clone();
-                    let order = rep.sort(&mut buf);
+                    let order = rep.sort(&mut buf, &mut ());
                     if rep != Representation::Record {
                         assert_eq!(buf, data, "{what}: a detached sort moved records");
                         assert_eq!(order, want, "{what}");
@@ -322,7 +379,7 @@ mod tests {
     fn extract_preserves_indices() {
         let (data, _) = generate(GenConfig::datamation(50, 1));
         let records = records_of(&data);
-        let entries = PrefixEntry::extract(records);
+        let entries = PrefixEntry::extract(records, &mut ());
         for (i, e) in entries.iter().enumerate() {
             assert_eq!(e.idx as usize, i);
             assert_eq!(e.prefix, records[i].prefix());

@@ -5,14 +5,35 @@
 //! larger bounds stack depth at O(log n) even on adversarial input, so the
 //! N² worst case costs time but never the stack.
 //!
-//! The comparator is a `less` predicate passed by value, letting callers
-//! count comparisons (the experiments do) without any cost when they don't.
+//! The kernel reports every element load and store to an [`Observer`]:
+//! `()` in the timed runs, where the reports compile to nothing, and the
+//! cache simulator's `Hierarchy` in the traced ones. The comparator is
+//! handed the same observer, so a representation whose compare dereferences
+//! records reports those reads too.
+
+use std::marker::PhantomData;
+
+use alphasort_cachesim::Observer;
 
 /// Below this length insertion sort takes over — cheaper than partitioning
 /// and the paper's point: the tail of the sort runs in the on-chip cache.
 pub const INSERTION_CUTOFF: usize = 24;
 
-/// Sort `v` with the given strict-order predicate (`less(a, b)` ⇔ `a < b`).
+/// An element the kernel sorts. A comparison loads its leading
+/// `COMPARED` bytes — the whole element unless the type says less (a
+/// record's compare reads its key, not its payload); a move loads or stores
+/// all of it.
+pub trait Element: Copy {
+    /// Bytes a comparison reads from the front of the element.
+    const COMPARED: u64 = size_of::<Self>() as u64;
+}
+
+impl Element for u32 {}
+impl Element for u64 {}
+
+/// Sort `v` with the strict-order predicate `less(mem, a, b)` ⇔ `a < b`,
+/// reporting to `mem` each element access: element `i` of `v` lives at
+/// address `at + i * size_of::<T>()`.
 ///
 /// Not stable. The exhibits that need a unique permutation make their
 /// order total with an arrival-index tie-break.
@@ -22,97 +43,160 @@ pub const INSERTION_CUTOFF: usize = 24;
 ///
 /// let mut v = vec![3u64, 1, 4, 1, 5, 9, 2, 6];
 /// let mut compares = 0;
-/// quicksort_by(&mut v, |a, b| { compares += 1; a < b });
+/// quicksort_by(&mut v, &mut (), 0, |_, a, b| { compares += 1; a < b });
 /// assert_eq!(v, [1, 1, 2, 3, 4, 5, 6, 9]);
 /// assert!(compares > 0);
 /// ```
-pub fn quicksort_by<T: Copy, F: FnMut(&T, &T) -> bool>(v: &mut [T], mut less: F) {
-    quicksort_rec(v, &mut less);
+pub fn quicksort_by<T: Element, O: Observer>(
+    v: &mut [T],
+    mem: &mut O,
+    at: u64,
+    less: impl FnMut(&mut O, &T, &T) -> bool,
+) {
+    Kernel {
+        mem,
+        at,
+        less,
+        elem: PhantomData,
+    }
+    .quicksort(v);
 }
 
-fn quicksort_rec<T: Copy, F: FnMut(&T, &T) -> bool>(mut v: &mut [T], less: &mut F) {
-    loop {
-        let n = v.len();
-        if n <= INSERTION_CUTOFF {
-            insertion_sort_by(v, less);
-            return;
-        }
-        let p = partition(v, less);
-        // Recurse on the smaller side; loop on the larger.
-        let (lo, hi) = v.split_at_mut(p);
-        let hi = &mut hi[1..]; // pivot already placed
-        if lo.len() < hi.len() {
-            quicksort_rec(lo, less);
-            v = hi;
-        } else {
-            quicksort_rec(hi, less);
-            v = lo;
-        }
-    }
+/// One sort in progress: where its elements' loads and stores go, the
+/// address of the slice being sorted, and the predicate.
+struct Kernel<'m, T, O, F> {
+    mem: &'m mut O,
+    at: u64,
+    less: F,
+    elem: PhantomData<T>,
 }
 
-/// Median-of-three pivot selection + Hoare-style partition. Returns the
-/// pivot's final index; everything left is `!less(pivot, x)`. The scans are
-/// bounds-guarded (free in practice, behind the sentinel at `v[n-1]`), so an
-/// *inconsistent* comparator — `less(a, b)` and `less(b, a)` both true, as
-/// a buggy predicate or a NaN-style partial order gives — mis-sorts at
-/// worst, never indexes out of bounds or underflows `0 - 1`.
-fn partition<T: Copy, F: FnMut(&T, &T) -> bool>(v: &mut [T], less: &mut F) -> usize {
-    let n = v.len();
-    let mid = n / 2;
-    // Sort v[0], v[mid], v[n-1] so the median lands at mid.
-    if less(&v[mid], &v[0]) {
-        v.swap(mid, 0);
+impl<T: Element, O: Observer, F: FnMut(&mut O, &T, &T) -> bool> Kernel<'_, T, O, F> {
+    /// Report a load of `len` bytes from the front of `v[i]`.
+    fn load(&mut self, i: usize, len: u64) {
+        self.mem
+            .read(self.at + i as u64 * size_of::<T>() as u64, len);
     }
-    if less(&v[n - 1], &v[mid]) {
-        v.swap(n - 1, mid);
-        if less(&v[mid], &v[0]) {
-            v.swap(mid, 0);
-        }
+
+    /// Report a store of all of `v[i]`.
+    fn store(&mut self, i: usize) {
+        let size = size_of::<T>() as u64;
+        self.mem.write(self.at + i as u64 * size, size);
     }
-    // Move pivot to n-2 (v[n-1] is already ≥ pivot, acting as sentinel).
-    v.swap(mid, n - 2);
-    let pivot = v[n - 2];
-    let mut i = 0;
-    let mut j = n - 2;
-    loop {
-        loop {
-            i += 1;
-            if i >= n - 1 || !less(&v[i], &pivot) {
-                break;
-            }
+
+    /// `less(v[i], v[j])`, with both loads reported.
+    fn less_at(&mut self, v: &[T], i: usize, j: usize) -> bool {
+        self.load(i, T::COMPARED);
+        self.load(j, T::COMPARED);
+        (self.less)(self.mem, &v[i], &v[j])
+    }
+
+    /// Exchange `v[i]` and `v[j]`: two loads, two stores.
+    fn swap(&mut self, v: &mut [T], i: usize, j: usize) {
+        for k in [i, j] {
+            self.load(k, size_of::<T>() as u64);
         }
-        loop {
-            if j == 0 {
-                break;
-            }
-            j -= 1;
-            if !less(&pivot, &v[j]) {
-                break;
-            }
-        }
-        if i >= j {
-            break;
-        }
+        self.store(i);
+        self.store(j);
         v.swap(i, j);
     }
-    // With a consistent comparator i ≤ n-2 always holds; the clamp only
-    // matters when a broken predicate ran the upward scan into the sentinel.
-    let p = i.min(n - 2);
-    v.swap(p, n - 2);
-    p
-}
 
-/// Insertion sort (used below [`INSERTION_CUTOFF`] and directly by tests).
-pub fn insertion_sort_by<T: Copy, F: FnMut(&T, &T) -> bool>(v: &mut [T], less: &mut F) {
-    for i in 1..v.len() {
-        let x = v[i];
-        let mut j = i;
-        while j > 0 && less(&x, &v[j - 1]) {
-            v[j] = v[j - 1];
-            j -= 1;
+    fn quicksort(&mut self, mut v: &mut [T]) {
+        loop {
+            if v.len() <= INSERTION_CUTOFF {
+                return self.insertion(v);
+            }
+            let p = self.partition(v);
+            // Recurse on the smaller side; loop on the larger.
+            let (lo, hi) = v.split_at_mut(p);
+            let hi = &mut hi[1..]; // pivot already placed
+            let (lo_at, hi_at) = (self.at, self.at + (p as u64 + 1) * size_of::<T>() as u64);
+            if lo.len() < hi.len() {
+                self.quicksort(lo);
+                (v, self.at) = (hi, hi_at);
+            } else {
+                self.at = hi_at;
+                self.quicksort(hi);
+                (v, self.at) = (lo, lo_at);
+            }
         }
-        v[j] = x;
+    }
+
+    /// Median-of-three pivot selection + Hoare-style partition. Returns the
+    /// pivot's final index; everything left is `!less(pivot, x)`. The scans
+    /// are bounds-guarded (free in practice, behind the sentinel at
+    /// `v[n-1]`), so an *inconsistent* comparator — `less(a, b)` and
+    /// `less(b, a)` both true, as a buggy predicate or a NaN-style partial
+    /// order gives — mis-sorts at worst, never indexes out of bounds or
+    /// underflows `0 - 1`.
+    fn partition(&mut self, v: &mut [T]) -> usize {
+        let n = v.len();
+        let mid = n / 2;
+        // Sort v[0], v[mid], v[n-1] so the median lands at mid.
+        if self.less_at(v, mid, 0) {
+            self.swap(v, mid, 0);
+        }
+        if self.less_at(v, n - 1, mid) {
+            self.swap(v, n - 1, mid);
+            if self.less_at(v, mid, 0) {
+                self.swap(v, mid, 0);
+            }
+        }
+        // Move pivot to n-2 (v[n-1] is already ≥ pivot, acting as sentinel).
+        self.swap(v, mid, n - 2);
+        self.load(n - 2, size_of::<T>() as u64);
+        let pivot = v[n - 2]; // rides in a register from here on
+        let mut i = 0;
+        let mut j = n - 2;
+        loop {
+            loop {
+                i += 1;
+                if i >= n - 1 {
+                    break;
+                }
+                self.load(i, T::COMPARED);
+                if !(self.less)(self.mem, &v[i], &pivot) {
+                    break;
+                }
+            }
+            while j > 0 {
+                j -= 1;
+                self.load(j, T::COMPARED);
+                if !(self.less)(self.mem, &pivot, &v[j]) {
+                    break;
+                }
+            }
+            if i >= j {
+                break;
+            }
+            self.swap(v, i, j);
+        }
+        // With a consistent comparator i ≤ n-2 always holds; the clamp only
+        // matters when a broken predicate ran the upward scan into the
+        // sentinel.
+        let p = i.min(n - 2);
+        self.swap(v, p, n - 2);
+        p
+    }
+
+    fn insertion(&mut self, v: &mut [T]) {
+        for i in 1..v.len() {
+            self.load(i, size_of::<T>() as u64);
+            let x = v[i];
+            let mut j = i;
+            while j > 0 {
+                self.load(j - 1, T::COMPARED);
+                if !(self.less)(self.mem, &x, &v[j - 1]) {
+                    break;
+                }
+                self.load(j - 1, size_of::<T>() as u64);
+                self.store(j);
+                v[j] = v[j - 1];
+                j -= 1;
+            }
+            self.store(j);
+            v[j] = x;
+        }
     }
 }
 
@@ -123,7 +207,7 @@ mod tests {
     fn check_sorts(mut v: Vec<u64>) {
         let mut expect = v.clone();
         expect.sort_unstable();
-        quicksort_by(&mut v, |a, b| a < b);
+        quicksort_by(&mut v, &mut (), 0, |_, a, b| a < b);
         assert_eq!(v, expect);
     }
 
@@ -185,7 +269,7 @@ mod tests {
     #[test]
     fn custom_comparator_reverses() {
         let mut v = vec![1u64, 5, 3, 2];
-        quicksort_by(&mut v, |a, b| a > b);
+        quicksort_by(&mut v, &mut (), 0, |_, a, b| a > b);
         assert_eq!(v, vec![5, 3, 2, 1]);
     }
 
@@ -199,7 +283,7 @@ mod tests {
             })
             .collect();
         let mut compares = 0u64;
-        quicksort_by(&mut v, |a, b| {
+        quicksort_by(&mut v, &mut (), 0, |_, a, b| {
             compares += 1;
             a < b
         });
@@ -214,7 +298,7 @@ mod tests {
     fn check_permutes(mut v: Vec<u64>, mut less: impl FnMut(&u64, &u64) -> bool) {
         let mut expect = v.clone();
         expect.sort_unstable();
-        quicksort_by(&mut v, &mut less);
+        quicksort_by(&mut v, &mut (), 0, |_, a, b| less(a, b));
         v.sort_unstable();
         assert_eq!(v, expect, "inconsistent comparator lost or invented elements");
     }

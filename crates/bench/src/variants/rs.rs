@@ -12,11 +12,25 @@
 //! [`alphasort_core::merge::LoserTree`]; this exhibit runs the same tree
 //! over records instead of runs, for `exp_fig4`, `exp_onepass` and the
 //! `runform` bench to measure against.
+//!
+//! It reports its memory traffic to an [`Observer`]: the slots each
+//! comparison reads, the winner copied out to a sequential output stream,
+//! the refill, and each leaf-to-root path, with the tree's nodes placed by
+//! a [`TournamentLayout`] — Figure 4's naive heap or §4's clustered one.
 
+use std::mem::offset_of;
+
+use alphasort_cachesim::{
+    node_addr, replay_path, Observer, TournamentLayout, NODE_SIZE, OUT_BASE, RECORD_BASE,
+};
 use alphasort_core::merge::LoserTree;
-use alphasort_dmgen::Record;
+use alphasort_dmgen::{Record, KEY_LEN};
 
-/// One tournament slot: the record plus its run tag and arrival number.
+use super::RECORD;
+
+/// One tournament slot: the record plus its run tag and arrival number,
+/// in this order, so a comparison reads one span from the slot's front.
+#[repr(C)]
 #[derive(Clone, Copy)]
 struct Slot {
     /// Run this record will be emitted into; `u64::MAX` marks exhausted.
@@ -26,126 +40,98 @@ struct Slot {
     record: Record,
 }
 
-/// Streaming replacement-selection over an iterator of records.
+/// Bytes per slot, the stride of the slot array at [`RECORD_BASE`].
+const SLOT: u64 = size_of::<Slot>() as u64;
+/// Bytes a comparison reads from a slot's front: run, seq and the key.
+const COMPARED: u64 = (offset_of!(Slot, record) + KEY_LEN) as u64;
+
+/// Run replacement-selection over `input` with a tournament of `capacity`
+/// records (the "memory size"), its nodes laid out by `layout`, reporting
+/// to `mem`, and return the generated runs. Each run is key-ascending, and
+/// equal keys keep arrival order (stable).
 ///
-/// Yields `(run_id, record)` pairs; `run_id` is non-decreasing and records
-/// within a run are key-ascending. Stable: equal keys keep arrival order.
-pub struct ReplacementSelection<I: Iterator<Item = Record>> {
-    input: I,
-    slots: Vec<Slot>,
-    tree: LoserTree,
-    next_seq: u64,
-    done: bool,
-}
-
-impl<I: Iterator<Item = Record>> ReplacementSelection<I> {
-    /// Start with a tournament of `capacity` records (the "memory size").
-    ///
-    /// # Panics
-    /// If `capacity == 0`.
-    pub fn new(mut input: I, capacity: usize) -> Self {
-        assert!(capacity > 0, "capacity must be positive");
-        let mut slots = Vec::with_capacity(capacity);
-        let mut next_seq = 0u64;
-        for _ in 0..capacity {
-            match input.next() {
-                Some(record) => {
-                    slots.push(Slot {
-                        run: 0,
-                        seq: next_seq,
-                        record,
-                    });
-                    next_seq += 1;
-                }
-                None => break,
+/// # Panics
+/// If `capacity == 0`.
+pub fn generate_runs<O: Observer>(
+    input: &[Record],
+    capacity: usize,
+    layout: TournamentLayout,
+    mem: &mut O,
+) -> Vec<Vec<Record>> {
+    assert!(capacity > 0, "capacity must be positive");
+    let (fill, mut rest) = input.split_at(capacity.min(input.len()));
+    let mut slots: Vec<Slot> = (0..fill.len() as u64)
+        .map(|seq| {
+            mem.write(RECORD_BASE + seq * SLOT, SLOT);
+            Slot {
+                run: 0,
+                seq,
+                record: fill[seq as usize],
             }
-        }
-        if slots.is_empty() {
-            // Keep the tree well-formed with one exhausted slot.
-            slots.push(Slot {
-                run: u64::MAX,
-                seq: 0,
-                record: Record::ZERO,
-            });
-        }
-        let tree = {
-            let s = &slots;
-            LoserTree::new(s.len(), |a, b| slot_less(&s[a], &s[b]))
-        };
-        ReplacementSelection {
-            input,
-            slots,
-            tree,
-            next_seq,
-            done: false,
-        }
-    }
-}
-
-#[inline]
-fn slot_less(a: &Slot, b: &Slot) -> bool {
-    // Order by (run, key, arrival): the run tag dominates so the tournament
-    // finishes the current run before starting the next.
-    (a.run, &a.record.key, a.seq) < (b.run, &b.record.key, b.seq)
-}
-
-impl<I: Iterator<Item = Record>> Iterator for ReplacementSelection<I> {
-    type Item = (u64, Record);
-
-    fn next(&mut self) -> Option<(u64, Record)> {
-        if self.done {
-            return None;
-        }
-        let w = self.tree.winner();
-        let out = self.slots[w];
-        if out.run == u64::MAX {
-            self.done = true;
-            return None;
-        }
-        // Refill the winning slot from input.
-        match self.input.next() {
-            Some(record) => {
-                // A replacement smaller than the record just emitted cannot
-                // join the current run; tag it for the next one.
-                let run = if record.key < out.record.key {
-                    out.run + 1
-                } else {
-                    out.run
-                };
-                self.slots[w] = Slot {
-                    run,
-                    seq: self.next_seq,
-                    record,
-                };
-                self.next_seq += 1;
-            }
-            None => {
-                self.slots[w].run = u64::MAX;
-            }
-        }
-        let slots = &self.slots;
-        self.tree.replay(|a, b| slot_less(&slots[a], &slots[b]));
-        Some((out.run, out.record))
-    }
-}
-
-/// Batch helper: run replacement-selection over `input` with the given
-/// tournament capacity and return the generated runs.
-pub fn generate_runs(input: &[Record], capacity: usize) -> Vec<Vec<Record>> {
+        })
+        .collect();
     let mut runs: Vec<Vec<Record>> = Vec::new();
-    for (run, record) in ReplacementSelection::new(input.iter().copied(), capacity) {
-        let run = run as usize;
+    if slots.is_empty() {
+        return runs;
+    }
+    let mut tree = LoserTree::new(slots.len(), |a, b| slot_less(&slots, mem, a, b));
+    // The build writes every internal node once, bottom up.
+    for node in (1..slots.len().next_power_of_two()).rev() {
+        mem.write(node_addr(layout, node), NODE_SIZE);
+    }
+    let (mut next_seq, mut emitted) = (slots.len() as u64, 0u64);
+    loop {
+        let w = tree.winner();
+        let slot_at = RECORD_BASE + w as u64 * SLOT;
+        mem.read(slot_at, SLOT);
+        let out = slots[w];
+        if out.run == u64::MAX {
+            return runs;
+        }
+        // The winner is copied out to the output stream.
+        mem.write(OUT_BASE + emitted * RECORD, RECORD);
+        emitted += 1;
+        let run = out.run as usize;
         if run >= runs.len() {
             runs.resize_with(run + 1, Vec::new);
         }
-        runs[run].push(record);
+        runs[run].push(out.record);
+        // Refill the winning slot from input. A replacement smaller than
+        // the record just emitted cannot join the current run; it is tagged
+        // for the next one.
+        if let Some((&record, tail)) = rest.split_first() {
+            rest = tail;
+            mem.write(slot_at, SLOT);
+            let run = out.run + u64::from(record.key < out.record.key);
+            slots[w] = Slot {
+                run,
+                seq: next_seq,
+                record,
+            };
+            next_seq += 1;
+        } else {
+            mem.write(slot_at, 8);
+            slots[w].run = u64::MAX;
+        }
+        tree.replay(|a, b| slot_less(&slots, mem, a, b));
+        replay_path(mem, layout, slots.len(), w);
     }
-    runs
+}
+
+/// Order by (run, key, arrival): the run tag dominates so the tournament
+/// finishes the current run before starting the next.
+#[inline]
+fn slot_less<O: Observer>(slots: &[Slot], mem: &mut O, a: usize, b: usize) -> bool {
+    mem.read(RECORD_BASE + a as u64 * SLOT, COMPARED);
+    mem.read(RECORD_BASE + b as u64 * SLOT, COMPARED);
+    let (a, b) = (&slots[a], &slots[b]);
+    (a.run, &a.record.key, a.seq) < (b.run, &b.record.key, b.seq)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alphasort_cachesim::TournamentLayout::Naive;
     use alphasort_dmgen::{generate, records_of, GenConfig, KeyDistribution, SplitMix64};
 
     fn records(n: u64, dist: KeyDistribution) -> Vec<Record> {
@@ -160,7 +146,7 @@ mod tests {
     #[test]
     fn runs_are_sorted_and_cover_input() {
         let input = records(5_000, KeyDistribution::Random);
-        let runs = generate_runs(&input, 100);
+        let runs = generate_runs(&input, 100, Naive, &mut ());
         let total: usize = runs.iter().map(|r| r.len()).sum();
         assert_eq!(total, 5_000);
         for run in &runs {
@@ -174,7 +160,7 @@ mod tests {
         // "generates runs twice as large as memory" on average.
         let input = records(20_000, KeyDistribution::Random);
         let capacity = 200;
-        let runs = generate_runs(&input, capacity);
+        let runs = generate_runs(&input, capacity, Naive, &mut ());
         let avg = 20_000.0 / runs.len() as f64;
         assert!(
             (avg / capacity as f64 - 2.0).abs() < 0.35,
@@ -186,7 +172,7 @@ mod tests {
     #[test]
     fn sorted_input_yields_one_run() {
         let input = records(3_000, KeyDistribution::Sorted);
-        let runs = generate_runs(&input, 50);
+        let runs = generate_runs(&input, 50, Naive, &mut ());
         assert_eq!(runs.len(), 1);
         assert_eq!(runs[0].len(), 3_000);
     }
@@ -196,7 +182,7 @@ mod tests {
         // Worst case: every replacement starts a new run, so each run is
         // exactly the tournament size.
         let input = records(1_000, KeyDistribution::Reverse);
-        let runs = generate_runs(&input, 50);
+        let runs = generate_runs(&input, 50, Naive, &mut ());
         assert_eq!(runs.len(), 20);
         assert!(runs.iter().all(|r| r.len() == 50));
     }
@@ -204,7 +190,7 @@ mod tests {
     #[test]
     fn stable_for_equal_keys() {
         let input = records(2_000, KeyDistribution::DupHeavy { cardinality: 3 });
-        let runs = generate_runs(&input, 64);
+        let runs = generate_runs(&input, 64, Naive, &mut ());
         // Within each run, equal keys must appear in arrival order.
         for run in &runs {
             for w in run.windows(2) {
@@ -218,14 +204,14 @@ mod tests {
     #[test]
     fn capacity_larger_than_input_gives_single_sorted_run() {
         let input = records(100, KeyDistribution::Random);
-        let runs = generate_runs(&input, 1_000);
+        let runs = generate_runs(&input, 1_000, Naive, &mut ());
         assert_eq!(runs.len(), 1);
         assert!(runs[0].windows(2).all(|w| w[0].key <= w[1].key));
     }
 
     #[test]
     fn empty_input_yields_no_runs() {
-        let runs = generate_runs(&[], 10);
+        let runs = generate_runs(&[], 10, Naive, &mut ());
         assert!(runs.is_empty());
     }
 
@@ -245,7 +231,7 @@ mod tests {
                 dist,
             });
             let input = records_of(&data);
-            let runs = generate_runs(input, capacity);
+            let runs = generate_runs(input, capacity, Naive, &mut ());
             let total: usize = runs.iter().map(|run| run.len()).sum();
             assert_eq!(total as u64, n, "case {case}");
             for run in &runs {

@@ -3,13 +3,13 @@
 //! checked against the standard library and bounded in comparison count
 //! where the input is benign.
 
-use alphasort_bench::variants::kernel::{insertion_sort_by, quicksort_by};
+use alphasort_bench::variants::kernel::{quicksort_by, INSERTION_CUTOFF};
 use alphasort_dmgen::SplitMix64;
 
 fn check(v: Vec<u32>) {
     let mut ours = v.clone();
     let mut std_sorted = v;
-    quicksort_by(&mut ours, |a, b| a < b);
+    quicksort_by(&mut ours, &mut (), 0, |_, a, b| a < b);
     std_sorted.sort_unstable();
     assert_eq!(ours, std_sorted);
 }
@@ -55,14 +55,12 @@ fn survives_pipe_organ_and_sawtooth() {
     check(saw);
 }
 
+/// Up to `INSERTION_CUTOFF` elements the kernel is its insertion sort.
 #[test]
 fn insertion_sort_matches_std_on_small_inputs() {
-    for n in 0..32 {
-        let mut v: Vec<u32> = (0..n).map(|i| (i * 7919 + 13) % 101).collect();
-        let mut expect = v.clone();
-        insertion_sort_by(&mut v, &mut |a, b| a < b);
-        expect.sort_unstable();
-        assert_eq!(v, expect, "n = {n}");
+    for n in 0..=INSERTION_CUTOFF as u32 {
+        let v: Vec<u32> = (0..n).map(|i| (i * 7919 + 13) % 101).collect();
+        check(v);
     }
 }
 
@@ -85,7 +83,7 @@ fn comparison_count_reasonable() {
     for case in 0..32 {
         let mut v: Vec<u64> = (0..10_000).map(|_| r.next_u64()).collect();
         let mut compares = 0u64;
-        quicksort_by(&mut v, |a, b| {
+        quicksort_by(&mut v, &mut (), 0, |_, a, b| {
             compares += 1;
             a < b
         });

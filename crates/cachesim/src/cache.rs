@@ -53,11 +53,6 @@ impl Cache {
         }
     }
 
-    /// The geometry.
-    pub fn config(&self) -> &CacheConfig {
-        &self.cfg
-    }
-
     /// Probe one *line* (addr may be any byte in it). Returns `true` on hit;
     /// on miss the line is filled (possibly evicting the set's LRU line).
     pub fn access_line(&mut self, addr: u64) -> bool {
@@ -79,21 +74,6 @@ impl Cache {
         }
     }
 
-    /// Probe every line an access of `size` bytes at `addr` touches;
-    /// returns the number of line *misses*.
-    pub fn access(&mut self, addr: u64, size: u64) -> u64 {
-        debug_assert!(size > 0);
-        let first = addr / self.cfg.line as u64;
-        let last = (addr + size - 1) / self.cfg.line as u64;
-        let mut misses = 0;
-        for line in first..=last {
-            if !self.access_line(line * self.cfg.line as u64) {
-                misses += 1;
-            }
-        }
-        misses
-    }
-
     /// Total line hits so far.
     pub fn hits(&self) -> u64 {
         self.hits
@@ -102,25 +82,6 @@ impl Cache {
     /// Total line misses so far.
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// Miss ratio over all probes.
-    pub fn miss_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.misses as f64 / total as f64
-        }
-    }
-
-    /// Forget contents and counters.
-    pub fn reset(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
-        }
-        self.hits = 0;
-        self.misses = 0;
     }
 }
 
@@ -184,14 +145,6 @@ mod tests {
     }
 
     #[test]
-    fn multi_line_access_counts_spanned_lines() {
-        let mut c = tiny();
-        // 40 bytes starting at 8 spans lines 0, 1, 2, 3? 8..48 → lines 0,1,2.
-        assert_eq!(c.access(8, 40), 3);
-        assert_eq!(c.access(8, 40), 0);
-    }
-
-    #[test]
     fn sequential_scan_miss_ratio_is_line_rate() {
         let mut c = Cache::new(CacheConfig {
             size: 8 * 1024,
@@ -200,9 +153,9 @@ mod tests {
         });
         // Scan 64 KB in 8-byte reads: 1 miss per 32 B line = 25% of probes.
         for i in 0..8192u64 {
-            c.access(i * 8, 8);
+            c.access_line(i * 8);
         }
-        assert!((c.miss_ratio() - 0.25).abs() < 0.01, "{}", c.miss_ratio());
+        assert_eq!((c.misses(), c.hits()), (2048, 6144));
     }
 
     #[test]
@@ -221,15 +174,6 @@ mod tests {
             c.access_line(i * 32);
         }
         assert_eq!(c.misses(), misses_before);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut c = tiny();
-        c.access_line(0);
-        c.reset();
-        assert_eq!(c.hits() + c.misses(), 0);
-        assert!(!c.access_line(0));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The modeled memory hierarchy: D-cache → B-cache → memory, plus TLB.
 //!
-//! Geometry defaults to the DEC 7000 AXP of the paper: an 8 KB direct-mapped
+//! The geometry is the DEC 7000 AXP of the paper: an 8 KB direct-mapped
 //! on-chip data cache with 32-byte lines ("the entire cache line of 32 bytes
 //! is brought into the on-chip cache"), a 4 MB unified board cache ("the
 //! on-board cache (4MB in the case of the DEC 7000 AXP)"), and a small data
@@ -9,48 +9,12 @@
 
 use crate::cache::{Cache, CacheConfig};
 
-/// Whether an access reads or writes (both fill lines identically in this
-/// write-allocate model; the distinction is kept for reporting).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AccessKind {
-    /// Load.
-    Read,
-    /// Store.
-    Write,
-}
-
-/// Hierarchy geometry.
-#[derive(Clone, Copy, Debug)]
-pub struct HierConfig {
-    /// On-chip data cache.
-    pub dcache: CacheConfig,
-    /// Board cache.
-    pub bcache: CacheConfig,
-    /// Page size for the TLB, bytes.
-    pub page: usize,
-    /// TLB entries (fully associative).
-    pub tlb_entries: usize,
-}
-
-impl HierConfig {
-    /// The paper's DEC 7000 AXP (Alpha 21064) configuration.
-    pub fn alpha_axp() -> Self {
-        HierConfig {
-            dcache: CacheConfig {
-                size: 8 * 1024,
-                line: 32,
-                ways: 1,
-            },
-            bcache: CacheConfig {
-                size: 4 * 1024 * 1024,
-                line: 32,
-                ways: 1,
-            },
-            page: 8 * 1024,
-            tlb_entries: 32,
-        }
-    }
-}
+/// Line size of both caches, bytes.
+const LINE: usize = 32;
+/// Page size the TLB maps, bytes.
+const PAGE: usize = 8 * 1024;
+/// TLB entries (fully associative).
+const TLB_ENTRIES: usize = 32;
 
 /// Per-level counters after a traced workload.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -65,6 +29,14 @@ pub struct HierStats {
     pub tlb_misses: u64,
     /// Total line probes issued.
     pub line_probes: u64,
+}
+
+impl HierStats {
+    /// D-cache, B-cache and TLB misses per element of an `n`-element
+    /// workload.
+    pub fn per_elem(&self, n: usize) -> [f64; 3] {
+        [self.d_misses, self.b_misses, self.tlb_misses].map(|m| m as f64 / n.max(1) as f64)
+    }
 }
 
 /// Stall-cycle weights. Defaults follow the paper's flavor of machine: a
@@ -101,20 +73,10 @@ impl CycleModel {
             + s.b_misses as f64 * self.b_miss
             + s.tlb_misses as f64 * self.tlb_miss
     }
-
-    /// Fraction of cycles spent stalled (everything but issue).
-    pub fn stall_fraction(&self, s: &HierStats) -> f64 {
-        let total = self.cycles(s);
-        if total == 0.0 {
-            return 0.0;
-        }
-        1.0 - (s.accesses as f64 * self.issue) / total
-    }
 }
 
 /// The full modeled hierarchy.
 pub struct Hierarchy {
-    cfg: HierConfig,
     dcache: Cache,
     bcache: Cache,
     /// TLB modeled as a fully associative cache of pages.
@@ -123,89 +85,51 @@ pub struct Hierarchy {
 }
 
 impl Hierarchy {
-    /// Build an empty hierarchy.
-    pub fn new(cfg: HierConfig) -> Self {
-        let tlb = Cache::new(CacheConfig {
-            size: cfg.page * cfg.tlb_entries,
-            line: cfg.page,
-            ways: cfg.tlb_entries,
-        });
+    /// The paper's DEC 7000 AXP (Alpha 21064) hierarchy, empty.
+    pub fn alpha_axp() -> Self {
+        let cache = |size, line, ways| Cache::new(CacheConfig { size, line, ways });
         Hierarchy {
-            dcache: Cache::new(cfg.dcache),
-            bcache: Cache::new(cfg.bcache),
-            tlb,
+            dcache: cache(8 * 1024, LINE, 1),
+            bcache: cache(4 * 1024 * 1024, LINE, 1),
+            tlb: cache(PAGE * TLB_ENTRIES, PAGE, TLB_ENTRIES),
             stats: HierStats::default(),
-            cfg,
         }
     }
 
-    /// The paper's Alpha AXP hierarchy.
-    pub fn alpha_axp() -> Self {
-        Self::new(HierConfig::alpha_axp())
-    }
-
-    /// The geometry.
-    pub fn config(&self) -> &HierConfig {
-        &self.cfg
-    }
-
-    /// Issue one data access of `size` bytes at `addr`.
-    pub fn access(&mut self, _kind: AccessKind, addr: u64, size: u64) {
+    /// Issue one data access of `size` bytes at `addr`; reads and writes
+    /// go through [`Observer`](crate::Observer).
+    pub(crate) fn access(&mut self, addr: u64, size: u64) {
         debug_assert!(size > 0);
         self.stats.accesses += 1;
-        let line = self.cfg.dcache.line as u64;
-        let first = addr / line;
-        let last = (addr + size - 1) / line;
-        for l in first..=last {
-            let a = l * line;
+        let line = LINE as u64;
+        for l in addr / line..=(addr + size - 1) / line {
             self.stats.line_probes += 1;
-            if !self.dcache.access_line(a) {
+            if !self.dcache.access_line(l * line) {
                 self.stats.d_misses += 1;
-                if !self.bcache.access_line(a) {
+                if !self.bcache.access_line(l * line) {
                     self.stats.b_misses += 1;
                 }
             }
         }
         // TLB: probe each page the access touches.
-        let page = self.cfg.page as u64;
-        let pfirst = addr / page;
-        let plast = (addr + size - 1) / page;
-        for p in pfirst..=plast {
+        let page = PAGE as u64;
+        for p in addr / page..=(addr + size - 1) / page {
             if !self.tlb.access_line(p * page) {
                 self.stats.tlb_misses += 1;
             }
         }
     }
 
-    /// Shorthand for a read.
-    #[inline]
-    pub fn read(&mut self, addr: u64, size: u64) {
-        self.access(AccessKind::Read, addr, size);
-    }
-
-    /// Shorthand for a write.
-    #[inline]
-    pub fn write(&mut self, addr: u64, size: u64) {
-        self.access(AccessKind::Write, addr, size);
-    }
-
     /// Counters so far.
     pub fn stats(&self) -> HierStats {
         self.stats
-    }
-
-    /// Clear contents and counters.
-    pub fn reset(&mut self) {
-        self.dcache.reset();
-        self.bcache.reset();
-        self.tlb.reset();
-        self.stats = HierStats::default();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Observer;
 
     #[test]
     fn miss_cascades_d_then_b() {
@@ -289,6 +213,5 @@ mod tests {
         };
         let cycles = m.cycles(&s);
         assert!((cycles - (100.0 + 100.0 + 250.0 + 40.0)).abs() < 1e-9);
-        assert!((m.stall_fraction(&s) - (1.0 - 100.0 / cycles)).abs() < 1e-9);
     }
 }

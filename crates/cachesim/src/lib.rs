@@ -14,31 +14,33 @@
 //! * [`hier`] — the Alpha-AXP-like hierarchy: 8 KB direct-mapped on-chip
 //!   D-cache (32 B lines) → 4 MB board B-cache → memory, plus a 32-entry
 //!   data TLB, and a stall-cycle model for Figure-7-style breakdowns,
-//! * [`traced`] — the sort kernels re-run against the simulator: all four
-//!   QuickSort representations, replacement-selection with naive and
-//!   clustered tournament layouts, and the merge gather,
+//! * [`observe`] — the [`Observer`] the §4 exhibits of `alphasort-bench`
+//!   report their loads and stores to (`()` when timed, a [`Hierarchy`]
+//!   when traced), the address regions they report in, and the naive and
+//!   clustered tournament layouts,
 //! * [`latency`] — the Figure 3 "how far away is the data" scale.
 //!
 //! ```
-//! use alphasort_cachesim::{traced_quicksort, Hierarchy, QuickSortVariant};
+//! use alphasort_cachesim::{Hierarchy, Observer, ENTRY_BASE, RECORD_BASE};
 //!
-//! // Replay a record sort and a key-prefix sort of 20k records against the
-//! // Alpha hierarchy: the prefix variant must miss far less (§4).
-//! let mut m1 = Hierarchy::alpha_axp();
-//! let rec = traced_quicksort(20_000, 1, QuickSortVariant::Record, &mut m1);
-//! let mut m2 = Hierarchy::alpha_axp();
-//! let pfx = traced_quicksort(20_000, 1, QuickSortVariant::KeyPrefix, &mut m2);
-//! assert!(rec.d_misses_per_elem() > 2.0 * pfx.d_misses_per_elem());
+//! // Scan 20k 100-byte records, then the 16-byte entries §4 sorts in their
+//! // place: the entry array misses about 100/16 times less (§4).
+//! let n = 20_000u64;
+//! let mut records = Hierarchy::alpha_axp();
+//! (0..n).for_each(|i| records.read(RECORD_BASE + i * 100, 100));
+//! let mut entries = Hierarchy::alpha_axp();
+//! (0..n).for_each(|i| entries.read(ENTRY_BASE + i * 16, 16));
+//! assert!(records.stats().d_misses > 5 * entries.stats().d_misses);
 //! ```
 
 pub mod cache;
 pub mod hier;
 pub mod latency;
-pub mod traced;
+pub mod observe;
 
 pub use cache::{Cache, CacheConfig};
-pub use hier::{AccessKind, CycleModel, HierConfig, HierStats, Hierarchy};
-pub use traced::{
-    traced_gather, traced_merge, traced_quicksort, traced_tournament_sort, QuickSortVariant,
-    TournamentLayout, TracedReport,
+pub use hier::{CycleModel, HierStats, Hierarchy};
+pub use observe::{
+    node_addr, replay_path, Observer, TournamentLayout, Within, ENTRY_BASE, NODE_SIZE, OUT_BASE,
+    RECORD_BASE, TREE_BASE,
 };

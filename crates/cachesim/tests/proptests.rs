@@ -3,10 +3,7 @@
 //! counters must obey their structural invariants. Cases are driven by a
 //! seeded [`SplitMix64`] so every run is reproducible.
 
-use alphasort_cachesim::{
-    traced_gather, traced_merge, traced_quicksort, traced_tournament_sort, Cache, CacheConfig,
-    Hierarchy, QuickSortVariant, TournamentLayout,
-};
+use alphasort_cachesim::{Cache, CacheConfig, Hierarchy, Observer};
 use alphasort_dmgen::SplitMix64;
 
 /// A deliberately naive LRU cache to check the real one against.
@@ -125,8 +122,8 @@ fn hierarchy_counters_are_consistent() {
     }
 }
 
-/// Replaying the same trace twice gives identical counters (the model is
-/// deterministic), and reset really clears.
+/// Replaying the same trace twice gives identical counters: the model is
+/// deterministic.
 #[test]
 fn hierarchy_is_deterministic() {
     let mut r = SplitMix64::new(0xCA4);
@@ -140,75 +137,8 @@ fn hierarchy_is_deterministic() {
             }
             h.stats()
         };
-        let mut h = Hierarchy::alpha_axp();
-        let first = run(&mut h);
-        h.reset();
-        let second = run(&mut h);
+        let first = run(&mut Hierarchy::alpha_axp());
+        let second = run(&mut Hierarchy::alpha_axp());
         assert_eq!(first, second, "case {case}");
-    }
-}
-
-/// Every traced kernel is deterministic: same seed, same counters.
-#[test]
-fn traced_kernels_are_deterministic() {
-    const VARIANTS: [QuickSortVariant; 5] = [
-        QuickSortVariant::Record,
-        QuickSortVariant::Pointer,
-        QuickSortVariant::Key,
-        QuickSortVariant::KeyPrefix,
-        QuickSortVariant::Codeword,
-    ];
-    let mut r = SplitMix64::new(0xCA5);
-    for _ in 0..24 {
-        let n = 256 + r.next_below(2_744) as usize;
-        let seed = r.next_u64();
-        let variant = VARIANTS[r.next_below(5) as usize];
-        let run = |f: &dyn Fn(&mut Hierarchy)| {
-            let mut h = Hierarchy::alpha_axp();
-            f(&mut h);
-            h.stats()
-        };
-        let q = |h: &mut Hierarchy| {
-            traced_quicksort(n, seed, variant, h);
-        };
-        assert_eq!(run(&q), run(&q));
-        let g = |h: &mut Hierarchy| {
-            traced_gather(n, seed, h);
-        };
-        assert_eq!(run(&g), run(&g));
-    }
-}
-
-/// Tournament and merge kernels count every record exactly once and issue
-/// a sane number of accesses for arbitrary sizes/layouts.
-#[test]
-fn traced_tournament_and_merge_account_all_records() {
-    let mut r = SplitMix64::new(0xCA6);
-    for case in 0..24 {
-        let n = 64 + r.next_below(1_936) as usize;
-        let cap_pow = 1 + r.next_below(5) as u32;
-        let runs = 1 + r.next_below(11) as usize;
-        let seed = r.next_u64();
-        let layout = if r.next_below(2) == 0 {
-            TournamentLayout::Naive
-        } else {
-            TournamentLayout::Clustered
-        };
-        let capacity = (1usize << cap_pow).min(n / 2).max(2);
-        if n < capacity {
-            continue;
-        }
-        let mut h = Hierarchy::alpha_axp();
-        let t = traced_tournament_sort(n, capacity, seed, layout, true, &mut h);
-        assert_eq!(t.elements, n as u64, "case {case}");
-        // Each emitted record reads+writes 100 B plus tree traffic.
-        assert!(t.stats.accesses >= 2 * n as u64, "case {case}");
-
-        if n < runs {
-            continue;
-        }
-        let mut h2 = Hierarchy::alpha_axp();
-        let m = traced_merge(n, runs, seed, &mut h2);
-        assert_eq!(m.elements, (n / runs * runs) as u64, "case {case}");
     }
 }

@@ -8,15 +8,20 @@
 //! sorted file.
 //!
 //! ```text
-//! netsort <input> <output> [--nodes N] [--tcp] [--gen RECORDS[:SEED]]
-//!         [--run RECORDS] [--workers N] [--batch RECORDS] [--samples N]
+//! netsort <input> <output> [--nodes N] [--tcp] [--layout NAME]
+//!         [--corpus NAME] [--gen RECORDS[:SEED]] [--run RECORDS]
+//!         [--workers N] [--batch RECORDS] [--samples N]
 //!         [--recv-timeout-ms MS] [--verify] [--keep]
 //!         [--trace-out TRACE.json] [--metrics-out METRICS.json]
 //! ```
 //!
-//! `--gen` first writes a Datamation-style input file; with `--verify` the
-//! output is checked to be a sorted permutation of the input (checksummed
-//! while splitting, so `--verify` also works on pre-existing inputs).
+//! `--layout varlen` sorts length-prefixed string-key records instead of
+//! 100-byte Datamation records, as `sortcli` does; shares are cut on record
+//! boundaries either way. `--gen` first writes an input file (var-len ones
+//! from the `--corpus` text corpus); with `--verify` the output is checked
+//! to be a sorted permutation of the input (Datamation inputs are
+//! checksummed while splitting, so `--verify` also works on pre-existing
+//! inputs).
 //! `--recv-timeout-ms` sets the per-receive deadline every worker applies
 //! while waiting on peers (default 30000; a vanished node surfaces as a
 //! `TimedOut` error naming the phase and node instead of a hang; `0` waits
@@ -35,14 +40,14 @@ use std::time::Duration;
 
 use alphasort_suite::cli::Arg::{Switch, Val};
 use alphasort_suite::cli::{self, failed, Artifacts, Command, Flag, Flags, Stop};
-use alphasort_suite::dmgen::{KeyDistribution, RunningChecksum, RECORD_LEN};
+use alphasort_suite::dmgen::{parse_var_record, RunningChecksum, VarFrameError, VAR_HEADER_LEN};
 use alphasort_suite::netsort::{
     bind_cluster, loopback_cluster, merge_cluster_stats, run_worker, NetsortConfig, RetryPolicy,
     TcpTransport, Transport,
 };
 use alphasort_suite::sort::driver::check_sizes;
 use alphasort_suite::sort::io_file::{FileSink, FileSource};
-use alphasort_suite::sort::{SortConfig, SortStats};
+use alphasort_suite::sort::{RecordLayout, SortConfig, SortStats};
 
 const NETSORT: Command = Command {
     name: "netsort",
@@ -50,6 +55,8 @@ const NETSORT: Command = Command {
     flags: &[
         Flag("--nodes", Val("N")),
         Flag("--tcp", Switch),
+        Flag("--layout", Val("NAME")),
+        Flag("--corpus", Val("NAME")),
         Flag("--gen", Val("RECORDS[:SEED]")),
         Flag("--run", Val("RECORDS")),
         Flag("--workers", Val("N")),
@@ -68,41 +75,72 @@ fn main() -> ExitCode {
     cli::main(&[NETSORT])
 }
 
-/// Stream `input` into `nodes` contiguous record-aligned share files
-/// (`<output>.nodeK.in`), checksumming every record on the way through.
+/// Stream `input` into `nodes` contiguous share files
+/// (`<output>.nodeK.in`) of about equal bytes, each cut on a record
+/// boundary of `layout`, checksumming Datamation records on the way
+/// through. On failure no share file is left behind.
 fn split_to_share_files(
     input: &str,
     output: &str,
     nodes: usize,
+    layout: RecordLayout,
 ) -> io::Result<(Vec<String>, RunningChecksum)> {
-    let len = fs::metadata(input)?.len();
-    if !len.is_multiple_of(RECORD_LEN as u64) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("{input} is not a whole number of {RECORD_LEN}-byte records"),
-        ));
-    }
-    let records = len / RECORD_LEN as u64;
-    let per = records.div_ceil(nodes as u64).max(1) * RECORD_LEN as u64;
-    let mut reader = BufReader::with_capacity(1 << 20, File::open(input)?);
+    let paths: Vec<String> = (0..nodes).map(|n| format!("{output}.node{n}.in")).collect();
     let mut checksum = RunningChecksum::new();
-    let mut paths = Vec::with_capacity(nodes);
-    let mut buf = vec![0u8; 64 * RECORD_LEN];
-    for node in 0..nodes {
-        let path = format!("{output}.node{node}.in");
-        let mut writer = BufWriter::with_capacity(1 << 20, File::create(&path)?);
-        let mut left = per.min((records * RECORD_LEN as u64).saturating_sub(node as u64 * per));
-        while left > 0 {
-            let want = (left as usize).min(buf.len());
-            reader.read_exact(&mut buf[..want])?;
-            checksum.update_bytes(&buf[..want]);
-            writer.write_all(&buf[..want])?;
-            left -= want as u64;
+    let mut split = || -> io::Result<()> {
+        let len = fs::metadata(input)?.len();
+        let mut reader = BufReader::with_capacity(1 << 20, File::open(input)?);
+        let (mut record, mut at) = (Vec::new(), 0u64);
+        for (node, path) in paths.iter().enumerate() {
+            let mut writer = BufWriter::with_capacity(1 << 20, File::create(path)?);
+            while at < len * (node as u64 + 1) / nodes as u64 {
+                read_record(&mut reader, layout, at, &mut record).map_err(|e| {
+                    let why = match e.kind() {
+                        io::ErrorKind::UnexpectedEof => "input ends mid-record".to_string(),
+                        _ => e.to_string(),
+                    };
+                    io::Error::new(e.kind(), format!("{input}: record at byte {at}: {why}"))
+                })?;
+                if layout == RecordLayout::Datamation {
+                    checksum.update_bytes(&record);
+                }
+                writer.write_all(&record)?;
+                at += record.len() as u64;
+            }
+            writer.flush()?;
         }
-        writer.flush()?;
-        paths.push(path);
+        Ok(())
+    };
+    if let Err(e) = split() {
+        for path in &paths {
+            let _ = fs::remove_file(path);
+        }
+        return Err(e);
     }
     Ok((paths, checksum))
+}
+
+/// Read the whole record of `layout` that starts at input byte `at` into
+/// `record`. A var-len header is checked by dmgen's frame parser, which
+/// also says how long the body is.
+fn read_record(
+    reader: &mut impl Read,
+    layout: RecordLayout,
+    at: u64,
+    record: &mut Vec<u8>,
+) -> io::Result<()> {
+    record.resize(layout.stride().unwrap_or(VAR_HEADER_LEN), 0);
+    reader.read_exact(record)?;
+    if layout == RecordLayout::VarLen {
+        let body = match parse_var_record(record, at) {
+            Ok(_) => 0,
+            Err(VarFrameError::TruncatedBody { need, .. }) => need,
+            Err(e) => return Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
+        };
+        record.resize(VAR_HEADER_LEN + body, 0);
+        reader.read_exact(&mut record[VAR_HEADER_LEN..])?;
+    }
+    Ok(())
 }
 
 /// Run every worker in its own thread; each builds its transport with its
@@ -154,6 +192,7 @@ fn netsort(flags: &Flags) -> Result<(), Stop> {
     let (input, output) = (flags.pos(0), flags.pos(1));
     let nodes: usize = flags.num("--nodes", 4)?;
     let tcp = flags.has("--tcp");
+    let (layout, corpus) = cli::layout_and_corpus(flags)?;
     let default_timeout = NetsortConfig::DEFAULT_RECV_TIMEOUT.as_millis() as u64;
     let cfg = NetsortConfig {
         samples_per_node: flags.num("--samples", 256)?,
@@ -166,6 +205,7 @@ fn netsort(flags: &Flags) -> Result<(), Stop> {
         sort: SortConfig {
             run_records: flags.num("--run", 100_000)?,
             workers: flags.num("--workers", 0)?,
+            layout,
             ..Default::default()
         },
     };
@@ -176,11 +216,9 @@ fn netsort(flags: &Flags) -> Result<(), Stop> {
     // once, before anything is written.
     check_sizes(&cfg.sort).map_err(Stop::usage)?;
 
-    if let Some((records, seed)) = flags.get("--gen").map(cli::parse_gen).transpose()? {
-        cli::generate_datamation_file(input, records, seed, KeyDistribution::Random)?;
-    }
+    cli::generate_input(flags, input, layout, corpus)?;
     let (shares, checksum) =
-        split_to_share_files(input, output, nodes).map_err(failed("split failed"))?;
+        split_to_share_files(input, output, nodes, layout).map_err(failed("split failed"))?;
     let parts: Vec<String> = (0..nodes)
         .map(|n| format!("{output}.node{n}.out"))
         .collect();
@@ -245,8 +283,8 @@ fn netsort(flags: &Flags) -> Result<(), Stop> {
     artifacts.write(true)?;
 
     if flags.has("--verify") {
-        let report = cli::verify_datamation_file(output, checksum.finish())?;
-        eprintln!("verified: {} records, sorted permutation ✓", report.records);
+        let fingerprint = (layout == RecordLayout::Datamation).then(|| checksum.finish());
+        cli::verify_output(input, output, fingerprint)?;
     }
     Ok(())
 }

@@ -54,9 +54,6 @@ use std::time::Duration;
 
 use alphasort_suite::cli::Arg::{Switch, Val};
 use alphasort_suite::cli::{self, failed, Artifacts, Command, Flag, Flags, Stop};
-use alphasort_suite::dmgen::{
-    generate_varlen, var_records_of, KeyDistribution, TextCorpus, VarGenConfig,
-};
 use alphasort_suite::sort::driver::{check_sizes, one_pass, two_pass, StripeScratch};
 use alphasort_suite::sort::io_file::{FileSink, FileSource};
 use alphasort_suite::sort::{RecordLayout, SortConfig};
@@ -86,11 +83,6 @@ const SORTCLI: Command = Command {
 
 fn main() -> ExitCode {
     cli::main(&[SORTCLI])
-}
-
-/// A `--layout` / `--corpus` value its registry does not hold.
-fn unknown(what: &str, v: &str, names: &[&str]) -> Stop {
-    Stop::usage(format!("unknown {what} {v} (one of: {})", names.join(", ")))
 }
 
 /// The striped scratch volume over disk-image files in `dir`, with the run
@@ -139,44 +131,9 @@ fn striped_scratch(
     Ok(scratch)
 }
 
-/// Var-len verification: the output must parse, be key-ascending, and hold
-/// exactly the input's frames (a sorted permutation, frame for frame).
-fn verify_varlen(input: &str, output: &str) -> Result<u64, String> {
-    let inp = std::fs::read(input).map_err(|e| format!("cannot reread {input}: {e}"))?;
-    let out = std::fs::read(output).map_err(|e| format!("cannot reopen {output}: {e}"))?;
-    let in_recs = var_records_of(&inp).map_err(|e| format!("input: {e}"))?;
-    let out_recs = var_records_of(&out).map_err(|e| format!("output: {e}"))?;
-    for (i, w) in out_recs.windows(2).enumerate() {
-        if w[0].key() > w[1].key() {
-            return Err(format!("keys out of order at record {}", i + 1));
-        }
-    }
-    let mut a: Vec<&[u8]> = in_recs.iter().map(|r| r.frame()).collect();
-    let mut b: Vec<&[u8]> = out_recs.iter().map(|r| r.frame()).collect();
-    a.sort_unstable();
-    b.sort_unstable();
-    if a != b {
-        return Err(format!(
-            "output is not a permutation of the input ({} vs {} records)",
-            out_recs.len(),
-            in_recs.len()
-        ));
-    }
-    Ok(out_recs.len() as u64)
-}
-
 fn sortcli(flags: &Flags) -> Result<(), Stop> {
     let (input, output) = (flags.pos(0), flags.pos(1));
-    let layout = match flags.get("--layout") {
-        None => RecordLayout::Datamation,
-        Some(v) => RecordLayout::from_name(v)
-            .ok_or_else(|| unknown("layout", v, &RecordLayout::ALL.map(|l| l.name())))?,
-    };
-    let corpus = match flags.get("--corpus") {
-        None => TextCorpus::Urls,
-        Some(v) => TextCorpus::from_name(v)
-            .ok_or_else(|| unknown("corpus", v, &TextCorpus::ALL.map(|c| c.name())))?,
-    };
+    let (layout, corpus) = cli::layout_and_corpus(flags)?;
     let cfg = SortConfig {
         run_records: flags.num("--run", 100_000)?,
         workers: flags.num("--workers", 0)?,
@@ -191,7 +148,6 @@ fn sortcli(flags: &Flags) -> Result<(), Stop> {
         backoff: Duration::from_millis(flags.num("--io-backoff-ms", 1)?),
         ..RetryPolicy::default()
     };
-    let gen = flags.get("--gen").map(cli::parse_gen).transpose()?;
     let scratch_dir = flags.get("--scratch-dir").map(Path::new);
     let two_passes = flags.has("--two-pass");
     let resume = flags.has("--resume");
@@ -202,35 +158,13 @@ fn sortcli(flags: &Flags) -> Result<(), Stop> {
     if resume && scratch_dir.is_none() {
         return Err(Stop::usage("--resume requires --scratch-dir"));
     }
-    if verify && layout == RecordLayout::Datamation && gen.is_none() {
+    if verify && layout == RecordLayout::Datamation && !flags.has("--gen") {
         return Err(Stop::usage(
             "--verify requires --gen (the input fingerprint)",
         ));
     }
 
-    let checksum = match gen {
-        Some((records, seed)) if layout == RecordLayout::VarLen => {
-            let data = generate_varlen(VarGenConfig {
-                records,
-                seed,
-                corpus,
-            });
-            std::fs::write(input, &data).map_err(failed(format!("cannot write {input}")))?;
-            eprintln!(
-                "generated {records} var-len records ({:.1} MB, corpus {}) into {input}",
-                data.len() as f64 / 1e6,
-                corpus.name(),
-            );
-            None
-        }
-        Some((records, seed)) => Some(cli::generate_datamation_file(
-            input,
-            records,
-            seed,
-            KeyDistribution::Random,
-        )?),
-        None => None,
-    };
+    let fingerprint = cli::generate_input(flags, input, layout, corpus)?;
 
     // Start recording after generation so the trace covers only the sort.
     let artifacts = Artifacts::record(flags);
@@ -279,16 +213,7 @@ fn sortcli(flags: &Flags) -> Result<(), Stop> {
     artifacts.write(true)?;
 
     if verify {
-        match checksum {
-            Some(checksum) => {
-                let report = cli::verify_datamation_file(output, checksum)?;
-                eprintln!("verified: {} records, sorted permutation ✓", report.records);
-            }
-            None => {
-                let records = verify_varlen(input, output).map_err(failed("OUTPUT INVALID"))?;
-                eprintln!("verified: {records} var-len records, sorted permutation ✓");
-            }
-        }
+        cli::verify_output(input, output, fingerprint)?;
     }
     Ok(())
 }

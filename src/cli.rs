@@ -4,10 +4,10 @@
 //! Each binary is a table of [`Command`]s — its flags, its positionals and
 //! the function that runs it — handed to [`main`]. Everything the five used
 //! to do by hand lives here once: the flag parser and the usage text it is
-//! generated from ([`Flags`]), `--gen RECORDS[:SEED]` ([`parse_gen`],
-//! [`generate_datamation_file`]), `--verify` ([`verify_datamation_file`]),
-//! `--trace-out` / `--metrics-out` ([`Artifacts`]) and `--scratch-dir`
-//! ([`scratch_volume`]).
+//! generated from ([`Flags`]), `--layout` / `--corpus` ([`layout_and_corpus`]),
+//! `--gen RECORDS[:SEED]` ([`parse_gen`], [`generate_input`]), `--verify`
+//! ([`verify_output`]), `--trace-out` / `--metrics-out` ([`Artifacts`]) and
+//! `--scratch-dir` ([`scratch_volume`]).
 //!
 //! The rules every command follows: an unknown flag, a value flag with no
 //! value, a value that does not parse, a missing required flag and a wrong
@@ -25,10 +25,12 @@ use std::str::FromStr;
 use std::sync::Arc;
 
 use crate::dmgen::{
-    validate_reader, Checksum, GenConfig, Generator, KeyDistribution, ValidationReport, RECORD_LEN,
+    generate_varlen, validate_reader, var_records_of, Checksum, GenConfig, Generator,
+    KeyDistribution, TextCorpus, ValidationReport, VarGenConfig, RECORD_LEN,
 };
 use crate::iosim::{catalog, FileStorage, IoEngine, Pacing, SimDisk, Storage};
 use crate::obs;
+use crate::sort::RecordLayout;
 use crate::stripefs::{RetryPolicy, Volume};
 
 /// Why a command stopped short of success.
@@ -251,6 +253,96 @@ pub fn main(commands: &[Command]) -> ExitCode {
 pub fn parse_gen(spec: &str) -> Result<(u64, u64), Stop> {
     let (records, seed) = spec.split_once(':').unwrap_or((spec, "42"));
     Ok((parse_num("--gen", records)?, parse_num("--gen", seed)?))
+}
+
+/// `--layout NAME` (default `datamation`) and `--corpus NAME` (default
+/// `urls`: what a var-len `--gen` draws from), each held to its registry.
+pub fn layout_and_corpus(flags: &Flags) -> Result<(RecordLayout, TextCorpus), Stop> {
+    let unknown = |what: &str, v: &str, names: &[&str]| {
+        Stop::usage(format!("unknown {what} {v} (one of: {})", names.join(", ")))
+    };
+    let layout = match flags.get("--layout") {
+        None => RecordLayout::Datamation,
+        Some(v) => RecordLayout::from_name(v)
+            .ok_or_else(|| unknown("layout", v, &RecordLayout::ALL.map(|l| l.name())))?,
+    };
+    let corpus = match flags.get("--corpus") {
+        None => TextCorpus::Urls,
+        Some(v) => TextCorpus::from_name(v)
+            .ok_or_else(|| unknown("corpus", v, &TextCorpus::ALL.map(|c| c.name())))?,
+    };
+    Ok((layout, corpus))
+}
+
+/// `--gen RECORDS[:SEED]`, if given: write the input file at `path` in
+/// `layout`. A Datamation input's fingerprint comes back for
+/// [`verify_output`]; a var-len input has none, as its own frames are what
+/// the output is checked against.
+pub fn generate_input(
+    flags: &Flags,
+    path: &str,
+    layout: RecordLayout,
+    corpus: TextCorpus,
+) -> Result<Option<Checksum>, Stop> {
+    let Some((records, seed)) = flags.get("--gen").map(parse_gen).transpose()? else {
+        return Ok(None);
+    };
+    if layout == RecordLayout::Datamation {
+        let dist = KeyDistribution::Random;
+        return Ok(Some(generate_datamation_file(path, records, seed, dist)?));
+    }
+    let data = generate_varlen(VarGenConfig {
+        records,
+        seed,
+        corpus,
+    });
+    fs::write(path, &data).map_err(failed(format!("cannot write {path}")))?;
+    eprintln!(
+        "generated {records} var-len records ({:.1} MB, corpus {}) into {path}",
+        data.len() as f64 / 1e6,
+        corpus.name(),
+    );
+    Ok(None)
+}
+
+/// `--verify`: `output` must be in key order and a permutation of `input` —
+/// of the Datamation input whose `fingerprint` is given, or, with none,
+/// frame for frame of the var-len input file.
+pub fn verify_output(input: &str, output: &str, fingerprint: Option<Checksum>) -> Result<(), Stop> {
+    if let Some(expected) = fingerprint {
+        let report = verify_datamation_file(output, expected)?;
+        eprintln!("verified: {} records, sorted permutation ✓", report.records);
+        return Ok(());
+    }
+    let records = verify_varlen(input, output).map_err(failed("OUTPUT INVALID"))?;
+    eprintln!("verified: {records} var-len records, sorted permutation ✓");
+    Ok(())
+}
+
+/// Var-len verification: the output must parse, be key-ascending, and hold
+/// exactly the input's frames (a sorted permutation, frame for frame).
+fn verify_varlen(input: &str, output: &str) -> Result<u64, String> {
+    let inp = fs::read(input).map_err(|e| format!("cannot reread {input}: {e}"))?;
+    let out = fs::read(output).map_err(|e| format!("cannot reopen {output}: {e}"))?;
+    let in_recs = var_records_of(&inp).map_err(|e| format!("input: {e}"))?;
+    let out_recs = var_records_of(&out).map_err(|e| format!("output: {e}"))?;
+    for (i, w) in out_recs.windows(2).enumerate() {
+        if w[0].key() > w[1].key() {
+            return Err(format!("keys out of order at record {}", i + 1));
+        }
+    }
+    let mut a: Vec<&[u8]> = in_recs.iter().map(|r| r.frame()).collect();
+    let mut b: Vec<&[u8]> = out_recs.iter().map(|r| r.frame()).collect();
+    a.sort_unstable();
+    b.sort_unstable();
+    if a != b {
+        return Err(format!(
+            "output is not a permutation of the input ({} vs {} records)",
+            out_recs.len(),
+            in_recs.len()
+        ));
+    }
+    Ok(out_recs.len() as u64)
 }
 
 /// Write `records` Datamation records to a new file at `path` and return

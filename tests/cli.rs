@@ -101,6 +101,58 @@ fn valsort_prints_the_fingerprint_gensort_printed_and_refuses_a_swap() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// netsort sorts var-len records as sortcli does: one node or three, the
+/// output is sortcli's byte for byte, and a truncated input is refused with
+/// the record it ends in, leaving no share file behind.
+#[test]
+fn netsort_varlen_output_is_sortclis_at_one_and_three_nodes() {
+    let dir = std::env::temp_dir().join(format!("alphasort-netsort-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (input, want, truncated) = (path("in.dat"), path("sortcli.out"), path("trunc.dat"));
+    let ok = |out: Output| {
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        )
+    };
+    let sortcli = env!("CARGO_BIN_EXE_sortcli");
+    let netsort = env!("CARGO_BIN_EXE_netsort");
+    ok(run(
+        sortcli,
+        &[
+            &input,
+            &want,
+            "--gen",
+            "5000",
+            "--layout",
+            "varlen",
+            "--corpus",
+            "log-lines",
+        ],
+    ));
+    let want = std::fs::read(&want).unwrap();
+    for nodes in ["1", "3"] {
+        let got = path(&format!("netsort{nodes}.out"));
+        ok(run(
+            netsort,
+            &[
+                &input, &got, "--nodes", nodes, "--layout", "varlen", "--verify",
+            ],
+        ));
+        assert!(std::fs::read(&got).unwrap() == want, "{nodes} node(s)");
+    }
+    let bytes = std::fs::read(&input).unwrap();
+    std::fs::write(&truncated, &bytes[..bytes.len() - 3]).unwrap();
+    let out = run(netsort, &[&truncated, &path("x.out"), "--layout", "varlen"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("input ends mid-record"), "{stderr}");
+    assert!(!dir.join("x.out.node0.in").exists());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn removed_kernel_and_rep_flags_are_unknown_flags() {
     let sortcli = env!("CARGO_BIN_EXE_sortcli");
