@@ -119,7 +119,9 @@ fn bench_ovc() {
         g.bench(format!("plain/{label}"), || {
             black_box(merge_ptrs::<PrefixThenKey>(&runs, None))
         });
-        g.bench(format!("ovc/{label}"), || black_box(merge_ptrs::<Ovc>(&runs, None)));
+        g.bench(format!("ovc/{label}"), || {
+            black_box(merge_ptrs::<Ovc>(&runs, None))
+        });
     }
 }
 

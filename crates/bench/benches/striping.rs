@@ -9,7 +9,6 @@ use std::sync::Arc;
 use alphasort_bench::harness::BenchGroup;
 use alphasort_stripefs::{Member, StripeDef, StripedReader, StripedWriter, Volume};
 
-
 fn bench_striped_io() {
     let bytes = 8_000_000usize;
     let mut g = BenchGroup::new("striped_io");

@@ -13,12 +13,11 @@
 //! The paper measures record sort 30% slower than pointer sort and "270%
 //! slower than key sort", a further 25% from the prefix, and guesses in a
 //! footnote that a 256-bucket partition sort "might beat AlphaSort".
-//! `exp_variants` and the `sort_variants` bench reproduce those ratios
+//! `exp variants` and the `sort_variants` bench reproduce those ratios
 //! next to the pipeline's own [`alphasort_core::runform::form_run`], an MSD
-//! string sort over the same prefixes. Beside them sit the two other roads
-//! §4 does not take: [`rs`], replacement-selection run generation, and
-//! [`mergeplan`], Huffman merge scheduling for the unequal runs it
-//! produces. None of this is reachable from a sort driver.
+//! string sort over the same prefixes. Beside them sits the road §4 does
+//! not take: [`rs`], replacement-selection run generation. None of this is
+//! reachable from a sort driver.
 //!
 //! Every exhibit reports its loads and stores to an
 //! [`Observer`]: `()` when timed, the cache simulator when traced — the same
@@ -27,7 +26,6 @@
 //! gather the same way.
 
 pub mod kernel;
-pub mod mergeplan;
 pub mod rs;
 pub mod trace;
 

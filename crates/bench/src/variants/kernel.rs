@@ -300,7 +300,10 @@ mod tests {
         expect.sort_unstable();
         quicksort_by(&mut v, &mut (), 0, |_, a, b| less(a, b));
         v.sort_unstable();
-        assert_eq!(v, expect, "inconsistent comparator lost or invented elements");
+        assert_eq!(
+            v, expect,
+            "inconsistent comparator lost or invented elements"
+        );
     }
 
     #[test]
@@ -329,7 +332,9 @@ mod tests {
         for trial in 0..20 {
             let v: Vec<u64> = (0..500).map(|i| (i * 7919 + trial) % 97).collect();
             check_permutes(v, |_, _| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
                 (state >> 63) == 1
             });
         }

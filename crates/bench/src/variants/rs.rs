@@ -10,8 +10,8 @@
 //! QuickSort ~2.5× faster — but keeps a small tournament for the *merge*
 //! phase where the tree fits in cache. That tournament is
 //! [`alphasort_core::merge::LoserTree`]; this exhibit runs the same tree
-//! over records instead of runs, for `exp_fig4`, `exp_onepass` and the
-//! `runform` bench to measure against.
+//! over records instead of runs, for `exp fig4` and the `runform` bench to
+//! measure against.
 //!
 //! It reports its memory traffic to an [`Observer`]: the slots each
 //! comparison reads, the winner copied out to a sequential output stream,

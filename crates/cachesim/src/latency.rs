@@ -4,7 +4,7 @@
 //! hierarchy (5 ns ticks on the 200 MHz Alpha), next to a human analogy
 //! where one tick is one minute — registers in your head, the on-chip cache
 //! on this campus, memory in Sacramento, disk on Pluto, tape two thousand
-//! years out. [`figure3`] returns the modeled rows; `exp_fig3` additionally
+//! years out. [`figure3`] returns the modeled rows; `exp fig3` additionally
 //! measures the *host's* hierarchy with a pointer chase for comparison.
 
 /// One level of the hierarchy on the Figure 3 scale.

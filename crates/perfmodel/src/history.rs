@@ -1,6 +1,6 @@
 //! Table 1 / Graph 2: published Datamation sort results, 1985–1993.
 //!
-//! These are the paper's literature data; `exp_table1` prints them next to
+//! These are the paper's literature data; `exp table1` prints them next to
 //! the reproduction's own measured results so the trend lines of Graph 2
 //! (time falling, price-performance improving) can be regenerated.
 
