@@ -1223,7 +1223,10 @@ pub(super) mod tests {
         let volume = volume_over(&storages);
         assert_eq!(StripeScratch::reserve_at(&volume, &path).unwrap(), 2);
         let probe = volume.create_across_all("probe", 256, 1);
-        assert!(probe.def().members.iter().all(|m| m.base > 0), "allocated over a sealed run");
+        assert!(
+            probe.def().members.iter().all(|m| m.base > 0),
+            "allocated over a sealed run"
+        );
         assert!(path.exists(), "reserving leaves the manifest for resume");
 
         let volume = volume_over(&storages);

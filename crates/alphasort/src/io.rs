@@ -173,7 +173,10 @@ impl RecordSource for StripeSource {
             let Some(mut chunk) = self.reader.next_stride().transpose()? else {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
-                    format!("striped source ended {} bytes short of its window", self.remaining),
+                    format!(
+                        "striped source ended {} bytes short of its window",
+                        self.remaining
+                    ),
                 ));
             };
             if self.skip >= chunk.len() {

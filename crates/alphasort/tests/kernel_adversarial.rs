@@ -57,7 +57,11 @@ fn partitioned_merge_with_all_equal_keys() {
         assert_eq!(*plan.range_records.last().expect("ranges >= 1"), 900);
         assert_eq!(plan.range_records.iter().sum::<u64>(), 900);
         let rows = plan_rows(&runs, ranges);
-        assert_eq!(bounded_concat(&runs, &rows), merged_ptrs(&runs), "{ranges} ranges");
+        assert_eq!(
+            bounded_concat(&runs, &rows),
+            merged_ptrs(&runs),
+            "{ranges} ranges"
+        );
     }
 }
 

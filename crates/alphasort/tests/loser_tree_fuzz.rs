@@ -94,9 +94,7 @@ fn partitioned_tree_merge_equals_full_heap_merge() {
     for case in 0..128 {
         let lists = random_sorted_lists(&mut r, 1, 9, 0, 40);
         let parts = 1 + r.next_below(6) as usize;
-        let mut splitters: Vec<u32> = (1..parts)
-            .map(|_| r.next_below(1_000) as u32)
-            .collect();
+        let mut splitters: Vec<u32> = (1..parts).map(|_| r.next_below(1_000) as u32).collect();
         splitters.sort_unstable();
         let mut out = Vec::new();
         for j in 0..parts {

@@ -22,13 +22,13 @@ use alphasort_core::driver::{one_pass, two_pass, StripeScratch, INDEX_EVERY};
 use alphasort_core::io::{MemSink, MemSource, RecordSink};
 use alphasort_core::varlen::sort_var_bytes;
 use alphasort_core::{RecordLayout, SortConfig};
-use alphasort_iosim::{catalog, IoEngine, MemStorage, Pacing, SimDisk};
-use alphasort_minijson::Json;
-use alphasort_stripefs::Volume;
 use alphasort_dmgen::{
     generate, generate_varlen, records_of, records_of_mut, var_records_of, GenConfig,
     KeyDistribution, TextCorpus, VarGenConfig, RECORD_LEN,
 };
+use alphasort_iosim::{catalog, IoEngine, MemStorage, Pacing, SimDisk};
+use alphasort_minijson::Json;
+use alphasort_stripefs::Volume;
 
 /// Ground truth: stable sort by full key, concatenated back to bytes.
 fn stable_reference(data: &[u8]) -> Vec<u8> {
@@ -122,8 +122,7 @@ fn crashed_scratch(
 /// two-pass driver.
 fn resumed_scratch(data: &[u8], run_records: usize, manifest: &Path) -> StripeScratch {
     assert!(data.len() / RECORD_LEN >= 3 * run_records, "need 3+ runs");
-    let mut middle =
-        data[run_records * RECORD_LEN..2 * run_records * RECORD_LEN].to_vec();
+    let mut middle = data[run_records * RECORD_LEN..2 * run_records * RECORD_LEN].to_vec();
     records_of_mut(&mut middle).sort_by_key(|r| r.key);
     let run = (middle, run_records as u64, Vec::new());
     let store = (40 * RECORD_LEN, RecordLayout::Datamation);
@@ -235,7 +234,11 @@ fn oracle_common_prefix_keys() {
 
 #[test]
 fn oracle_nearly_sorted_input() {
-    oracle_case(2_000, 0xAC1E7, KeyDistribution::NearlySorted { permille: 50 });
+    oracle_case(
+        2_000,
+        0xAC1E7,
+        KeyDistribution::NearlySorted { permille: 50 },
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -406,13 +409,27 @@ fn var_oracle_single_word_zipf() {
 
 #[test]
 fn var_oracle_random_bytes() {
-    var_oracle_case(1_200, 0xB4, TextCorpus::RandomBytes { min_key: 0, max_key: 40 });
+    var_oracle_case(
+        1_200,
+        0xB4,
+        TextCorpus::RandomBytes {
+            min_key: 0,
+            max_key: 40,
+        },
+    );
 }
 
 #[test]
 fn var_oracle_short_random_bytes() {
     // Keys at or under the 8-byte prefix-entry width.
-    var_oracle_case(1_000, 0xB5, TextCorpus::RandomBytes { min_key: 1, max_key: 8 });
+    var_oracle_case(
+        1_000,
+        0xB5,
+        TextCorpus::RandomBytes {
+            min_key: 1,
+            max_key: 8,
+        },
+    );
 }
 
 #[test]
@@ -427,13 +444,27 @@ fn var_oracle_all_equal_keys() {
 
 #[test]
 fn var_oracle_shared_megaprefix() {
-    var_oracle_case(1_000, 0xB8, TextCorpus::SharedMegaPrefix { prefix: 48, suffix: 8 });
+    var_oracle_case(
+        1_000,
+        0xB8,
+        TextCorpus::SharedMegaPrefix {
+            prefix: 48,
+            suffix: 8,
+        },
+    );
 }
 
 #[test]
 fn var_oracle_deep_shared_prefix() {
     // Prefix far beyond any cached entry width, near-tying suffixes.
-    var_oracle_case(800, 0xB9, TextCorpus::SharedMegaPrefix { prefix: 200, suffix: 4 });
+    var_oracle_case(
+        800,
+        0xB9,
+        TextCorpus::SharedMegaPrefix {
+            prefix: 200,
+            suffix: 4,
+        },
+    );
 }
 
 #[test]
@@ -448,7 +479,13 @@ fn striped_volume(storages: &[Arc<MemStorage>]) -> Arc<Volume> {
         .iter()
         .enumerate()
         .map(|(i, s)| {
-            SimDisk::new(format!("s{i}"), catalog::uncapped(), s.clone(), Pacing::Modeled, None)
+            SimDisk::new(
+                format!("s{i}"),
+                catalog::uncapped(),
+                s.clone(),
+                Pacing::Modeled,
+                None,
+            )
         })
         .collect();
     Arc::new(Volume::new(Arc::new(IoEngine::new(disks))))
@@ -473,14 +510,13 @@ fn var_oracle_on_striped_scratch() {
         layout: RecordLayout::VarLen,
         ..Default::default()
     };
-    let manifest = std::env::temp_dir().join(format!(
-        "alphasort-oracle-{}.manifest",
-        std::process::id()
-    ));
+    let manifest =
+        std::env::temp_dir().join(format!("alphasort-oracle-{}.manifest", std::process::id()));
     let fresh = |storages: &[Arc<MemStorage>]| {
-        let mut s = StripeScratch::new(striped_volume(storages), 1_024)
-            .with_layout(RecordLayout::VarLen);
-        s.attach_manifest(&manifest, data.len() as u64, 200).unwrap();
+        let mut s =
+            StripeScratch::new(striped_volume(storages), 1_024).with_layout(RecordLayout::VarLen);
+        s.attach_manifest(&manifest, data.len() as u64, 200)
+            .unwrap();
         s
     };
     let storages =
@@ -518,7 +554,10 @@ fn var_oracle_on_striped_scratch() {
         let mut source = MemSource::new(data.clone(), 997);
         let mut sink = MemSink::new();
         let outcome = two_pass(&mut source, &mut sink, &mut resumed, &cfg).unwrap();
-        assert_eq!((outcome.stats.runs_recovered, outcome.stats.runs_reformed), (7, 1));
+        assert_eq!(
+            (outcome.stats.runs_recovered, outcome.stats.runs_reformed),
+            (7, 1)
+        );
         var_assert_identical(sink.data(), &want, &format!("striped resumed P={p}"));
     }
     let _ = std::fs::remove_file(&manifest);

@@ -313,10 +313,12 @@ fn lcp_replay_is_exact_on_tie_heavy_string_sets() {
         // Stable reference: arrival order is the concatenated run order.
         let mut idx: Vec<usize> = (0..n).collect();
         idx.sort_by(|&a, &b| keys[a].cmp(&keys[b]).then(a.cmp(&b)));
-        let want: Vec<(Vec<u8>, u64)> =
-            idx.iter().map(|&i| (keys[i].clone(), i as u64)).collect();
+        let want: Vec<(Vec<u8>, u64)> = idx.iter().map(|&i| (keys[i].clone(), i as u64)).collect();
 
-        let merges = [("Ovc", merged::<Ovc>(&runs)), ("Naive", merged::<PrefixThenKey>(&runs))];
+        let merges = [
+            ("Ovc", merged::<Ovc>(&runs)),
+            ("Naive", merged::<PrefixThenKey>(&runs)),
+        ];
         for (mode, ptrs) in merges {
             let got: Vec<(Vec<u8>, u64)> = ptrs
                 .into_iter()

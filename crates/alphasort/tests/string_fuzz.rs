@@ -111,9 +111,19 @@ fn frames_straddle_chunk_and_run_boundaries() {
             ..var_cfg(1 + r.next_below(40) as usize)
         };
         let got = sort_one_pass(&data, chunk, &cfg).unwrap();
-        assert_eq!(got, want, "case {case} one-pass {} chunk {chunk}", corpus.name());
+        assert_eq!(
+            got,
+            want,
+            "case {case} one-pass {} chunk {chunk}",
+            corpus.name()
+        );
         let got = sort_two_pass(&data, chunk, &cfg).unwrap();
-        assert_eq!(got, want, "case {case} two-pass {} chunk {chunk}", corpus.name());
+        assert_eq!(
+            got,
+            want,
+            "case {case} two-pass {} chunk {chunk}",
+            corpus.name()
+        );
     }
 }
 
@@ -162,11 +172,17 @@ fn random_truncation_fuzz_never_panics() {
         let chunk = 1 + r.next_below(99) as usize;
         match sort_one_pass(&data[..cut], chunk, &var_cfg(13)) {
             Ok(got) => {
-                assert!(boundaries.contains(&cut), "case {case}: cut {cut} mid-frame sorted");
+                assert!(
+                    boundaries.contains(&cut),
+                    "case {case}: cut {cut} mid-frame sorted"
+                );
                 assert_eq!(got, stable_reference(&data[..cut]), "case {case}");
             }
             Err(err) => {
-                assert!(!boundaries.contains(&cut), "case {case}: clean cut {cut} rejected");
+                assert!(
+                    !boundaries.contains(&cut),
+                    "case {case}: clean cut {cut} rejected"
+                );
                 assert_eq!(err.kind(), io::ErrorKind::InvalidData, "case {case}");
                 assert!(
                     err.to_string().contains("mid-record"),
@@ -193,7 +209,10 @@ fn corrupt_headers_are_rejected_with_offset() {
     oversized.extend_from_slice(&[0u8; 8]);
     let err = sort_one_pass(&oversized, 256, &var_cfg(4)).unwrap_err();
     assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    assert!(err.to_string().contains(&format!("byte {}", prefix.len())), "{err}");
+    assert!(
+        err.to_string().contains(&format!("byte {}", prefix.len())),
+        "{err}"
+    );
 
     // Key descriptor exceeding the body.
     let mut bad_key = prefix.clone();
