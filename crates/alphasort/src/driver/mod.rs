@@ -21,8 +21,9 @@ use alphasort_obs as obs;
 
 use crate::entry::{RecordLayout, MAX_MERGE_WORKERS, MAX_RUN_RECORDS, MAX_WORKERS};
 use crate::io::{RecordSink, RecordSource};
-use crate::layout::{Cut, RunCutter};
+use crate::layout::{Cut, LayoutRun, RunCutter};
 use crate::merge::{ComparePolicy, Heads, Merger};
+use crate::parallel::SortPool;
 use crate::planner::{PassPlan, Planner};
 use crate::pmerge::MergePartition;
 use crate::stats::{timed_phase, SortStats};
@@ -166,6 +167,28 @@ impl<C: RunCutter> Feed<C> {
     }
 }
 
+/// Run formation, the input half of the one-pass driver and a netsort node:
+/// `source` cut into run buffers, each sorted by the pool while later input
+/// arrives. Returns the runs in input order; books them into `stats`.
+pub fn form_runs<R: LayoutRun>(
+    source: &mut impl RecordSource,
+    cfg: &SortConfig,
+    stats: &mut SortStats,
+) -> io::Result<Vec<R>> {
+    let mut pool = SortPool::<R>::new(cfg.workers);
+    let mut feed = Feed::<R::Cutter>::new(cfg.run_records, source.size_hint(), Vec::new());
+    while let Some(cuts) = feed.next_cuts(source, stats)? {
+        for cut in cuts {
+            if let Cut::Run(buf, records) = cut {
+                pool.submit(buf, records);
+            }
+        }
+    }
+    let (runs, pool_stats) = pool.finish();
+    stats.merge(&pool_stats);
+    Ok(runs)
+}
+
 /// The exit of both drivers, empty input included: complete the sink and
 /// close the books.
 fn finish(
@@ -198,6 +221,32 @@ fn merge_batch<H: Heads, P: ComparePolicy>(
         }
     }
     Ok(false)
+}
+
+/// The serial merge into a sink, of the two-pass driver and a netsort node:
+/// merge `batch` records, push them, repeat until the merge runs dry.
+pub fn merge_to_sink<H: Heads, P: ComparePolicy>(
+    mut merger: Merger<H, P>,
+    sink: &mut impl RecordSink,
+    batch: usize,
+    stats: &mut SortStats,
+) -> io::Result<()> {
+    let mut staging = Vec::new();
+    loop {
+        let done = timed_phase(obs::phase::MERGE, &mut stats.merge_time, || {
+            merge_batch(&mut merger, &mut staging, batch)
+        })?;
+        if !staging.is_empty() {
+            timed_phase(obs::phase::WRITE, &mut stats.write_wait, || {
+                sink.push(&staging)
+            })?;
+            staging.clear();
+        }
+        if done {
+            break;
+        }
+    }
+    Ok(())
 }
 
 /// One key range of a partitioned merge: how to open its heads (`None`

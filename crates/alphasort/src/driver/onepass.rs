@@ -13,13 +13,13 @@ use std::time::Instant;
 
 use alphasort_obs as obs;
 
-use crate::driver::{check_sizes, finish, merge_ranges, Feed, Range, SortConfig, SortOutcome};
+use crate::driver::{check_sizes, finish, form_runs, merge_ranges, Range, SortConfig, SortOutcome};
 use crate::entry::RecordLayout;
 use crate::gather::take_ptrs;
 use crate::io::{RecordSink, RecordSource};
-use crate::layout::{Cut, LayoutRun};
+use crate::layout::LayoutRun;
 use crate::merge::{Merger, RunCursors};
-use crate::parallel::{GatherPool, SortPool};
+use crate::parallel::GatherPool;
 use crate::planner::PassPlan;
 use crate::pmerge::{plan_mem_partitions, SAMPLES_PER_RANGE};
 use crate::runform::SortedRun;
@@ -66,17 +66,7 @@ where
     };
 
     // ---- input + run formation, overlapped --------------------------------
-    let mut pool = SortPool::<R>::new(cfg.workers);
-    let mut feed = Feed::<R::Cutter>::new(cfg.run_records, source.size_hint(), Vec::new());
-    while let Some(cuts) = feed.next_cuts(source, &mut stats)? {
-        for cut in cuts {
-            if let Cut::Run(buf, records) = cut {
-                pool.submit(buf, records);
-            }
-        }
-    }
-    let (runs, pool_stats) = pool.finish();
-    stats.merge(&pool_stats);
+    let runs = form_runs::<R>(source, cfg, &mut stats)?;
     if stats.records == 0 {
         return finish(top, stats, sink, PassPlan::OnePass, t_start);
     }

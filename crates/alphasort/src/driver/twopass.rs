@@ -17,7 +17,7 @@ use alphasort_obs as obs;
 
 use crate::driver::scratch::{StripeScratch, INDEX_EVERY};
 use crate::driver::{
-    check_sizes, finish, merge_batch, merge_ranges, Feed, Range, SortConfig, SortOutcome,
+    check_sizes, finish, merge_ranges, merge_to_sink, Feed, Range, SortConfig, SortOutcome,
 };
 use crate::entry::RecordLayout;
 use crate::io::{RecordSink, RecordSource, StripeSink, StripeSource};
@@ -229,22 +229,8 @@ where
             scratch.open_runs()
         })?;
         let heads = StreamHeads::<_, R>::new(sources)?;
-        let mut merger = Merger::<_, R::Policy, _>::new(heads, ());
-        let mut staging = Vec::new();
-        loop {
-            let done = timed_phase(obs::phase::MERGE, &mut stats.merge_time, || {
-                merge_batch(&mut merger, &mut staging, cfg.gather_batch)
-            })?;
-            if !staging.is_empty() {
-                timed_phase(obs::phase::WRITE, &mut stats.write_wait, || {
-                    sink.push(&staging)
-                })?;
-                staging.clear();
-            }
-            if done {
-                break;
-            }
-        }
+        let merger = Merger::<_, R::Policy, _>::new(heads, ());
+        merge_to_sink(merger, sink, cfg.gather_batch, &mut stats)?;
     }
     finish(top, stats, sink, PassPlan::TwoPass, t_start)
 }

@@ -33,8 +33,8 @@
 //! exhibit, `alphasort_bench::variants::partition_prefix_order`, and
 //! [`condition`] does key conditioning for floats, signed integers and
 //! non-standard collations. The shared-nothing partitioned sort AlphaSort
-//! displaced (§2's Hypercube design) is the `alphasort-netsort` crate,
-//! which shares this crate's splitting recipe ([`splitter`]), and
+//! displaced (§2's Hypercube design) is the `alphasort-netsort` crate, whose
+//! nodes form runs ([`driver::form_runs`]) and cut them ([`pmerge`]), and
 //! [`io_file`] + the `sortcli`/`gensort`/`valsort` binaries are the
 //! "street-legal" productized face (§8's Daytona category).
 //!
@@ -68,7 +68,6 @@ pub mod parallel;
 pub mod planner;
 pub mod pmerge;
 pub mod runform;
-pub mod splitter;
 pub mod stats;
 pub mod varlen;
 

@@ -1,24 +1,21 @@
-//! Partition planning for the parallel merge.
+//! Partition planning: cutting sorted runs into key ranges, one recipe for
+//! every topology (Rahn, Sanders & Singler's distributed external sort).
 //!
-//! The tournament merge is a single thread — the scaling ceiling once the
-//! sort pool and striped IO are wide. Splitter-based range partitioning
-//! (Rahn/Sanders/Singler's distributed external sort uses the same recipe)
-//! turns it into P embarrassingly parallel merges: sample keys from the
-//! sorted runs, pick `P - 1` quantile splitters, and binary-search every
-//! run for the splitter boundaries. Range `j` holds exactly the records
-//! whose key routes to `j` under [`crate::splitter::route`] — a pure
-//! function of the key — so equal keys never straddle ranges, and each
-//! per-range merge can keep the run-index tie-break. Concatenating the
-//! range outputs in order is therefore *byte-identical* to the serial
-//! merge (the oracle tests in `tests/oracle.rs` hold the drivers to that).
-//!
-//! Planning is generic over a `key_at(run, pos)` probe returning key bytes,
-//! so the same code cuts in-memory runs of either layout (free probes) and
-//! scratch runs on striped disks (each probe reads the strides holding the
-//! key).
+//! Sample keys from runs that are already sorted ([`sample_runs`]), pick
+//! `P - 1` quantile splitters from the pool ([`quantiles`]), and
+//! binary-search every run for the splitter boundaries ([`cut_runs`]).
+//! Range `j` holds exactly the records with `j` splitters at or below their
+//! key, so equal keys never straddle ranges and each range's merge keeps
+//! the run-index tie-break: the range outputs in order are *byte-identical*
+//! to the serial merge (`tests/oracle.rs` holds the drivers to that). The
+//! partitioned merge runs all three ([`plan_partitions_with`]); a netsort
+//! node samples and cuts its own runs, and its coordinator picks the
+//! quantiles. Probes go through `key_at(run, pos)`, so the same code cuts
+//! in-memory runs of either layout and scratch runs on striped disks.
+
+use std::convert::Infallible;
 
 use crate::layout::LayoutRun;
-use crate::splitter::quantiles;
 
 /// Keys sampled per requested range when planning (the pool is
 /// `ranges * SAMPLES_PER_RANGE`, spread over runs by record count).
@@ -44,8 +41,53 @@ impl MergePartition {
     }
 }
 
+/// The quantile picker: `parts - 1` splitters from a pooled key sample, so
+/// every part should hold about the same record count. An empty pool (no
+/// data anywhere) yields default keys, which partition nothing correctly.
+pub fn quantiles<K: Ord + Clone + Default>(mut pool: Vec<K>, parts: usize) -> Vec<K> {
+    assert!(parts >= 1, "need at least one part");
+    pool.sort_unstable();
+    if pool.is_empty() {
+        return vec![K::default(); parts - 1];
+    }
+    (1..parts)
+        .map(|k| pool[k * pool.len() / parts].clone())
+        .collect()
+}
+
+/// The sampler: `count` keys (at most one per record), the key at every
+/// `total / count`-th position of the sorted runs laid end to end, so runs
+/// give keys in proportion to their lengths. It stops before the keys'
+/// bytes pass `max_bytes` (a wire payload's room): a short sample costs
+/// balance, never correctness.
+pub fn sample_runs<E>(
+    run_lens: &[u64],
+    count: usize,
+    max_bytes: usize,
+    mut key_at: impl FnMut(usize, u64) -> Result<Vec<u8>, E>,
+) -> Result<Vec<Vec<u8>>, E> {
+    let total: u64 = run_lens.iter().sum();
+    let count = (count as u64).min(total);
+    let mut keys = Vec::with_capacity(count as usize);
+    let (mut run, mut start, mut bytes) = (0, 0u64, 0usize);
+    for k in 0..count {
+        let at = (k as u128 * total as u128 / count as u128) as u64;
+        while at >= start + run_lens[run] {
+            start += run_lens[run];
+            run += 1;
+        }
+        let key = key_at(run, at - start)?;
+        bytes = bytes.saturating_add(key.len());
+        if bytes > max_bytes {
+            break;
+        }
+        keys.push(key);
+    }
+    Ok(keys)
+}
+
 /// First position in sorted run `run` (length `len`) whose key is not
-/// below `key` — the routing boundary, probed via `key_at`.
+/// below `key` — the range boundary, probed via `key_at`.
 fn lower_bound<E>(
     run: usize,
     len: u64,
@@ -64,41 +106,16 @@ fn lower_bound<E>(
     Ok(lo)
 }
 
-/// Plan `ranges` disjoint key ranges over sorted runs of the given
-/// lengths, probing keys through `key_at(run, pos)` (`pos` in sorted
-/// order). Duplicate splitters (dup-heavy keys) legitimately produce
-/// empty ranges; the cover/disjointness invariants hold regardless.
-pub fn plan_partitions_with<E>(
+/// The cutter: cut sorted runs at ascending `splitters` into
+/// `splitters.len() + 1` ranges. Duplicate splitters (dup-heavy keys)
+/// make empty ranges; the cover/disjointness invariants hold regardless.
+pub fn cut_runs<E>(
     run_lens: &[u64],
-    ranges: usize,
-    samples_per_range: usize,
+    splitters: Vec<Vec<u8>>,
     mut key_at: impl FnMut(usize, u64) -> Result<Vec<u8>, E>,
 ) -> Result<MergePartition, E> {
-    assert!(ranges >= 1, "need at least one range");
-    let total: u64 = run_lens.iter().sum();
-
-    // ---- sample: every stride-th record across all runs -------------------
-    // Runs are sampled proportionally to their length, so the pooled sample
-    // approximates the global key distribution and its quantiles bound the
-    // per-range record count (the skew bound in DESIGN.md).
-    let mut pool = Vec::new();
-    if total > 0 && ranges > 1 {
-        let want = (ranges * samples_per_range.max(1)) as u64;
-        let stride = (total / want).max(1);
-        for (r, &len) in run_lens.iter().enumerate() {
-            let mut pos = 0;
-            while pos < len {
-                pool.push(key_at(r, pos)?);
-                pos += stride;
-            }
-        }
-    }
-    let splitters = quantiles(pool, ranges);
-
-    // ---- cut every run at every splitter ----------------------------------
-    // Range j = keys with exactly j splitters <= key, so the boundary
-    // between ranges j-1 and j within a run is the count of records below
-    // splitters[j-1] — a binary search per (run, splitter).
+    // The boundary between ranges j-1 and j: records below splitters[j-1].
+    let ranges = splitters.len() + 1;
     let mut cuts: Vec<Vec<u64>> = Vec::with_capacity(ranges + 1);
     cuts.push(vec![0; run_lens.len()]);
     for s in &splitters {
@@ -128,6 +145,24 @@ pub fn plan_partitions_with<E>(
     })
 }
 
+/// Plan `ranges` disjoint key ranges over sorted runs: sample
+/// `samples_per_range` keys per range, pick the quantiles, cut every run.
+pub fn plan_partitions_with<E>(
+    run_lens: &[u64],
+    ranges: usize,
+    samples_per_range: usize,
+    mut key_at: impl FnMut(usize, u64) -> Result<Vec<u8>, E>,
+) -> Result<MergePartition, E> {
+    assert!(ranges >= 1, "need at least one range");
+    let count = if ranges > 1 {
+        ranges * samples_per_range.max(1)
+    } else {
+        0
+    };
+    let pool = sample_runs(run_lens, count, usize::MAX, &mut key_at)?;
+    cut_runs(run_lens, quantiles(pool, ranges), key_at)
+}
+
 /// Plan over in-memory sorted runs (the one-pass driver's case): probes
 /// are free and cannot fail.
 pub fn plan_mem_partitions<R: LayoutRun>(
@@ -136,13 +171,9 @@ pub fn plan_mem_partitions<R: LayoutRun>(
     samples_per_range: usize,
 ) -> MergePartition {
     let lens: Vec<u64> = runs.iter().map(|r| r.len() as u64).collect();
-    let plan = plan_partitions_with(&lens, ranges, samples_per_range, |r, pos| {
-        Ok::<_, std::convert::Infallible>(runs[r].key_at(pos as usize).to_vec())
-    });
-    match plan {
-        Ok(p) => p,
-        Err(e) => match e {},
-    }
+    let key_at = |r: usize, pos: u64| Ok::<_, Infallible>(runs[r].key_at(pos as usize).to_vec());
+    let Ok(plan) = plan_partitions_with(&lens, ranges, samples_per_range, key_at);
+    plan
 }
 
 #[cfg(test)]
@@ -261,6 +292,97 @@ mod tests {
             // Same cover/disjointness invariant as the fixed-layout plan.
             assert_covering(&plan, &lens);
         }
+    }
+
+    /// One recipe, two key types: `[u8; 10]` and the same keys as `Vec<u8>`
+    /// pick the same quantiles, `parts == 1` included. An empty pool yields
+    /// each type's default key (all-zero vs empty), the right count either
+    /// way.
+    #[test]
+    fn fixed_and_byte_string_keys_pick_the_same_quantiles() {
+        let runs = runs_of(3_000, 3_000, KeyDistribution::Random, 17);
+        let lens = [runs[0].len() as u64];
+        for (sampled, parts) in [(400, 6), (300, 5), (400, 1), (0, 4), (0, 1)] {
+            let bytes = sample_runs(&lens, sampled, usize::MAX, |r, pos| {
+                Ok::<_, ()>(runs[r].key_at(pos as usize).to_vec())
+            })
+            .unwrap();
+            let fixed: Vec<[u8; 10]> = bytes.iter().map(|k| k[..].try_into().unwrap()).collect();
+            let fs = quantiles(fixed, parts);
+            let bs = quantiles(bytes, parts);
+            assert_eq!((fs.len(), bs.len()), (parts - 1, parts - 1));
+            if sampled == 0 {
+                assert!(fs.iter().all(|f| *f == [0u8; 10]));
+                assert!(bs.iter().all(Vec::is_empty));
+                continue;
+            }
+            assert!(bs.windows(2).all(|w| w[0] <= w[1]));
+            for (f, b) in fs.iter().zip(&bs) {
+                assert_eq!(&f[..], &b[..]);
+            }
+        }
+    }
+
+    /// The sorted-run sample has the requested count (all records when
+    /// there are fewer), spread over the runs by length, in ascending order
+    /// within each run; a byte cap ends it before the keys pass the cap.
+    #[test]
+    fn run_sample_has_the_requested_count_under_the_byte_cap() {
+        let runs = runs_of(1_000, 300, KeyDistribution::Random, 5);
+        let lens: Vec<u64> = runs.iter().map(|r| r.len() as u64).collect();
+        assert_eq!(lens, [300, 300, 300, 100]);
+        let sample = |count, cap| {
+            let mut probes = Vec::new();
+            let keys = sample_runs(&lens, count, cap, |r, pos| {
+                probes.push((r, pos));
+                Ok::<_, ()>(runs[r].key_at(pos as usize).to_vec())
+            });
+            (keys.unwrap(), probes)
+        };
+        for count in [0, 1, 7, 64, 999, 1_000] {
+            assert_eq!(sample(count, usize::MAX).0.len(), count);
+        }
+        assert_eq!(sample(5_000, usize::MAX).0.len(), 1_000);
+        // 100 keys: every 10th record, 30 from each full run, 10 from the
+        // short one.
+        let (_, probes) = sample(100, usize::MAX);
+        for (r, len) in lens.iter().enumerate() {
+            let per_run = probes.iter().filter(|p| p.0 == r).count() as u64;
+            assert_eq!(per_run, len / 10, "run {r}");
+        }
+        assert!(probes.windows(2).all(|w| w[0] < w[1]));
+        // Ten-byte keys under a 255-byte cap: 25 of them, not 26.
+        assert_eq!(sample(100, 255).0.len(), 25);
+        assert_eq!(sample(100, 250).0.len(), 25);
+        assert!(sample(100, 9).0.is_empty());
+        let empty = sample_runs(&[], 16, usize::MAX, |_, _| Err::<Vec<u8>, _>("no probe"));
+        assert_eq!(empty, Ok(Vec::new()));
+    }
+
+    /// The cut is the routing rule: a record goes to the range after every
+    /// splitter at or below its key, so a key equal to a splitter goes
+    /// right; prefixes and the empty key order bytewise; no splitters is
+    /// one range.
+    #[test]
+    fn cuts_send_keys_equal_to_a_splitter_right() {
+        let run: [&[u8]; 6] = [b"", b"ap", b"app", b"appl", b"apple", b"zebra"];
+        let key_at = |_: usize, pos: u64| Ok::<_, ()>(run[pos as usize].to_vec());
+        let splitters = vec![b"app".to_vec(), b"apple".to_vec()];
+        let plan = cut_runs(&[6], splitters, key_at).unwrap();
+        assert_eq!(plan.bounds, [[(0, 2)], [(2, 4)], [(4, 6)]]);
+        assert_eq!(plan.range_records, [2, 2, 2]);
+        let plan = cut_runs(&[6], Vec::new(), key_at).unwrap();
+        assert_eq!(plan.bounds, [[(0, 6)]]);
+
+        let fixed = [[0u8; 10], [5; 10], [7; 10], [9; 10], [255; 10]];
+        let key_at = |_: usize, pos: u64| Ok::<_, ()>(fixed[pos as usize].to_vec());
+        let plan = cut_runs(&[5], vec![vec![5; 10], vec![9; 10]], key_at).unwrap();
+        assert_eq!(plan.bounds, [[(0, 1)], [(1, 3)], [(3, 5)]]);
+    }
+
+    #[test]
+    fn empty_pool_still_produces_splitters() {
+        assert_eq!(quantiles(Vec::<Vec<u8>>::new(), 4), vec![Vec::new(); 3]);
     }
 
     #[test]

@@ -4,9 +4,13 @@
 //! Hypercube, 58 s with 32 cpus and 32 disks); AlphaSort beat it 8:1 on a
 //! shared-memory machine. This experiment runs both designs on the same
 //! host over the same data: the AlphaSort pipeline vs netsort, the
-//! partition-exchange-sort cluster with probabilistic splitting, on the
-//! in-process loopback transport — plus the splitting-balance diagnostics
-//! DeWitt's paper is about.
+//! shared-nothing cluster (each node forms runs, cuts them at sampled
+//! splitters and exchanges sorted pieces), on the in-process loopback
+//! transport — plus the splitting-balance diagnostics DeWitt's paper is
+//! about. netsort samples its sorted runs at a regular stride: from 16
+//! samples per node up that balances better than DeWitt's random sample of
+//! unsorted input, and at 4 worse, since every node then samples the same
+//! ranks of its share.
 
 use alphasort_dmgen::KeyDistribution;
 use alphasort_netsort::{netsort_loopback, NetsortConfig};
@@ -62,7 +66,7 @@ pub fn run(records: u64) -> Report {
          design's network cost cannot show)",
     );
 
-    r.line("\n== probabilistic splitting balance (8 nodes) ==\n");
+    r.line("\n== splitting balance (8 nodes) ==\n");
     let mut b = Table::new(["samples/node", "skew (max/ideal)"]);
     let mut skews = Vec::new();
     for samples in [4usize, 16, 64, 256, 1024] {

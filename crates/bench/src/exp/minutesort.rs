@@ -25,7 +25,10 @@ pub fn run(budget: f64) -> Report {
 
     // Host: grow until the (scaled) budget busts, extrapolate to a minute.
     // Each sort is validated against its generator's checksum, record
-    // count included.
+    // count included. The growth stops at 8 M records (input, runs and
+    // output together hold about 2.5 GB): with the clock on the sort alone,
+    // a modern host would otherwise go on doubling past a small machine's
+    // memory.
     let cfg = SortConfig {
         run_records: 250_000,
         workers: host_workers(),
@@ -35,11 +38,10 @@ pub fn run(budget: f64) -> Report {
     let mut records = 250_000u64;
     let mut best_rate = 0.0f64; // bytes per second
     loop {
-        let t0 = Instant::now();
-        host_sort(records, &cfg);
-        let dt = t0.elapsed().as_secs_f64();
+        // The sort's own clock: generating the input is not sorting it.
+        let dt = host_sort(records, &cfg).elapsed.as_secs_f64();
         best_rate = best_rate.max(records as f64 * RECORD_LEN as f64 / dt);
-        if dt > budget || records > 64_000_000 {
+        if dt > budget || records >= 8_000_000 {
             break;
         }
         records *= 2;

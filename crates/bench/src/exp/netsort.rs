@@ -1,13 +1,15 @@
 //! Distributed netsort vs single-node AlphaSort.
 //!
 //! The paper's §2 baseline is a shared-nothing cluster: partition by
-//! probabilistic splitting, exchange, sort locally. netsort is that design
-//! — N worker threads behind a transport, coordinator-sampled splitters,
-//! an all-to-all record exchange, and the AlphaSort pipeline per node.
-//! This experiment runs it at 1/2/4/8 nodes over loopback channels and at
-//! 2/4 over real TCP sockets, against the single-node AlphaSort reference;
-//! [`baseline`] sets it against AlphaSort at up to 32
-//! nodes.
+//! probabilistic splitting, exchange, sort locally. netsort keeps that
+//! cluster — N worker threads behind a transport, coordinator-picked
+//! splitters, an all-to-all exchange — but each node sorts the way
+//! AlphaSort does: it forms runs while its share arrives, samples and cuts
+//! the sorted runs, merges each key range onto the wire, and merges the
+//! sorted streams it receives. This experiment runs it at 1/2/4/8 nodes
+//! over loopback channels and at 2/4 over real TCP sockets, against the
+//! single-node AlphaSort reference; [`baseline`] sets it against AlphaSort
+//! at up to 32 nodes.
 //!
 //! The 4-node loopback run is traced: one Chrome `trace_event` file per
 //! node (each node's spans live on its own `nodeK` track) lands in the
@@ -103,8 +105,9 @@ pub fn run(records: u64) -> Report {
 
     r.line(format!(
         "\nnetsort pays for real exchange (sampling, framing, {}-record data \
-         batches, a CRC per frame); the win it buys is the one §2 describes — \
-         each node sorts 1/N of the data with its own cpu, memory and disks.",
+         batches, a CRC per frame) and a second merge per node; the win it \
+         buys is the one §2 describes — each node sorts 1/N of the data with \
+         its own cpu, memory and disks.",
         ncfg.batch_records
     ));
     r

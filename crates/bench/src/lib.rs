@@ -33,7 +33,8 @@ pub fn host_workers() -> usize {
 }
 
 /// Run a validated in-memory one-pass sort of `records` records on the
-/// host; returns the phase stats.
+/// host; returns the phase stats, whose `elapsed` is the sort alone
+/// (generating and validating the records are outside it).
 pub fn host_sort(records: u64, cfg: &SortConfig) -> SortStats {
     let (input, cs) = generate(GenConfig::datamation(records, 0x5EED));
     sort_in_memory(input, cs, cfg)

@@ -4,22 +4,20 @@
 //! shared-nothing cluster where every node reads its local disk, the
 //! records are exchanged so each node owns one key range, and each node
 //! sorts locally (DeWitt, Naughton & Schneider's Hypercube sort with
-//! *probabilistic splitting*). This crate builds that design, and it is the
+//! *probabilistic splitting*). This crate keeps that cluster but sorts the
+//! way AlphaSort does, forming runs and then merging, and is the
 //! repository's one shared-nothing sort, for either record layout
 //! (`cfg.sort.layout`):
 //!
-//! - a **coordinator phase** that pools key samples from every node and
-//!   broadcasts quantile splitters as length-prefixed keys
-//!   ([`encode_keys`]; the recipe is [`alphasort_core::splitter`], shared
-//!   with every other topology),
-//! - an **all-to-all exchange** of length-prefixed record frames
-//!   ([`frame`]) over a pluggable [`Transport`] — the in-process
-//!   [`loopback_cluster`] or real TCP sockets with retry/backoff
-//!   ([`tcp`]),
-//! - a **per-node AlphaSort pipeline** ([`worker`]): after the exchange,
-//!   each node runs the ordinary cache-conscious one-pass sort over the
-//!   records it owns, so concatenating node outputs in node order yields
-//!   the globally sorted dataset,
+//! - **per-node runs** from [`alphasort_core::driver::form_runs`], sampled
+//!   for the coordinator's quantile splitters and cut at them with
+//!   [`alphasort_core::pmerge`]'s sampler and cutter (keys travel
+//!   length-prefixed, [`encode_keys`]),
+//! - an **all-to-all exchange** over a pluggable [`Transport`] (the
+//!   in-process [`loopback_cluster`] or TCP with retry/backoff, [`tcp`]):
+//!   every peer's key range merged straight into `Data` frames ([`frame`]),
+//! - a **per-node merge** ([`worker`]) of the sorted streams received, so
+//!   the node outputs in node order are the stable sort of the input,
 //! - **fault tolerance**: every frame carries a CRC32C trailer (verified
 //!   on receive — corruption is an `InvalidData` error naming the peer,
 //!   never silently mis-sorted output), every blocking receive runs under

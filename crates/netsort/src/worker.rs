@@ -1,25 +1,26 @@
 //! The per-node worker and whole-cluster drivers.
 //!
-//! Protocol, from each worker's point of view:
+//! A node is the partitioned merge with its key ranges on other nodes
+//! (Rahn, Sanders & Singler's distributed external sort). Protocol, from
+//! each worker's point of view:
 //!
-//! 1. **Sample** — read the local input, frame it by the configured record
-//!    layout (`cfg.sort.layout`: Datamation or var-len), sample keys with
-//!    the golden-ratio stride, and send them, length-prefixed, to the
-//!    coordinator (node 0; a self-send when we *are* node 0).
-//! 2. **Split** — the coordinator pools all samples, picks the quantile
+//! 1. **Form runs** from the local input with the drivers' [`form_runs`],
+//!    formation overlapped with input.
+//! 2. **Sample** the sorted runs ([`sample_runs`]) and send the keys,
+//!    length-prefixed and capped under [`MAX_PAYLOAD`], to the coordinator
+//!    (node 0; a self-send when we *are* node 0).
+//! 3. **Split** — the coordinator pools all samples, picks the quantile
 //!    splitters and broadcasts them; everyone else waits, stashing any
-//!    early `Data` frames from faster peers (frames from different peers
-//!    have no cross-ordering).
-//! 3. **Exchange** — partition the local records by the splitters, stream
-//!    each foreign partition to its owner in `Data` frames, then tell every
-//!    peer `Done`. Drain the inbox until all peers said `Done`. A `Data`
-//!    frame is a slice of the sender's stream, not whole records: the
-//!    receiver concatenates each sender's frames before framing records.
-//! 4. **Local sort** — run the ordinary AlphaSort one-pass pipeline over
-//!    the records this node now owns and write them to the local sink.
-//!    Concatenating the node outputs in node order is the sorted dataset.
+//!    early `Data` frames from faster peers.
+//! 4. **Exchange** — cut the runs at the splitters ([`cut_runs`]), merge
+//!    each peer's key range into `Data` frames of `batch_records × 100`
+//!    bytes (a record may straddle two) and send `Done`; append each
+//!    sender's frames to its stream until every peer said `Done`.
+//! 5. **Merge** the senders' streams, ours among them, into the sink. Runs
+//!    tie-break by run index and streams by sender, whose shares are in
+//!    node order: the outputs in node order are the stable sort.
 //!
-//! Every blocking receive in steps 1–3 runs under the configurable
+//! Every blocking receive in steps 2–4 runs under the configurable
 //! [`NetsortConfig::recv_timeout`] deadline, so a hung or crashed peer
 //! surfaces as a `TimedOut` error naming the protocol phase and the nodes
 //! still being waited on — never an indefinite hang. A worker that fails
@@ -27,15 +28,21 @@
 //! nodes stop promptly with a [`RemoteAbort`] error instead of each
 //! riding out its own deadline.
 
+use std::convert::Infallible;
 use std::error::Error as StdError;
 use std::fmt;
 use std::io;
 use std::time::{Duration, Instant};
 
+use alphasort_core::driver::{check_sizes, form_runs, merge_to_sink};
+use alphasort_core::gather::{gather_into, take_ptrs};
 use alphasort_core::io::{MemSink, MemSource, RecordSink, RecordSource};
-use alphasort_core::splitter::{frames, quantiles, record_at, sample_indices, scatter};
+use alphasort_core::layout::LayoutRun;
+use alphasort_core::merge::{Merger, RunCursors, StreamHeads};
+use alphasort_core::pmerge::{cut_runs, quantiles, sample_runs};
 use alphasort_core::stats::timed_phase;
-use alphasort_core::{driver::one_pass, RecordLayout, SortConfig, SortStats};
+use alphasort_core::varlen::VarRun;
+use alphasort_core::{RecordLayout, SortConfig, SortStats, SortedRun};
 use alphasort_dmgen::RECORD_LEN;
 use alphasort_obs as obs;
 
@@ -139,30 +146,6 @@ fn check_keys(what: &str, from: u32, keys: &[u8], n: Option<usize>) -> io::Resul
     }
 }
 
-/// Up to `samples_per_node` keys of `input` (whole records of the layout) as
-/// a `Sample` payload, cut before it would pass [`MAX_PAYLOAD`] (splitters
-/// need not be sampled keys: that costs balance, never correctness). No
-/// table: one walk over the frames checks and counts them, one picks keys.
-fn sample_keys(input: &[u8], cfg: &NetsortConfig) -> io::Result<Vec<u8>> {
-    let (layout, count) = (cfg.sort.layout, cfg.samples_per_node);
-    let n = frames(layout, input).try_fold(0, |n, rec| rec.map(|_| n + 1))?;
-    let mut picks: Vec<(usize, usize)> = sample_indices(n, count).zip(0..).collect();
-    picks.sort_unstable();
-    let mut picks = picks.into_iter().peekable();
-    let mut keys = vec![&input[..0]; count.min(n)];
-    for (i, (key, _)) in frames(layout, input).map_while(Result::ok).enumerate() {
-        while let Some((_, j)) = picks.next_if(|&(at, _)| at == i) {
-            keys[j] = key;
-        }
-    }
-    let mut bytes = 0;
-    keys.retain(|key| {
-        bytes += 4 + key.len();
-        bytes <= MAX_PAYLOAD
-    });
-    Ok(encode_keys(&keys))
-}
-
 /// `err`, attributed to `node`.
 fn at_node(node: usize, err: io::Error) -> io::Error {
     io::Error::new(err.kind(), format!("node {node}: {err}"))
@@ -227,7 +210,11 @@ where
     Src: RecordSource,
     Snk: RecordSink,
 {
-    match run_worker_inner(transport, source, sink, cfg) {
+    let run = match cfg.sort.layout {
+        RecordLayout::Datamation => run_worker_inner::<SortedRun, _, _, _>,
+        RecordLayout::VarLen => run_worker_inner::<VarRun, _, _, _>,
+    };
+    match run(transport, source, sink, cfg) {
         Ok(outcome) => Ok(outcome),
         Err(err) => {
             // Going down: tell every peer why, unless the failure *is* a
@@ -250,41 +237,77 @@ where
     }
 }
 
-fn run_worker_inner<T, Src, Snk>(
+/// Merge one key range of `runs` (`[start, end)` of each; pointers, then a
+/// gather per batch) and hand it to `ship` in `batch_records × 100` bytes.
+fn merge_range<R: LayoutRun>(
+    runs: &[R],
+    bounds: &[(u64, u64)],
+    cfg: &NetsortConfig,
+    stats: &mut SortStats,
+    mut ship: impl FnMut(Vec<u8>, &mut SortStats) -> io::Result<()>,
+) -> io::Result<()> {
+    if runs.is_empty() {
+        return Ok(());
+    }
+    let bounds: Vec<(u32, u32)> = bounds.iter().map(|&(s, e)| (s as u32, e as u32)).collect();
+    let mut merger = Merger::<_, R::Policy>::new(RunCursors::new(runs, Some(&bounds)), ());
+    let piece = cfg.batch_records * RECORD_LEN;
+    let mut staging = Vec::new();
+    loop {
+        let ptrs = timed_phase(obs::phase::MERGE, &mut stats.merge_time, || {
+            take_ptrs(&mut merger, cfg.batch_records)
+        });
+        timed_phase(obs::phase::GATHER, &mut stats.gather_time, || {
+            gather_into(runs, &ptrs, &mut staging)
+        });
+        let done = ptrs.is_empty();
+        while staging.len() >= piece || (done && !staging.is_empty()) {
+            // An exact-size piece: a frame may wait in a peer's inbox.
+            let n = piece.min(staging.len());
+            ship(staging.drain(..n).collect(), stats)?;
+        }
+        if done {
+            return Ok(());
+        }
+    }
+}
+
+fn run_worker_inner<R, T, Src, Snk>(
     transport: &mut T,
     source: &mut Src,
     sink: &mut Snk,
     cfg: &NetsortConfig,
 ) -> io::Result<WorkerOutcome>
 where
+    R: LayoutRun,
     T: Transport,
     Src: RecordSource,
     Snk: RecordSink,
 {
+    check_sizes(&cfg.sort)?;
     let t_start = Instant::now();
     let node = transport.node();
     let nodes = transport.nodes();
     let me = node as u32;
-    let mut stats = SortStats::default();
+    let mut stats = SortStats::neutral();
 
     // Tag everything this worker (and the pools it spawns) records onto a
     // per-node track, so one process's trace splits into one per node.
     obs::set_track(&format!("node{node}"));
     let mut top = obs::span(obs::phase::NET_WORKER).with("node", node as u64);
 
-    // ---- read the local input ---------------------------------------------
-    let mut input: Vec<u8> = Vec::new();
-    loop {
-        let chunk = timed_phase(obs::phase::READ, &mut stats.read_wait, || {
-            source.next_chunk()
-        })?;
-        let Some(chunk) = chunk else { break };
-        input.extend_from_slice(&chunk);
-    }
-    let keys = sample_keys(&input, cfg).map_err(|e| at_node(node, e))?;
+    // ---- sorted runs, formed while the local input arrives ---------------
+    let runs: Vec<R> = form_runs(source, &cfg.sort, &mut stats).map_err(|e| at_node(node, e))?;
+    let lens: Vec<u64> = runs.iter().map(|r| r.len() as u64).collect();
+    let key_at = |r: usize, pos: u64| Ok::<_, Infallible>(runs[r].key_at(pos as usize).to_vec());
 
     // ---- sample + splitters -----------------------------------------------
     let sample_span = obs::span(obs::phase::NET_SAMPLE);
+    // The Sample payload holds each key behind a 4-byte length.
+    let count = cfg.samples_per_node.min(stats.records as usize);
+    let room = MAX_PAYLOAD.saturating_sub(count.saturating_mul(4));
+    let Ok(sample) = sample_runs(&lens, count, room, key_at);
+    let keys = encode_keys(&sample);
     transport.send(COORDINATOR, Frame::Sample { from: me, keys })?;
     if node == COORDINATOR {
         let mut samples: Vec<Option<Vec<Vec<u8>>>> = vec![None; nodes];
@@ -324,7 +347,12 @@ where
         })?;
         match frame {
             Frame::Splitters { from, keys } => {
-                break check_keys("Splitters", from, &keys, Some(nodes - 1))?;
+                let splitters = check_keys("Splitters", from, &keys, Some(nodes - 1))?;
+                if splitters.is_sorted() {
+                    break splitters;
+                }
+                let what = format!("Splitters from node {from} are not ascending");
+                return Err(invalid(what));
             }
             data @ (Frame::Data { .. } | Frame::Done { .. }) => pending.push(data),
             other => return Err(protocol_error("Splitters", &other)),
@@ -332,40 +360,34 @@ where
     };
     drop(sample_span);
 
-    // ---- exchange: scatter ours, gather ours ------------------------------
-    let framed = frames(cfg.sort.layout, &input).map_while(Result::ok);
-    let mut partitions = scatter(framed, &splitters);
-    drop(input);
-    // Gather received records per sender, not in arrival order: shares are
-    // contiguous in node order, so concatenating the per-sender buffers in
-    // node order restores the global input order within this partition.
-    // With a stable local sort that makes the distributed output
-    // byte-identical to a single-node stable sort, ties included.
-    let mut gather: Vec<Vec<u8>> = vec![Vec::new(); nodes];
-    gather[node] = std::mem::take(&mut partitions[node]);
-    for (target, part) in partitions.into_iter().enumerate() {
+    // ---- exchange: each peer's key range, merged onto the wire ------------
+    let Ok(plan) = cut_runs(&lens, splitters, key_at);
+    // Each sender's sorted stream of our key range, in node order; our own
+    // range never touches the transport.
+    let mut streams: Vec<Vec<u8>> = vec![Vec::new(); nodes];
+    for (target, bounds) in plan.bounds.iter().enumerate() {
         if target == node {
+            merge_range(&runs, bounds, cfg, &mut stats, |piece, _| {
+                streams[node].extend_from_slice(&piece);
+                Ok(())
+            })?;
             continue;
         }
-        for batch in part.chunks(cfg.batch_records * RECORD_LEN) {
-            stats.exchange_bytes_out += batch.len() as u64;
+        merge_range(&runs, bounds, cfg, &mut stats, |records, stats| {
+            let bytes = records.len() as u64;
+            stats.exchange_bytes_out += bytes;
             let _send = obs::span(obs::phase::NET_SEND)
                 .with("peer", target as u64)
-                .with("bytes", batch.len() as u64);
-            obs::metrics::observe("net.frame.bytes", batch.len() as u64);
-            obs::metrics::counter_add("net.bytes_out", batch.len() as u64);
+                .with("bytes", bytes);
+            obs::metrics::observe("net.frame.bytes", bytes);
+            obs::metrics::counter_add("net.bytes_out", bytes);
             timed_phase(obs::phase::EXCHANGE, &mut stats.exchange_wait, || {
-                transport.send(
-                    target,
-                    Frame::Data {
-                        from: me,
-                        records: batch.to_vec(),
-                    },
-                )
-            })?;
-        }
+                transport.send(target, Frame::Data { from: me, records })
+            })
+        })?;
         transport.send(target, Frame::Done { from: me })?;
     }
+    drop(runs);
     // `done[i]` once node i said it has no more Data for us; we never send
     // Done to ourselves, so our own slot starts satisfied.
     let mut done = vec![false; nodes];
@@ -390,7 +412,7 @@ where
                 obs::metrics::observe("net.frame.bytes", records.len() as u64);
                 obs::metrics::counter_add("net.bytes_in", records.len() as u64);
                 stats.exchange_bytes_in += records.len() as u64;
-                gather[sender].extend_from_slice(&records);
+                streams[sender].extend_from_slice(&records);
             }
             Frame::Done { from } => {
                 let sender = from as usize;
@@ -403,31 +425,47 @@ where
         }
     }
     transport.shutdown()?;
-    let local = gather.concat();
 
-    // ---- local AlphaSort pipeline over what we now own --------------------
-    let mut local_source = MemSource::new(local, 1 << 20);
-    let outcome = {
-        let _local = obs::span(obs::phase::NET_LOCAL);
-        one_pass(&mut local_source, sink, &cfg.sort)?
-    };
+    // ---- merge the senders' sorted streams into the sink ------------------
+    let local = obs::span(obs::phase::NET_LOCAL);
+    let mut owned = 0;
+    for (sender, stream) in streams.iter().enumerate() {
+        let mut at = 0;
+        while at < stream.len() {
+            let what = |e| invalid(format!("Data stream from node {sender}: {e}"));
+            at += record_len(R::LAYOUT, stream, at).map_err(what)?;
+            owned += 1;
+        }
+    }
+    let sources = streams.into_iter().map(|s| MemSource::new(s, 1 << 20));
+    let heads = StreamHeads::<_, R>::new(sources.collect())?;
+    let merger = Merger::<_, R::Policy>::new(heads, ());
+    merge_to_sink(merger, sink, cfg.sort.gather_batch, &mut stats)?;
+    let bytes = timed_phase(obs::phase::WRITE, &mut stats.write_wait, || sink.complete())?;
+    drop(local);
 
-    // Fold the local pipeline's stats into the worker-level ones.
-    let exchange = stats;
-    let mut stats = outcome.stats;
-    stats.read_wait += exchange.read_wait;
-    stats.exchange_bytes_out = exchange.exchange_bytes_out;
-    stats.exchange_bytes_in = exchange.exchange_bytes_in;
-    stats.exchange_wait = exchange.exchange_wait;
-    stats.partition_sizes = vec![stats.records];
+    stats.partition_sizes = vec![owned];
     stats.elapsed = t_start.elapsed();
-    top.attr("records", stats.records);
+    top.attr("records", owned);
     top.attr("bytes_in", stats.exchange_bytes_in);
     top.attr("bytes_out", stats.exchange_bytes_out);
-    Ok(WorkerOutcome {
-        stats,
-        bytes: outcome.bytes,
-    })
+    Ok(WorkerOutcome { stats, bytes })
+}
+
+/// Bytes of the whole record of `layout` at `input[at..]`. Input that ends
+/// mid-record or carries a malformed var-len header is `InvalidData`.
+fn record_len(layout: RecordLayout, input: &[u8], at: usize) -> io::Result<usize> {
+    let rest = &input[at..];
+    let ragged = || {
+        invalid(format!(
+            "input ends mid-record ({} trailing bytes)",
+            rest.len()
+        ))
+    };
+    layout
+        .frame_at(rest, at as u64)?
+        .map(|f| f.len)
+        .ok_or_else(ragged)
 }
 
 /// Split `input`, whole records of `layout`, into `nodes` contiguous shares
@@ -442,8 +480,7 @@ pub fn split_shares(input: &[u8], nodes: usize, layout: RecordLayout) -> io::Res
     for node in 0..nodes {
         let end = input.len() * (node + 1) / nodes;
         while at < end {
-            let (_, frame) = record_at(layout, input, at).map_err(|e| at_node(node, e))?;
-            at += frame.len();
+            at += record_len(layout, input, at).map_err(|e| at_node(node, e))?;
         }
         shares.push(input[start..at].to_vec());
         start = at;
@@ -535,7 +572,8 @@ pub fn netsort_tcp(
 mod tests {
     use super::*;
     use alphasort_dmgen::{
-        generate, generate_varlen, validate_records, GenConfig, TextCorpus, VarGenConfig, KEY_LEN,
+        generate, generate_varlen, validate_records, var_records_of, GenConfig, TextCorpus,
+        VarGenConfig, KEY_LEN,
     };
 
     #[test]
@@ -549,33 +587,6 @@ mod tests {
         let tiny = split_shares(&input[..2 * RECORD_LEN], 8, RecordLayout::Datamation).unwrap();
         assert_eq!(tiny.len(), 8);
         assert_eq!(tiny.concat(), &input[..2 * RECORD_LEN]);
-    }
-
-    /// The table-free sampler sends, in order, the keys a lookup table of
-    /// the records would give for the same indices — repeated indices
-    /// included (7 records sampled 256 times), under both layouts.
-    #[test]
-    fn sampled_keys_are_the_keys_at_the_sampled_indices() {
-        let (fixed, _) = generate(GenConfig::datamation(2_000, 4));
-        let var = generate_varlen(VarGenConfig {
-            records: 301,
-            seed: 9,
-            corpus: TextCorpus::Urls,
-        });
-        let cases = [
-            (RecordLayout::Datamation, &fixed[..]),
-            (RecordLayout::Datamation, &fixed[..7 * RECORD_LEN]),
-            (RecordLayout::VarLen, &var[..]),
-        ];
-        for (layout, input) in cases {
-            let mut cfg = NetsortConfig::default();
-            cfg.sort.layout = layout;
-            let table: Vec<_> = frames(layout, input).map(Result::unwrap).collect();
-            let picked = sample_indices(table.len(), cfg.samples_per_node);
-            let want: Vec<&[u8]> = picked.map(|i| table[i].0).collect();
-            let got = decode_keys(&sample_keys(input, &cfg).unwrap()).unwrap();
-            assert_eq!(got, want, "{layout:?}, {} records", table.len());
-        }
     }
 
     /// Var-len shares are cut on frame boundaries: every share frames whole.
@@ -592,7 +603,7 @@ mod tests {
             assert_eq!(shares.concat(), input);
             let framed: usize = shares
                 .iter()
-                .map(|s| frames(RecordLayout::VarLen, s).map(Result::unwrap).count())
+                .map(|s| var_records_of(s).unwrap().len())
                 .sum();
             assert_eq!(framed, 301, "nodes={nodes}");
         }
@@ -636,16 +647,15 @@ mod tests {
         assert_eq!(stats.records, 0);
     }
 
-    /// Run node `node` of a 2-node loopback cluster against a scripted
+    /// Run node `node` of an N-node loopback cluster against a scripted
     /// peer that sends `hostile`; the worker must end in an `InvalidData`
     /// error naming the sender, not a panic.
-    fn worker_against(node: usize, hostile: Frame) -> io::Error {
+    fn worker_against(nodes: usize, node: usize, hostile: Frame) -> io::Error {
         let (input, _) = generate(GenConfig::datamation(500, 3));
-        let mut cluster = loopback_cluster(2);
-        let mut peer = cluster.remove(1 - node);
-        let mut worker = cluster.remove(0);
+        let mut peers = loopback_cluster(nodes);
+        let mut worker = peers.remove(node);
         let sender = hostile.from();
-        peer.send(node, hostile).unwrap();
+        peers[0].send(node, hostile).unwrap();
         let err = run_worker(
             &mut worker,
             &mut MemSource::new(input, 1 << 20),
@@ -661,6 +671,7 @@ mod tests {
     #[test]
     fn ragged_sample_payload_is_an_attributed_error_not_a_panic() {
         let err = worker_against(
+            2,
             COORDINATOR,
             Frame::Sample {
                 from: 1,
@@ -682,9 +693,49 @@ mod tests {
             vec![7; 3 * KEY_LEN],
             three,
         ] {
-            let err = worker_against(1, Frame::Splitters { from: 0, keys });
+            let err = worker_against(2, 1, Frame::Splitters { from: 0, keys });
             assert!(err.to_string().contains("Splitters"), "{err}");
         }
+        // Well encoded, the right count, but descending: the cut would
+        // make ranges that end before they start.
+        let keys = encode_keys(&[[9u8; KEY_LEN], [1u8; KEY_LEN]]);
+        let err = worker_against(3, 1, Frame::Splitters { from: 0, keys });
+        assert!(err.to_string().contains("not ascending"), "{err}");
+    }
+
+    /// A sender's stream that does not frame whole — CRC-valid frames, but
+    /// 7 bytes of Datamation stream — is `InvalidData` naming the sender,
+    /// before the final merge reads it.
+    #[test]
+    fn ragged_data_stream_is_an_attributed_error_not_a_panic() {
+        let (input, _) = generate(GenConfig::datamation(500, 3));
+        let mut peers = loopback_cluster(2);
+        let mut worker = peers.remove(1);
+        let splitters = encode_keys(&[[0x80u8; KEY_LEN]]);
+        for frame in [
+            Frame::Splitters {
+                from: 0,
+                keys: splitters,
+            },
+            Frame::Data {
+                from: 0,
+                records: vec![7; 7],
+            },
+            Frame::Done { from: 0 },
+        ] {
+            peers[0].send(1, frame).unwrap();
+        }
+        let err = run_worker(
+            &mut worker,
+            &mut MemSource::new(input, 1 << 20),
+            &mut MemSink::new(),
+            &NetsortConfig::default(),
+        )
+        .expect_err("a ragged stream must fail the worker");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        let msg = err.to_string();
+        assert!(msg.contains("Data stream from node 0"), "{msg}");
+        assert!(msg.contains("7 trailing bytes"), "{msg}");
     }
 
     /// Input that ends mid-record, under either layout, and a var-len header

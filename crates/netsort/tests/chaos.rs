@@ -1,6 +1,6 @@
 //! Chaos matrix for the distributed sort: 2/4-node clusters, loopback and
-//! TCP transports, one fault class per test; the control and corrupt-frame
-//! cases run under both record layouts. Every case must end in one of
+//! TCP transports, one fault class per test, every case under both record
+//! layouts. Every case must end in one of
 //! exactly two ways — a correct sorted output, or a prompt and correctly
 //! attributed error on every node. Never a hang (each cluster runs under a
 //! watchdog), never silently mis-sorted output.
@@ -18,8 +18,8 @@ use std::time::{Duration, Instant};
 use alphasort_core::io::{MemSink, MemSource};
 use alphasort_core::{RecordLayout, SortConfig};
 use alphasort_dmgen::{
-    generate, generate_varlen, validate_records, var_records_of, GenConfig, TextCorpus,
-    VarGenConfig,
+    generate, generate_varlen, validate_records, var_records_of, GenConfig, RunningChecksum,
+    TextCorpus, VarGenConfig,
 };
 use alphasort_iosim::fault::{Dir, FaultPlan, When};
 use alphasort_netsort::{
@@ -72,6 +72,20 @@ fn var_stable_reference(input: &[u8]) -> Vec<u8> {
     let mut recs = var_records_of(input).unwrap();
     recs.sort_by(|a, b| a.key().cmp(b.key())); // stable
     recs.iter().flat_map(|r| r.frame()).copied().collect()
+}
+
+/// Hold a cluster's concatenated `output` to its `input`: a sorted
+/// permutation (the input's checksum) for Datamation records, the stable
+/// sort byte for byte for var-len ones.
+fn assert_sorted(layout: RecordLayout, input: &[u8], output: &[u8]) {
+    match layout {
+        RecordLayout::Datamation => {
+            let mut cs = RunningChecksum::new();
+            cs.update_bytes(input);
+            validate_records(output, cs.finish()).unwrap();
+        }
+        RecordLayout::VarLen => assert!(output == var_stable_reference(input)),
+    }
 }
 
 /// One node's fate after a chaos run.
@@ -217,13 +231,7 @@ fn control_no_faults_sorts_correctly() {
                 .iter()
                 .flat_map(|r| r.result.as_ref().unwrap().clone())
                 .collect();
-            match layout {
-                RecordLayout::Datamation => {
-                    let (_, cs) = generate(GenConfig::datamation(2_000, seed));
-                    validate_records(&output, cs).unwrap();
-                }
-                RecordLayout::VarLen => assert!(output == var_stable_reference(&input)),
-            }
+            assert_sorted(layout, &input, &output);
         }
     }
 }
@@ -237,8 +245,11 @@ fn control_no_faults_sorts_correctly() {
 /// `TimedOut`/connection/`RemoteAbort` error, never a hang.
 #[test]
 fn tcp_node_killed_mid_exchange_fails_promptly_on_survivors() {
-    for nodes in [2usize, 4] {
-        let (input, _) = generate(GenConfig::datamation(2_000, 0xDEAD));
+    for (layout, nodes) in RecordLayout::ALL
+        .into_iter()
+        .flat_map(|l| [(l, 2usize), (l, 4)])
+    {
+        let input = layout_input(layout, 2_000, 0xDEAD);
         // Node `nodes-1` crashes after its 2nd frame (Sample + one more):
         // mid-exchange, after splitters went out. On TCP its sockets stay
         // open (the process "hangs" rather than closing), so survivors hit
@@ -259,8 +270,8 @@ fn tcp_node_killed_mid_exchange_fails_promptly_on_survivors() {
         let survivors: Vec<usize> = (0..nodes).filter(|&i| i != killer).collect();
         let results = run_cluster(
             transports,
-            split_shares(&input, nodes, RecordLayout::Datamation).unwrap(),
-            &chaos_cfg(Some(DEADLINE)),
+            split_shares(&input, nodes, layout).unwrap(),
+            &layout_cfg(Some(DEADLINE), layout),
         );
         assert_all_fail_promptly(&results, &survivors);
         // The killed node itself reports its injected crash.
@@ -271,36 +282,41 @@ fn tcp_node_killed_mid_exchange_fails_promptly_on_survivors() {
 #[test]
 fn tcp_connection_cut_by_kill_connection_fails_cleanly() {
     let nodes = 4;
-    let (input, _) = generate(GenConfig::datamation(2_000, 0xC07));
-    let mut transports = tcp_cluster(nodes);
-    // Hard-cut node 3's link to node 0 before the protocol starts: node 0
-    // never hears node 3's Sample on a live connection; the reader sees the
-    // RST as ConnectionAborted, or the sample phase times out.
-    assert!(transports[3].kill_connection(0));
-    let results = run_cluster(
-        transports,
-        split_shares(&input, nodes, RecordLayout::Datamation).unwrap(),
-        &chaos_cfg(Some(DEADLINE)),
-    );
-    // Node 3's own failure is a local send error (`NotConnected`); the
-    // others must see a clean teardown: node 0 the EOF-without-Bye from the
-    // cut socket, nodes 1 and 2 node 3's abort broadcast.
-    assert!(results[3].result.is_err());
-    assert_all_fail_promptly(&results, &[0, 1, 2]);
+    for layout in RecordLayout::ALL {
+        let input = layout_input(layout, 2_000, 0xC07);
+        let mut transports = tcp_cluster(nodes);
+        // Hard-cut node 3's link to node 0 before the protocol starts: node
+        // 0 never hears node 3's Sample on a live connection; the reader
+        // sees the RST as ConnectionAborted, or the sample phase times out.
+        assert!(transports[3].kill_connection(0));
+        let results = run_cluster(
+            transports,
+            split_shares(&input, nodes, layout).unwrap(),
+            &layout_cfg(Some(DEADLINE), layout),
+        );
+        // Node 3's own failure is a local send error (`NotConnected`); the
+        // others must see a clean teardown: node 0 the EOF-without-Bye from
+        // the cut socket, nodes 1 and 2 node 3's abort broadcast.
+        assert!(results[3].result.is_err(), "{}", layout.name());
+        assert_all_fail_promptly(&results, &[0, 1, 2]);
+    }
 }
 
 #[test]
 fn loopback_silent_node_times_out_naming_phase_and_node() {
-    for nodes in [2usize, 4] {
-        let (input, _) = generate(GenConfig::datamation(1_000, 0x51_u64));
+    for (layout, nodes) in RecordLayout::ALL
+        .into_iter()
+        .flat_map(|l| [(l, 2usize), (l, 4)])
+    {
+        let input = layout_input(layout, 1_000, 0x51);
         // The last node drops every frame it ever sends — a live process
         // whose network goes nowhere (grey failure).
         let plan = FaultPlan::new().on(Dir::Out, When::After(0), NetFault::Drop);
         let transports = loopback_faulty(nodes, vec![(nodes - 1, plan)]);
         let results = run_cluster(
             transports,
-            split_shares(&input, nodes, RecordLayout::Datamation).unwrap(),
-            &chaos_cfg(Some(DEADLINE)),
+            split_shares(&input, nodes, layout).unwrap(),
+            &layout_cfg(Some(DEADLINE), layout),
         );
         // The coordinator times out collecting samples and names both the
         // phase and the missing node in its error.
@@ -324,27 +340,30 @@ fn loopback_silent_node_times_out_naming_phase_and_node() {
 #[test]
 fn dropped_done_frame_times_out_in_exchange_phase() {
     let nodes = 2;
-    let (input, _) = generate(GenConfig::datamation(1_000, 0xD0_u64));
-    // Node 1's op 0 is its Sample, op 1.. are Data batches then Done, so
-    // dropping every send after the sample loses the Done while node 0
-    // still gets its splitters (coordinator is node 0).
-    let plan = FaultPlan::new().on(Dir::Out, When::After(1), NetFault::Drop);
-    let transports = loopback_faulty(nodes, vec![(1, plan)]);
-    let results = run_cluster(
-        transports,
-        split_shares(&input, nodes, RecordLayout::Datamation).unwrap(),
-        &chaos_cfg(Some(DEADLINE)),
-    );
-    let err0 = results[0].result.as_ref().unwrap_err();
-    if err0.kind() == io::ErrorKind::TimedOut {
-        assert!(err0.to_string().contains("exchange"), "{err0}");
-    } else {
-        assert!(remote_abort_of(err0).is_some(), "{err0}");
+    for layout in RecordLayout::ALL {
+        let input = layout_input(layout, 1_000, 0xD0);
+        // Node 1's op 0 is its Sample, op 1.. are Data batches then Done, so
+        // dropping every send after the sample loses the Done while node 0
+        // still gets its splitters (coordinator is node 0).
+        let plan = FaultPlan::new().on(Dir::Out, When::After(1), NetFault::Drop);
+        let transports = loopback_faulty(nodes, vec![(1, plan)]);
+        let results = run_cluster(
+            transports,
+            split_shares(&input, nodes, layout).unwrap(),
+            &layout_cfg(Some(DEADLINE), layout),
+        );
+        let err0 = results[0].result.as_ref().unwrap_err();
+        if err0.kind() == io::ErrorKind::TimedOut {
+            assert!(err0.to_string().contains("exchange"), "{err0}");
+        } else {
+            assert!(remote_abort_of(err0).is_some(), "{err0}");
+        }
+        // Node 1 received everything *it* needed before its sends started
+        // vanishing, so it legitimately completes its own share; only node
+        // 0 is starved. The cluster-level driver still reports node 0's
+        // error.
+        assert_all_fail_promptly(&results, &[0]);
     }
-    // Node 1 received everything *it* needed before its sends started
-    // vanishing, so it legitimately completes its own share; only node 0
-    // is starved. The cluster-level driver still reports node 0's error.
-    assert_all_fail_promptly(&results, &[0]);
 }
 
 // ---------------------------------------------------------------------------
@@ -353,8 +372,11 @@ fn dropped_done_frame_times_out_in_exchange_phase() {
 
 #[test]
 fn delay_within_deadline_still_sorts_correctly() {
-    for nodes in [2usize, 4] {
-        let (input, cs) = generate(GenConfig::datamation(1_000, 0xDE1A_u64));
+    for (layout, nodes) in RecordLayout::ALL
+        .into_iter()
+        .flat_map(|l| [(l, 2usize), (l, 4)])
+    {
+        let input = layout_input(layout, 1_000, 0xDE1A);
         let plan = FaultPlan::new()
             .on(
                 Dir::Out,
@@ -370,14 +392,14 @@ fn delay_within_deadline_still_sorts_correctly() {
         // Deadline well above the injected delay: slow is not dead.
         let results = run_cluster(
             transports,
-            split_shares(&input, nodes, RecordLayout::Datamation).unwrap(),
-            &chaos_cfg(Some(Duration::from_secs(10))),
+            split_shares(&input, nodes, layout).unwrap(),
+            &layout_cfg(Some(Duration::from_secs(10)), layout),
         );
         let output: Vec<u8> = results
             .iter()
             .flat_map(|r| r.result.as_ref().unwrap().clone())
             .collect();
-        validate_records(&output, cs).unwrap();
+        assert_sorted(layout, &input, &output);
     }
 }
 
@@ -421,34 +443,36 @@ fn corrupt_frame_is_crc_error_naming_peer_never_bad_output() {
 #[test]
 fn tcp_corrupt_frame_is_detected_over_real_sockets() {
     let nodes = 2;
-    let (input, _) = generate(GenConfig::datamation(1_000, 0x7CB));
-    let transports: Vec<_> = tcp_cluster(nodes)
-        .into_iter()
-        .enumerate()
-        .map(|(i, t)| {
-            let plan = if i == 1 {
-                FaultPlan::new().on(Dir::In, When::Nth(1), NetFault::Corrupt { byte: 9 })
-            } else {
-                FaultPlan::new()
-            };
-            FaultyTransport::new(t, plan)
-        })
-        .collect();
-    let results = run_cluster(
-        transports,
-        split_shares(&input, nodes, RecordLayout::Datamation).unwrap(),
-        &chaos_cfg(Some(DEADLINE)),
-    );
-    let err1 = results[1].result.as_ref().unwrap_err();
-    assert_eq!(err1.kind(), io::ErrorKind::InvalidData, "{err1}");
-    assert!(err1.to_string().contains("CRC"), "{err1}");
-    // Node 0 races node 1's abort against its own completion: node 1 sent
-    // its Data and Done before hitting the corrupt frame, so node 0 may
-    // finish cleanly (its share is fine) or see the abort. Both are
-    // acceptable; what is not is a hang (watchdog) or node 1 accepting the
-    // corrupt frame (asserted above).
-    if let Err(e) = &results[0].result {
-        assert!(is_clean_teardown(e), "node 0: {e}");
+    for layout in RecordLayout::ALL {
+        let input = layout_input(layout, 1_000, 0x7CB);
+        let transports: Vec<_> = tcp_cluster(nodes)
+            .into_iter()
+            .enumerate()
+            .map(|(i, t)| {
+                let plan = if i == 1 {
+                    FaultPlan::new().on(Dir::In, When::Nth(1), NetFault::Corrupt { byte: 9 })
+                } else {
+                    FaultPlan::new()
+                };
+                FaultyTransport::new(t, plan)
+            })
+            .collect();
+        let results = run_cluster(
+            transports,
+            split_shares(&input, nodes, layout).unwrap(),
+            &layout_cfg(Some(DEADLINE), layout),
+        );
+        let err1 = results[1].result.as_ref().unwrap_err();
+        assert_eq!(err1.kind(), io::ErrorKind::InvalidData, "{err1}");
+        assert!(err1.to_string().contains("CRC"), "{err1}");
+        // Node 0 races node 1's abort against its own completion: node 1
+        // sent its Data and Done before hitting the corrupt frame, so node 0
+        // may finish cleanly (its share is fine) or see the abort. Both are
+        // acceptable; what is not is a hang (watchdog) or node 1 accepting
+        // the corrupt frame (asserted above).
+        if let Err(e) = &results[0].result {
+            assert!(is_clean_teardown(e), "node 0: {e}");
+        }
     }
 }
 
@@ -459,49 +483,51 @@ fn tcp_corrupt_frame_is_detected_over_real_sockets() {
 #[test]
 fn local_failure_aborts_whole_cluster_before_any_deadline() {
     let nodes = 4;
-    let (input, _) = generate(GenConfig::datamation(2_000, 0xAB07_u64));
-    // Node 2's very first send (its Sample) fails locally — a NIC-level
-    // error. With a *long* deadline, the only way the others can stop
-    // quickly is node 2's Abort broadcast.
-    let long = Duration::from_secs(15);
-    let transports = loopback_faulty(
-        nodes,
-        vec![(
-            2,
-            FaultPlan::new().on(Dir::Out, When::Nth(0), NetFault::Fail(io::ErrorKind::Other)),
-        )],
-    );
-    let t0 = Instant::now();
-    let results = run_cluster(
-        transports,
-        split_shares(&input, nodes, RecordLayout::Datamation).unwrap(),
-        &chaos_cfg(Some(long)),
-    );
-    let wall = t0.elapsed();
-    assert!(
-        wall < long,
-        "survivors must stop via abort propagation, not deadline ({wall:?})"
-    );
-    for r in &results {
-        let err = match &r.result {
-            Err(e) => e,
-            Ok(_) => panic!("node {} must not succeed", r.node),
-        };
-        // Survivors either see node 2's abort or the cascade teardown of an
-        // already-stopped peer's transport — both clean, both prompt.
-        if r.node != 2 {
-            assert!(is_clean_teardown(err), "node {}: {err}", r.node);
+    for layout in RecordLayout::ALL {
+        let input = layout_input(layout, 2_000, 0xAB07);
+        // Node 2's very first send (its Sample) fails locally — a NIC-level
+        // error. With a *long* deadline, the only way the others can stop
+        // quickly is node 2's Abort broadcast.
+        let long = Duration::from_secs(15);
+        let transports = loopback_faulty(
+            nodes,
+            vec![(
+                2,
+                FaultPlan::new().on(Dir::Out, When::Nth(0), NetFault::Fail(io::ErrorKind::Other)),
+            )],
+        );
+        let t0 = Instant::now();
+        let results = run_cluster(
+            transports,
+            split_shares(&input, nodes, layout).unwrap(),
+            &layout_cfg(Some(long), layout),
+        );
+        let wall = t0.elapsed();
+        assert!(
+            wall < long,
+            "survivors must stop via abort propagation, not deadline ({wall:?})"
+        );
+        for r in &results {
+            let err = match &r.result {
+                Err(e) => e,
+                Ok(_) => panic!("node {} must not succeed", r.node),
+            };
+            // Survivors either see node 2's abort or the cascade teardown of
+            // an already-stopped peer's transport — both clean, both prompt.
+            if r.node != 2 {
+                assert!(is_clean_teardown(err), "node {}: {err}", r.node);
+            }
         }
+        // The coordinator is guaranteed the attributed form: node 2's Abort
+        // sits in its inbox and its sample gather can only end by pulling it.
+        let err0 = results[0].result.as_ref().unwrap_err();
+        let abort = remote_abort_of(err0)
+            .unwrap_or_else(|| panic!("coordinator: expected remote abort, got {err0}"));
+        assert_eq!(abort.from, 2, "abort must name the failed node");
+        assert!(
+            abort.reason.contains("injected send fault"),
+            "{}",
+            abort.reason
+        );
     }
-    // The coordinator is guaranteed the attributed form: node 2's Abort sits
-    // in its inbox and its sample gather can only end by pulling it.
-    let err0 = results[0].result.as_ref().unwrap_err();
-    let abort = remote_abort_of(err0)
-        .unwrap_or_else(|| panic!("coordinator: expected remote abort, got {err0}"));
-    assert_eq!(abort.from, 2, "abort must name the failed node");
-    assert!(
-        abort.reason.contains("injected send fault"),
-        "{}",
-        abort.reason
-    );
 }

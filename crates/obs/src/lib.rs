@@ -84,7 +84,7 @@ pub mod phase {
     pub const NET_SEND: &str = "net.send";
     /// netsort: one frame received from a peer.
     pub const NET_RECV: &str = "net.recv";
-    /// netsort: the local AlphaSort pipeline over owned records.
+    /// netsort: merging the sorted streams a node received into its sink.
     pub const NET_LOCAL: &str = "net.local";
 
     /// sortd: one job end to end (admission wait + execution), recorded on

@@ -2,10 +2,12 @@
 //!
 //! The cluster the paper's §2 baseline imagines, made concrete: the input
 //! file is split into contiguous per-node share files (each node's "local
-//! disk"), N workers sample/split/exchange/sort in parallel — over the
-//! in-process loopback transport or real TCP sockets on 127.0.0.1 — and
-//! the per-node outputs concatenate, in node order, into one globally
-//! sorted file.
+//! disk"), and N workers run in parallel — over the in-process loopback
+//! transport or real TCP sockets on 127.0.0.1. Each forms sorted runs from
+//! its share, samples them for the coordinator's splitters, merges each
+//! key range of its runs onto the wire to the range's owner, and merges
+//! the sorted streams it receives into its part file. The part files
+//! concatenate, in node order, into one globally sorted file.
 //!
 //! ```text
 //! netsort <input> <output> [--nodes N] [--tcp] [--layout NAME]
