@@ -6,7 +6,7 @@
 //! N·(N-1) simplex connections and no per-connection handshake is needed —
 //! every frame already carries its sender id. Inbound connections each get
 //! a reader thread that decodes frames into one shared inbox, which is what
-//! lets a worker ship its whole scatter before draining its own inbox
+//! lets a worker ship every peer's key range before draining its own inbox
 //! without deadlock.
 //!
 //! Failure semantics: a peer that closes without sending `Bye` (crash, cut

@@ -46,8 +46,8 @@ pub trait Transport: Send {
 }
 
 /// In-process transport: every node holds a `Sender` into every other
-/// node's unbounded inbox. Unbounded so that a worker may ship its whole
-/// scatter before draining its own inbox without deadlocking (the TCP
+/// node's unbounded inbox. Unbounded so that a worker may ship every key
+/// range before draining its own inbox without deadlocking (the TCP
 /// transport gets the same property from its concurrent reader threads).
 pub struct LoopbackTransport {
     node: usize,
