@@ -13,7 +13,9 @@ use std::time::Instant;
 
 use alphasort_obs as obs;
 
-use crate::driver::{check_sizes, finish, form_runs, merge_ranges, Range, SortConfig, SortOutcome};
+use crate::driver::{
+    check_sizes, finish, form_runs, merge_range, merge_ranges, Range, Ship, SortConfig, SortOutcome,
+};
 use crate::entry::RecordLayout;
 use crate::gather::take_ptrs;
 use crate::io::{RecordSink, RecordSource};
@@ -66,7 +68,11 @@ where
     };
 
     // ---- input + run formation, overlapped --------------------------------
-    let runs = form_runs::<R>(source, cfg, &mut stats)?;
+    let mut runs = Vec::new();
+    form_runs::<R>(source, cfg, Vec::new(), &mut stats, |run, _| {
+        runs.push(run);
+        Ok(None)
+    })?;
     if stats.records == 0 {
         return finish(top, stats, sink, PassPlan::OnePass, t_start);
     }
@@ -78,22 +84,23 @@ where
         // P disjoint key ranges; each range's merge is fused with its
         // gather on its own thread and the buffers stream out in range
         // order — byte-identical to the serial tournament below.
-        let plan = timed_phase(obs::phase::MERGE, &mut stats.merge_time, || {
+        let mut plan = timed_phase(obs::phase::MERGE, &mut stats.merge_time, || {
             plan_mem_partitions(&runs, cfg.merge_workers, SAMPLES_PER_RANGE)
         });
-        let mut ranges: Vec<Range<'_, RunCursors<'_, R>>> = Vec::new();
-        for (row, &records) in plan.bounds.iter().zip(&plan.range_records) {
-            let bounds: Vec<(u32, u32)> = row.iter().map(|&(s, e)| (s as u32, e as u32)).collect();
-            let runs = &runs[..];
+        let mut ranges: Vec<Range<'_>> = Vec::new();
+        let rows = std::mem::take(&mut plan.bounds);
+        for (bounds, &records) in rows.into_iter().zip(&plan.range_records) {
+            let (runs, batch) = (&runs[..], cfg.gather_batch);
+            // The range's merge and gather spans land on its worker's
+            // track; its wall time is booked as the range's, not per phase.
+            let merge = move |ship: &mut Ship<'_>| {
+                merge_range(runs, &bounds, batch, &mut SortStats::default(), ship)
+            };
             // In-memory ranges have nothing to wait for: each worker may
             // stage its whole range while earlier ones drain.
-            let ahead = records as usize / cfg.gather_batch + 1;
-            ranges.push((
-                Box::new(move || Ok(Some(RunCursors::new(runs, Some(&bounds))))),
-                ahead,
-            ));
+            ranges.push((Box::new(merge), records as usize / batch + 1));
         }
-        merge_ranges::<_, R::Policy, _>(ranges, plan, cfg, sink, &mut stats)?;
+        merge_ranges(ranges, plan, sink, &mut stats)?;
     } else {
         let heads = RunCursors::new(&runs, None);
         let mut merger = Merger::<_, R::Policy, _>::new(heads, ());
@@ -116,7 +123,7 @@ where
         while let Some(buf) = gather.next_buffer() {
             timed_phase(obs::phase::WRITE, &mut stats.write_wait, || sink.push(&buf))?;
         }
-        stats.merge(gather.stats());
+        stats.gather_time += gather.gather_time();
     }
     finish(top, stats, sink, PassPlan::OnePass, t_start)
 }

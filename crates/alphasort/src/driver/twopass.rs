@@ -17,13 +17,13 @@ use alphasort_obs as obs;
 
 use crate::driver::scratch::{StripeScratch, INDEX_EVERY};
 use crate::driver::{
-    check_sizes, finish, merge_ranges, merge_to_sink, Feed, Range, SortConfig, SortOutcome,
+    check_sizes, finish, form_runs, merge_ranges, merge_stream, merge_to_sink, Range, Ship,
+    SortConfig, SortOutcome,
 };
 use crate::entry::RecordLayout;
 use crate::io::{RecordSink, RecordSource, StripeSink, StripeSource};
-use crate::layout::{Cut, LayoutRun, RunCutter};
+use crate::layout::LayoutRun;
 use crate::merge::{Heads, Merger, StreamHeads};
-use crate::parallel::SortPool;
 use crate::planner::PassPlan;
 use crate::pmerge::{plan_partitions_with, SAMPLES_PER_RANGE};
 use crate::runform::SortedRun;
@@ -85,29 +85,6 @@ impl Spill {
     }
 }
 
-/// Account one freshly formed run and stream it to scratch.
-fn spill_run<R: LayoutRun>(
-    run: &R,
-    resuming: bool,
-    stats: &mut SortStats,
-    scratch: &mut StripeScratch,
-) -> io::Result<()> {
-    stats.runs += 1;
-    stats.run_lengths.push(run.len() as u64);
-    stats.records += run.len() as u64;
-    if resuming {
-        stats.runs_reformed += 1;
-        obs::metrics::counter_add("run.reformed", 1);
-    }
-    timed_phase(obs::phase::SPILL, &mut stats.spill_time, || {
-        let mut out = Spill::new(scratch.create_run(run.bytes())?, R::LAYOUT);
-        for pos in 0..run.len() {
-            out.push(run.frame_at(pos))?;
-        }
-        out.seal(scratch)
-    })
-}
-
 /// The two-pass pipeline over runs of type `R`.
 fn two_pass_of<R, Src, Snk>(
     source: &mut Src,
@@ -157,35 +134,16 @@ where
     // in a heap that the spill writer's in-flight buffers fragment (which
     // made peak RSS differ by megabytes from one sort to the next).
     let skip = scratch.recovered_runs();
-    let resuming = !skip.is_empty();
-    let mut pool = SortPool::<R>::new(cfg.workers);
-    let mut feed = Feed::<R::Cutter>::new(cfg.run_records, source.size_hint(), skip);
-    while let Some(cuts) = feed.next_cuts(source, &mut stats)? {
-        for cut in cuts {
-            match cut {
-                Cut::Run(buf, records) => pool.submit(buf, records),
-                Cut::Skipped(r) => {
-                    stats.runs += 1;
-                    stats.run_lengths.push(r.records);
-                    stats.records += r.records;
-                    stats.runs_recovered += 1;
-                    obs::metrics::counter_add("run.recovered", 1);
-                }
+    form_runs::<R>(source, cfg, skip, &mut stats, |run, stats| {
+        timed_phase(obs::phase::SPILL, &mut stats.spill_time, || {
+            let mut out = Spill::new(scratch.create_run(run.bytes())?, R::LAYOUT);
+            for pos in 0..run.len() {
+                out.push(run.frame_at(pos))?;
             }
-        }
-        // Spill whatever the workers have finished, without stalling input.
-        while let Some((run, d)) = pool.try_next_in_order() {
-            stats.sort_time += d;
-            spill_run(&run, resuming, &mut stats, scratch)?;
-            feed.cutter.recycle(run.into_buf());
-        }
-    }
-    drop(feed); // input is done: nothing takes a spare buffer any more
-    while let Some((run, d)) = pool.next_in_order() {
-        stats.sort_time += d;
-        spill_run(&run, resuming, &mut stats, scratch)?;
-    }
-    drop(pool.finish()); // joins worker threads (no runs remain)
+            out.seal(scratch)
+        })?;
+        Ok(Some(run.into_buf()))
+    })?;
     if stats.records == 0 {
         return finish(top, stats, sink, PassPlan::TwoPass, t_start);
     }
@@ -258,7 +216,7 @@ where
     // Open every (range, run) window up front on the driver thread: the
     // scratch handle is `&mut`, but the sources it yields are `Send` and
     // move into the range workers. Empty cuts are skipped.
-    let mut ranges: Vec<Range<'_, StreamHeads<StripeSource, R>>> = Vec::new();
+    let mut ranges: Vec<Range<'_>> = Vec::new();
     for row in &plan.bounds {
         let mut srcs = Vec::new();
         for (run, &(s, e)) in row.iter().enumerate() {
@@ -266,15 +224,19 @@ where
                 srcs.push(scratch.open_run_range(run, s, e - s)?);
             }
         }
+        let batch = cfg.gather_batch;
+        let merge = move |ship: &mut Ship<'_>| match srcs.is_empty() {
+            true => Ok(()),
+            false => {
+                let merger = Merger::<_, R::Policy, _>::new(StreamHeads::<_, R>::new(srcs)?, ());
+                merge_stream(merger, batch, &mut SortStats::default(), ship)
+            }
+        };
         // A short pipeline per range: workers stay a few batches ahead of
         // the sink without staging whole ranges in memory.
-        let open = move || match srcs.is_empty() {
-            true => Ok(None),
-            false => StreamHeads::new(srcs).map(Some),
-        };
-        ranges.push((Box::new(open), 4));
+        ranges.push((Box::new(merge), 4));
     }
-    merge_ranges::<_, R::Policy, _>(ranges, plan, cfg, sink, stats)
+    merge_ranges(ranges, plan, sink, stats)
 }
 
 #[cfg(test)]

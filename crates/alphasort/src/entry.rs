@@ -134,8 +134,9 @@ pub fn key_prefix_u64(key: &[u8]) -> u64 {
 /// sentinel index no real entry can carry.
 pub const MAX_RUN_RECORDS: usize = u32::MAX as usize;
 
-/// Hard ceiling on a var-len run buffer's bytes (descriptors hold 32-bit
-/// offsets); 16 MiB frames reach it at ~260 records, so the cutter cuts.
+/// Hard ceiling on a run buffer's bytes (var-len descriptors hold 32-bit
+/// offsets); 16 MiB frames reach it at ~260 records, so the run cutter
+/// cuts, under both layouts.
 pub const MAX_RUN_BYTES: usize = u32::MAX as usize;
 
 /// Hard ceiling on `SortConfig::merge_workers`: a partitioned merge runs

@@ -17,7 +17,7 @@ use alphasort_stripefs::{RunChecksums, StripedFile, StripedReader, StripedWriter
 pub trait RecordSource: Send {
     /// The next chunk, or `None` at end. Chunk sizes are the source's
     /// choice (a striped source hands out strides), so a record may be
-    /// split across chunks: the run cutters reassemble it.
+    /// split across chunks: the run cutter reassembles it.
     fn next_chunk(&mut self) -> io::Result<Option<Vec<u8>>>;
 
     /// Total bytes this source will deliver, if known up front (a striped

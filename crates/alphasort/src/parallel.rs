@@ -25,7 +25,6 @@ use alphasort_obs as obs;
 use crate::gather::gather_into;
 use crate::layout::LayoutRun;
 use crate::merge::MergedPtr;
-use crate::stats::SortStats;
 
 /// Workers running `chore(id, job)` on submitted jobs, results handed back
 /// **in submission order** so the root can stream them on. With zero
@@ -168,13 +167,8 @@ impl<R: LayoutRun> SortPool<R> {
         self.pool.submit((buf, records));
     }
 
-    /// Runs submitted but not yet delivered.
-    pub fn outstanding(&self) -> usize {
-        self.pool.outstanding()
-    }
-
     /// The next run in submission order if it has already been sorted;
-    /// never blocks. Use during input so spilling overlaps reading.
+    /// never blocks. Use during input so handing runs on overlaps reading.
     pub fn try_next_in_order(&mut self) -> Option<(R, Duration)> {
         self.pool.try_next()
     }
@@ -184,24 +178,6 @@ impl<R: LayoutRun> SortPool<R> {
     pub fn next_in_order(&mut self) -> Option<(R, Duration)> {
         self.pool.next()
     }
-
-    /// Wait for every submitted run. Returns the runs in submission order
-    /// plus the pool's stats: per-run fragments (sort CPU, run counts and
-    /// lengths) folded through [`SortStats::merge`].
-    pub fn finish(mut self) -> (Vec<R>, SortStats) {
-        let mut runs = Vec::with_capacity(self.outstanding());
-        let mut stats = SortStats::neutral();
-        while let Some((run, d)) = self.next_in_order() {
-            let mut frag = SortStats::neutral();
-            frag.sort_time = d;
-            frag.runs = 1;
-            frag.records = run.len() as u64;
-            frag.run_lengths.push(run.len() as u64);
-            stats.merge(&frag);
-            runs.push(run);
-        }
-        (runs, stats)
-    }
 }
 
 /// Pool of workers gathering records into output buffers from a merged
@@ -209,8 +185,8 @@ impl<R: LayoutRun> SortPool<R> {
 /// back **in submission order** so the writer can stream them out.
 pub struct GatherPool {
     pool: ChorePool<Vec<MergedPtr>, (Vec<u8>, Duration)>,
-    /// Per-batch fragments folded through [`SortStats::merge`].
-    stats: SortStats,
+    /// Gather CPU across delivered batches.
+    gather_time: Duration,
 }
 
 impl GatherPool {
@@ -229,7 +205,7 @@ impl GatherPool {
         });
         GatherPool {
             pool,
-            stats: SortStats::neutral(),
+            gather_time: Duration::ZERO,
         }
     }
 
@@ -238,9 +214,9 @@ impl GatherPool {
         self.pool.submit(ptrs);
     }
 
-    /// Stats accumulated so far (gather CPU across delivered batches).
-    pub fn stats(&self) -> &SortStats {
-        &self.stats
+    /// Gather CPU across the batches delivered so far.
+    pub fn gather_time(&self) -> Duration {
+        self.gather_time
     }
 
     /// Number of batches submitted but not yet delivered.
@@ -252,9 +228,7 @@ impl GatherPool {
     /// submitted batch has been delivered.
     pub fn next_buffer(&mut self) -> Option<Vec<u8>> {
         let (buf, d) = self.pool.next()?;
-        let mut frag = SortStats::neutral();
-        frag.gather_time = d;
-        self.stats.merge(&frag);
+        self.gather_time += d;
         Some(buf)
     }
 }
@@ -279,18 +253,23 @@ mod tests {
         (cs, bufs)
     }
 
-    fn sort_with_pool(workers: usize) {
-        let (cs, bufs) = run_buffers(3_000, 256);
+    /// Submit every buffer, then wait for the runs in submission order.
+    fn sorted_runs(workers: usize, bufs: Vec<Vec<u8>>) -> Vec<SortedRun> {
         let mut pool = SortPool::<SortedRun>::new(workers);
         for b in bufs {
             let n = b.len() / RECORD_LEN;
             pool.submit(b, n);
         }
-        let (runs, pstats) = pool.finish();
+        std::iter::from_fn(|| pool.next_in_order())
+            .map(|(run, _)| run)
+            .collect()
+    }
+
+    fn sort_with_pool(workers: usize) {
+        let (cs, bufs) = run_buffers(3_000, 256);
+        let runs = sorted_runs(workers, bufs);
         assert_eq!(runs.len(), 12);
-        assert!(pstats.sort_time > Duration::ZERO);
-        assert_eq!(pstats.runs, 12);
-        assert_eq!(pstats.records, 3_000);
+        assert_eq!(runs.iter().map(|r| r.len()).sum::<usize>(), 3_000);
 
         let runs = Arc::new(runs);
         let mut merger = whole_merge(&runs);
@@ -336,12 +315,7 @@ mod tests {
             .iter()
             .map(|b| alphasort_dmgen::records_of(b)[0].seq())
             .collect();
-        let mut pool = SortPool::<SortedRun>::new(3);
-        for b in bufs {
-            let n = b.len() / RECORD_LEN;
-            pool.submit(b, n);
-        }
-        let (runs, _) = pool.finish();
+        let runs = sorted_runs(3, bufs);
         // Run i must still hold the records of chunk i (identified by the
         // sequence number stamped at generation).
         for (i, run) in runs.iter().enumerate() {
@@ -369,13 +343,7 @@ mod tests {
         drop(pool);
 
         let (_, bufs) = run_buffers(500, 100);
-        let mut sp = SortPool::<SortedRun>::new(1);
-        for b in bufs {
-            let n = b.len() / RECORD_LEN;
-            sp.submit(b, n);
-        }
-        let (runs, _) = sp.finish();
-        let runs = Arc::new(runs);
+        let runs = Arc::new(sorted_runs(1, bufs));
         let mut merger = whole_merge(&runs);
         let mut gather = GatherPool::new(2, Arc::clone(&runs));
         gather.submit(crate::gather::take_ptrs(&mut merger, 100));
@@ -387,13 +355,7 @@ mod tests {
     #[test]
     fn gather_pool_delivers_in_order_despite_racing_workers() {
         let (_, bufs) = run_buffers(2_000, 200);
-        let mut pool = SortPool::<SortedRun>::new(2);
-        for b in bufs {
-            let n = b.len() / RECORD_LEN;
-            pool.submit(b, n);
-        }
-        let (runs, _) = pool.finish();
-        let runs = Arc::new(runs);
+        let runs = Arc::new(sorted_runs(2, bufs));
         let mut merger = whole_merge(&runs);
         let mut gather = GatherPool::new(4, Arc::clone(&runs));
         let mut batches = 0;

@@ -265,23 +265,19 @@ mod tests {
 
     #[test]
     fn var_plan_covers_text_runs() {
-        use crate::layout::{Cut, RunCutter};
-        use crate::varlen::{FrameCutter, VarRun};
-        use alphasort_dmgen::{generate_varlen, TextCorpus, VarGenConfig};
+        use crate::varlen::VarRun;
+        use alphasort_dmgen::{generate_varlen, var_records_of, TextCorpus, VarGenConfig};
         let buf = generate_varlen(VarGenConfig {
             records: 2_000,
             seed: 13,
             corpus: TextCorpus::Urls,
         });
-        let mut cutter = FrameCutter::new(311, None, Vec::new());
-        let mut cuts = Vec::new();
-        cutter.push(&buf, &mut cuts).unwrap();
-        cutter.finish(&mut cuts).unwrap();
-        let runs: Vec<VarRun> = cuts
-            .into_iter()
-            .map(|cut| match cut {
-                Cut::Run(frames, _) => VarRun::from_frames(frames).unwrap(),
-                Cut::Skipped(_) => unreachable!("nothing to skip"),
+        let runs: Vec<VarRun> = var_records_of(&buf)
+            .unwrap()
+            .chunks(311)
+            .map(|frames| {
+                VarRun::from_frames(frames.iter().flat_map(|r| r.frame()).copied().collect())
+                    .unwrap()
             })
             .collect();
         let lens: Vec<u64> = runs.iter().map(|r| r.len() as u64).collect();

@@ -15,14 +15,10 @@
 //! The QuickSort over §4's other representations is an exhibit, in
 //! `alphasort_bench::variants`.
 
-use std::collections::VecDeque;
-use std::io;
-
 use alphasort_dmgen::{records_of, Record, RECORD_LEN};
 
-use crate::driver::RecoveredRun;
 use crate::entry::{checked_run_len, key_prefix_u64, RecordLayout};
-use crate::layout::{span_past_input, Cut, LayoutRun, RunCutter};
+use crate::layout::LayoutRun;
 use crate::merge::PrefixThenKey;
 
 /// A sorted run: the record bytes, the order in which to read them, and
@@ -67,12 +63,11 @@ impl SortedRun {
     }
 }
 
-/// The Datamation layout: 100-byte records cut by byte stride, merged on
-/// (key-prefix, full key) — §4: offset-value coding "will not beat
+/// The Datamation layout: 100-byte records merged on (key-prefix, full
+/// key) — §4: offset-value coding "will not beat
 /// AlphaSort's simpler key-prefix sort" on binary keys.
 impl LayoutRun for SortedRun {
     const LAYOUT: RecordLayout = RecordLayout::Datamation;
-    type Cutter = StrideCutter;
     type Policy = PrefixThenKey;
 
     /// Depth-0 entries from the 10-byte keys, one `msd_sort`, which hands
@@ -114,108 +109,6 @@ impl LayoutRun for SortedRun {
     #[inline]
     fn prefix_at(&self, pos: usize) -> u64 {
         self.prefix[pos]
-    }
-}
-
-/// Cuts fixed-stride input into runs of `run_records * RECORD_LEN` bytes.
-pub struct StrideCutter {
-    run_bytes: usize,
-    /// Capacity a fresh run buffer starts with: a whole run, or the whole
-    /// input when that is smaller — what the input can fill, never what the
-    /// configuration could hold.
-    reserve: usize,
-    cur: Vec<u8>,
-    /// An empty buffer handed back by [`RunCutter::recycle`], taken by the
-    /// next cut.
-    spare: Option<Vec<u8>>,
-    /// Absolute byte position within the input.
-    abs: u64,
-    skip: VecDeque<RecoveredRun>,
-}
-
-/// Byte position of record index `rec`. Saturates: a span start no input
-/// can reach is reported as "extends past the input", never wrapped.
-fn byte_pos(rec: u64) -> u64 {
-    rec.saturating_mul(RECORD_LEN as u64)
-}
-
-impl RunCutter for StrideCutter {
-    fn new(run_records: usize, input_bytes: Option<u64>, skip: Vec<RecoveredRun>) -> Self {
-        let run_bytes = run_records.saturating_mul(RECORD_LEN);
-        // Input of unknown size reserves nothing and grows as it arrives.
-        let reserve = input_bytes.map_or(0, |b| run_bytes.min(b.try_into().unwrap_or(usize::MAX)));
-        StrideCutter {
-            run_bytes,
-            reserve,
-            cur: Vec::with_capacity(reserve),
-            spare: None,
-            abs: 0,
-            skip: skip.into(),
-        }
-    }
-
-    fn push(&mut self, chunk: &[u8], out: &mut Vec<Cut>) -> io::Result<()> {
-        let mut off = 0;
-        while off < chunk.len() {
-            let left = chunk.len() - off;
-            let mut until_span = u64::MAX;
-            if let Some(r) = self.skip.front() {
-                let span_end = byte_pos(r.start_record.saturating_add(r.records));
-                if self.abs >= byte_pos(r.start_record) {
-                    // Inside a recovered span: read past it, sort nothing.
-                    let skipped = span_end.saturating_sub(self.abs).min(left as u64);
-                    off += skipped as usize;
-                    self.abs += skipped;
-                    if self.abs >= span_end {
-                        out.push(Cut::Skipped(*r));
-                        self.skip.pop_front();
-                    }
-                    continue;
-                }
-                until_span = byte_pos(r.start_record) - self.abs;
-            }
-            let take = (self.run_bytes - self.cur.len())
-                .min(left)
-                .min(until_span.min(usize::MAX as u64) as usize);
-            self.cur.extend_from_slice(&chunk[off..off + take]);
-            off += take;
-            self.abs += take as u64;
-            if self.cur.len() == self.run_bytes || take as u64 == until_span {
-                let next = self
-                    .spare
-                    .take()
-                    .unwrap_or_else(|| Vec::with_capacity(self.reserve));
-                let full = std::mem::replace(&mut self.cur, next);
-                let records = full.len() / RECORD_LEN;
-                out.push(Cut::Run(full, records));
-            }
-        }
-        Ok(())
-    }
-
-    fn finish(&mut self, out: &mut Vec<Cut>) -> io::Result<()> {
-        if !self.cur.len().is_multiple_of(RECORD_LEN) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "input ends mid-record ({} trailing bytes)",
-                    self.cur.len() % RECORD_LEN
-                ),
-            ));
-        }
-        if !self.cur.is_empty() {
-            let records = self.cur.len() / RECORD_LEN;
-            out.push(Cut::Run(std::mem::take(&mut self.cur), records));
-        }
-        match self.skip.front() {
-            Some(r) => Err(span_past_input(r, self.abs, "bytes")),
-            None => Ok(()),
-        }
-    }
-
-    fn recycle(&mut self, mut buf: Vec<u8>) {
-        buf.clear();
-        self.spare = Some(buf);
     }
 }
 
@@ -462,46 +355,5 @@ mod tests {
             .join()
             .unwrap();
         assert_eq!(sorted, (vec![1, 2, 0], vec![0, p as u32, p as u32]));
-    }
-
-    #[test]
-    fn cutter_reserves_what_the_input_can_fill() {
-        // A run size far beyond the input is a size, not a reservation —
-        // with or without a size hint to bound it by.
-        for hint in [Some(200), None] {
-            let mut cutter = StrideCutter::new(usize::MAX, hint, Vec::new());
-            assert!(cutter.cur.capacity() <= 200, "{hint:?}");
-            let mut cuts = Vec::new();
-            cutter.push(&[7u8; 200], &mut cuts).unwrap();
-            cutter.finish(&mut cuts).unwrap();
-            assert!(matches!(&cuts[..], [Cut::Run(run, 2)] if run.len() == 200));
-        }
-    }
-
-    #[test]
-    fn cutter_fills_a_recycled_buffer() {
-        // A spent run handed back is the buffer of the cut after next (the
-        // next one was taken when the spent run was cut): the same
-        // allocation, holding only the new records.
-        let mut cutter = StrideCutter::new(2, None, Vec::new());
-        let mut cuts = Vec::new();
-        cutter.push(&[1u8; 200], &mut cuts).unwrap();
-        let Some(Cut::Run(first, 2)) = cuts.pop() else {
-            panic!("one run of two records");
-        };
-        let run = form_run(first);
-        let at = run.buf.as_ptr();
-        cutter.recycle(run.into_buf());
-        cutter.push(&[2u8; 200], &mut cuts).unwrap();
-        cutter.push(&[3u8; 100], &mut cuts).unwrap();
-        cutter.finish(&mut cuts).unwrap();
-        let [Cut::Run(second, 2), Cut::Run(third, 1)] = &cuts[..] else {
-            panic!("two more runs");
-        };
-        assert_eq!(
-            (&second[..], &third[..]),
-            (&[2u8; 200][..], &[3u8; 100][..])
-        );
-        assert_eq!(third.as_ptr(), at);
     }
 }

@@ -3,8 +3,10 @@
 //! The paper sorts fixed 100-byte Datamation records; real sort inputs
 //! (URLs, log lines, words) are ragged. This module holds what the var-len
 //! layout supplies to the one pipeline ([`crate::layout`]): length-prefixed
-//! records with (offset, length) key descriptors, cut from the input by a
-//! re-framer instead of a byte stride.
+//! records with (offset, length) key descriptors. The one
+//! [`crate::layout::RunCutter`] cuts them from the input as it cuts the
+//! fixed layout's, reading each record's length from its header instead of
+//! a stride.
 //!
 //! * **Run formation** ([`vrun`]) is an MSD string sort over 8-byte
 //!   super-characters: *(key-prefix, pointer)* entries whose prefix
@@ -28,7 +30,7 @@ pub mod vrun;
 
 use std::io;
 
-pub use vrun::{lcp, FrameCutter, VarRun};
+pub use vrun::{lcp, VarRun};
 
 /// Whole-buffer baseline: form one run, emit its sorted frames. The
 /// differential oracle's cheapest var-len reference after `sort_by` itself.

@@ -1,10 +1,9 @@
-//! Variable-length run formation: framing, descriptors, and the per-run
-//! LCP table the OVC merge feeds on.
+//! Variable-length run formation: descriptors, and the per-run LCP table
+//! the OVC merge feeds on.
 //!
-//! The fixed layout cuts runs by byte stride; here a [`FrameCutter`]
-//! reassembles and counts length-prefixed frames across arbitrary chunk
-//! boundaries (truncated trailing records are rejected with an attributed
-//! error). Formation walks the headers once, building a descriptor and a
+//! The one [`crate::layout::RunCutter`] frames, validates and counts the
+//! length-prefixed records of each run, across arbitrary chunk boundaries.
+//! Formation walks the headers once more, building a descriptor and a
 //! depth-0 entry per record, and sorts the run with the same MSD string
 //! sort as the fixed layout (`runform::msd_sort`): a shared
 //! "https://" costs one pass, not a full-key compare per comparison.
@@ -15,14 +14,12 @@
 //! codes against exactly its in-run predecessor, so the successor's
 //! offset-value code is a table lookup instead of a rescan.
 
-use std::collections::VecDeque;
 use std::io;
 
 use alphasort_dmgen::{parse_var_record, VarFrameError};
 
-use crate::driver::RecoveredRun;
 use crate::entry::{checked_run_len, RecordLayout, MAX_RUN_BYTES};
-use crate::layout::{span_past_input, Cut, LayoutRun, RunCutter};
+use crate::layout::LayoutRun;
 use crate::merge::Ovc;
 use crate::runform::{entry, msd_sort};
 
@@ -116,11 +113,10 @@ impl VarRun {
     }
 }
 
-/// The var-len layout: length-prefixed frames cut by a re-framer, merged
-/// on offset-value codes because string keys share long prefixes.
+/// The var-len layout: length-prefixed frames merged on offset-value
+/// codes, because string keys share long prefixes.
 impl LayoutRun for VarRun {
     const LAYOUT: RecordLayout = RecordLayout::VarLen;
-    type Cutter = FrameCutter;
     type Policy = Ovc;
 
     /// Trusts the cutter's validation and count: one header walk fills
@@ -185,113 +181,6 @@ impl LayoutRun for VarRun {
     }
 }
 
-/// Cuts a var-len stream into runs of `run_records` frames — the
-/// counterpart of the fixed layout's byte stride, except a chunk boundary
-/// can land anywhere inside a frame: frames split across chunks wait in
-/// `pending` until whole. A run also ends before a frame would carry it
-/// past `max_bytes` ([`MAX_RUN_BYTES`]; tests lower it).
-pub struct FrameCutter {
-    run_records: usize,
-    max_bytes: usize,
-    pending: Vec<u8>,
-    /// Absolute input offset of `pending[0]` (error attribution).
-    abs: u64,
-    cur: Vec<u8>,
-    cur_records: usize,
-    /// An empty buffer handed back by [`RunCutter::recycle`], taken by the
-    /// next cut.
-    spare: Vec<u8>,
-    /// Absolute record index within the input.
-    abs_rec: u64,
-    skip: VecDeque<RecoveredRun>,
-}
-
-impl FrameCutter {
-    fn cut(&mut self, out: &mut Vec<Cut>) {
-        let records = std::mem::take(&mut self.cur_records);
-        let next = std::mem::take(&mut self.spare);
-        out.push(Cut::Run(std::mem::replace(&mut self.cur, next), records));
-    }
-}
-
-impl RunCutter for FrameCutter {
-    /// Run buffers grow frame by frame; nothing is reserved ahead.
-    fn new(run_records: usize, _input_bytes: Option<u64>, skip: Vec<RecoveredRun>) -> Self {
-        FrameCutter {
-            run_records,
-            max_bytes: MAX_RUN_BYTES,
-            pending: Vec::new(),
-            abs: 0,
-            cur: Vec::new(),
-            cur_records: 0,
-            spare: Vec::new(),
-            abs_rec: 0,
-            skip: skip.into(),
-        }
-    }
-
-    /// Structurally invalid headers (oversized body, key descriptor past
-    /// the body) fail here, with the input offset in the message.
-    fn push(&mut self, chunk: &[u8], out: &mut Vec<Cut>) -> io::Result<()> {
-        self.pending.extend_from_slice(chunk);
-        let mut start = 0usize;
-        // `None`: not enough bytes for the next frame yet — wait for more.
-        while let Some(frame) =
-            RecordLayout::VarLen.frame_at(&self.pending[start..], self.abs + start as u64)?
-        {
-            let at = start;
-            start += frame.len;
-            self.abs_rec += 1;
-            if let Some(r) = self.skip.front().filter(|r| self.abs_rec > r.start_record) {
-                // Inside a recovered span: read past it, sort nothing.
-                if self.abs_rec >= r.start_record.saturating_add(r.records) {
-                    out.push(Cut::Skipped(*r));
-                    self.skip.pop_front();
-                }
-                continue;
-            }
-            if self.cur_records > 0 && self.cur.len() + frame.len > self.max_bytes {
-                self.cut(out);
-            }
-            self.cur.extend_from_slice(&self.pending[at..start]);
-            self.cur_records += 1;
-            let at_span = self
-                .skip
-                .front()
-                .is_some_and(|r| r.start_record == self.abs_rec);
-            if self.cur_records == self.run_records || at_span {
-                self.cut(out);
-            }
-        }
-        self.pending.drain(..start);
-        self.abs += start as u64;
-        Ok(())
-    }
-
-    /// Any buffered partial frame is a truncated trailing record — an
-    /// attributed `InvalidData` error, never a silent drop.
-    fn finish(&mut self, out: &mut Vec<Cut>) -> io::Result<()> {
-        if !self.pending.is_empty() {
-            let n = self.pending.len();
-            let e = parse_var_record(&self.pending, self.abs).expect_err("a partial frame");
-            let what = format!("input ends mid-record ({n} trailing bytes): {e}");
-            return Err(io::Error::new(io::ErrorKind::InvalidData, what));
-        }
-        if self.cur_records > 0 {
-            self.cut(out);
-        }
-        match self.skip.front() {
-            Some(r) => Err(span_past_input(r, self.abs_rec, "records")),
-            None => Ok(()),
-        }
-    }
-
-    fn recycle(&mut self, mut buf: Vec<u8>) {
-        buf.clear();
-        self.spare = buf;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,120 +195,6 @@ mod tests {
             seed,
             corpus,
         })
-    }
-
-    /// Drain a cutter fed `buf` in `chunk`-byte pieces: (run, count) pairs.
-    fn cut_all(mut cutter: FrameCutter, buf: &[u8], chunk: usize) -> Vec<(Vec<u8>, usize)> {
-        let mut cuts = Vec::new();
-        for c in buf.chunks(chunk) {
-            cutter.push(c, &mut cuts).unwrap();
-        }
-        cutter.finish(&mut cuts).unwrap();
-        cuts.into_iter()
-            .map(|c| match c {
-                Cut::Run(buf, records) => (buf, records),
-                Cut::Skipped(_) => panic!("nothing to skip"),
-            })
-            .collect()
-    }
-
-    #[test]
-    fn cutter_reassembles_frames_across_ragged_chunks() {
-        let buf = corpus_buf(TextCorpus::Urls, 300, 1);
-        for chunk in [1usize, 7, 64, 1000, buf.len()] {
-            let runs = cut_all(FrameCutter::new(1, None, Vec::new()), &buf, chunk);
-            assert_eq!(runs.len(), 300, "chunk {chunk}");
-            assert!(runs.iter().all(|r| r.1 == 1), "chunk {chunk}");
-            assert_eq!(joined(&runs), buf, "chunk {chunk}");
-        }
-    }
-
-    fn joined(runs: &[(Vec<u8>, usize)]) -> Vec<u8> {
-        runs.iter().flat_map(|r| r.0.clone()).collect()
-    }
-
-    #[test]
-    fn cutter_fills_a_recycled_buffer() {
-        // As for the stride cutter: the cut after next reuses the spent
-        // run's allocation and holds only its own frames.
-        let buf = corpus_buf(TextCorpus::Urls, 5, 4);
-        let ends: Vec<usize> = var_records_of(&buf)
-            .unwrap()
-            .iter()
-            .scan(0, |end, r| {
-                *end += r.len();
-                Some(*end)
-            })
-            .collect();
-        let mut cutter = FrameCutter::new(2, None, Vec::new());
-        let mut cuts = Vec::new();
-        cutter.push(&buf[..ends[1]], &mut cuts).unwrap();
-        let Some(Cut::Run(first, 2)) = cuts.pop() else {
-            panic!("one run of two frames");
-        };
-        let run = VarRun::from_frames(first).unwrap();
-        let at = run.buf.as_ptr();
-        cutter.recycle(run.into_buf());
-        cutter.push(&buf[ends[1]..], &mut cuts).unwrap();
-        cutter.finish(&mut cuts).unwrap();
-        let [Cut::Run(second, 2), Cut::Run(third, 1)] = &cuts[..] else {
-            panic!("two more runs");
-        };
-        assert_eq!(second[..], buf[ends[1]..ends[3]]);
-        assert_eq!(third[..], buf[ends[3]..]);
-        assert_eq!(third.as_ptr(), at);
-    }
-
-    #[test]
-    fn cutter_ends_a_run_before_the_byte_ceiling() {
-        // MAX_RUN_BYTES scaled down to four of the largest frames: a run
-        // ends exactly when the next frame would carry it past the ceiling,
-        // long before `run_records`, and every count is the frames it holds.
-        let buf = corpus_buf(TextCorpus::Urls, 300, 3);
-        let lens: Vec<usize> = var_records_of(&buf)
-            .unwrap()
-            .iter()
-            .map(|r| r.len())
-            .collect();
-        let ceiling = 4 * lens.iter().max().unwrap();
-        let mut cutter = FrameCutter::new(usize::MAX, None, Vec::new());
-        cutter.max_bytes = ceiling;
-        let runs = cut_all(cutter, &buf, 100);
-        assert!(runs.len() > 1);
-        let mut seen = 0;
-        for (i, (run, records)) in runs.iter().enumerate() {
-            assert_eq!(var_records_of(run).unwrap().len(), *records, "run {i}");
-            seen += records;
-            assert!(run.len() <= ceiling, "run {i}");
-            if let Some(next) = lens.get(seen) {
-                assert!(run.len() + next > ceiling, "run {i} ended early");
-            }
-        }
-        assert_eq!((seen, joined(&runs)), (300, buf));
-    }
-
-    #[test]
-    fn cutter_rejects_truncated_tail_with_offset() {
-        let mut buf = corpus_buf(TextCorpus::LogLines, 10, 2);
-        let cut = buf.len() - 3;
-        buf.truncate(cut);
-        let mut cutter = FrameCutter::new(100, None, Vec::new());
-        cutter.push(&buf, &mut Vec::new()).unwrap();
-        let err = cutter.finish(&mut Vec::new()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("input ends mid-record"), "{err}");
-    }
-
-    #[test]
-    fn cutter_rejects_corrupt_header_immediately() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&4u32.to_le_bytes());
-        buf.extend_from_slice(&9u16.to_le_bytes()); // key_off 9 > body 4
-        buf.extend_from_slice(&0u16.to_le_bytes());
-        buf.extend_from_slice(&[0; 4]);
-        let mut cutter = FrameCutter::new(100, None, Vec::new());
-        let err = cutter.push(&buf, &mut Vec::new()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     /// Formation against the definition, sharing no logic with it: `order`

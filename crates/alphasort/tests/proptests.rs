@@ -353,3 +353,77 @@ fn stats_are_populated() {
     assert!(st.sort_time.as_nanos() > 0);
     assert!(st.one_pass);
 }
+
+/// The run cutter is blind to chunk boundaries: for both layouts, with and
+/// without resume skip spans, any chunking of an input yields the same cuts
+/// as feeding it whole.
+#[test]
+fn any_chunking_cuts_like_the_whole_input() {
+    use alphasort_core::driver::RecoveredRun;
+    use alphasort_core::layout::{Cut, RunCutter};
+    use alphasort_core::RecordLayout;
+    use alphasort_dmgen::{generate_varlen, TextCorpus, VarGenConfig};
+
+    fn cuts(
+        layout: RecordLayout,
+        run_records: usize,
+        skip: &[RecoveredRun],
+        pieces: &[&[u8]],
+    ) -> Vec<Cut> {
+        let mut cutter = RunCutter::new(layout, run_records, None, skip.to_vec());
+        let mut out = Vec::new();
+        for piece in pieces {
+            cutter.push(piece, &mut out).unwrap();
+        }
+        cutter.finish(&mut out).unwrap();
+        out
+    }
+
+    let mut r = SplitMix64::new(0xA9);
+    for case in 0..96 {
+        let layout = RecordLayout::ALL[case % 2];
+        let n = r.next_below(300);
+        let seed = r.next_u64();
+        let data = match layout {
+            RecordLayout::Datamation => generate(GenConfig::datamation(n, seed)).0,
+            RecordLayout::VarLen => generate_varlen(VarGenConfig {
+                records: n,
+                seed,
+                corpus: TextCorpus::Urls,
+            }),
+        };
+        // Every other case skips disjoint spans between random record
+        // indices, the last possibly ending the input.
+        let mut skip = Vec::new();
+        let mut at = 0;
+        while case % 4 >= 2 && at < n {
+            at += r.next_below(20);
+            let records = (1 + r.next_below(30)).min(n.saturating_sub(at));
+            if records == 0 {
+                break;
+            }
+            skip.push(RecoveredRun {
+                start_record: at,
+                records,
+            });
+            at += records;
+        }
+        // Chunks of 1 to 600 bytes, a new size for every chunk.
+        let mut pieces = Vec::new();
+        let mut rest = &data[..];
+        while !rest.is_empty() {
+            let len = (1 + r.next_below(600) as usize).min(rest.len());
+            let (piece, tail) = rest.split_at(len);
+            pieces.push(piece);
+            rest = tail;
+        }
+        let run_records = 1 + r.next_below(60) as usize;
+        let whole = cuts(layout, run_records, &skip, &[&data]);
+        let chunked = cuts(layout, run_records, &skip, &pieces);
+        assert!(
+            whole == chunked,
+            "case {case}: {} n={n} run={run_records} skip={skip:?}",
+            layout.name()
+        );
+    }
+}

@@ -5,7 +5,8 @@
 //! each worker's point of view:
 //!
 //! 1. **Form runs** from the local input with the drivers' [`form_runs`],
-//!    formation overlapped with input.
+//!    formation overlapped with input, then drop the input: the runs hold
+//!    every record.
 //! 2. **Sample** the sorted runs ([`sample_runs`]) and send the keys,
 //!    length-prefixed and capped under [`MAX_PAYLOAD`], to the coordinator
 //!    (node 0; a self-send when we *are* node 0).
@@ -34,11 +35,10 @@ use std::fmt;
 use std::io;
 use std::time::{Duration, Instant};
 
-use alphasort_core::driver::{check_sizes, form_runs, merge_to_sink};
-use alphasort_core::gather::{gather_into, take_ptrs};
+use alphasort_core::driver::{check_sizes, form_runs, merge_range, merge_to_sink};
 use alphasort_core::io::{MemSink, MemSource, RecordSink, RecordSource};
 use alphasort_core::layout::LayoutRun;
-use alphasort_core::merge::{Merger, RunCursors, StreamHeads};
+use alphasort_core::merge::{Merger, StreamHeads};
 use alphasort_core::pmerge::{cut_runs, quantiles, sample_runs};
 use alphasort_core::stats::timed_phase;
 use alphasort_core::varlen::VarRun;
@@ -198,10 +198,11 @@ fn recv_in_phase<T: Transport>(
 /// the output is fully written to `sink` — or until the configured receive
 /// deadline or a peer's abort ends the run with an error. On a local
 /// failure the worker broadcasts [`Frame::Abort`] (best effort) before
-/// returning, so the rest of the cluster tears down promptly too.
+/// returning, so the rest of the cluster tears down promptly too. `source`
+/// is dropped as soon as the node's runs are formed.
 pub fn run_worker<T, Src, Snk>(
     transport: &mut T,
-    source: &mut Src,
+    source: Src,
     sink: &mut Snk,
     cfg: &NetsortConfig,
 ) -> io::Result<WorkerOutcome>
@@ -237,44 +238,9 @@ where
     }
 }
 
-/// Merge one key range of `runs` (`[start, end)` of each; pointers, then a
-/// gather per batch) and hand it to `ship` in `batch_records × 100` bytes.
-fn merge_range<R: LayoutRun>(
-    runs: &[R],
-    bounds: &[(u64, u64)],
-    cfg: &NetsortConfig,
-    stats: &mut SortStats,
-    mut ship: impl FnMut(Vec<u8>, &mut SortStats) -> io::Result<()>,
-) -> io::Result<()> {
-    if runs.is_empty() {
-        return Ok(());
-    }
-    let bounds: Vec<(u32, u32)> = bounds.iter().map(|&(s, e)| (s as u32, e as u32)).collect();
-    let mut merger = Merger::<_, R::Policy>::new(RunCursors::new(runs, Some(&bounds)), ());
-    let piece = cfg.batch_records * RECORD_LEN;
-    let mut staging = Vec::new();
-    loop {
-        let ptrs = timed_phase(obs::phase::MERGE, &mut stats.merge_time, || {
-            take_ptrs(&mut merger, cfg.batch_records)
-        });
-        timed_phase(obs::phase::GATHER, &mut stats.gather_time, || {
-            gather_into(runs, &ptrs, &mut staging)
-        });
-        let done = ptrs.is_empty();
-        while staging.len() >= piece || (done && !staging.is_empty()) {
-            // An exact-size piece: a frame may wait in a peer's inbox.
-            let n = piece.min(staging.len());
-            ship(staging.drain(..n).collect(), stats)?;
-        }
-        if done {
-            return Ok(());
-        }
-    }
-}
-
 fn run_worker_inner<R, T, Src, Snk>(
     transport: &mut T,
-    source: &mut Src,
+    mut source: Src,
     sink: &mut Snk,
     cfg: &NetsortConfig,
 ) -> io::Result<WorkerOutcome>
@@ -297,7 +263,14 @@ where
     let mut top = obs::span(obs::phase::NET_WORKER).with("node", node as u64);
 
     // ---- sorted runs, formed while the local input arrives ---------------
-    let runs: Vec<R> = form_runs(source, &cfg.sort, &mut stats).map_err(|e| at_node(node, e))?;
+    let mut runs: Vec<R> = Vec::new();
+    form_runs(&mut source, &cfg.sort, Vec::new(), &mut stats, |run, _| {
+        runs.push(run);
+        Ok(None)
+    })
+    .map_err(|e| at_node(node, e))?;
+    // The runs hold every record now: free the share before the exchange.
+    drop(source);
     let lens: Vec<u64> = runs.iter().map(|r| r.len() as u64).collect();
     let key_at = |r: usize, pos: u64| Ok::<_, Infallible>(runs[r].key_at(pos as usize).to_vec());
 
@@ -365,26 +338,40 @@ where
     // Each sender's sorted stream of our key range, in node order; our own
     // range never touches the transport.
     let mut streams: Vec<Vec<u8>> = vec![Vec::new(); nodes];
+    let batch = cfg.batch_records;
     for (target, bounds) in plan.bounds.iter().enumerate() {
         if target == node {
-            merge_range(&runs, bounds, cfg, &mut stats, |piece, _| {
-                streams[node].extend_from_slice(&piece);
-                Ok(())
+            merge_range(&runs, bounds, batch, &mut stats, &mut |staging, _, _| {
+                streams[node].append(staging);
+                Ok(true)
             })?;
             continue;
         }
-        merge_range(&runs, bounds, cfg, &mut stats, |records, stats| {
-            let bytes = records.len() as u64;
-            stats.exchange_bytes_out += bytes;
-            let _send = obs::span(obs::phase::NET_SEND)
-                .with("peer", target as u64)
-                .with("bytes", bytes);
-            obs::metrics::observe("net.frame.bytes", bytes);
-            obs::metrics::counter_add("net.bytes_out", bytes);
-            timed_phase(obs::phase::EXCHANGE, &mut stats.exchange_wait, || {
-                transport.send(target, Frame::Data { from: me, records })
-            })
-        })?;
+        // Exact-size pieces of `batch_records × 100` bytes: a frame may wait
+        // in a peer's inbox.
+        let piece = batch * RECORD_LEN;
+        merge_range(
+            &runs,
+            bounds,
+            batch,
+            &mut stats,
+            &mut |staging, done, stats| {
+                while staging.len() >= piece || (done && !staging.is_empty()) {
+                    let records: Vec<u8> = staging.drain(..piece.min(staging.len())).collect();
+                    let bytes = records.len() as u64;
+                    stats.exchange_bytes_out += bytes;
+                    let _send = obs::span(obs::phase::NET_SEND)
+                        .with("peer", target as u64)
+                        .with("bytes", bytes);
+                    obs::metrics::observe("net.frame.bytes", bytes);
+                    obs::metrics::counter_add("net.bytes_out", bytes);
+                    timed_phase(obs::phase::EXCHANGE, &mut stats.exchange_wait, || {
+                        transport.send(target, Frame::Data { from: me, records })
+                    })?;
+                }
+                Ok(true)
+            },
+        )?;
         transport.send(target, Frame::Done { from: me })?;
     }
     drop(runs);
@@ -521,9 +508,9 @@ fn run_cluster<E: Send, T: Transport>(
             .map(|(node, (endpoint, share))| {
                 scope.spawn(move || {
                     let mut transport = connect(node, endpoint)?;
-                    let mut source = MemSource::new(share, 1 << 20);
+                    let source = MemSource::new(share, 1 << 20);
                     let mut sink = MemSink::new();
-                    let outcome = run_worker(&mut transport, &mut source, &mut sink, cfg)?;
+                    let outcome = run_worker(&mut transport, source, &mut sink, cfg)?;
                     Ok((sink.into_inner(), outcome.stats))
                 })
             })
@@ -658,7 +645,7 @@ mod tests {
         peers[0].send(node, hostile).unwrap();
         let err = run_worker(
             &mut worker,
-            &mut MemSource::new(input, 1 << 20),
+            MemSource::new(input, 1 << 20),
             &mut MemSink::new(),
             &NetsortConfig::default(),
         )
@@ -727,7 +714,7 @@ mod tests {
         }
         let err = run_worker(
             &mut worker,
-            &mut MemSource::new(input, 1 << 20),
+            MemSource::new(input, 1 << 20),
             &mut MemSink::new(),
             &NetsortConfig::default(),
         )
@@ -771,8 +758,8 @@ mod tests {
                 ..Default::default()
             };
             let mut worker = loopback_cluster(2).remove(1);
-            let mut source = MemSource::new(input.clone(), 1 << 20);
-            let err = run_worker(&mut worker, &mut source, &mut MemSink::new(), &cfg)
+            let source = MemSource::new(input.clone(), 1 << 20);
+            let err = run_worker(&mut worker, source, &mut MemSink::new(), &cfg)
                 .expect_err("ragged input must be refused");
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
             assert!(err.to_string().starts_with("node 1: "), "{err}");

@@ -110,10 +110,10 @@ fn run_cluster<T: Transport + 'static>(
         let cfg = cfg.clone();
         std::thread::spawn(move || {
             let t0 = Instant::now();
-            let mut source = MemSource::new(share, 1 << 20);
+            let source = MemSource::new(share, 1 << 20);
             let mut sink = MemSink::new();
             let result =
-                run_worker(&mut transport, &mut source, &mut sink, &cfg).map(|_| sink.into_inner());
+                run_worker(&mut transport, source, &mut sink, &cfg).map(|_| sink.into_inner());
             let _ = tx.send(NodeResult {
                 node,
                 result,

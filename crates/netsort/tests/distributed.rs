@@ -246,15 +246,9 @@ fn connection_cut_mid_exchange_fails_cleanly() {
 
     let (input, _) = generate(GenConfig::datamation(5_000, 9));
     let mut transport = TcpTransport::establish(0, l0, &addrs, &policy).unwrap();
-    let mut source = MemSource::new(input, 1 << 20);
+    let source = MemSource::new(input, 1 << 20);
     let mut sink = MemSink::new();
-    let err = run_worker(
-        &mut transport,
-        &mut source,
-        &mut sink,
-        &NetsortConfig::default(),
-    )
-    .unwrap_err();
+    let err = run_worker(&mut transport, source, &mut sink, &NetsortConfig::default()).unwrap_err();
     assert!(
         matches!(
             err.kind(),

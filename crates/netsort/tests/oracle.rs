@@ -6,8 +6,9 @@
 //!
 //! Every generated record embeds a unique sequence number, so the stable
 //! sort's output is unique: equal keys must come out in input order, which
-//! the cluster guarantees by gathering each node's partition per sender in
-//! node order before its stable local sort.
+//! the cluster guarantees by merging the senders' sorted streams in node
+//! order (shares are contiguous in input order, and the tournament sends
+//! ties to the lower sender), each stream itself stable by run index.
 
 use alphasort_core::{RecordLayout, SortConfig};
 use alphasort_dmgen::{

@@ -167,9 +167,9 @@ where
                 let part = &parts[node];
                 scope.spawn(move || -> io::Result<SortStats> {
                     let mut transport = maker()?;
-                    let mut source = FileSource::open(share)?;
+                    let source = FileSource::open(share)?;
                     let mut sink = FileSink::create(part)?;
-                    Ok(run_worker(&mut transport, &mut source, &mut sink, cfg)?.stats)
+                    Ok(run_worker(&mut transport, source, &mut sink, cfg)?.stats)
                 })
             })
             .collect();
